@@ -1,73 +1,15 @@
 """Simulation-engine throughput micro-benchmark.
 
-The measurement itself is the registered ``engine_throughput`` scenario in
-:mod:`repro.bench.scenarios` (scalar loop vs megabatch kernel vs the engine
-scalar/megabatch/cached/parallel paths, bit-identity asserted between all
-of them).
+Thin wrapper over the registered ``engine_throughput`` scenario
+(:mod:`repro.bench.scenarios`): scalar loop vs the megabatch kernel and the
+engine's megabatch/cached/parallel paths, bit-identity asserted between all
+of them.  Run it without pytest via::
 
-.. deprecated::
-    The standalone entrypoint below is kept for compatibility with existing
-    automation; prefer the scenario runner, which emits the same schema for
-    every scenario::
-
-        PYTHONPATH=src python -m repro.bench run engine_throughput --tier smoke
-
-Run standalone (writes ``BENCH_engine.json`` at the repository root)::
-
-    PYTHONPATH=src python benchmarks/bench_engine_throughput.py [--smoke]
-
-``--smoke`` (or ``ENGINE_BENCH_SMOKE=1``) selects the smoke tier for CI.
+    python -m repro.bench run engine_throughput --tier smoke
 """
 
-from __future__ import annotations
-
-import argparse
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from conftest import run_scenario_benchmark  # noqa: E402
-
-from repro.bench import Runner, RunnerConfig  # noqa: E402
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="smoke-tier workload for CI (also ENGINE_BENCH_SMOKE=1)")
-    parser.add_argument("--tier", default=None,
-                        help="explicit scale tier (overrides --smoke)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--output-dir", default=REPO_ROOT)
-    arguments = parser.parse_args(argv)
-    smoke = arguments.smoke or os.environ.get("ENGINE_BENCH_SMOKE") == "1"
-    tier = arguments.tier or ("smoke" if smoke else "quick")
-    print("note: this entrypoint is deprecated; prefer "
-          f"`python -m repro.bench run engine_throughput --tier {tier}`")
-
-    runner = Runner(RunnerConfig(tier=tier, suite="engine", workers=arguments.workers,
-                                 seed=arguments.seed, output_dir=arguments.output_dir))
-    payload = runner.run(names=["engine_throughput"])
-    path = runner.write(payload)
-
-    entry = payload["scenarios"]["engine_throughput"]
-    metrics = entry["metrics"]
-    print(f"engine throughput ({tier}, {metrics['workload']['simulations']} simulations):")
-    for name, row in metrics["paths"].items():
-        print(f"  {name:16s} {row['blocks_per_sec']:10.0f} blocks/sec "
-              f"({row['seconds']:.3f}s)")
-    for name, speedup in metrics["speedups_vs_scalar"].items():
-        print(f"  {name:16s} {speedup:.2f}x vs scalar")
-    print(f"wrote {path}")
-    return 0
+from conftest import run_scenario_benchmark
 
 
 def bench_engine_throughput(benchmark, bench_runner):
     run_scenario_benchmark(benchmark, bench_runner, "engine_throughput")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

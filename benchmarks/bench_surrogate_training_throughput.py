@@ -1,9 +1,8 @@
-"""Surrogate-training throughput — per-example loop vs the batched fast path.
+"""Surrogate-training throughput of the batch-major training path.
 
 Thin wrapper over the registered ``surrogate_training_throughput`` scenario
-(:mod:`repro.bench.scenarios`); the workload trains the same seeded pooled
-surrogate through both execution paths and reports examples/second for each.
-Run it without pytest via::
+(:mod:`repro.bench.scenarios`); the workload trains a seeded pooled
+surrogate and reports examples/second.  Run it without pytest via::
 
     python -m repro.bench run surrogate_training_throughput --tier quick
 """

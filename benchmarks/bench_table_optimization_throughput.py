@@ -1,10 +1,9 @@
-"""Phase-two table-optimization throughput — per-block vs batched fast path.
+"""Phase-two table-optimization throughput of the batch-major path.
 
 Thin wrapper over the registered ``table_optimization_throughput`` scenario
-(:mod:`repro.bench.scenarios`); the workload optimizes the same seeded
-initial table through both execution paths of
-:func:`repro.core.table_optimization.optimize_parameter_table` and reports
-examples/second for each.  Run it without pytest via::
+(:mod:`repro.bench.scenarios`); the workload optimizes a seeded initial
+table with :func:`repro.core.table_optimization.optimize_parameter_table`
+and reports examples/second.  Run it without pytest via::
 
     python -m repro.bench run table_optimization_throughput --tier quick
 """

@@ -164,8 +164,7 @@ def export_bundle(session: Any, path: str, table: Optional[Any] = None,
         simulator=session.plugin.name,
         table_path=getattr(session.spec, "table_path", None),
         surrogate=None if surrogate is None else surrogate.config.kind,
-        engine_workers=getattr(session.spec, "engine_workers", 0),
-        engine_megabatch=getattr(session.spec, "engine_megabatch", True))
+        engine_workers=getattr(session.spec, "engine_workers", 0))
     spec.validate()
 
     members: Dict[str, bytes] = {}

@@ -46,12 +46,6 @@ class SimulatorPlugin:
         supports_partial_learning: Whether the adapter accepts
             ``learn_fields`` (learning a subset of the parameter set);
             validated up front by :class:`~repro.api.specs.TuneSpec`.
-        supports_megabatch: Whether the simulator provides a vectorized
-            megabatch timing kernel (``predict_timing_batch``) that the
-            engine can route cache misses through.  Simulators without one
-            still work — the engine falls back to per-block
-            ``predict_timing`` — but cannot honour ``engine_megabatch``
-            beyond that fallback.
     """
 
     name: str
@@ -63,7 +57,6 @@ class SimulatorPlugin:
     sweep_fields: Mapping[str, Callable[[Any, int], None]] = field(default_factory=dict)
     opcode_sweep_fields: Mapping[str, Callable[..., None]] = field(default_factory=dict)
     supports_partial_learning: bool = True
-    supports_megabatch: bool = False
 
     def create_adapter(self, uarch: Any, **kwargs: Any) -> Any:
         """Build the simulator's adapter for ``uarch``."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -151,7 +150,7 @@ class Session:
         manifest digest and the schema version, and binds the bundled table
         as the session's default — ``session.predict(blocks)`` then serves
         the learned table with no further setup.  ``overrides`` update the
-        engine knobs (``engine_workers``, ``engine_megabatch``).
+        engine knob (``engine_workers``).
         """
         from repro.api.bundle import load_bundle
 
@@ -160,7 +159,6 @@ class Session:
             "target": bundle.manifest.target,
             "simulator": bundle.manifest.simulator,
             "engine_workers": bundle.manifest.spec.get("engine_workers", 0),
-            "engine_megabatch": bundle.manifest.spec.get("engine_megabatch", True),
         }
         payload.update(overrides)
         session = cls(PredictSpec.from_dict(payload), log=log)
@@ -198,7 +196,6 @@ class Session:
         if self._adapter is None:
             kwargs: Dict[str, Any] = {
                 "engine_workers": self._spec_get("engine_workers", 0),
-                "engine_megabatch": self._spec_get("engine_megabatch", True),
             }
             narrow = self._spec_get("narrow_sampling")
             if narrow is not None:
@@ -218,9 +215,6 @@ class Session:
             surrogate = self._spec_get("surrogate")
             if surrogate is not None:
                 config.surrogate.kind = SURROGATES.resolve(surrogate)
-            config.surrogate_training.batched = self._spec_get("batch_training", True)
-            config.table_optimization.batched = \
-                self._spec_get("batch_table_optimization", True)
             self._config = config
         return self._config
 
@@ -338,7 +332,7 @@ class Session:
         """Load a learned table JSON through the simulator plugin.
 
         Memoized per path on this session; callers that mutate the result
-        should ``copy()`` it first (as :meth:`sweep_tables` does).
+        should ``copy()`` it first (as campaign variants do).
         """
         table = self._table_cache.get(path)
         if table is None:
@@ -513,7 +507,7 @@ class Session:
                 "simulator": SIMULATORS.resolve(self.spec.simulator)}
             for name in ("target", "dataset_path", "corpus_path", "num_blocks",
                          "seed", "table_path", "narrow_sampling",
-                         "engine_workers", "engine_megabatch"):
+                         "engine_workers"):
                 value = self._spec_get(name)
                 if value is not None:
                     payload[name] = value
@@ -567,43 +561,6 @@ class Session:
                             f"keyword arguments; got {type(spec).__name__}")
         return run_matrix(spec, log=self.log)
 
-    def sweep_tables(self, field_name: str, values: Sequence[int],
-                     table: Optional[Any] = None) -> List[Any]:
-        """Deprecated: candidate tables varying one global parameter.
-
-        Thin shim over the campaign axis machinery
-        (:func:`repro.campaigns.spec.resolve_axis`): the base table is
-        resolved once and each candidate applies the plugin's setter to a
-        copy, exactly as a single-axis grid campaign materializes its
-        variants.  Use :meth:`run_campaign` with a grid axis instead.
-
-        Raises :class:`CapabilityError` when the simulator does not expose
-        ``field_name`` as a sweepable global parameter.
-        """
-        warnings.warn(
-            "Session.sweep_tables() is deprecated; use Session.run_campaign() "
-            "with a single grid axis (repro.campaigns)",
-            DeprecationWarning, stacklevel=2)
-        from repro.campaigns.spec import AxisSpec, resolve_axis
-
-        plugin = self.plugin
-        if field_name not in plugin.sweep_fields:
-            supported = ", ".join(sorted(plugin.sweep_fields)) or "<none>"
-            raise CapabilityError(
-                f"simulator {plugin.name!r} cannot sweep {field_name!r}; "
-                f"sweepable fields: {supported}")
-        axis = resolve_axis(AxisSpec(field=field_name,
-                                     values=[int(value) for value in values]),
-                            plugin)
-        if table is None:
-            table = self.load_table_or_default(self._spec_get("table_path"))
-        candidates = []
-        for value in axis.values:
-            candidate = table.copy()
-            axis.apply(candidate, value)
-            candidates.append(candidate)
-        return candidates
-
     def stats(self) -> Dict[str, Any]:
         """One stats surface for the whole session.
 
@@ -627,15 +584,6 @@ class Session:
             "predicted_blocks": self._predicted_blocks,
             "predicted_pairs": self._predicted_pairs,
         }
-
-    def engine_stats(self) -> Optional[Dict[str, int]]:
-        """Deprecated: use ``Session.stats()["engine"]``."""
-        warnings.warn(
-            "Session.engine_stats() is deprecated; use "
-            "Session.stats()['engine'] (the engine counters are one section "
-            "of the unified stats surface)",
-            DeprecationWarning, stacklevel=2)
-        return self.stats()["engine"]
 
     # ------------------------------------------------------------------
     # Deployment bundles

@@ -115,7 +115,6 @@ class _SpecBase:
         self._check_registry("target", TARGETS)
         self._check_registry("simulator", SIMULATORS)
         self._check_non_negative("engine_workers")
-        self._check_type("engine_megabatch", (bool,))
 
     def validate(self) -> None:
         raise NotImplementedError
@@ -143,13 +142,7 @@ class TuneSpec(_SpecBase):
     corpus_path: Optional[str] = None
     learn_fields: Optional[List[str]] = None
     narrow_sampling: bool = True
-    batch_training: bool = True
-    batch_table_optimization: bool = True
     engine_workers: int = 0
-    #: Route engine cache misses through the vectorized megabatch kernels
-    #: (bit-identical to the scalar path; ``False`` is a debugging escape
-    #: hatch).
-    engine_megabatch: bool = True
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     stop_after: Optional[str] = None
@@ -181,8 +174,7 @@ class TuneSpec(_SpecBase):
                     f"simulator {self.simulator!r} learns its full parameter "
                     f"set and does not support learn_fields; simulators that "
                     f"do: {', '.join(supported)}")
-        for flag in ("narrow_sampling", "batch_training",
-                     "batch_table_optimization", "resume"):
+        for flag in ("narrow_sampling", "resume"):
             self._check_type(flag, (bool,))
         self._check_type("checkpoint_dir", (str,), allow_none=True)
         self._check_type("stop_after", (str,), allow_none=True)
@@ -209,7 +201,6 @@ class EvaluateSpec(_SpecBase):
     table_path: Optional[str] = None
     split: str = "test"
     engine_workers: int = 0
-    engine_megabatch: bool = True
 
     def validate(self) -> None:
         self._check_common()
@@ -255,7 +246,6 @@ class CorpusSpec(_SpecBase):
     featurize: bool = False
     resume: bool = False
     engine_workers: int = 0
-    engine_megabatch: bool = True
 
     def validate(self) -> None:
         self._check_common()
@@ -278,7 +268,6 @@ class PredictSpec(_SpecBase):
     #: Learned table JSON; ``None`` predicts under the expert default table.
     table_path: Optional[str] = None
     engine_workers: int = 0
-    engine_megabatch: bool = True
 
     def validate(self) -> None:
         self._check_common()
@@ -304,7 +293,6 @@ class BundleSpec(_SpecBase):
     #: Surrogate kind of the embedded weights (``None``: no surrogate member).
     surrogate: Optional[str] = None
     engine_workers: int = 0
-    engine_megabatch: bool = True
 
     def validate(self) -> None:
         self._check_common()
@@ -339,7 +327,6 @@ class ServeSpec(_SpecBase):
     #: Capacity of each per-table-digest LRU result shard.
     cache_size: int = 4096
     engine_workers: int = 0
-    engine_megabatch: bool = True
 
     def validate(self) -> None:
         self._check_common()

@@ -363,7 +363,7 @@ def _format_engine_throughput(metrics) -> str:
 @scenario("engine_throughput", tags=("perf", "ci"),
           formatter=_format_engine_throughput)
 def engine_throughput(ctx: ScenarioContext):
-    """Blocks/second: scalar loop vs engine scalar/megabatch/cached/parallel.
+    """Blocks/second: scalar loop vs megabatch kernel and engine paths.
 
     The corpus keeps the short-block regime the megabatch kernels are built
     for (BHive-style lengths, the tail filtered to <= 16 instructions) so the
@@ -418,12 +418,8 @@ def engine_throughput(ctx: ScenarioContext):
                          compiler=shared_compiler).predict_timing_batch(blocks)
             for table in tables])
 
-    # Engine with the megabatch kernel disabled: shared compile cache and LRU,
-    # but per-block simulation — isolates the kernel's contribution.  Result
-    # caches are cleared between rounds so every round re-simulates
+    # Result caches are cleared between rounds so every round re-simulates
     # (engine_cached measures the hit path separately).
-    scalar_engine = ctx.mca_engine(num_workers=0, megabatch=False)
-    scalar_engine.run([warmup_table], blocks)
     engine = ctx.mca_engine(num_workers=0)
     engine.run([warmup_table], blocks)
     parallel_engine = ctx.mca_engine(num_workers=workers)
@@ -436,7 +432,6 @@ def engine_throughput(ctx: ScenarioContext):
     paths = [
         ("scalar", scalar_loop, {}),
         ("megabatch_kernel", kernel_loop, {}),
-        ("engine_scalar", lambda: run_cleared(scalar_engine), {}),
         ("engine_megabatch", lambda: run_cleared(engine), {}),
         # Runs right after engine_megabatch each round, so the result cache
         # is full and this times the pure hit path.
@@ -481,22 +476,19 @@ def engine_throughput(ctx: ScenarioContext):
 
 
 # ----------------------------------------------------------------------
-# Surrogate-training throughput (batched fast path vs per-example loop)
+# Surrogate-training and table-optimization throughput
 # ----------------------------------------------------------------------
 def _format_surrogate_training_throughput(metrics) -> str:
     rows = [[name, f"{row['examples_per_sec']:.0f}", f"{row['seconds']:.3f}s"]
             for name, row in metrics["paths"].items()]
-    rows.append(["speedup (batched/scalar)",
-                 f"{metrics['speedup_batched_vs_scalar']:.2f}x", ""])
     return format_table(["Path", "Examples/sec", "Wall time"], rows,
-                        title="Surrogate-training throughput "
-                              "(per-example vs batched fast path)")
+                        title="Surrogate-training throughput")
 
 
 @scenario("surrogate_training_throughput", tags=("perf", "ci"),
           formatter=_format_surrogate_training_throughput)
 def surrogate_training_throughput(ctx: ScenarioContext):
-    """Examples/second of surrogate training: per-example loop vs batched path."""
+    """Examples/second of batch-major surrogate training."""
     from repro.bhive.generator import BlockGenerator
     from repro.core import SurrogateConfig, build_surrogate, collect_simulated_dataset
     from repro.core.surrogate import BlockFeaturizer
@@ -513,54 +505,38 @@ def surrogate_training_throughput(ctx: ScenarioContext):
     examples = collect_simulated_dataset(adapter, blocks, num_examples, rng,
                                          blocks_per_table=16)
 
-    results: Dict[str, Dict[str, float]] = {}
-    epoch_losses: Dict[str, List[float]] = {}
-    # Fresh, identically seeded surrogate per path so both train the same
-    # model; the loss trajectories must agree (the property tests pin the two
-    # paths within 1e-9, and the max divergence is recorded as a metric).
-    for label, batched in (("scalar", False), ("batched", True)):
-        surrogate = build_surrogate(
-            spec, BlockFeaturizer(adapter.opcode_table),
-            SurrogateConfig(kind="pooled", seed=ctx.seed))
-        training = SurrogateTrainingConfig(epochs=epochs, batch_size=batch_size,
-                                           seed=ctx.seed, batched=batched)
-        start = time.perf_counter()
-        outcome = train_surrogate(surrogate, examples, training)
-        elapsed = time.perf_counter() - start
-        processed = num_examples * epochs
-        results[label] = {"seconds": elapsed,
-                          "examples_per_sec": processed / max(elapsed, 1e-9),
-                          "final_training_error": outcome.final_training_error}
-        epoch_losses[label] = outcome.epoch_losses
-
+    surrogate = build_surrogate(
+        spec, BlockFeaturizer(adapter.opcode_table),
+        SurrogateConfig(kind="pooled", seed=ctx.seed))
+    training = SurrogateTrainingConfig(epochs=epochs, batch_size=batch_size,
+                                       seed=ctx.seed)
+    start = time.perf_counter()
+    outcome = train_surrogate(surrogate, examples, training)
+    elapsed = time.perf_counter() - start
+    processed = num_examples * epochs
     return {
         "workload": {"num_blocks": num_blocks, "num_examples": num_examples,
                      "epochs": epochs, "batch_size": batch_size,
                      "surrogate_kind": "pooled", "seed": ctx.seed,
                      "uarch": "haswell"},
-        "paths": results,
-        "speedup_batched_vs_scalar": (results["batched"]["examples_per_sec"]
-                                      / results["scalar"]["examples_per_sec"]),
-        "epoch_loss_max_abs_diff": max(
-            abs(scalar - batched) for scalar, batched
-            in zip(epoch_losses["scalar"], epoch_losses["batched"])),
+        "paths": {"batched": {
+            "seconds": elapsed,
+            "examples_per_sec": processed / max(elapsed, 1e-9),
+            "final_training_error": outcome.final_training_error}},
     }
 
 
 def _format_table_optimization_throughput(metrics) -> str:
     rows = [[name, f"{row['examples_per_sec']:.0f}", f"{row['seconds']:.3f}s"]
             for name, row in metrics["paths"].items()]
-    rows.append(["speedup (batched/scalar)",
-                 f"{metrics['speedup_batched_vs_scalar']:.2f}x", ""])
     return format_table(["Path", "Examples/sec", "Wall time"], rows,
-                        title="Phase-two table-optimization throughput "
-                              "(per-block vs batched fast path)")
+                        title="Phase-two table-optimization throughput")
 
 
 @scenario("table_optimization_throughput", tags=("perf", "ci"),
           formatter=_format_table_optimization_throughput)
 def table_optimization_throughput(ctx: ScenarioContext):
-    """Examples/second of phase-two table optimization: per-block vs batched."""
+    """Examples/second of batch-major phase-two table optimization."""
     from repro.core import SurrogateConfig, build_surrogate
     from repro.core.surrogate import BlockFeaturizer
     from repro.core.table_optimization import (TableOptimizationConfig,
@@ -577,37 +553,24 @@ def table_optimization_throughput(ctx: ScenarioContext):
     timings = np.array([example.timing for example in train])
     initial = spec.sample(np.random.default_rng(ctx.seed))
 
-    results: Dict[str, Dict[str, float]] = {}
-    epoch_losses: Dict[str, List[float]] = {}
-    # Fresh, identically seeded surrogate per path; the two loss trajectories
-    # must agree (pinned within 1e-9 by the property tests; the observed
-    # divergence is recorded as a metric).
-    for label, batched in (("scalar", False), ("batched", True)):
-        surrogate = build_surrogate(
-            spec, BlockFeaturizer(adapter.opcode_table),
-            SurrogateConfig(kind="pooled", seed=ctx.seed))
-        config = TableOptimizationConfig(epochs=epochs, batch_size=batch_size,
-                                         seed=ctx.seed, batched=batched)
-        start = time.perf_counter()
-        outcome = optimize_parameter_table(surrogate, blocks, timings, config,
-                                           initial_arrays=initial)
-        elapsed = time.perf_counter() - start
-        processed = len(blocks) * epochs
-        results[label] = {"seconds": elapsed,
-                          "examples_per_sec": processed / max(elapsed, 1e-9),
-                          "final_epoch_loss": outcome.epoch_losses[-1]}
-        epoch_losses[label] = outcome.epoch_losses
-
+    surrogate = build_surrogate(
+        spec, BlockFeaturizer(adapter.opcode_table),
+        SurrogateConfig(kind="pooled", seed=ctx.seed))
+    config = TableOptimizationConfig(epochs=epochs, batch_size=batch_size,
+                                     seed=ctx.seed)
+    start = time.perf_counter()
+    outcome = optimize_parameter_table(surrogate, blocks, timings, config,
+                                       initial_arrays=initial)
+    elapsed = time.perf_counter() - start
+    processed = len(blocks) * epochs
     return {
         "workload": {"num_blocks": len(blocks), "epochs": epochs,
                      "batch_size": batch_size, "surrogate_kind": "pooled",
                      "seed": ctx.seed, "uarch": "haswell"},
-        "paths": results,
-        "speedup_batched_vs_scalar": (results["batched"]["examples_per_sec"]
-                                      / results["scalar"]["examples_per_sec"]),
-        "epoch_loss_max_abs_diff": max(
-            abs(scalar - batched) for scalar, batched
-            in zip(epoch_losses["scalar"], epoch_losses["batched"])),
+        "paths": {"batched": {
+            "seconds": elapsed,
+            "examples_per_sec": processed / max(elapsed, 1e-9),
+            "final_epoch_loss": outcome.epoch_losses[-1]}},
     }
 
 

@@ -259,10 +259,9 @@ def sweep_error_curve(table: Any, dataset: Any, field: str,
                       engine: Any = None) -> List[Tuple[int, float]]:
     """Error curve of one axis swept over a dataset's test split.
 
-    The single-axis backbone shared by the Figure-5 sensitivity curves and
-    the deprecated :func:`repro.eval.analysis.global_parameter_sensitivity`
-    shim: one batched engine call over the swept tables, so each block
-    compiles once and is reused for every value.
+    The single-axis backbone of the Figure-5 sensitivity curves: one
+    batched engine call over the swept tables, so each block compiles once
+    and is reused for every value.
     """
     plugin = SIMULATORS.get(simulator)
     examples = dataset.test_examples

@@ -17,8 +17,9 @@ Both round-trip through JSON and validate eagerly with registry-backed
 did-you-mean suggestions, like every other :mod:`repro.api` spec.  Axis
 *resolution* — turning an :class:`AxisSpec` into a concrete
 ``(table, value) -> None`` applier against one simulator's plugin — lives
-here too (:func:`resolve_axes`) so the runner, the ``Session.sweep_tables``
-shim, and eager validation all share one code path.
+here too (:func:`resolve_axes`) so the runner,
+:func:`~repro.campaigns.runner.sweep_error_curve` and eager validation all
+share one code path.
 """
 
 from __future__ import annotations
@@ -257,7 +258,6 @@ class CampaignSpec(_SpecBase):
     top_k: int = 5
     histogram_bins: int = 20
     engine_workers: int = 0
-    engine_megabatch: bool = True
 
     def validate(self) -> None:
         self._check_common()
@@ -321,9 +321,9 @@ class CampaignSpec(_SpecBase):
         """The result-determining fields, for fingerprints and reports.
 
         Excludes execution-only knobs (checkpointing, report destination,
-        worker count, kernel selection) that never change the numbers, so an
-        interrupted run and its resumed continuation fingerprint alike and
-        emit byte-identical reports.  ``corpus_path`` is excluded too: the
+        worker count) that never change the numbers, so an interrupted run
+        and its resumed continuation fingerprint alike and emit
+        byte-identical reports.  ``corpus_path`` is excluded too: the
         corpus *content* is what determines results, and
         :func:`~repro.campaigns.runner.campaign_fingerprint` digests the
         actual blocks and timings — so moving a corpus directory (or
@@ -331,6 +331,6 @@ class CampaignSpec(_SpecBase):
         """
         payload = self.to_dict()
         for key in ("checkpoint_dir", "resume", "report_path", "corpus_path",
-                    "engine_workers", "engine_megabatch"):
+                    "engine_workers"):
             payload.pop(key)
         return payload

@@ -158,10 +158,7 @@ def _command_learn(arguments: argparse.Namespace) -> int:
                  dataset_path=arguments.dataset,
                  learn_fields=arguments.learn_fields,
                  narrow_sampling=not arguments.paper_sampling,
-                 batch_training=arguments.batch_training,
-                 batch_table_optimization=arguments.batch_table_optimization,
-                 engine_workers=arguments.workers,
-                 engine_megabatch=arguments.megabatch),
+                 engine_workers=arguments.workers),
         log=lambda message: print(f"[difftune] {message}"))
     outcome = session.tune()
     outcome.learned_table.save_json(arguments.output)
@@ -198,8 +195,6 @@ def _command_tune(arguments: argparse.Namespace) -> int:
         stop_after=arguments.stop_after,
         output_path=os.path.join(arguments.output_dir, f"{target}.json"),
         learn_fields=arguments.learn_fields,
-        batch_training=arguments.batch_training,
-        batch_table_optimization=arguments.batch_table_optimization,
         # Per-target process fan-out and engine fan-out compose poorly on a
         # laptop; give the engine the workers only when targets run serially.
         engine_workers=0 if not sequential else arguments.workers,
@@ -227,8 +222,7 @@ def _command_tune(arguments: argparse.Namespace) -> int:
 def _command_evaluate(arguments: argparse.Namespace) -> int:
     session = Session.from_spec(EvaluateSpec(simulator=arguments.simulator,
                                              dataset_path=arguments.dataset,
-                                             table_path=arguments.table,
-                                             engine_megabatch=arguments.megabatch))
+                                             table_path=arguments.table))
     report = session.evaluate()
     label = arguments.table if arguments.table else "default parameters"
     print(f"{session.dataset().uarch_name} {report['split']} split "
@@ -269,8 +263,7 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
     session = Session.from_spec(EvaluateSpec(simulator=arguments.simulator,
                                              dataset_path=arguments.dataset,
                                              table_path=arguments.table,
-                                             engine_workers=arguments.workers,
-                                             engine_megabatch=arguments.megabatch))
+                                             engine_workers=arguments.workers))
     field = arguments.field
     plugin = SIMULATORS.get(arguments.simulator)
     if field not in plugin.sweep_fields:
@@ -374,7 +367,6 @@ def _command_campaign(arguments: argparse.Namespace) -> int:
         ("checkpoint_dir", arguments.checkpoint_dir),
         ("report_path", arguments.output),
         ("engine_workers", arguments.workers),
-        ("engine_megabatch", arguments.megabatch),
     ) if value is not None}
     if arguments.axis:
         overrides["axes"] = [_parse_axis(axis) for axis in arguments.axis]
@@ -526,8 +518,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                      max_batch_size=arguments.max_batch,
                      max_batch_wait_ms=arguments.max_wait_ms,
                      cache_size=arguments.cache_size,
-                     engine_workers=arguments.workers,
-                     engine_megabatch=arguments.megabatch)
+                     engine_workers=arguments.workers)
     server = InferenceServer.from_spec(
         spec, log=lambda message: print(f"[serve] {message}"))
     server.serve()
@@ -631,20 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     learn_parser.add_argument("--workers", type=int, default=0,
                               help="engine worker processes for parallel simulated-dataset "
                                    "collection")
-    learn_parser.add_argument("--batch-training", action=argparse.BooleanOptionalAction,
-                              default=True,
-                              help="batched surrogate-training fast path (default on; "
-                                   "--no-batch-training restores the per-example loop)")
-    learn_parser.add_argument("--batch-table-optimization",
-                              action=argparse.BooleanOptionalAction, default=True,
-                              help="batched phase-two table optimization (default on; "
-                                   "--no-batch-table-optimization restores the "
-                                   "per-block loop)")
-    learn_parser.add_argument("--megabatch", action=argparse.BooleanOptionalAction,
-                              default=True,
-                              help="vectorized megabatch simulation kernels (default "
-                                   "on; --no-megabatch restores the bit-identical "
-                                   "per-block scalar path)")
     learn_parser.set_defaults(handler=_command_learn)
 
     tune_parser = subparsers.add_parser(
@@ -679,22 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   "engine gets the workers")
     tune_parser.add_argument("--learn-fields", nargs="*", default=None,
                              help="subset of fields to learn (e.g. WriteLatency)")
-    tune_parser.add_argument("--batch-training", action=argparse.BooleanOptionalAction,
-                             default=True,
-                             help="batched surrogate-training fast path")
-    tune_parser.add_argument("--batch-table-optimization",
-                             action=argparse.BooleanOptionalAction, default=True,
-                             help="batched phase-two table optimization")
     tune_parser.set_defaults(handler=_command_tune)
 
     evaluate_parser = subparsers.add_parser("evaluate", help="evaluate a parameter table")
     evaluate_parser.add_argument("--dataset", required=True)
     evaluate_parser.add_argument("--table", help="learned table JSON (defaults to expert table)")
-    evaluate_parser.add_argument("--megabatch", action=argparse.BooleanOptionalAction,
-                                 default=True,
-                                 help="vectorized megabatch simulation kernels (default "
-                                      "on; --no-megabatch restores the bit-identical "
-                                      "per-block scalar path)")
     _add_simulator_argument(evaluate_parser)
     evaluate_parser.set_defaults(handler=_command_evaluate)
 
@@ -728,11 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workers", type=int, default=0,
                               help="engine worker processes (megabatches are chunked "
                                    "across them)")
-    sweep_parser.add_argument("--megabatch", action=argparse.BooleanOptionalAction,
-                              default=True,
-                              help="vectorized megabatch simulation kernels (default "
-                                   "on; --no-megabatch restores the bit-identical "
-                                   "per-block scalar path)")
     sweep_parser.set_defaults(handler=_command_sweep)
 
     campaign_parser = subparsers.add_parser(
@@ -793,11 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "here (rewritten after every chunk)")
     campaign_run_parser.add_argument("--workers", type=int, default=None,
                                      help="engine worker processes")
-    campaign_run_parser.add_argument("--megabatch",
-                                     action=argparse.BooleanOptionalAction,
-                                     default=None,
-                                     help="vectorized megabatch simulation "
-                                          "kernels")
     campaign_run_parser.set_defaults(handler=_command_campaign)
     campaign_list_parser = campaign_subparsers.add_parser(
         "list", help="list registered campaign presets and sampling strategies")
@@ -945,9 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="entries per result-cache shard")
     serve_parser.add_argument("--workers", type=int, default=0,
                               help="engine worker processes")
-    serve_parser.add_argument("--megabatch", action=argparse.BooleanOptionalAction,
-                              default=True,
-                              help="vectorized megabatch simulation kernels")
     serve_parser.set_defaults(handler=_command_serve)
 
     bundle_parser = subparsers.add_parser(

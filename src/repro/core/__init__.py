@@ -20,18 +20,11 @@ This package implements the paper's primary contribution (Section III–IV):
    valid integer parameter tables.
 7. :mod:`~repro.core.difftune` — the end-to-end driver.
 
-.. deprecated::
-    Constructing components directly from this package root
-    (``repro.core.DiffTune``, ``repro.core.MCAAdapter``, config presets) is
-    deprecated in favour of the registry-driven facade in :mod:`repro.api`
-    (``Session.from_spec(...)``); the old names keep working for one release
-    and emit :class:`DeprecationWarning`.  Library-internal code imports the
-    defining submodules (``repro.core.difftune`` etc.), which stay
-    warning-free and are not deprecated.
+Adapters, the driver and the config presets are imported from their defining
+submodules (``repro.core.adapters``, ``repro.core.difftune``,
+``repro.core.config``); end-to-end runs go through the registry-driven facade
+in :mod:`repro.api` (``Session.from_spec(...)``).
 """
-
-import importlib
-import warnings
 
 from repro.core.parameters import (ParameterField, ParameterSpec, ParameterArrays,
                                    PORT_MAP_FIELD_NAME)
@@ -50,37 +43,6 @@ from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_sur
 from repro.core.table_optimization import TableOptimizationConfig, optimize_parameter_table
 from repro.core.extraction import extract_parameter_arrays
 
-#: Package-root names now served through :func:`__getattr__` with a
-#: :class:`DeprecationWarning`: name -> (defining module, replacement hint).
-_DEPRECATED_ROOT_NAMES = {
-    "SimulatorAdapter": ("repro.core.adapters", "repro.api (SIMULATORS registry)"),
-    "MCAAdapter": ("repro.core.adapters",
-                   "repro.api.Session / repro.api.SIMULATORS.get('mca')"),
-    "LLVMSimAdapter": ("repro.core.adapters",
-                       "repro.api.Session / repro.api.SIMULATORS.get('llvm_sim')"),
-    "DiffTune": ("repro.core.difftune", "repro.api.Session.tune"),
-    "DiffTuneConfig": ("repro.core.difftune", "repro.api.TuneSpec"),
-    "DiffTuneResult": ("repro.core.difftune", "repro.api.SessionTuneResult"),
-    "fast_config": ("repro.core.config", "repro.api.PRESETS.get('fast')"),
-    "paper_config": ("repro.core.config", "repro.api.PRESETS.get('paper')"),
-    "test_config": ("repro.core.config", "repro.api.PRESETS.get('test')"),
-}
-
-
-def __getattr__(name: str):
-    entry = _DEPRECATED_ROOT_NAMES.get(name)
-    if entry is None:
-        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-    module_name, replacement = entry
-    warnings.warn(
-        f"importing {name!r} from 'repro.core' is deprecated and will be "
-        f"removed in the next release; use {replacement} (or import from "
-        f"'{module_name}' directly)",
-        DeprecationWarning, stacklevel=2)
-    # Deliberately not cached in globals(): every root access warns.
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
     "ParameterField",
     "ParameterSpec",
@@ -96,9 +58,6 @@ __all__ = [
     "LessEqualConstraint",
     "SumAtMostConstraint",
     "RelationConstraint",
-    "SimulatorAdapter",
-    "MCAAdapter",
-    "LLVMSimAdapter",
     "SurrogateConfig",
     "BlockFeaturizer",
     "IthemalSurrogate",
@@ -116,10 +75,4 @@ __all__ = [
     "TableOptimizationConfig",
     "optimize_parameter_table",
     "extract_parameter_arrays",
-    "DiffTune",
-    "DiffTuneConfig",
-    "DiffTuneResult",
-    "fast_config",
-    "paper_config",
-    "test_config",
 ]

@@ -158,8 +158,7 @@ class MCAAdapter(SimulatorAdapter):
                  learn_fields: Optional[Sequence[str]] = None,
                  narrow_sampling: bool = False,
                  engine_cache_size: int = DEFAULT_CACHE_SIZE,
-                 engine_workers: int = 0,
-                 engine_megabatch: bool = True) -> None:
+                 engine_workers: int = 0) -> None:
         """Create an adapter.
 
         Args:
@@ -181,9 +180,6 @@ class MCAAdapter(SimulatorAdapter):
             engine_workers: Opt-in process fan-out for batched table
                 evaluation (``0`` = serial; see
                 :class:`~repro.engine.engine.SimulationEngine`).
-            engine_megabatch: Execute cache misses through the vectorized
-                megabatch kernel (bit-identical; ``False`` restores the
-                per-block scalar path).
         """
         self.uarch = uarch
         self.opcode_table = opcode_table or DEFAULT_OPCODE_TABLE
@@ -191,7 +187,6 @@ class MCAAdapter(SimulatorAdapter):
         self.narrow_sampling = narrow_sampling
         self.engine_cache_size = engine_cache_size
         self.engine_workers = engine_workers
-        self.engine_megabatch = engine_megabatch
         self._default_table = build_default_mca_table(uarch, self.opcode_table)
         self._spec = self._build_spec()
 
@@ -327,8 +322,7 @@ class MCAAdapter(SimulatorAdapter):
     def create_engine(self) -> SimulationEngine:
         return SimulationEngine(self.simulator_factory(), mca_table_digest,
                                 cache_size=self.engine_cache_size,
-                                num_workers=self.engine_workers,
-                                megabatch=self.engine_megabatch)
+                                num_workers=self.engine_workers)
 
     def predict_timings(self, arrays: ParameterArrays,
                         blocks: Sequence[BasicBlock]) -> np.ndarray:
@@ -368,10 +362,10 @@ def _mca_timeline_view(table: MCAParameterTable):
     return TimelineView(table)
 
 
-def _mca_engine_factory(num_workers: int = 0, megabatch: bool = True):
+def _mca_engine_factory(num_workers: int = 0):
     from repro.engine.factories import mca_engine
 
-    return mca_engine(num_workers=num_workers, megabatch=megabatch)
+    return mca_engine(num_workers=num_workers)
 
 
 class LLVMSimAdapter(SimulatorAdapter):
@@ -379,13 +373,11 @@ class LLVMSimAdapter(SimulatorAdapter):
 
     def __init__(self, uarch: UarchSpec, opcode_table: Optional[OpcodeTable] = None,
                  engine_cache_size: int = DEFAULT_CACHE_SIZE,
-                 engine_workers: int = 0,
-                 engine_megabatch: bool = True) -> None:
+                 engine_workers: int = 0) -> None:
         self.uarch = uarch
         self.opcode_table = opcode_table or DEFAULT_OPCODE_TABLE
         self.engine_cache_size = engine_cache_size
         self.engine_workers = engine_workers
-        self.engine_megabatch = engine_megabatch
         self._default_table = build_default_llvm_sim_table(uarch, self.opcode_table)
         self._spec = ParameterSpec(
             global_fields=[],
@@ -439,8 +431,7 @@ class LLVMSimAdapter(SimulatorAdapter):
     def create_engine(self) -> SimulationEngine:
         return SimulationEngine(self.simulator_factory(), llvm_sim_table_digest,
                                 cache_size=self.engine_cache_size,
-                                num_workers=self.engine_workers,
-                                megabatch=self.engine_megabatch)
+                                num_workers=self.engine_workers)
 
     def predict_timings(self, arrays: ParameterArrays,
                         blocks: Sequence[BasicBlock]) -> np.ndarray:
@@ -455,8 +446,7 @@ def _llvm_sim_adapter_factory(uarch: UarchSpec, *,
                               narrow_sampling: bool = True,
                               learn_fields: Optional[Sequence[str]] = None,
                               engine_cache_size: int = DEFAULT_CACHE_SIZE,
-                              engine_workers: int = 0,
-                              engine_megabatch: bool = True) -> LLVMSimAdapter:
+                              engine_workers: int = 0) -> LLVMSimAdapter:
     """Uniform-signature factory for :class:`LLVMSimAdapter`.
 
     ``narrow_sampling`` is accepted and ignored — llvm_sim's sampling ranges
@@ -468,14 +458,13 @@ def _llvm_sim_adapter_factory(uarch: UarchSpec, *,
                          "learn_fields is not supported (use simulator 'mca')")
     return LLVMSimAdapter(uarch, opcode_table=opcode_table,
                           engine_cache_size=engine_cache_size,
-                          engine_workers=engine_workers,
-                          engine_megabatch=engine_megabatch)
+                          engine_workers=engine_workers)
 
 
-def _llvm_sim_engine_factory(num_workers: int = 0, megabatch: bool = True):
+def _llvm_sim_engine_factory(num_workers: int = 0):
     from repro.engine.factories import llvm_sim_engine
 
-    return llvm_sim_engine(num_workers=num_workers, megabatch=megabatch)
+    return llvm_sim_engine(num_workers=num_workers)
 
 
 def _set_llvm_sim_write_latency(table: LLVMSimParameterTable, opcode_index: int,
@@ -506,7 +495,6 @@ SIMULATORS.register(
         opcode_sweep_fields={"WriteLatency": _set_mca_write_latency,
                              "NumMicroOps": _set_mca_num_micro_ops,
                              "PortMap": _set_mca_port_map},
-        supports_megabatch=True,
     ),
     aliases=("llvm-mca", "llvm_mca"))
 
@@ -521,6 +509,5 @@ SIMULATORS.register(
         opcode_sweep_fields={"WriteLatency": _set_llvm_sim_write_latency,
                              "PortMap": _set_llvm_sim_port_uops},
         supports_partial_learning=False,
-        supports_megabatch=True,
     ),
     aliases=("llvm-sim", "llvmsim"))

@@ -28,10 +28,11 @@ def surrogate_loss(predictions, targets: Sequence[float],
                    epsilon: float = 1e-6) -> Tensor:
     """Differentiable MAPE over a batch of predictions.
 
-    ``predictions`` is either a sequence of scalar tensors (the per-example
-    path stacks them) or a single 1-D :class:`Tensor` of shape ``(B,)`` (the
-    batched fast path hands the whole minibatch over at once).  Both routes
-    compute the identical loss expression.
+    ``predictions`` is either a sequence of scalar tensors (stacked first; the
+    per-example Ithemal baseline passes these) or a single 1-D
+    :class:`Tensor` of shape ``(B,)`` (both DiffTune phases hand the whole
+    minibatch over at once).  Both routes compute the identical loss
+    expression.
     """
     if isinstance(predictions, Tensor):
         if predictions.ndim != 1:

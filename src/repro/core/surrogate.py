@@ -447,11 +447,6 @@ class FeaturizationCache:
 class _SurrogateBase(Module):
     """Shared plumbing for both surrogate variants."""
 
-    #: Whether :meth:`forward_batch` is implemented.  The batched training
-    #: fast path checks this and falls back to the per-example loop when a
-    #: custom surrogate has no batch-major forward.
-    supports_batched_forward = False
-
     def __init__(self, spec: ParameterSpec, featurizer: BlockFeaturizer,
                  config: SurrogateConfig) -> None:
         super().__init__()
@@ -468,11 +463,11 @@ class _SurrogateBase(Module):
         gathered per block, e.g. by
         :meth:`FeaturizationCache.batch_parameters`).  Semantically identical
         to calling :meth:`forward` per example — the property tests pin the
-        two paths together within 1e-9.
+        two paths together within 1e-9.  Both training phases run on it, and
+        :func:`build_surrogate` rejects classes that do not override it.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} has no batched forward; "
-            "train with SurrogateTrainingConfig(batched=False)")
+            f"{type(self).__name__} does not implement forward_batch")
 
     def _broadcast_global(self, global_vector: Tensor,
                           batch: PackedBlockBatch) -> Tensor:
@@ -536,8 +531,6 @@ class IthemalSurrogate(_SurrogateBase):
         # Softplus keeps the prediction positive, which stabilizes the MAPE
         # losses used during both optimization phases.
         return prediction.softplus()[0]
-
-    supports_batched_forward = True
 
     def forward_batch(self, batch: PackedBlockBatch, per_instruction_params,
                       global_params) -> Tensor:
@@ -762,8 +755,6 @@ class PooledSurrogate(_SurrogateBase):
             rob_index = spec.global_field_slice("ReorderBufferSize").start
             features.append(global_vector[:, rob_index].reshape(batch_size, 1))
         return concat(features, axis=-1)
-
-    supports_batched_forward = True
 
     def forward_batch(self, batch: PackedBlockBatch, per_instruction_params,
                       global_params) -> Tensor:
@@ -1047,8 +1038,6 @@ class AnalyticalSurrogate(_SurrogateBase):
         pooled = masked_mean(encodings, batch.instruction_mask[..., None], axis=1)
         return self.residual_head(pooled).reshape(batch.batch_size)
 
-    supports_batched_forward = True
-
     def forward_batch(self, batch: PackedBlockBatch, per_instruction_params,
                       global_params) -> Tensor:
         params = self._as_tensor(per_instruction_params)
@@ -1078,9 +1067,16 @@ def build_surrogate(spec: ParameterSpec, featurizer: BlockFeaturizer,
 
     Any class registered in :data:`repro.api.registries.SURROGATES` (built-in
     or via the ``repro.surrogates`` entry-point group) with the constructor
-    signature ``(spec, featurizer, config)`` is eligible.
+    signature ``(spec, featurizer, config)`` that overrides
+    :meth:`~_SurrogateBase.forward_batch` is eligible.
     """
     surrogate_class = SURROGATES.get(config.kind)
+    forward_batch = getattr(surrogate_class, "forward_batch", None)
+    if forward_batch is None or forward_batch is _SurrogateBase.forward_batch:
+        raise ValueError(
+            f"surrogate {config.kind!r} ({surrogate_class.__name__}) does not "
+            f"implement forward_batch, which surrogate training and table "
+            f"optimization require")
     return surrogate_class(spec, featurizer, config)
 
 

@@ -4,17 +4,11 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 ``surrogate(theta, x) ≈ simulator(theta, x)`` over the simulated dataset, with
 Adam and MAPE loss.
 
-Two execution paths produce the same losses and gradients (within floating-
-point reassociation, pinned to 1e-9 by property tests):
-
-* the **batched fast path** (default) featurizes every block once per dataset
-  through a :class:`~repro.core.surrogate.FeaturizationCache`, normalizes each
-  sampled parameter table once, and advances a whole padded minibatch per
-  autodiff op via the surrogate's ``forward_batch``;
-* the **per-example path** (``SurrogateTrainingConfig(batched=False)``, or any
-  surrogate without a batched forward) runs one example at a time — the
-  original semantics, kept as the escape hatch and the reference the property
-  tests compare against.
+Training is batch-major: every block is featurized once per dataset through a
+:class:`~repro.core.surrogate.FeaturizationCache`, each sampled parameter
+table is normalized once, and a whole padded minibatch advances per autodiff
+op via the surrogate's ``forward_batch``.  The property tests pin it within
+1e-9 to a per-example reference built on the scalar ``forward``.
 """
 
 from __future__ import annotations
@@ -41,10 +35,6 @@ class SurrogateTrainingConfig:
     Defaults follow the paper where feasible (Adam, learning rate 0.001,
     batch-based updates); batch size and epoch count are scaled down for CPU
     training and can be overridden.
-
-    ``batched`` selects the batch-major fast path (on by default); it falls
-    back to the per-example loop automatically for surrogates that do not
-    implement ``forward_batch``.
     """
 
     learning_rate: float = 0.001
@@ -54,7 +44,6 @@ class SurrogateTrainingConfig:
     shuffle: bool = True
     seed: int = 0
     log_every: int = 0  # batches; 0 disables logging callbacks
-    batched: bool = True
 
 
 @dataclass
@@ -63,20 +52,7 @@ class SurrogateTrainingResult:
 
     epoch_losses: List[float]
     final_training_error: float
-    used_batched_path: bool = False
     examples_per_second: float = 0.0
-
-
-def _normalized_inputs(spec: ParameterSpec, example: SimulatedExample,
-                       opcode_indices: Sequence[int],
-                       cache: Optional[FeaturizationCache] = None) -> tuple:
-    """Surrogate inputs for one example during surrogate training."""
-    if cache is not None:
-        normalized = cache.normalized_arrays(spec, example.arrays)
-    else:
-        normalized = spec.normalize_for_surrogate_training(example.arrays)
-    per_instruction = normalized.per_instruction_values[list(opcode_indices)]
-    return per_instruction, normalized.global_values
 
 
 def _batch_inputs(spec: ParameterSpec, cache: FeaturizationCache,
@@ -143,7 +119,6 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
     spec = surrogate.spec
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    use_batched = bool(config.batched) and surrogate.supports_batched_forward
     streaming = is_streaming_examples(examples)
 
     # Featurize each distinct block once for the whole run; the cache also
@@ -164,47 +139,18 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
         predictions = surrogate.forward_batch(packed, per_instruction, global_values)
         return surrogate_loss(predictions, targets)
 
-    def _per_example_loss(batch_indices: np.ndarray):
-        predictions = []
-        targets = []
-        for example_index in batch_indices:
-            row = int(example_index)
-            if streaming:
-                example_featurized = examples.featurized(row)
-                normalized = cache.normalized_arrays(spec, examples.table(row))
-                per_instruction = normalized.per_instruction_values[
-                    list(example_featurized.opcode_indices)]
-                global_values = normalized.global_values
-                target = examples.timing(row)
-            else:
-                example = examples[row]
-                example_featurized = featurized[row]
-                per_instruction, global_values = _normalized_inputs(
-                    spec, example, example_featurized.opcode_indices, cache)
-                target = example.simulated_timing
-            predictions.append(surrogate.forward(
-                example_featurized, per_instruction, global_values))
-            targets.append(target)
-        return surrogate_loss(predictions, targets)
-
     surrogate.train()
     loop = run_minibatch_loop(
-        len(examples), _batched_loss if use_batched else _per_example_loss,
-        optimizer, rng,
+        len(examples), _batched_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
         shuffle=config.shuffle, gradient_clip=config.gradient_clip,
         log_every=config.log_every, progress=progress)
 
     surrogate.eval()
-    # The final evaluation pass follows the selected execution path too:
-    # with batched=False the whole run — including final_training_error — is
-    # the per-example reference, never touching forward_batch.
-    final_error = evaluate_surrogate(surrogate, examples,
-                                     batch_size=64 if use_batched else 0,
+    final_error = evaluate_surrogate(surrogate, examples, batch_size=64,
                                      cache=cache)
     return SurrogateTrainingResult(
         epoch_losses=loop.epoch_losses, final_training_error=final_error,
-        used_batched_path=use_batched,
         examples_per_second=loop.examples_per_second)
 
 
@@ -214,9 +160,10 @@ def evaluate_surrogate(surrogate: _SurrogateBase,
                        cache: Optional[FeaturizationCache] = None) -> float:
     """MAPE of the surrogate against the simulator on ``examples``.
 
-    Uses the surrogate's batched forward in ``batch_size`` chunks when
-    available (pass ``batch_size=0`` to force the per-example path).
+    Runs the surrogate's batched forward in ``batch_size`` chunks.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     spec = surrogate.spec
     cache = cache or FeaturizationCache(surrogate.featurizer)
     streaming = is_streaming_examples(examples)
@@ -225,38 +172,20 @@ def evaluate_surrogate(surrogate: _SurrogateBase,
         targets = [examples.timing(row) for row in range(len(examples))]
     else:
         targets = [example.simulated_timing for example in examples]
-    use_batched = batch_size > 0 and surrogate.supports_batched_forward
     with no_grad():
-        if use_batched:
-            featurized = ([] if streaming else
-                          [cache.featurize(example.block) for example in examples])
-            for chunk_start in range(0, len(examples), batch_size):
-                chunk = np.arange(chunk_start,
-                                  min(chunk_start + batch_size, len(examples)))
-                if streaming:
-                    packed, per_instruction, global_values, _ = \
-                        _streaming_batch_inputs(spec, cache, examples, chunk)
-                else:
-                    packed, per_instruction, global_values, _ = _batch_inputs(
-                        spec, cache, examples, featurized, chunk)
-                chunk_predictions = surrogate.forward_batch(
-                    packed, per_instruction, global_values)
-                predictions.extend(float(value)
-                                   for value in chunk_predictions.numpy())
-        elif streaming:
-            for row in range(len(examples)):
-                featurized_block = examples.featurized(row)
-                normalized = cache.normalized_arrays(spec, examples.table(row))
-                per_instruction = normalized.per_instruction_values[
-                    list(featurized_block.opcode_indices)]
-                predictions.append(surrogate.forward(
-                    featurized_block, per_instruction,
-                    normalized.global_values).item())
-        else:
-            for example in examples:
-                featurized_block = cache.featurize(example.block)
-                per_instruction, global_values = _normalized_inputs(
-                    spec, example, featurized_block.opcode_indices, cache)
-                predictions.append(surrogate.forward(featurized_block, per_instruction,
-                                                     global_values).item())
+        featurized = ([] if streaming else
+                      [cache.featurize(example.block) for example in examples])
+        for chunk_start in range(0, len(examples), batch_size):
+            chunk = np.arange(chunk_start,
+                              min(chunk_start + batch_size, len(examples)))
+            if streaming:
+                packed, per_instruction, global_values, _ = \
+                    _streaming_batch_inputs(spec, cache, examples, chunk)
+            else:
+                packed, per_instruction, global_values, _ = _batch_inputs(
+                    spec, cache, examples, featurized, chunk)
+            chunk_predictions = surrogate.forward_batch(
+                packed, per_instruction, global_values)
+            predictions.extend(float(value)
+                               for value in chunk_predictions.numpy())
     return mape_loss_value(np.array(predictions), np.array(targets))

@@ -7,21 +7,16 @@ against the ground-truth dataset under MAPE loss.  During this phase the
 absolute value of lower-bounded parameters is taken before they are passed to
 the surrogate (Section IV, "Solving the optimization problems").
 
-Like surrogate training (phase one), two execution paths produce the same
-losses and gradients (pinned within 1e-9 by property tests):
-
-* the **batched fast path** (default) featurizes every block once per run
-  through a :class:`~repro.core.surrogate.FeaturizationCache`, packs each
-  minibatch into one padded :class:`~repro.core.surrogate.PackedBlockBatch`,
-  gathers the trainable table's rows for the whole batch with the scatter-add
-  ``gather`` primitive (so gradients of repeated opcodes accumulate into the
-  same table row), and advances the minibatch through the surrogate's
-  ``forward_batch``;
-* the **per-block path** (``TableOptimizationConfig(batched=False)``, or any
-  surrogate without a batched forward) runs one block at a time — the
-  original semantics, kept as the equivalence reference.
-
-Both run on the shared :mod:`~repro.core.training_loop` implementation.
+Like surrogate training (phase one), optimization is batch-major: every
+block is featurized once per run through a
+:class:`~repro.core.surrogate.FeaturizationCache`, each minibatch is packed
+into one padded :class:`~repro.core.surrogate.PackedBlockBatch`, the trainable
+table's rows for the whole batch are gathered with the scatter-add ``gather``
+primitive (so gradients of repeated opcodes accumulate into the same table
+row), and the minibatch advances through the surrogate's ``forward_batch`` on
+the shared :mod:`~repro.core.training_loop` implementation.  The property
+tests pin it within 1e-9 to a per-block reference built on the scalar
+``forward``.
 """
 
 from __future__ import annotations
@@ -51,11 +46,9 @@ class TableOptimizationConfig:
     same relative step is achieved with a comparable learning rate in
     normalized space.
 
-    ``batched`` selects the batch-major fast path (on by default); it falls
-    back to the per-block loop automatically for surrogates that do not
-    implement ``forward_batch``.  ``log_every`` throttles the progress
-    callback (every N batches plus the final batch of each epoch; the default
-    of 1 preserves the historical every-batch behaviour).
+    ``log_every`` throttles the progress callback (every N batches plus the
+    final batch of each epoch; the default of 1 preserves the historical
+    every-batch behaviour).
     """
 
     learning_rate: float = 0.05
@@ -64,7 +57,6 @@ class TableOptimizationConfig:
     gradient_clip: float = 5.0
     shuffle: bool = True
     seed: int = 0
-    batched: bool = True
     log_every: int = 1
 
 
@@ -75,7 +67,6 @@ class TableOptimizationResult:
     learned_arrays: ParameterArrays
     epoch_losses: List[float]
     initial_arrays: ParameterArrays
-    used_batched_path: bool = False
     examples_per_second: float = 0.0
 
 
@@ -101,8 +92,8 @@ class _TrainableTable:
             parameters.append(self.global_values)
         return parameters
 
-    def surrogate_inputs(self, opcode_indices: Sequence[int]) -> Tuple[Tensor, Tensor]:
-        """Inputs for one block: |values| rows for its opcodes plus globals.
+    def surrogate_inputs_batch(self, batch: PackedBlockBatch) -> Tuple[Tensor, Tensor]:
+        """Batch-major inputs: gathered ``(B, I, D)`` rows plus ``(B, G)`` globals.
 
         The absolute value enforces the lower bound as in the paper; the upper
         clamp at 1 (the top of the normalized sampling range) keeps the inputs
@@ -110,19 +101,11 @@ class _TrainableTable:
         VII notes that the surrogate cannot be trusted to extrapolate outside
         its sampling distribution, and at this reproduction's scale the
         optimizer readily wanders there without the clamp.
-        """
-        rows = self.per_instruction[list(opcode_indices)].abs().clamp(0.0, 1.0)
-        global_vector = self.global_values.abs().clamp(0.0, 1.0)
-        return rows, global_vector
-
-    def surrogate_inputs_batch(self, batch: PackedBlockBatch) -> Tuple[Tensor, Tensor]:
-        """Batch-major inputs: gathered ``(B, I, D)`` rows plus ``(B, G)`` globals.
 
         ``gather`` scatter-adds gradients, so every occurrence of an opcode —
         across instructions and across blocks of the minibatch — accumulates
-        into the same trainable row, exactly like the per-block path's
-        repeated fancy-indexing.  Padded instruction slots gather row 0, but
-        the surrogate's masked reductions route zero gradient to them.
+        into the same trainable row.  Padded instruction slots gather row 0,
+        but the surrogate's masked reductions route zero gradient to them.
         """
         rows = gather(self.per_instruction, batch.opcode_indices).abs().clamp(0.0, 1.0)
         global_vector = self.global_values.abs().clamp(0.0, 1.0)
@@ -191,11 +174,8 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
                 frozen_global_values[frozen_global_mask]
 
     surrogate.eval()
-    use_batched = bool(config.batched) and surrogate.supports_batched_forward
     targets = np.asarray(true_timings, dtype=np.float64)
-    # Featurize each distinct block once for the whole run — on *both* paths.
-    # The per-block path used to re-featurize inside the batch loop on every
-    # epoch, which was quadratically wasteful for multi-epoch runs.
+    # Featurize each distinct block once for the whole run.
     cache = FeaturizationCache(surrogate.featurizer)
     featurized = [cache.featurize(block) for block in blocks]
 
@@ -206,19 +186,8 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
         predictions = surrogate.forward_batch(packed, per_instruction, global_matrix)
         return surrogate_loss(predictions, [float(targets[row]) for row in rows])
 
-    def _per_block_loss(batch_indices: np.ndarray):
-        predictions = []
-        batch_targets = []
-        for block_index in batch_indices:
-            block_featurized = featurized[int(block_index)]
-            rows, global_vector = table.surrogate_inputs(block_featurized.opcode_indices)
-            predictions.append(surrogate.forward(block_featurized, rows, global_vector))
-            batch_targets.append(float(targets[int(block_index)]))
-        return surrogate_loss(predictions, batch_targets)
-
     loop = run_minibatch_loop(
-        len(blocks), _batched_loss if use_batched else _per_block_loss,
-        optimizer, rng,
+        len(blocks), _batched_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
         shuffle=config.shuffle, gradient_clip=config.gradient_clip,
         log_every=config.log_every, post_step=restore_frozen, progress=progress)
@@ -226,5 +195,4 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
     return TableOptimizationResult(learned_arrays=table.to_parameter_arrays(),
                                    epoch_losses=loop.epoch_losses,
                                    initial_arrays=initial_arrays,
-                                   used_batched_path=use_batched,
                                    examples_per_second=loop.examples_per_second)

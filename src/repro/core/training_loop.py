@@ -10,8 +10,8 @@ implementation both phases now run on.
 The loop is deliberately ignorant of *what* is being trained — it receives
 an optimizer and a ``compute_batch_loss`` callable mapping a batch index
 array to a scalar loss tensor.  Everything phase-specific (featurization,
-packing, batched vs per-example forward, frozen-dimension restoration) lives
-in the callable and the optional ``post_step`` hook.
+packing, the forward pass, frozen-dimension restoration) lives in the
+callable and the optional ``post_step`` hook.
 
 Determinism contract: the only randomness consumed from ``rng`` is one
 ``shuffle`` call per epoch when ``shuffle=True``, exactly as the two

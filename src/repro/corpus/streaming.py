@@ -254,10 +254,10 @@ class StreamingExamples:
     Presents a :class:`StreamingSimulatedDataset` to
     :func:`~repro.core.surrogate_training.train_surrogate` through the
     index-addressed protocol its streaming branch consumes (``__len__``,
-    ``timing``, ``table``, ``block_arrays``, ``opcode_indices``,
-    ``featurized``) — per-block arrays come from the featurization store's
-    memory maps when one is attached, otherwise from bounded on-the-fly
-    featurization of the (lazily parsed) blocks.
+    ``timing``, ``table``, ``block_arrays``, ``opcode_indices``) — per-block
+    arrays come from the featurization store's memory maps when one is
+    attached, otherwise from bounded on-the-fly featurization of the (lazily
+    parsed) blocks.
     """
 
     def __init__(self, dataset: StreamingSimulatedDataset, blocks: Sequence[Any],
@@ -296,7 +296,3 @@ class StreamingExamples:
     def opcode_indices(self, index: int) -> np.ndarray:
         return np.asarray(self.block_arrays(index)["opcode_indices"],
                           dtype=np.int64)
-
-    def featurized(self, index: int):
-        """The :class:`FeaturizedBlock` (per-example fallback path)."""
-        return self.cache.featurize(self.blocks[self._block_position(index)])

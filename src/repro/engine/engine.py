@@ -13,8 +13,8 @@ serves that request through one path:
 3. cache misses are gathered and executed as *megabatches* — one
    numpy-vectorized kernel invocation per table over every missing block
    (see :mod:`repro.engine.megabatch`) — and scattered back through the
-   cache; ``megabatch=False`` retains the per-block scalar path, which is
-   bit-identical;
+   cache; a simulator without ``predict_timing_batch`` is stepped one block
+   at a time through ``predict_timing`` instead;
 4. with workers configured, megabatches are chunked across a
    ``multiprocessing`` pool (several tasks per worker rather than one
    monolithic task per table) with deterministic reassembly.
@@ -41,37 +41,17 @@ from repro.isa.basic_block import BasicBlock
 #: (tens of thousands of table evaluations x a batch of blocks).
 DEFAULT_CACHE_SIZE = 1 << 17
 
-#: Which ``predict_timing_batch`` implementations accept a ``compiled``
-#: keyword (keyed by the underlying function, checked once per simulator
-#: class).  Third-party simulators may predate the parameter.
-_ACCEPTS_COMPILED: Dict[Any, bool] = {}
-
-
-def _accepts_compiled(batch: Callable[..., Any]) -> bool:
-    function = getattr(batch, "__func__", batch)
-    accepts = _ACCEPTS_COMPILED.get(function)
-    if accepts is None:
-        import inspect
-
-        try:
-            accepts = "compiled" in inspect.signature(function).parameters
-        except (TypeError, ValueError):
-            accepts = False
-        _ACCEPTS_COMPILED[function] = accepts
-    return accepts
-
 
 def _simulate_blocks_task(task: Any) -> List[float]:
     """Worker entry point: simulate ``blocks`` under one table.
 
     Module-level so it pickles under every multiprocessing start method.
-    Routes through the simulator's megabatch kernel when the engine runs
-    with ``megabatch=True`` and the simulator provides one; both paths
-    produce identical bits.
+    Routes through the simulator's megabatch kernel when it provides one;
+    both paths produce identical bits.
     """
-    simulator_factory, table, blocks, megabatch = task
+    simulator_factory, table, blocks = task
     simulator = simulator_factory(table)
-    batch = getattr(simulator, "predict_timing_batch", None) if megabatch else None
+    batch = getattr(simulator, "predict_timing_batch", None)
     if batch is not None:
         return [float(value) for value in batch(blocks)]
     return [float(simulator.predict_timing(block)) for block in blocks]
@@ -91,24 +71,21 @@ class SimulationEngine:
             executes serially in-process; ``>= 2`` chunks the missing
             blocks of every table across a pool.  Results are deterministic
             and identical to the serial path either way.
-        megabatch: Route cache misses through the simulators' vectorized
-            megabatch kernels (bit-identical to the scalar path, roughly an
-            order of magnitude faster).  ``False`` simulates blocks one at
-            a time with ``predict_timing`` — the right choice only for
-            debugging single blocks or simulators without a batch kernel.
+
+    Cache misses run through the simulator's vectorized megabatch kernel
+    (``predict_timing_batch``, bit-identical to ``predict_timing`` and
+    roughly an order of magnitude faster) whenever the simulator has one.
     """
 
     def __init__(self, simulator_factory: Callable[[Any], Any],
                  table_digest: Callable[[Any], str],
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 num_workers: int = 0,
-                 megabatch: bool = True) -> None:
+                 num_workers: int = 0) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         self._factory = simulator_factory
         self._table_digest = table_digest
         self.num_workers = num_workers
-        self.megabatch = megabatch
         self._results = LRUCache(cache_size)
         self._compilers: Dict[int, BlockCompiler] = {}
         self._parallel_batches = 0
@@ -167,17 +144,12 @@ class SimulationEngine:
         return timings
 
     def _predict_missing(self, simulator: Any, blocks: Sequence[BasicBlock],
-                         compiled: Optional[Sequence[Any]] = None
-                         ) -> List[float]:
+                         compiled: Sequence[Any]) -> List[float]:
         """Simulate uncached blocks, vectorized when the simulator can."""
-        batch = (getattr(simulator, "predict_timing_batch", None)
-                 if self.megabatch else None)
+        batch = getattr(simulator, "predict_timing_batch", None)
         if batch is not None:
             self._megabatch_batches += 1
-            if compiled is not None and _accepts_compiled(batch):
-                values = batch(blocks, compiled=compiled)
-            else:
-                values = batch(blocks)
+            values = batch(blocks, compiled=compiled)
             # ndarray -> Python floats in one C call rather than a scalar
             # conversion per element (the cache stores plain floats).
             return np.asarray(values, dtype=np.float64).tolist()
@@ -250,12 +222,10 @@ class SimulationEngine:
             ids = list(missing.keys())
             for start in range(0, len(ids), chunk):
                 tasks.append((self._factory, table,
-                              unique_blocks[start:start + chunk],
-                              self.megabatch))
+                              unique_blocks[start:start + chunk]))
                 segments.append((index, digest, missing,
                                  ids[start:start + chunk]))
-        if self.megabatch:
-            self._megabatch_batches += len(tasks)
+        self._megabatch_batches += len(tasks)
         start_methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in start_methods else start_methods[0])

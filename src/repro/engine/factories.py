@@ -18,24 +18,21 @@ from repro.llvm_sim.simulator import LLVMSimSimulator
 def mca_engine(warmup_iterations: int = 4, measure_iterations: int = 8,
                max_dynamic_instructions: int = 2048,
                cache_size: int = DEFAULT_CACHE_SIZE,
-               num_workers: int = 0,
-               megabatch: bool = True) -> SimulationEngine:
+               num_workers: int = 0) -> SimulationEngine:
     """An engine running the llvm-mca style simulator."""
     factory = functools.partial(MCASimulator,
                                 warmup_iterations=warmup_iterations,
                                 measure_iterations=measure_iterations,
                                 max_dynamic_instructions=max_dynamic_instructions)
     return SimulationEngine(factory, mca_table_digest,
-                            cache_size=cache_size, num_workers=num_workers,
-                            megabatch=megabatch)
+                            cache_size=cache_size, num_workers=num_workers)
 
 
 def llvm_sim_engine(frontend_uops_per_cycle: int = 4,
                     warmup_iterations: int = 4, measure_iterations: int = 8,
                     max_dynamic_instructions: int = 2048,
                     cache_size: int = DEFAULT_CACHE_SIZE,
-                    num_workers: int = 0,
-                    megabatch: bool = True) -> SimulationEngine:
+                    num_workers: int = 0) -> SimulationEngine:
     """An engine running the llvm_sim style simulator."""
     factory = functools.partial(LLVMSimSimulator,
                                 frontend_uops_per_cycle=frontend_uops_per_cycle,
@@ -43,5 +40,4 @@ def llvm_sim_engine(frontend_uops_per_cycle: int = 4,
                                 measure_iterations=measure_iterations,
                                 max_dynamic_instructions=max_dynamic_instructions)
     return SimulationEngine(factory, llvm_sim_table_digest,
-                            cache_size=cache_size, num_workers=num_workers,
-                            megabatch=megabatch)
+                            cache_size=cache_size, num_workers=num_workers)

@@ -4,9 +4,9 @@
   tau rank correlation, the two measures used throughout the paper's
   evaluation.
 * :mod:`~repro.eval.analysis` — per-application and per-category error
-  breakdowns (Table V), parameter-distribution histograms (Figure 4),
-  sensitivity sweeps over global parameters (Figure 5), and the case studies
-  of Section VI-C.
+  breakdowns (Table V), parameter-distribution histograms (Figure 4), and
+  the case studies of Section VI-C (the Figure 5 sensitivity sweeps are
+  :func:`repro.campaigns.sweep_error_curve`).
 * :mod:`~repro.eval.tables` — plain-text rendering of result tables.
 * :mod:`~repro.eval.experiments` — one driver function per paper table or
   figure; the benchmark harness and the examples call these.
@@ -14,8 +14,7 @@
 
 from repro.eval.metrics import mean_absolute_percentage_error, kendall_tau, error_and_tau
 from repro.eval.analysis import (per_application_error, per_category_error,
-                                 parameter_histograms, global_parameter_sensitivity,
-                                 case_study_report)
+                                 parameter_histograms, case_study_report)
 from repro.eval.tables import format_table, format_results_table
 from repro.eval.plots import (Series, ascii_bar_chart, ascii_histogram, ascii_line_plot,
                               read_series_csv, write_histogram_csv, write_series_csv)
@@ -28,7 +27,6 @@ __all__ = [
     "per_application_error",
     "per_category_error",
     "parameter_histograms",
-    "global_parameter_sensitivity",
     "case_study_report",
     "format_table",
     "format_results_table",

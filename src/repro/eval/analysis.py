@@ -1,12 +1,10 @@
-"""Error analyses: per-application/category breakdowns, histograms, sensitivity.
+"""Error analyses: per-application/category breakdowns, histograms, case studies.
 
 These functions regenerate the analysis artifacts of the paper's evaluation
 and analysis sections:
 
 * :func:`per_application_error` / :func:`per_category_error` — Table V.
 * :func:`parameter_histograms` — Figure 4 (default vs learned distributions).
-* :func:`global_parameter_sensitivity` — Figure 5 (error while sweeping
-  DispatchWidth or ReorderBufferSize).
 * :func:`case_study_report` — the Section VI-C case studies (PUSH64r,
   XOR32rr, ADD32mr) on individual blocks.
 """
@@ -14,13 +12,12 @@ and analysis sections:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.bhive.categories import BlockCategory
 from repro.bhive.dataset import BasicBlockDataset
-from repro.engine.factories import mca_engine
 from repro.eval.metrics import mean_absolute_percentage_error
 from repro.isa.basic_block import BasicBlock
 from repro.llvm_mca.params import MCAParameterTable
@@ -82,42 +79,6 @@ def parameter_histograms(default_table: MCAParameterTable, learned_table: MCAPar
         "PortMap": {"default": histogram(default_table.port_map),
                     "learned": histogram(learned_table.port_map)},
     }
-
-
-# ----------------------------------------------------------------------
-# Figure 5: sensitivity to global parameters
-# ----------------------------------------------------------------------
-def global_parameter_sensitivity(table: MCAParameterTable, dataset: BasicBlockDataset,
-                                 parameter: str, values: Sequence[int],
-                                 max_blocks: Optional[int] = None) -> List[Tuple[int, float]]:
-    """Error of llvm-mca while sweeping one global parameter (Figure 5).
-
-    Deprecated thin shim over :func:`repro.campaigns.sweep_error_curve`
-    (bit-identical numbers); new code should call the campaign machinery.
-
-    Args:
-        table: Base parameter table (default or learned).
-        dataset: Dataset whose test split is evaluated.
-        parameter: ``"DispatchWidth"`` or ``"ReorderBufferSize"``.
-        values: Values to sweep over.
-        max_blocks: Optionally evaluate on only the first N test blocks.
-
-    Returns:
-        ``[(value, error), ...]`` in the order given.
-    """
-    import warnings
-
-    warnings.warn(
-        "global_parameter_sensitivity() is deprecated; use "
-        "repro.campaigns.sweep_error_curve (or a one-at-a-time grid "
-        "campaign) — the campaign machinery produces identical numbers",
-        DeprecationWarning, stacklevel=2)
-    if parameter not in ("DispatchWidth", "ReorderBufferSize"):
-        raise ValueError("parameter must be DispatchWidth or ReorderBufferSize")
-    from repro.campaigns.runner import sweep_error_curve
-
-    return sweep_error_curve(table, dataset, parameter, values,
-                             max_blocks=max_blocks, engine=mca_engine())
 
 
 # ----------------------------------------------------------------------

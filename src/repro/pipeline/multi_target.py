@@ -51,8 +51,6 @@ class TargetSpec:
     output_path: Optional[str] = None
     learn_fields: Optional[List[str]] = None
     narrow_sampling: bool = True
-    batch_training: bool = True
-    batch_table_optimization: bool = True
     engine_workers: int = 0
     verbose: bool = False
 
@@ -90,10 +88,7 @@ def _config_from_preset(spec: TargetSpec):
     except UnknownKeyError as error:
         # Keep the historical ValueError contract of this layer.
         raise ValueError(f"unknown config preset: {error}") from error
-    config = factory(spec.seed)
-    config.surrogate_training.batched = spec.batch_training
-    config.table_optimization.batched = spec.batch_table_optimization
-    return config
+    return factory(spec.seed)
 
 
 def tune_target(spec: TargetSpec) -> TargetOutcome:

@@ -287,7 +287,6 @@ def _save_surrogate_outcome(stage_name: str, state: PipelineState,
     store.save_json(stage_name, "surrogate_result.json", {
         "epoch_losses": result.epoch_losses,
         "final_training_error": result.final_training_error,
-        "used_batched_path": result.used_batched_path,
         "examples_per_second": result.examples_per_second,
     })
 
@@ -300,7 +299,6 @@ def _load_surrogate_outcome(stage_name: str, state: PipelineState,
     state.surrogate_result = SurrogateTrainingResult(
         epoch_losses=[float(value) for value in payload["epoch_losses"]],
         final_training_error=float(payload["final_training_error"]),
-        used_batched_path=bool(payload["used_batched_path"]),
         examples_per_second=float(payload["examples_per_second"]))
 
 
@@ -351,7 +349,6 @@ def _save_table_outcome(stage_name: str, state: PipelineState,
     store.save_parameter_arrays(stage_name, "best_arrays.npz", state.best_arrays)
     store.save_json(stage_name, "table_result.json", {
         "epoch_losses": result.epoch_losses,
-        "used_batched_path": result.used_batched_path,
         "examples_per_second": result.examples_per_second,
         "best_error": state.best_error,
     })
@@ -364,7 +361,6 @@ def _load_table_outcome(stage_name: str, state: PipelineState,
         learned_arrays=store.load_parameter_arrays(stage_name, "table_learned.npz"),
         epoch_losses=[float(value) for value in payload["epoch_losses"]],
         initial_arrays=store.load_parameter_arrays(stage_name, "table_initial.npz"),
-        used_batched_path=bool(payload["used_batched_path"]),
         examples_per_second=float(payload["examples_per_second"]))
     state.best_arrays = store.load_parameter_arrays(stage_name, "best_arrays.npz")
     state.best_error = float(payload["best_error"])
@@ -427,8 +423,7 @@ class RefinementRoundStage(Stage):
             epochs=config.refinement_epochs,
             gradient_clip=config.surrogate_training.gradient_clip,
             seed=config.surrogate_training.seed + round_number,
-            log_every=config.surrogate_training.log_every,
-            batched=config.surrogate_training.batched)
+            log_every=config.surrogate_training.log_every)
         state.surrogate_result = train_surrogate(state.surrogate, local_examples,
                                                  refinement_training)
         state.log(f"refined surrogate error: "

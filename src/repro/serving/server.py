@@ -87,14 +87,12 @@ class InferenceServer(JsonHttpServer):
         if spec.bundle_path is not None:
             session = Session.from_bundle(
                 spec.bundle_path, log=log,
-                engine_workers=spec.engine_workers,
-                engine_megabatch=spec.engine_megabatch)
+                engine_workers=spec.engine_workers)
         else:
             session = Session.from_spec(PredictSpec(
                 target=spec.target, simulator=spec.simulator,
                 table_path=spec.table_path,
-                engine_workers=spec.engine_workers,
-                engine_megabatch=spec.engine_megabatch), log=log)
+                engine_workers=spec.engine_workers), log=log)
         return cls(session, host=spec.host, port=spec.port,
                    max_batch_size=spec.max_batch_size,
                    max_batch_wait_ms=spec.max_batch_wait_ms,

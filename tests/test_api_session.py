@@ -51,10 +51,8 @@ class TestConstruction:
             Session(object())
 
     def test_config_comes_from_preset_with_overrides(self):
-        session = Session.from_spec(preset="test", surrogate="pooled",
-                                    batch_training=False)
+        session = Session.from_spec(preset="test", surrogate="pooled")
         assert session.config.surrogate.kind == "pooled"
-        assert session.config.surrogate_training.batched is False
 
     def test_adapter_is_memoized(self, tune_session):
         assert tune_session.adapter is tune_session.adapter
@@ -150,8 +148,9 @@ class TestEvaluatePredict:
         blocks, _timings = tune_session.split("test")
         single = tune_session.predict(blocks)
         assert single.shape == (len(blocks),)
-        with pytest.warns(DeprecationWarning, match="sweep_tables.*deprecated"):
-            tables = tune_session.sweep_tables("DispatchWidth", [1, 2, 3])
+        tables = [tune_session.default_table() for _ in range(3)]
+        for width, table in enumerate(tables, start=1):
+            table.dispatch_width = width
         batch = tune_session.predict(blocks, tables)
         assert batch.shape == (3, len(blocks))
 
@@ -189,11 +188,6 @@ class TestEvaluatePredict:
         assert after["predicted_blocks"] == (before["predicted_blocks"]
                                              + len(blocks))
         assert isinstance(after["engine"], dict)
-
-    def test_engine_stats_shim_warns_and_matches(self, tune_session):
-        with pytest.warns(DeprecationWarning, match="engine_stats.*deprecated"):
-            shimmed = tune_session.engine_stats()
-        assert shimmed == tune_session.stats()["engine"]
 
     def test_evaluate_with_table_path(self, tmp_path, tune_session):
         table = tune_session.default_table()
@@ -233,9 +227,9 @@ class TestCapabilities:
     def test_sweep_missing_capability(self):
         session = Session.from_spec(EvaluateSpec(simulator="llvm_sim",
                                                  num_blocks=30))
-        with pytest.raises(CapabilityError, match="cannot sweep"), \
-                pytest.warns(DeprecationWarning):
-            session.sweep_tables("DispatchWidth", [1, 2])
+        with pytest.raises(SpecValidationError, match="cannot sweep"):
+            session.run_campaign(axes=[{"field": "DispatchWidth",
+                                        "values": [1, 2]}])
 
     def test_llvm_sim_rejects_learn_fields_at_validation(self):
         with pytest.raises(SpecValidationError,

@@ -10,7 +10,7 @@ class TestRoundTrip:
     def test_tune_spec_round_trips(self):
         spec = TuneSpec(target="skylake", simulator="mca", preset="test",
                         num_blocks=123, seed=7, learn_fields=["WriteLatency"],
-                        batch_training=False)
+                        narrow_sampling=False)
         assert TuneSpec.from_dict(spec.to_dict()) == spec
 
     def test_llvm_sim_spec_round_trips(self):

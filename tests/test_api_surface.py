@@ -1,4 +1,4 @@
-"""API-surface snapshot and deprecation-shim tests.
+"""API-surface snapshot and package-root import tests.
 
 The exported-name snapshot pins ``repro.api``'s public surface: an
 accidental addition, removal, or rename fails here and must be reviewed
@@ -141,52 +141,14 @@ class TestVersion:
         assert repro.__version__ in capsys.readouterr().out
 
 
-#: Every deprecated repro.core package-root name and its defining submodule.
-DEPRECATED_CORE_NAMES = [
-    ("SimulatorAdapter", "repro.core.adapters"),
-    ("MCAAdapter", "repro.core.adapters"),
-    ("LLVMSimAdapter", "repro.core.adapters"),
-    ("DiffTune", "repro.core.difftune"),
-    ("DiffTuneConfig", "repro.core.difftune"),
-    ("DiffTuneResult", "repro.core.difftune"),
-    ("fast_config", "repro.core.config"),
-    ("paper_config", "repro.core.config"),
-    ("test_config", "repro.core.config"),
-]
-
-
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name,module_name", DEPRECATED_CORE_NAMES)
-    def test_shim_warns_and_returns_identical_object(self, name, module_name):
-        import importlib
-
-        import repro.core
-
-        with pytest.warns(DeprecationWarning, match=f"importing {name!r}"):
-            shimmed = getattr(repro.core, name)
-        canonical = getattr(importlib.import_module(module_name), name)
-        assert shimmed is canonical
-
-    def test_from_import_warns_too(self):
-        with pytest.warns(DeprecationWarning, match="'DiffTune'"):
-            from repro.core import DiffTune  # noqa: F401
-
-    def test_shimmed_difftune_behaves_identically(self):
-        # The shim returns the same class, so results are trivially identical;
-        # exercise one construction to be sure nothing is wrapped.
-        import repro.core
-        from repro.core.adapters import MCAAdapter
-        from repro.core.config import test_config
-        from repro.targets import get_uarch
-
+    def test_star_import_does_not_warn(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = repro.core.DiffTune(
-                MCAAdapter(get_uarch("haswell"), narrow_sampling=True),
-                test_config(0))
-        from repro.core.difftune import DiffTune
-
-        assert type(shimmed) is DiffTune
+            warnings.simplefilter("error")
+            namespace = {}
+            exec("from repro.core import *", namespace)
+        assert "train_surrogate" in namespace
+        assert "DiffTune" not in namespace
 
     def test_submodule_imports_do_not_warn(self):
         with warnings.catch_warnings():

@@ -97,8 +97,15 @@ class TestExportRoundTrip:
     def test_from_bundle_overrides_engine_knobs(self, tmp_path):
         path = os.path.join(tmp_path, "hsw.bundle")
         Session.from_spec(PredictSpec(target="haswell")).export_bundle(path)
-        loaded = Session.from_bundle(path, engine_megabatch=False)
-        assert loaded.spec.engine_megabatch is False
+        loaded = Session.from_bundle(path, engine_workers=2)
+        assert loaded.spec.engine_workers == 2
+
+    def test_from_bundle_rejects_removed_megabatch_override(self, tmp_path):
+        path = os.path.join(tmp_path, "hsw.bundle")
+        Session.from_spec(PredictSpec(target="haswell")).export_bundle(path)
+        with pytest.raises(SpecValidationError) as excinfo:
+            Session.from_bundle(path, engine_megabatch=False)
+        assert excinfo.value.field == "engine_megabatch"
 
     def test_inspect_reports_contents(self, tmp_path):
         path = os.path.join(tmp_path, "hsw.bundle")
@@ -125,6 +132,20 @@ class TestVerification:
         with pytest.raises(BundleError, match="digest mismatch") as excinfo:
             load_bundle(tampered)
         assert excinfo.value.field == f"contents[{TABLE_MEMBER}]"
+
+    def test_bundle_with_removed_megabatch_spec_field_loads(self, tmp_path,
+                                                            bundle_path):
+        # Bundles exported while specs carried the engine's megabatch switch
+        # keep loading: the manifest's spec is read field by field.
+        manifest = json.loads(
+            zipfile.ZipFile(bundle_path).read(MANIFEST_MEMBER))
+        manifest["spec"]["engine_megabatch"] = True
+        legacy = os.path.join(tmp_path, "legacy.bundle")
+        _rewrite_member(bundle_path, legacy, MANIFEST_MEMBER,
+                        json.dumps(manifest).encode())
+        blocks = _blocks("haswell")
+        assert np.array_equal(Session.from_bundle(legacy).predict(blocks),
+                              Session.from_bundle(bundle_path).predict(blocks))
 
     def test_future_schema_version_rejected(self, tmp_path, bundle_path):
         manifest = json.loads(

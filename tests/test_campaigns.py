@@ -139,10 +139,10 @@ class TestSpecValidation:
 
     def test_identity_excludes_execution_knobs(self):
         spec = make_spec(checkpoint_dir="ckpt", report_path="report.json",
-                         engine_workers=3, engine_megabatch=False)
+                         engine_workers=3)
         identity = spec.identity_dict()
         for key in ("checkpoint_dir", "resume", "report_path",
-                    "engine_workers", "engine_megabatch"):
+                    "engine_workers"):
             assert key not in identity
         assert identity["axes"] == [dict(DISPATCH_AXIS)]
 
@@ -237,24 +237,6 @@ class TestRunner:
         assert stats["result_hits"] > hits_before
         assert json.dumps(first.report, sort_keys=True) == \
             json.dumps(second.report, sort_keys=True)
-
-    def test_repeated_sweep_tables_hit_engine_cache(self):
-        # Satellite fix: the base table is resolved once per sweep, so two
-        # identical sweeps produce digest-identical tables and the second
-        # predict is served entirely from the engine result cache.
-        session = Session.from_spec(EvaluateSpec(target="haswell",
-                                                 num_blocks=30, seed=6))
-        blocks, _timings = session.split("test")
-        with pytest.warns(DeprecationWarning, match="sweep_tables"):
-            tables = session.sweep_tables("DispatchWidth", [1, 2, 3])
-        session.predict(blocks, tables)
-        executed = session.stats()["engine"]["executed"]
-        with pytest.warns(DeprecationWarning, match="sweep_tables"):
-            tables = session.sweep_tables("DispatchWidth", [1, 2, 3])
-        session.predict(blocks, tables)
-        stats = session.stats()["engine"]
-        assert stats["executed"] == executed
-        assert stats["result_hits"] >= 3 * len(blocks)
 
 
 class TestResume:
@@ -362,21 +344,6 @@ class TestPresets:
         assert {"mean": float(errors.mean()), "std": float(errors.std()),
                 "min": float(errors.min()),
                 "max": float(errors.max())} == expected
-
-    def test_sweep_error_curve_matches_deprecated_shim(self):
-        from repro.bhive import build_dataset
-        from repro.eval.analysis import global_parameter_sensitivity
-        from repro.targets import HASWELL, build_default_mca_table
-
-        dataset = build_dataset("haswell", num_blocks=30, seed=1)
-        table = build_default_mca_table(HASWELL)
-        with pytest.warns(DeprecationWarning,
-                          match="global_parameter_sensitivity"):
-            old = global_parameter_sensitivity(table, dataset, "DispatchWidth",
-                                               [1, 2, 4], max_blocks=8)
-        new = sweep_error_curve(table, dataset, "DispatchWidth", [1, 2, 4],
-                                max_blocks=8)
-        assert old == new
 
     def test_presets_registered_with_aliases(self):
         assert CAMPAIGNS.resolve("sec5a") == "sec5a_random_tables"

@@ -36,18 +36,11 @@ class TestParser:
         assert arguments.targets == ["haswell"]
         assert arguments.config == "fast"
         assert not arguments.resume
-        assert arguments.batch_training
-        assert arguments.batch_table_optimization
         assert arguments.handler is cli._command_tune
 
     def test_tune_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["tune", "--targets", "alderlake"])
-
-    def test_learn_batch_table_optimization_flag(self):
-        arguments = cli.build_parser().parse_args(
-            ["learn", "--output", "t.json", "--no-batch-table-optimization"])
-        assert not arguments.batch_table_optimization
 
 
 class TestCommands:

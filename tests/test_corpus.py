@@ -251,8 +251,7 @@ class TestStreamingTraining:
         store = ShardedFeaturizationStore(
             str(tmp_path / "store"), featurizer).ensure(corpus)
         spec = adapter.parameter_spec()
-        config = SurrogateTrainingConfig(epochs=2, batch_size=16, seed=0,
-                                         batched=True)
+        config = SurrogateTrainingConfig(epochs=2, batch_size=16, seed=0)
         outcomes = {}
         for label, source in (
                 ("in_memory", examples),

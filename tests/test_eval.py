@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bhive import build_dataset
+from repro.campaigns import sweep_error_curve
 from repro.core.adapters import MCAAdapter
 from repro.eval import (case_study_report, error_and_tau, format_results_table, format_table,
-                        global_parameter_sensitivity, kendall_tau,
-                        mean_absolute_percentage_error, parameter_histograms,
+                        kendall_tau, mean_absolute_percentage_error, parameter_histograms,
                         per_application_error, per_category_error)
 from repro.eval.tables import format_percent
 from repro.isa.parser import parse_block
@@ -93,32 +93,24 @@ class TestAnalysis:
         assert write_latency["learned"][0] == len(haswell_default_table.opcode_table)
 
     def test_sensitivity_sweep_shape(self, small_dataset, haswell_default_table):
-        with pytest.warns(DeprecationWarning, match="sweep_error_curve"):
-            sweep = global_parameter_sensitivity(haswell_default_table, small_dataset,
-                                                 "DispatchWidth", [1, 4, 8], max_blocks=10)
+        sweep = sweep_error_curve(haswell_default_table, small_dataset,
+                                  "DispatchWidth", [1, 4, 8], max_blocks=10)
         assert [value for value, _ in sweep] == [1, 4, 8]
         assert all(error > 0 for _, error in sweep)
 
     def test_sensitivity_dispatch_width_minimum_near_default(self, small_dataset,
                                                              haswell_default_table):
         """Error should be worse at DispatchWidth=1 than at the default 4 (Figure 5)."""
-        with pytest.warns(DeprecationWarning):
-            sweep = dict(global_parameter_sensitivity(haswell_default_table, small_dataset,
-                                                      "DispatchWidth", [1, 4], max_blocks=25))
+        sweep = dict(sweep_error_curve(haswell_default_table, small_dataset,
+                                       "DispatchWidth", [1, 4], max_blocks=25))
         assert sweep[1] > sweep[4]
 
     def test_sensitivity_rob_insensitive_above_threshold(self, small_dataset,
                                                          haswell_default_table):
         """Above ~70 entries the reorder buffer is rarely the bottleneck (Figure 5)."""
-        with pytest.warns(DeprecationWarning):
-            sweep = dict(global_parameter_sensitivity(haswell_default_table, small_dataset,
-                                                      "ReorderBufferSize", [100, 300],
-                                                      max_blocks=25))
+        sweep = dict(sweep_error_curve(haswell_default_table, small_dataset,
+                                       "ReorderBufferSize", [100, 300], max_blocks=25))
         assert sweep[100] == pytest.approx(sweep[300], rel=0.1)
-
-    def test_sensitivity_invalid_parameter(self, small_dataset, haswell_default_table):
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            global_parameter_sensitivity(haswell_default_table, small_dataset, "Bogus", [1])
 
     def test_case_study_report(self, haswell_default_table, haswell_hardware):
         learned = haswell_default_table.copy()

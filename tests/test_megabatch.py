@@ -211,8 +211,12 @@ def test_predict_many_equals_per_block_loop(mca_adapter, sim_adapter,
 
 
 # ----------------------------------------------------------------------
-# Engine integration: megabatch on/off, cache interleavings, parallel
+# Engine integration: scalar oracle, cache interleavings, parallel
 # ----------------------------------------------------------------------
+#: The scalar simulator each engine factory wraps (same default windows).
+SCALAR_SIMULATORS = {mca_engine: MCASimulator, llvm_sim_engine: LLVMSimSimulator}
+
+
 @pytest.mark.parametrize("factory,adapter_fixture",
                          [(mca_engine, "mca_adapter"),
                           (llvm_sim_engine, "sim_adapter")])
@@ -220,9 +224,13 @@ def test_engine_megabatch_matches_scalar_engine(factory, adapter_fixture,
                                                 corpus_blocks, request):
     adapter = request.getfixturevalue(adapter_fixture)
     tables = [_sampled_table(adapter, seed) for seed in (1, 2)]
-    fast = factory(megabatch=True).run(tables, corpus_blocks)
-    slow = factory(megabatch=False).run(tables, corpus_blocks)
-    assert np.array_equal(fast, slow)
+    engine = factory()
+    fast = engine.run(tables, corpus_blocks)
+    scalar = np.stack([
+        _scalar_timings(SCALAR_SIMULATORS[factory](table), corpus_blocks)
+        for table in tables])
+    assert np.array_equal(fast, scalar)
+    assert engine.stats["megabatch_batches"] == len(tables)
 
 
 def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
@@ -230,7 +238,7 @@ def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
     # and misses interleave arbitrarily; gathered megabatches must scatter
     # every miss to the right position.
     tables = [_sampled_table(mca_adapter, seed) for seed in (3, 4)]
-    engine = mca_engine(megabatch=True)
+    engine = mca_engine()
     engine.run_one(tables[0], corpus_blocks[:16])
     mixed = list(corpus_blocks[8:32]) + list(corpus_blocks[:8])
     result = engine.run(tables, mixed)
@@ -244,12 +252,10 @@ def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
 def test_engine_parallel_chunked_fanout_deterministic(mca_adapter,
                                                       corpus_blocks):
     tables = [_sampled_table(mca_adapter, seed) for seed in (5, 6)]
-    serial = mca_engine(num_workers=0, megabatch=True).run(tables,
-                                                           corpus_blocks)
-    parallel_engine = mca_engine(num_workers=2, megabatch=True)
+    serial = mca_engine(num_workers=0).run(tables, corpus_blocks)
+    parallel_engine = mca_engine(num_workers=2)
     parallel = parallel_engine.run(tables, corpus_blocks)
     assert np.array_equal(parallel, serial)
-    again = mca_engine(num_workers=2, megabatch=True).run(tables,
-                                                          corpus_blocks)
+    again = mca_engine(num_workers=2).run(tables, corpus_blocks)
     assert np.array_equal(again, serial)
     assert parallel_engine.stats["parallel_batches"] == 1

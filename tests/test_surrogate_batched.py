@@ -1,10 +1,11 @@
-"""The batched surrogate-training fast path vs the per-example reference.
+"""Batch-major surrogate training vs a per-example reference.
 
-The contract (ISSUE 3 tentpole): batched and scalar forward/backward agree
-within 1e-9, for every surrogate variant, so flipping
-``SurrogateTrainingConfig(batched=...)`` changes throughput and nothing else.
-A hypothesis property test drives the comparison over random block subsets
-and parameter tables; deterministic tests cover the
+The contract: batched and scalar forward/backward agree within 1e-9, for
+every surrogate variant, and a whole training run matches a per-example
+reference loop built here on the scalar ``forward`` and driven through the
+same :func:`~repro.core.training_loop.run_minibatch_loop`.  A hypothesis
+property test drives the comparison over random block subsets and parameter
+tables; deterministic tests cover the
 :class:`~repro.core.surrogate.FeaturizationCache` packing, the training-loop
 integration, the ``log_every`` progress-callback semantics (including the
 final partial batch), and the ``surrogate_training_throughput`` scenario
@@ -16,15 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.registries import SURROGATES
+from repro.autodiff.optim import Adam
+from repro.autodiff.tensor import no_grad
 from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
-from repro.core.losses import surrogate_loss
+from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.simulated_dataset import collect_simulated_dataset
 from repro.core.surrogate import (FeaturizationCache, SurrogateConfig,
-                                  build_surrogate)
+                                  _SurrogateBase, build_surrogate)
 from repro.core.surrogate import BlockFeaturizer
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
                                            train_surrogate)
+from repro.core.training_loop import run_minibatch_loop
 from repro.targets import HASWELL
 
 EQUIVALENCE_ATOL = 1e-9
@@ -68,6 +73,59 @@ def _scalar_and_batched(surrogate, adapter, blocks, tables):
         scalar.append(surrogate.forward(featurized_block, rows,
                                         normalized.global_values))
     return scalar, batched
+
+
+def _scalar_inputs(spec, example, featurized):
+    """One example's normalized parameter rows and globals (no cache)."""
+    normalized = spec.normalize_for_surrogate_training(example.arrays)
+    return (normalized.per_instruction_values[list(featurized.opcode_indices)],
+            normalized.global_values)
+
+
+def _per_example_error(surrogate, examples):
+    """Reference MAPE: one scalar ``forward`` per example."""
+    spec = surrogate.spec
+    predictions = []
+    with no_grad():
+        for example in examples:
+            featurized = surrogate.featurizer.featurize(example.block)
+            rows, global_values = _scalar_inputs(spec, example, featurized)
+            predictions.append(
+                surrogate.forward(featurized, rows, global_values).item())
+    return mape_loss_value(np.array(predictions),
+                           np.array([example.simulated_timing
+                                     for example in examples]))
+
+
+def _per_example_training(surrogate, examples, config):
+    """Reference training run: ``train_surrogate`` with a per-example loss.
+
+    Same optimizer, rng stream and loop as the batched path, so only the
+    forward differs.  Returns ``(epoch_losses, final_training_error)``.
+    """
+    spec = surrogate.spec
+    optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
+    rng = np.random.default_rng(config.seed)
+    featurized = [surrogate.featurizer.featurize(example.block)
+                  for example in examples]
+
+    def per_example_loss(batch_indices):
+        predictions, targets = [], []
+        for row in (int(index) for index in batch_indices):
+            rows, global_values = _scalar_inputs(spec, examples[row],
+                                                 featurized[row])
+            predictions.append(surrogate.forward(featurized[row], rows,
+                                                 global_values))
+            targets.append(examples[row].simulated_timing)
+        return surrogate_loss(predictions, targets)
+
+    surrogate.train()
+    loop = run_minibatch_loop(
+        len(examples), per_example_loss, optimizer, rng,
+        batch_size=config.batch_size, epochs=config.epochs,
+        shuffle=config.shuffle, gradient_clip=config.gradient_clip)
+    surrogate.eval()
+    return loop.epoch_losses, _per_example_error(surrogate, examples)
 
 
 class TestForwardEquivalence:
@@ -183,47 +241,41 @@ class TestFeaturizationCache:
 
 class TestTrainingPaths:
     def test_batched_and_scalar_training_agree(self, adapter, simulated):
-        results = {}
-        for batched in (False, True):
-            surrogate = _build(adapter, "pooled")
-            config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0,
-                                             batched=batched)
-            results[batched] = train_surrogate(surrogate, simulated, config)
-        assert results[True].used_batched_path
-        assert not results[False].used_batched_path
-        np.testing.assert_allclose(results[True].epoch_losses,
-                                   results[False].epoch_losses, atol=1e-7, rtol=0)
-        assert abs(results[True].final_training_error
-                   - results[False].final_training_error) < 1e-7
-
-    def test_scalar_path_never_calls_forward_batch(self, adapter, simulated):
-        # batched=False must be the full per-example reference — including
-        # the final evaluation pass inside train_surrogate.
-        surrogate = _build(adapter, "pooled")
-
-        def _boom(*_args, **_kwargs):
-            raise AssertionError("forward_batch used on the scalar path")
-
-        surrogate.forward_batch = _boom
-        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0,
-                                         batched=False)
-        result = train_surrogate(surrogate, simulated, config)
-        assert not result.used_batched_path
-        assert np.isfinite(result.final_training_error)
-
-    def test_batched_flag_falls_back_without_forward_batch(self, adapter, simulated):
-        surrogate = _build(adapter, "pooled")
-        surrogate.supports_batched_forward = False
-        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0, batched=True)
-        result = train_surrogate(surrogate, simulated, config)
-        assert not result.used_batched_path
-        assert np.isfinite(result.final_training_error)
+        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0)
+        batched = train_surrogate(_build(adapter, "pooled"), simulated, config)
+        scalar_losses, scalar_error = _per_example_training(
+            _build(adapter, "pooled"), simulated, config)
+        np.testing.assert_allclose(batched.epoch_losses, scalar_losses,
+                                   atol=1e-7, rtol=0)
+        assert abs(batched.final_training_error - scalar_error) < 1e-7
 
     def test_evaluate_surrogate_batched_matches_per_example(self, adapter, simulated):
         surrogate = _build(adapter, "analytical")
         batched_error = evaluate_surrogate(surrogate, simulated, batch_size=16)
-        scalar_error = evaluate_surrogate(surrogate, simulated, batch_size=0)
+        scalar_error = _per_example_error(surrogate, simulated)
         assert abs(batched_error - scalar_error) < 1e-9
+
+    def test_evaluate_surrogate_rejects_non_positive_batch_size(self, adapter,
+                                                                simulated):
+        surrogate = _build(adapter, "pooled")
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate_surrogate(surrogate, simulated, batch_size=0)
+
+    def test_build_surrogate_requires_forward_batch(self, adapter):
+        class ScalarOnlySurrogate(_SurrogateBase):
+            def forward(self, featurized, per_instruction_params, global_params):
+                raise AssertionError("never constructed")
+
+        SURROGATES.register("scalar_only", ScalarOnlySurrogate)
+        try:
+            with pytest.raises(ValueError,
+                               match="'scalar_only'.*ScalarOnlySurrogate.*"
+                                     "forward_batch"):
+                build_surrogate(adapter.parameter_spec(),
+                                BlockFeaturizer(adapter.opcode_table),
+                                SurrogateConfig(kind="scalar_only"))
+        finally:
+            SURROGATES.unregister("scalar_only")
 
     def test_throughput_metadata_populated(self, adapter, simulated):
         surrogate = _build(adapter, "pooled")
@@ -280,6 +332,7 @@ class TestThroughputScenario:
         entry = runner.run_scenario(
             runner.registry.get("surrogate_training_throughput"))
         metrics = entry["metrics"]
-        assert set(metrics["paths"]) == {"scalar", "batched"}
-        assert metrics["speedup_batched_vs_scalar"] > 1.0
-        assert metrics["epoch_loss_max_abs_diff"] < 1e-7
+        assert set(metrics["paths"]) == {"batched"}
+        batched = metrics["paths"]["batched"]
+        assert batched["examples_per_sec"] > 0
+        assert np.isfinite(batched["final_training_error"])

@@ -1,13 +1,13 @@
-"""The batched phase-two fast path vs the per-block reference.
+"""Batch-major phase-two table optimization vs a per-block reference.
 
-The contract (ISSUE 4 tentpole): batched and per-block table optimization
-agree within 1e-9 in per-epoch loss — frozen masks included — so flipping
-``TableOptimizationConfig(batched=...)`` changes throughput and nothing
-else.  A hypothesis property test drives the comparison over random block
-subsets, seeds, and frozen-mask settings; deterministic tests cover each
-surrogate variant, the scatter-add/frozen-mask interaction, the automatic
-fallback for surrogates without ``forward_batch``, and the once-per-run
-featurization of the per-block path.
+The contract: batched table optimization agrees within 1e-9 in per-epoch
+loss — frozen masks included — with a per-block reference loop built here
+on the scalar ``forward`` (fancy-indexed ``_TrainableTable`` rows, the same
+frozen-dimension restore) and driven through the same
+:func:`~repro.core.training_loop.run_minibatch_loop`.  A hypothesis property
+test drives the comparison over random block subsets, seeds, and
+frozen-mask settings; deterministic tests cover each surrogate variant and
+the scatter-add/frozen-mask interaction.
 """
 
 import numpy as np
@@ -15,12 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autodiff.optim import Adam
 from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
+from repro.core.losses import surrogate_loss
 from repro.core.surrogate import SurrogateConfig, build_surrogate
-from repro.core.surrogate import BlockFeaturizer, PooledSurrogate
+from repro.core.surrogate import BlockFeaturizer
 from repro.core.table_optimization import (TableOptimizationConfig,
+                                           TableOptimizationResult,
+                                           _TrainableTable,
                                            optimize_parameter_table)
+from repro.core.training_loop import run_minibatch_loop
 from repro.targets import HASWELL
 
 EQUIVALENCE_ATOL = 1e-9
@@ -56,21 +61,66 @@ def _writelatency_masks(spec):
     return per_mask, global_mask
 
 
+def _per_block_optimization(surrogate, blocks, timings, config, initial,
+                            per_mask, global_mask):
+    """Reference run: ``optimize_parameter_table`` with a per-block loss.
+
+    Each block's inputs are its opcodes' fancy-indexed table rows (repeated
+    opcodes accumulate gradient into one row) through the scalar
+    ``forward``; frozen dimensions are restored after every step exactly as
+    the batched path does.
+    """
+    rng = np.random.default_rng(config.seed)
+    table = _TrainableTable(surrogate.spec, initial)
+    optimizer = Adam(table.parameters(), lr=config.learning_rate)
+    frozen_per_instruction = table.per_instruction.data.copy()
+    frozen_global = table.global_values.data.copy()
+
+    def restore_frozen():
+        if per_mask is not None:
+            table.per_instruction.data[:, per_mask] = \
+                frozen_per_instruction[:, per_mask]
+        if global_mask is not None and table.global_values.size > 0:
+            table.global_values.data[global_mask] = frozen_global[global_mask]
+
+    surrogate.eval()
+    featurized = [surrogate.featurizer.featurize(block) for block in blocks]
+
+    def per_block_loss(batch_indices):
+        predictions, targets = [], []
+        for row in (int(index) for index in batch_indices):
+            rows = table.per_instruction[
+                list(featurized[row].opcode_indices)].abs().clamp(0.0, 1.0)
+            global_vector = table.global_values.abs().clamp(0.0, 1.0)
+            predictions.append(surrogate.forward(featurized[row], rows,
+                                                 global_vector))
+            targets.append(float(timings[row]))
+        return surrogate_loss(predictions, targets)
+
+    loop = run_minibatch_loop(
+        len(blocks), per_block_loss, optimizer, rng,
+        batch_size=config.batch_size, epochs=config.epochs,
+        shuffle=config.shuffle, gradient_clip=config.gradient_clip,
+        post_step=restore_frozen)
+    return TableOptimizationResult(learned_arrays=table.to_parameter_arrays(),
+                                   epoch_losses=loop.epoch_losses,
+                                   initial_arrays=initial)
+
+
 def _both_paths(adapter, kind, blocks, timings, config_kwargs, frozen=False,
                 initial_seed=1):
     spec = adapter.parameter_spec()
     initial = spec.sample(np.random.default_rng(initial_seed))
     masks = _writelatency_masks(spec) if frozen else (None, None)
-    results = {}
-    for batched in (False, True):
-        surrogate = _build(adapter, kind)
-        results[batched] = optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batched=batched, **config_kwargs),
-            initial_arrays=initial,
-            frozen_per_instruction_mask=masks[0],
-            frozen_global_mask=masks[1])
-    return initial, results[False], results[True]
+    config = TableOptimizationConfig(**config_kwargs)
+    scalar = _per_block_optimization(_build(adapter, kind), blocks, timings,
+                                     config, initial, *masks)
+    batched = optimize_parameter_table(
+        _build(adapter, kind), blocks, timings, config,
+        initial_arrays=initial,
+        frozen_per_instruction_mask=masks[0],
+        frozen_global_mask=masks[1])
+    return initial, scalar, batched
 
 
 class TestEpochLossEquivalence:
@@ -79,8 +129,6 @@ class TestEpochLossEquivalence:
         _initial, scalar, batched = _both_paths(
             adapter, kind, blocks, timings,
             dict(learning_rate=0.05, batch_size=5, epochs=3, seed=0))
-        assert scalar.used_batched_path is False
-        assert batched.used_batched_path is True
         np.testing.assert_allclose(batched.epoch_losses, scalar.epoch_losses,
                                    atol=EQUIVALENCE_ATOL, rtol=0)
         np.testing.assert_allclose(batched.learned_arrays.per_instruction_values,
@@ -138,47 +186,6 @@ class TestFrozenMasks:
             dict(learning_rate=0.05, batch_size=4, epochs=2, seed=3), frozen=True)
         np.testing.assert_allclose(batched.epoch_losses, scalar.epoch_losses,
                                    atol=EQUIVALENCE_ATOL, rtol=0)
-
-
-class TestExecutionPathSelection:
-    def test_fallback_without_forward_batch(self, adapter, blocks, timings):
-        class NoBatchSurrogate(PooledSurrogate):
-            supports_batched_forward = False
-
-        spec = adapter.parameter_spec()
-        surrogate = NoBatchSurrogate(spec, BlockFeaturizer(adapter.opcode_table),
-                                     SurrogateConfig(kind="pooled", embedding_size=8,
-                                                     hidden_size=12))
-        result = optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=4, epochs=1, batched=True))
-        assert result.used_batched_path is False
-
-    def test_batched_off_by_config(self, adapter, blocks, timings):
-        surrogate = _build(adapter, "pooled")
-        result = optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=4, epochs=1, batched=False))
-        assert result.used_batched_path is False
-        assert result.examples_per_second > 0
-
-    def test_per_block_path_featurizes_each_block_once(self, adapter, blocks,
-                                                       timings):
-        """Regression (ISSUE 4 satellite): featurization is hoisted out of the
-        epoch loop, so a multi-epoch run hits the featurizer once per block."""
-        surrogate = _build(adapter, "pooled")
-        calls = []
-        original = surrogate.featurizer.featurize
-
-        def counting_featurize(block):
-            calls.append(block)
-            return original(block)
-
-        surrogate.featurizer.featurize = counting_featurize
-        optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=4, epochs=3, batched=False))
-        assert len(calls) == len(blocks)
 
 
 class TestProgressCallback:
