@@ -5,7 +5,7 @@ so the artifact that leaves a tuning run should not require the tuning
 stack to use.  A *deployment bundle* is a single zip archive holding
 
 * ``table_arrays.npz`` — the learned parameter table in optimization layout
-  (:class:`~repro.core.parameters.ParameterArrays`), written via
+  (:class:`~repro.core.parameters.ParameterArrays`), encoded by
   :mod:`repro.autodiff.serialization`;
 * ``surrogate_state.npz`` — optionally, the trained surrogate's
   ``state_dict`` (same serialization);
@@ -16,7 +16,8 @@ stack to use.  A *deployment bundle* is a single zip archive holding
 
 Every digest is verified on load: a corrupted or hand-edited bundle fails
 with a :class:`BundleError` naming the offending field, and a bundle written
-by a *newer* schema is rejected rather than misread.  Consumers:
+by a *newer* schema is rejected rather than misread.  The archive is written
+atomically, so a failed export keeps the previous bundle at the path.  Consumers:
 
 * :meth:`repro.api.Session.from_bundle` — a ready-to-predict session;
 * :class:`repro.serving.InferenceServer` — the long-running serving layer;
@@ -26,13 +27,14 @@ by a *newer* schema is rejected rather than misread.  Consumers:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import io
 import json
 import os
-import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from repro import storage
 
 #: Bump when the archive layout changes incompatibly.  Readers accept any
 #: version <= their own and reject newer ones with a clear error.
@@ -54,10 +56,6 @@ class BundleError(ValueError):
         self.field = field_name
 
 
-def _member_digest(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
 @dataclass
 class BundleManifest:
     """The typed contents of a bundle's ``manifest.json``."""
@@ -74,7 +72,7 @@ class BundleManifest:
     #: SurrogateConfig fields needed to rebuild the embedded weights
     #: (``None`` when the bundle ships no surrogate member).
     surrogate: Optional[Dict[str, Any]] = None
-    #: member name -> blake2b digest of the member's bytes.
+    #: member name -> :func:`repro.storage.digest` of the member's bytes.
     contents: Dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -148,7 +146,7 @@ def export_bundle(session: Any, path: str, table: Optional[Any] = None,
     """
     import repro
     from repro.api.specs import BundleSpec
-    from repro.autodiff.serialization import save_parameter_arrays, save_state_dict
+    from repro.autodiff.serialization import encode_parameter_arrays
 
     if table is None:
         table = session.load_table_or_default(
@@ -167,19 +165,11 @@ def export_bundle(session: Any, path: str, table: Optional[Any] = None,
         engine_workers=getattr(session.spec, "engine_workers", 0))
     spec.validate()
 
-    members: Dict[str, bytes] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-bundle-") as scratch:
-        table_path = os.path.join(scratch, TABLE_MEMBER)
-        save_parameter_arrays(arrays, table_path)
-        with open(table_path, "rb") as handle:
-            members[TABLE_MEMBER] = handle.read()
-        surrogate_payload: Optional[Dict[str, Any]] = None
-        if surrogate is not None:
-            surrogate_path = os.path.join(scratch, SURROGATE_MEMBER)
-            save_state_dict(surrogate, surrogate_path)
-            with open(surrogate_path, "rb") as handle:
-                members[SURROGATE_MEMBER] = handle.read()
-            surrogate_payload = dataclasses.asdict(surrogate.config)
+    members = {TABLE_MEMBER: encode_parameter_arrays(arrays)}
+    surrogate_payload: Optional[Dict[str, Any]] = None
+    if surrogate is not None:
+        members[SURROGATE_MEMBER] = storage.encode_arrays(surrogate.state_dict())
+        surrogate_payload = dataclasses.asdict(surrogate.config)
 
     manifest = BundleManifest(
         target=session.target_name,
@@ -188,16 +178,16 @@ def export_bundle(session: Any, path: str, table: Optional[Any] = None,
         tool_version=repro.__version__,
         spec=spec.to_dict(),
         surrogate=surrogate_payload,
-        contents={name: _member_digest(payload)
+        contents={name: storage.digest(payload)
                   for name, payload in members.items()})
 
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_DEFLATED) as archive:
         for name, payload in members.items():
             archive.writestr(name, payload)
         archive.writestr(MANIFEST_MEMBER,
                          json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
+    storage.atomic_write(path, buffer.getvalue())
     return manifest
 
 
@@ -224,7 +214,7 @@ def load_bundle(path: str) -> LoadedBundle:
     not match the manifest digest, when the table content does not match
     ``table_digest``, or when the schema version is unsupported.
     """
-    from repro.autodiff.serialization import load_arrays, load_parameter_arrays
+    from repro.autodiff.serialization import decode_parameter_arrays
     from repro.engine.binding import parameter_arrays_digest
 
     manifest = read_manifest(path)
@@ -236,7 +226,7 @@ def load_bundle(path: str) -> LoadedBundle:
                 raise BundleError(f"contents[{name}]",
                                   "listed in the manifest but missing from the archive")
             payload = archive.read(name)
-            actual = _member_digest(payload)
+            actual = storage.digest(payload)
             if actual != expected:
                 raise BundleError(
                     f"contents[{name}]",
@@ -245,17 +235,12 @@ def load_bundle(path: str) -> LoadedBundle:
                     f"or was modified after export")
             members[name] = payload
 
-    with tempfile.TemporaryDirectory(prefix="repro-bundle-") as scratch:
-        table_path = os.path.join(scratch, TABLE_MEMBER)
-        with open(table_path, "wb") as handle:
-            handle.write(members[TABLE_MEMBER])
-        arrays = load_parameter_arrays(table_path)
-        surrogate_state: Optional[Dict[str, Any]] = None
-        if SURROGATE_MEMBER in members:
-            surrogate_path = os.path.join(scratch, SURROGATE_MEMBER)
-            with open(surrogate_path, "wb") as handle:
-                handle.write(members[SURROGATE_MEMBER])
-            surrogate_state = load_arrays(surrogate_path)
+    arrays = decode_parameter_arrays(members[TABLE_MEMBER],
+                                     f"{path}:{TABLE_MEMBER}")
+    surrogate_state: Optional[Dict[str, Any]] = None
+    if SURROGATE_MEMBER in members:
+        surrogate_state = storage.decode_arrays(members[SURROGATE_MEMBER],
+                                                f"{path}:{SURROGATE_MEMBER}")
 
     actual_digest = parameter_arrays_digest(arrays)
     if actual_digest != manifest.table_digest:

@@ -3,44 +3,62 @@
 State is stored as compressed ``.npz`` archives so that trained surrogates,
 optimizer moments, and learned parameter tables can be checkpointed between
 (and now *within*) the optimization stages of DiffTune.  The pipeline layer
-(:mod:`repro.pipeline`) builds its per-stage artifact files on these helpers.
+(:mod:`repro.pipeline`) and deployment bundles build their array files from
+the in-memory encoders here; every file is written through
+:func:`repro.storage.atomic_write`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
 import numpy as np
 
+from repro import storage
 from repro.autodiff.modules import Module
 from repro.autodiff.optim import Optimizer
 
 
-def _write_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    # npz keys cannot contain certain characters reliably across versions, so
-    # keys are stored verbatim — NumPy handles dotted names fine.
-    np.savez_compressed(path, **arrays)
+def encode_parameter_arrays(arrays) -> bytes:
+    """A :class:`~repro.core.parameters.ParameterArrays` as ``.npz`` bytes.
+
+    Duck-typed (anything with ``global_values`` / ``per_instruction_values``
+    NumPy attributes) so this module stays free of an import cycle with
+    :mod:`repro.core`.
+    """
+    return storage.encode_arrays({
+        "global_values": np.asarray(arrays.global_values, dtype=np.float64),
+        "per_instruction_values": np.asarray(arrays.per_instruction_values,
+                                             dtype=np.float64),
+    })
+
+
+def decode_parameter_arrays(payload: bytes, source: str):
+    """Inverse of :func:`encode_parameter_arrays` (``source`` names the bytes)."""
+    from repro.core.parameters import ParameterArrays
+
+    state = storage.decode_arrays(payload, source)
+    missing = {"global_values", "per_instruction_values"} - set(state)
+    if missing:
+        raise KeyError(f"{source} is not a ParameterArrays archive; "
+                       f"missing {sorted(missing)}")
+    return ParameterArrays(global_values=state["global_values"],
+                           per_instruction_values=state["per_instruction_values"])
 
 
 def save_arrays(arrays: Dict[str, np.ndarray], path: str) -> None:
     """Serialize a flat ``name -> array`` mapping to ``path`` as an .npz archive."""
-    _write_npz(path, {key: np.asarray(value) for key, value in arrays.items()})
+    storage.atomic_write(path, storage.encode_arrays(arrays))
 
 
 def load_arrays(path: str) -> Dict[str, np.ndarray]:
     """Load a ``name -> array`` mapping saved by :func:`save_arrays`."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with np.load(path) as archive:
-        return {key: archive[key] for key in archive.files}
+    return storage.read_arrays(path)
 
 
 def save_state_dict(module: Module, path: str) -> None:
     """Serialize ``module.state_dict()`` to ``path`` as an .npz archive."""
-    _write_npz(path, module.state_dict())
+    save_arrays(module.state_dict(), path)
 
 
 def load_state_dict(module: Module, path: str) -> Module:
@@ -56,7 +74,7 @@ def save_optimizer_state(optimizer: Optimizer, path: str) -> None:
     fresh optimizer constructed over the same parameter list in the same
     order — the situation a resumed training stage is in.
     """
-    _write_npz(path, optimizer.state_dict())
+    save_arrays(optimizer.state_dict(), path)
 
 
 def load_optimizer_state(optimizer: Optimizer, path: str) -> Optimizer:
@@ -66,26 +84,11 @@ def load_optimizer_state(optimizer: Optimizer, path: str) -> Optimizer:
 
 
 def save_parameter_arrays(arrays, path: str) -> None:
-    """Serialize a :class:`~repro.core.parameters.ParameterArrays` to .npz.
-
-    Duck-typed (anything with ``global_values`` / ``per_instruction_values``
-    NumPy attributes) so this module stays free of an import cycle with
-    :mod:`repro.core`.
-    """
-    _write_npz(path, {
-        "global_values": np.asarray(arrays.global_values, dtype=np.float64),
-        "per_instruction_values": np.asarray(arrays.per_instruction_values,
-                                             dtype=np.float64),
-    })
+    """Serialize a :class:`~repro.core.parameters.ParameterArrays` to .npz."""
+    storage.atomic_write(path, encode_parameter_arrays(arrays))
 
 
 def load_parameter_arrays(path: str):
     """Load a :class:`~repro.core.parameters.ParameterArrays` from .npz."""
-    from repro.core.parameters import ParameterArrays
-
-    state = load_arrays(path)
-    missing = {"global_values", "per_instruction_values"} - set(state)
-    if missing:
-        raise KeyError(f"{path} is not a ParameterArrays archive; missing {sorted(missing)}")
-    return ParameterArrays(global_values=state["global_values"],
-                           per_instruction_values=state["per_instruction_values"])
+    with open(path, "rb") as handle:
+        return decode_parameter_arrays(handle.read(), path)

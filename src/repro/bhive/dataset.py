@@ -9,12 +9,12 @@ two splits), matching the protocol in Section V-A of the paper.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import storage
 from repro.bhive.categories import BlockCategory, categorize_block
 from repro.bhive.generator import BlockGenerator
 from repro.bhive.measurement import MeasurementHarness
@@ -190,17 +190,13 @@ class BasicBlockDataset:
                 "test": self.splits.test,
             },
         }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        storage.atomic_write(path, json.dumps(payload).encode())
 
     @classmethod
     def load_json(cls, path: str,
                   opcode_table: Optional[OpcodeTable] = None) -> "BasicBlockDataset":
         opcode_table = opcode_table or DEFAULT_OPCODE_TABLE
-        with open(path) as handle:
-            payload = json.load(handle)
+        payload = storage.read_json(path)
         examples = []
         for entry in payload["examples"]:
             block = parse_block(entry["assembly"], opcode_table,

@@ -10,12 +10,11 @@ file to an uninterrupted run.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
+
+from repro import storage
 
 #: Bump when the report layout changes shape (consumers check this).
 CAMPAIGN_REPORT_VERSION = 1
@@ -111,19 +110,8 @@ def build_report(spec: Any, axis_labels: Sequence[str],
 
 
 def write_report(path: str, report: Dict[str, Any]) -> None:
-    """Atomically (write-then-rename) serialize the report to ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    """Atomically serialize the report to ``path`` (canonical JSON form)."""
+    storage.write_json(path, report)
 
 
 def _percent(value: Any) -> str:

@@ -22,7 +22,6 @@ chunk, so long campaigns can be watched mid-flight.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -31,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import storage
 from repro.api.registries import SIMULATORS, STRATEGIES
 from repro.campaigns.report import build_report, write_report
 from repro.campaigns.spec import (SAMPLE_KEY, AxisSpec, CampaignSpec,
@@ -47,7 +47,7 @@ def campaign_fingerprint(spec: CampaignSpec, blocks: Sequence[Any],
     interrupted run and its ``resume=True`` continuation bind the same
     checkpoint directory.
     """
-    digest = hashlib.sha256()
+    digest = storage.hasher()
     digest.update(json.dumps(spec.identity_dict(), sort_keys=True).encode())
     digest.update(np.ascontiguousarray(
         np.asarray(timings, dtype=np.float64)).tobytes())
@@ -151,7 +151,7 @@ class CampaignRunner:
             store.bind_fingerprint(campaign_fingerprint(spec, blocks, timings),
                                    spec.resume)
             if not spec.resume:
-                store.reset_stages()
+                store.reset()
 
         strategy = STRATEGIES.get(spec.strategy)(
             axes, spec.num_variants, spec.strategy_options)

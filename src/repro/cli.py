@@ -98,6 +98,7 @@ from typing import List, Optional
 import numpy as np
 
 import repro
+from repro import storage
 from repro.api import (BASELINES, PRESETS, SIMULATORS, TARGETS, BundleError,
                        CapabilityError, EvaluateSpec, PredictSpec, Session,
                        SpecValidationError, TuneSpec)
@@ -340,8 +341,7 @@ def _command_campaign(arguments: argparse.Namespace) -> int:
         return 0
 
     if arguments.campaign_command == "report":
-        with open(arguments.path) as stream:
-            report = json.load(stream)
+        report = storage.read_json(arguments.path)
         if arguments.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
@@ -351,8 +351,7 @@ def _command_campaign(arguments: argparse.Namespace) -> int:
     # run: preset / spec file / inline flags, merged in that order.
     payload: dict = {}
     if arguments.spec:
-        with open(arguments.spec) as stream:
-            payload.update(json.load(stream))
+        payload.update(storage.read_json(arguments.spec))
     overrides = {key: value for key, value in (
         ("target", arguments.uarch),
         ("simulator", arguments.simulator),
@@ -408,8 +407,7 @@ def _command_matrix(arguments: argparse.Namespace) -> int:
         return 0
 
     if arguments.matrix_command == "report":
-        with open(arguments.path) as stream:
-            report = json.load(stream)
+        report = storage.read_json(arguments.path)
         if arguments.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
@@ -420,8 +418,7 @@ def _command_matrix(arguments: argparse.Namespace) -> int:
     # under the shared "campaign" payload, matrix flags sit at the top.
     payload: dict = {}
     if arguments.spec:
-        with open(arguments.spec) as stream:
-            payload.update(json.load(stream))
+        payload.update(storage.read_json(arguments.spec))
     campaign = dict(payload.get("campaign", {}))
     for key, value in (("strategy", arguments.strategy),
                        ("num_variants", arguments.num_variants),

@@ -12,10 +12,11 @@ RAM.  Layout of one corpus directory::
         ...
 
 Every shard holds exactly ``shard_size`` kept blocks (the last may be
-partial), written atomically (write-then-rename); the manifest records a
-content digest per shard, the total block count, and — until the build
-completes — the generator/harness rng states at the last shard boundary, so
-an interrupted ``build`` resumes bit-identically to an uninterrupted one.
+partial), written atomically through :func:`repro.storage.atomic_write`; the
+manifest records a content digest per shard (checked on every shard read),
+the total block count, and — until the build completes — the
+generator/harness rng states at the last shard boundary, so an interrupted
+``build`` resumes bit-identically to an uninterrupted one.
 
 Reading never materializes the whole corpus: :meth:`ShardedCorpus.iter_blocks`
 and :meth:`~ShardedCorpus.iter_shards` stream shard by shard, and random
@@ -26,7 +27,6 @@ so a corpus block is bit-identical in simulation to the generated original.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import OrderedDict
@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro import storage
 from repro.bhive.generator import BlockGenerator
 from repro.bhive.measurement import MeasurementHarness
 from repro.isa.basic_block import BasicBlock
@@ -43,9 +44,9 @@ from repro.isa.parser import parse_block
 from repro.targets import get_uarch
 from repro.targets.hardware import HardwareModel
 
-MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
-CORPUS_VERSION = 1
+#: Version 2: shard digests are :func:`repro.storage.digest` values.
+CORPUS_VERSION = 2
 
 
 class CorpusError(RuntimeError):
@@ -54,7 +55,7 @@ class CorpusError(RuntimeError):
 
 def block_content_digest(assembly: str, applications: Sequence[str]) -> str:
     """Content digest of one corpus entry (stable across processes)."""
-    digest = hashlib.blake2b(digest_size=16)
+    digest = storage.hasher()
     digest.update(assembly.encode())
     digest.update(b"\n")
     digest.update("\t".join(applications).encode())
@@ -68,10 +69,7 @@ def _dump_shard_bytes(entries: List[Dict[str, Any]]) -> bytes:
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
-    temp_path = path + ".tmp"
-    with open(temp_path, "wb") as handle:
-        handle.write(payload)
-    os.replace(temp_path, path)
+    storage.atomic_write(path, payload)
 
 
 @dataclass
@@ -110,7 +108,7 @@ class ShardedCorpus:
     # ------------------------------------------------------------------
     @staticmethod
     def _manifest_path(directory: str) -> str:
-        return os.path.join(directory, MANIFEST_NAME)
+        return os.path.join(directory, storage.MANIFEST_NAME)
 
     @staticmethod
     def _read_manifest(directory: str) -> Dict[str, Any]:
@@ -118,18 +116,12 @@ class ShardedCorpus:
         if not os.path.exists(path):
             raise CorpusError(f"no corpus manifest at {path!r}; "
                               f"build one with ShardedCorpus.build(...)")
-        with open(path) as handle:
-            manifest = json.load(handle)
+        manifest = storage.read_json(path)
         if manifest.get("version") != CORPUS_VERSION:
             raise CorpusError(f"unsupported corpus version "
-                              f"{manifest.get('version')!r} at {path!r}")
+                              f"{manifest.get('version')!r} at {path!r} "
+                              f"(expected {CORPUS_VERSION}); rebuild the corpus")
         return manifest
-
-    @staticmethod
-    def _write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
-        os.makedirs(directory, exist_ok=True)
-        payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        _atomic_write(ShardedCorpus._manifest_path(directory), payload)
 
     @property
     def manifest(self) -> Dict[str, Any]:
@@ -161,7 +153,7 @@ class ShardedCorpus:
         the shard digests in turn cover each entry's assembly, applications,
         and timing, so any content change changes the fingerprint.
         """
-        digest = hashlib.sha256()
+        digest = storage.hasher()
         digest.update(self.uarch_name.encode())
         digest.update(str(len(self)).encode())
         for shard in self._manifest["shards"]:
@@ -198,8 +190,7 @@ class ShardedCorpus:
         name = self._manifest["shards"][shard_index]["name"]
         return os.path.join(self.directory, SHARD_DIR, name)
 
-    def _load_shard_entries(self, shard_index: int,
-                            verify: bool = False) -> List[Dict[str, Any]]:
+    def _load_shard_entries(self, shard_index: int) -> List[Dict[str, Any]]:
         cached = self._shard_entries.get(shard_index)
         if cached is not None:
             self._shard_entries.move_to_end(shard_index)
@@ -208,12 +199,11 @@ class ShardedCorpus:
         with open(path, "rb") as handle:
             payload = handle.read()
         record = self._manifest["shards"][shard_index]
-        if verify:
-            digest = hashlib.sha256(payload).hexdigest()
-            if digest != record["digest"]:
-                raise CorpusError(
-                    f"shard {record['name']!r} is corrupted: content digest "
-                    f"{digest} != manifest digest {record['digest']}")
+        digest = storage.digest(payload)
+        if digest != record["digest"]:
+            raise CorpusError(
+                f"shard {path!r} is corrupted: content digest {digest} != "
+                f"manifest digest {record['digest']}")
         entries = json.loads(payload)["entries"]
         if len(entries) != record["num_blocks"]:
             raise CorpusError(f"shard {record['name']!r} holds {len(entries)} "
@@ -335,11 +325,11 @@ class ShardedCorpus:
     # Verification
     # ------------------------------------------------------------------
     def verify(self) -> Dict[str, Any]:
-        """Re-hash every shard against the manifest; raise on corruption."""
+        """Re-hash every shard and entry against the manifest; raise on corruption."""
         self._shard_entries.clear()
         checked_blocks = 0
         for shard_index in range(self.num_shards):
-            entries = self._load_shard_entries(shard_index, verify=True)
+            entries = self._load_shard_entries(shard_index)
             for entry in entries:
                 digest = block_content_digest(entry["assembly"],
                                               entry.get("applications", ()))
@@ -380,10 +370,6 @@ class ShardedCorpus:
             raise ValueError("num_blocks must be >= 1")
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        # Deferred: keeps repro.corpus importable without the pipeline layer.
-        from repro.pipeline.checkpoint import (_jsonify_rng_state,
-                                               _unjsonify_rng_state)
-
         spec = get_uarch(uarch_name)
         generator = BlockGenerator(opcode_table=opcode_table, seed=seed)
         hardware = HardwareModel(spec, seed=seed + 1)
@@ -403,9 +389,9 @@ class ShardedCorpus:
             cls._check_build_params(manifest, spec.name, seed, shard_size,
                                     num_blocks, directory)
             state = manifest["build_state"]
-            generator._rng.bit_generator.state = _unjsonify_rng_state(
+            generator._rng.bit_generator.state = storage.decode_rng_state(
                 state["generator_rng"])
-            harness._rng.bit_generator.state = _unjsonify_rng_state(
+            harness._rng.bit_generator.state = storage.decode_rng_state(
                 state["harness_rng"])
         else:
             manifest = {
@@ -419,14 +405,13 @@ class ShardedCorpus:
                 "complete": False,
                 "shards": [],
                 "build_state": {
-                    "generator_rng": _jsonify_rng_state(
+                    "generator_rng": storage.encode_rng_state(
                         generator._rng.bit_generator.state),
-                    "harness_rng": _jsonify_rng_state(
+                    "harness_rng": storage.encode_rng_state(
                         harness._rng.bit_generator.state),
                 },
             }
 
-        os.makedirs(os.path.join(directory, SHARD_DIR), exist_ok=True)
         pending: List[Dict[str, Any]] = []
 
         def flush(complete: bool) -> None:
@@ -438,18 +423,18 @@ class ShardedCorpus:
                 manifest["shards"].append({
                     "name": name,
                     "num_blocks": len(pending),
-                    "digest": hashlib.sha256(payload).hexdigest(),
+                    "digest": storage.digest(payload),
                 })
                 manifest["num_blocks"] += len(pending)
                 pending.clear()
             manifest["build_state"] = {
-                "generator_rng": _jsonify_rng_state(
+                "generator_rng": storage.encode_rng_state(
                     generator._rng.bit_generator.state),
-                "harness_rng": _jsonify_rng_state(
+                "harness_rng": storage.encode_rng_state(
                     harness._rng.bit_generator.state),
             }
             manifest["complete"] = complete
-            cls._write_manifest(directory, manifest)
+            _atomic_write(manifest_path, storage.encode_json(manifest))
 
         remaining = num_blocks - int(manifest["num_generated"])
         for block in generator.iter_blocks(remaining):
@@ -526,7 +511,7 @@ class CorpusView(Sequence):
 
     def content_fingerprint(self) -> str:
         """Digest of (corpus content, selected indices)."""
-        digest = hashlib.sha256()
+        digest = storage.hasher()
         digest.update(self.corpus.content_fingerprint().encode())
         digest.update(self.indices.tobytes())
         return digest.hexdigest()

@@ -11,7 +11,7 @@ bounded by the pages the OS keeps warm rather than the corpus size.
 Layout of one store directory::
 
     <dir>/
-      manifest.json                  # vocabulary digest + shard table
+      manifest.json                  # vocabulary digest + shard table + corpus shard digests
       shard-00000/
         int_blob.npy                 # int64:  token_ids (L*T) + opcodes (L) per block
         float_blob.npy               # float64: token_mask (L*T) + structural (5L)
@@ -22,12 +22,13 @@ Layout of one store directory::
 
 Blob values are byte-identical to :func:`repro.core.surrogate.build_block_arrays`
 output, so training through the store is bit-identical to in-memory
-featurization.  Store shards mirror the corpus's shards one-to-one.
+featurization.  Store shards mirror the corpus's shards one-to-one, and the
+manifest pins each corpus shard's content digest, so a store is never served
+to a corpus rebuilt in place.  Every file goes through :mod:`repro.storage`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import OrderedDict
@@ -35,29 +36,24 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro import storage
 from repro.core.surrogate import (BlockFeaturizer, build_block_arrays,
                                   featurized_block_digest)
-from repro.corpus.sharded import CorpusError, ShardedCorpus, _atomic_write
+from repro.corpus.sharded import CorpusError, ShardedCorpus
 
-STORE_MANIFEST_NAME = "manifest.json"
-STORE_VERSION = 1
+#: Version 2 pins each corpus shard's (blake2b) content digest.
+STORE_VERSION = 2
 NUM_STRUCTURAL = 5  # mirrors surrogate.NUM_STRUCTURAL_FEATURES
 
 
 def vocabulary_digest(featurizer: BlockFeaturizer) -> str:
     """Digest of the featurizer's token vocabulary (store compatibility key)."""
     vocabulary = featurizer.vocabulary
-    digest = hashlib.blake2b(digest_size=16)
+    digest = storage.hasher()
     for token_id in range(len(vocabulary)):
         digest.update(vocabulary.token(token_id).encode())
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-def _save_npy_atomic(path: str, array: np.ndarray) -> None:
-    temp_path = path + ".tmp.npy"
-    np.save(temp_path, array)
-    os.replace(temp_path, path)
 
 
 class ShardedFeaturizationStore:
@@ -80,15 +76,17 @@ class ShardedFeaturizationStore:
     # ------------------------------------------------------------------
     @property
     def _manifest_path(self) -> str:
-        return os.path.join(self.directory, STORE_MANIFEST_NAME)
+        return os.path.join(self.directory, storage.MANIFEST_NAME)
 
     def _read_or_init_manifest(self) -> Dict[str, Any]:
         if os.path.exists(self._manifest_path):
-            with open(self._manifest_path) as handle:
-                manifest = json.load(handle)
+            manifest = storage.read_json(self._manifest_path)
             if manifest.get("version") != STORE_VERSION:
                 raise CorpusError(f"unsupported featurization-store version "
-                                  f"{manifest.get('version')!r}")
+                                  f"{manifest.get('version')!r} at "
+                                  f"{self._manifest_path!r} (expected "
+                                  f"{STORE_VERSION}); delete the store to "
+                                  f"rebuild it")
             if manifest["vocabulary_digest"] != self._vocabulary_digest:
                 raise CorpusError(
                     f"featurization store at {self.directory!r} was built "
@@ -98,12 +96,6 @@ class ShardedFeaturizationStore:
         return {"version": STORE_VERSION,
                 "vocabulary_digest": self._vocabulary_digest,
                 "shards": []}
-
-    def _write_manifest(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        payload = (json.dumps(self._manifest, indent=2, sort_keys=True)
-                   + "\n").encode()
-        _atomic_write(self._manifest_path, payload)
 
     @property
     def num_shards(self) -> int:
@@ -122,17 +114,20 @@ class ShardedFeaturizationStore:
         Shards already recorded in the store manifest are skipped, so a
         killed featurization run resumes where it left off, and a second
         process (or a later session) pays nothing for blocks already done.
+        Each recorded shard must carry the corpus shard's content digest;
+        any mismatch means the store belongs to another corpus.
         """
+        expected = [shard["digest"] for shard in corpus.manifest["shards"]]
+        recorded = [shard["corpus_digest"] for shard in self._manifest["shards"]]
+        if recorded != expected[:len(recorded)]:
+            raise CorpusError(
+                f"featurization store at {self.directory!r} was built from "
+                f"other corpus shards than {corpus.directory!r} holds; delete "
+                f"the store to rebuild it")
         for shard in corpus.iter_shards():
             if shard.index < self.num_shards:
-                recorded = self._manifest["shards"][shard.index]
-                if int(recorded["num_blocks"]) != len(shard):
-                    raise CorpusError(
-                        f"store shard {shard.index} holds "
-                        f"{recorded['num_blocks']} blocks; corpus shard holds "
-                        f"{len(shard)} — the store belongs to another corpus")
                 continue
-            self._build_shard(shard)
+            self._build_shard(shard, expected[shard.index])
             if progress is not None:
                 progress(shard.index + 1, corpus.num_shards)
         return self
@@ -140,7 +135,7 @@ class ShardedFeaturizationStore:
     def _shard_dir(self, shard_index: int) -> str:
         return os.path.join(self.directory, f"shard-{shard_index:05d}")
 
-    def _build_shard(self, shard) -> None:
+    def _build_shard(self, shard, corpus_digest: str) -> None:
         int_parts: List[np.ndarray] = []
         float_parts: List[np.ndarray] = []
         meta = np.zeros((len(shard.blocks), 4), dtype=np.int64)
@@ -163,24 +158,25 @@ class ShardedFeaturizationStore:
             float_offset += (length * max_tokens + NUM_STRUCTURAL * length
                              + length * length + length)
         shard_dir = self._shard_dir(shard.index)
-        os.makedirs(shard_dir, exist_ok=True)
-        _save_npy_atomic(os.path.join(shard_dir, "int_blob.npy"),
-                         np.concatenate(int_parts) if int_parts
-                         else np.zeros(0, dtype=np.int64))
-        _save_npy_atomic(os.path.join(shard_dir, "float_blob.npy"),
-                         np.concatenate(float_parts) if float_parts
-                         else np.zeros(0, dtype=np.float64))
-        _save_npy_atomic(os.path.join(shard_dir, "meta.npy"), meta)
-        _atomic_write(os.path.join(shard_dir, "digests.json"),
-                      json.dumps(digests).encode())
+        for name, array in (
+                ("int_blob.npy", np.concatenate(int_parts) if int_parts
+                 else np.zeros(0, dtype=np.int64)),
+                ("float_blob.npy", np.concatenate(float_parts) if float_parts
+                 else np.zeros(0, dtype=np.float64)),
+                ("meta.npy", meta)):
+            storage.atomic_write(os.path.join(shard_dir, name),
+                                 storage.encode_array(array))
+        storage.atomic_write(os.path.join(shard_dir, "digests.json"),
+                             json.dumps(digests).encode())
         # The manifest entry lands only after every blob is on disk, so a
         # kill mid-shard leaves the store resumable at this shard.
         self._manifest["shards"].append({
             "name": os.path.basename(shard_dir),
             "num_blocks": len(shard.blocks),
             "start": int(shard.start),
+            "corpus_digest": corpus_digest,
         })
-        self._write_manifest()
+        storage.write_json(self._manifest_path, self._manifest)
 
     # ------------------------------------------------------------------
     # Memory-mapped reads
@@ -253,9 +249,8 @@ class ShardedFeaturizationStore:
             index: Dict[str, "tuple[int, int]"] = {}
             for shard_index in range(self.num_shards):
                 path = os.path.join(self._shard_dir(shard_index), "digests.json")
-                with open(path) as handle:
-                    for local, entry in enumerate(json.load(handle)):
-                        index.setdefault(entry, (shard_index, local))
+                for local, entry in enumerate(storage.read_json(path)):
+                    index.setdefault(entry, (shard_index, local))
             self._digest_index = index
         located = self._digest_index.get(digest)
         if located is None:

@@ -24,18 +24,20 @@ pipeline:
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import storage
 from repro.core.parameters import ParameterArrays
 from repro.core.simulated_dataset import SimulatedExample, iter_simulated_rounds
 from repro.core.surrogate import FeaturizationCache
 
-PROGRESS_NAME = "progress.json"
 PARTIAL_NAME = "partial_dataset.npz"
+#: Archive member holding the checkpoint's JSON progress record.
+PROGRESS_KEY = "progress"
 
 
 class StreamingSimulatedDataset:
@@ -92,21 +94,9 @@ class StreamingSimulatedDataset:
         }
 
     @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray],
-                    truncate_to: Optional[int] = None) -> "StreamingSimulatedDataset":
-        """Rebuild from the npz layout, optionally truncated to a row count.
-
-        Truncation drops the tables no surviving example references — the
-        recovery path for a partial checkpoint whose array file is newer
-        than its progress record.
-        """
-        example_table = np.asarray(arrays["example_table"], dtype=np.int64)
-        example_block = np.asarray(arrays["example_block"], dtype=np.int64)
-        example_timing = np.asarray(arrays["example_timing"], dtype=np.float64)
-        if truncate_to is not None:
-            example_table = example_table[:truncate_to]
-            example_block = example_block[:truncate_to]
-            example_timing = example_timing[:truncate_to]
+    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "StreamingSimulatedDataset":
+        """Rebuild from the npz layout of :meth:`to_arrays`."""
+        example_table = arrays["example_table"]
         num_tables = int(example_table.max()) + 1 if len(example_table) else 0
         tables = [ParameterArrays(
             global_values=np.asarray(arrays["table_global_values"][index]),
@@ -115,8 +105,8 @@ class StreamingSimulatedDataset:
             for index in range(num_tables)]
         return cls(tables=tables,
                    example_table=[int(value) for value in example_table],
-                   example_block=[int(value) for value in example_block],
-                   example_timing=[float(value) for value in example_timing])
+                   example_block=[int(value) for value in arrays["example_block"]],
+                   example_timing=[float(value) for value in arrays["example_timing"]])
 
     def materialize(self, blocks: Sequence[Any]) -> List[SimulatedExample]:
         """Expand into the classic per-example object list (small datasets)."""
@@ -129,71 +119,49 @@ class StreamingSimulatedDataset:
 
 
 class CollectionCheckpoint:
-    """Atomic partial-collection checkpoint (arrays + rng position).
+    """Partial-collection checkpoint: one ``.npz`` under ``directory``.
 
-    Two files under ``directory``: the partial dataset npz and a progress
-    record holding the example count and the rng bit-generator state *after*
-    that count.  Both are written write-then-rename, arrays first — a kill
-    between the two leaves a progress record older than the arrays, which
-    :meth:`load` reconciles by truncating to the recorded count.
+    The archive holds the dataset collected so far plus a JSON progress
+    record (the target example count and the rng bit-generator state after
+    the collected rows), written atomically in one piece so the two can
+    never disagree.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
 
     @property
-    def arrays_path(self) -> str:
+    def path(self) -> str:
         return os.path.join(self.directory, PARTIAL_NAME)
-
-    @property
-    def progress_path(self) -> str:
-        return os.path.join(self.directory, PROGRESS_NAME)
 
     def save(self, dataset: StreamingSimulatedDataset, rng: np.random.Generator,
              num_examples: int) -> None:
-        from repro.pipeline.checkpoint import _jsonify_rng_state
-
-        os.makedirs(self.directory, exist_ok=True)
-        temp_arrays = self.arrays_path + ".tmp.npz"
-        np.savez(temp_arrays, **dataset.to_arrays())
-        os.replace(temp_arrays, self.arrays_path)
-        temp_progress = self.progress_path + ".tmp"
-        with open(temp_progress, "w") as handle:
-            json.dump({
-                "num_collected": len(dataset),
-                "num_examples": int(num_examples),
-                "rng_state": _jsonify_rng_state(rng.bit_generator.state),
-            }, handle)
-        os.replace(temp_progress, self.progress_path)
+        progress = storage.encode_json({
+            "num_examples": int(num_examples),
+            "rng_state": storage.encode_rng_state(rng.bit_generator.state),
+        })
+        arrays = dataset.to_arrays()
+        arrays[PROGRESS_KEY] = np.frombuffer(progress, dtype=np.uint8)
+        storage.atomic_write(self.path,
+                             storage.encode_arrays(arrays, compressed=False))
 
     def load(self) -> Optional["tuple[StreamingSimulatedDataset, Any, int]"]:
         """The saved partial dataset, rng state, and target example count."""
-        from repro.pipeline.checkpoint import _unjsonify_rng_state
-
-        if not (os.path.exists(self.progress_path)
-                and os.path.exists(self.arrays_path)):
+        if not os.path.exists(self.path):
             return None
-        with open(self.progress_path) as handle:
-            progress = json.load(handle)
-        with np.load(self.arrays_path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        collected = int(progress["num_collected"])
-        if len(arrays["example_timing"]) < collected:
-            # The inverse skew (arrays older than progress) cannot happen —
-            # arrays are written first — so treat it as corruption.
-            raise RuntimeError(
-                f"collection checkpoint at {self.directory!r} is corrupted: "
-                f"{len(arrays['example_timing'])} rows on disk but progress "
-                f"records {collected}")
-        dataset = StreamingSimulatedDataset.from_arrays(arrays,
-                                                        truncate_to=collected)
-        return (dataset, _unjsonify_rng_state(progress["rng_state"]),
+        arrays = storage.read_arrays(self.path)
+        if PROGRESS_KEY not in arrays:
+            raise storage.CorruptArtifactError(
+                f"{self.path} holds no {PROGRESS_KEY!r} record")
+        progress = storage.decode_json(arrays.pop(PROGRESS_KEY).tobytes(),
+                                       self.path)
+        return (StreamingSimulatedDataset.from_arrays(arrays),
+                storage.decode_rng_state(progress["rng_state"]),
                 int(progress["num_examples"]))
 
     def clear(self) -> None:
-        for path in (self.arrays_path, self.progress_path):
-            if os.path.exists(path):
-                os.remove(path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.path)
 
 
 def collect_simulated_dataset_streaming(

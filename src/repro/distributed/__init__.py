@@ -35,7 +35,6 @@ from repro.distributed.spec import MatrixCampaignSpec, cell_key
 __all__ = [
     "MatrixCampaignSpec",
     "cell_key",
-    "MatrixCheckpoint",
     "MatrixResult",
     "matrix_fingerprint",
     "run_matrix",
@@ -55,7 +54,6 @@ __all__ = [
 
 #: Lazily resolved exports: name -> defining submodule.
 _LAZY_EXPORTS = {
-    "MatrixCheckpoint": "repro.distributed.scheduler",
     "MatrixResult": "repro.distributed.scheduler",
     "matrix_fingerprint": "repro.distributed.scheduler",
     "run_matrix": "repro.distributed.scheduler",

@@ -13,8 +13,9 @@ to a terminal outcome per cell:
 * a slow attempt past ``cell_timeout_seconds`` is cancelled (counting as a
   failed attempt);
 * with ``checkpoint_dir`` set, every terminal cell outcome is persisted in
-  a :class:`MatrixCheckpoint` manifest; ``resume=True`` skips completed
-  cells, and each cell's own campaign checkpoints live under
+  a fingerprint-pinned :class:`~repro.storage.PinnedManifest`;
+  ``resume=True`` skips completed cells and gives failed ones a fresh set of
+  attempts, and each cell's own campaign checkpoints live under
   ``<checkpoint_dir>/cells/<cell>`` so a killed *attempt* resumes its
   chunks too.
 
@@ -28,21 +29,18 @@ resume tests assert.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro import storage
 from repro.api.registries import EXECUTORS
 from repro.distributed.cells import make_task
 from repro.distributed.report import build_matrix_report, write_report
 from repro.distributed.spec import MatrixCampaignSpec, cell_key
-from repro.pipeline.checkpoint import CheckpointMismatchError
 
-_MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 1
 #: Scheduler poll interval while cells are in flight.
 _POLL_SECONDS = 0.01
 
@@ -50,73 +48,7 @@ _POLL_SECONDS = 0.01
 def matrix_fingerprint(spec: MatrixCampaignSpec) -> str:
     """Digest of the matrix's result-determining identity."""
     payload = json.dumps(spec.identity_dict(), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
-class MatrixCheckpoint:
-    """Terminal-cell-outcome manifest (the matrix analogue of CheckpointStore).
-
-    Much lighter than the pipeline store — a cell's unit of persistence is
-    its whole terminal outcome payload (the campaign runner checkpoints the
-    *chunks* of an in-progress cell separately) — but with the same
-    safety rails: an atomic write-then-rename manifest and a pinned
-    fingerprint so resuming against a different matrix raises
-    :class:`~repro.pipeline.checkpoint.CheckpointMismatchError`.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        self._manifest: Optional[Dict[str, Any]] = None
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST_NAME)
-
-    def manifest(self) -> Dict[str, Any]:
-        if self._manifest is None:
-            if os.path.exists(self.manifest_path):
-                with open(self.manifest_path) as handle:
-                    self._manifest = json.load(handle)
-            else:
-                self._manifest = {"version": _MANIFEST_VERSION,
-                                  "fingerprint": None, "cells": {}}
-        return self._manifest
-
-    def _write(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        temp_path = self.manifest_path + ".tmp"
-        with open(temp_path, "w") as handle:
-            json.dump(self.manifest(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, self.manifest_path)
-
-    def bind_fingerprint(self, fingerprint: str, resume: bool) -> None:
-        manifest = self.manifest()
-        existing = manifest.get("fingerprint")
-        if existing is None:
-            manifest["fingerprint"] = fingerprint
-            self._write()
-            return
-        if existing != fingerprint:
-            action = "resume" if resume else "overwrite"
-            raise CheckpointMismatchError(
-                f"refusing to {action} matrix checkpoint directory "
-                f"{self.directory!r}: it was written by a different matrix "
-                f"spec (fingerprint {existing} != {fingerprint}); delete it "
-                f"or choose another checkpoint_dir")
-
-    def reset_cells(self) -> None:
-        if self.manifest()["cells"]:
-            self.manifest()["cells"] = {}
-            self._write()
-
-    def outcomes(self) -> Dict[str, Dict[str, Any]]:
-        """Terminal outcome payloads of completed cells, keyed by cell."""
-        return dict(self.manifest()["cells"])
-
-    def record(self, key: str, outcome: Dict[str, Any]) -> None:
-        self.manifest()["cells"][key] = outcome
-        self._write()
+    return storage.digest(payload)[:16]
 
 
 @dataclass
@@ -218,15 +150,21 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
     start = time.perf_counter()
 
     pairs = spec.resolve_cells()
-    checkpoint: Optional[MatrixCheckpoint] = None
+    # Terminal cell outcomes; the campaign runner checkpoints a cell's chunks.
+    checkpoint: Optional[storage.PinnedManifest] = None
     outcomes: Dict[str, Dict[str, Any]] = {}
     if spec.checkpoint_dir is not None:
-        checkpoint = MatrixCheckpoint(spec.checkpoint_dir)
+        checkpoint = storage.PinnedManifest(spec.checkpoint_dir, entries="cells",
+                                            owner="matrix spec")
         checkpoint.bind_fingerprint(matrix_fingerprint(spec), spec.resume)
         if spec.resume:
-            outcomes = checkpoint.outcomes()
+            # Failed cells run again (the failure may have been a crashed
+            # write); injected faults key on attempts, so they replay alike.
+            outcomes = {key: outcome
+                        for key, outcome in checkpoint.entries.items()
+                        if outcome["status"] == "ok"}
         else:
-            checkpoint.reset_cells()
+            checkpoint.reset()
     resumed_cells = [cell_key(target, simulator)
                      for target, simulator in pairs
                      if cell_key(target, simulator) in outcomes]

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import storage
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
 
 #: Number of execution ports modeled — the paper fixes this at 10, the default
@@ -230,11 +231,9 @@ class MCAParameterTable:
         return table
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
+        storage.atomic_write(path, json.dumps(self.to_dict(), indent=2).encode())
 
     @classmethod
     def load_json(cls, path: str,
                   opcode_table: Optional[OpcodeTable] = None) -> "MCAParameterTable":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle), opcode_table)
+        return cls.from_dict(storage.read_json(path), opcode_table)

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro import storage
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
 
 #: llvm_sim uses the same 10-port layout as the llvm-mca Haswell model.
@@ -112,8 +113,7 @@ class LLVMSimParameterTable:
         }
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
+        storage.atomic_write(path, json.dumps(self.to_dict(), indent=2).encode())
 
     @classmethod
     def from_dict(cls, payload: Dict,
@@ -134,5 +134,4 @@ class LLVMSimParameterTable:
     @classmethod
     def load_json(cls, path: str,
                   opcode_table: Optional[OpcodeTable] = None) -> "LLVMSimParameterTable":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle), opcode_table)
+        return cls.from_dict(storage.read_json(path), opcode_table)

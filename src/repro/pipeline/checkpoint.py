@@ -3,7 +3,7 @@
 Layout of one checkpoint directory (one per tuning target)::
 
     <dir>/
-      manifest.json                      # completed stages, rng states, fingerprint
+      manifest.json                      # stages (rng states, file digests), fingerprint
       <stage_name>/
         *.npz                            # array artifacts (autodiff.serialization)
         *.json                          # scalar metadata
@@ -13,7 +13,9 @@ the pipeline's random generator *after* the stage ran.  Restoring that state
 when a completed stage is skipped on ``--resume`` is what makes a resumed run
 bit-identical to an uninterrupted one: every later draw (initial table
 sample, refinement-round sampling, shuffles) continues the exact same random
-stream.
+stream.  It also records the digest of every file the stage saved, and a
+resumed stage's files are checked against them before decoding: a missing,
+truncated or edited artifact raises :class:`~repro.storage.CorruptArtifactError`.
 
 The manifest also pins a *fingerprint* of the run configuration and dataset.
 Resuming against a checkpoint directory written by a different configuration
@@ -22,166 +24,98 @@ would silently mix incompatible artifacts, so a mismatch raises instead.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.autodiff.serialization import (load_arrays, load_parameter_arrays,
-                                          save_arrays, save_parameter_arrays)
+from repro import storage
+from repro.autodiff.serialization import decode_parameter_arrays, encode_parameter_arrays
+from repro.storage import CheckpointMismatchError, CorruptArtifactError
 
-MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
-
-
-class CheckpointMismatchError(RuntimeError):
-    """A checkpoint directory belongs to a different run configuration."""
+__all__ = ["CheckpointMismatchError", "CheckpointStore"]
 
 
-class CheckpointStore:
+class CheckpointStore(storage.PinnedManifest):
     """Per-stage artifact persistence with a completion manifest."""
 
     def __init__(self, directory: str) -> None:
-        self.directory = directory
-        self._manifest: Optional[Dict[str, Any]] = None
+        super().__init__(directory, entries="stages",
+                         owner="configuration/dataset")
+        #: stage -> {filename: digest} of the files saved since the stage
+        #: last completed; :meth:`mark_complete` records them.
+        self._saved: Dict[str, Dict[str, str]] = {}
 
-    # ------------------------------------------------------------------
-    # Manifest
-    # ------------------------------------------------------------------
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
+    # Bound in this class's own namespace so instrumentation wrapping the
+    # store's methods sees every manifest write.
+    _write_manifest = storage.PinnedManifest._write_manifest
 
-    def manifest(self) -> Dict[str, Any]:
-        if self._manifest is None:
-            if os.path.exists(self.manifest_path):
-                with open(self.manifest_path) as handle:
-                    self._manifest = json.load(handle)
-            else:
-                self._manifest = {"version": MANIFEST_VERSION,
-                                  "fingerprint": None, "stages": {}}
-        return self._manifest
-
-    def _write_manifest(self) -> None:
-        # Write-then-rename: a kill mid-write (the exact scenario --resume
-        # exists for) must never leave a truncated manifest behind.
-        os.makedirs(self.directory, exist_ok=True)
-        temp_path = self.manifest_path + ".tmp"
-        with open(temp_path, "w") as handle:
-            json.dump(self.manifest(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, self.manifest_path)
-
-    def bind_fingerprint(self, fingerprint: str, resume: bool) -> None:
-        """Pin (or verify) the run fingerprint this directory belongs to.
-
-        A fresh run over a directory with a *different* fingerprint fails
-        too: silently overwriting another run's checkpoints is never what
-        the caller wants — delete the directory or pick another one.
-        """
-        manifest = self.manifest()
-        existing = manifest.get("fingerprint")
-        if existing is None:
-            manifest["fingerprint"] = fingerprint
-            self._write_manifest()
-            return
-        if existing != fingerprint:
-            action = "resume" if resume else "overwrite"
-            raise CheckpointMismatchError(
-                f"refusing to {action} checkpoint directory {self.directory!r}: it was "
-                f"written by a different configuration/dataset (fingerprint {existing} "
-                f"!= {fingerprint}); delete it or choose another --checkpoint-dir")
-
-    # ------------------------------------------------------------------
-    # Stage completion
-    # ------------------------------------------------------------------
     def completed_stages(self) -> List[str]:
-        return list(self.manifest()["stages"])
-
-    def reset_stages(self) -> None:
-        """Forget stage completions (fresh, non-resume run over this directory).
-
-        Keeping stale completion entries around would let a later ``--resume``
-        mix artifacts from two different (if identically configured) runs.
-        Artifact files are overwritten as the new run progresses.
-        """
-        if self.manifest()["stages"]:
-            self.manifest()["stages"] = {}
-            self._write_manifest()
+        return list(self.entries)
 
     def is_complete(self, stage_name: str) -> bool:
-        return stage_name in self.manifest()["stages"]
+        return stage_name in self.entries
 
     def mark_complete(self, stage_name: str, rng: np.random.Generator) -> None:
-        """Record a stage as complete, snapshotting the rng stream position."""
-        self.manifest()["stages"][stage_name] = {
-            "rng_state": _jsonify_rng_state(rng.bit_generator.state),
-        }
-        self._write_manifest()
+        """Record a stage as complete: its files' digests and the rng position."""
+        self.record(stage_name, {
+            "rng_state": storage.encode_rng_state(rng.bit_generator.state),
+            "files": self._saved.pop(stage_name, {}),
+        })
 
     def restore_rng(self, stage_name: str, rng: np.random.Generator) -> None:
         """Rewind ``rng`` to the stream position saved after ``stage_name``."""
-        entry = self.manifest()["stages"].get(stage_name)
+        entry = self.entries.get(stage_name)
         if entry is None:
             raise KeyError(f"stage {stage_name!r} has no checkpoint entry")
-        rng.bit_generator.state = _unjsonify_rng_state(entry["rng_state"])
+        rng.bit_generator.state = storage.decode_rng_state(entry["rng_state"])
 
-    # ------------------------------------------------------------------
-    # Artifact files
-    # ------------------------------------------------------------------
     def stage_dir(self, stage_name: str) -> str:
-        path = os.path.join(self.directory, stage_name)
-        os.makedirs(path, exist_ok=True)
-        return path
+        return os.path.join(self.directory, stage_name)
 
     def artifact_path(self, stage_name: str, filename: str) -> str:
         return os.path.join(self.stage_dir(stage_name), filename)
 
-    def save_json(self, stage_name: str, filename: str, payload: Any) -> str:
+    def _save(self, stage_name: str, filename: str, payload: bytes) -> str:
         path = self.artifact_path(stage_name, filename)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        storage.atomic_write(path, payload)
+        self._saved.setdefault(stage_name, {})[filename] = storage.digest(payload)
         return path
 
+    def _load(self, stage_name: str, filename: str) -> bytes:
+        """A completed stage's file, checked against its recorded digest."""
+        path = self.artifact_path(stage_name, filename)
+        expected = self.entries.get(stage_name, {}).get("files", {}).get(filename)
+        payload = None
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                payload = handle.read()
+        if payload is None or storage.digest(payload) != expected:
+            problem = "is missing" if payload is None else "fails its recorded digest"
+            raise CorruptArtifactError(
+                f"checkpoint directory {self.directory!r}: stage {stage_name!r} "
+                f"file {filename!r} {problem}; delete the directory or re-run "
+                f"without resuming")
+        return payload
+
+    def save_json(self, stage_name: str, filename: str, payload: Any) -> str:
+        return self._save(stage_name, filename, storage.encode_json(payload))
+
     def load_json(self, stage_name: str, filename: str) -> Any:
-        with open(self.artifact_path(stage_name, filename)) as handle:
-            return json.load(handle)
+        return storage.decode_json(self._load(stage_name, filename),
+                                   self.artifact_path(stage_name, filename))
 
     def save_arrays(self, stage_name: str, filename: str,
                     arrays: Dict[str, np.ndarray]) -> str:
-        path = self.artifact_path(stage_name, filename)
-        save_arrays(arrays, path)
-        return path
+        return self._save(stage_name, filename, storage.encode_arrays(arrays))
 
     def load_arrays(self, stage_name: str, filename: str) -> Dict[str, np.ndarray]:
-        return load_arrays(self.artifact_path(stage_name, filename))
+        return storage.decode_arrays(self._load(stage_name, filename),
+                                     self.artifact_path(stage_name, filename))
 
     def save_parameter_arrays(self, stage_name: str, filename: str, arrays) -> str:
-        path = self.artifact_path(stage_name, filename)
-        save_parameter_arrays(arrays, path)
-        return path
+        return self._save(stage_name, filename, encode_parameter_arrays(arrays))
 
     def load_parameter_arrays(self, stage_name: str, filename: str):
-        return load_parameter_arrays(self.artifact_path(stage_name, filename))
-
-
-def _jsonify_rng_state(state: Any) -> Any:
-    """NumPy bit-generator states contain plain ints/strs/dicts; pass through
-    with NumPy scalars coerced so json can serialize them."""
-    if isinstance(state, dict):
-        return {key: _jsonify_rng_state(value) for key, value in state.items()}
-    if isinstance(state, (np.integer,)):
-        return int(state)
-    if isinstance(state, np.ndarray):
-        return {"__ndarray__": state.tolist(), "dtype": str(state.dtype)}
-    return state
-
-
-def _unjsonify_rng_state(state: Any) -> Any:
-    if isinstance(state, dict):
-        if "__ndarray__" in state:
-            return np.array(state["__ndarray__"], dtype=state["dtype"])
-        return {key: _unjsonify_rng_state(value) for key, value in state.items()}
-    return state
+        return decode_parameter_arrays(self._load(stage_name, filename),
+                                       self.artifact_path(stage_name, filename))

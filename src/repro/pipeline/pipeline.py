@@ -14,11 +14,11 @@ by :mod:`repro.pipeline.multi_target`).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from repro import storage
 from repro.core.surrogate import BlockFeaturizer
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.stages import PipelineState, build_stages
@@ -32,7 +32,7 @@ def run_fingerprint(adapter: Any, config: Any, blocks: Sequence[Any],
     stage artifacts encode sampled tables, surrogate weights, and rng stream
     positions that are only meaningful for the exact same problem.
     """
-    digest = hashlib.sha256()
+    digest = storage.hasher()
     digest.update(type(adapter).__name__.encode())
     uarch = getattr(adapter, "uarch", None)
     digest.update(getattr(uarch, "name", "").encode())
@@ -103,7 +103,7 @@ class TuningPipeline:
                 run_fingerprint(self.adapter, self.config, blocks, true_timings),
                 resume)
             if not resume:
-                store.reset_stages()
+                store.reset()
         elif resume:
             raise ValueError("resume=True requires a checkpoint directory")
 

@@ -4,11 +4,12 @@ Each :class:`Stage` implements the same small contract:
 
 * ``run(state)``    — execute the stage, mutating the shared
   :class:`PipelineState`;
-* ``save(state, store)``  — persist the stage's artifacts (NumPy archives via
-  :mod:`repro.autodiff.serialization`, JSON for scalars) into a
+* ``save(state, store)``  — persist the stage's artifacts (NumPy archives,
+  JSON for scalars) through a
   :class:`~repro.pipeline.checkpoint.CheckpointStore`;
 * ``load(state, store)``  — restore those artifacts into the state instead of
-  re-running, when a resumed pipeline finds the stage already complete.
+  re-running, when a resumed pipeline finds the stage already complete (the
+  store checks each file against the digest recorded at completion).
 
 The stage sequence mirrors Figure 1 of the paper plus the local-refinement
 extension: simulated-dataset collection, surrogate training, parameter-table
@@ -26,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff.serialization import load_state_dict, save_state_dict
 from repro.core.extraction import extract_parameter_arrays
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
@@ -246,8 +246,8 @@ class CollectDatasetStage(Stage):
             checkpoint = CollectionCheckpoint(
                 state.checkpoint_store.stage_dir(self.name))
             if not state.resume:
-                # reset_stages() only clears completion entries; a stale
-                # partial from an earlier run must not leak into this one.
+                # reset() only clears completion entries; a stale partial
+                # from an earlier run must not leak into this one.
                 checkpoint.clear()
             checkpoint_every = _collection_checkpoint_interval(state.blocks,
                                                                config)
@@ -281,8 +281,8 @@ class CollectDatasetStage(Stage):
 
 def _save_surrogate_outcome(stage_name: str, state: PipelineState,
                             store: CheckpointStore) -> None:
-    save_state_dict(state.surrogate,
-                    store.artifact_path(stage_name, "surrogate_state.npz"))
+    store.save_arrays(stage_name, "surrogate_state.npz",
+                      state.surrogate.state_dict())
     result = state.surrogate_result
     store.save_json(stage_name, "surrogate_result.json", {
         "epoch_losses": result.epoch_losses,
@@ -293,8 +293,8 @@ def _save_surrogate_outcome(stage_name: str, state: PipelineState,
 
 def _load_surrogate_outcome(stage_name: str, state: PipelineState,
                             store: CheckpointStore) -> None:
-    load_state_dict(state.surrogate,
-                    store.artifact_path(stage_name, "surrogate_state.npz"))
+    state.surrogate.load_state_dict(
+        store.load_arrays(stage_name, "surrogate_state.npz"))
     payload = store.load_json(stage_name, "surrogate_result.json")
     state.surrogate_result = SurrogateTrainingResult(
         epoch_losses=[float(value) for value in payload["epoch_losses"]],

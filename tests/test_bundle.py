@@ -162,13 +162,13 @@ class TestVerification:
     def test_table_digest_disagreement_rejected(self, tmp_path, bundle_path):
         # Re-point table_digest at a wrong value and fix the member digest so
         # only the manifest/table consistency check can catch it.
-        from repro.api.bundle import _member_digest
+        from repro.storage import digest
 
         with zipfile.ZipFile(bundle_path) as archive:
             manifest = json.loads(archive.read(MANIFEST_MEMBER))
             table_bytes = archive.read(TABLE_MEMBER)
         manifest["table_digest"] = "0" * len(manifest["table_digest"])
-        manifest["contents"][TABLE_MEMBER] = _member_digest(table_bytes)
+        manifest["contents"][TABLE_MEMBER] = digest(table_bytes)
         bad = os.path.join(tmp_path, "bad_digest.bundle")
         _rewrite_member(bundle_path, bad, MANIFEST_MEMBER,
                         json.dumps(manifest).encode())

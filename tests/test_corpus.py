@@ -167,6 +167,23 @@ class TestFeaturizationStore:
         assert len(again) == len(first)
 
 
+    def test_store_is_pinned_to_its_corpus_shards(self, corpus, tmp_path):
+        """A store recorded against other corpus content (e.g. a corpus
+        rebuilt in place with equal shard sizes) is refused, not served."""
+        featurizer = BlockFeaturizer(DEFAULT_OPCODE_TABLE)
+        directory = str(tmp_path / "store")
+        ShardedFeaturizationStore(directory, featurizer).ensure(corpus)
+        manifest_path = os.path.join(directory, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["shards"][1]["corpus_digest"] = "0" * 32
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(CorpusError) as excinfo:
+            ShardedFeaturizationStore(directory, featurizer).ensure(corpus)
+        assert directory in str(excinfo.value)
+
+
 class TestStreamingCollection:
     def test_streaming_matches_in_memory_arrays(self, corpus, adapter):
         streaming = collect_simulated_dataset_streaming(

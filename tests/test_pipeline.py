@@ -7,6 +7,7 @@ and the serialization extensions (optimizer state, ParameterArrays) the
 per-stage artifacts are built on.
 """
 
+import json
 import os
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.parameters import ParameterArrays
 from repro.core.config import test_config as tiny_config
 from repro.pipeline import (CheckpointMismatchError, CheckpointStore, TargetSpec,
                             TuningPipeline, build_stages, tune_target, tune_targets)
+from repro.storage import CorruptArtifactError
 from repro.targets import HASWELL
 
 
@@ -141,6 +143,45 @@ class TestResume:
         assert shared < len(examples)
         assert all(example.block is blocks[example.block_index]
                    for example in examples)
+
+    def test_resume_rejects_edited_stage_artifact(self, training_data,
+                                                  tmp_path):
+        """A completed stage's files are checked against the digests its
+        manifest entry recorded: an edited summary is never returned."""
+        blocks, timings = training_data
+        checkpoint_dir = str(tmp_path / "edited")
+        _make_difftune().learn(blocks, timings, checkpoint_dir=checkpoint_dir)
+        path = os.path.join(checkpoint_dir, "extract_evaluate", "summary.json")
+        with open(path) as handle:
+            summary = json.load(handle)
+        summary["train_error"] = 0.0
+        with open(path, "w") as handle:
+            json.dump(summary, handle, indent=2, sort_keys=True)
+        with pytest.raises(CorruptArtifactError) as excinfo:
+            _make_difftune().learn(blocks, timings,
+                                   checkpoint_dir=checkpoint_dir, resume=True)
+        message = str(excinfo.value)
+        for part in (checkpoint_dir, "extract_evaluate", "summary.json"):
+            assert part in message
+
+    def test_resume_rejects_truncated_surrogate_state(self, training_data,
+                                                      tmp_path):
+        blocks, timings = training_data
+        checkpoint_dir = str(tmp_path / "truncated")
+        _make_difftune().learn(blocks, timings, checkpoint_dir=checkpoint_dir,
+                               stop_after="train_surrogate")
+        path = os.path.join(checkpoint_dir, "train_surrogate",
+                            "surrogate_state.npz")
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(payload[:len(payload) // 2])
+        with pytest.raises(CorruptArtifactError) as excinfo:
+            _make_difftune().learn(blocks, timings,
+                                   checkpoint_dir=checkpoint_dir, resume=True)
+        message = str(excinfo.value)
+        for part in (checkpoint_dir, "train_surrogate", "surrogate_state.npz"):
+            assert part in message
 
     def test_mismatched_config_is_rejected(self, training_data, tmp_path):
         blocks, timings = training_data
