@@ -236,19 +236,20 @@ class ShardedCorpus:
         for entry in self.iter_entries():
             yield self._parse_entry(entry)
 
+    def shard(self, shard_index: int) -> CorpusShard:
+        """One fully parsed shard (at most ``shard_size`` blocks)."""
+        entries = self._load_shard_entries(shard_index)
+        return CorpusShard(
+            index=shard_index, start=shard_index * self.shard_size,
+            blocks=[self._parse_entry(entry) for entry in entries],
+            timings=np.array([entry["timing"] for entry in entries],
+                             dtype=np.float64),
+            digests=[entry["digest"] for entry in entries])
+
     def iter_shards(self) -> Iterator[CorpusShard]:
         """Stream fully parsed shards (bounded by ``shard_size`` blocks)."""
-        start = 0
         for shard_index in range(self.num_shards):
-            entries = self._load_shard_entries(shard_index)
-            shard = CorpusShard(
-                index=shard_index, start=start,
-                blocks=[self._parse_entry(entry) for entry in entries],
-                timings=np.array([entry["timing"] for entry in entries],
-                                 dtype=np.float64),
-                digests=[entry["digest"] for entry in entries])
-            start += len(entries)
-            yield shard
+            yield self.shard(shard_index)
 
     # ------------------------------------------------------------------
     # Random access (LRU-bounded)

@@ -124,12 +124,10 @@ class ShardedFeaturizationStore:
                 f"featurization store at {self.directory!r} was built from "
                 f"other corpus shards than {corpus.directory!r} holds; delete "
                 f"the store to rebuild it")
-        for shard in corpus.iter_shards():
-            if shard.index < self.num_shards:
-                continue
-            self._build_shard(shard, expected[shard.index])
+        for shard_index in range(self.num_shards, corpus.num_shards):
+            self._build_shard(corpus.shard(shard_index), expected[shard_index])
             if progress is not None:
-                progress(shard.index + 1, corpus.num_shards)
+                progress(shard_index + 1, corpus.num_shards)
         return self
 
     def _shard_dir(self, shard_index: int) -> str:

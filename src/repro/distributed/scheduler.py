@@ -14,8 +14,8 @@ to a terminal outcome per cell:
   failed attempt);
 * with ``checkpoint_dir`` set, every terminal cell outcome is persisted in
   a fingerprint-pinned :class:`~repro.storage.PinnedManifest`;
-  ``resume=True`` skips completed cells and gives failed ones a fresh set of
-  attempts, and each cell's own campaign checkpoints live under
+  ``resume=True`` skips completed cells, and each cell's own campaign
+  checkpoints live under
   ``<checkpoint_dir>/cells/<cell>`` so a killed *attempt* resumes its
   chunks too.
 
@@ -154,15 +154,11 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
     checkpoint: Optional[storage.PinnedManifest] = None
     outcomes: Dict[str, Dict[str, Any]] = {}
     if spec.checkpoint_dir is not None:
-        checkpoint = storage.PinnedManifest(spec.checkpoint_dir, entries="cells",
+        checkpoint = storage.PinnedManifest(spec.checkpoint_dir,
                                             owner="matrix spec")
         checkpoint.bind_fingerprint(matrix_fingerprint(spec), spec.resume)
         if spec.resume:
-            # Failed cells run again (the failure may have been a crashed
-            # write); injected faults key on attempts, so they replay alike.
-            outcomes = {key: outcome
-                        for key, outcome in checkpoint.entries.items()
-                        if outcome["status"] == "ok"}
+            outcomes = dict(checkpoint.entries)
         else:
             checkpoint.reset()
     resumed_cells = [cell_key(target, simulator)

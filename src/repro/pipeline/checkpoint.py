@@ -3,7 +3,7 @@
 Layout of one checkpoint directory (one per tuning target)::
 
     <dir>/
-      manifest.json                      # stages (rng states, file digests), fingerprint
+      manifest.json                      # per-stage entries (rng states, file digests), fingerprint
       <stage_name>/
         *.npz                            # array artifacts (autodiff.serialization)
         *.json                          # scalar metadata
@@ -40,8 +40,7 @@ class CheckpointStore(storage.PinnedManifest):
     """Per-stage artifact persistence with a completion manifest."""
 
     def __init__(self, directory: str) -> None:
-        super().__init__(directory, entries="stages",
-                         owner="configuration/dataset")
+        super().__init__(directory, owner="configuration/dataset")
         #: stage -> {filename: digest} of the files saved since the stage
         #: last completed; :meth:`mark_complete` records them.
         self._saved: Dict[str, Dict[str, str]] = {}

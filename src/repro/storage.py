@@ -142,15 +142,13 @@ class PinnedManifest:
 
     The fingerprint digests everything that determines a run's results, so
     a directory written under another one is never resumed into or
-    overwritten.  ``entries`` is the manifest key holding one JSON payload
-    per completed unit of work; ``owner`` names in errors what a different
-    fingerprint belongs to.  Every change is saved atomically.
+    overwritten.  ``entries`` holds one JSON payload per completed unit of
+    work; ``owner`` names in errors what a different fingerprint belongs
+    to.  Every change is saved atomically.
     """
 
-    def __init__(self, directory: str, entries: str = "entries",
-                 owner: str = "configuration") -> None:
+    def __init__(self, directory: str, owner: str) -> None:
         self.directory = directory
-        self._entries_key = entries
         self._owner = owner
         self._manifest: Optional[Dict[str, Any]] = None
 
@@ -162,7 +160,7 @@ class PinnedManifest:
         """The manifest, read and version-checked on first use."""
         if self._manifest is None:
             manifest = {"version": MANIFEST_VERSION, "fingerprint": None,
-                        self._entries_key: {}}
+                        "entries": {}}
             if os.path.exists(self.manifest_path):
                 manifest = read_json(self.manifest_path)
                 version = manifest.get("version") if isinstance(manifest, dict) else None
@@ -177,7 +175,7 @@ class PinnedManifest:
 
     @property
     def entries(self) -> Dict[str, Any]:
-        return self.manifest()[self._entries_key]
+        return self.manifest()["entries"]
 
     def _write_manifest(self) -> None:
         write_json(self.manifest_path, self.manifest())
@@ -204,5 +202,5 @@ class PinnedManifest:
         """Forget every entry, so a fresh run over this directory never
         mixes its work with a previous run's on a later resume."""
         if self.entries:
-            self.manifest()[self._entries_key] = {}
+            self.manifest()["entries"] = {}
             self._write_manifest()

@@ -163,9 +163,10 @@ class TestFeaturizationStore:
         featurizer = BlockFeaturizer(DEFAULT_OPCODE_TABLE)
         directory = str(tmp_path / "store")
         first = ShardedFeaturizationStore(directory, featurizer).ensure(corpus)
-        again = ShardedFeaturizationStore(directory, featurizer).ensure(corpus)
+        reopened = ShardedCorpus(corpus.directory)
+        again = ShardedFeaturizationStore(directory, featurizer).ensure(reopened)
         assert len(again) == len(first)
-
+        assert not reopened._shard_entries  # a complete store reads no shard
 
     def test_store_is_pinned_to_its_corpus_shards(self, corpus, tmp_path):
         """A store recorded against other corpus content (e.g. a corpus

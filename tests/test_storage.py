@@ -183,13 +183,14 @@ class TestPinnedManifest:
         with pytest.raises(CheckpointMismatchError, match="different matrix spec"):
             reopened.bind_fingerprint("def", resume=True)
         reopened.reset()
-        assert PinnedManifest(str(tmp_path)).entries == {}
+        assert PinnedManifest(str(tmp_path), owner="matrix spec").entries == {}
 
     def test_older_version_names_the_directory(self, tmp_path):
         pathlib.Path(tmp_path / "manifest.json").write_text(json.dumps(
             {"version": 1, "fingerprint": "abc", "entries": {}}))
         with pytest.raises(CheckpointMismatchError) as excinfo:
-            PinnedManifest(str(tmp_path)).bind_fingerprint("abc", resume=True)
+            PinnedManifest(str(tmp_path), owner="matrix spec").bind_fingerprint(
+                "abc", resume=True)
         assert str(tmp_path) in str(excinfo.value)
         assert "version 1" in str(excinfo.value)
 
@@ -219,7 +220,7 @@ def _matrix_manifest(directory):
                                    "values": [1, 3]}], "num_blocks": 8},
             "cells": [{"target": "haswell", "simulator": "mca"}],
             "checkpoint_dir": directory}
-    PinnedManifest(directory, entries="cells").bind_fingerprint(
+    PinnedManifest(directory, owner="matrix spec").bind_fingerprint(
         "abc", resume=False)
     path = os.path.join(directory, "manifest.json")
     _truncate(path)
