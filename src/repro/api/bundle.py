@@ -127,8 +127,8 @@ def _table_digest_of(session: Any, table: Any) -> str:
     """Simulator-agnostic content digest of a native table.
 
     Computed over the optimization-layout arrays so one digest function
-    covers every registered simulator; the serving cache shards and the
-    bundle manifest both key on it.
+    covers every registered simulator; the bundle manifest records it and
+    the inference server reports it as ``table_digest``.
     """
     from repro.engine.binding import parameter_arrays_digest
 

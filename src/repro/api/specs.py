@@ -180,9 +180,19 @@ class TuneSpec(_SpecBase):
         self._check_type("stop_after", (str,), allow_none=True)
         if self.resume and self.checkpoint_dir is None:
             raise SpecValidationError("resume", "requires checkpoint_dir to be set")
-        if self.stop_after is not None and self.checkpoint_dir is None:
-            raise SpecValidationError("stop_after",
-                                      "requires checkpoint_dir to be set")
+        if self.stop_after is not None:
+            if self.checkpoint_dir is None:
+                raise SpecValidationError("stop_after",
+                                          "requires checkpoint_dir to be set")
+            from repro.pipeline.stages import build_stages
+
+            stages = [stage.name for stage in
+                      build_stages(PRESETS.get(self.preset)(self.seed))]
+            if self.stop_after not in stages:
+                raise SpecValidationError(
+                    "stop_after", f"unknown stage {self.stop_after!r} for preset "
+                                  f"{self.preset!r}; expected one of "
+                                  f"{', '.join(stages)}")
 
 
 @dataclass
@@ -324,7 +334,7 @@ class ServeSpec(_SpecBase):
     #: How long the coalescer holds the first request of a batch open for
     #: company, in milliseconds.  ``0`` executes every request immediately.
     max_batch_wait_ms: float = 2.0
-    #: Capacity of each per-table-digest LRU result shard.
+    #: Capacity of the result LRU.
     cache_size: int = 4096
     engine_workers: int = 0
 

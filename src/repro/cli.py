@@ -12,8 +12,9 @@ Fifteen subcommands cover the day-to-day workflow:
 * ``learn``    — run DiffTune on a dataset (or a freshly generated one) and
   save the learned parameter table.
 * ``tune``     — the pipeline-backed multi-target tuner: one checkpointable
-  DiffTune run per target, resumable with ``--resume`` at the first
-  incomplete stage, fanned out across processes with ``--workers``.
+  ``Session.tune()`` per target, resumable with ``--resume`` at the first
+  incomplete stage, fanned out across processes with ``--workers``; exits 1
+  when any target fails.
 * ``evaluate`` — report error / Kendall's tau of a parameter table (default or
   learned) on a dataset's test split.
 * ``compare``  — run the full Table IV comparison for one microarchitecture.
@@ -170,42 +171,38 @@ def _command_learn(arguments: argparse.Namespace) -> int:
 
 
 def _command_tune(arguments: argparse.Namespace) -> int:
-    from repro.pipeline import TargetSpec, tune_targets
-
-    # Validate the per-target spec shape once, up front, so capability
-    # mismatches (e.g. --learn-fields with a simulator that learns its full
-    # parameter set) fail cleanly before dataset generation or pool fan-out.
-    TuneSpec(target=arguments.targets[0], simulator=arguments.simulator,
-             preset=arguments.config, num_blocks=arguments.blocks,
-             seed=arguments.seed, learn_fields=arguments.learn_fields).validate()
+    from repro.pipeline import tune_targets
 
     if arguments.corpus is not None and len(arguments.targets) > 1:
         raise SystemExit("--corpus names one target's corpus directory; "
                          "pass a single --targets entry with it")
-    os.makedirs(arguments.output_dir, exist_ok=True)
     sequential = arguments.workers <= 1 or len(arguments.targets) == 1
-    specs = [TargetSpec(
+    specs = [TuneSpec(
         target=target,
         simulator=arguments.simulator,
+        preset=arguments.config,
         num_blocks=arguments.blocks,
         seed=arguments.seed,
         corpus_path=arguments.corpus,
-        config_preset=arguments.config,
-        checkpoint_dir=os.path.join(arguments.checkpoint_dir, target),
-        resume=arguments.resume,
-        stop_after=arguments.stop_after,
-        output_path=os.path.join(arguments.output_dir, f"{target}.json"),
         learn_fields=arguments.learn_fields,
         # Per-target process fan-out and engine fan-out compose poorly on a
         # laptop; give the engine the workers only when targets run serially.
-        engine_workers=0 if not sequential else arguments.workers,
-        verbose=sequential,
+        engine_workers=arguments.workers if sequential else 0,
+        checkpoint_dir=os.path.join(arguments.checkpoint_dir, target),
+        resume=arguments.resume,
+        stop_after=arguments.stop_after,
     ) for target in arguments.targets]
     outcomes = tune_targets(specs, workers=arguments.workers,
                             log=lambda message: print(f"[tune] {message}"))
 
+    os.makedirs(arguments.output_dir, exist_ok=True)
+    failed = False
     for target in arguments.targets:
         outcome = outcomes[target]
+        if outcome.failed:
+            print(f"{target}: FAILED: {outcome.error}")
+            failed = True
+            continue
         if not outcome.completed:
             print(f"{target}: stopped after stage '{outcome.stopped_after}' "
                   f"({outcome.elapsed_seconds:.1f}s); rerun with --resume to finish")
@@ -216,8 +213,10 @@ def _command_tune(arguments: argparse.Namespace) -> int:
               f"test error {outcome.test_error * 100:.1f}% "
               f"(default table {outcome.default_test_error * 100:.1f}%) "
               f"in {outcome.elapsed_seconds:.1f}s{resumed}")
-        print(f"  saved learned table to {outcome.output_path}")
-    return 0
+        output_path = os.path.join(arguments.output_dir, f"{target}.json")
+        outcome.learned_table.save_json(output_path)
+        print(f"  saved learned table to {output_path}")
+    return 1 if failed else 0
 
 
 def _command_evaluate(arguments: argparse.Namespace) -> int:

@@ -94,23 +94,12 @@ class DiffTune:
     # ------------------------------------------------------------------
     def collect_simulated_dataset(self, blocks: Sequence[BasicBlock],
                                   rng: np.random.Generator) -> List[SimulatedExample]:
-        from repro.pipeline.stages import collect_examples
+        from repro.pipeline.stages import collect_examples, log_engine_stats
 
         self._log(f"collecting simulated dataset ({self.config.simulated_dataset_size} examples)")
         examples = collect_examples(self.adapter, self.config, blocks, rng)
-        self._log_engine_stats()
+        log_engine_stats(self.adapter, self._log)
         return examples
-
-    def _log_engine_stats(self) -> None:
-        """Report the shared engine's cache behaviour (engine-backed adapters)."""
-        try:
-            stats = self.adapter.engine.stats
-        except NotImplementedError:
-            return
-        self._log(f"engine: {stats['executed']} simulations, "
-                  f"{stats['result_hits']} cache hits, "
-                  f"{stats['compile_misses']} blocks compiled "
-                  f"(reused {stats['compile_hits']} times)")
 
     def build_surrogate(self):
         return build_surrogate(self.adapter.parameter_spec(), self.featurizer,

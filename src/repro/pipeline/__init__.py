@@ -15,15 +15,15 @@ resumable stages:
    sequence, checkpoints after every stage, and resumes bit-identically at
    the first incomplete stage.
 4. :mod:`~repro.pipeline.multi_target` — fan-out of independent per-target
-   pipelines (``repro tune --targets ...``) over a process pool.
+   :meth:`Session.tune() <repro.api.session.Session.tune>` runs
+   (``repro tune --targets ...``) over a process pool.
 
 :class:`~repro.core.difftune.DiffTune` runs on this layer; ``repro tune``
 exposes it on the command line.
 """
 
 from repro.pipeline.checkpoint import CheckpointMismatchError, CheckpointStore
-from repro.pipeline.multi_target import (TargetOutcome, TargetSpec, tune_target,
-                                         tune_targets)
+from repro.pipeline.multi_target import TargetOutcome, tune_target, tune_targets
 from repro.pipeline.pipeline import TuningPipeline, run_fingerprint
 from repro.pipeline.stages import (CollectDatasetStage, ExtractEvaluateStage,
                                    OptimizeTableStage, PipelineState,
@@ -34,7 +34,6 @@ __all__ = [
     "CheckpointMismatchError",
     "CheckpointStore",
     "TargetOutcome",
-    "TargetSpec",
     "tune_target",
     "tune_targets",
     "TuningPipeline",

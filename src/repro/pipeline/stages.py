@@ -88,17 +88,6 @@ class PipelineState:
     #: Stage names restored from a checkpoint rather than executed.
     resumed_stages: List[str] = field(default_factory=list)
 
-    def log_engine_stats(self) -> None:
-        """Report the shared engine's cache behaviour (engine-backed adapters)."""
-        try:
-            stats = self.adapter.engine.stats
-        except NotImplementedError:
-            return
-        self.log(f"engine: {stats['executed']} simulations, "
-                 f"{stats['result_hits']} cache hits, "
-                 f"{stats['compile_misses']} blocks compiled "
-                 f"(reused {stats['compile_hits']} times)")
-
 
 class Stage:
     """One resumable unit of a tuning pipeline."""
@@ -187,6 +176,22 @@ def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
         rng, blocks_per_table=config.blocks_per_table, table_sampler=table_sampler)
 
 
+def log_engine_stats(adapter: Any, log: Callable[[str], None]) -> None:
+    """Report the shared engine's cache behaviour (engine-backed adapters).
+
+    Shared by the collection stage and
+    :meth:`repro.core.difftune.DiffTune.collect_simulated_dataset`.
+    """
+    try:
+        stats = adapter.engine.stats
+    except NotImplementedError:
+        return
+    log(f"engine: {stats['executed']} simulations, "
+        f"{stats['result_hits']} cache hits, "
+        f"{stats['compile_misses']} blocks compiled "
+        f"(reused {stats['compile_hits']} times)")
+
+
 # ----------------------------------------------------------------------
 # Concrete stages
 # ----------------------------------------------------------------------
@@ -229,7 +234,7 @@ class CollectDatasetStage(Stage):
                   f"({state.config.simulated_dataset_size} examples)")
         state.simulated_examples = collect_examples(state.adapter, state.config,
                                                     state.blocks, state.rng)
-        state.log_engine_stats()
+        log_engine_stats(state.adapter, state.log)
 
     def _run_streaming(self, state: PipelineState) -> None:
         config = state.config
@@ -258,7 +263,7 @@ class CollectDatasetStage(Stage):
             checkpoint_every=checkpoint_every)
         state.streaming_dataset = dataset
         state.simulated_examples = _streaming_examples(state, dataset)
-        state.log_engine_stats()
+        log_engine_stats(state.adapter, state.log)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         dataset = (state.streaming_dataset

@@ -13,8 +13,6 @@ a long-running, stdlib-only inference server:
   concurrent ``/predict`` requests into engine megabatches under a
   max-batch-size / max-wait policy, with per-request results matched back
   deterministically;
-* :class:`ShardedResultCache` (:mod:`repro.serving.cache`) — LRU result
-  caching sharded per table digest;
 * :class:`ServerStats` (:mod:`repro.serving.stats`) — uptime, QPS,
   batch-size histogram, cache hit rate, p50/p99 latency;
 * :class:`ServingClient` / :func:`run_load` (:mod:`repro.serving.client`) —
@@ -34,17 +32,16 @@ Quickstart::
 No dependencies beyond the standard library and the package itself.
 """
 
-from repro.serving.cache import ShardedResultCache
 from repro.serving.client import LoadReport, ServingClient, run_load
 from repro.serving.coalescer import RequestCoalescer
-from repro.serving.server import InferenceServer, ServerHandle
+from repro.serving.http import ServerHandle
+from repro.serving.server import InferenceServer
 from repro.serving.stats import ServerStats
 
 __all__ = [
     "InferenceServer",
     "ServerHandle",
     "RequestCoalescer",
-    "ShardedResultCache",
     "ServerStats",
     "ServingClient",
     "LoadReport",

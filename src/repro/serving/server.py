@@ -6,8 +6,8 @@ from a deployment bundle or a spec) to the shared
 HTTP/1.1 for three endpoints:
 
 * ``POST /predict`` — ``{"blocks": ["add rax, rbx; ..."]}`` in, predicted
-  timings out.  Requests hitting the sharded result cache are answered
-  inline; misses are parsed and funneled through the
+  timings out.  Requests hitting the result LRU are answered inline;
+  misses are parsed and funneled through the
   :class:`~repro.serving.coalescer.RequestCoalescer` so concurrent clients
   share engine megabatches.
 * ``GET /healthz`` — liveness plus drain state.
@@ -27,15 +27,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.api.session import Session
 from repro.api.specs import PredictSpec, ServeSpec
-from repro.engine.binding import parameter_arrays_digest
+from repro.engine.binding import LRUCache, parameter_arrays_digest
 from repro.isa.parser import ParseError, parse_block
-from repro.serving.cache import ShardedResultCache
 from repro.serving.coalescer import RequestCoalescer
-# Re-exported for compatibility: these names lived here before the generic
-# HTTP plumbing moved to repro.serving.http.
-from repro.serving.http import (MAX_BODY_BYTES, MAX_HEADER_BYTES,  # noqa: F401
-                                _STATUS_TEXT, JsonHttpServer, ServerHandle,
-                                ServingError)
+from repro.serving.http import JsonHttpServer, ServingError
 from repro.serving.stats import ServerStats
 
 
@@ -54,7 +49,8 @@ class InferenceServer(JsonHttpServer):
             getattr(session.spec, "table_path", None))
         self.table_digest = parameter_arrays_digest(
             session.adapter.arrays_from_table(self._table))
-        self.cache = ShardedResultCache(shard_capacity=cache_size)
+        #: ``normalized block text -> timing`` for the one table served.
+        self.cache = LRUCache(cache_size)
         self.stats = ServerStats()
         self.coalescer = RequestCoalescer(
             self._simulate_batch, max_batch_size=max_batch_size,
@@ -121,7 +117,7 @@ class InferenceServer(JsonHttpServer):
                     400, f"blocks[{position}]: expected a string, "
                          f"got {type(text).__name__}")
             key = self._cache_key(text)
-            cached = self.cache.get(self.table_digest, key)
+            cached = self.cache.get(key)
             if cached is not None:
                 timings[position] = cached
                 continue
@@ -139,7 +135,7 @@ class InferenceServer(JsonHttpServer):
                 raise ServingError(503, str(error))
             for position, key, value in zip(miss_positions, miss_keys, values):
                 timings[position] = value
-                self.cache.put(self.table_digest, key, value)
+                self.cache.put(key, value)
         return {
             "timings": timings,
             "table_digest": self.table_digest,

@@ -68,7 +68,12 @@ class ServerStats:
         return self._clock() - self._started
 
     def snapshot(self, cache: Optional[Any] = None) -> Dict[str, Any]:
-        """The plain-data payload ``/stats`` serves."""
+        """The plain-data payload ``/stats`` serves.
+
+        ``cache`` is the server's result
+        :class:`~repro.engine.binding.LRUCache`; its counters become
+        ``result_cache``.
+        """
         uptime = max(self.uptime_seconds, 1e-9)
         latencies = sorted(self._latencies)
         payload: Dict[str, Any] = {
@@ -93,5 +98,11 @@ class ServerStats:
             },
         }
         if cache is not None:
-            payload["result_cache"] = cache.stats()
+            lookups = cache.hits + cache.misses
+            payload["result_cache"] = {
+                "entries": len(cache),
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "hit_rate": (cache.hits / lookups) if lookups else 0.0,
+            }
         return payload

@@ -88,6 +88,20 @@ class TestValidationNamesTheField:
         with pytest.raises(SpecValidationError, match="stop_after"):
             TuneSpec(stop_after="train_surrogate").validate()
 
+    def test_unknown_stop_after_stage_lists_the_preset_stages(self):
+        # Rejected up front, before a dataset is built or a checkpoint written.
+        with pytest.raises(SpecValidationError,
+                           match="stop_after.*'nope'.*collect_dataset, "
+                                 "train_surrogate") as excinfo:
+            TuneSpec(preset="test", checkpoint_dir="runs", stop_after="nope").validate()
+        assert excinfo.value.field == "stop_after"
+        # Stage names follow the preset: only 'fast' has refinement rounds.
+        TuneSpec(preset="fast", checkpoint_dir="runs",
+                 stop_after="refinement_round_02").validate()
+        with pytest.raises(SpecValidationError, match="stop_after"):
+            TuneSpec(preset="test", checkpoint_dir="runs",
+                     stop_after="refinement_round_02").validate()
+
     def test_bad_split(self):
         with pytest.raises(SpecValidationError, match="split.*'train' or 'test'"):
             EvaluateSpec(split="validation").validate()

@@ -108,3 +108,32 @@ class TestCommands:
         assert "resumed 2 stages" in output
         table = MCAParameterTable.load_json(os.path.join(output_dir, "haswell.json"))
         table.validate()
+
+    def test_tune_pool_writes_the_serial_tables(self, tmp_path, capsys):
+        tables = {}
+        for workers in ("0", "2"):
+            run_dir = tmp_path / f"workers{workers}"
+            code = cli.main(["tune", "--targets", "haswell", "zen2", "--blocks", "60",
+                             "--config", "test", "--workers", workers,
+                             "--checkpoint-dir", str(run_dir / "runs"),
+                             "--output-dir", str(run_dir)])
+            assert code == 0
+            tables[workers] = [(run_dir / f"{target}.json").read_bytes()
+                               for target in ("haswell", "zen2")]
+        assert "2 worker processes" in capsys.readouterr().out
+        assert tables["2"] == tables["0"]
+
+    def test_tune_failed_target_reported_with_exit_code(self, tmp_path, capsys):
+        corpus_dir = os.path.join(tmp_path, "corpus")
+        output_dir = os.path.join(tmp_path, "tables")
+        assert cli.main(["corpus", "build", "--uarch", "zen2", "--blocks", "40",
+                         "--directory", corpus_dir]) == 0
+        capsys.readouterr()
+        code = cli.main(["tune", "--targets", "haswell", "--corpus", corpus_dir,
+                         "--config", "test", "--output-dir", output_dir,
+                         "--checkpoint-dir", os.path.join(tmp_path, "runs")])
+        assert code == 1
+        output = capsys.readouterr().out
+        assert "haswell: FAILED: " in output
+        assert "was generated for 'Zen 2'" in output
+        assert not os.path.exists(os.path.join(output_dir, "haswell.json"))

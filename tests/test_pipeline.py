@@ -20,8 +20,9 @@ from repro.core.adapters import MCAAdapter
 from repro.core.difftune import DiffTune
 from repro.core.parameters import ParameterArrays
 from repro.core.config import test_config as tiny_config
-from repro.pipeline import (CheckpointMismatchError, CheckpointStore, TargetSpec,
-                            TuningPipeline, build_stages, tune_target, tune_targets)
+from repro.api import SpecValidationError, TuneSpec
+from repro.pipeline import (CheckpointMismatchError, CheckpointStore, TuningPipeline,
+                            build_stages, tune_target, tune_targets)
 from repro.storage import CorruptArtifactError
 from repro.targets import HASWELL
 
@@ -229,54 +230,53 @@ class TestRefinementDeterminism:
 
 
 class TestMultiTarget:
-    def test_tune_target_matches_difftune(self, tmp_path):
-        spec = TargetSpec(target="haswell", num_blocks=60, seed=0,
-                          config_preset="test",
-                          output_path=str(tmp_path / "haswell.json"))
+    def test_tune_target_matches_difftune(self):
+        spec = TuneSpec(target="haswell", num_blocks=60, seed=0, preset="test")
         outcome = tune_target(spec)
         assert outcome.completed
         assert outcome.train_error is not None
         assert outcome.test_error is not None
-        assert os.path.exists(outcome.output_path)
+        outcome.learned_table.validate()
 
     def test_sequential_multi_target(self, tmp_path):
-        specs = [TargetSpec(target=target, num_blocks=60, seed=0,
-                            config_preset="test",
-                            checkpoint_dir=str(tmp_path / target))
+        specs = [TuneSpec(target=target, num_blocks=60, seed=0, preset="test",
+                          checkpoint_dir=str(tmp_path / target))
                  for target in ("haswell", "zen2")]
         outcomes = tune_targets(specs, workers=0)
         assert set(outcomes) == {"haswell", "zen2"}
         assert all(outcome.completed for outcome in outcomes.values())
 
     def test_duplicate_targets_rejected(self):
-        specs = [TargetSpec(target="haswell"), TargetSpec(target="haswell")]
-        with pytest.raises(ValueError, match="duplicate targets"):
-            tune_targets(specs)
+        # An alias names the same target as its canonical key.
+        for names in (("haswell", "haswell"), ("zen2", "znver2")):
+            with pytest.raises(ValueError, match="duplicate targets"):
+                tune_targets([TuneSpec(target=name) for name in names])
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError, match="unknown config preset"):
-            tune_target(TargetSpec(target="haswell", num_blocks=60,
-                                   config_preset="huge"))
+        specs = [TuneSpec(target="haswell", num_blocks=60, preset="test"),
+                 TuneSpec(target="zen2", num_blocks=60, preset="huge")]
+        with pytest.raises(SpecValidationError) as excinfo:
+            tune_targets(specs)
+        assert excinfo.value.field == "preset"
 
-    def test_failing_target_recorded_without_sinking_siblings(self):
-        specs = [TargetSpec(target="haswell", num_blocks=60, seed=0,
-                            config_preset="test"),
-                 TargetSpec(target="zen2", num_blocks=60, seed=0,
-                            config_preset="bogus")]
+    def test_failing_target_recorded_without_sinking_siblings(self, tmp_path):
+        from repro.corpus import ShardedCorpus
+
+        # A zen2 corpus handed to a haswell run passes spec validation and
+        # fails once the run opens it.
+        corpus_dir = str(tmp_path / "corpus")
+        ShardedCorpus.build(corpus_dir, uarch_name="zen2", num_blocks=40, seed=0)
+        specs = [TuneSpec(target="haswell", corpus_path=corpus_dir, preset="test"),
+                 TuneSpec(target="zen2", num_blocks=60, seed=0, preset="test")]
         outcomes = tune_targets(specs, workers=0)
-        assert outcomes["haswell"].completed
-        assert not outcomes["haswell"].failed
-        failed = outcomes["zen2"]
+        assert outcomes["zen2"].completed
+        assert not outcomes["zen2"].failed
+        failed = outcomes["haswell"]
         assert failed.failed and not failed.completed
-        assert failed.error.startswith("ValueError")
-        assert "unknown config preset" in failed.error
+        assert failed.learned_table is None
+        assert failed.error.startswith("SpecValidationError: corpus_path")
+        assert "was generated for" in failed.error
         assert "Traceback" in failed.traceback
-
-    def test_strict_reraises_first_failure(self):
-        specs = [TargetSpec(target="haswell", num_blocks=60, seed=0,
-                            config_preset="bogus")]
-        with pytest.raises(ValueError, match="unknown config preset"):
-            tune_targets(specs, workers=0, strict=True)
 
 
 class TestSerializationExtensions:

@@ -1,4 +1,4 @@
-"""Serving-layer tests: coalescer, sharded cache, stats, and the server.
+"""Serving-layer tests: coalescer, stats, and the server.
 
 The coalescer's contract is the one that matters most: responses are
 matched back to their requests and are deterministic regardless of how
@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import PredictSpec, ServeSpec, Session
 from repro.serving import (InferenceServer, RequestCoalescer, ServerStats,
-                           ServingClient, ShardedResultCache, run_load)
+                           ServingClient, run_load)
 
 BLOCK_TEXTS = [
     "addq %rax, %rbx",
@@ -136,38 +136,8 @@ class TestRequestCoalescer:
 
 
 # ----------------------------------------------------------------------
-# ShardedResultCache and ServerStats
+# ServerStats
 # ----------------------------------------------------------------------
-class TestShardedResultCache:
-    def test_shards_do_not_mix_tables(self):
-        cache = ShardedResultCache(shard_capacity=8)
-        cache.put("digest-a", "block", 1.0)
-        cache.put("digest-b", "block", 2.0)
-        assert cache.get("digest-a", "block") == 1.0
-        assert cache.get("digest-b", "block") == 2.0
-
-    def test_lru_within_shard(self):
-        cache = ShardedResultCache(shard_capacity=2)
-        cache.put("d", "a", 1.0)
-        cache.put("d", "b", 2.0)
-        cache.put("d", "c", 3.0)  # evicts "a"
-        assert cache.get("d", "a") is None
-        assert cache.get("d", "b") == 2.0
-
-    def test_shard_count_bounded_and_totals_survive(self):
-        cache = ShardedResultCache(shard_capacity=4, max_shards=2)
-        for digest in ("d1", "d2", "d3"):
-            cache.put(digest, "k", 0.0)
-            cache.get(digest, "k")
-        cache.get("d3", "absent")
-        stats = cache.stats()
-        assert stats["shards"] == 2
-        # Hits recorded on the evicted shards still count in the totals.
-        assert stats["hits"] == 3
-        assert stats["misses"] == 1
-        assert stats["hit_rate"] == pytest.approx(0.75)
-
-
 class TestServerStats:
     def test_snapshot_fields(self):
         stats = ServerStats()
@@ -238,7 +208,10 @@ class TestInferenceServer:
             stats = client.stats()
         assert stats["predict_requests"] >= 2
         assert stats["batches"] >= 1
-        assert stats["result_cache"]["hits"] >= 2
+        cache = stats["result_cache"]
+        assert set(cache) == {"entries", "hits", "misses", "hit_rate"}
+        assert cache["hits"] >= 2
+        assert cache["hit_rate"] == cache["hits"] / (cache["hits"] + cache["misses"])
         assert stats["session"]["predict_calls"] >= 1
         assert stats["latency_ms"]["p99"] >= stats["latency_ms"]["p50"]
         assert stats["coalescer"]["max_batch_size"] == 64
