@@ -566,8 +566,10 @@ class Session:
 
         ``engine`` holds the shared engine's cache/execution counters
         (``None`` for adapters without an engine); ``featurization`` the
-        process-wide :class:`~repro.core.surrogate.FeaturizationCache`
-        hit/miss/eviction counters; the ``predict_*`` counters track this
+        process-wide per-block
+        :class:`~repro.core.surrogate.FeaturizationCache` hit/miss/eviction
+        counters (parameter inputs are normalized per minibatch and are
+        not cached); the ``predict_*`` counters track this
         session's :meth:`predict` traffic.  The serving layer's ``/stats``
         endpoint re-exports exactly this payload.
         """

@@ -19,6 +19,7 @@ CLI, the pipeline, and the benchmark harness:
 from __future__ import annotations
 
 import dataclasses
+import difflib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Type, TypeVar
 
@@ -58,8 +59,6 @@ class _SpecBase:
         known = {spec_field.name for spec_field in dataclasses.fields(cls)}
         for key in payload:
             if key not in known:
-                import difflib
-
                 close = difflib.get_close_matches(str(key), sorted(known), n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 raise SpecValidationError(
@@ -152,7 +151,7 @@ class TuneSpec(_SpecBase):
         self._check_registry("preset", PRESETS)
         self._check_registry("surrogate", SURROGATES, allow_none=True)
         self._check_positive("num_blocks")
-        self._check_type("seed", (int,))
+        self._check_non_negative("seed")
         self._check_type("dataset_path", (str,), allow_none=True)
         self._check_type("corpus_path", (str,), allow_none=True)
         if self.dataset_path is not None and self.corpus_path is not None:
@@ -174,6 +173,7 @@ class TuneSpec(_SpecBase):
                     f"simulator {self.simulator!r} learns its full parameter "
                     f"set and does not support learn_fields; simulators that "
                     f"do: {', '.join(supported)}")
+            self._check_learn_field_names(plugin)
         for flag in ("narrow_sampling", "resume"):
             self._check_type(flag, (bool,))
         self._check_type("checkpoint_dir", (str,), allow_none=True)
@@ -193,6 +193,31 @@ class TuneSpec(_SpecBase):
                     "stop_after", f"unknown stage {self.stop_after!r} for preset "
                                   f"{self.preset!r}; expected one of "
                                   f"{', '.join(stages)}")
+
+    def _check_learn_field_names(self, plugin: Any) -> None:
+        """Every ``learn_fields`` entry names a parameter field of the simulator.
+
+        An unknown name would otherwise freeze every field and run the whole
+        pipeline to return the default table, so it fails here instead.
+        """
+        if not self.learn_fields:
+            raise SpecValidationError(
+                "learn_fields", "must name at least one parameter field "
+                                "(None learns every field)")
+        spec = plugin.create_adapter(TARGETS.get(self.target)).parameter_spec()
+        known = [parameter_field.name for parameter_field in
+                 spec.global_fields + spec.per_instruction_fields]
+        for name in self.learn_fields:
+            if name in known:
+                continue
+            close = ([candidate for candidate in known
+                      if candidate.lower() == name.lower()]
+                     or difflib.get_close_matches(name, known, n=1))
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise SpecValidationError(
+                "learn_fields", f"unknown parameter field {name!r} for simulator "
+                                f"{self.simulator!r}{hint} (fields: "
+                                f"{', '.join(known)})")
 
 
 @dataclass
@@ -215,7 +240,7 @@ class EvaluateSpec(_SpecBase):
     def validate(self) -> None:
         self._check_common()
         self._check_positive("num_blocks")
-        self._check_type("seed", (int,))
+        self._check_non_negative("seed")
         self._check_type("dataset_path", (str,), allow_none=True)
         self._check_type("corpus_path", (str,), allow_none=True)
         if self.dataset_path is not None and self.corpus_path is not None:
@@ -264,7 +289,7 @@ class CorpusSpec(_SpecBase):
             raise SpecValidationError("directory", "must name the corpus directory")
         self._check_positive("num_blocks")
         self._check_positive("shard_size")
-        self._check_type("seed", (int,))
+        self._check_non_negative("seed")
         self._check_type("featurize", (bool,))
         self._check_type("resume", (bool,))
 

@@ -70,6 +70,14 @@ def _as_array(value: ArrayLike) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` uses only ints, slices, ``...`` and ``None``."""
+    entries = index if isinstance(index, tuple) else (index,)
+    return all(entry is None or entry is Ellipsis
+               or isinstance(entry, (int, np.integer, slice))
+               for entry in entries)
+
+
 class Tensor:
     """An n-dimensional array that supports reverse-mode differentiation."""
 
@@ -482,7 +490,12 @@ class Tensor:
 
         def _backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if _is_basic_index(index):
+                # Ints and slices select each element at most once, so a
+                # plain in-place add equals the scatter-add.
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(data, (self,), _backward)
@@ -522,6 +535,62 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(grad * (~a_wins))
 
     return Tensor._make(data, (a, b), _backward)
+
+
+def masked_longest_path(weights: Tensor, dependency_mask, sink_mask) -> Tensor:
+    """Per-row longest weighted path through a dependency DAG: ``(B, N) -> (B,)``.
+
+    ``dependency_mask[b, i, p]`` is nonzero when node ``p < i`` feeds node
+    ``i`` and ``sink_mask[b, i]`` when a path may end at node ``i``.  Node
+    ``i`` finishes at ``max(0, finish[p] over its producers) + weights[b, i]``
+    and the result is ``max(0, finish[s] over the sinks)``: the same values
+    as a left fold of :func:`maximum` from zero over each node's producers
+    and then over the sinks, recorded as one tape node instead of one per
+    (node, producer) pair.
+
+    Ties follow that fold: a candidate takes over only when strictly
+    greater, so the zero start wins a tie and the earliest of equal
+    candidates wins.  The backward routes each row's gradient along its
+    winners in reverse node order.
+    """
+    weights = weights if isinstance(weights, Tensor) else Tensor(weights)
+    dependency = np.asarray(dependency_mask) != 0
+    sinks = np.asarray(sink_mask) != 0
+    batch, nodes = weights.data.shape
+    rows = np.arange(batch)
+
+    def strongest(candidates: np.ndarray, allowed: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row max over ``allowed`` candidates, floored at zero, and the
+        winner's column (-1 where the zero start wins)."""
+        masked = np.where(allowed, candidates, -np.inf)
+        best = masked.argmax(axis=1)
+        value = masked[rows, best]
+        wins = value > 0.0
+        return np.where(wins, value, 0.0), np.where(wins, best, -1)
+
+    finish = np.zeros((batch, nodes))
+    winners = np.full((batch, nodes), -1, dtype=np.int64)
+    for node in range(nodes):
+        producers = dependency[:, node, :node]
+        ready = 0.0
+        if producers.any():
+            ready, winners[:, node] = strongest(finish[:, :node], producers)
+        finish[:, node] = ready + weights.data[:, node]
+    data, sink_winners = strongest(finish, sinks)
+
+    def _backward(grad: np.ndarray) -> None:
+        routed = np.zeros((batch, nodes))
+        won = sink_winners >= 0
+        routed[rows[won], sink_winners[won]] += np.asarray(grad)[won]
+        for node in range(nodes - 1, 0, -1):
+            producer = winners[:, node]
+            fed = producer >= 0
+            if fed.any():
+                routed[rows[fed], producer[fed]] += routed[fed, node]
+        weights._accumulate(routed)
+
+    return Tensor._make(data, (weights,), _backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -573,16 +642,23 @@ def gather(source: Tensor, indices, axis: int = 0) -> Tensor:
 
     def _backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float64)
-        full = np.zeros_like(source.data)
         # The result axes [axis, axis + idx.ndim) index into `axis` of the
-        # source; move them (and the source axis) to the front so a single
-        # np.add.at scatters every row, accumulating duplicates.
-        moved_full = np.moveaxis(full, axis_norm, 0)
+        # source; move them (and the source axis) to the front, so every
+        # gathered row is a (row, column) block of one flat bin array.
+        moved_shape = np.moveaxis(source.data, axis_norm, 0).shape
+        num_rows = moved_shape[0]
+        width = int(np.prod(moved_shape[1:], dtype=np.int64))
         moved_grad = np.moveaxis(grad,
                                  tuple(range(axis_norm, axis_norm + idx.ndim)),
                                  tuple(range(idx.ndim)))
-        np.add.at(moved_full, idx, moved_grad)
-        source._accumulate(full)
+        flat_idx = idx.reshape(-1)
+        flat_idx = np.where(flat_idx < 0, flat_idx + num_rows, flat_idx)
+        bins = (flat_idx[:, None] * width + np.arange(width)).reshape(-1)
+        # bincount adds each bin's weights in input order, exactly as
+        # np.add.at would, so repeated indices accumulate bit-identically.
+        summed = np.bincount(bins, weights=moved_grad.reshape(-1),
+                             minlength=num_rows * width)
+        source._accumulate(np.moveaxis(summed.reshape(moved_shape), 0, axis_norm))
 
     return Tensor._make(data, (source,), _backward)
 

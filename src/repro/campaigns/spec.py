@@ -289,7 +289,7 @@ class CampaignSpec(_SpecBase):
         except ValueError as error:
             raise SpecValidationError("strategy_options", str(error)) from error
         self._check_positive("num_blocks")
-        self._check_type("seed", (int,))
+        self._check_non_negative("seed")
         self._check_type("dataset_path", (str,), allow_none=True)
         self._check_type("corpus_path", (str,), allow_none=True)
         if self.dataset_path is not None and self.corpus_path is not None:

@@ -37,7 +37,8 @@ import numpy as np
 from repro.api.registries import SURROGATES
 from repro.autodiff import (Embedding, Linear, MLP, Module, StackedLSTM, Tensor)
 from repro.autodiff.modules import Parameter
-from repro.autodiff.tensor import concat, masked_mean, masked_sum, maximum, stack
+from repro.autodiff.tensor import (concat, masked_longest_path, masked_mean,
+                                   masked_sum, maximum, stack)
 from repro.core.parameters import ParameterArrays, ParameterSpec, PORT_MAP_FIELD_NAME
 from repro.isa.basic_block import BasicBlock
 from repro.isa.canonicalize import CanonicalInstruction, TokenVocabulary, canonicalize_block
@@ -238,7 +239,13 @@ def featurized_block_digest(featurized: FeaturizedBlock) -> str:
 
 
 def table_digest(arrays: ParameterArrays) -> str:
-    """Content digest of a sampled parameter table."""
+    """Content digest of a sampled parameter table.
+
+    No training path calls this any more (parameter inputs are normalized
+    per minibatch, not memoized per table), but ``perfbench/spans.py`` wraps
+    it by name to report ``featurize.digest_*``; without it, a traced
+    benchmark run fails with ``AttributeError``.
+    """
     digest = hashlib.blake2b(digest_size=16)
     per = np.ascontiguousarray(arrays.per_instruction_values)
     global_values = np.ascontiguousarray(arrays.global_values)
@@ -318,78 +325,69 @@ def pack_block_arrays(per_block: Sequence[Dict[str, np.ndarray]]) -> PackedBlock
 #: :class:`FeaturizationCache` instance and surfaced by ``Session.stats()``.
 _CACHE_COUNTERS: Dict[str, int] = {
     "block_hits": 0, "block_misses": 0, "block_evictions": 0,
-    "table_hits": 0, "table_misses": 0, "table_evictions": 0,
 }
 
 
 def featurization_cache_stats() -> Dict[str, int]:
-    """A snapshot of the process-wide featurization-cache counters."""
+    """A snapshot of the process-wide per-block cache counters."""
     return dict(_CACHE_COUNTERS)
 
 
-def reset_featurization_cache_stats() -> None:
-    """Zero the process-wide counters (test/bench isolation)."""
-    for key in _CACHE_COUNTERS:
-        _CACHE_COUNTERS[key] = 0
+def batch_parameter_inputs(spec: ParameterSpec, packed: PackedBlockBatch,
+                           tables: Sequence[ParameterArrays]
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalized per-instruction and global parameter inputs for a batch.
+
+    ``tables[b]`` is the raw sampled table of example ``b``.  Each example's
+    rows for its block's opcodes are gathered into ``(B, I, D)`` and its
+    globals into ``(B, G)``, and the gathered batch is normalized in one
+    :meth:`ParameterSpec.normalize_for_surrogate_training` call: the same
+    elementwise math as normalizing each whole table, so real slots are
+    bit-identical to it.  Padded instruction slots are zero.
+    """
+    if len(tables) != packed.batch_size:
+        raise ValueError(f"got {len(tables)} tables for a batch of "
+                         f"{packed.batch_size} blocks; they must be aligned")
+    raw = ParameterArrays(
+        global_values=np.stack([table.global_values for table in tables]),
+        per_instruction_values=np.stack([
+            table.per_instruction_values[opcodes]
+            for table, opcodes in zip(tables, packed.opcode_indices)]))
+    normalized = spec.normalize_for_surrogate_training(raw)
+    per_instruction = normalized.per_instruction_values
+    per_instruction[packed.instruction_mask == 0] = 0.0
+    return per_instruction, normalized.global_values
 
 
 class FeaturizationCache:
-    """Featurizes each basic block once per dataset and packs minibatches.
+    """Featurizes each basic block once and packs minibatches.
 
-    Wraps a :class:`BlockFeaturizer` with two levels of reuse the batched
-    training fast path needs:
-
-    * per-block packed arrays (token-id matrix, masks, structural features,
-      dependency masks) are computed once per distinct block and reused by
-      every minibatch that contains the block in any epoch;
-    * parameter-array normalization
-      (:meth:`ParameterSpec.normalize_for_surrogate_training`) is memoized
-      per sampled table, so a table shared by ``blocks_per_table`` examples
-      is normalized once per dataset rather than once per example per epoch.
-
-    Both memos are keyed by *content digest* (not object identity), so equal
-    content hits regardless of which object carries it, and both are bounded
-    LRUs: corpus-scale runs stream millions of blocks through a cache whose
-    footprint stays at ``max_blocks``/``max_tables`` entries.  Hit, miss, and
+    Wraps a :class:`BlockFeaturizer` with a bounded LRU of per-block packed
+    arrays (token-id matrix, masks, structural features, dependency masks),
+    keyed by *content digest* (not object identity), so equal content hits
+    whichever object carries it and corpus-scale runs stream millions of
+    blocks through a footprint of ``max_blocks`` entries.  Hit, miss and
     eviction counters aggregate process-wide
     (:func:`featurization_cache_stats`).
+
+    Training loops call :meth:`resolve` once before their first minibatch
+    and :meth:`pack` per minibatch, so no digest runs inside the loop.
+    Parameter inputs are not cached: :func:`batch_parameter_inputs`
+    normalizes each minibatch's gathered rows.
     """
 
-    def __init__(self, featurizer: BlockFeaturizer, max_blocks: int = 65536,
-                 max_tables: int = 8192) -> None:
-        if max_blocks <= 0 or max_tables <= 0:
-            raise ValueError("cache bounds must be positive")
+    def __init__(self, featurizer: BlockFeaturizer, max_blocks: int = 65536) -> None:
+        if max_blocks <= 0:
+            raise ValueError(f"max_blocks must be positive, got {max_blocks}")
         self.featurizer = featurizer
         self.max_blocks = max_blocks
-        self.max_tables = max_tables
         self._block_arrays: "OrderedDict[str, Dict[str, np.ndarray]]" = OrderedDict()
-        self._normalized: "OrderedDict[str, ParameterArrays]" = OrderedDict()
 
     def featurize(self, block: BasicBlock) -> FeaturizedBlock:
         return self.featurizer.featurize(block)
 
-    def normalized_arrays(self, spec: ParameterSpec,
-                          arrays: ParameterArrays) -> ParameterArrays:
-        """``arrays`` normalized for surrogate training, memoized per table."""
-        key = table_digest(arrays)
-        cached = self._normalized.get(key)
-        if cached is not None:
-            _CACHE_COUNTERS["table_hits"] += 1
-            self._normalized.move_to_end(key)
-            return cached
-        _CACHE_COUNTERS["table_misses"] += 1
-        normalized = spec.normalize_for_surrogate_training(arrays)
-        self._normalized[key] = normalized
-        while len(self._normalized) > self.max_tables:
-            self._normalized.popitem(last=False)
-            _CACHE_COUNTERS["table_evictions"] += 1
-        return normalized
-
     def arrays_for(self, featurized: FeaturizedBlock) -> Dict[str, np.ndarray]:
         """Per-block packed arrays (unpadded), memoized by content digest."""
-        return self._arrays_for(featurized)
-
-    def _arrays_for(self, featurized: FeaturizedBlock) -> Dict[str, np.ndarray]:
         key = featurized_block_digest(featurized)
         cached = self._block_arrays.get(key)
         if cached is not None:
@@ -404,44 +402,30 @@ class FeaturizationCache:
             _CACHE_COUNTERS["block_evictions"] += 1
         return arrays
 
-    def pack(self, featurized_blocks: Sequence[FeaturizedBlock]) -> PackedBlockBatch:
-        """Pad a list of featurized blocks into one :class:`PackedBlockBatch`."""
-        if not featurized_blocks:
-            raise ValueError("cannot pack an empty batch")
-        return pack_block_arrays(
-            [self._arrays_for(featurized) for featurized in featurized_blocks])
+    def resolve(self, featurized_blocks: Sequence[FeaturizedBlock]
+                ) -> List[Dict[str, np.ndarray]]:
+        """Per-block arrays for every entry, in order.
 
-    def pack_blocks(self, blocks: Sequence[BasicBlock]) -> PackedBlockBatch:
-        """Featurize (cached) and pack a list of raw basic blocks."""
-        return self.pack([self.featurize(block) for block in blocks])
-
-    def batch_parameters(self, spec: ParameterSpec,
-                         featurized_blocks: Sequence[FeaturizedBlock],
-                         tables: Sequence[ParameterArrays],
-                         max_instructions: Optional[int] = None
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Normalized per-instruction and global parameter inputs for a batch.
-
-        ``tables[b]`` is the (raw) sampled table of example ``b``;
-        normalization is memoized per table object.  Returns
-        ``(B, I, per_instruction_dim)`` and ``(B, global_dim)`` arrays with
-        zero padding past each block's real length.
+        Entries that are the same object (the featurizer returns one object
+        per distinct block) share one :meth:`arrays_for` lookup.
         """
-        if len(featurized_blocks) != len(tables):
-            raise ValueError("featurized_blocks and tables must be aligned")
-        batch = len(tables)
-        if max_instructions is None:
-            max_instructions = max(len(featurized.opcode_indices)
-                                   for featurized in featurized_blocks)
-        per_instruction = np.zeros((batch, max_instructions, spec.per_instruction_dim))
-        global_values = np.zeros((batch, spec.global_dim))
-        for row, (featurized, table) in enumerate(zip(featurized_blocks, tables)):
-            normalized = self.normalized_arrays(spec, table)
-            opcodes = np.asarray(featurized.opcode_indices, dtype=np.int64)
-            per_instruction[row, :len(opcodes)] = \
-                normalized.per_instruction_values[opcodes]
-            global_values[row] = normalized.global_values
-        return per_instruction, global_values
+        by_identity: Dict[int, Dict[str, np.ndarray]] = {}
+        resolved = []
+        for featurized in featurized_blocks:
+            arrays = by_identity.get(id(featurized))
+            if arrays is None:
+                arrays = by_identity[id(featurized)] = self.arrays_for(featurized)
+            resolved.append(arrays)
+        return resolved
+
+    @staticmethod
+    def pack(block_arrays: Sequence[Dict[str, np.ndarray]]) -> PackedBlockBatch:
+        """Pad resolved per-block arrays into one :class:`PackedBlockBatch`.
+
+        Every training path packs through here, so :func:`pack_block_arrays`
+        is looked up in this module, where ``perfbench/spans.py`` wraps it.
+        """
+        return pack_block_arrays(block_arrays)
 
 
 class _SurrogateBase(Module):
@@ -460,11 +444,11 @@ class _SurrogateBase(Module):
 
         ``per_instruction_params`` is ``(B, I, per_instruction_dim)`` and
         ``global_params`` is ``(B, global_dim)`` (both already normalized and
-        gathered per block, e.g. by
-        :meth:`FeaturizationCache.batch_parameters`).  Semantically identical
-        to calling :meth:`forward` per example — the property tests pin the
-        two paths together within 1e-9.  Both training phases run on it, and
-        :func:`build_surrogate` rejects classes that do not override it.
+        gathered per block, e.g. by :func:`batch_parameter_inputs`).
+        Semantically identical to calling :meth:`forward` per example — the
+        property tests pin the two paths together within 1e-9.  Both
+        training phases run on it, and :func:`build_surrogate` rejects
+        classes that do not override it.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement forward_batch")
@@ -976,18 +960,6 @@ class AnalyticalSurrogate(_SurrogateBase):
         power = self.SMOOTH_MAX_POWER
         return ((totals ** power).sum(axis=-1)) ** (1.0 / power)
 
-    @staticmethod
-    def _masked_running_max(running: Tensor, candidate: Tensor, mask: np.ndarray
-                            ) -> Tensor:
-        """``max(running, candidate)`` where mask is 1, ``running`` elsewhere.
-
-        Rows with mask 0 compare ``running`` against itself, so the tie sends
-        the gradient to ``running`` — exactly what the per-example path does
-        when the candidate is absent from that example's producer set.
-        """
-        gated = candidate * mask + running * (1.0 - mask)
-        return maximum(running, gated)
-
     def _chain_bound_batch(self, batch: PackedBlockBatch, params: Tensor) -> Tensor:
         batch_size = batch.batch_size
         if not self._has["latency"]:
@@ -1000,26 +972,11 @@ class AnalyticalSurrogate(_SurrogateBase):
             effective = maximum(latency - advance, Tensor(np.zeros(latency.shape)))
         else:
             effective = latency
-        # The dataflow traversal runs position-major over the whole batch:
-        # each step is a handful of vectorized (B,)-shaped ops, with the
-        # per-example producer sets expressed through the dependency mask.
-        zero = Tensor(np.zeros(batch_size))
-        finish: List[Tensor] = []
-        for index in range(batch.max_instructions):
-            ready = zero
-            for producer in range(index):
-                producer_mask = batch.dependency_mask[:, index, producer]
-                if not producer_mask.any():
-                    continue
-                ready = self._masked_running_max(ready, finish[producer], producer_mask)
-            finish.append(ready + effective[:, index])
-        bound = zero
-        for writer in range(batch.max_instructions):
-            writer_mask = batch.loop_carried_mask[:, writer]
-            if not writer_mask.any():
-                continue
-            bound = self._masked_running_max(bound, finish[writer], writer_mask)
-        return bound
+        # The dataflow traversal of :meth:`_chain_bound` over the whole
+        # batch as one tape node: each instruction finishes when its
+        # latest producer has, and the loop-carried writers bound the block.
+        return masked_longest_path(effective, batch.dependency_mask,
+                                   batch.loop_carried_mask)
 
     def _rob_bound_batch(self, batch: PackedBlockBatch, params: Tensor,
                          global_vector: Tensor) -> Tensor:

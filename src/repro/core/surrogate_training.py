@@ -4,11 +4,15 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 ``surrogate(theta, x) ≈ simulator(theta, x)`` over the simulated dataset, with
 Adam and MAPE loss.
 
-Training is batch-major: every block is featurized once per dataset through a
-:class:`~repro.core.surrogate.FeaturizationCache`, each sampled parameter
-table is normalized once, and a whole padded minibatch advances per autodiff
-op via the surrogate's ``forward_batch``.  The property tests pin it within
-1e-9 to a per-example reference built on the scalar ``forward``.
+Training is batch-major.  Before the minibatch loop, every example's block
+is featurized and resolved to its packed arrays through a
+:class:`~repro.core.surrogate.FeaturizationCache`, so the loop itself runs
+no content digest.  Each minibatch is padded from that list, its examples'
+parameter rows are gathered and normalized together
+(:func:`~repro.core.surrogate.batch_parameter_inputs`), and the whole
+padded minibatch advances per autodiff op via the surrogate's
+``forward_batch``.  The property tests pin it within 1e-9 to a per-example
+reference built on the scalar ``forward``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.parameters import ParameterSpec
 from repro.core.simulated_dataset import SimulatedExample
 from repro.core.surrogate import (FeaturizationCache, _SurrogateBase,
-                                  pack_block_arrays)
+                                  batch_parameter_inputs)
 from repro.core.training_loop import run_minibatch_loop
 
 
@@ -55,16 +59,17 @@ class SurrogateTrainingResult:
     examples_per_second: float = 0.0
 
 
-def _batch_inputs(spec: ParameterSpec, cache: FeaturizationCache,
-                  examples: Sequence[SimulatedExample], featurized: Sequence,
-                  batch_indices: np.ndarray):
-    """Packed batch + parameter inputs + targets for one minibatch."""
+def _batch_inputs(spec: ParameterSpec, examples: Sequence[SimulatedExample],
+                  block_arrays: Sequence, batch_indices: np.ndarray):
+    """Packed batch + parameter inputs + targets for one minibatch.
+
+    ``block_arrays[row]`` holds example ``row``'s resolved per-block arrays
+    (:meth:`FeaturizationCache.resolve`).
+    """
     rows = [int(index) for index in batch_indices]
-    batch_featurized = [featurized[row] for row in rows]
-    packed = cache.pack(batch_featurized)
-    per_instruction, global_values = cache.batch_parameters(
-        spec, batch_featurized, [examples[row].arrays for row in rows],
-        max_instructions=packed.max_instructions)
+    packed = FeaturizationCache.pack([block_arrays[row] for row in rows])
+    per_instruction, global_values = batch_parameter_inputs(
+        spec, packed, [examples[row].arrays for row in rows])
     targets = [examples[row].simulated_timing for row in rows]
     return packed, per_instruction, global_values, targets
 
@@ -79,22 +84,20 @@ def is_streaming_examples(examples: Sequence) -> bool:
     return hasattr(examples, "block_arrays")
 
 
-def _streaming_batch_inputs(spec: ParameterSpec, cache: FeaturizationCache,
-                            examples, batch_indices: np.ndarray):
+def _streaming_batch_inputs(spec: ParameterSpec, examples, batch_indices: np.ndarray):
     """Streaming counterpart of :func:`_batch_inputs` (same float math)."""
     rows = [int(index) for index in batch_indices]
-    packed = pack_block_arrays([examples.block_arrays(row) for row in rows])
-    per_instruction = np.zeros((len(rows), packed.max_instructions,
-                                spec.per_instruction_dim))
-    global_values = np.zeros((len(rows), spec.global_dim))
-    for position, row in enumerate(rows):
-        normalized = cache.normalized_arrays(spec, examples.table(row))
-        opcodes = examples.opcode_indices(row)
-        per_instruction[position, :len(opcodes)] = \
-            normalized.per_instruction_values[opcodes]
-        global_values[position] = normalized.global_values
+    packed = FeaturizationCache.pack([examples.block_arrays(row) for row in rows])
+    per_instruction, global_values = batch_parameter_inputs(
+        spec, packed, [examples.table(row) for row in rows])
     targets = [examples.timing(row) for row in rows]
     return packed, per_instruction, global_values, targets
+
+
+def _resolved_block_arrays(cache: FeaturizationCache,
+                           examples: Sequence[SimulatedExample]) -> List:
+    """Every example's per-block arrays, resolved before a minibatch loop."""
+    return cache.resolve([cache.featurize(example.block) for example in examples])
 
 
 def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExample],
@@ -121,21 +124,19 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
     rng = np.random.default_rng(config.seed)
     streaming = is_streaming_examples(examples)
 
-    # Featurize each distinct block once for the whole run; the cache also
-    # memoizes per-table normalization and per-block packed arrays.  A
+    # Resolve every example's per-block arrays once for the whole run.  A
     # streaming source serves per-block arrays itself (possibly memory-mapped
-    # from disk), so no whole-dataset featurized list is materialized.
+    # from disk), so no whole-dataset list is materialized.
     cache = FeaturizationCache(surrogate.featurizer)
-    featurized = ([] if streaming
-                  else [cache.featurize(example.block) for example in examples])
+    block_arrays = [] if streaming else _resolved_block_arrays(cache, examples)
 
     def _batched_loss(batch_indices: np.ndarray):
         if streaming:
             packed, per_instruction, global_values, targets = \
-                _streaming_batch_inputs(spec, cache, examples, batch_indices)
+                _streaming_batch_inputs(spec, examples, batch_indices)
         else:
             packed, per_instruction, global_values, targets = _batch_inputs(
-                spec, cache, examples, featurized, batch_indices)
+                spec, examples, block_arrays, batch_indices)
         predictions = surrogate.forward_batch(packed, per_instruction, global_values)
         return surrogate_loss(predictions, targets)
 
@@ -173,17 +174,16 @@ def evaluate_surrogate(surrogate: _SurrogateBase,
     else:
         targets = [example.simulated_timing for example in examples]
     with no_grad():
-        featurized = ([] if streaming else
-                      [cache.featurize(example.block) for example in examples])
+        block_arrays = [] if streaming else _resolved_block_arrays(cache, examples)
         for chunk_start in range(0, len(examples), batch_size):
             chunk = np.arange(chunk_start,
                               min(chunk_start + batch_size, len(examples)))
             if streaming:
                 packed, per_instruction, global_values, _ = \
-                    _streaming_batch_inputs(spec, cache, examples, chunk)
+                    _streaming_batch_inputs(spec, examples, chunk)
             else:
                 packed, per_instruction, global_values, _ = _batch_inputs(
-                    spec, cache, examples, featurized, chunk)
+                    spec, examples, block_arrays, chunk)
             chunk_predictions = surrogate.forward_batch(
                 packed, per_instruction, global_values)
             predictions.extend(float(value)

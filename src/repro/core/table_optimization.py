@@ -8,8 +8,9 @@ absolute value of lower-bounded parameters is taken before they are passed to
 the surrogate (Section IV, "Solving the optimization problems").
 
 Like surrogate training (phase one), optimization is batch-major: every
-block is featurized once per run through a
-:class:`~repro.core.surrogate.FeaturizationCache`, each minibatch is packed
+block is featurized and resolved to its packed arrays once per run, before
+the minibatch loop, through a
+:class:`~repro.core.surrogate.FeaturizationCache`; each minibatch is packed
 into one padded :class:`~repro.core.surrogate.PackedBlockBatch`, the trainable
 table's rows for the whole batch are gathered with the scatter-add ``gather``
 primitive (so gradients of repeated opcodes accumulate into the same table
@@ -175,13 +176,13 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
 
     surrogate.eval()
     targets = np.asarray(true_timings, dtype=np.float64)
-    # Featurize each distinct block once for the whole run.
+    # Resolve every block's packed arrays once for the whole run.
     cache = FeaturizationCache(surrogate.featurizer)
-    featurized = [cache.featurize(block) for block in blocks]
+    block_arrays = cache.resolve([cache.featurize(block) for block in blocks])
 
     def _batched_loss(batch_indices: np.ndarray):
         rows = [int(index) for index in batch_indices]
-        packed = cache.pack([featurized[row] for row in rows])
+        packed = cache.pack([block_arrays[row] for row in rows])
         per_instruction, global_matrix = table.surrogate_inputs_batch(packed)
         predictions = surrogate.forward_batch(packed, per_instruction, global_matrix)
         return surrogate_loss(predictions, [float(targets[row]) for row in rows])

@@ -222,7 +222,7 @@ class StreamingExamples:
     Presents a :class:`StreamingSimulatedDataset` to
     :func:`~repro.core.surrogate_training.train_surrogate` through the
     index-addressed protocol its streaming branch consumes (``__len__``,
-    ``timing``, ``table``, ``block_arrays``, ``opcode_indices``) — per-block
+    ``timing``, ``table``, ``block_arrays``) — per-block
     arrays come from the featurization store's memory maps when one is
     attached, otherwise from bounded on-the-fly featurization of the (lazily
     parsed) blocks.
@@ -260,7 +260,3 @@ class StreamingExamples:
         if self.store is not None:
             return self.store.arrays_for_index(self._global_block_index(position))
         return self.cache.arrays_for(self.cache.featurize(self.blocks[position]))
-
-    def opcode_indices(self, index: int) -> np.ndarray:
-        return np.asarray(self.block_arrays(index)["opcode_indices"],
-                          dtype=np.int64)

@@ -196,20 +196,6 @@ def run_table4_for_uarch(uarch_name: str, scale: Optional[ExperimentScale] = Non
     return results
 
 
-def run_table4(uarches: Sequence[str] = ("ivybridge", "haswell", "skylake", "zen2"),
-               scale: Optional[ExperimentScale] = None,
-               include_opentuner: bool = True, include_ithemal: bool = True
-               ) -> Dict[str, Dict[str, Tuple[Optional[float], Optional[float]]]]:
-    """The full Table IV over all four microarchitectures."""
-    scale = scale or ExperimentScale()
-    return {
-        get_uarch(uarch).name: run_table4_for_uarch(
-            uarch, scale, include_opentuner=include_opentuner,
-            include_ithemal=include_ithemal)
-        for uarch in uarches
-    }
-
-
 # ----------------------------------------------------------------------
 # Table V: per-application and per-category error on Haswell
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ HTTP/1.1 for three endpoints:
   timings out.  Requests hitting the result LRU are answered inline;
   misses are parsed and funneled through the
   :class:`~repro.serving.coalescer.RequestCoalescer` so concurrent clients
-  share engine megabatches.
+  share engine megabatches.  Any other top-level key is a 400 that names
+  it (see :data:`PREDICT_KEYS`).
 * ``GET /healthz`` — liveness plus drain state.
 * ``GET /stats`` — uptime, QPS, batch-size histogram, cache hit rate,
   p50/p99 latency, and the session's own engine counters.
@@ -32,6 +33,12 @@ from repro.isa.parser import ParseError, parse_block
 from repro.serving.coalescer import RequestCoalescer
 from repro.serving.http import JsonHttpServer, ServingError
 from repro.serving.stats import ServerStats
+
+
+#: Top-level keys a ``/predict`` body may hold: the ``blocks`` list and an
+#: optional client-chosen ``trace_id``, which tracing layers read to join a
+#: request's client and server spans (``perfbench`` sends it when tracing).
+PREDICT_KEYS = ("blocks", "trace_id")
 
 
 class InferenceServer(JsonHttpServer):
@@ -189,6 +196,11 @@ class InferenceServer(JsonHttpServer):
             if not isinstance(payload, dict) or "blocks" not in payload:
                 return 400, {"error": 'request body must be an object with '
                                       'a "blocks" list'}
+            unknown = sorted(key for key in payload if key not in PREDICT_KEYS)
+            if unknown:
+                return 400, {"error": f"unknown request key(s) "
+                                      f"{', '.join(map(repr, unknown))} "
+                                      f"(expected {', '.join(PREDICT_KEYS)})"}
             texts = payload["blocks"]
             if not isinstance(texts, list):
                 return 400, {"error": '"blocks" must be a list of strings'}

@@ -26,7 +26,6 @@ some learned values are degenerate compensations, mirroring Section VI-C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,15 +34,6 @@ from repro.isa.basic_block import BasicBlock
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import UopClass
 from repro.targets.uarch import UarchSpec
-
-
-@dataclass
-class _DynamicState:
-    """Mutable scheduling state carried across unrolled iterations."""
-
-    register_ready: Dict[str, float]
-    memory_ready: Dict[Tuple, float]
-    port_pressure: Dict[UopClass, float]
 
 
 class HardwareModel:

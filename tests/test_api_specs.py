@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.api.specs import (EvaluateSpec, PredictSpec, SpecValidationError,
-                             TuneSpec)
+from repro.api.specs import (CorpusSpec, EvaluateSpec, PredictSpec,
+                             SpecValidationError, TuneSpec)
+from repro.campaigns.spec import CampaignSpec
 
 
 class TestRoundTrip:
@@ -78,6 +79,37 @@ class TestValidationNamesTheField:
     def test_bad_learn_fields(self):
         with pytest.raises(SpecValidationError, match="learn_fields"):
             TuneSpec(learn_fields="WriteLatency").validate()
+
+    def test_unknown_learn_field_named_and_suggested(self):
+        # An unknown name would freeze every field and return the default
+        # table after a full run; it fails at validation instead.
+        with pytest.raises(SpecValidationError,
+                           match="learn_fields.*'Bogus'.*WriteLatency") as excinfo:
+            TuneSpec(learn_fields=["Bogus"]).validate()
+        assert excinfo.value.field == "learn_fields"
+        with pytest.raises(SpecValidationError,
+                           match="'writelatency'.*did you mean 'WriteLatency'"):
+            TuneSpec(learn_fields=["WriteLatency", "writelatency"]).validate()
+
+    def test_empty_learn_fields_rejected(self):
+        with pytest.raises(SpecValidationError,
+                           match="learn_fields.*at least one") as excinfo:
+            TuneSpec(learn_fields=[]).validate()
+        assert excinfo.value.field == "learn_fields"
+
+    def test_global_and_per_instruction_learn_fields_accepted(self):
+        TuneSpec(learn_fields=["DispatchWidth", "PortMap"]).validate()
+
+    @pytest.mark.parametrize("spec_class", [TuneSpec, EvaluateSpec, CorpusSpec,
+                                            CampaignSpec])
+    def test_negative_seed_names_the_field(self, spec_class):
+        kwargs = {"directory": "corpus"} if spec_class is CorpusSpec else {}
+        if spec_class is CampaignSpec:
+            kwargs = {"axes": [{"field": "DispatchWidth", "values": [1, 2]}]}
+        with pytest.raises(SpecValidationError, match="seed.*>= 0") as excinfo:
+            spec_class(seed=-1, **kwargs).validate()
+        assert excinfo.value.field == "seed"
+        spec_class(seed=0, **kwargs).validate()
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SpecValidationError, match="resume.*checkpoint_dir"):

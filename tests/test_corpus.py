@@ -352,9 +352,10 @@ class TestFeaturizationCacheContract:
 
         stats = Session.from_spec({"target": "haswell",
                                    "simulator": "mca"}).stats()
-        for key in ("block_hits", "block_misses", "block_evictions",
-                    "table_hits", "table_misses", "table_evictions"):
-            assert key in stats["featurization"]
+        # Parameter inputs are normalized per minibatch, not memoized per
+        # table, so the counters cover the per-block cache only.
+        assert set(stats["featurization"]) == {"block_hits", "block_misses",
+                                               "block_evictions"}
 
 
 class TestCorpusSpecAndSession:

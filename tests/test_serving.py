@@ -245,6 +245,33 @@ class TestInferenceServer:
         assert response.status == 400
         assert "JSON" in payload["error"]
 
+    @staticmethod
+    def _post_predict(handle, body):
+        import http.client
+
+        connection = http.client.HTTPConnection(handle.host, handle.port,
+                                                timeout=10)
+        connection.request("POST", "/predict", body=json.dumps(body),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        connection.close()
+        return response.status, payload
+
+    def test_unknown_top_level_key_is_400_naming_it(self, running_server):
+        _server, handle = running_server
+        status, payload = self._post_predict(
+            handle, {"blocks": [BLOCK_TEXTS[0]], "tabel": {}})
+        assert status == 400
+        assert "'tabel'" in payload["error"]
+
+    def test_trace_id_is_an_accepted_key(self, running_server):
+        _server, handle = running_server
+        status, payload = self._post_predict(
+            handle, {"blocks": [BLOCK_TEXTS[0]], "trace_id": 7})
+        assert status == 200
+        assert len(payload["timings"]) == 1
+
     def test_unknown_path_is_404_and_wrong_method_is_405(self, running_server):
         _server, handle = running_server
         import http.client

@@ -25,8 +25,9 @@ from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.simulated_dataset import collect_simulated_dataset
 from repro.core.surrogate import (FeaturizationCache, SurrogateConfig,
-                                  _SurrogateBase, build_surrogate)
-from repro.core.surrogate import BlockFeaturizer
+                                  _SurrogateBase, batch_parameter_inputs,
+                                  build_surrogate)
+from repro.core.surrogate import BlockFeaturizer, featurization_cache_stats
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
                                            train_surrogate)
 from repro.core.training_loop import run_minibatch_loop
@@ -63,12 +64,12 @@ def _scalar_and_batched(surrogate, adapter, blocks, tables):
     spec = adapter.parameter_spec()
     cache = FeaturizationCache(surrogate.featurizer)
     featurized = [cache.featurize(block) for block in blocks]
-    packed = cache.pack(featurized)
-    per_instruction, global_values = cache.batch_parameters(spec, featurized, tables)
+    packed = cache.pack(cache.resolve(featurized))
+    per_instruction, global_values = batch_parameter_inputs(spec, packed, tables)
     batched = surrogate.forward_batch(packed, per_instruction, global_values)
     scalar = []
     for featurized_block, table in zip(featurized, tables):
-        normalized = cache.normalized_arrays(spec, table)
+        normalized = spec.normalize_for_surrogate_training(table)
         rows = normalized.per_instruction_values[list(featurized_block.opcode_indices)]
         scalar.append(surrogate.forward(featurized_block, rows,
                                         normalized.global_values))
@@ -192,7 +193,7 @@ class TestFeaturizationCache:
     def test_pack_pads_and_masks(self, adapter, blocks):
         cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
         featurized = [cache.featurize(block) for block in blocks[:4]]
-        packed = cache.pack(featurized)
+        packed = cache.pack(cache.resolve(featurized))
         lengths = [len(entry.opcode_indices) for entry in featurized]
         assert packed.batch_size == 4
         assert packed.max_instructions == max(lengths)
@@ -217,25 +218,57 @@ class TestFeaturizationCache:
     def test_block_arrays_cached_per_block(self, adapter, blocks):
         cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
         featurized = cache.featurize(blocks[0])
-        first = cache._arrays_for(featurized)
-        again = cache._arrays_for(cache.featurize(blocks[0]))
+        first = cache.arrays_for(featurized)
+        again = cache.arrays_for(cache.featurize(blocks[0]))
         assert first is again
 
-    def test_normalization_memoized_per_table(self, adapter):
+    def test_resolve_looks_up_each_distinct_block_once(self, adapter, blocks):
+        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
+        featurized = [cache.featurize(block) for block in
+                      (blocks[0], blocks[1], blocks[0], blocks[0])]
+        before = featurization_cache_stats()
+        resolved = cache.resolve(featurized)
+        after = featurization_cache_stats()
+        assert [arrays is resolved[0] for arrays in resolved] == \
+            [True, False, True, True]
+        lookups = sum(after[key] - before[key]
+                      for key in ("block_hits", "block_misses"))
+        assert lookups == 2
+
+    def test_batch_parameters_equal_per_table_normalization(self, adapter, blocks):
+        """Normalizing the gathered batch equals normalizing each whole table
+        (``==``, not a tolerance), and padded slots are zero."""
         spec = adapter.parameter_spec()
         cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        table = spec.sample(np.random.default_rng(0))
-        first = cache.normalized_arrays(spec, table)
-        assert cache.normalized_arrays(spec, table) is first
-        other = spec.sample(np.random.default_rng(1))
-        assert cache.normalized_arrays(spec, other) is not first
+        featurized = [cache.featurize(block) for block in blocks[:5]]
+        rng = np.random.default_rng(0)
+        table = spec.sample(rng)
+        # Examples 0 and 2 share one table object, as collection's
+        # blocks_per_table grouping does.
+        tables = [table, spec.sample(rng), table, spec.sample(rng),
+                  spec.sample(rng)]
+        packed = cache.pack(cache.resolve(featurized))
+        per_instruction, global_values = batch_parameter_inputs(spec, packed,
+                                                                tables)
+        assert per_instruction.shape == (5, packed.max_instructions,
+                                         spec.per_instruction_dim)
+        for row, (entry, table) in enumerate(zip(featurized, tables)):
+            normalized = spec.normalize_for_surrogate_training(table)
+            length = len(entry.opcode_indices)
+            np.testing.assert_array_equal(
+                per_instruction[row, :length],
+                normalized.per_instruction_values[list(entry.opcode_indices)])
+            assert not per_instruction[row, length:].any()
+            np.testing.assert_array_equal(global_values[row],
+                                          normalized.global_values)
 
     def test_batch_parameters_alignment_validated(self, adapter, blocks):
         spec = adapter.parameter_spec()
         cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        featurized = [cache.featurize(block) for block in blocks[:2]]
-        with pytest.raises(ValueError, match="aligned"):
-            cache.batch_parameters(spec, featurized,
+        packed = cache.pack(cache.resolve(
+            [cache.featurize(block) for block in blocks[:2]]))
+        with pytest.raises(ValueError, match="1 tables for a batch of 2.*aligned"):
+            batch_parameter_inputs(spec, packed,
                                    [spec.sample(np.random.default_rng(0))])
 
 
@@ -282,6 +315,53 @@ class TestTrainingPaths:
         config = SurrogateTrainingConfig(epochs=2, batch_size=16, seed=0)
         result = train_surrogate(surrogate, simulated, config)
         assert result.examples_per_second > 0
+
+
+class TestNoDigestInsideTheMinibatchLoop:
+    """Both phases resolve per-block arrays before their minibatch loop."""
+
+    def test_train_surrogate_and_optimize_parameter_table(self, adapter, blocks,
+                                                          simulated, monkeypatch):
+        import repro.core.surrogate as surrogate_module
+        import repro.core.surrogate_training as training
+        import repro.core.table_optimization as optimization
+        from repro.core.table_optimization import (TableOptimizationConfig,
+                                                   optimize_parameter_table)
+
+        loop_depth = []
+        digests = {"total": 0, "in_loop": 0}
+
+        def counted(digest):
+            def wrapper(*args, **kwargs):
+                digests["total"] += 1
+                digests["in_loop"] += bool(loop_depth)
+                return digest(*args, **kwargs)
+            return wrapper
+
+        def tracked(loop):
+            def wrapper(*args, **kwargs):
+                loop_depth.append(loop)
+                try:
+                    return loop(*args, **kwargs)
+                finally:
+                    loop_depth.pop()
+            return wrapper
+
+        for name in ("table_digest", "featurized_block_digest"):
+            monkeypatch.setattr(surrogate_module, name,
+                                counted(getattr(surrogate_module, name)))
+        for module in (training, optimization):
+            monkeypatch.setattr(module, "run_minibatch_loop",
+                                tracked(module.run_minibatch_loop))
+
+        surrogate = _build(adapter, "analytical")
+        train_surrogate(surrogate, simulated,
+                        SurrogateTrainingConfig(epochs=2, batch_size=8, seed=0))
+        optimize_parameter_table(surrogate, blocks,
+                                 np.linspace(1.0, 6.0, len(blocks)),
+                                 TableOptimizationConfig(epochs=2, batch_size=4))
+        assert digests["total"] > 0  # resolving before the loops digested
+        assert digests["in_loop"] == 0
 
 
 class TestProgressCallback:
