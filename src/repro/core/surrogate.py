@@ -241,10 +241,10 @@ def featurized_block_digest(featurized: FeaturizedBlock) -> str:
 def table_digest(arrays: ParameterArrays) -> str:
     """Content digest of a sampled parameter table.
 
-    No training path calls this any more (parameter inputs are normalized
-    per minibatch, not memoized per table), but ``perfbench/spans.py`` wraps
-    it by name to report ``featurize.digest_*``; without it, a traced
-    benchmark run fails with ``AttributeError``.
+    Training never digests tables (:func:`batch_parameter_inputs` normalizes
+    per minibatch), but ``perfbench/spans.py`` wraps this function by name
+    to report ``featurize.digest_*``, and a traced benchmark run fails with
+    ``AttributeError`` without it.
     """
     digest = hashlib.blake2b(digest_size=16)
     per = np.ascontiguousarray(arrays.per_instruction_values)
