@@ -2,8 +2,9 @@
 
 Thin wrapper over the registered ``engine_throughput`` scenario
 (:mod:`repro.bench.scenarios`): scalar loop vs the megabatch kernel and the
-engine's megabatch/cached/parallel paths, bit-identity asserted between all
-of them.  Run it without pytest via::
+engine's megabatch/cached/parallel paths, plus the collection-shape
+``run_pairs`` call against its own scalar loop, bit-identity asserted
+between all of them.  Run it without pytest via::
 
     python -m repro.bench run engine_throughput --tier smoke
 """

@@ -375,6 +375,7 @@ class Session:
         own_dataset = blocks is None
         if own_dataset:
             blocks, timings = self.split("train")
+            self._check_tune_splits(len(blocks), len(self.split("test")[0]))
         if timings is None:
             raise ValueError("timings must accompany explicit blocks")
         start_time = time.time()
@@ -409,6 +410,27 @@ class Session:
                                              test_blocks),
                 test_timings)[0])
         return outcome
+
+    def _check_tune_splits(self, train_size: int, test_size: int) -> None:
+        """Reject, before any simulation, splits ``tune()`` cannot use.
+
+        The train split must hold a block to collect on, and the test split
+        two for Kendall's tau.  The split sizes depend on the measurement
+        screen, so spec validation cannot check them; the error names the
+        field the blocks came from.
+        """
+        if train_size >= 1 and test_size >= 2:
+            return
+        if self._corpus_directory() is not None:
+            field = "corpus_path"
+        elif self._spec_get("dataset_path") is not None:
+            field = "dataset_path"
+        else:
+            field = "num_blocks"
+        raise SpecValidationError(
+            field, f"the measured blocks split into {train_size} train and "
+                   f"{test_size} test blocks; tune() needs at least 1 train "
+                   f"block and 2 test blocks")
 
     def evaluate(self, table: Optional[Any] = None,
                  split: Optional[str] = None) -> Dict[str, Any]:

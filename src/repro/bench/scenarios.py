@@ -368,8 +368,11 @@ def engine_throughput(ctx: ScenarioContext):
     The corpus keeps the short-block regime the megabatch kernels are built
     for (BHive-style lengths, the tail filtered to <= 16 instructions) so the
     headline ``engine_megabatch``/``scalar`` ratio reflects the lockstep
-    kernels rather than a handful of giant blocks.  Every engine path must
-    stay bit-identical to the scalar reference.
+    kernels rather than a handful of giant blocks.  ``engine_collection``
+    times the batch shape dataset collection issues — one ``run_pairs``
+    call over 32 sampled tables with 16 random blocks each — against
+    ``scalar_collection``, the scalar loop over the same pairs.  Every
+    engine path must stay bit-identical to its scalar reference.
     """
     from repro.bhive.generator import BlockGenerator
     from repro.engine import BlockCompiler
@@ -394,6 +397,13 @@ def engine_throughput(ctx: ScenarioContext):
     # the timing kernels, not block compilation (which all paths share).
     warmup_table = adapter.table_from_arrays(spec.sample(rng))
     simulations = len(blocks) * num_tables
+    # One collection round: a table per pair, each on its own block draw.
+    collection_pairs = [
+        (adapter.table_from_arrays(spec.sample(rng)),
+         [blocks[int(index)] for index in rng.integers(0, len(blocks), size=16)])
+        for _ in range(32)]
+    collection_simulations = sum(len(pair_blocks)
+                                 for _, pair_blocks in collection_pairs)
     results: Dict[str, Dict[str, float]] = {}
 
     # Scalar reference: one block per predict_timing call — the pre-megabatch
@@ -429,6 +439,16 @@ def engine_throughput(ctx: ScenarioContext):
         target_engine.clear_results()
         return target_engine.run(tables, blocks)
 
+    def scalar_collection():
+        return np.concatenate([
+            [MCASimulator(table, compiler=shared_compiler).predict_timing(block)
+             for block in pair_blocks]
+            for table, pair_blocks in collection_pairs])
+
+    def engine_collection():
+        engine.clear_results()
+        return np.concatenate(engine.run_pairs(collection_pairs))
+
     paths = [
         ("scalar", scalar_loop, {}),
         ("megabatch_kernel", kernel_loop, {}),
@@ -438,7 +458,15 @@ def engine_throughput(ctx: ScenarioContext):
         ("engine_cached", lambda: engine.run(tables, blocks), {}),
         ("engine_parallel", lambda: run_cleared(parallel_engine),
          {"workers": workers}),
+        ("scalar_collection", scalar_collection, {}),
+        ("engine_collection", engine_collection, {}),
     ]
+    # Each path's scalar reference: results and speed are compared to it.
+    reference = {name: "scalar" for name, _, _ in paths}
+    reference.update(scalar=None, scalar_collection=None,
+                     engine_collection="scalar_collection")
+    path_simulations = {"scalar_collection": collection_simulations,
+                        "engine_collection": collection_simulations}
     # Interleaved best-of-N: the whole path list is timed per round and each
     # path keeps its fastest round.  Shared CI machines drift by 2x between
     # passes, and interleaving keeps that drift from biasing the ratios the
@@ -454,22 +482,25 @@ def engine_throughput(ctx: ScenarioContext):
             if label not in results or elapsed < results[label]["seconds"]:
                 results[label] = {
                     "seconds": elapsed,
-                    "blocks_per_sec": simulations / max(elapsed, 1e-9),
+                    "blocks_per_sec": (path_simulations.get(label, simulations)
+                                       / max(elapsed, 1e-9)),
                     "rounds": rounds, **extra}
 
-    scalar = predictions["scalar"]
-    for label, _, _ in paths[1:]:
-        assert np.array_equal(scalar, predictions[label]), \
-            f"{label} diverged from scalar path"
+    compared = [(name, base) for name, base in reference.items() if base]
+    for label, base in compared:
+        assert np.array_equal(predictions[base], predictions[label]), \
+            f"{label} diverged from {base} path"
 
     return {
         "workload": {"num_blocks": len(blocks), "num_tables": num_tables,
                      "max_block_length": max_length, "simulations": simulations,
+                     "collection_tables": len(collection_pairs),
+                     "collection_simulations": collection_simulations,
                      "seed": ctx.seed, "uarch": "haswell"},
         "paths": results,
         "speedups_vs_scalar": {
-            name: results[name]["blocks_per_sec"] / results["scalar"]["blocks_per_sec"]
-            for name, _, _ in paths[1:]
+            name: results[name]["blocks_per_sec"] / results[base]["blocks_per_sec"]
+            for name, base in compared
         },
         "engine_stats": engine.stats,
     }

@@ -17,12 +17,13 @@ cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.adapters import SimulatorAdapter
 from repro.core.parameters import ParameterArrays
+from repro.engine.megabatch import DEFAULT_MEGABATCH_CHUNK
 from repro.isa.basic_block import BasicBlock
 
 
@@ -70,7 +71,7 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
         A list of :class:`SimulatedExample`.
     """
     examples: List[SimulatedExample] = []
-    for arrays, block_indices, selected, timings in iter_simulated_rounds(
+    for arrays, block_indices, selected, timings, _rng_state in iter_simulated_rounds(
             adapter, blocks, num_examples, rng, blocks_per_table=blocks_per_table,
             table_sampler=table_sampler):
         for block_index, block, timing in zip(block_indices, selected, timings):
@@ -88,23 +89,35 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
                                                            ParameterArrays]] = None,
                           already_collected: int = 0
                           ) -> Iterator[Tuple[ParameterArrays, np.ndarray,
-                                              List[BasicBlock], np.ndarray]]:
+                                              List[BasicBlock], np.ndarray,
+                                              Dict[str, Any]]]:
     """Stream the simulated dataset one sampled table at a time.
 
-    Yields ``(arrays, block_indices, selected_blocks, timings)`` per sampled
-    table, in exactly the order :func:`collect_simulated_dataset` records
-    examples.  The rng draw stream is invariant to the engine's round
-    grouping: each table draw is followed immediately by its block-index
-    draw, and the chunk size depends only on how many examples are planned
-    so far — so a run resumed from ``already_collected`` examples (with the
-    rng restored to its position at that point) continues bit-identically,
-    whatever worker count either run used.
+    Yields ``(arrays, block_indices, selected_blocks, timings, rng_state)``
+    per sampled table, in exactly the order
+    :func:`collect_simulated_dataset` records examples.  ``rng_state`` is
+    the rng's bit-generator state right after that table's draws: the
+    position a checkpoint taken after this table must record, since the
+    live rng is already past the rest of its round.
+
+    Tables are drawn in rounds of a fixed size,
+    ``ceil(DEFAULT_MEGABATCH_CHUNK / blocks_per_table)`` tables (one kernel
+    chunk's worth of lanes), whatever the engine's worker count, and each
+    round's simulations go to the engine in one
+    :meth:`~repro.engine.engine.SimulationEngine.run_pairs` call.  The last
+    round draws only the tables still planned.  Each table draw is followed
+    immediately by its block-index draw and evaluation draws nothing, so
+    the draw stream, the dataset and the rng position after the stage are
+    those of drawing one table at a time — and a run resumed from
+    ``already_collected`` examples (with the rng restored to the state
+    recorded after them) continues bit-identically, whatever worker count
+    either run used.
 
     Args:
         already_collected: Number of examples already produced by a previous
             (checkpointed) run; iteration resumes mid-stream after them.
             Must sit on a table boundary — i.e. be a value some prefix of
-            rounds adds up to — which every multiple of ``blocks_per_table``
+            tables adds up to — which every multiple of ``blocks_per_table``
             (and ``num_examples`` itself) is.
     """
     if num_examples < 1:
@@ -118,12 +131,7 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
         engine = adapter.engine
     except NotImplementedError:
         engine = None
-    # With engine workers configured, tables are drawn in rounds and fanned
-    # out across processes.  All rng draws happen in the drawing phase and
-    # evaluation consumes none, so the sampled sequence — and therefore the
-    # dataset — is identical to the serial path.
-    parallel = engine is not None and engine.num_workers > 1
-    tables_per_round = engine.num_workers * 2 if parallel else 1
+    tables_per_round = -(-DEFAULT_MEGABATCH_CHUNK // blocks_per_table)
 
     collected = already_collected
     while collected < num_examples:
@@ -134,17 +142,21 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
             chunk = min(blocks_per_table, num_examples - planned)
             block_indices = rng.integers(0, len(blocks), size=chunk)
             selected = [blocks[int(index)] for index in block_indices]
-            drawn.append((arrays, block_indices, selected))
+            drawn.append((arrays, block_indices, selected,
+                          rng.bit_generator.state))
             planned += chunk
-        if parallel and len(drawn) > 1:
+        if engine is not None:
             timing_rows = engine.run_pairs(
-                [(adapter.native_table(arrays), selected) for arrays, _, selected in drawn])
+                [(adapter.native_table(arrays), selected)
+                 for arrays, _, selected, _ in drawn])
         else:
             timing_rows = [adapter.predict_timings(arrays, selected)
-                           for arrays, _, selected in drawn]
-        for (arrays, block_indices, selected), timings in zip(drawn, timing_rows):
+                           for arrays, _, selected, _ in drawn]
+        for (arrays, block_indices, selected, rng_state), timings in zip(
+                drawn, timing_rows):
             collected += len(block_indices)
-            yield arrays, block_indices, selected, np.asarray(timings, dtype=np.float64)
+            yield (arrays, block_indices, selected,
+                   np.asarray(timings, dtype=np.float64), rng_state)
 
 
 def random_table_errors(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],

@@ -122,9 +122,9 @@ class CollectionCheckpoint:
     """Partial-collection checkpoint: one ``.npz`` under ``directory``.
 
     The archive holds the dataset collected so far plus a JSON progress
-    record (the target example count and the rng bit-generator state after
-    the collected rows), written atomically in one piece so the two can
-    never disagree.
+    record (the target example count and the rng bit-generator state right
+    after the collected rows' draws), written atomically in one piece so
+    the two can never disagree.
     """
 
     def __init__(self, directory: str) -> None:
@@ -134,11 +134,12 @@ class CollectionCheckpoint:
     def path(self) -> str:
         return os.path.join(self.directory, PARTIAL_NAME)
 
-    def save(self, dataset: StreamingSimulatedDataset, rng: np.random.Generator,
+    def save(self, dataset: StreamingSimulatedDataset, rng_state: Dict[str, Any],
              num_examples: int) -> None:
+        """Persist ``dataset`` with the bit-generator state after its draws."""
         progress = storage.encode_json({
             "num_examples": int(num_examples),
-            "rng_state": storage.encode_rng_state(rng.bit_generator.state),
+            "rng_state": storage.encode_rng_state(rng_state),
         })
         arrays = dataset.to_arrays()
         arrays[PROGRESS_KEY] = np.frombuffer(progress, dtype=np.uint8)
@@ -179,12 +180,14 @@ def collect_simulated_dataset_streaming(
     :func:`repro.core.simulated_dataset.collect_simulated_dataset` — the
     returned dataset's :meth:`~StreamingSimulatedDataset.to_arrays` is
     byte-identical to archiving the in-memory collector's output — but
-    memory stays flat in ``num_examples`` and the engine's parallel
+    memory stays flat in ``num_examples`` and the engine's multi-table
     megabatch path is fed round by round.
 
     With a ``checkpoint``, progress is persisted every ``checkpoint_every``
-    collected examples (and the rng stream position with it); a later call
-    with the same arguments resumes mid-collection bit-identically.
+    collected examples, together with the rng state recorded right after
+    the last saved table's draws (the live rng is already past the rest of
+    its collection round); a later call with the same arguments resumes
+    mid-collection bit-identically.
     """
     dataset = StreamingSimulatedDataset()
     if checkpoint is not None:
@@ -201,7 +204,7 @@ def collect_simulated_dataset_streaming(
                                  "requested example count")
             rng.bit_generator.state = rng_state
     last_saved = len(dataset)
-    for arrays, block_indices, _selected, timings in iter_simulated_rounds(
+    for arrays, block_indices, _selected, timings, rng_state in iter_simulated_rounds(
             adapter, blocks, num_examples, rng,
             blocks_per_table=blocks_per_table, table_sampler=table_sampler,
             already_collected=len(dataset)):
@@ -211,7 +214,7 @@ def collect_simulated_dataset_streaming(
         if (checkpoint is not None and checkpoint_every > 0
                 and len(dataset) - last_saved >= checkpoint_every
                 and len(dataset) < num_examples):
-            checkpoint.save(dataset, rng, num_examples)
+            checkpoint.save(dataset, rng_state, num_examples)
             last_saved = len(dataset)
     return dataset
 

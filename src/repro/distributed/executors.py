@@ -25,7 +25,6 @@ special-cases the transport.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -33,6 +32,7 @@ from urllib.parse import urlparse
 
 from repro.api.registries import EXECUTORS
 from repro.distributed.cells import execute_cell
+from repro.engine.engine import process_context
 
 
 def _error_outcome(task: Dict[str, Any], message: str,
@@ -156,9 +156,7 @@ class ProcessCellExecutor(CellExecutor):
     """One forked OS process per in-flight cell, ``workers`` at a time."""
 
     def __init__(self, workers: int) -> None:
-        start_methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else start_methods[0])
+        self._context = process_context()
         self.capacity = max(1, int(workers))
 
     def submit(self, task: Dict[str, Any]) -> CellHandle:

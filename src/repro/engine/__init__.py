@@ -11,10 +11,11 @@ simulator:
    content digests and LRU caches the layer is built on;
 3. **execute** (:mod:`repro.engine.engine`) — the
    :class:`SimulationEngine` batch API ``run(tables, blocks)`` with an LRU
-   result cache keyed by ``(table_digest, block_id)``, megabatched miss
-   execution through the numpy-vectorized timing kernels
-   (:mod:`repro.engine.megabatch`), and an opt-in ``multiprocessing``
-   executor that chunks megabatches across workers.
+   result cache keyed by ``(table_digest, block_id)``, misses of every
+   table in a call gathered into one multi-table megabatch through the
+   numpy-vectorized timing kernels (:mod:`repro.engine.megabatch`), and an
+   opt-in ``multiprocessing`` executor that chunks the lanes across
+   workers.
 
 :mod:`repro.engine.factories` builds ready-to-use engines for the two
 simulators the paper evaluates (llvm-mca and llvm_sim); it is loaded

@@ -3,21 +3,23 @@
 Every stage of the DiffTune pipeline — simulated-dataset collection, the
 black-box baselines, evaluation — reduces to the same request: *the timings
 of these blocks under these parameter tables*.  :class:`SimulationEngine`
-serves that request through one path:
+serves that request through one path, :meth:`SimulationEngine.run_pairs`:
 
 1. blocks are compiled once (table-independent structure, see
    :mod:`repro.engine.compile`) and reused across every table;
 2. results are cached in an LRU keyed by ``(table_digest, block_id)``, so
    searchers that re-evaluate overlapping table/block pairs (random search,
    annealing, genetic, coordinate descent) never recompute a pair;
-3. cache misses are gathered and executed as *megabatches* — one
-   numpy-vectorized kernel invocation per table over every missing block
-   (see :mod:`repro.engine.megabatch`) — and scattered back through the
-   cache; a simulator without ``predict_timing_batch`` is stepped one block
-   at a time through ``predict_timing`` instead;
-4. with workers configured, megabatches are chunked across a
-   ``multiprocessing`` pool (several tasks per worker rather than one
-   monolithic task per table) with deterministic reassembly.
+3. cache misses of every table in the call are gathered, deduplicated by
+   ``(table_digest, block_id)``, and executed as one multi-table
+   *megabatch* — each lane carries its own table through the
+   numpy-vectorized kernels (see :mod:`repro.engine.megabatch`) — and
+   scattered back through the cache; a simulator without
+   ``predict_timing_batch`` steps each lane through its own table's
+   ``predict_timing`` instead;
+4. with workers configured, the same lane list is chunked across a
+   ``multiprocessing`` pool (several tasks per worker) with deterministic
+   reassembly.
 
 The engine is simulator-agnostic: it is constructed from a
 ``simulator_factory`` (native table -> simulator with ``predict_timing``
@@ -29,7 +31,7 @@ llvm-mca and llvm_sim.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,19 +44,43 @@ from repro.isa.basic_block import BasicBlock
 DEFAULT_CACHE_SIZE = 1 << 17
 
 
-def _simulate_blocks_task(task: Any) -> List[float]:
-    """Worker entry point: simulate ``blocks`` under one table.
+def process_context() -> Any:
+    """The ``multiprocessing`` context every process fan-out uses.
 
-    Module-level so it pickles under every multiprocessing start method.
-    Routes through the simulator's megabatch kernel when it provides one;
-    both paths produce identical bits.
+    ``fork`` where the platform offers it, so workers inherit loaded
+    modules and warm caches instead of re-importing; the platform's first
+    start method otherwise.
     """
-    simulator_factory, table, blocks = task
-    simulator = simulator_factory(table)
-    batch = getattr(simulator, "predict_timing_batch", None)
+    start_methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in start_methods else start_methods[0])
+
+
+def _simulate_lanes(task: Any) -> List[float]:
+    """Simulate ``blocks[i]`` under ``tables[lane_table[i]]``.
+
+    Module-level so it pickles as the pool workers' entry point (workers
+    get no compiled forms and compile themselves); the serial path calls
+    it in-process with the blocks' compiled forms and the engine's shared
+    compiler.  Routes through the simulator's multi-table megabatch kernel
+    when it has one; otherwise each lane steps through ``predict_timing``
+    of its own table's simulator.  Both paths produce identical bits.
+    """
+    simulator_factory, tables, lane_table, blocks, compiled, compiler = task
+    simulators = [simulator_factory(table) for table in tables]
+    if compiler is not None:
+        for simulator in simulators:
+            if hasattr(simulator, "compiler"):
+                simulator.compiler = compiler
+    batch = getattr(simulators[0], "predict_timing_batch", None)
     if batch is not None:
-        return [float(value) for value in batch(blocks)]
-    return [float(simulator.predict_timing(block)) for block in blocks]
+        values = batch(blocks, compiled=compiled, tables=tables,
+                       lane_table=lane_table)
+        # ndarray -> Python floats in one C call rather than a scalar
+        # conversion per element (the cache stores plain floats).
+        return np.asarray(values, dtype=np.float64).tolist()
+    return [float(simulators[index].predict_timing(block))
+            for index, block in zip(lane_table, blocks)]
 
 
 class SimulationEngine:
@@ -67,10 +93,11 @@ class SimulationEngine:
         table_digest: Content digest of a native table; together with the
             block digest it keys the result cache.
         cache_size: Capacity of the timing LRU cache.
-        num_workers: Opt-in process fan-out for :meth:`run`.  ``0`` or ``1``
-            executes serially in-process; ``>= 2`` chunks the missing
-            blocks of every table across a pool.  Results are deterministic
-            and identical to the serial path either way.
+        num_workers: Opt-in process fan-out for calls that span more than
+            one ``(table, blocks)`` pair.  ``0`` or ``1`` executes serially
+            in-process; ``>= 2`` chunks the call's missing lanes across a
+            pool.  Results are deterministic and identical to the serial
+            path either way.
 
     Cache misses run through the simulator's vectorized megabatch kernel
     (``predict_timing_batch``, bit-identical to ``predict_timing`` and
@@ -102,58 +129,12 @@ class SimulationEngine:
             self._compilers[id(opcode_table)] = compiler
         return compiler
 
-    def _build_simulator(self, table: Any, compiler: BlockCompiler) -> Any:
-        simulator = self._factory(table)
-        if hasattr(simulator, "compiler"):
-            simulator.compiler = compiler
-        return simulator
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run_one(self, table: Any, blocks: Sequence[BasicBlock]) -> np.ndarray:
         """Timings of ``blocks`` under one table, shape ``(len(blocks),)``."""
-        digest = self._table_digest(table)
-        compiler = self._compiler_for(table.opcode_table)
-        timings = np.empty(len(blocks), dtype=np.float64)
-        # Misses are gathered (deduplicated by block content) into one
-        # megabatch per table, then scattered back through the cache.
-        missing: Dict[str, List[int]] = {}
-        unique_blocks: List[BasicBlock] = []
-        unique_compiled: List[Any] = []
-        for position, block in enumerate(blocks):
-            compiled_block = compiler.compile(block)
-            block_id = compiled_block.block_id
-            cached = self._results.get((digest, block_id))
-            if cached is None:
-                if block_id not in missing:
-                    unique_blocks.append(block)
-                    unique_compiled.append(compiled_block)
-                missing.setdefault(block_id, []).append(position)
-            else:
-                timings[position] = cached
-        if missing:
-            simulator = self._build_simulator(table, compiler)
-            values = self._predict_missing(simulator, unique_blocks,
-                                           unique_compiled)
-            self._executed += len(values)
-            for (block_id, positions), value in zip(missing.items(), values):
-                for position in positions:
-                    timings[position] = value
-                self._results.put((digest, block_id), value)
-        return timings
-
-    def _predict_missing(self, simulator: Any, blocks: Sequence[BasicBlock],
-                         compiled: Sequence[Any]) -> List[float]:
-        """Simulate uncached blocks, vectorized when the simulator can."""
-        batch = getattr(simulator, "predict_timing_batch", None)
-        if batch is not None:
-            self._megabatch_batches += 1
-            values = batch(blocks, compiled=compiled)
-            # ndarray -> Python floats in one C call rather than a scalar
-            # conversion per element (the cache stores plain floats).
-            return np.asarray(values, dtype=np.float64).tolist()
-        return [float(simulator.predict_timing(block)) for block in blocks]
+        return self.run_pairs([(table, blocks)])[0]
 
     def run(self, tables: Sequence[Any], blocks: Sequence[BasicBlock]) -> np.ndarray:
         """Timings of every block under every table.
@@ -165,80 +146,101 @@ class SimulationEngine:
         blocks = list(blocks)
         if not tables:
             return np.empty((0, len(blocks)), dtype=np.float64)
-        rows = self.run_pairs([(table, blocks) for table in tables])
-        return np.stack(rows)
+        return np.stack(self.run_pairs([(table, blocks) for table in tables]))
 
     def run_pairs(self, pairs: Sequence[Tuple[Any, Sequence[BasicBlock]]]
                   ) -> List[np.ndarray]:
         """Timings for heterogeneous ``(table, blocks)`` pairs.
 
-        The workhorse behind :meth:`run` and the chunked dataset-collection
-        path, where every sampled table is evaluated on its own block draw.
-        Returns one timing array per pair, in input order; uncached pairs
-        fan out across the process pool when workers are configured.
+        The one execution path: :meth:`run_one` and :meth:`run` wrap it,
+        and dataset collection sends it one pair per sampled table.
+        Returns one timing array per pair, in input order.  Cache misses
+        are gathered across all pairs, deduplicated by
+        ``(table_digest, block_id)``, and the misses of tables sharing an
+        opcode table run as one multi-table batch — chunked across the
+        process pool when workers are configured and the call spans more
+        than one pair.
         """
-        results: List[Optional[np.ndarray]] = [None] * len(pairs)
-        if not (self.num_workers > 1 and len(pairs) > 1):
-            for index, (table, blocks) in enumerate(pairs):
-                results[index] = self.run_one(table, blocks)
-            return results
-
-        pending: List[Any] = []  # (pair_index, digest, {id: positions}, blocks, table)
+        results: List[np.ndarray] = []
+        # (digest, block_id) -> (table, block, compiled), first-seen order.
+        missing: Dict[Tuple[str, str], Tuple[Any, BasicBlock, Any]] = {}
+        pending: List[Tuple[int, int, Tuple[str, str]]] = []
         for index, (table, blocks) in enumerate(pairs):
             digest = self._table_digest(table)
             compiler = self._compiler_for(table.opcode_table)
             timings = np.empty(len(blocks), dtype=np.float64)
-            # Deduplicate misses by block content so each unique block is
-            # simulated once per table, as the serial path's cache ensures.
-            missing: Dict[str, List[int]] = {}
-            unique_blocks: List[BasicBlock] = []
+            results.append(timings)
             for position, block in enumerate(blocks):
-                block_id = compiler.compile(block).block_id
-                cached = self._results.get((digest, block_id))
+                compiled = compiler.compile(block)
+                key = (digest, compiled.block_id)
+                cached = self._results.get(key)
                 if cached is None:
-                    if block_id not in missing:
-                        unique_blocks.append(block)
-                    missing.setdefault(block_id, []).append(position)
+                    if key not in missing:
+                        missing[key] = (table, block, compiled)
+                    pending.append((index, position, key))
                 else:
                     timings[position] = cached
-            results[index] = timings
-            if missing:
-                pending.append((index, digest, missing, unique_blocks, table))
-        if not pending:
-            return results
-
-        self._parallel_batches += 1
-        # Fan-out granularity: one monolithic task per table would leave
-        # most workers idle whenever tables are fewer than workers (a single
-        # megabatched table is the common evaluate/sweep shape), so each
-        # table's missing blocks are chunked into a few tasks per worker.
-        # ``pool.map`` preserves task order, so reassembly is deterministic.
-        total_missing = sum(len(entry[3]) for entry in pending)
-        target_tasks = max(self.num_workers * 2, len(pending))
-        chunk = max(1, -(-total_missing // target_tasks))
-        tasks: List[Any] = []
-        segments: List[Any] = []  # (pair_index, digest, missing, ids) per task
-        for index, digest, missing, unique_blocks, table in pending:
-            ids = list(missing.keys())
-            for start in range(0, len(ids), chunk):
-                tasks.append((self._factory, table,
-                              unique_blocks[start:start + chunk]))
-                segments.append((index, digest, missing,
-                                 ids[start:start + chunk]))
-        self._megabatch_batches += len(tasks)
-        start_methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else start_methods[0])
-        processes = min(self.num_workers, len(tasks))
-        with context.Pool(processes=processes) as pool:
-            computed = pool.map(_simulate_blocks_task, tasks)
-        for (index, digest, missing, ids), values in zip(segments, computed):
-            self._executed += len(values)
-            for block_id, value in zip(ids, values):
-                for position in missing[block_id]:
-                    results[index][position] = value
-                self._results.put((digest, block_id), value)
+        if missing:
+            computed = self._execute(missing, pooled=(self.num_workers > 1
+                                                      and len(pairs) > 1))
+            for index, position, key in pending:
+                results[index][position] = computed[key]
         return results
+
+    def _execute(self, missing: Dict[Tuple[str, str], Tuple[Any, BasicBlock, Any]],
+                 pooled: bool) -> Dict[Tuple[str, str], float]:
+        """Simulate the gathered misses and store them in the result cache."""
+        # Compiled opcode indices are per opcode table, so only tables
+        # sharing one can share a batch (in practice every table does).
+        groups: Dict[int, List[Tuple[str, str]]] = {}
+        for key, (table, _block, _compiled) in missing.items():
+            groups.setdefault(id(table.opcode_table), []).append(key)
+        computed: Dict[Tuple[str, str], float] = {}
+        for keys in groups.values():
+            tables: List[Any] = []
+            slots: Dict[str, int] = {}
+            lane_table = np.empty(len(keys), dtype=np.intp)
+            for lane, key in enumerate(keys):
+                slot = slots.get(key[0])
+                if slot is None:
+                    slot = slots[key[0]] = len(tables)
+                    tables.append(missing[key][0])
+                lane_table[lane] = slot
+            blocks = [missing[key][1] for key in keys]
+            if pooled:
+                values = self._execute_pooled(tables, lane_table, blocks)
+            else:
+                self._megabatch_batches += 1
+                values = _simulate_lanes((
+                    self._factory, tables, lane_table, blocks,
+                    [missing[key][2] for key in keys],
+                    self._compiler_for(tables[0].opcode_table)))
+            self._executed += len(values)
+            for key, value in zip(keys, values):
+                computed[key] = value
+                self._results.put(key, value)
+        return computed
+
+    def _execute_pooled(self, tables: List[Any], lane_table: np.ndarray,
+                        blocks: List[BasicBlock]) -> List[float]:
+        """Run one lane list across the pool, a few chunks per worker.
+
+        Each task carries only the tables its chunk uses; ``pool.map``
+        preserves task order, so reassembly is deterministic.
+        """
+        self._parallel_batches += 1
+        size = -(-len(blocks) // (self.num_workers * 2))
+        tasks: List[Any] = []
+        for start in range(0, len(blocks), size):
+            used, local = np.unique(lane_table[start:start + size],
+                                    return_inverse=True)
+            tasks.append((self._factory, [tables[slot] for slot in used],
+                          local, blocks[start:start + size], None, None))
+        self._megabatch_batches += len(tasks)
+        processes = min(self.num_workers, len(tasks))
+        with process_context().Pool(processes=processes) as pool:
+            chunks = pool.map(_simulate_lanes, tasks)
+        return [value for chunk in chunks for value in chunk]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,8 +250,11 @@ class SimulationEngine:
         """Cache and execution counters.
 
         ``executed`` counts simulations actually run; ``result_misses``
-        counts cache lookups that failed, which can exceed ``executed`` when
-        the parallel path deduplicates repeated blocks within one batch.
+        counts cache lookups that failed, which can exceed ``executed``
+        because every call deduplicates repeated ``(table, block)`` pairs
+        before running them.  ``megabatch_batches`` counts the multi-table
+        batches handed to the simulators (one per serial call, one per pool
+        task) and ``parallel_batches`` the calls that fanned out to a pool.
         """
         return {
             "result_hits": self._results.hits,

@@ -21,7 +21,12 @@ in ``tests/test_megabatch.py``).
 :func:`megabatch_timings` is the shared driver: it sorts blocks by their
 total dynamic instruction count so lockstep chunks waste few inactive lanes,
 packs each chunk, runs the kernel, and scatters timings back into input
-order.
+order.  Every lane carries its own parameter table (an index into the
+tables of the call), so one call covers many ``(table, block)`` pairs; a
+single table is the case of one table index.  The schedule helpers both
+kernels share (:func:`lane_runs`, :func:`tile_rows`, :func:`gather_pattern`,
+:func:`port_slots`, :func:`stack_rows`, :func:`used_opcodes`) live here
+too.
 """
 
 from __future__ import annotations
@@ -37,8 +42,13 @@ from repro.engine.compile import CompiledBlock
 #: memory (register scoreboards, reorder-buffer histories are ``O(B * T)``)
 #: and keep each step's working set cache-sized; combined with the sorted
 #: homogeneous chunking in :func:`megabatch_timings`, blocks of similar
-#: dynamic length share a chunk so few lanes idle.
-DEFAULT_MEGABATCH_CHUNK = 1024
+#: dynamic length share a chunk so few lanes idle.  512 rather than 1024:
+#: multi-table calls fill every chunk (a sweep's two-table calls fill
+#: 1024-lane chunks where one table filled about 750), and kernel scratch
+#: grows with lanes x horizon, so on the benchmark's sweep workload 1024
+#: lanes raised peak RSS by about 14% over one-table calls, 512 by about 4%.
+#: Dataset collection sizes its rounds from this constant too.
+DEFAULT_MEGABATCH_CHUNK = 512
 
 #: A chunk never mixes blocks whose total dynamic step counts differ by more
 #: than this factor (plus a small absolute slack for very short blocks).
@@ -178,18 +188,104 @@ def shrink_iteration_counts(lengths: np.ndarray, warmup_iterations: int,
     return warmup, measure
 
 
-#: A megabatch kernel: ``(corpus, warmup, measure) -> (B,) float64 timings``.
-MegabatchKernel = Callable[[PackedCorpus, np.ndarray, np.ndarray], np.ndarray]
+# ----------------------------------------------------------------------
+# Schedule helpers shared by the lockstep kernels
+# ----------------------------------------------------------------------
+def lane_runs(lengths: np.ndarray, warmup: np.ndarray,
+              measure: np.ndarray) -> List[tuple]:
+    """Split lanes (sorted by key) into ``(c0, c1)`` runs of equal keys."""
+    change = np.nonzero((np.diff(lengths) != 0) | (np.diff(warmup) != 0)
+                        | (np.diff(measure) != 0))[0] + 1
+    bounds = [0, *change.tolist(), int(lengths.shape[0])]
+    return list(zip(bounds[:-1], bounds[1:]))
 
-#: A per-block scalar kernel: ``(compiled, warmup, measure) -> timing``.
-ScalarKernel = Callable[[CompiledBlock, int, int], float]
+
+def tile_rows(pattern: np.ndarray, repeats: int) -> np.ndarray:
+    """Repeat ``pattern`` ``repeats`` times along axis 0 (memcpy speed)."""
+    return np.tile(pattern, (repeats,) + (1,) * (pattern.ndim - 1))
 
 
-def megabatch_timings(compiled: Sequence[CompiledBlock], warmup: np.ndarray,
-                      measure: np.ndarray, kernel: MegabatchKernel,
+def used_opcodes(opcode_indices: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct opcodes of ``opcode_indices`` and the matrix over them.
+
+    Returns ``(opcodes, renumbered)``: ``renumbered`` indexes ``opcodes``
+    with the shape of ``opcode_indices``.  Kernels derive their per-opcode
+    tables only at these opcodes, so a call over many tables costs
+    ``T x (opcodes used)`` rather than ``T x (opcode table size)``, and the
+    port slots are sized by the opcodes that actually run.
+    """
+    opcodes, inverse = np.unique(opcode_indices, return_inverse=True)
+    return opcodes, inverse.reshape(opcode_indices.shape)
+
+
+def stack_rows(arrays: Sequence[np.ndarray], opcodes: np.ndarray) -> np.ndarray:
+    """One per-opcode array per table, at ``opcodes``, stacked ``(T, O, ...)``."""
+    return np.stack([np.asarray(array, dtype=np.int64)[opcodes]
+                     for array in arrays])
+
+
+def gather_pattern(stacked: np.ndarray, lane_table: np.ndarray,
+                   opcode_pattern: np.ndarray) -> np.ndarray:
+    """One run's per-lane rows of a table-stacked per-opcode array.
+
+    ``stacked`` is ``(T, O, ...)``: one derived per-opcode array per table.
+    ``opcode_pattern`` is a run's ``(L, nc)`` period of opcode indices and
+    ``lane_table`` its ``(nc,)`` lane -> table indices.  Returns the
+    pattern step-major and lane-minor: ``(L, nc)``, or ``(L, ..., nc)``
+    with the trailing axes moved in front of the lane axis.
+    """
+    gathered = stacked[lane_table[None, :], opcode_pattern]
+    if gathered.ndim > 2:
+        gathered = np.moveaxis(gathered, 1, -1)
+    return gathered
+
+
+def port_slots(port_counts: np.ndarray,
+               dummy_port: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Compress ``(T, O, P)`` per-port counts into per-opcode used-port slots.
+
+    Returns ``(port_id, counts)``, each ``(T, O, U)`` where ``U`` is the
+    largest number of ports any opcode of any table uses (at least 1):
+    slot ``u`` of opcode ``o`` holds the index of its ``u``-th used port
+    and that port's count.  Unused slots point at ``dummy_port`` with a
+    zero count; the kernels turn those into hugely negative values, so
+    padding loses every max and scatters only into the dummy row of the
+    port state.
+    """
+    port_counts = np.asarray(port_counts, dtype=np.int64)
+    used = port_counts > 0
+    max_used = max(int(used.sum(axis=-1).max(initial=0)), 1)
+    # Stable argsort of (not used) floats used ports to the front in
+    # ascending port order, matching the scalar kernels' iteration order
+    # (order does not affect results, but determinism is free).
+    front = np.argsort(~used, axis=-1, kind="stable")[..., :max_used]
+    counts = np.take_along_axis(port_counts, front, axis=-1)
+    used_slots = counts > 0
+    return (np.where(used_slots, front, dummy_port),
+            np.where(used_slots, counts, 0))
+
+
+#: A megabatch kernel:
+#: ``(corpus, lane_table, warmup, measure) -> (B,) float64 timings``.
+MegabatchKernel = Callable[[PackedCorpus, np.ndarray, np.ndarray, np.ndarray],
+                           np.ndarray]
+
+#: A per-block scalar kernel: ``(compiled, table_index, warmup, measure)
+#: -> timing``.
+ScalarKernel = Callable[[CompiledBlock, int, int, int], float]
+
+
+def megabatch_timings(compiled: Sequence[CompiledBlock], lane_table: np.ndarray,
+                      warmup: np.ndarray, measure: np.ndarray,
+                      kernel: MegabatchKernel,
                       chunk_size: int = DEFAULT_MEGABATCH_CHUNK,
                       scalar_kernel: ScalarKernel = None) -> np.ndarray:
     """Run ``kernel`` over ``compiled`` in sorted lockstep chunks.
+
+    Block ``i`` runs under table ``lane_table[i]`` (an index into the
+    tables ``kernel`` and ``scalar_kernel`` close over), so chunks may mix
+    tables freely.
 
     Blocks are ordered by total dynamic instruction count
     (``(warmup + measure) * length``), then split greedily into chunks of at
@@ -202,9 +298,9 @@ def megabatch_timings(compiled: Sequence[CompiledBlock], warmup: np.ndarray,
     kernels are bit-exact per lane), only throughput.
 
     Chunks with fewer than :data:`MIN_LOCKSTEP_BLOCKS` lanes run
-    ``scalar_kernel`` per block instead when one is provided: with so few
-    lanes the vectorized step overhead exceeds the scalar kernels' cost,
-    and the scalar kernels produce the same bits.
+    ``scalar_kernel`` per block, each under its own table, instead when one
+    is provided: with so few lanes the vectorized step overhead exceeds the
+    scalar kernels' cost, and the scalar kernels produce the same bits.
     """
     count = len(compiled)
     timings = np.empty(count, dtype=np.float64)
@@ -212,6 +308,7 @@ def megabatch_timings(compiled: Sequence[CompiledBlock], warmup: np.ndarray,
         return timings
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    lane_table = np.asarray(lane_table, dtype=np.intp)
     lengths = np.fromiter((block.length for block in compiled), dtype=np.int64,
                           count=count)
     total_steps = (np.asarray(warmup, dtype=np.int64)
@@ -230,12 +327,13 @@ def megabatch_timings(compiled: Sequence[CompiledBlock], warmup: np.ndarray,
         if scalar_kernel is not None and limit - start < MIN_LOCKSTEP_BLOCKS:
             for index in selected:
                 timings[index] = scalar_kernel(compiled[index],
+                                               int(lane_table[index]),
                                                int(warmup[index]),
                                                int(measure[index]))
         else:
             corpus = pack_corpus([compiled[index] for index in selected])
-            timings[selected] = kernel(corpus, warmup[selected],
-                                       measure[selected])
+            timings[selected] = kernel(corpus, lane_table[selected],
+                                       warmup[selected], measure[selected])
         start = limit
     return timings
 
@@ -261,8 +359,14 @@ __all__ = [
     "MegabatchKernel",
     "PackedCorpus",
     "ScalarKernel",
+    "gather_pattern",
+    "lane_runs",
     "megabatch_timings",
     "pack_corpus",
+    "port_slots",
     "predict_timings_megabatch",
     "shrink_iteration_counts",
+    "stack_rows",
+    "tile_rows",
+    "used_opcodes",
 ]

@@ -29,7 +29,7 @@ schedule construction are engineered to stay minimal:
   gathered once at pattern size ``(L, ..., nc)`` and then *tiled* down the
   horizon at memcpy speed instead of fancy-gathered element by element;
 * the port dimension is compressed from ``NUM_PORTS`` to the maximum
-  number of ports any opcode actually uses: each instruction carries a
+  number of ports any opcode of any table uses: each instruction carries a
   short list of (scaled port index, busy cycles) slots, padded with a
   dummy port row and hugely negative cycles so padding loses every max and
   scatters only into the dummy row of the port state;
@@ -46,16 +46,26 @@ schedule construction are engineered to stay minimal:
   where a lane's buffer looks full.  Chunks whose lanes cannot fill the
   buffer at all (total micro-ops <= capacity) skip the stage entirely.
 
+Every lane carries its own parameter table: the per-opcode quantities
+derived from the tables are stacked ``(T, O, ...)`` over the opcodes the
+chunk uses, and each run gathers them at pattern size with
+``[lane_table, opcode]`` before tiling, while
+``DispatchWidth`` and ``ReorderBufferSize`` become per-lane ``(B,)``
+arrays.  One call therefore covers many ``(table, block)`` pairs; a single
+table is the case ``T = 1``.
+
 All scratch arrays are preallocated, so steps allocate nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.engine.megabatch import PackedCorpus
+from repro.engine.megabatch import (PackedCorpus, gather_pattern, lane_runs,
+                                    port_slots, stack_rows, tile_rows,
+                                    used_opcodes)
 from repro.llvm_mca.params import (MCAParameterTable, NUM_PORTS,
                                    NUM_READ_ADVANCE_SLOTS)
 from repro.llvm_mca.simulator import TIMING_ITERATIONS
@@ -83,56 +93,22 @@ def _first_unretired(retire_column: np.ndarray, lo: int, hi: int,
     return lo
 
 
-def _port_slot_tables(port_map: np.ndarray) -> tuple:
-    """Compress an ``(O, P)`` port map into per-opcode used-port slots.
-
-    Returns ``(port_id, busy_cycles)``, each ``(O, U)`` where ``U`` is the
-    maximum number of ports any opcode uses (at least 1): slot ``u`` of
-    opcode ``o`` holds the index of its ``u``-th used port and that port's
-    busy cycles.  Unused slots point at the dummy port ``NUM_PORTS`` with
-    hugely negative cycles, so they lose every max and scatter only into
-    the dummy row of the port state.
-    """
-    port_map = np.asarray(port_map, dtype=np.int64)
-    used = port_map > 0
-    max_used = max(int(used.sum(axis=1).max(initial=0)), 1)
-    # Stable argsort of (not used) floats used ports to the front in
-    # ascending port order, matching the scalar kernel's iteration order
-    # (order does not affect results, but determinism is free).
-    front = np.argsort(~used, axis=1, kind="stable")[:, :max_used]
-    cycles = np.take_along_axis(port_map, front, axis=1)
-    port_id = np.where(cycles > 0, front, NUM_PORTS)
-    busy = np.where(cycles > 0, cycles, _NEVER_READY)
-    return port_id, busy
-
-
-def _lane_runs(lengths: np.ndarray, warmup: np.ndarray,
-               measure: np.ndarray) -> List[tuple]:
-    """Split lanes (sorted by key) into ``(c0, c1)`` runs of equal keys."""
-    change = np.nonzero((np.diff(lengths) != 0) | (np.diff(warmup) != 0)
-                        | (np.diff(measure) != 0))[0] + 1
-    bounds = [0, *change.tolist(), int(lengths.shape[0])]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _tile_rows(pattern: np.ndarray, repeats: int) -> np.ndarray:
-    """Repeat ``pattern`` ``repeats`` times along axis 0 (memcpy speed)."""
-    return np.tile(pattern, (repeats,) + (1,) * (pattern.ndim - 1))
-
-
-def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
+def simulate_packed_mca(tables: Sequence[MCAParameterTable],
+                        corpus: PackedCorpus, lane_table: np.ndarray,
                         warmup: np.ndarray, measure: np.ndarray) -> np.ndarray:
-    """Steady-state cycles/iteration of every corpus block under ``table``.
+    """Steady-state cycles/iteration of every corpus block under its table.
 
     Args:
-        table: The parameter table driving the simulation.
+        tables: The parameter tables the lanes draw from.
         corpus: Packed blocks (see :func:`repro.engine.megabatch.pack_corpus`).
+        lane_table: ``(B,)`` index into ``tables`` per block.
         warmup: ``(B,)`` warmup iterations per block (>= 0).
         measure: ``(B,)`` measurement iterations per block (>= 1).
 
     Returns:
         ``(B,)`` float64 timings, bit-identical to running
-        :func:`~repro.llvm_mca.simulator.simulate_bound_mca` per block.
+        :func:`~repro.llvm_mca.simulator.simulate_bound_mca` per block under
+        ``tables[lane_table[b]]``.
     """
     num_blocks = corpus.num_blocks
     if num_blocks == 0:
@@ -141,9 +117,6 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
     measure = np.asarray(measure, dtype=np.int64)
     if np.any(measure < 1):
         raise ValueError("megabatch kernel requires measure >= 1 per block")
-
-    width = np.int64(int(table.dispatch_width))
-    capacity = int(table.reorder_buffer_size)
 
     # Lanes are permuted so equal (length, warmup, measure) keys become
     # adjacent runs: within a run every schedule is periodic with the same
@@ -155,7 +128,8 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
     lengths = np.maximum(corpus.lengths[perm], 1)
     warmup = warmup[perm]
     measure = measure[perm]
-    opcode_rows = corpus.opcode_indices[perm]
+    lane_table = np.asarray(lane_table, dtype=np.intp)[perm]
+    opcodes, opcode_rows = used_opcodes(corpus.opcode_indices[perm])
     source_rows = corpus.source_ids[perm]
     destination_rows = corpus.destination_ids[perm]
 
@@ -163,23 +137,38 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
     warmup_steps = warmup * lengths
     horizon = int(total_steps.max(initial=1))
     rows = np.arange(num_blocks)
-    runs = _lane_runs(lengths, warmup, measure)
+    runs = lane_runs(lengths, warmup, measure)
 
-    # Per-opcode tables, gathered per run at pattern size below.
-    uops_table = np.maximum(table.num_micro_ops, 1)
-    needed_table = np.minimum(uops_table, width)
-    extra_table = np.where(uops_table > width, (uops_table - 1) // width, 0)
-    rob_table = np.minimum(uops_table, capacity)
-    span_table = np.maximum(table.port_map.max(axis=1), 1)
-    latency_table = np.asarray(table.write_latency, dtype=np.int64)
-    port_id_table, port_busy_table = _port_slot_tables(table.port_map)
-    num_slots = port_id_table.shape[1]
-    scaled_port_table = port_id_table.T * num_blocks              # (U, O)
-    port_busy_table = port_busy_table.T                           # (U, O)
+    # The two global parameters, per table and per lane.
+    widths = np.array([int(table.dispatch_width) for table in tables],
+                      dtype=np.int64)
+    capacities = np.array([int(table.reorder_buffer_size) for table in tables],
+                          dtype=np.int64)
+    width = widths[lane_table]
+    capacity = capacities[lane_table]
+
+    # Per-opcode tables stacked (T, O, ...) over the opcodes the corpus
+    # uses, gathered per run at pattern size below.
+    table_width = widths[:, None]
+    uops_table = np.maximum(
+        stack_rows([table.num_micro_ops for table in tables], opcodes), 1)
+    needed_table = np.minimum(uops_table, table_width)
+    extra_table = np.where(uops_table > table_width,
+                           (uops_table - 1) // table_width, 0)
+    rob_table = np.minimum(uops_table, capacities[:, None])
+    port_maps = stack_rows([table.port_map for table in tables], opcodes)
+    span_table = np.maximum(port_maps.max(axis=2), 1)
+    latency_table = stack_rows([table.write_latency for table in tables],
+                               opcodes)
+    port_id_table, port_busy_table = port_slots(port_maps, NUM_PORTS)
+    port_busy_table = np.where(port_busy_table > 0, port_busy_table,
+                               _NEVER_READY)
+    num_slots = port_id_table.shape[2]
+    scaled_port_table = port_id_table * num_blocks                # (T, O, U)
     num_sources = source_rows.shape[2]
     slot_clamp = np.minimum(np.arange(num_sources), NUM_READ_ADVANCE_SLOTS - 1)
-    advance_table = np.ascontiguousarray(
-        table.read_advance_cycles[:, slot_clamp].T)               # (S, O)
+    advance_table = stack_rows([table.read_advance_cycles[:, slot_clamp]
+                                for table in tables], opcodes)    # (T, O, S)
     num_destinations = destination_rows.shape[2]
 
     # Register file: per-lane block of ``R`` real slots plus a sentinel slot
@@ -213,30 +202,32 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
         iterations = int(warmup[c0] + measure[c0])
         run_end = iterations * length
         cols = rows[c0:c1]
-        # One period of the run's schedule: (L, nc) per-opcode gathers.
+        # One period of the run's schedule: (L, nc) per-opcode gathers,
+        # each lane from its own table.
         opcode_pat = np.ascontiguousarray(opcode_rows[c0:c1, :length].T)
-        needed_pat = needed_table[opcode_pat]
-        extra_pat = extra_table[opcode_pat]
-        rob_pat = rob_table[opcode_pat]
-        needed_sched[:run_end, c0:c1] = _tile_rows(needed_pat, iterations)
-        dispatch_thresh[:run_end, c0:c1] = _tile_rows(width - needed_pat,
-                                                      iterations)
-        extra_sched[:run_end, c0:c1] = _tile_rows(extra_pat, iterations)
-        rob_request[:run_end, c0:c1] = _tile_rows(rob_pat, iterations)
-        write_latency[:run_end, c0:c1] = _tile_rows(latency_table[opcode_pat],
-                                                    iterations)
-        resource_span[:run_end, c0:c1] = _tile_rows(span_table[opcode_pat],
-                                                    iterations)
+        lanes_pat = lane_table[c0:c1]
+        needed_pat = gather_pattern(needed_table, lanes_pat, opcode_pat)
+        extra_pat = gather_pattern(extra_table, lanes_pat, opcode_pat)
+        rob_pat = gather_pattern(rob_table, lanes_pat, opcode_pat)
+        needed_sched[:run_end, c0:c1] = tile_rows(needed_pat, iterations)
+        dispatch_thresh[:run_end, c0:c1] = tile_rows(width[c0:c1] - needed_pat,
+                                                     iterations)
+        extra_sched[:run_end, c0:c1] = tile_rows(extra_pat, iterations)
+        rob_request[:run_end, c0:c1] = tile_rows(rob_pat, iterations)
+        write_latency[:run_end, c0:c1] = tile_rows(
+            gather_pattern(latency_table, lanes_pat, opcode_pat), iterations)
+        resource_span[:run_end, c0:c1] = tile_rows(
+            gather_pattern(span_table, lanes_pat, opcode_pat), iterations)
         have_extra = have_extra or bool(extra_pat.any())
         lane_total_uops[c0:c1] = rob_pat.sum(axis=0) * iterations
 
-        advance_pat = advance_table[:, opcode_pat].transpose(1, 0, 2)
-        advance[:run_end, :, c0:c1] = _tile_rows(advance_pat, iterations)
-        port_index_pat = (scaled_port_table[:, opcode_pat].transpose(1, 0, 2)
-                          + cols[None, None, :])
-        port_index[:run_end, :, c0:c1] = _tile_rows(port_index_pat, iterations)
-        port_busy_pat = port_busy_table[:, opcode_pat].transpose(1, 0, 2)
-        port_busy[:run_end, :, c0:c1] = _tile_rows(port_busy_pat, iterations)
+        advance[:run_end, :, c0:c1] = tile_rows(
+            gather_pattern(advance_table, lanes_pat, opcode_pat), iterations)
+        port_index_pat = (gather_pattern(scaled_port_table, lanes_pat,
+                                         opcode_pat) + cols[None, None, :])
+        port_index[:run_end, :, c0:c1] = tile_rows(port_index_pat, iterations)
+        port_busy[:run_end, :, c0:c1] = tile_rows(
+            gather_pattern(port_busy_table, lanes_pat, opcode_pat), iterations)
 
         # Operand ids: -1 padding redirects to the sentinel / sink slots on
         # the pattern, before tiling.
@@ -244,13 +235,13 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
             source_rows[c0:c1, :length] >= 0,
             source_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
             sentinel[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_sources[:run_end, :, c0:c1] = _tile_rows(source_pat, iterations)
+        flat_sources[:run_end, :, c0:c1] = tile_rows(source_pat, iterations)
         destination_pat = np.where(
             destination_rows[c0:c1, :length] >= 0,
             destination_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
             sink[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_destinations[:run_end, :, c0:c1] = _tile_rows(destination_pat,
-                                                           iterations)
+        flat_destinations[:run_end, :, c0:c1] = tile_rows(destination_pat,
+                                                          iterations)
 
         # Pad rows past the run's end: zero micro-ops, dummy ports, sentinel
         # reads, sink writes — the finished lanes' bookkeeping freezes and
@@ -258,7 +249,7 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
         # snapshotted at their last active step.
         if run_end < horizon:
             needed_sched[run_end:, c0:c1] = 0
-            dispatch_thresh[run_end:, c0:c1] = width
+            dispatch_thresh[run_end:, c0:c1] = width[c0:c1]
             extra_sched[run_end:, c0:c1] = 0
             rob_request[run_end:, c0:c1] = 0
             write_latency[run_end:, c0:c1] = 0
@@ -286,14 +277,15 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
     # A lane is apparently full iff
     #   cum[step] - head_cum + request > capacity,
     # rewritten as ``head_cum < rob_thresh[step]`` with a static threshold
-    # (hugely negative past a run's end so finished lanes never re-trigger).
-    # Chunks that cannot fill the buffer at all skip the stage entirely.
+    # (hugely negative past a run's end so finished lanes never re-trigger);
+    # ``capacity`` is each lane's own table's.  Chunks that cannot fill the
+    # buffer at all skip the stage entirely.
     track_rob = bool((lane_total_uops > capacity).any())
     if track_rob:
         rob_cumulative = np.zeros((horizon + 1, num_blocks), dtype=np.int64)
         np.cumsum(rob_request, axis=0, out=rob_cumulative[1:])
         rob_thresh = rob_cumulative[:horizon] + rob_request
-        rob_thresh -= capacity
+        rob_thresh -= capacity[None, :]
         for c0, c1 in runs:
             run_end = int(total_steps[c0])
             if run_end < horizon:
@@ -347,12 +339,13 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
                     head = int(rob_head[lane])
                     cycle = int(dispatch_cycle[lane])
                     request = int(rob_request[step, lane])
+                    lane_capacity = int(capacity[lane])
                     # Drain entries retired by the current cycle, then walk
                     # the clock forward entry by entry until the request
                     # fits — exactly ``ReorderBuffer.earliest_cycle_with_space``.
                     head = _first_unretired(retires, head, step, cycle)
                     while (allocated - int(cumulative[head]) + request
-                           > capacity and head < step):
+                           > lane_capacity and head < step):
                         retire = int(retires[head])
                         if retire > cycle:
                             cycle = retire

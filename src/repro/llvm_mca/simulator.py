@@ -265,7 +265,10 @@ class MCASimulator:
 
     def predict_timing_batch(self, blocks: Sequence[BasicBlock],
                              chunk_size: Optional[int] = None,
-                             compiled: Optional[Sequence] = None) -> np.ndarray:
+                             compiled: Optional[Sequence] = None,
+                             tables: Optional[Sequence[MCAParameterTable]] = None,
+                             lane_table: Optional[Sequence[int]] = None
+                             ) -> np.ndarray:
         """Predict timings for ``blocks`` through the megabatch kernel.
 
         Bit-identical to calling :meth:`predict_timing` per block (see
@@ -273,33 +276,40 @@ class MCASimulator:
         dynamic instruction per vectorized step instead of one per Python
         loop iteration.  Callers that already hold the blocks' compiled
         forms (the engine does) pass them via ``compiled`` to skip the
-        compile-cache lookups.
+        compile-cache lookups.  With ``tables`` and ``lane_table``, block
+        ``i`` runs under ``tables[lane_table[i]]`` instead of this
+        simulator's table, so one call covers many tables; the iteration
+        windows stay this simulator's.
         """
-        from functools import partial
-
         from repro.engine.megabatch import (DEFAULT_MEGABATCH_CHUNK,
                                             megabatch_timings,
                                             shrink_iteration_counts)
-        from repro.llvm_mca.megabatch import simulate_packed_mca
+        from repro.llvm_mca import megabatch
 
         if compiled is None:
             compiled = [self.compiler.compile(block) for block in blocks]
+        if tables is None:
+            tables = [self.parameters]
+            lane_table = np.zeros(len(compiled), dtype=np.intp)
         lengths = np.fromiter((block.length for block in compiled),
                               dtype=np.int64, count=len(compiled))
         warmup, measure = shrink_iteration_counts(
             lengths, self.warmup_iterations, self.measure_iterations,
             self.max_dynamic_instructions)
-        width = int(self.parameters.dispatch_width)
-        capacity = int(self.parameters.reorder_buffer_size)
 
-        def scalar_kernel(block, block_warmup, block_measure):
-            bound = bind_mca_block(self.parameters, block)
-            return simulate_bound_mca(bound, width, capacity, block_warmup,
-                                      block_measure).cycles_per_iteration
+        def kernel(corpus, chunk_tables, chunk_warmup, chunk_measure):
+            return megabatch.simulate_packed_mca(tables, corpus, chunk_tables,
+                                                 chunk_warmup, chunk_measure)
+
+        def scalar_kernel(block, table_index, block_warmup, block_measure):
+            table = tables[table_index]
+            return simulate_bound_mca(
+                bind_mca_block(table, block), int(table.dispatch_width),
+                int(table.reorder_buffer_size), block_warmup,
+                block_measure).cycles_per_iteration
 
         return megabatch_timings(
-            compiled, warmup, measure,
-            partial(simulate_packed_mca, self.parameters),
+            compiled, lane_table, warmup, measure, kernel,
             chunk_size=chunk_size or DEFAULT_MEGABATCH_CHUNK,
             scalar_kernel=scalar_kernel)
 

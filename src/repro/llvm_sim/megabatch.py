@@ -33,6 +33,11 @@ slot, register writes stay confined to the lane's own scoreboard — and
 iteration boundaries are snapshotted at each lane's last active step, before
 garbage can reach them.
 
+Each lane carries its own parameter table, as in the llvm-mca kernel: the
+per-opcode quantities are stacked ``(T, O, ...)`` over the call's tables and
+the opcodes the chunk uses, and gathered per run with
+``[lane_table, opcode]``, so one call covers many ``(table, block)`` pairs.
+
 All arithmetic is int64 cycle math over the same integers the scalar kernel
 produces, so timings are bit-identical (pinned by the property tests in
 ``tests/test_megabatch.py``).
@@ -40,11 +45,13 @@ produces, so timings are bit-identical (pinned by the property tests in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.engine.megabatch import PackedCorpus
+from repro.engine.megabatch import (PackedCorpus, gather_pattern, lane_runs,
+                                    port_slots, stack_rows, tile_rows,
+                                    used_opcodes)
 from repro.llvm_sim.params import LLVMSimParameterTable, NUM_PORTS
 
 #: Ready cycle of the per-lane sentinel register slot; never wins an
@@ -52,49 +59,17 @@ from repro.llvm_sim.params import LLVMSimParameterTable, NUM_PORTS
 _NEVER_READY = np.int64(-(2 ** 40))
 
 
-def _port_slot_tables(port_uops: np.ndarray) -> tuple:
-    """Compress the ``(O, P)`` micro-op counts into per-opcode port slots.
-
-    Returns ``(port_id, count_minus_one)``, each ``(O, U)`` with ``U`` the
-    maximum number of ports any opcode uses (at least 1): slot ``u`` of
-    opcode ``o`` names its ``u``-th used port and carries ``k - 1`` for its
-    ``k`` micro-ops there.  Unused slots point at the dummy port
-    ``NUM_PORTS`` with hugely negative counts, so they lose every max and
-    scatter only into the dummy row of the port state.
-    """
-    port_uops = np.asarray(port_uops, dtype=np.int64)
-    used = port_uops > 0
-    max_used = max(int(used.sum(axis=1).max(initial=0)), 1)
-    front = np.argsort(~used, axis=1, kind="stable")[:, :max_used]
-    counts = np.take_along_axis(port_uops, front, axis=1)
-    port_id = np.where(counts > 0, front, NUM_PORTS)
-    count_minus_one = np.where(counts > 0, counts - 1, _NEVER_READY)
-    return port_id, count_minus_one
-
-
-def _lane_runs(lengths: np.ndarray, warmup: np.ndarray,
-               measure: np.ndarray) -> List[tuple]:
-    """Split lanes (sorted by key) into ``(c0, c1)`` runs of equal keys."""
-    change = np.nonzero((np.diff(lengths) != 0) | (np.diff(warmup) != 0)
-                        | (np.diff(measure) != 0))[0] + 1
-    bounds = [0, *change.tolist(), int(lengths.shape[0])]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _tile_rows(pattern: np.ndarray, repeats: int) -> np.ndarray:
-    """Repeat ``pattern`` ``repeats`` times along axis 0 (memcpy speed)."""
-    return np.tile(pattern, (repeats,) + (1,) * (pattern.ndim - 1))
-
-
-def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
+def simulate_packed_llvm_sim(tables: Sequence[LLVMSimParameterTable],
+                             corpus: PackedCorpus, lane_table: np.ndarray,
                              uops_per_cycle: int, decode_latency: int,
                              warmup: np.ndarray, measure: np.ndarray
                              ) -> np.ndarray:
-    """Steady-state cycles/iteration of every corpus block under ``table``.
+    """Steady-state cycles/iteration of every corpus block under its table.
 
     Args:
-        table: The llvm_sim parameter table.
+        tables: The llvm_sim parameter tables the lanes draw from.
         corpus: Packed blocks (see :func:`repro.engine.megabatch.pack_corpus`).
+        lane_table: ``(B,)`` index into ``tables`` per block.
         uops_per_cycle: Frontend delivery throughput.
         decode_latency: Fixed frontend pipeline depth in cycles.
         warmup: ``(B,)`` warmup iterations per block (>= 0).
@@ -102,7 +77,8 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
 
     Returns:
         ``(B,)`` float64 timings, bit-identical to running
-        :func:`~repro.llvm_sim.simulator.simulate_bound_llvm_sim` per block.
+        :func:`~repro.llvm_sim.simulator.simulate_bound_llvm_sim` per block
+        under ``tables[lane_table[b]]``.
     """
     num_blocks = corpus.num_blocks
     if num_blocks == 0:
@@ -122,7 +98,8 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
     lengths = np.maximum(corpus.lengths[perm], 1)
     warmup = warmup[perm]
     measure = measure[perm]
-    opcode_rows = corpus.opcode_indices[perm]
+    lane_table = np.asarray(lane_table, dtype=np.intp)[perm]
+    opcodes, opcode_rows = used_opcodes(corpus.opcode_indices[perm])
     source_rows = corpus.source_ids[perm]
     destination_rows = corpus.destination_ids[perm]
 
@@ -130,20 +107,24 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
     warmup_steps = warmup * lengths
     horizon = int(total_steps.max(initial=1))
     rows = np.arange(num_blocks)
-    runs = _lane_runs(lengths, warmup, measure)
+    runs = lane_runs(lengths, warmup, measure)
 
-    # Per-opcode tables, gathered per run at pattern size below.  A zero
-    # PortMap row still decodes one bookkeeping micro-op.
-    port_counts = np.asarray(table.port_uops, dtype=np.int64)
-    decoded_table = np.maximum(port_counts.sum(axis=1), 1)
-    latency_table = np.asarray(table.write_latency, dtype=np.int64)
+    # Per-opcode tables stacked (T, O, ...) over the opcodes the corpus
+    # uses, gathered per run at pattern size below.  A zero PortMap row
+    # still decodes one bookkeeping micro-op.
+    port_counts = stack_rows([table.port_uops for table in tables], opcodes)
+    decoded_table = np.maximum(port_counts.sum(axis=2), 1)
+    latency_table = stack_rows([table.write_latency for table in tables],
+                               opcodes)
     # Retire lower-bounds completion by last_start + 1, so fold the clamp
     # into the latency: completion = last_start + max(latency, 1).
     retire_table = np.maximum(latency_table, 1)
-    port_id_table, count_table = _port_slot_tables(table.port_uops)
-    num_slots = port_id_table.shape[1]
-    scaled_port_table = port_id_table.T * num_blocks              # (U, O)
-    count_table = count_table.T                                   # (U, O)
+    # Slot ``u`` carries ``k - 1`` for the opcode's ``k`` micro-ops on its
+    # ``u``-th used port.
+    port_id_table, count_table = port_slots(port_counts, NUM_PORTS)
+    count_table = np.where(count_table > 0, count_table - 1, _NEVER_READY)
+    num_slots = port_id_table.shape[2]
+    scaled_port_table = port_id_table * num_blocks                # (T, O, U)
     num_sources = source_rows.shape[2]
     num_destinations = destination_rows.shape[2]
 
@@ -174,19 +155,20 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
         run_end = iterations * length
         cols = rows[c0:c1]
         opcode_pat = np.ascontiguousarray(opcode_rows[c0:c1, :length].T)
-        decoded_pat = decoded_table[opcode_pat]
-        decoded_uops[:run_end, c0:c1] = _tile_rows(decoded_pat, iterations)
-        uops_minus_one[:run_end, c0:c1] = _tile_rows(decoded_pat - 1,
-                                                     iterations)
-        write_latency[:run_end, c0:c1] = _tile_rows(latency_table[opcode_pat],
+        lanes_pat = lane_table[c0:c1]
+        decoded_pat = gather_pattern(decoded_table, lanes_pat, opcode_pat)
+        decoded_uops[:run_end, c0:c1] = tile_rows(decoded_pat, iterations)
+        uops_minus_one[:run_end, c0:c1] = tile_rows(decoded_pat - 1,
                                                     iterations)
-        retire_latency[:run_end, c0:c1] = _tile_rows(retire_table[opcode_pat],
-                                                     iterations)
-        port_index_pat = (scaled_port_table[:, opcode_pat].transpose(1, 0, 2)
-                          + cols[None, None, :])
-        port_index[:run_end, :, c0:c1] = _tile_rows(port_index_pat, iterations)
-        count_pat = count_table[:, opcode_pat].transpose(1, 0, 2)
-        count_minus_one[:run_end, :, c0:c1] = _tile_rows(count_pat, iterations)
+        write_latency[:run_end, c0:c1] = tile_rows(
+            gather_pattern(latency_table, lanes_pat, opcode_pat), iterations)
+        retire_latency[:run_end, c0:c1] = tile_rows(
+            gather_pattern(retire_table, lanes_pat, opcode_pat), iterations)
+        port_index_pat = (gather_pattern(scaled_port_table, lanes_pat,
+                                         opcode_pat) + cols[None, None, :])
+        port_index[:run_end, :, c0:c1] = tile_rows(port_index_pat, iterations)
+        count_minus_one[:run_end, :, c0:c1] = tile_rows(
+            gather_pattern(count_table, lanes_pat, opcode_pat), iterations)
 
         # Operand ids: -1 padding redirects to the sentinel / sink slots on
         # the pattern, before tiling.
@@ -194,13 +176,13 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
             source_rows[c0:c1, :length] >= 0,
             source_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
             sentinel[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_sources[:run_end, :, c0:c1] = _tile_rows(source_pat, iterations)
+        flat_sources[:run_end, :, c0:c1] = tile_rows(source_pat, iterations)
         destination_pat = np.where(
             destination_rows[c0:c1, :length] >= 0,
             destination_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
             sink[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_destinations[:run_end, :, c0:c1] = _tile_rows(destination_pat,
-                                                           iterations)
+        flat_destinations[:run_end, :, c0:c1] = tile_rows(destination_pat,
+                                                          iterations)
 
         # Pad rows past the run's end: zero micro-ops, dummy ports, sentinel
         # reads, sink writes — finished lanes' bookkeeping freezes and their

@@ -141,7 +141,10 @@ class LLVMSimSimulator:
 
     def predict_timing_batch(self, blocks: Sequence[BasicBlock],
                              chunk_size: Optional[int] = None,
-                             compiled: Optional[Sequence] = None) -> np.ndarray:
+                             compiled: Optional[Sequence] = None,
+                             tables: Optional[Sequence[LLVMSimParameterTable]] = None,
+                             lane_table: Optional[Sequence[int]] = None
+                             ) -> np.ndarray:
         """Predict timings for ``blocks`` through the megabatch kernel.
 
         Bit-identical to calling :meth:`predict_timing` per block (see
@@ -149,38 +152,46 @@ class LLVMSimSimulator:
         (``measure_iterations < 1``) fall back to the scalar path, whose
         averaging semantics the megabatch kernel does not model.  Callers
         that already hold the blocks' compiled forms (the engine does) pass
-        them via ``compiled`` to skip the compile-cache lookups.
+        them via ``compiled`` to skip the compile-cache lookups.  With
+        ``tables`` and ``lane_table``, block ``i`` runs under
+        ``tables[lane_table[i]]`` instead of this simulator's table; the
+        frontend and iteration windows stay this simulator's.
         """
         from repro.engine.megabatch import (DEFAULT_MEGABATCH_CHUNK,
                                             megabatch_timings,
                                             shrink_iteration_counts)
-        from repro.llvm_sim.megabatch import simulate_packed_llvm_sim
+        from repro.llvm_sim import megabatch
 
-        blocks = list(blocks)
-        if self.measure_iterations < 1 or self.warmup_iterations < 0:
-            return np.array([self.predict_timing(block) for block in blocks],
-                            dtype=np.float64)
-        frontend = Frontend(uops_per_cycle=self.frontend_uops_per_cycle)
         if compiled is None:
             compiled = [self.compiler.compile(block) for block in blocks]
+        if tables is None:
+            tables = [self.parameters]
+            lane_table = np.zeros(len(compiled), dtype=np.intp)
+
+        def scalar_kernel(block, table_index, block_warmup, block_measure):
+            bound = bind_llvm_sim_block(tables[table_index], block)
+            return simulate_bound_llvm_sim(
+                bound, self.frontend_uops_per_cycle, block_warmup,
+                block_measure).cycles_per_iteration
+
+        if self.measure_iterations < 1 or self.warmup_iterations < 0:
+            return np.array([scalar_kernel(block, index,
+                                           *self._iteration_counts(block.length))
+                             for block, index in zip(compiled, lane_table)],
+                            dtype=np.float64)
+        frontend = Frontend(uops_per_cycle=self.frontend_uops_per_cycle)
         lengths = np.fromiter((block.length for block in compiled),
                               dtype=np.int64, count=len(compiled))
         warmup, measure = shrink_iteration_counts(
             lengths, self.warmup_iterations, self.measure_iterations,
             self.max_dynamic_instructions)
 
-        def kernel(corpus, chunk_warmup, chunk_measure):
-            return simulate_packed_llvm_sim(
-                self.parameters, corpus, frontend.uops_per_cycle,
+        def kernel(corpus, chunk_tables, chunk_warmup, chunk_measure):
+            return megabatch.simulate_packed_llvm_sim(
+                tables, corpus, chunk_tables, frontend.uops_per_cycle,
                 frontend.decode_latency, chunk_warmup, chunk_measure)
 
-        def scalar_kernel(block, block_warmup, block_measure):
-            bound = bind_llvm_sim_block(self.parameters, block)
-            return simulate_bound_llvm_sim(
-                bound, self.frontend_uops_per_cycle, block_warmup,
-                block_measure).cycles_per_iteration
-
-        return megabatch_timings(compiled, warmup, measure, kernel,
+        return megabatch_timings(compiled, lane_table, warmup, measure, kernel,
                                  chunk_size=chunk_size or DEFAULT_MEGABATCH_CHUNK,
                                  scalar_kernel=scalar_kernel)
 

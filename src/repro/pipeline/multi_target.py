@@ -4,9 +4,10 @@
 :meth:`Session.tune() <repro.api.session.Session.tune>` per target, each from
 its own :class:`~repro.api.specs.TuneSpec`.  Targets are independent —
 separate datasets, adapters, checkpoints — so they fan out across a process
-pool: a module-level, picklable task function, a ``fork``-preferring
-multiprocessing context, and deterministic per-target results regardless of
-scheduling.  ``workers <= 1`` runs the targets sequentially in-process.
+pool: a module-level, picklable task function, the ``fork``-preferring
+context of :func:`~repro.engine.engine.process_context`, and deterministic
+per-target results regardless of scheduling.  ``workers <= 1`` runs the
+targets sequentially in-process.
 
 Give every spec its own ``checkpoint_dir`` (``repro tune`` uses
 ``<checkpoint_root>/<target>/``) and a killed multi-target run resumes per
@@ -19,11 +20,12 @@ the interrupted one picks up at its first incomplete stage.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+
+from repro.engine.engine import process_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.specs import TuneSpec
@@ -110,12 +112,9 @@ def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0,
                           f"{spec.target!r} both name {key!r}")
         seen[key] = spec.target
     if workers > 1 and len(specs) > 1:
-        start_methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else start_methods[0])
         processes = min(workers, len(specs))
         log(f"tuning {len(specs)} targets across {processes} worker processes")
-        with context.Pool(processes=processes) as pool:
+        with process_context().Pool(processes=processes) as pool:
             outcomes = pool.map(tune_target, list(specs))
     else:
         outcomes = []

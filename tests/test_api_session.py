@@ -102,6 +102,36 @@ class TestTuneBitIdentical:
         assert outcome.test_error is None
 
 
+class TestTuneSplitSizes:
+    """Too few blocks fail up front, naming the field they came from."""
+
+    @pytest.mark.parametrize("num_blocks", [1, 2, 5])
+    def test_too_few_blocks_fail_before_any_simulation(self, num_blocks):
+        session = Session.from_spec(TuneSpec(target="haswell", preset="test",
+                                             num_blocks=num_blocks, seed=0))
+        with pytest.raises(SpecValidationError, match="test blocks") as raised:
+            session.tune()
+        assert raised.value.field == "num_blocks"
+        assert session.adapter.engine.stats["executed"] == 0
+
+    def test_dataset_path_is_named(self, tmp_path):
+        from repro.bhive import build_dataset
+
+        path = str(tmp_path / "tiny.json")
+        build_dataset("haswell", num_blocks=2, seed=0).save_json(path)
+        session = Session.from_spec(TuneSpec(dataset_path=path, preset="test"))
+        with pytest.raises(SpecValidationError) as raised:
+            session.tune()
+        assert raised.value.field == "dataset_path"
+        assert session.adapter.engine.stats["executed"] == 0
+
+    def test_smallest_viable_dataset_completes(self):
+        outcome = Session.from_spec(TuneSpec(target="haswell", preset="test",
+                                             num_blocks=6, seed=0)).tune()
+        assert outcome.completed
+        assert outcome.test_error is not None
+
+
 class TestTuneCheckpointing:
     def test_stop_after_and_resume(self, tmp_path):
         checkpoint_dir = os.path.join(tmp_path, "ckpt")

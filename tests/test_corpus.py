@@ -237,7 +237,7 @@ class TestStreamingCollection:
         checkpoint = CollectionCheckpoint(str(tmp_path / "checkpoint"))
         dataset = collect_simulated_dataset_streaming(
             adapter, corpus, 32, np.random.default_rng(7), blocks_per_table=8)
-        checkpoint.save(dataset, np.random.default_rng(7), 64)
+        checkpoint.save(dataset, np.random.default_rng(7).bit_generator.state, 64)
         with pytest.raises(ValueError, match="targets 64"):
             collect_simulated_dataset_streaming(
                 adapter, corpus, 32, np.random.default_rng(7),

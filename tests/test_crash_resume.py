@@ -165,8 +165,13 @@ def test_corpus_build_and_featurization_store(tmp_path):
     sweep(run, _equal, tmp_path)
 
 
-def test_streaming_collection(corpus, tmp_path):
-    adapter = MCAAdapter(HASWELL, narrow_sampling=True)
+@pytest.mark.parametrize("engine_workers", [0, 2])
+def test_streaming_collection(corpus, tmp_path, engine_workers):
+    # A collection round draws many tables before any is checkpointed, so
+    # the checkpoint must record the rng as it stood after the saved
+    # table's draws, whatever the worker count.
+    adapter = MCAAdapter(HASWELL, narrow_sampling=True,
+                         engine_workers=engine_workers)
 
     def run(directory, resume):
         return collect_simulated_dataset_streaming(

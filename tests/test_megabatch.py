@@ -9,23 +9,33 @@ corpora for both simulators and assert exact equality, plus the edge cases
 the kernels special-case: ragged batches, duplicate and empty batches,
 single-instruction blocks, shrunken iteration windows, tiny reorder buffers
 (the in-kernel ROB slow path), skinny chunks (scalar fallback), and
-cache-hit/miss interleavings through the engine.
+cache-hit/miss interleavings through the engine.  Multi-table calls, where
+every lane carries its own table, are pinned per ``(table, block)`` pair
+against the scalar ``simulate_bound_*`` kernels.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.llvm_mca.megabatch
+import repro.llvm_sim.megabatch
 from repro.bhive.generator import BlockGenerator
 from repro.core.adapters import LLVMSimAdapter, MCAAdapter
-from repro.engine import (MIN_LOCKSTEP_BLOCKS, BlockCompiler, llvm_sim_engine,
-                          mca_engine, pack_corpus, shrink_iteration_counts)
+from repro.engine import (MIN_LOCKSTEP_BLOCKS, BlockCompiler, SimulationEngine,
+                          bind_llvm_sim_block, bind_mca_block, llvm_sim_engine,
+                          llvm_sim_table_digest, mca_engine, mca_table_digest,
+                          pack_corpus, shrink_iteration_counts)
 from repro.isa.basic_block import BasicBlock
 from repro.llvm_mca.megabatch import simulate_packed_mca
-from repro.llvm_mca.simulator import MCASimulator
+from repro.llvm_mca.params import NUM_PORTS as MCA_PORTS
+from repro.llvm_mca.simulator import MCASimulator, simulate_bound_mca
 from repro.llvm_sim.megabatch import simulate_packed_llvm_sim
-from repro.llvm_sim.simulator import LLVMSimSimulator
+from repro.llvm_sim.params import NUM_PORTS as SIM_PORTS
+from repro.llvm_sim.simulator import LLVMSimSimulator, simulate_bound_llvm_sim
 from repro.targets import HASWELL
 
 
@@ -188,9 +198,11 @@ def test_packed_kernels_accept_arbitrary_lane_order(mca_adapter, sim_adapter,
     warmup, measure = shrink_iteration_counts(lengths, 4, 8, 2048)
     corpus = pack_corpus(compiled)
 
+    single_table = np.zeros(len(shuffled), dtype=np.intp)
     mca_ref = _scalar_timings(MCASimulator(mca_table), shuffled)
     assert np.array_equal(
-        simulate_packed_mca(mca_table, corpus, warmup, measure), mca_ref)
+        simulate_packed_mca([mca_table], corpus, single_table, warmup, measure),
+        mca_ref)
 
     sim_table = sim_adapter.default_table()
     sim_compiler = BlockCompiler(sim_table.opcode_table)
@@ -198,7 +210,8 @@ def test_packed_kernels_accept_arbitrary_lane_order(mca_adapter, sim_adapter,
     sim_corpus = pack_corpus(sim_compiled)
     sim_ref = _scalar_timings(LLVMSimSimulator(sim_table), shuffled)
     assert np.array_equal(
-        simulate_packed_llvm_sim(sim_table, sim_corpus, 4, 3, warmup, measure),
+        simulate_packed_llvm_sim([sim_table], sim_corpus, single_table, 4, 3,
+                                 warmup, measure),
         sim_ref)
 
 
@@ -230,7 +243,8 @@ def test_engine_megabatch_matches_scalar_engine(factory, adapter_fixture,
         _scalar_timings(SCALAR_SIMULATORS[factory](table), corpus_blocks)
         for table in tables])
     assert np.array_equal(fast, scalar)
-    assert engine.stats["megabatch_batches"] == len(tables)
+    # Every table's misses run in one multi-table batch.
+    assert engine.stats["megabatch_batches"] == 1
 
 
 def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
@@ -259,3 +273,220 @@ def test_engine_parallel_chunked_fanout_deterministic(mca_adapter,
     again = mca_engine(num_workers=2).run(tables, corpus_blocks)
     assert np.array_equal(again, serial)
     assert parallel_engine.stats["parallel_batches"] == 1
+
+
+# ----------------------------------------------------------------------
+# Multi-table calls: every lane under its own table
+# ----------------------------------------------------------------------
+def _port_rows(rng, num_opcodes, num_ports, max_used):
+    """Per-opcode port counts (1-3) on at most ``max_used`` ports each."""
+    rows = np.zeros((num_opcodes, num_ports), dtype=np.int64)
+    for row in rows:
+        used = rng.choice(num_ports, size=rng.integers(0, max_used + 1),
+                          replace=False)
+        row[used] = rng.integers(1, 4, size=len(used))
+    return rows
+
+
+def _mca_table(base, seed, dispatch_width, reorder_buffer_size, max_ports):
+    """``base`` with every field the mca kernel reads redrawn.
+
+    Micro-op counts reach past narrow dispatch widths (the extra dispatch
+    cycle path), small buffers make the drain loop run, and ``max_ports``
+    sets how many port slots the table's widest opcode uses.
+    """
+    rng = np.random.default_rng(seed)
+    table = base.copy()
+    num_opcodes = table.num_micro_ops.shape[0]
+    table.dispatch_width = dispatch_width
+    table.reorder_buffer_size = reorder_buffer_size
+    table.num_micro_ops = rng.integers(1, 7, size=num_opcodes)
+    table.write_latency = rng.integers(0, 9, size=num_opcodes)
+    table.read_advance_cycles = rng.integers(
+        0, 4, size=table.read_advance_cycles.shape)
+    table.port_map = _port_rows(rng, num_opcodes, MCA_PORTS, max_ports)
+    return table
+
+
+def _sim_table(base, seed, max_ports):
+    """``base`` with WriteLatency and the port micro-op counts redrawn."""
+    rng = np.random.default_rng(seed)
+    table = base.copy()
+    num_opcodes = table.write_latency.shape[0]
+    table.write_latency = rng.integers(0, 9, size=num_opcodes)
+    table.port_uops = _port_rows(rng, num_opcodes, SIM_PORTS, max_ports)
+    return table
+
+
+def mca_tables(base):
+    return st.builds(functools.partial(_mca_table, base),
+                     seed=st.integers(0, 2 ** 32 - 1),
+                     dispatch_width=st.sampled_from([1, 2, 3, 4, 8]),
+                     reorder_buffer_size=st.integers(1, 40),
+                     max_ports=st.integers(1, MCA_PORTS))
+
+
+def sim_tables(base):
+    return st.builds(functools.partial(_sim_table, base),
+                     seed=st.integers(0, 2 ** 32 - 1),
+                     max_ports=st.integers(1, SIM_PORTS))
+
+
+def _mca_scalar(table, block):
+    """One pair through the scalar kernel, with the engine's windows."""
+    simulator = MCASimulator(table)
+    warmup, measure = simulator._iteration_counts(len(block))
+    bound = bind_mca_block(table, simulator.compiler.compile(block))
+    return simulate_bound_mca(bound, int(table.dispatch_width),
+                              int(table.reorder_buffer_size), warmup,
+                              measure).cycles_per_iteration
+
+
+def _sim_scalar(table, block):
+    simulator = LLVMSimSimulator(table)
+    warmup, measure = simulator._iteration_counts(len(block))
+    bound = bind_llvm_sim_block(table, simulator.compiler.compile(block))
+    return simulate_bound_llvm_sim(bound, simulator.frontend_uops_per_cycle,
+                                   warmup, measure).cycles_per_iteration
+
+
+def _expected(pairs, scalar):
+    return [[scalar(table, block) for block in blocks] for table, blocks in pairs]
+
+
+def _run_pairs_matches_scalar(engine, digest, tables, blocks, picks, scalar):
+    """One ``run_pairs`` call with warm hits, repeats and every table."""
+    # Warm some pairs so cache hits interleave with misses in the call.
+    warm = blocks[::5]
+    engine.run_one(tables[0], warm)
+    pairs = [(table, [blocks[index] for index in pick])
+             for table, pick in zip(tables, picks)]
+    # The same (table, block) pairs again, later in the same call.
+    pairs.append((tables[-1], pairs[-1][1][:3]))
+    executed = engine.stats["executed"]
+    results = engine.run_pairs(pairs)
+    assert [row.tolist() for row in results] == _expected(pairs, scalar)
+    # Every distinct missing pair ran exactly once, in one batch.
+    misses = ({(digest(table), block.structural_key())
+               for table, pair_blocks in pairs for block in pair_blocks}
+              - {(digest(tables[0]), block.structural_key()) for block in warm})
+    assert engine.stats["executed"] - executed == len(misses)
+    assert engine.stats["megabatch_batches"] == 1 + bool(misses)
+
+
+def _picks(count, num_blocks):
+    return st.lists(st.lists(st.integers(0, num_blocks - 1), min_size=1,
+                             max_size=num_blocks),
+                    min_size=count, max_size=count)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_mca_run_pairs_multi_table_matches_scalar(mca_adapter, corpus_blocks,
+                                                  data):
+    tables = data.draw(st.lists(mca_tables(mca_adapter.default_table()),
+                                min_size=2, max_size=4))
+    picks = data.draw(_picks(len(tables), len(corpus_blocks)))
+    _run_pairs_matches_scalar(mca_engine(), mca_table_digest, tables,
+                              corpus_blocks, picks, _mca_scalar)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_llvm_sim_run_pairs_multi_table_matches_scalar(sim_adapter,
+                                                       corpus_blocks, data):
+    tables = data.draw(st.lists(sim_tables(sim_adapter.default_table()),
+                                min_size=2, max_size=4))
+    picks = data.draw(_picks(len(tables), len(corpus_blocks)))
+    _run_pairs_matches_scalar(llvm_sim_engine(), llvm_sim_table_digest, tables,
+                              corpus_blocks, picks, _sim_scalar)
+
+
+def _fixed_tables(mca_adapter, sim_adapter):
+    mca = [_mca_table(mca_adapter.default_table(), seed, width, rob, ports)
+           for seed, width, rob, ports in ((1, 1, 3, 1), (2, 2, 40, 4),
+                                           (3, 8, 12, MCA_PORTS))]
+    sim = [_sim_table(sim_adapter.default_table(), seed, ports)
+           for seed, ports in ((4, 1), (5, 3), (6, SIM_PORTS))]
+    return {"mca": (mca, MCASimulator, _mca_scalar, mca_engine),
+            "llvm_sim": (sim, LLVMSimSimulator, _sim_scalar, llvm_sim_engine)}
+
+
+#: Each simulator's lockstep kernel, as its batch path looks it up.
+KERNELS = {"mca": (repro.llvm_mca.megabatch, "simulate_packed_mca"),
+           "llvm_sim": (repro.llvm_sim.megabatch, "simulate_packed_llvm_sim")}
+
+
+@pytest.mark.parametrize("name", ["mca", "llvm_sim"])
+def test_multi_table_chunks_mix_tables(mca_adapter, sim_adapter, corpus_blocks,
+                                       name, monkeypatch):
+    tables, simulator_class, scalar, _ = _fixed_tables(mca_adapter,
+                                                       sim_adapter)[name]
+    # Every block under every table, interleaved lane by lane.
+    lane_blocks = [block for block in corpus_blocks for _ in tables]
+    lane_table = np.tile(np.arange(len(tables)), len(corpus_blocks))
+    expected = [scalar(tables[index], block)
+                for block, index in zip(lane_blocks, lane_table)]
+    tables_per_call = []
+    module, attribute = KERNELS[name]
+    kernel = getattr(module, attribute)
+
+    def recording(call_tables, corpus, chunk_tables, *rest):
+        tables_per_call.append(len(np.unique(chunk_tables)))
+        return kernel(call_tables, corpus, chunk_tables, *rest)
+
+    monkeypatch.setattr(module, attribute, recording)
+    simulator = simulator_class(tables[0])
+    # 3 and 7 lanes per chunk run the scalar fallback; the rest lockstep.
+    for chunk_size in (3, 7, 16, len(lane_blocks)):
+        batched = simulator.predict_timing_batch(
+            lane_blocks, tables=tables, lane_table=lane_table,
+            chunk_size=chunk_size)
+        assert batched.tolist() == expected
+    assert max(tables_per_call) == len(tables)
+
+
+@pytest.mark.parametrize("name", ["mca", "llvm_sim"])
+def test_multi_table_skinny_call_takes_scalar_fallback(mca_adapter, sim_adapter,
+                                                       corpus_blocks, name):
+    tables, _, scalar, factory = _fixed_tables(mca_adapter, sim_adapter)[name]
+    pairs = [(tables[0], corpus_blocks[:3]), (tables[1], corpus_blocks[3:6])]
+    assert sum(len(blocks) for _, blocks in pairs) < MIN_LOCKSTEP_BLOCKS
+    results = factory().run_pairs(pairs)
+    assert [row.tolist() for row in results] == _expected(pairs, scalar)
+
+
+@pytest.mark.parametrize("name", ["mca", "llvm_sim"])
+def test_multi_table_pooled_matches_serial(mca_adapter, sim_adapter,
+                                           corpus_blocks, name):
+    tables, _, _, factory = _fixed_tables(mca_adapter, sim_adapter)[name]
+    pairs = [(table, corpus_blocks[offset:offset + 24])
+             for offset, table in zip((0, 12, 24), tables)]
+    pairs.append((tables[0], corpus_blocks[:5]))
+    serial = factory().run_pairs(pairs)
+    pooled_engine = factory(num_workers=2)
+    pooled = pooled_engine.run_pairs(pairs)
+    assert [row.tolist() for row in pooled] == [row.tolist() for row in serial]
+    assert pooled_engine.stats["parallel_batches"] == 1
+
+
+class _ScalarOnly:
+    """A simulator without ``predict_timing_batch``, as a third party's."""
+
+    def __init__(self, table):
+        self._simulator = MCASimulator(table)
+
+    def predict_timing(self, block):
+        return self._simulator.predict_timing(block)
+
+
+@pytest.mark.parametrize("num_workers", [0, 2])
+def test_engine_steps_lanes_without_batch_kernel(mca_adapter, sim_adapter,
+                                                 corpus_blocks, num_workers):
+    tables, _, scalar, _ = _fixed_tables(mca_adapter, sim_adapter)["mca"]
+    pairs = [(table, corpus_blocks[offset:offset + 10])
+             for offset, table in zip((0, 5, 10), tables)]
+    engine = SimulationEngine(_ScalarOnly, mca_table_digest,
+                              num_workers=num_workers)
+    results = engine.run_pairs(pairs)
+    assert [row.tolist() for row in results] == _expected(pairs, scalar)

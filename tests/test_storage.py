@@ -261,7 +261,7 @@ def _collection_checkpoint(directory):
                                          per_instruction_values=np.ones((3, 2))),
                          np.arange(4), np.linspace(1.0, 2.0, 4))
     checkpoint = CollectionCheckpoint(directory)
-    checkpoint.save(dataset, np.random.default_rng(0), 16)
+    checkpoint.save(dataset, np.random.default_rng(0).bit_generator.state, 16)
     _truncate(checkpoint.path)
     return checkpoint.path, CollectionCheckpoint(directory).load
 
