@@ -1,57 +1,41 @@
 """Reverse-mode automatic differentiation substrate.
 
 This package replaces PyTorch in the DiffTune pipeline.  It provides a small
-but complete reverse-mode autodiff engine built on NumPy:
+reverse-mode autodiff engine built on NumPy:
 
 * :class:`~repro.autodiff.tensor.Tensor` — an n-dimensional array that records
-  the operations applied to it and can back-propagate gradients.
-* :mod:`~repro.autodiff.functional` — differentiable operations (matmul,
-  element-wise math, reductions, concatenation, stacking, ...).
+  the operations applied to it and can back-propagate gradients; the module
+  also holds the differentiable functions (concatenation, stacking, masked
+  reductions, ``gather`` and the fused ``masked_longest_path``).
 * :mod:`~repro.autodiff.modules` — neural-network building blocks (Linear,
   Embedding, LSTM cells and stacks, MLPs) with a ``Module`` container that
   tracks parameters.
 * :mod:`~repro.autodiff.optim` — stochastic first-order optimizers (SGD, Adam).
-* :mod:`~repro.autodiff.serialization` — save/load of module state.
+* :mod:`~repro.autodiff.gradcheck` — finite-difference gradient checks.
+* :mod:`~repro.autodiff.serialization` — the ``.npz`` codec of a learned
+  parameter table.
 
 The engine is intentionally small: it implements exactly what the DiffTune
-surrogate (an Ithemal-style stacked-LSTM regressor) and the parameter-table
-optimization loop require, with shapes and semantics chosen to mirror the
-corresponding PyTorch operations.
+surrogates and the parameter-table optimization loop require, with shapes
+and semantics chosen to mirror the corresponding PyTorch operations.
 """
 
 from repro.autodiff.tensor import (Tensor, no_grad, is_grad_enabled, gather,
                                    masked_mean, masked_sum)
-from repro.autodiff import functional
 from repro.autodiff.modules import (
     Module,
     Parameter,
     Linear,
     Embedding,
-    LayerNorm,
-    GRUCell,
-    GRU,
     LSTMCell,
     LSTM,
     StackedLSTM,
     MLP,
     Sequential,
     ReLU,
-    Tanh,
-    Dropout,
 )
 from repro.autodiff.optim import Optimizer, SGD, Adam
-from repro.autodiff.schedules import (
-    LRScheduler,
-    StepLR,
-    ExponentialLR,
-    CosineAnnealingLR,
-    LinearWarmup,
-)
 from repro.autodiff.gradcheck import gradcheck, assert_gradients_close
-from repro.autodiff.serialization import (save_arrays, load_arrays,
-                                          save_state_dict, load_state_dict,
-                                          save_optimizer_state, load_optimizer_state,
-                                          save_parameter_arrays, load_parameter_arrays)
 from repro.autodiff import init
 
 __all__ = [
@@ -61,39 +45,20 @@ __all__ = [
     "gather",
     "masked_sum",
     "masked_mean",
-    "functional",
     "Module",
     "Parameter",
     "Linear",
     "Embedding",
-    "LayerNorm",
-    "GRUCell",
-    "GRU",
     "LSTMCell",
     "LSTM",
     "StackedLSTM",
     "MLP",
     "Sequential",
     "ReLU",
-    "Tanh",
-    "Dropout",
     "Optimizer",
     "SGD",
     "Adam",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "LinearWarmup",
     "gradcheck",
     "assert_gradients_close",
-    "save_arrays",
-    "load_arrays",
-    "save_state_dict",
-    "load_state_dict",
-    "save_optimizer_state",
-    "load_optimizer_state",
-    "save_parameter_arrays",
-    "load_parameter_arrays",
     "init",
 ]

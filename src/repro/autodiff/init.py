@@ -16,34 +16,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in = shape[0] if len(shape) > 0 else 1
-    fan_out = shape[1] if len(shape) > 1 else shape[0]
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialization, appropriate before ReLU activations."""
-    fan_in = shape[0] if len(shape) > 0 else 1
-    limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def orthogonal(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal initialization, commonly used for recurrent weights."""
-    rows, cols = shape
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, _ = np.linalg.qr(flat)
-    q = q[:rows, :cols] if q.shape[0] >= rows else q.T[:rows, :cols]
-    return q
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
-
-
 def uniform_embedding(shape: Tuple[int, ...], rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
     """Small uniform initialization for embedding tables."""
     return rng.uniform(-scale, scale, size=shape)

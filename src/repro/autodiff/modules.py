@@ -6,23 +6,23 @@ The module hierarchy mirrors the pieces the DiffTune surrogate needs:
 * :class:`Embedding` — token-id → vector lookup table.
 * :class:`LSTMCell` / :class:`LSTM` / :class:`StackedLSTM` — recurrent layers
   used for the per-instruction and per-block sequence models.
-* :class:`MLP`, :class:`Sequential`, :class:`ReLU`, :class:`Tanh`,
-  :class:`Dropout` — glue for the prediction head and for baseline models.
+* :class:`MLP`, :class:`Sequential`, :class:`ReLU` — glue for the
+  prediction heads.
 
 All modules expose ``parameters()`` / ``named_parameters()`` /
-``state_dict()`` / ``load_state_dict()`` so that optimizers and the
-serialization helpers can treat them uniformly.
+``state_dict()`` / ``load_state_dict()`` so that optimizers, checkpoints and
+bundles can treat them uniformly.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autodiff import init
-from repro.autodiff.tensor import Tensor, concat, gather
+from repro.autodiff.tensor import Tensor, gather
 
 
 class Parameter(Tensor):
@@ -165,29 +165,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Dropout(Module):
-    """Inverted dropout.  Active only in training mode."""
-
-    def __init__(self, probability: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.probability = probability
-        self._rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.probability == 0.0:
-            return x
-        keep = 1.0 - self.probability
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * Tensor(mask)
-
-
 class Sequential(Module):
     """Apply a list of modules in order."""
 
@@ -225,103 +202,6 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.network(x)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last dimension.
-
-    Normalizes each input vector to zero mean and unit variance, then applies
-    a learned affine transform.  Used by the deeper surrogate variants to keep
-    stacked recurrent layers trainable at small batch sizes.
-    """
-
-    def __init__(self, normalized_size: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if normalized_size < 1:
-            raise ValueError("normalized_size must be >= 1")
-        self.normalized_size = normalized_size
-        self.eps = eps
-        self.gain = Parameter(np.ones(normalized_size), name="gain")
-        self.bias = Parameter(np.zeros(normalized_size), name="bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.normalized_size:
-            raise ValueError(
-                f"LayerNorm expected last dimension {self.normalized_size}, got {x.shape[-1]}")
-        mean = x.mean(axis=-1, keepdims=True) if x.ndim > 1 else x.mean().reshape(1)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True) if x.ndim > 1 \
-            else (centered * centered).mean().reshape(1)
-        normalized = centered / (variance + self.eps).sqrt()
-        return normalized * self.gain + self.bias
-
-
-class GRUCell(Module):
-    """A single gated-recurrent-unit cell.
-
-    Provided as a lighter-weight alternative to the LSTM cell for surrogate
-    ablations: it has ~25% fewer parameters per hidden unit, which matters at
-    the CPU-budget scale of this reproduction.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        # Gates are ordered: reset, update, candidate.
-        self.weight_input = Parameter(
-            init.xavier_uniform((input_size, 3 * hidden_size), rng), name="weight_input")
-        self.weight_hidden = Parameter(
-            init.xavier_uniform((hidden_size, 3 * hidden_size), rng), name="weight_hidden")
-        self.bias = Parameter(np.zeros(3 * hidden_size), name="bias")
-
-    def forward(self, x: Tensor, hidden: Tensor) -> Tensor:
-        h = self.hidden_size
-        input_part = x.matmul(self.weight_input) + self.bias
-        hidden_part = hidden.matmul(self.weight_hidden)
-        reset_gate = (input_part[..., 0:h] + hidden_part[..., 0:h]).sigmoid()
-        update_gate = (input_part[..., h:2 * h] + hidden_part[..., h:2 * h]).sigmoid()
-        candidate = (input_part[..., 2 * h:3 * h]
-                     + reset_gate * hidden_part[..., 2 * h:3 * h]).tanh()
-        return update_gate * hidden + (1.0 - update_gate) * candidate
-
-    def initial_state(self, batch_shape: Tuple[int, ...] = ()) -> Tensor:
-        return Tensor(np.zeros(tuple(batch_shape) + (self.hidden_size,)))
-
-
-class GRU(Module):
-    """Process a sequence of vectors with a single-layer GRU.
-
-    Mirrors :class:`LSTM`: the input is a sequence of tensors of shape
-    ``(input_size,)`` (or ``(batch, input_size)``) and the output is the final
-    hidden state.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng=rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-
-    def forward(self, sequence: Sequence[Tensor],
-                hidden: Optional[Tensor] = None) -> Tensor:
-        return self.forward_all(sequence, hidden)[-1]
-
-    def forward_all(self, sequence: Sequence[Tensor],
-                    hidden: Optional[Tensor] = None) -> List[Tensor]:
-        """Return the hidden state after every element of the sequence."""
-        if len(sequence) == 0:
-            raise ValueError("GRU.forward requires a non-empty sequence")
-        if hidden is None:
-            hidden = self.cell.initial_state(sequence[0].shape[:-1])
-        hidden_states: List[Tensor] = []
-        for element in sequence:
-            hidden = self.cell(element, hidden)
-            hidden_states.append(hidden)
-        return hidden_states
 
 
 class LSTMCell(Module):

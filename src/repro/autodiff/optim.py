@@ -1,13 +1,14 @@
 """Stochastic first-order optimizers for autodiff parameters.
 
 DiffTune trains both the surrogate weights and the simulator parameter table
-with Adam (Kingma & Ba, 2015).  SGD with optional momentum is also provided
-for baselines and tests.
+with Adam (Kingma & Ba, 2015).  SGD with optional momentum is also provided;
+the tests train with it.  Optimizer state is not persisted: a resumed
+pipeline stage starts with a fresh optimizer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -31,49 +32,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # State (de)serialization
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Internal optimizer state as arrays keyed by parameter position.
-
-        Parameters are identified by their index in :attr:`parameters`, so a
-        state dict round-trips between optimizer instances built over the
-        same parameter list in the same order (the checkpoint/resume
-        contract of the pipeline layer).  The base optimizer is stateless.
-        """
-        return {}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        if state:
-            raise KeyError(f"unexpected optimizer state entries: {sorted(state)}")
-
-    def _moments_to_state(self, name: str, moments: Dict[int, np.ndarray]
-                          ) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for index, parameter in enumerate(self.parameters):
-            moment = moments.get(id(parameter))
-            if moment is not None:
-                state[f"{name}.{index}"] = moment.copy()
-        return state
-
-    def _moments_from_state(self, name: str, state: Dict[str, np.ndarray]
-                            ) -> Dict[int, np.ndarray]:
-        moments: Dict[int, np.ndarray] = {}
-        for key, value in state.items():
-            if not key.startswith(name + "."):
-                continue
-            index = int(key[len(name) + 1:])
-            if not 0 <= index < len(self.parameters):
-                raise KeyError(f"optimizer state {key!r} indexes a missing parameter")
-            parameter = self.parameters[index]
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != parameter.data.shape:
-                raise ValueError(f"shape mismatch for {key}: expected "
-                                 f"{parameter.data.shape}, got {value.shape}")
-            moments[id(parameter)] = value.copy()
-        return moments
 
     def clip_grad_norm(self, max_norm: float) -> float:
         """Clip the global gradient norm in place; return the pre-clip norm."""
@@ -122,12 +80,6 @@ class SGD(Optimizer):
             else:
                 update = grad
             parameter.data = parameter.data - self.lr * update
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return self._moments_to_state("velocity", self._velocity)
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        self._velocity = self._moments_from_state("velocity", state)
 
 
 class Adam(Optimizer):
@@ -179,38 +131,3 @@ class Adam(Optimizer):
             corrected_second = second / bias2
             parameter.data = parameter.data - self.lr * corrected_first / (
                 np.sqrt(corrected_second) + self.eps)
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state = {"step_count": np.array(self._step_count, dtype=np.int64)}
-        state.update(self._moments_to_state("first_moment", self._first_moment))
-        state.update(self._moments_to_state("second_moment", self._second_moment))
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        if "step_count" not in state:
-            raise KeyError("Adam state dict is missing 'step_count'")
-        self._step_count = int(np.asarray(state["step_count"]))
-        self._first_moment = self._moments_from_state("first_moment", state)
-        self._second_moment = self._moments_from_state("second_moment", state)
-
-
-class LearningRateSchedule:
-    """Simple step-decay learning-rate schedule applied to an optimizer."""
-
-    def __init__(self, optimizer: Optimizer, decay_factor: float = 0.5,
-                 decay_every: int = 1) -> None:
-        if not hasattr(optimizer, "lr"):
-            raise TypeError("optimizer has no learning rate attribute")
-        if decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
-        self.optimizer = optimizer
-        self.decay_factor = decay_factor
-        self.decay_every = decay_every
-        self._epoch = 0
-
-    def step_epoch(self) -> float:
-        """Advance one epoch, decaying the learning rate when due."""
-        self._epoch += 1
-        if self._epoch % self.decay_every == 0:
-            self.optimizer.lr *= self.decay_factor
-        return self.optimizer.lr

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro import storage
 from repro.bench.registry import (DEFAULT_REGISTRY, Scenario, ScenarioContext,
                                   ScenarioRegistry)
 from repro.bench.schema import (SCHEMA_MINOR_VERSION, SCHEMA_VERSION, jsonify,
@@ -181,10 +182,7 @@ class Runner:
     def write(self, payload: Dict[str, Any]) -> str:
         """Persist a payload as ``BENCH_<suite>.json``; returns the path."""
         path = self.output_path()
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        storage.atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
         return path
 
 

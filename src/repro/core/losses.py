@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.autodiff import functional as F
-from repro.autodiff.tensor import Tensor, stack
+from repro.autodiff.tensor import Tensor
 
 
 def mape_loss_value(predictions: np.ndarray, targets: np.ndarray,
@@ -24,28 +23,22 @@ def mape_loss_value(predictions: np.ndarray, targets: np.ndarray,
     return float(np.mean(np.abs(predictions - targets) / np.maximum(np.abs(targets), epsilon)))
 
 
-def surrogate_loss(predictions, targets: Sequence[float],
+def surrogate_loss(predictions: Tensor, targets: Sequence[float],
                    epsilon: float = 1e-6) -> Tensor:
-    """Differentiable MAPE over a batch of predictions.
+    """Differentiable MAPE over one minibatch of predictions.
 
-    ``predictions`` is either a sequence of scalar tensors (stacked first; the
-    per-example Ithemal baseline passes these) or a single 1-D
-    :class:`Tensor` of shape ``(B,)`` (both DiffTune phases hand the whole
-    minibatch over at once).  Both routes compute the identical loss
-    expression.
+    ``predictions`` is the ``(B,)`` tensor a surrogate's ``forward_batch``
+    returns; both DiffTune phases and the Ithemal baseline hand the whole
+    minibatch over at once.
     """
-    if isinstance(predictions, Tensor):
-        if predictions.ndim != 1:
-            raise ValueError(
-                f"batched surrogate loss expects a 1-D prediction tensor, "
-                f"got shape {predictions.shape}")
-        prediction_vector = predictions
-    else:
-        if not predictions:
-            raise ValueError("cannot compute a loss over an empty batch")
-        prediction_vector = stack(list(predictions))
-    if len(prediction_vector) != len(targets):
+    if not isinstance(predictions, Tensor) or predictions.ndim != 1:
+        raise ValueError(
+            f"surrogate loss expects a 1-D prediction tensor, got "
+            f"{getattr(predictions, 'shape', type(predictions).__name__)}")
+    if len(predictions) == 0:
+        raise ValueError("cannot compute a loss over an empty batch")
+    if len(predictions) != len(targets):
         raise ValueError("predictions and targets must have the same length")
     target_array = np.maximum(np.abs(np.asarray(targets, dtype=np.float64)), epsilon)
-    diff = (prediction_vector - Tensor(target_array)).abs()
+    diff = (predictions - Tensor(target_array)).abs()
     return (diff / Tensor(target_array)).mean()

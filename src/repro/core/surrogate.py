@@ -1,6 +1,6 @@
 """Differentiable surrogate models.
 
-Two surrogates are provided:
+Three surrogates are provided:
 
 * :class:`IthemalSurrogate` — the architecture from the paper (Figure 3): a
   token-embedding lookup table, a per-instruction stacked LSTM over each
@@ -14,15 +14,18 @@ Two surrogates are provided:
   keeps the essential property DiffTune needs — differentiability with respect
   to the parameter inputs, with per-opcode resolution — at a fraction of the
   cost.
+* :class:`AnalyticalSurrogate` — a learned smooth maximum of differentiable
+  throughput and latency bound terms.
 
-Both take the same inputs per basic block:
+Every surrogate runs one minibatch at a time through ``forward_batch``:
 
-* the canonicalized token ids per instruction,
-* a ``(len(block), per_instruction_dim)`` matrix of (normalized) parameter
-  values for the block's opcodes,
-* a ``(global_dim,)`` vector of (normalized) global parameter values,
+* a :class:`PackedBlockBatch` of padded token ids, masks and structural
+  features,
+* a ``(B, I, per_instruction_dim)`` array of (normalized) parameter values
+  for each block's opcodes,
+* a ``(B, global_dim)`` array of (normalized) global parameter values,
 
-and output a positive scalar timing prediction.
+and outputs a ``(B,)`` tensor of positive timing predictions.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ from repro.api.registries import SURROGATES
 from repro.autodiff import (Embedding, Linear, MLP, Module, StackedLSTM, Tensor)
 from repro.autodiff.modules import Parameter
 from repro.autodiff.tensor import (concat, masked_longest_path, masked_mean,
-                                   masked_sum, maximum, stack)
+                                   masked_sum, maximum)
 from repro.core.parameters import ParameterArrays, ParameterSpec, PORT_MAP_FIELD_NAME
 from repro.isa.basic_block import BasicBlock
-from repro.isa.canonicalize import CanonicalInstruction, TokenVocabulary, canonicalize_block
+from repro.isa.canonicalize import TokenVocabulary, canonicalize_block
 from repro.isa.opcodes import OpcodeTable
 
 
@@ -429,7 +432,7 @@ class FeaturizationCache:
 
 
 class _SurrogateBase(Module):
-    """Shared plumbing for both surrogate variants."""
+    """Shared plumbing for the surrogate variants."""
 
     def __init__(self, spec: ParameterSpec, featurizer: BlockFeaturizer,
                  config: SurrogateConfig) -> None:
@@ -445,10 +448,11 @@ class _SurrogateBase(Module):
         ``per_instruction_params`` is ``(B, I, per_instruction_dim)`` and
         ``global_params`` is ``(B, global_dim)`` (both already normalized and
         gathered per block, e.g. by :func:`batch_parameter_inputs`).
-        Semantically identical to calling :meth:`forward` per example — the
-        property tests pin the two paths together within 1e-9.  Both
-        training phases run on it, and :func:`build_surrogate` rejects
-        classes that do not override it.
+        It is the only forward: both training phases, the Ithemal baseline
+        and the Figure-2 sweep run on it, and :func:`build_surrogate`
+        rejects classes that do not override it.  The equivalence tests pin
+        it within 1e-9 to per-example reference forwards kept in
+        ``tests/surrogate_reference.py``.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement forward_batch")
@@ -467,16 +471,6 @@ class _SurrogateBase(Module):
     def _as_tensor(value) -> Tensor:
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def predict(self, block: BasicBlock, per_instruction_params, global_params) -> Tensor:
-        featurized = self.featurizer.featurize(block)
-        return self.forward(featurized, per_instruction_params, global_params)
-
-    def predict_value(self, block: BasicBlock, per_instruction_params, global_params) -> float:
-        from repro.autodiff.tensor import no_grad
-
-        with no_grad():
-            return float(self.predict(block, per_instruction_params, global_params).item())
-
 
 class IthemalSurrogate(_SurrogateBase):
     """The paper's surrogate: modified Ithemal with parameter inputs (Figure 3)."""
@@ -494,27 +488,6 @@ class IthemalSurrogate(_SurrogateBase):
         self.block_lstm = StackedLSTM(block_input_size, config.hidden_size,
                                       num_layers=config.num_lstm_layers, rng=rng)
         self.head = Linear(config.hidden_size, 1, rng=rng)
-
-    def forward(self, featurized: FeaturizedBlock, per_instruction_params,
-                global_params) -> Tensor:
-        params = self._as_tensor(per_instruction_params)
-        global_vector = self._as_tensor(global_params)
-        instruction_vectors: List[Tensor] = []
-        for position, token_ids in enumerate(featurized.token_ids):
-            token_vectors = self.token_embedding(list(token_ids))
-            token_sequence = [token_vectors[index] for index in range(len(token_ids))]
-            instruction_vector = self.instruction_lstm(token_sequence)
-            row = params[position]
-            structure = Tensor(np.asarray(featurized.structural_features[position]))
-            pieces = [instruction_vector, structure, row]
-            if global_vector.size > 0:
-                pieces.append(global_vector)
-            instruction_vectors.append(concat(pieces))
-        block_vector = self.block_lstm(instruction_vectors)
-        prediction = self.head(block_vector)
-        # Softplus keeps the prediction positive, which stabilizes the MAPE
-        # losses used during both optimization phases.
-        return prediction.softplus()[0]
 
     def forward_batch(self, batch: PackedBlockBatch, per_instruction_params,
                       global_params) -> Tensor:
@@ -544,6 +517,8 @@ class IthemalSurrogate(_SurrogateBase):
         block_vector = self.block_lstm.forward_batch(
             block_steps, batch.instruction_mask.T)
         prediction = self.head(block_vector)
+        # Softplus keeps the prediction positive, which stabilizes the MAPE
+        # losses used during both optimization phases.
         return prediction.softplus().reshape(batch_size)
 
 
@@ -614,79 +589,9 @@ class PooledSurrogate(_SurrogateBase):
             count += 1
         return count
 
-    def _structured_features(self, featurized: FeaturizedBlock, params: Tensor,
-                             global_vector: Tensor) -> Tensor:
-        fields = self._feature_names
-        spec = self.spec
-        length = len(featurized.opcode_indices)
-        consumers = np.array([feature[0] for feature in featurized.structural_features])
-        loop_carried = np.array([feature[1] for feature in featurized.structural_features])
-        memory_ops = np.array([feature[3] + feature[4]
-                               for feature in featurized.structural_features])
-        features: List[Tensor] = [Tensor(np.array([length / 16.0])),
-                                  Tensor(np.array([float(memory_ops.sum()) / 8.0]))]
-
-        def column(name: str) -> Tensor:
-            return params[:, spec.per_instruction_field_slice(name)]
-
-        dispatch_term = None
-        if fields["dispatch"]:
-            dispatch_index = spec.global_field_slice("DispatchWidth").start
-            dispatch_term = global_vector[dispatch_index] + 0.15
-            features.append(dispatch_term.reshape(1))
-        if fields["uops"]:
-            total_uops = column("NumMicroOps").sum()
-            features.append(total_uops.reshape(1) * 0.1)
-            if dispatch_term is not None:
-                features.append((total_uops / (dispatch_term * 9.0 + 1.0)).reshape(1))
-            else:
-                features.append(total_uops.reshape(1) * 0.1)
-        if fields["latency"]:
-            latency = column("WriteLatency").reshape(length)
-            features.append(latency.sum().reshape(1) * 0.2)
-            features.append((latency * Tensor(consumers)).sum().reshape(1) * 0.4)
-            features.append((latency * Tensor(loop_carried)).sum().reshape(1) * 0.4)
-            features.append(latency.mean().reshape(1))
-        if fields["advance"]:
-            advance = column("ReadAdvanceCycles").mean(axis=1).reshape(length)
-            features.append((advance * Tensor(consumers)).sum().reshape(1) * 0.2)
-        if fields["ports"]:
-            port_totals = column("PortMap").sum(axis=0)
-            features.append(port_totals * 0.3)
-            features.append((port_totals * port_totals).sum().sqrt().reshape(1) * 0.3)
-        if fields["rob"]:
-            rob_index = spec.global_field_slice("ReorderBufferSize").start
-            features.append(global_vector[rob_index].reshape(1))
-        return concat(features)
-
-    def forward(self, featurized: FeaturizedBlock, per_instruction_params,
-                global_params) -> Tensor:
-        params = self._as_tensor(per_instruction_params)
-        global_vector = self._as_tensor(global_params)
-        encodings: List[Tensor] = []
-        for position, token_ids in enumerate(featurized.token_ids):
-            token_vectors = self.token_embedding(list(token_ids))
-            pooled_tokens = token_vectors.mean(axis=0)
-            row = params[position]
-            structure = Tensor(np.asarray(featurized.structural_features[position]))
-            pieces = [pooled_tokens, structure, row]
-            if global_vector.size > 0:
-                pieces.append(global_vector)
-            encodings.append(self.instruction_mlp(concat(pieces)))
-        stacked = stack(encodings, axis=0)
-        summed = stacked.sum(axis=0) * 0.25
-        averaged = stacked.mean(axis=0)
-        structured = self._structured_features(featurized, params, global_vector)
-        block_vector = concat([structured, summed, averaged])
-        prediction = self.head(block_vector)
-        return prediction.softplus()[0]
-
-    # ------------------------------------------------------------------
-    # Batched forward
-    # ------------------------------------------------------------------
     def _structured_features_batch(self, batch: PackedBlockBatch, params: Tensor,
                                    global_vector: Tensor) -> Tensor:
-        """Batch-major mirror of :meth:`_structured_features`: ``(B, K)``."""
+        """The structured bound features of every block: ``(B, K)``."""
         fields = self._feature_names
         spec = self.spec
         instruction_mask = batch.instruction_mask
@@ -818,114 +723,6 @@ class AnalyticalSurrogate(_SurrogateBase):
                                    rng=rng)
         self.residual_head = MLP([config.hidden_size, config.hidden_size, 1], rng=rng)
 
-    # ------------------------------------------------------------------
-    # Field access in simulator units
-    # ------------------------------------------------------------------
-    def _denormalized_column(self, params: Tensor, name: str) -> Tensor:
-        """Column(s) of the per-instruction matrix, converted back to cycles."""
-        field_ = self.spec.field_by_name(name)
-        column = params[:, self.spec.per_instruction_field_slice(name)]
-        return column * field_.scale + field_.lower_bound
-
-    def _denormalized_global(self, global_vector: Tensor, name: str) -> Tensor:
-        field_ = self.spec.field_by_name(name)
-        index = self.spec.global_field_slice(name).start
-        return global_vector[index] * field_.scale + field_.lower_bound
-
-    # ------------------------------------------------------------------
-    # Bound terms
-    # ------------------------------------------------------------------
-    def _dispatch_bound(self, params: Tensor, global_vector: Tensor, length: int) -> Tensor:
-        if self._has["uops"]:
-            total_uops = self._denormalized_column(params, "NumMicroOps").sum()
-        elif self._has["ports"]:
-            total_uops = self._denormalized_column(params, PORT_MAP_FIELD_NAME).sum() + length
-        else:
-            total_uops = Tensor(float(length))
-        if self._has["dispatch"]:
-            dispatch_width = self._denormalized_global(global_vector, "DispatchWidth")
-            return total_uops / (dispatch_width + 1e-3)
-        return total_uops * 0.25
-
-    def _port_bound(self, params: Tensor) -> Tensor:
-        port_cycles = self._denormalized_column(params, PORT_MAP_FIELD_NAME)
-        totals = port_cycles.sum(axis=0) + 1e-4
-        power = self.SMOOTH_MAX_POWER
-        return ((totals ** power).sum()) ** (1.0 / power)
-
-    def _chain_bound(self, featurized: FeaturizedBlock, params: Tensor) -> Tensor:
-        if not self._has["latency"]:
-            # Specs without a WriteLatency field (e.g. custom simulators whose
-            # latency is a global parameter) contribute no chain bound; their
-            # latency dependence is carried by the other bound terms.
-            return Tensor(0.0)
-        latency = self._denormalized_column(params, "WriteLatency").reshape(
-            len(featurized.opcode_indices))
-        if self._has["advance"]:
-            advance = self._denormalized_column(params, "ReadAdvanceCycles").mean(axis=1)
-            effective = maximum(latency - advance, Tensor(np.zeros(latency.shape)))
-        else:
-            effective = latency
-        finish: List[Tensor] = []
-        zero = Tensor(0.0)
-        for index in range(len(featurized.opcode_indices)):
-            ready = zero
-            for producer in featurized.dependency_producers[index]:
-                ready = maximum(ready, finish[producer])
-            finish.append(ready + effective[index])
-        if not featurized.loop_carried_writers:
-            return zero
-        bound = zero
-        for writer in featurized.loop_carried_writers:
-            bound = maximum(bound, finish[writer])
-        return bound
-
-    def _rob_bound(self, params: Tensor, global_vector: Tensor, length: int) -> Tensor:
-        if not (self._has["uops"] and self._has["rob"]):
-            return Tensor(0.0)
-        total_uops = self._denormalized_column(params, "NumMicroOps").sum()
-        rob = self._denormalized_global(global_vector, "ReorderBufferSize")
-        return total_uops * length / (rob * 8.0 + 1.0)
-
-    # ------------------------------------------------------------------
-    # Residual network
-    # ------------------------------------------------------------------
-    def _residual(self, featurized: FeaturizedBlock) -> Tensor:
-        encodings: List[Tensor] = []
-        for position, token_ids in enumerate(featurized.token_ids):
-            token_vectors = self.token_embedding(list(token_ids))
-            pooled_tokens = token_vectors.mean(axis=0)
-            structure = Tensor(np.asarray(featurized.structural_features[position]))
-            encodings.append(self.instruction_mlp(concat([pooled_tokens, structure])))
-        pooled = stack(encodings, axis=0).mean(axis=0)
-        return self.residual_head(pooled)[0]
-
-    def forward(self, featurized: FeaturizedBlock, per_instruction_params,
-                global_params) -> Tensor:
-        params = self._as_tensor(per_instruction_params)
-        global_vector = self._as_tensor(global_params)
-        length = len(featurized.opcode_indices)
-        weights = self.bound_weights.exp()
-        bounds = [
-            self._dispatch_bound(params, global_vector, length) * weights[0],
-            self._chain_bound(featurized, params) * weights[2],
-            self._rob_bound(params, global_vector, length) * weights[3],
-        ]
-        if self._has["ports"]:
-            bounds.insert(1, self._port_bound(params) * weights[1])
-        power = self.SMOOTH_MAX_POWER
-        combined = Tensor(1e-6)
-        for bound in bounds:
-            combined = combined + (bound + 1e-4) ** power
-        smooth_max = combined ** (1.0 / power)
-        residual = self._residual(featurized)
-        scale = (self.output_scale.exp())[0]
-        prediction = smooth_max * scale + residual + self.output_bias[0]
-        return prediction.softplus()
-
-    # ------------------------------------------------------------------
-    # Batched forward
-    # ------------------------------------------------------------------
     def _denormalized_column_batch(self, params: Tensor, name: str) -> Tensor:
         field_ = self.spec.field_by_name(name)
         column = params[:, :, self.spec.per_instruction_field_slice(name)]
@@ -963,6 +760,9 @@ class AnalyticalSurrogate(_SurrogateBase):
     def _chain_bound_batch(self, batch: PackedBlockBatch, params: Tensor) -> Tensor:
         batch_size = batch.batch_size
         if not self._has["latency"]:
+            # Specs without a WriteLatency field (e.g. custom simulators whose
+            # latency is a global parameter) contribute no chain bound; their
+            # latency dependence is carried by the other bound terms.
             return Tensor(np.zeros(batch_size))
         latency = self._denormalized_column_batch(params, "WriteLatency").reshape(
             batch_size, batch.max_instructions)
@@ -972,9 +772,9 @@ class AnalyticalSurrogate(_SurrogateBase):
             effective = maximum(latency - advance, Tensor(np.zeros(latency.shape)))
         else:
             effective = latency
-        # The dataflow traversal of :meth:`_chain_bound` over the whole
-        # batch as one tape node: each instruction finishes when its
-        # latest producer has, and the loop-carried writers bound the block.
+        # A dataflow traversal over the whole batch as one tape node: each
+        # instruction finishes when its latest producer has, and the
+        # loop-carried writers bound the block.
         return masked_longest_path(effective, batch.dependency_mask,
                                    batch.loop_carried_mask)
 

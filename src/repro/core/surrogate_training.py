@@ -11,8 +11,8 @@ no content digest.  Each minibatch is padded from that list, its examples'
 parameter rows are gathered and normalized together
 (:func:`~repro.core.surrogate.batch_parameter_inputs`), and the whole
 padded minibatch advances per autodiff op via the surrogate's
-``forward_batch``.  The property tests pin it within 1e-9 to a per-example
-reference built on the scalar ``forward``.
+``forward_batch``.  The property tests pin it within 1e-9 to the
+per-example reference forwards in ``tests/surrogate_reference.py``.
 """
 
 from __future__ import annotations

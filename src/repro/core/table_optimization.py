@@ -16,8 +16,8 @@ table's rows for the whole batch are gathered with the scatter-add ``gather``
 primitive (so gradients of repeated opcodes accumulate into the same table
 row), and the minibatch advances through the surrogate's ``forward_batch`` on
 the shared :mod:`~repro.core.training_loop` implementation.  The property
-tests pin it within 1e-9 to a per-block reference built on the scalar
-``forward``.
+tests pin it within 1e-9 to a per-block reference built on the per-example
+forwards in ``tests/surrogate_reference.py``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The shared minibatch training loop behind both DiffTune phases.
 
-Phase one (surrogate training, Equation 2) and phase two (parameter-table
-optimization, Equation 3) used to carry their own copies of the same
+Phase one (surrogate training, Equation 2), phase two (parameter-table
+optimization, Equation 3) and the Ithemal baseline all run the same
 epoch/minibatch machinery: shuffle an index permutation, slice it into
 batches, run forward/backward, clip the global gradient norm, step the
-optimizer, and fire throttled progress callbacks.  This module is the single
-implementation both phases now run on.
+optimizer, and fire throttled progress callbacks.  This module is its single
+implementation.
 
 The loop is deliberately ignorant of *what* is being trained — it receives
 an optimizer and a ``compute_batch_loss`` callable mapping a batch index

@@ -22,9 +22,10 @@ from repro.baselines.opentuner import OpenTunerBaseline, OpenTunerConfig
 from repro.bhive.dataset import BasicBlockDataset, build_dataset
 from repro.api.registries import SIMULATORS
 from repro.core.config import fast_config
+from repro.autodiff.tensor import no_grad
 from repro.core.difftune import DiffTune, DiffTuneConfig
 from repro.core.simulated_dataset import random_table_errors
-from repro.core.parameters import ParameterArrays
+from repro.core.surrogate import FeaturizationCache, batch_parameter_inputs
 from repro.eval.analysis import (case_study_report, parameter_histograms,
                                  per_application_error, per_category_error)
 from repro.eval.metrics import error_and_tau, mean_absolute_percentage_error
@@ -308,17 +309,25 @@ def run_figure2_surrogate_sweep(scale: Optional[ExperimentScale] = None,
     block = parse_block(block_assembly)
     parameter_spec = adapter.parameter_spec()
     base_arrays = adapter.default_arrays()
-    simulator_curve: List[Tuple[int, float]] = []
-    surrogate_curve: List[Tuple[int, float]] = []
-    featurized = difftune.featurizer.featurize(block)
-    for width in range(1, 11):
+    widths = list(range(1, 11))
+    tables = []
+    for width in widths:
         arrays = base_arrays.copy()
         arrays.global_values[parameter_spec.global_field_slice("DispatchWidth")] = width
-        simulator_curve.append((width, float(adapter.predict_timing(arrays, block))))
-        normalized = parameter_spec.normalize_for_surrogate_training(arrays)
-        rows = normalized.per_instruction_values[list(featurized.opcode_indices)]
-        prediction = surrogate.predict_value(block, rows, normalized.global_values)
-        surrogate_curve.append((width, prediction))
+        tables.append(arrays)
+    simulator_curve = [(width, float(adapter.predict_timing(arrays, block)))
+                       for width, arrays in zip(widths, tables)]
+    # One batched forward: the block packed once per width, each row with
+    # its own table.
+    cache = FeaturizationCache(difftune.featurizer)
+    packed = cache.pack(cache.resolve([cache.featurize(block)] * len(widths)))
+    per_instruction, global_values = batch_parameter_inputs(parameter_spec, packed,
+                                                            tables)
+    with no_grad():
+        predictions = surrogate.forward_batch(packed, per_instruction,
+                                              global_values).numpy()
+    surrogate_curve = [(width, float(prediction))
+                       for width, prediction in zip(widths, predictions)]
     return {"block": block.to_assembly(), "llvm_mca": simulator_curve,
             "surrogate": surrogate_curve}
 

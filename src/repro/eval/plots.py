@@ -11,11 +11,13 @@ figures can be regenerated in any plotting tool.
 from __future__ import annotations
 
 import csv
-import os
+import io
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro import storage
 
 
 @dataclass
@@ -143,12 +145,12 @@ def write_series_csv(path: str, series: Sequence[Series], x_name: str = "x") -> 
     for entry in series[1:]:
         if list(entry.x) != reference:
             raise ValueError("all series must share the same x values for CSV export")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([x_name] + [entry.name for entry in series])
-        for row_index, x_value in enumerate(reference):
-            writer.writerow([x_value] + [entry.y[row_index] for entry in series])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow([x_name] + [entry.name for entry in series])
+    for row_index, x_value in enumerate(reference):
+        writer.writerow([x_value] + [entry.y[row_index] for entry in series])
+    storage.atomic_write(path, buffer.getvalue().encode())
 
 
 def write_histogram_csv(path: str, values: Mapping[str, Sequence[float]],
@@ -156,17 +158,17 @@ def write_histogram_csv(path: str, values: Mapping[str, Sequence[float]],
     """Write histogram counts to CSV: bin edges plus one count column per name."""
     if len(bins) < 2:
         raise ValueError("need at least two bin edges")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     names = list(values)
     counts = {name: np.histogram(np.asarray(list(values[name]), dtype=np.float64),
                                  bins=bins)[0]
               for name in names}
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_low", "bin_high"] + names)
-        for bin_index in range(len(bins) - 1):
-            writer.writerow([bins[bin_index], bins[bin_index + 1]]
-                            + [int(counts[name][bin_index]) for name in names])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["bin_low", "bin_high"] + names)
+    for bin_index in range(len(bins) - 1):
+        writer.writerow([bins[bin_index], bins[bin_index + 1]]
+                        + [int(counts[name][bin_index]) for name in names])
+    storage.atomic_write(path, buffer.getvalue().encode())
 
 
 def read_series_csv(path: str) -> Tuple[str, List[Series]]:

@@ -21,6 +21,8 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro import storage
+
 #: Human-readable titles and paper references for known result files.
 KNOWN_EXPERIMENTS: Dict[str, str] = {
     "table03_dataset": "Table III — dataset summary statistics",
@@ -142,10 +144,7 @@ def write_report(results_directory: str, output_path: str,
                  title: str = "Measured benchmark results") -> str:
     """Load results, render the report, write it to ``output_path``."""
     report = render_report(load_results(results_directory), title=title)
-    directory = os.path.dirname(os.path.abspath(output_path))
-    os.makedirs(directory, exist_ok=True)
-    with open(output_path, "w") as handle:
-        handle.write(report)
+    storage.atomic_write(output_path, report.encode())
     return report
 
 

@@ -11,7 +11,6 @@ batched LSTM is pinned to the per-example path.
 import numpy as np
 import pytest
 
-from repro.autodiff import functional as F
 from repro.autodiff.gradcheck import assert_gradients_close
 from repro.autodiff.modules import LSTM, Embedding, StackedLSTM
 from repro.autodiff.tensor import Tensor, gather, masked_mean, masked_sum
@@ -133,15 +132,6 @@ class TestMaskedReductions:
         mask = np.array([1.0, 0.0, 1.0, 0.0])
         masked_sum(x, mask).backward()
         np.testing.assert_array_equal(x.grad, mask)
-
-    def test_functional_wrappers(self, generator):
-        values = generator.normal(size=(2, 3))
-        mask = np.ones((2, 3))
-        np.testing.assert_allclose(F.masked_sum(values, mask).numpy(), values.sum())
-        np.testing.assert_allclose(F.masked_mean(values, mask, axis=0).numpy(),
-                                   values.mean(axis=0))
-        np.testing.assert_allclose(
-            F.gather(values, np.array([1, 0])).numpy(), values[[1, 0]])
 
 
 class TestTupleAxisReductions:

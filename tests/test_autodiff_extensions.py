@@ -1,12 +1,11 @@
-"""Tests for the autodiff extensions: gradcheck, schedules, GRU, LayerNorm."""
+"""Tests for the finite-difference gradient checker (repro.autodiff.gradcheck)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import (GRU, GRUCell, LayerNorm, Linear, LSTM, SGD, Adam,
-                            CosineAnnealingLR, ExponentialLR, LinearWarmup, StepLR, Tensor)
+from repro.autodiff import Linear, Tensor
 from repro.autodiff.gradcheck import (GradCheckResult, analytic_gradients,
                                       assert_gradients_close, gradcheck, numeric_gradient)
 
@@ -123,233 +122,3 @@ class TestGradcheck:
         result = GradCheckResult(max_absolute_error=1.0, max_relative_error=1.0,
                                  analytic=np.zeros(1), numeric=np.zeros(1))
         assert not result.passed()
-
-
-# ----------------------------------------------------------------------
-# Learning-rate schedules
-# ----------------------------------------------------------------------
-def _make_optimizer(lr=0.1):
-    parameter = Tensor(np.zeros(3), requires_grad=True)
-    return SGD([parameter], lr=lr)
-
-
-class TestSchedules:
-    def test_step_lr_halves_every_period(self):
-        optimizer = _make_optimizer(lr=0.8)
-        schedule = StepLR(optimizer, step_size=2, gamma=0.5)
-        rates = [schedule.step() for _ in range(6)]
-        assert rates[0] == pytest.approx(0.8)
-        assert rates[1] == pytest.approx(0.4)
-        assert rates[3] == pytest.approx(0.2)
-        assert rates[5] == pytest.approx(0.1)
-        assert optimizer.lr == pytest.approx(0.1)
-
-    def test_exponential_lr_decays_geometrically(self):
-        optimizer = _make_optimizer(lr=1.0)
-        schedule = ExponentialLR(optimizer, gamma=0.9)
-        rates = schedule.history(4)
-        np.testing.assert_allclose(rates, [0.9, 0.81, 0.729, 0.6561])
-
-    def test_cosine_reaches_min_lr_at_the_end(self):
-        optimizer = _make_optimizer(lr=0.5)
-        schedule = CosineAnnealingLR(optimizer, total_steps=10, min_lr=0.05)
-        rates = schedule.history(10)
-        assert rates[0] < 0.5
-        assert rates[-1] == pytest.approx(0.05)
-        assert all(earlier >= later for earlier, later in zip(rates, rates[1:]))
-
-    def test_cosine_clamps_past_total_steps(self):
-        optimizer = _make_optimizer(lr=0.5)
-        schedule = CosineAnnealingLR(optimizer, total_steps=4, min_lr=0.0)
-        for _ in range(8):
-            schedule.step()
-        assert optimizer.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_linear_warmup_ramps_then_holds(self):
-        optimizer = _make_optimizer(lr=0.4)
-        schedule = LinearWarmup(optimizer, warmup_steps=4)
-        rates = schedule.history(6)
-        np.testing.assert_allclose(rates[:4], [0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_allclose(rates[4:], [0.4, 0.4])
-
-    def test_linear_warmup_then_cosine(self):
-        optimizer = _make_optimizer(lr=0.4)
-        cosine = CosineAnnealingLR(optimizer, total_steps=4, min_lr=0.0)
-        schedule = LinearWarmup(optimizer, warmup_steps=2, after=cosine)
-        rates = schedule.history(6)
-        assert rates[0] == pytest.approx(0.2)
-        assert rates[1] == pytest.approx(0.4)
-        assert rates[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_warmup_rejects_schedule_for_other_optimizer(self):
-        first = _make_optimizer()
-        second = _make_optimizer()
-        other_schedule = StepLR(second, step_size=1)
-        with pytest.raises(ValueError):
-            LinearWarmup(first, warmup_steps=2, after=other_schedule)
-
-    def test_invalid_hyperparameters_rejected(self):
-        optimizer = _make_optimizer()
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            ExponentialLR(optimizer, gamma=0.0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(optimizer, total_steps=0)
-        with pytest.raises(ValueError):
-            LinearWarmup(optimizer, warmup_steps=0)
-
-    def test_scheduler_requires_lr_attribute(self):
-        class _NoLR:
-            pass
-
-        with pytest.raises(TypeError):
-            StepLR(_NoLR(), step_size=1)
-
-    def test_schedule_drives_adam_training(self):
-        rng = np.random.default_rng(0)
-        weight = Tensor(rng.normal(size=4), requires_grad=True)
-        target = np.array([1.0, -1.0, 0.5, 2.0])
-        optimizer = Adam([weight], lr=0.1)
-        schedule = ExponentialLR(optimizer, gamma=0.97)
-        for _ in range(200):
-            optimizer.zero_grad()
-            loss = ((weight - Tensor(target)) ** 2.0).sum()
-            loss.backward()
-            optimizer.step()
-            schedule.step()
-        np.testing.assert_allclose(weight.data, target, atol=1e-2)
-
-
-# ----------------------------------------------------------------------
-# GRU and LayerNorm modules
-# ----------------------------------------------------------------------
-class TestGRU:
-    def test_cell_output_shape_and_range(self):
-        cell = GRUCell(5, 7, rng=np.random.default_rng(0))
-        hidden = cell.initial_state()
-        out = cell(Tensor(np.ones(5)), hidden)
-        assert out.shape == (7,)
-
-    def test_gru_final_state_differs_per_sequence(self):
-        gru = GRU(3, 4, rng=np.random.default_rng(1))
-        sequence_a = [Tensor(np.array([1.0, 0.0, 0.0])), Tensor(np.array([0.0, 1.0, 0.0]))]
-        sequence_b = [Tensor(np.array([0.0, 0.0, 1.0]))]
-        out_a = gru(sequence_a)
-        out_b = gru(sequence_b)
-        assert out_a.shape == (4,)
-        assert not np.allclose(out_a.data, out_b.data)
-
-    def test_gru_rejects_empty_sequence(self):
-        gru = GRU(3, 4)
-        with pytest.raises(ValueError):
-            gru([])
-
-    def test_forward_all_returns_state_per_element(self):
-        gru = GRU(2, 3, rng=np.random.default_rng(2))
-        sequence = [Tensor(np.ones(2)) for _ in range(5)]
-        states = gru.forward_all(sequence)
-        assert len(states) == 5
-        assert all(state.shape == (3,) for state in states)
-
-    def test_gru_parameter_count_smaller_than_lstm(self):
-        gru = GRU(8, 8)
-        lstm = LSTM(8, 8)
-        assert gru.num_parameters() < lstm.num_parameters()
-
-    def test_gru_gradients_flow_to_weights(self):
-        gru = GRU(2, 3, rng=np.random.default_rng(3))
-        sequence = [Tensor(np.array([0.5, -0.5])), Tensor(np.array([1.0, 2.0]))]
-        out = gru(sequence).sum()
-        out.backward()
-        for parameter in gru.parameters():
-            assert parameter.grad is not None
-            assert np.any(parameter.grad != 0.0)
-
-    def test_gru_cell_gradcheck(self):
-        cell = GRUCell(3, 2, rng=np.random.default_rng(4))
-        x = Tensor(np.array([0.1, -0.2, 0.3]), requires_grad=True)
-        hidden = Tensor(np.array([0.05, -0.05]), requires_grad=True)
-
-        def function(inputs):
-            return cell(inputs[0], inputs[1]).sum()
-
-        assert_gradients_close(function, [x, hidden], epsilon=1e-5,
-                               absolute_tolerance=1e-4)
-
-    def test_gru_trains_to_remember_last_input(self):
-        rng = np.random.default_rng(5)
-        gru = GRU(1, 8, rng=rng)
-        head = Linear(8, 1, rng=rng)
-        optimizer = Adam(gru.parameters() + head.parameters(), lr=0.02)
-        for _ in range(150):
-            optimizer.zero_grad()
-            target = float(rng.uniform(-1.0, 1.0))
-            sequence = [Tensor(np.array([float(rng.uniform(-1, 1))])) for _ in range(3)]
-            sequence.append(Tensor(np.array([target])))
-            prediction = head(gru(sequence))[0]
-            loss = (prediction - target) ** 2.0
-            loss.backward()
-            optimizer.step()
-        errors = []
-        for _ in range(20):
-            target = float(rng.uniform(-1.0, 1.0))
-            sequence = [Tensor(np.array([float(rng.uniform(-1, 1))])) for _ in range(3)]
-            sequence.append(Tensor(np.array([target])))
-            prediction = head(gru(sequence))[0]
-            errors.append(abs(prediction.item() - target))
-        assert np.mean(errors) < 0.35
-
-
-class TestLayerNorm:
-    def test_output_is_normalized_before_affine(self):
-        layer = LayerNorm(6)
-        x = Tensor(np.arange(6, dtype=np.float64))
-        out = layer(x)
-        assert out.shape == (6,)
-        assert abs(float(out.data.mean())) < 1e-6
-        assert float(out.data.std()) == pytest.approx(1.0, abs=1e-3)
-
-    def test_batch_input_normalized_per_row(self):
-        layer = LayerNorm(4)
-        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 10.0, 10.0, 10.0]]))
-        out = layer(x).data
-        assert abs(out[0].mean()) < 1e-6
-        # A constant row normalizes to zeros (variance epsilon keeps it finite).
-        np.testing.assert_allclose(out[1], 0.0, atol=1e-3)
-
-    def test_affine_parameters_are_learnable(self):
-        layer = LayerNorm(3)
-        assert {name for name, _ in layer.named_parameters()} == {"gain", "bias"}
-        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        layer(x).sum().backward()
-        assert layer.gain.grad is not None
-        assert layer.bias.grad is not None
-
-    def test_rejects_wrong_width(self):
-        layer = LayerNorm(3)
-        with pytest.raises(ValueError):
-            layer(Tensor(np.zeros(4)))
-
-    def test_rejects_invalid_size(self):
-        with pytest.raises(ValueError):
-            LayerNorm(0)
-
-    def test_gradcheck_through_layernorm(self):
-        layer = LayerNorm(5)
-        x = Tensor(np.array([0.3, -1.2, 0.8, 2.0, -0.4]), requires_grad=True)
-
-        def function(inputs):
-            return (layer(inputs[0]) * Tensor(np.arange(5, dtype=np.float64))).sum()
-
-        assert_gradients_close(function, [x], epsilon=1e-5, absolute_tolerance=1e-4)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=8))
-    def test_scale_invariance_property(self, values):
-        """LayerNorm output is invariant to shifting the input by a constant."""
-        layer = LayerNorm(len(values))
-        x = np.array(values, dtype=np.float64)
-        base = layer(Tensor(x)).data
-        shifted = layer(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(base, shifted, atol=1e-5)

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.autodiff.optim import Adam
+from repro.autodiff.tensor import no_grad, stack
 from repro.baselines import (BanditEnsemble, IACAModel, IthemalBaseline, IthemalConfig,
                              OpenTunerBaseline, OpenTunerConfig, random_search)
 from repro.baselines.opentuner import (_DifferentialEvolution, _GaussianMutation, _HillClimb,
                                        _RandomSearch, _SimulatedAnnealing)
 from repro.core.adapters import MCAAdapter
-from repro.core.losses import mape_loss_value
+from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.surrogate import SurrogateConfig
+from repro.core.training_loop import run_minibatch_loop
 from repro.isa.parser import parse_block
 from repro.targets import HASWELL, ZEN2
+from surrogate_reference import reference_forward
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,70 @@ class TestIthemalBaseline:
         baseline = IthemalBaseline()
         with pytest.raises(ValueError):
             baseline.fit(blocks, timings[:-1])
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one example"):
+            IthemalBaseline().fit([], np.array([]))
+
+    def test_zero_batch_size_rejected(self, tuning_data):
+        blocks, timings = tuning_data
+        baseline = IthemalBaseline(config=IthemalConfig(batch_size=0))
+        with pytest.raises(ValueError, match="batch_size"):
+            baseline.fit(blocks, timings)
+
+
+def _per_example_ithemal(baseline, blocks, timings):
+    """Reference ``fit`` + ``predict_many``: one ``reference_forward`` per block.
+
+    Same optimizer, rng stream and loop as the baseline, so only the forward
+    differs.  Returns ``(epoch_losses, predictions)``.
+    """
+    config = baseline.config
+    featurized = [baseline.featurizer.featurize(block) for block in blocks]
+
+    def predict(row):
+        return reference_forward(baseline.model, featurized[row],
+                                 np.zeros((len(blocks[row]), 1)), np.zeros(0))
+
+    def per_example_loss(batch_indices):
+        rows = [int(index) for index in batch_indices]
+        return surrogate_loss(stack([predict(row) for row in rows]),
+                              [float(timings[row]) for row in rows])
+
+    baseline.model.train()
+    loop = run_minibatch_loop(
+        len(blocks), per_example_loss,
+        Adam(baseline.model.parameters(), lr=config.learning_rate),
+        np.random.default_rng(config.seed), batch_size=config.batch_size,
+        epochs=config.epochs, gradient_clip=config.gradient_clip)
+    baseline.model.eval()
+    with no_grad():
+        predictions = np.array([predict(row).item() for row in range(len(blocks))])
+    return loop.epoch_losses, predictions
+
+
+class TestIthemalBatchedEquivalence:
+    """The batched baseline against a per-example reference, within 1e-9."""
+
+    @pytest.mark.parametrize("kind", ["pooled", "analytical", "ithemal"])
+    def test_losses_and_predictions_match_reference(self, tuning_data, kind):
+        blocks, timings = tuning_data
+        blocks, timings = blocks[:20], timings[:20]
+
+        def build():
+            return IthemalBaseline(config=IthemalConfig(
+                surrogate=SurrogateConfig(kind=kind, embedding_size=8, hidden_size=12,
+                                          num_lstm_layers=1),
+                batch_size=6, epochs=2))
+
+        batched = build()
+        losses = batched.fit(blocks, timings)
+        predictions = batched.predict_many(blocks)
+        reference_losses, reference_predictions = _per_example_ithemal(
+            build(), blocks, timings)
+        np.testing.assert_allclose(losses, reference_losses, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(predictions, reference_predictions,
+                                   atol=1e-9, rtol=0)
 
 
 class TestIACA:

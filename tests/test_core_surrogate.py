@@ -6,8 +6,8 @@ import pytest
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.simulated_dataset import collect_simulated_dataset
-from repro.core.surrogate import (BlockFeaturizer, SurrogateConfig,
-                                  build_surrogate)
+from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache, SurrogateConfig,
+                                  batch_parameter_inputs, build_surrogate)
 from repro.core.simulated_dataset import random_table_errors
 from repro.core.surrogate import (AnalyticalSurrogate, IthemalSurrogate, PooledSurrogate,
                                   NUM_STRUCTURAL_FEATURES)
@@ -36,11 +36,14 @@ def tiny_config():
 
 
 def make_inputs(adapter, featurizer, block, rng):
+    """A one-block packed batch and its normalized ``(1, I, D)`` / ``(1, G)``
+    inputs from a sampled table."""
     spec = adapter.parameter_spec()
-    arrays = spec.normalize_for_surrogate_training(spec.sample(rng))
-    featurized = featurizer.featurize(block)
-    rows = arrays.per_instruction_values[list(featurized.opcode_indices)]
-    return featurized, rows, arrays.global_values
+    cache = FeaturizationCache(featurizer)
+    packed = cache.pack(cache.resolve([cache.featurize(block)]))
+    per_instruction, global_values = batch_parameter_inputs(spec, packed,
+                                                            [spec.sample(rng)])
+    return packed, per_instruction, global_values
 
 
 class TestFeaturizer:
@@ -75,15 +78,16 @@ class TestFeaturizer:
 
 class TestSurrogateVariants:
     @pytest.mark.parametrize("kind", ["pooled", "analytical", "ithemal"])
-    def test_forward_produces_positive_scalar(self, adapter, featurizer, kind, rng):
+    def test_forward_batch_produces_positive_prediction(self, adapter, featurizer,
+                                                        kind, rng):
         config = SurrogateConfig(kind=kind, embedding_size=8, hidden_size=10,
                                  num_lstm_layers=1, seed=0)
         surrogate = build_surrogate(adapter.parameter_spec(), featurizer, config)
         block = parse_block("addq %rax, %rbx\nmovq 8(%rsp), %rcx")
-        featurized, rows, global_values = make_inputs(adapter, featurizer, block, rng)
-        prediction = surrogate.forward(featurized, rows, global_values)
-        assert prediction.size == 1
-        assert float(prediction.data) > 0
+        packed, rows, global_values = make_inputs(adapter, featurizer, block, rng)
+        prediction = surrogate.forward_batch(packed, rows, global_values)
+        assert prediction.shape == (1,)
+        assert float(prediction.data[0]) > 0
 
     def test_factory_kinds(self, adapter, featurizer):
         spec = adapter.parameter_spec()
@@ -104,50 +108,43 @@ class TestSurrogateVariants:
         surrogate = build_surrogate(adapter.parameter_spec(), featurizer, tiny_config)
         spec = adapter.parameter_spec()
         block = parse_block("imulq %rcx, %rdx\nimulq %rdx, %rcx")
-        featurized, rows, global_values = make_inputs(adapter, featurizer, block, rng)
+        packed, rows, global_values = make_inputs(adapter, featurizer, block, rng)
         low = rows.copy()
         high = rows.copy()
         latency_slice = spec.per_instruction_field_slice("WriteLatency")
-        low[:, latency_slice] = 0.0
-        high[:, latency_slice] = 1.0
-        low_prediction = surrogate.forward(featurized, low, global_values)
-        high_prediction = surrogate.forward(featurized, high, global_values)
-        assert float(high_prediction.data) > float(low_prediction.data)
+        low[:, :, latency_slice] = 0.0
+        high[:, :, latency_slice] = 1.0
+        low_prediction = surrogate.forward_batch(packed, low, global_values)
+        high_prediction = surrogate.forward_batch(packed, high, global_values)
+        assert float(high_prediction.data[0]) > float(low_prediction.data[0])
 
     def test_analytical_dispatch_sensitivity(self, adapter, featurizer, tiny_config, rng):
         """A wider dispatch width must not increase the predicted timing."""
         surrogate = build_surrogate(adapter.parameter_spec(), featurizer, tiny_config)
         spec = adapter.parameter_spec()
         block = parse_block("\n".join(f"addq %rax, %r{8 + i}" for i in range(6)))
-        featurized, rows, global_values = make_inputs(adapter, featurizer, block, rng)
+        packed, rows, global_values = make_inputs(adapter, featurizer, block, rng)
         uops_slice = spec.per_instruction_field_slice("NumMicroOps")
         rows = rows.copy()
-        rows[:, uops_slice] = 1.0
+        rows[:, :, uops_slice] = 1.0
         narrow = global_values.copy()
         wide = global_values.copy()
         dispatch_slice = spec.global_field_slice("DispatchWidth")
-        narrow[dispatch_slice] = 0.0
-        wide[dispatch_slice] = 1.0
-        assert float(surrogate.forward(featurized, rows, narrow).data) >= \
-            float(surrogate.forward(featurized, rows, wide).data)
+        narrow[:, dispatch_slice] = 0.0
+        wide[:, dispatch_slice] = 1.0
+        assert float(surrogate.forward_batch(packed, rows, narrow).data[0]) >= \
+            float(surrogate.forward_batch(packed, rows, wide).data[0])
 
     def test_gradients_reach_parameter_inputs(self, adapter, featurizer, tiny_config, rng):
         surrogate = build_surrogate(adapter.parameter_spec(), featurizer, tiny_config)
         block = parse_block("imulq %rcx, %rdx\nimulq %rdx, %rcx")
-        featurized, rows, global_values = make_inputs(adapter, featurizer, block, rng)
+        packed, rows, global_values = make_inputs(adapter, featurizer, block, rng)
         rows_tensor = Tensor(rows, requires_grad=True)
         globals_tensor = Tensor(global_values, requires_grad=True)
-        prediction = surrogate.forward(featurized, rows_tensor, globals_tensor)
+        prediction = surrogate.forward_batch(packed, rows_tensor, globals_tensor)
         prediction.backward(np.ones_like(prediction.data))
         assert rows_tensor.grad is not None
         assert np.abs(rows_tensor.grad).sum() > 0
-
-    def test_predict_value_no_grad(self, adapter, featurizer, tiny_config, rng):
-        surrogate = build_surrogate(adapter.parameter_spec(), featurizer, tiny_config)
-        block = parse_block("addq %rax, %rbx")
-        _featurized, rows, global_values = make_inputs(adapter, featurizer, block, rng)
-        value = surrogate.predict_value(block, rows, global_values)
-        assert isinstance(value, float) and value > 0
 
 
 class TestSimulatedDataset:
@@ -188,15 +185,16 @@ class TestLosses:
         assert mape_loss_value(np.array([2.0]), np.array([1.0])) == pytest.approx(1.0)
 
     def test_surrogate_loss_matches_numpy(self):
-        predictions = [Tensor(np.array(2.0)), Tensor(np.array(3.0))]
-        loss = surrogate_loss(predictions, [1.0, 6.0])
+        loss = surrogate_loss(Tensor(np.array([2.0, 3.0])), [1.0, 6.0])
         assert loss.item() == pytest.approx((1.0 + 0.5) / 2)
 
     def test_surrogate_loss_validation(self):
-        with pytest.raises(ValueError):
-            surrogate_loss([], [])
-        with pytest.raises(ValueError):
-            surrogate_loss([Tensor(np.array(1.0))], [1.0, 2.0])
+        with pytest.raises(ValueError, match="empty batch"):
+            surrogate_loss(Tensor(np.zeros(0)), [])
+        with pytest.raises(ValueError, match="same length"):
+            surrogate_loss(Tensor(np.array([1.0])), [1.0, 2.0])
+        with pytest.raises(ValueError, match="1-D prediction tensor"):
+            surrogate_loss([Tensor(np.array(1.0))], [1.0])
 
 
 class TestSurrogateTraining:

@@ -166,6 +166,16 @@ class TestExperimentDrivers:
         assert set(results) == {"default", "min", "median", "max"}
         assert results["max"] > results["default"]
 
+    def test_figure2_surrogate_sweep_smoke(self):
+        from repro.eval.experiments import ExperimentScale, run_figure2_surrogate_sweep
+
+        results = run_figure2_surrogate_sweep(ExperimentScale.smoke())
+        widths = list(range(1, 11))
+        assert [width for width, _ in results["llvm_mca"]] == widths
+        assert [width for width, _ in results["surrogate"]] == widths
+        predictions = np.array([value for _, value in results["surrogate"]])
+        assert np.all(np.isfinite(predictions)) and np.all(predictions > 0)
+
     def test_experiment_scales(self):
         from repro.eval.experiments import ExperimentScale
 

@@ -3,8 +3,7 @@
 Covers the stage sequence, the checkpoint store (fingerprint pinning, rng
 snapshots), bit-identical resume after an interruption — including
 mid-refinement — deterministic refinement rounds, the multi-target runner,
-and the serialization extensions (optimizer state, ParameterArrays) the
-per-stage artifacts are built on.
+and the ParameterArrays codec the per-stage table artifacts are built on.
 """
 
 import json
@@ -13,9 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.autodiff import Adam, Linear, Tensor
-from repro.autodiff.serialization import (load_optimizer_state, load_parameter_arrays,
-                                          save_optimizer_state, save_parameter_arrays)
+from repro import storage
+from repro.autodiff.serialization import decode_parameter_arrays, encode_parameter_arrays
 from repro.core.adapters import MCAAdapter
 from repro.core.difftune import DiffTune
 from repro.core.parameters import ParameterArrays
@@ -279,84 +277,19 @@ class TestMultiTarget:
         assert "Traceback" in failed.traceback
 
 
-class TestSerializationExtensions:
-    def _training_step(self, module, optimizer, value):
-        prediction = module(Tensor(np.ones(3)))
-        loss = ((prediction - value) ** 2).sum()
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-
-    def test_adam_state_roundtrip_continues_identically(self, tmp_path):
-        rng = np.random.default_rng(0)
-        reference = Linear(3, 2, rng=np.random.default_rng(1))
-        optimizer = Adam(reference.parameters(), lr=0.05)
-        for step in range(3):
-            self._training_step(reference, optimizer, float(step))
-        state_path = str(tmp_path / "adam_state.npz")
-        weights_path = str(tmp_path / "weights.npz")
-        save_optimizer_state(optimizer, state_path)
-        from repro.autodiff.serialization import load_state_dict, save_state_dict
-        save_state_dict(reference, weights_path)
-        # Continue the original for two more steps...
-        for step in range(2):
-            self._training_step(reference, optimizer, 5.0)
-        # ...and a resumed copy from the checkpoint.
-        resumed = Linear(3, 2, rng=np.random.default_rng(2))
-        load_state_dict(resumed, weights_path)
-        resumed_optimizer = Adam(resumed.parameters(), lr=0.05)
-        load_optimizer_state(resumed_optimizer, state_path)
-        for step in range(2):
-            self._training_step(resumed, resumed_optimizer, 5.0)
-        for original, copy in zip(reference.parameters(), resumed.parameters()):
-            np.testing.assert_array_equal(original.data, copy.data)
-
-    def test_fresh_optimizer_state_differs_from_resumed(self, tmp_path):
-        """Without the moments, Adam's trajectory diverges — the state dict
-        is load-bearing, not ornamental."""
-        reference = Linear(3, 2, rng=np.random.default_rng(1))
-        optimizer = Adam(reference.parameters(), lr=0.05)
-        for step in range(3):
-            self._training_step(reference, optimizer, float(step))
-        weights_path = str(tmp_path / "weights.npz")
-        from repro.autodiff.serialization import load_state_dict, save_state_dict
-        save_state_dict(reference, weights_path)
-        self._training_step(reference, optimizer, 5.0)
-
-        cold = Linear(3, 2, rng=np.random.default_rng(2))
-        load_state_dict(cold, weights_path)
-        cold_optimizer = Adam(cold.parameters(), lr=0.05)
-        self._training_step(cold, cold_optimizer, 5.0)
-        assert any(not np.array_equal(original.data, copy.data)
-                   for original, copy in zip(reference.parameters(),
-                                             cold.parameters()))
-
-    def test_optimizer_state_shape_mismatch_rejected(self, tmp_path):
-        module = Linear(3, 2, rng=np.random.default_rng(0))
-        optimizer = Adam(module.parameters(), lr=0.05)
-        self._training_step(module, optimizer, 1.0)
-        path = str(tmp_path / "state.npz")
-        save_optimizer_state(optimizer, path)
-        other = Adam(Linear(4, 2, rng=np.random.default_rng(0)).parameters(), lr=0.05)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            load_optimizer_state(other, path)
-
-    def test_parameter_arrays_roundtrip(self, tmp_path):
+class TestParameterArraysCodec:
+    def test_parameter_arrays_roundtrip(self):
         arrays = ParameterArrays(global_values=np.array([3.0, 7.0]),
                                  per_instruction_values=np.arange(12.0).reshape(4, 3))
-        path = str(tmp_path / "arrays.npz")
-        save_parameter_arrays(arrays, path)
-        restored = load_parameter_arrays(path)
+        restored = decode_parameter_arrays(encode_parameter_arrays(arrays), "arrays.npz")
         np.testing.assert_array_equal(restored.global_values, arrays.global_values)
         np.testing.assert_array_equal(restored.per_instruction_values,
                                       arrays.per_instruction_values)
 
-    def test_non_parameter_arrays_archive_rejected(self, tmp_path):
-        from repro.autodiff.serialization import save_arrays
-        path = str(tmp_path / "other.npz")
-        save_arrays({"something": np.zeros(3)}, path)
-        with pytest.raises(KeyError, match="ParameterArrays"):
-            load_parameter_arrays(path)
+    def test_non_parameter_arrays_archive_rejected(self):
+        payload = storage.encode_arrays({"something": np.zeros(3)})
+        with pytest.raises(KeyError, match="other.npz is not a ParameterArrays"):
+            decode_parameter_arrays(payload, "other.npz")
 
 
 class TestCheckpointStore:

@@ -1,8 +1,9 @@
 """The persistence substrate (repro.storage) and the guard that keeps it single.
 
 * a source scan asserts that only :mod:`repro.storage` renames files into
-  place or writes NumPy archives, that sha256 is gone, and that ``hashlib``
-  is imported only by the substrate and the in-memory cache keys;
+  place, writes NumPy archives or opens a file for writing, that sha256 is
+  gone, and that ``hashlib`` is imported only by the substrate and the
+  in-memory cache keys;
 * unit tests pin the primitive: a failed write leaves the previous file
   intact, and an unparseable file is named in the error;
 * every manifest kind, truncated, fails with its path in the message.
@@ -45,6 +46,25 @@ def _attribute_pairs(tree):
             yield node.value.id, node.attr, node.lineno
 
 
+def _builtin_writes(tree):
+    """``open(...)`` calls whose mode writes, appends or creates a file.
+
+    A mode that is not a string literal counts as a write: the scan cannot
+    prove it read-only.
+    """
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (keyword.value for keyword in node.keywords if keyword.arg == "mode"), None)
+        if mode is None:
+            continue
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                or set(mode.value) & set("wax+"):
+            yield node.lineno
+
+
 def _imported_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -67,6 +87,8 @@ class TestSingleSubstrate:
             offenders += [f"{name}:{line} from {module} import {member}"
                           for module, member, line in _imported_names(tree)
                           if (module, member) in WRITE_CALLS]
+            offenders += [f"{name}:{line} open for writing"
+                          for line in _builtin_writes(tree)]
         assert offenders == []
 
     def test_sha256_appears_nowhere(self):

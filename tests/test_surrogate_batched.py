@@ -2,8 +2,9 @@
 
 The contract: batched and scalar forward/backward agree within 1e-9, for
 every surrogate variant, and a whole training run matches a per-example
-reference loop built here on the scalar ``forward`` and driven through the
-same :func:`~repro.core.training_loop.run_minibatch_loop`.  A hypothesis
+reference loop built here on the scalar ``reference_forward``
+(``tests/surrogate_reference.py``) and driven through the same
+:func:`~repro.core.training_loop.run_minibatch_loop`.  A hypothesis
 property test drives the comparison over random block subsets and parameter
 tables; deterministic tests cover the
 :class:`~repro.core.surrogate.FeaturizationCache` packing, the training-loop
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api.registries import SURROGATES
 from repro.autodiff.optim import Adam
-from repro.autodiff.tensor import no_grad
+from repro.autodiff.tensor import no_grad, stack
 from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
@@ -32,6 +33,7 @@ from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_sur
                                            train_surrogate)
 from repro.core.training_loop import run_minibatch_loop
 from repro.targets import HASWELL
+from surrogate_reference import reference_forward
 
 EQUIVALENCE_ATOL = 1e-9
 
@@ -71,7 +73,7 @@ def _scalar_and_batched(surrogate, adapter, blocks, tables):
     for featurized_block, table in zip(featurized, tables):
         normalized = spec.normalize_for_surrogate_training(table)
         rows = normalized.per_instruction_values[list(featurized_block.opcode_indices)]
-        scalar.append(surrogate.forward(featurized_block, rows,
+        scalar.append(reference_forward(surrogate, featurized_block, rows,
                                         normalized.global_values))
     return scalar, batched
 
@@ -84,15 +86,15 @@ def _scalar_inputs(spec, example, featurized):
 
 
 def _per_example_error(surrogate, examples):
-    """Reference MAPE: one scalar ``forward`` per example."""
+    """Reference MAPE: one scalar ``reference_forward`` per example."""
     spec = surrogate.spec
     predictions = []
     with no_grad():
         for example in examples:
             featurized = surrogate.featurizer.featurize(example.block)
             rows, global_values = _scalar_inputs(spec, example, featurized)
-            predictions.append(
-                surrogate.forward(featurized, rows, global_values).item())
+            predictions.append(reference_forward(surrogate, featurized, rows,
+                                                 global_values).item())
     return mape_loss_value(np.array(predictions),
                            np.array([example.simulated_timing
                                      for example in examples]))
@@ -115,10 +117,10 @@ def _per_example_training(surrogate, examples, config):
         for row in (int(index) for index in batch_indices):
             rows, global_values = _scalar_inputs(spec, examples[row],
                                                  featurized[row])
-            predictions.append(surrogate.forward(featurized[row], rows,
+            predictions.append(reference_forward(surrogate, featurized[row], rows,
                                                  global_values))
             targets.append(examples[row].simulated_timing)
-        return surrogate_loss(predictions, targets)
+        return surrogate_loss(stack(predictions), targets)
 
     surrogate.train()
     loop = run_minibatch_loop(
@@ -157,7 +159,7 @@ class TestForwardEquivalence:
                          for name, parameter in surrogate.named_parameters()
                          if parameter.grad is not None}
 
-        scalar_loss = surrogate_loss(scalar, targets)
+        scalar_loss = surrogate_loss(stack(scalar), targets)
         surrogate.zero_grad()
         scalar_loss.backward()
         scalar_grads = {name: parameter.grad.copy()
@@ -184,7 +186,7 @@ class TestForwardEquivalence:
         tables = [spec.sample(rng) for _ in chosen]
         targets = rng.uniform(0.5, 20.0, size=batch).tolist()
         scalar, batched = _scalar_and_batched(surrogate, adapter, chosen, tables)
-        scalar_loss = surrogate_loss(scalar, targets).item()
+        scalar_loss = surrogate_loss(stack(scalar), targets).item()
         batched_loss = surrogate_loss(batched, targets).item()
         assert abs(scalar_loss - batched_loss) < EQUIVALENCE_ATOL
 

@@ -2,7 +2,8 @@
 
 The contract: batched table optimization agrees within 1e-9 in per-epoch
 loss — frozen masks included — with a per-block reference loop built here
-on the scalar ``forward`` (fancy-indexed ``_TrainableTable`` rows, the same
+on the scalar ``reference_forward`` (``tests/surrogate_reference.py``;
+fancy-indexed ``_TrainableTable`` rows, the same
 frozen-dimension restore) and driven through the same
 :func:`~repro.core.training_loop.run_minibatch_loop`.  A hypothesis property
 test drives the comparison over random block subsets, seeds, and
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff.optim import Adam
+from repro.autodiff.tensor import stack
 from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import surrogate_loss
@@ -27,6 +29,7 @@ from repro.core.table_optimization import (TableOptimizationConfig,
                                            optimize_parameter_table)
 from repro.core.training_loop import run_minibatch_loop
 from repro.targets import HASWELL
+from surrogate_reference import reference_forward
 
 EQUIVALENCE_ATOL = 1e-9
 
@@ -67,8 +70,8 @@ def _per_block_optimization(surrogate, blocks, timings, config, initial,
 
     Each block's inputs are its opcodes' fancy-indexed table rows (repeated
     opcodes accumulate gradient into one row) through the scalar
-    ``forward``; frozen dimensions are restored after every step exactly as
-    the batched path does.
+    ``reference_forward``; frozen dimensions are restored after every step
+    exactly as the batched path does.
     """
     rng = np.random.default_rng(config.seed)
     table = _TrainableTable(surrogate.spec, initial)
@@ -92,10 +95,10 @@ def _per_block_optimization(surrogate, blocks, timings, config, initial,
             rows = table.per_instruction[
                 list(featurized[row].opcode_indices)].abs().clamp(0.0, 1.0)
             global_vector = table.global_values.abs().clamp(0.0, 1.0)
-            predictions.append(surrogate.forward(featurized[row], rows,
+            predictions.append(reference_forward(surrogate, featurized[row], rows,
                                                  global_vector))
             targets.append(float(timings[row]))
-        return surrogate_loss(predictions, targets)
+        return surrogate_loss(stack(predictions), targets)
 
     loop = run_minibatch_loop(
         len(blocks), per_block_loss, optimizer, rng,
