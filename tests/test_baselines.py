@@ -168,6 +168,49 @@ class TestIthemalBaseline:
         with pytest.raises(ValueError, match="batch_size"):
             baseline.fit(blocks, timings)
 
+    @staticmethod
+    def _small(**overrides):
+        settings = dict(surrogate=SurrogateConfig(kind="pooled", embedding_size=8,
+                                                  hidden_size=12, num_lstm_layers=1),
+                        batch_size=6, epochs=2)
+        settings.update(overrides)
+        return IthemalBaseline(config=IthemalConfig(**settings))
+
+    @pytest.mark.parametrize("gradient_clip", [0.0, -1.0])
+    def test_nonpositive_gradient_clip_disables_clipping(self, tuning_data, gradient_clip):
+        blocks, timings = tuning_data
+        blocks, timings = blocks[:20], timings[:20]
+        unclipped = self._small(gradient_clip=1e12)
+        disabled = self._small(gradient_clip=gradient_clip)
+        assert disabled.fit(blocks, timings) == unclipped.fit(blocks, timings)
+        np.testing.assert_array_equal(disabled.predict_many(blocks),
+                                      unclipped.predict_many(blocks))
+
+    def test_predictions_do_not_depend_on_chunking(self, tuning_data, monkeypatch):
+        import repro.baselines.ithemal as ithemal_module
+
+        blocks, timings = tuning_data
+        baseline = self._small()
+        baseline.fit(blocks[:20], timings[:20])
+        chunked = baseline.predict_many(blocks)
+        monkeypatch.setattr(ithemal_module, "PREDICT_CHUNK", 1)
+        one_at_a_time = baseline.predict_many(blocks)
+        np.testing.assert_allclose(chunked, one_at_a_time, atol=1e-12, rtol=0)
+
+    def test_fit_is_deterministic_for_a_seed(self, tuning_data):
+        blocks, timings = tuning_data
+        blocks, timings = blocks[:20], timings[:20]
+        first, again, other = self._small(), self._small(), self._small(seed=1)
+        losses = first.fit(blocks, timings)
+        assert again.fit(blocks, timings) == losses
+        assert other.fit(blocks, timings) != losses
+        np.testing.assert_array_equal(first.predict_many(blocks),
+                                      again.predict_many(blocks))
+
+    def test_predict_many_of_no_blocks_is_empty(self):
+        predictions = self._small().predict_many([])
+        assert predictions.shape == (0,)
+
 
 def _per_example_ithemal(baseline, blocks, timings):
     """Reference ``fit`` + ``predict_many``: one ``reference_forward`` per block.

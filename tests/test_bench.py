@@ -128,6 +128,12 @@ class TestRunner:
         assert payload["suite"] == "testsuite"
         assert set(payload["scenarios"]) == {"sec5a_random_tables", "engine_throughput"}
 
+    def test_file_is_indented_json_with_trailing_newline(self, smoke_run):
+        payload, path = smoke_run
+        with open(path) as handle:
+            assert handle.read() == json.dumps(payload, indent=2) + "\n"
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
     def test_file_round_trips_through_loader(self, smoke_run):
         _payload, path = smoke_run
         assert os.path.basename(path) == "BENCH_testsuite.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
@@ -195,6 +197,26 @@ class TestLosses:
             surrogate_loss(Tensor(np.array([1.0])), [1.0, 2.0])
         with pytest.raises(ValueError, match="1-D prediction tensor"):
             surrogate_loss([Tensor(np.array(1.0))], [1.0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=100.0),
+                              st.floats(min_value=0.1, max_value=100.0)),
+                    min_size=1, max_size=10))
+    def test_surrogate_loss_is_nonnegative_and_agrees_with_numpy(self, pairs):
+        predictions, targets = (np.array(column) for column in zip(*pairs))
+        loss = surrogate_loss(Tensor(predictions), list(targets)).item()
+        assert loss >= 0.0
+        assert loss == pytest.approx(mape_loss_value(predictions, targets), rel=1e-12)
+
+    def test_surrogate_loss_gradient_is_sign_over_target(self):
+        predictions = Tensor(np.array([2.0, 3.0, 5.0]), requires_grad=True)
+        surrogate_loss(predictions, [1.0, 6.0, 5.5]).backward()
+        np.testing.assert_allclose(predictions.grad,
+                                   [1.0 / (3 * 1.0), -1.0 / (3 * 6.0), -1.0 / (3 * 5.5)])
+
+    def test_surrogate_loss_floors_targets_at_epsilon(self):
+        loss = surrogate_loss(Tensor(np.array([1e-3])), [0.0], epsilon=1e-2)
+        assert loss.item() == pytest.approx((1e-2 - 1e-3) / 1e-2)
 
 
 class TestSurrogateTraining:

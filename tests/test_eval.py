@@ -176,6 +176,41 @@ class TestExperimentDrivers:
         predictions = np.array([value for _, value in results["surrogate"]])
         assert np.all(np.isfinite(predictions)) and np.all(predictions > 0)
 
+    def test_figure2_surrogate_curve_matches_per_width_reference(self, monkeypatch):
+        """The one batched forward equals a scalar reference forward per width."""
+        import repro.core.surrogate_training as surrogate_training
+        from repro.api.registries import SIMULATORS
+        from repro.autodiff.tensor import no_grad
+        from repro.eval.experiments import ExperimentScale, run_figure2_surrogate_sweep
+        from repro.targets import get_uarch
+        from surrogate_reference import reference_forward
+
+        trained = []
+        train_surrogate = surrogate_training.train_surrogate
+
+        def capture(surrogate, *args, **kwargs):
+            trained.append(surrogate)
+            return train_surrogate(surrogate, *args, **kwargs)
+
+        monkeypatch.setattr(surrogate_training, "train_surrogate", capture)
+        results = run_figure2_surrogate_sweep(ExperimentScale.smoke())
+        (surrogate,) = trained
+        spec = surrogate.spec
+        featurized = surrogate.featurizer.featurize(parse_block(results["block"]))
+        base_arrays = SIMULATORS.get("mca").create_adapter(
+            get_uarch("haswell"), narrow_sampling=True).default_arrays()
+        reference = []
+        with no_grad():
+            for width, _ in results["surrogate"]:
+                arrays = base_arrays.copy()
+                arrays.global_values[spec.global_field_slice("DispatchWidth")] = width
+                normalized = spec.normalize_for_surrogate_training(arrays)
+                rows = normalized.per_instruction_values[list(featurized.opcode_indices)]
+                reference.append(reference_forward(surrogate, featurized, rows,
+                                                   normalized.global_values).item())
+        np.testing.assert_allclose([value for _, value in results["surrogate"]],
+                                   reference, atol=1e-9, rtol=0)
+
     def test_experiment_scales(self):
         from repro.eval.experiments import ExperimentScale
 

@@ -105,6 +105,15 @@ class TestCSVRoundTrip:
         np.testing.assert_allclose(loaded[0].y, [3.0, 1.0, 1.0])
         np.testing.assert_allclose(loaded[1].x, [1.0, 2.0, 3.0])
 
+    def test_series_csv_bytes(self, tmp_path):
+        path = os.path.join(tmp_path, "fig2.csv")
+        write_series_csv(path, [Series("llvm-mca", x=[1.0, 2.0], y=[3.0, 1.0]),
+                                Series("surrogate", x=[1.0, 2.0], y=[3.2, 1.8])],
+                         x_name="DispatchWidth")
+        with open(path, "rb") as handle:
+            assert handle.read() == (b"DispatchWidth,llvm-mca,surrogate\r\n"
+                                     b"1.0,3.0,3.2\r\n2.0,1.0,1.8\r\n")
+
     def test_series_csv_requires_shared_x(self, tmp_path):
         path = os.path.join(tmp_path, "fig.csv")
         series = [Series("a", x=[1.0], y=[2.0]), Series("b", x=[3.0], y=[4.0])]
@@ -123,6 +132,12 @@ class TestCSVRoundTrip:
         assert lines[1].endswith("1,3")
         with pytest.raises(ValueError):
             write_histogram_csv(path, {"x": [1.0]}, bins=[0])
+
+    def test_histogram_csv_bytes(self, tmp_path):
+        path = os.path.join(tmp_path, "hist.csv")
+        write_histogram_csv(path, {"default": [0.5, 1.5, 1.5]}, bins=[0, 1, 2])
+        with open(path, "rb") as handle:
+            assert handle.read() == b"bin_low,bin_high,default\r\n0,1,1\r\n1,2,2\r\n"
 
     def test_read_series_rejects_narrow_csv(self, tmp_path):
         path = os.path.join(tmp_path, "narrow.csv")

@@ -291,6 +291,30 @@ class TestParameterArraysCodec:
         with pytest.raises(KeyError, match="other.npz is not a ParameterArrays"):
             decode_parameter_arrays(payload, "other.npz")
 
+    def test_encoding_is_byte_deterministic(self):
+        """Checkpoints are compared with ``cmp``: equal tables, equal bytes."""
+        def encode():
+            return encode_parameter_arrays(ParameterArrays(
+                global_values=np.array([3.0, 7.0]),
+                per_instruction_values=np.arange(12.0).reshape(4, 3)))
+
+        assert encode() == encode()
+
+    def test_integer_arrays_decode_as_float64(self):
+        arrays = ParameterArrays(global_values=np.array([3, 7]),
+                                 per_instruction_values=np.arange(6).reshape(2, 3))
+        restored = decode_parameter_arrays(encode_parameter_arrays(arrays), "arrays.npz")
+        assert restored.global_values.dtype == np.float64
+        assert restored.per_instruction_values.dtype == np.float64
+        np.testing.assert_array_equal(restored.per_instruction_values,
+                                      np.arange(6.0).reshape(2, 3))
+
+    def test_truncated_payload_names_the_source(self):
+        payload = encode_parameter_arrays(ParameterArrays(
+            global_values=np.zeros(2), per_instruction_values=np.zeros((40, 3))))
+        with pytest.raises(storage.CorruptArtifactError, match="table.npz"):
+            decode_parameter_arrays(payload[:len(payload) // 2], "table.npz")
+
 
 class TestCheckpointStore:
     def test_rng_snapshot_roundtrip(self, tmp_path):

@@ -6,6 +6,8 @@
   in-memory cache keys;
 * unit tests pin the primitive: a failed write leaves the previous file
   intact, and an unparseable file is named in the error;
+* the bench payload, report and CSV writers keep their previous file when a
+  write fails;
 * every manifest kind, truncated, fails with its path in the message.
 """
 
@@ -19,6 +21,9 @@ import numpy as np
 import pytest
 
 from repro import storage
+from repro.bench.runner import Runner, RunnerConfig
+from repro.eval.plots import Series, write_histogram_csv, write_series_csv
+from repro.eval.reports import write_report
 from repro.storage import (CheckpointMismatchError, CorruptArtifactError,
                            PinnedManifest)
 
@@ -138,6 +143,66 @@ class TestAtomicWrite:
             storage.atomic_write(path, b"next")
         assert pathlib.Path(path).read_bytes() == b"previous"
         assert os.listdir(tmp_path) == ["file.bin"]
+
+
+class TestBuiltinWriteScan:
+    """Which ``open`` calls the source guard counts as writes."""
+
+    @pytest.mark.parametrize("call", ['open(path, "w")', 'open(path, "a")',
+                                      'open(path, "x")', 'open(path, "r+")',
+                                      'open(path, mode="wb")', 'open(path, mode)'])
+    def test_writing_or_unknown_modes_flagged(self, call):
+        assert list(_builtin_writes(ast.parse(call))) == [1]
+
+    @pytest.mark.parametrize("call", ['open(path)', 'open(path, "r")',
+                                      'open(path, mode="rb")'])
+    def test_read_modes_pass(self, call):
+        assert list(_builtin_writes(ast.parse(call))) == []
+
+
+def _write_bench_payload(output_dir, value):
+    runner = Runner(RunnerConfig(tier="smoke", suite="demo", output_dir=output_dir),
+                    log=None)
+    return runner.write({"value": value})
+
+
+def _write_report(output_dir, value):
+    path = os.path.join(output_dir, "REPORT.md")
+    write_report(os.path.join(output_dir, "no-results"), path, title=f"Run {value}")
+    return path
+
+
+def _write_series_csv(output_dir, value):
+    path = os.path.join(output_dir, "series.csv")
+    write_series_csv(path, [Series("a", x=[1.0], y=[float(value)])])
+    return path
+
+
+def _write_histogram_csv(output_dir, value):
+    path = os.path.join(output_dir, "histogram.csv")
+    write_histogram_csv(path, {"a": [0.5]}, bins=[0.0, float(value)])
+    return path
+
+
+class TestHumanFacingOutputs:
+    """Bench payloads, reports and CSV exports are replaced, never rewritten in place."""
+
+    @pytest.mark.parametrize("writer", [_write_bench_payload, _write_report,
+                                        _write_series_csv, _write_histogram_csv],
+                             ids=["bench_payload", "report", "series_csv",
+                                  "histogram_csv"])
+    def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, writer):
+        path = writer(str(tmp_path), 1)
+        previous = pathlib.Path(path).read_bytes()
+
+        def fail(source, target):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(storage.os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            writer(str(tmp_path), 2)
+        assert pathlib.Path(path).read_bytes() == previous
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 class TestEncodings:
