@@ -36,11 +36,6 @@ if BENCH_TIER not in SCALE_TIERS:
     raise ValueError(f"BENCH_TIER={BENCH_TIER!r} must be one of {SCALE_TIERS}")
 
 
-def benchmark_scale() -> ExperimentScale:
-    """Deprecated: the old reduced scale, now :meth:`ExperimentScale.quick`."""
-    return ExperimentScale.quick()
-
-
 def record_result(name: str, payload: Any,
                   scale: Optional[ExperimentScale] = None,
                   tier: str = BENCH_TIER,

@@ -97,14 +97,6 @@ class ScenarioContext:
                              f"standalone engine factory")
         return plugin.engine_factory(**kwargs)
 
-    def mca_adapter(self, uarch_name: Optional[str] = None, **kwargs):
-        """Back-compat alias for ``adapter("mca", ...)``."""
-        return self.adapter("mca", uarch_name, **kwargs)
-
-    def mca_engine(self, **kwargs):
-        """Back-compat alias for ``engine("mca", ...)``."""
-        return self.engine("mca", **kwargs)
-
 
 #: Signature of a scenario's run callable.
 RunCallable = Callable[[ScenarioContext], Any]

@@ -251,10 +251,10 @@ def ablation_port_groups(ctx: ScenarioContext):
     test = ctx.dataset("haswell").test_examples
     blocks = [example.block for example in test]
     timings = np.array([example.timing for example in test])
-    adapter = ctx.mca_adapter("haswell")
+    adapter = ctx.adapter("mca", "haswell")
     # One batched engine call: the test blocks are compiled once and the two
     # tables fan out across workers when --workers is set.
-    predictions = ctx.mca_engine().run(
+    predictions = ctx.engine().run(
         [adapter.default_table(), _regrouped_table(adapter)], blocks)
     return {
         "per-port PortMap (paper)": mean_absolute_percentage_error(predictions[0], timings),
@@ -284,7 +284,7 @@ def ablation_surrogate(ctx: ScenarioContext):
     results = {}
     for label, kind, refinement in [("analytical + refinement", "analytical", 1),
                                     ("pooled, no refinement", "pooled", 0)]:
-        adapter = ctx.mca_adapter("haswell", narrow_sampling=True)
+        adapter = ctx.adapter("mca", "haswell", narrow_sampling=True)
         config = ctx.scale.difftune
         config = type(config)(**{**config.__dict__})
         config.surrogate = type(config.surrogate)(**{**config.surrogate.__dict__})
@@ -294,7 +294,7 @@ def ablation_surrogate(ctx: ScenarioContext):
         learned = difftune.learn(train_blocks, train_timings)
         predictions = adapter.predict_timings(learned.learned_arrays, test_blocks)
         results[label] = mean_absolute_percentage_error(predictions, test_timings)
-    default_adapter = ctx.mca_adapter("haswell")
+    default_adapter = ctx.adapter("mca", "haswell")
     results["default parameters"] = mean_absolute_percentage_error(
         default_adapter.predict_timings(default_adapter.default_arrays(), test_blocks),
         test_timings)
@@ -325,7 +325,7 @@ def baseline_search(ctx: ScenarioContext):
     train_timings = np.array([example.timing for example in train])
     test_blocks = [example.block for example in test]
     test_timings = np.array([example.timing for example in test])
-    adapter = ctx.mca_adapter("haswell", narrow_sampling=True)
+    adapter = ctx.adapter("mca", "haswell", narrow_sampling=True)
     results = {}
     genetic = GeneticTuner(adapter, GeneticConfig(
         evaluation_budget=budget, population_size=10,
@@ -342,7 +342,7 @@ def baseline_search(ctx: ScenarioContext):
         rounds=2, seed=ctx.seed)).tune(train_blocks, train_timings)
     results["coordinate descent"] = mean_absolute_percentage_error(
         adapter.predict_timings(coordinate.best_arrays, test_blocks), test_timings)
-    default = ctx.mca_adapter("haswell")
+    default = ctx.adapter("mca", "haswell")
     results["default parameters"] = mean_absolute_percentage_error(
         default.predict_timings(default.default_arrays(), test_blocks), test_timings)
     return results
@@ -385,7 +385,7 @@ def engine_throughput(ctx: ScenarioContext):
     num_tables = ctx.by_tier(smoke=2, quick=2, full=4)
     max_length = 16
     workers = ctx.workers or 2
-    adapter = ctx.mca_adapter("haswell")
+    adapter = ctx.adapter("mca", "haswell")
     generator = BlockGenerator(seed=ctx.seed)
     blocks = [block for block in generator.generate_blocks(4 * num_blocks)
               if len(block) <= max_length][:num_blocks]
@@ -430,9 +430,9 @@ def engine_throughput(ctx: ScenarioContext):
 
     # Result caches are cleared between rounds so every round re-simulates
     # (engine_cached measures the hit path separately).
-    engine = ctx.mca_engine(num_workers=0)
+    engine = ctx.engine(num_workers=0)
     engine.run([warmup_table], blocks)
-    parallel_engine = ctx.mca_engine(num_workers=workers)
+    parallel_engine = ctx.engine(num_workers=workers)
     parallel_engine.run([warmup_table], blocks)
 
     def run_cleared(target_engine):
@@ -529,7 +529,7 @@ def surrogate_training_throughput(ctx: ScenarioContext):
     num_examples = ctx.by_tier(smoke=96, quick=384, full=1024)
     epochs = ctx.by_tier(smoke=1, quick=2, full=2)
     batch_size = ctx.by_tier(smoke=32, quick=64, full=64)
-    adapter = ctx.mca_adapter("haswell", narrow_sampling=True)
+    adapter = ctx.adapter("mca", "haswell", narrow_sampling=True)
     spec = adapter.parameter_spec()
     blocks = BlockGenerator(seed=ctx.seed).generate_blocks(num_blocks)
     rng = np.random.default_rng(ctx.seed)
@@ -576,7 +576,7 @@ def table_optimization_throughput(ctx: ScenarioContext):
     num_blocks = ctx.by_tier(smoke=48, quick=128, full=256)
     epochs = ctx.by_tier(smoke=2, quick=4, full=4)
     batch_size = ctx.by_tier(smoke=32, quick=64, full=64)
-    adapter = ctx.mca_adapter("haswell", narrow_sampling=True)
+    adapter = ctx.adapter("mca", "haswell", narrow_sampling=True)
     spec = adapter.parameter_spec()
     dataset = ctx.dataset("haswell", num_blocks=num_blocks)
     train = dataset.train_examples
@@ -906,7 +906,7 @@ def _format_corpus_streaming(metrics) -> str:
                  "yes" if metrics["arrays_bit_identical"] else "NO", "", ""])
     return format_table(["Phase", "Rate", "Wall time", "Peak traced"], rows,
                         title="Corpus-scale streaming collection "
-                              "(sharded corpus vs in-memory)")
+                              "(sharded corpus vs block list)")
 
 
 @scenario("corpus_streaming", tags=("perf", "ci"),
@@ -915,31 +915,29 @@ def corpus_streaming(ctx: ScenarioContext):
     """Blocks/sec, examples/sec, and peak memory of corpus-scale collection.
 
     Three phases over one scratch corpus: (1) ``ShardedCorpus.build``
-    streams generated+measured blocks to disk shards; (2) streaming
-    collection draws the simulated dataset straight off the corpus through
-    its bounded block LRU into flat arrays; (3) the classic in-memory path
-    materializes every parsed block and per-example object.  The streaming
-    arrays must be byte-identical to the in-memory collector's, and its
-    Python-allocation peak (tracemalloc, measured identically for both
-    phases) must stay under half the in-memory peak — the tentpole claim
-    that corpus size bounds disk, not RAM.  Per-process ``peak_rss_bytes``
-    lands in the runner's result entry separately; tracemalloc is used for
-    the per-phase assertion because RSS high-water marks are monotone
-    across a suite.
+    streams generated+measured blocks to disk shards; (2) the collector
+    draws the simulated dataset straight off the corpus through its bounded
+    block LRU; (3) the same collector runs over a block list that parses
+    every corpus block first.  The two phases' arrays must be byte-identical,
+    and the corpus phase's Python-allocation peak (tracemalloc, measured
+    identically for both phases) must stay under half the block-list
+    phase's — the claim that corpus size bounds disk, not RAM.  Per-process
+    ``peak_rss_bytes`` lands in the runner's result entry separately;
+    tracemalloc is used for the per-phase assertion because RSS high-water
+    marks are monotone across a suite.
     """
     import tempfile
     import tracemalloc
 
     from repro.core.simulated_dataset import collect_simulated_dataset
-    from repro.corpus import ShardedCorpus, collect_simulated_dataset_streaming
-    from repro.pipeline.stages import _examples_to_arrays
+    from repro.corpus import ShardedCorpus
 
     # 10^4 generated blocks at smoke, the acceptance-criterion 10^5 at quick
     # and full; the collection draw is one example per eight kept blocks.
     num_blocks = ctx.by_tier(smoke=10_000, quick=100_000, full=100_000)
     shard_size = 1024
     blocks_per_table = 16
-    adapter = ctx.mca_adapter("haswell", narrow_sampling=True)
+    adapter = ctx.adapter("mca", "haswell", narrow_sampling=True)
 
     with tempfile.TemporaryDirectory(prefix="repro-corpus-bench-") as scratch:
         start = time.perf_counter()
@@ -953,18 +951,16 @@ def corpus_streaming(ctx: ScenarioContext):
         num_examples = len(corpus) // 8
 
         def collect_streaming():
-            return collect_simulated_dataset_streaming(
+            return collect_simulated_dataset(
                 adapter, corpus, num_examples,
                 np.random.default_rng(ctx.seed + 1),
                 blocks_per_table=blocks_per_table)
 
         def collect_in_memory():
-            blocks = list(corpus.iter_blocks())
-            examples = collect_simulated_dataset(
-                adapter, blocks, num_examples,
+            return collect_simulated_dataset(
+                adapter, list(corpus.iter_blocks()), num_examples,
                 np.random.default_rng(ctx.seed + 1),
                 blocks_per_table=blocks_per_table)
-            return _examples_to_arrays(examples)
 
         # Untimed warm-up (engine_throughput's methodology): both timed
         # phases run over hot compile/operand caches and a full block LRU,
@@ -989,8 +985,7 @@ def corpus_streaming(ctx: ScenarioContext):
                 result = runner()
                 elapsed = time.perf_counter() - start
                 _, peak = tracemalloc.get_traced_memory()
-                outputs[label] = (result.to_arrays() if label == "streaming"
-                                  else result)
+                outputs[label] = result.to_arrays()
                 phases[label] = {
                     "seconds": elapsed,
                     "examples_per_second": num_examples / max(elapsed, 1e-9),
@@ -1006,11 +1001,11 @@ def corpus_streaming(ctx: ScenarioContext):
                  and all(np.array_equal(outputs["streaming"][key],
                                         outputs["in_memory"][key])
                          for key in outputs["streaming"]))
-    assert identical, "streaming collection diverged from the in-memory path"
+    assert identical, "corpus collection diverged from the block-list collection"
     ratio = (phases["streaming"]["peak_traced_mb"]
              / max(phases["in_memory"]["peak_traced_mb"], 1e-9))
     assert ratio < 0.5, (
-        f"streaming peak memory is {ratio:.2f}x the in-memory peak "
+        f"corpus collection peak memory is {ratio:.2f}x the block-list peak "
         f"(must stay under 0.5x)")
 
     return {

@@ -36,7 +36,7 @@ from repro.core.constraints import (BoundConstraint, Constraint, ConstraintSet,
 from repro.core.surrogate import (SurrogateConfig, BlockFeaturizer, FeaturizationCache,
                                   IthemalSurrogate, PackedBlockBatch, PooledSurrogate,
                                   build_surrogate)
-from repro.core.simulated_dataset import SimulatedExample, collect_simulated_dataset
+from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
                                            train_surrogate)
@@ -66,7 +66,7 @@ __all__ = [
     "FeaturizationCache",
     "PackedBlockBatch",
     "evaluate_surrogate",
-    "SimulatedExample",
+    "SimulatedDataset",
     "collect_simulated_dataset",
     "mape_loss_value",
     "surrogate_loss",

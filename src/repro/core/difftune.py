@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.adapters import SimulatorAdapter
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
-from repro.core.simulated_dataset import SimulatedExample
+from repro.core.simulated_dataset import SimulatedDataset
 from repro.core.surrogate import BlockFeaturizer, SurrogateConfig, build_surrogate
 from repro.core.surrogate_training import SurrogateTrainingConfig, SurrogateTrainingResult
 from repro.core.table_optimization import TableOptimizationConfig, TableOptimizationResult
@@ -93,13 +93,13 @@ class DiffTune:
     # Individual stages (exposed for tests and ablations)
     # ------------------------------------------------------------------
     def collect_simulated_dataset(self, blocks: Sequence[BasicBlock],
-                                  rng: np.random.Generator) -> List[SimulatedExample]:
+                                  rng: np.random.Generator) -> SimulatedDataset:
         from repro.pipeline.stages import collect_examples, log_engine_stats
 
         self._log(f"collecting simulated dataset ({self.config.simulated_dataset_size} examples)")
-        examples = collect_examples(self.adapter, self.config, blocks, rng)
+        dataset = collect_examples(self.adapter, self.config, blocks, rng)
         log_engine_stats(self.adapter, self._log)
-        return examples
+        return dataset
 
     def build_surrogate(self):
         return build_surrogate(self.adapter.parameter_spec(), self.featurizer,
@@ -124,7 +124,7 @@ class DiffTune:
     # End-to-end run
     # ------------------------------------------------------------------
     def learn(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray,
-              simulated_examples: Optional[Sequence[SimulatedExample]] = None,
+              simulated_dataset: Optional[SimulatedDataset] = None,
               checkpoint_dir: Optional[str] = None, resume: bool = False,
               stop_after: Optional[str] = None,
               featurization_store=None) -> Optional[DiffTuneResult]:
@@ -133,7 +133,7 @@ class DiffTune:
         Args:
             blocks: Training basic blocks.
             true_timings: Measured timings aligned with ``blocks``.
-            simulated_examples: Optionally a pre-collected simulated dataset
+            simulated_dataset: Optionally a pre-collected simulated dataset
                 (used by tests and by experiments that reuse one simulated
                 dataset across ablations).
             checkpoint_dir: Persist every completed stage's artifacts here.
@@ -145,8 +145,8 @@ class DiffTune:
                 the final stage — resume later to finish it.
             featurization_store: Optional
                 :class:`~repro.corpus.store.ShardedFeaturizationStore`
-                serving memory-mapped per-block arrays to surrogate training
-                (corpus-backed runs only).
+                serving memory-mapped per-block arrays to both training
+                phases (corpus-backed runs only).
         """
         start_time = time.time()
         true_timings = np.asarray(true_timings, dtype=np.float64)
@@ -154,7 +154,7 @@ class DiffTune:
             raise ValueError("blocks and true_timings must be aligned")
         state = self.pipeline(checkpoint_dir,
                               featurization_store=featurization_store).run(
-            blocks, true_timings, simulated_examples=simulated_examples,
+            blocks, true_timings, simulated_dataset=simulated_dataset,
             resume=resume, stop_after=stop_after)
         if state.learned_arrays is None:
             self._log(f"run stopped after stage '{stop_after}'; "
@@ -166,7 +166,7 @@ class DiffTune:
         return DiffTuneResult(learned_arrays=state.learned_arrays,
                               surrogate_result=state.surrogate_result,
                               table_result=state.table_result,
-                              simulated_dataset_size=len(state.simulated_examples),
+                              simulated_dataset_size=len(state.simulated_dataset),
                               train_error=state.train_error,
                               elapsed_seconds=elapsed,
                               resumed_stages=list(state.resumed_stages),

@@ -12,34 +12,142 @@ Simulation requests flow through the adapter's shared
 reused across all sampled tables and any (table, block) pair already
 evaluated elsewhere in the pipeline is served from the engine's result
 cache.
+
+The dataset is one :class:`SimulatedDataset` whatever the block source — a
+block list or a lazy :class:`~repro.corpus.sharded.CorpusView`: the sampled
+tables plus three flat lists holding each example's table index, block
+position and timing, with no per-example objects, so a million-example
+dataset costs megabytes.  A :class:`CollectionCheckpoint` persists a partial
+dataset with the rng position after its draws, so a killed collection
+resumes bit-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import contextlib
+import os
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import storage
 from repro.core.adapters import SimulatorAdapter
 from repro.core.parameters import ParameterArrays
 from repro.engine.megabatch import DEFAULT_MEGABATCH_CHUNK
 from repro.isa.basic_block import BasicBlock
 
+PARTIAL_NAME = "partial_dataset.npz"
+#: Archive member holding the checkpoint's JSON progress record.
+PROGRESS_KEY = "progress"
 
-@dataclass
-class SimulatedExample:
-    """One ``(parameter table, block, simulated timing)`` triple.
 
-    The parameter table is stored once per sampled table (by reference) and
-    shared between the examples generated with it, so memory stays
-    proportional to the number of sampled tables rather than examples.
+@dataclass(eq=False)
+class SimulatedDataset:
+    """``(parameter table, block, simulated timing)`` triples as flat rows.
+
+    Example ``i`` is ``tables[example_table[i]]`` applied to
+    ``blocks[example_block[i]]``, timed at ``example_timing[i]``.  Each
+    sampled table is stored once, in sampling order, so memory stays
+    proportional to the number of tables plus three scalars per example.
+    ``blocks`` is the source the block positions index; nothing here parses
+    it, so a corpus view stays lazy.
     """
 
-    arrays: ParameterArrays
-    block_index: int
-    block: BasicBlock
-    simulated_timing: float
+    blocks: Sequence[BasicBlock]
+    tables: List[ParameterArrays] = field(default_factory=list)
+    example_table: List[int] = field(default_factory=list)
+    example_block: List[int] = field(default_factory=list)
+    example_timing: List[float] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.example_timing)
+
+    def append_round(self, arrays: ParameterArrays, block_indices: np.ndarray,
+                     timings: np.ndarray) -> None:
+        """Append one sampled table and the examples drawn with it."""
+        table_index = len(self.tables)
+        self.tables.append(arrays)
+        for block_index, timing in zip(block_indices, timings):
+            self.example_table.append(table_index)
+            self.example_block.append(int(block_index))
+            self.example_timing.append(float(timing))
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The array layout of the pipeline's ``simulated_dataset.npz``."""
+        if not self.tables:
+            raise ValueError("cannot serialize an empty simulated dataset")
+        return {
+            "table_global_values": np.stack(
+                [table.global_values for table in self.tables]),
+            "table_per_instruction_values": np.stack(
+                [table.per_instruction_values for table in self.tables]),
+            "example_table": np.asarray(self.example_table, dtype=np.int64),
+            "example_block": np.asarray(self.example_block, dtype=np.int64),
+            "example_timing": np.asarray(self.example_timing, dtype=np.float64),
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, np.ndarray],
+                    blocks: Sequence[BasicBlock]) -> "SimulatedDataset":
+        """Rebuild over ``blocks`` from the layout of :meth:`to_arrays`."""
+        tables = [ParameterArrays(
+            global_values=arrays["table_global_values"][index],
+            per_instruction_values=arrays["table_per_instruction_values"][index])
+            for index in range(arrays["table_global_values"].shape[0])]
+        return cls(blocks, tables, arrays["example_table"].tolist(),
+                   arrays["example_block"].tolist(),
+                   arrays["example_timing"].tolist())
+
+
+class CollectionCheckpoint:
+    """Partial-collection checkpoint: one ``.npz`` under ``directory``.
+
+    :func:`collect_simulated_dataset` saves it every ``every`` collected
+    examples.  The archive holds the dataset collected so far plus a JSON
+    progress record (the target example count and the rng bit-generator
+    state right after the collected rows' draws), written atomically in one
+    piece so the two can never disagree.
+    """
+
+    def __init__(self, directory: str, every: int) -> None:
+        self.directory = directory
+        self.every = every
+
+    @property
+    def path(self) -> str:
+        return os.path.join(self.directory, PARTIAL_NAME)
+
+    def save(self, dataset: SimulatedDataset, rng_state: Dict[str, Any],
+             num_examples: int) -> None:
+        """Persist ``dataset`` with the bit-generator state after its draws."""
+        progress = storage.encode_json({
+            "num_examples": int(num_examples),
+            "rng_state": storage.encode_rng_state(rng_state),
+        })
+        arrays = dataset.to_arrays()
+        arrays[PROGRESS_KEY] = np.frombuffer(progress, dtype=np.uint8)
+        storage.atomic_write(self.path,
+                             storage.encode_arrays(arrays, compressed=False))
+
+    def load(self, blocks: Sequence[BasicBlock]
+             ) -> Optional[Tuple[SimulatedDataset, Any, int]]:
+        """The saved partial dataset, rng state, and target example count."""
+        if not os.path.exists(self.path):
+            return None
+        arrays = storage.read_arrays(self.path)
+        if PROGRESS_KEY not in arrays:
+            raise storage.CorruptArtifactError(
+                f"{self.path} holds no {PROGRESS_KEY!r} record")
+        progress = storage.decode_json(arrays.pop(PROGRESS_KEY).tobytes(),
+                                       self.path)
+        return (SimulatedDataset.from_arrays(arrays, blocks),
+                storage.decode_rng_state(progress["rng_state"]),
+                int(progress["num_examples"]))
+
+    def clear(self) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.path)
 
 
 def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
@@ -47,14 +155,16 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
                               blocks_per_table: int = 16,
                               progress: Optional[Callable[[int, int], None]] = None,
                               table_sampler: Optional[Callable[[np.random.Generator],
-                                                               ParameterArrays]] = None
-                              ) -> List[SimulatedExample]:
+                                                               ParameterArrays]] = None,
+                              checkpoint: Optional[CollectionCheckpoint] = None
+                              ) -> SimulatedDataset:
     """Build the simulated dataset.
 
     Args:
         adapter: Simulator adapter (defines the sampling distributions and
             runs the original simulator).
-        blocks: Ground-truth training blocks to sample from.
+        blocks: Ground-truth training blocks to sample from: a list or a
+            lazy corpus view, which collection parses only where it draws.
         num_examples: Total number of (table, block, timing) examples.
         rng: Random generator for both table and block sampling.
         blocks_per_table: Number of blocks simulated per sampled table.
@@ -66,39 +176,9 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
         table_sampler: Optional override for the table sampling distribution
             (used by the local-refinement rounds to sample near the current
             estimate instead of from the global distribution).
-
-    Returns:
-        A list of :class:`SimulatedExample`.
-    """
-    examples: List[SimulatedExample] = []
-    for arrays, block_indices, selected, timings, _rng_state in iter_simulated_rounds(
-            adapter, blocks, num_examples, rng, blocks_per_table=blocks_per_table,
-            table_sampler=table_sampler):
-        for block_index, block, timing in zip(block_indices, selected, timings):
-            examples.append(SimulatedExample(arrays=arrays, block_index=int(block_index),
-                                             block=block, simulated_timing=float(timing)))
-        if progress is not None:
-            progress(len(examples), num_examples)
-    return examples
-
-
-def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
-                          num_examples: int, rng: np.random.Generator,
-                          blocks_per_table: int = 16,
-                          table_sampler: Optional[Callable[[np.random.Generator],
-                                                           ParameterArrays]] = None,
-                          already_collected: int = 0
-                          ) -> Iterator[Tuple[ParameterArrays, np.ndarray,
-                                              List[BasicBlock], np.ndarray,
-                                              Dict[str, Any]]]:
-    """Stream the simulated dataset one sampled table at a time.
-
-    Yields ``(arrays, block_indices, selected_blocks, timings, rng_state)``
-    per sampled table, in exactly the order
-    :func:`collect_simulated_dataset` records examples.  ``rng_state`` is
-    the rng's bit-generator state right after that table's draws: the
-    position a checkpoint taken after this table must record, since the
-    live rng is already past the rest of its round.
+        checkpoint: Optional partial-collection checkpoint.  A saved partial
+            is resumed (rng included), and progress is saved every
+            ``checkpoint.every`` examples.
 
     Tables are drawn in rounds of a fixed size,
     ``ceil(DEFAULT_MEGABATCH_CHUNK / blocks_per_table)`` tables (one kernel
@@ -108,24 +188,30 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
     round draws only the tables still planned.  Each table draw is followed
     immediately by its block-index draw and evaluation draws nothing, so
     the draw stream, the dataset and the rng position after the stage are
-    those of drawing one table at a time — and a run resumed from
-    ``already_collected`` examples (with the rng restored to the state
-    recorded after them) continues bit-identically, whatever worker count
-    either run used.
-
-    Args:
-        already_collected: Number of examples already produced by a previous
-            (checkpointed) run; iteration resumes mid-stream after them.
-            Must sit on a table boundary — i.e. be a value some prefix of
-            tables adds up to — which every multiple of ``blocks_per_table``
-            (and ``num_examples`` itself) is.
+    those of drawing one table at a time.  A checkpoint saved after a table
+    records the rng state right after that table's draws (the live rng is
+    already past the rest of its round), so a run resumed from it continues
+    bit-identically, whatever worker count either run used.  Saves fall on
+    table boundaries only.
     """
     if num_examples < 1:
         raise ValueError("num_examples must be >= 1")
     if len(blocks) == 0:
         raise ValueError("need at least one block to build the simulated dataset")
-    if already_collected < 0 or already_collected > num_examples:
-        raise ValueError("already_collected must be within [0, num_examples]")
+    dataset = SimulatedDataset(blocks)
+    if checkpoint is not None:
+        loaded = checkpoint.load(blocks)
+        if loaded is not None:
+            dataset, rng_state, recorded_target = loaded
+            if recorded_target != num_examples:
+                raise ValueError(
+                    f"collection checkpoint targets {recorded_target} "
+                    f"examples; this run asks for {num_examples} — clear the "
+                    f"checkpoint or match the configuration")
+            if len(dataset) > num_examples:
+                raise ValueError("collection checkpoint is ahead of the "
+                                 "requested example count")
+            rng.bit_generator.state = rng_state
     spec = adapter.parameter_spec()
     try:
         engine = adapter.engine
@@ -133,9 +219,9 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
         engine = None
     tables_per_round = -(-DEFAULT_MEGABATCH_CHUNK // blocks_per_table)
 
-    collected = already_collected
-    while collected < num_examples:
-        planned = collected
+    last_saved = len(dataset)
+    while len(dataset) < num_examples:
+        planned = len(dataset)
         drawn = []
         while len(drawn) < tables_per_round and planned < num_examples:
             arrays = table_sampler(rng) if table_sampler is not None else spec.sample(rng)
@@ -152,11 +238,17 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
         else:
             timing_rows = [adapter.predict_timings(arrays, selected)
                            for arrays, _, selected, _ in drawn]
-        for (arrays, block_indices, selected, rng_state), timings in zip(
+        for (arrays, block_indices, _selected, rng_state), timings in zip(
                 drawn, timing_rows):
-            collected += len(block_indices)
-            yield (arrays, block_indices, selected,
-                   np.asarray(timings, dtype=np.float64), rng_state)
+            dataset.append_round(arrays, block_indices, timings)
+            if progress is not None:
+                progress(len(dataset), num_examples)
+            if (checkpoint is not None
+                    and len(dataset) - last_saved >= checkpoint.every
+                    and len(dataset) < num_examples):
+                checkpoint.save(dataset, rng_state, num_examples)
+                last_saved = len(dataset)
+    return dataset
 
 
 def random_table_errors(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -289,8 +289,8 @@ def pack_block_arrays(per_block: Sequence[Dict[str, np.ndarray]]) -> PackedBlock
     """Pad a list of per-block array dicts into one :class:`PackedBlockBatch`.
 
     Accepts the dicts produced by :func:`build_block_arrays` — or memory-
-    mapped views of them from the on-disk featurization store — so both the
-    in-memory and the shard-streaming training paths share one packer.
+    mapped views of them from the on-disk featurization store — so every
+    source :meth:`FeaturizationCache.lookup` picks shares one packer.
     """
     if not per_block:
         raise ValueError("cannot pack an empty batch")
@@ -373,8 +373,8 @@ class FeaturizationCache:
     eviction counters aggregate process-wide
     (:func:`featurization_cache_stats`).
 
-    Training loops call :meth:`resolve` once before their first minibatch
-    and :meth:`pack` per minibatch, so no digest runs inside the loop.
+    Training loops take their per-block arrays from one :meth:`lookup`
+    built before their first minibatch and :meth:`pack` each minibatch.
     Parameter inputs are not cached: :func:`batch_parameter_inputs`
     normalizes each minibatch's gathered rows.
     """
@@ -420,6 +420,30 @@ class FeaturizationCache:
                 arrays = by_identity[id(featurized)] = self.arrays_for(featurized)
             resolved.append(arrays)
         return resolved
+
+    def lookup(self, blocks: Sequence[BasicBlock], store: Any
+               ) -> Callable[[int], Dict[str, np.ndarray]]:
+        """``position -> per-block arrays`` over a block source.
+
+        The one place that decides where a block's arrays come from:
+
+        * a corpus (anything with a ``content_fingerprint``: a
+          :class:`~repro.corpus.sharded.ShardedCorpus` or a
+          :class:`~repro.corpus.sharded.CorpusView`) with a featurization
+          ``store`` reads the store's memory maps by corpus-global index —
+          ``blocks.global_index(position)`` for a view, the position itself
+          for a whole corpus;
+        * a corpus with ``store=None`` featurizes each block on demand, so
+          memory stays bounded by this cache's LRU;
+        * a block list is resolved once, here, so a minibatch loop reading
+          the lookup runs no digest; ``store`` is not read.
+        """
+        if not hasattr(blocks, "content_fingerprint"):
+            return self.resolve([self.featurize(block) for block in blocks]).__getitem__
+        if store is None:
+            return lambda position: self.arrays_for(self.featurize(blocks[position]))
+        global_index = getattr(blocks, "global_index", int)
+        return lambda position: store.arrays_for_index(global_index(position))
 
     @staticmethod
     def pack(block_arrays: Sequence[Dict[str, np.ndarray]]) -> PackedBlockBatch:

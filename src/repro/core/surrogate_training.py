@@ -4,11 +4,12 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 ``surrogate(theta, x) ≈ simulator(theta, x)`` over the simulated dataset, with
 Adam and MAPE loss.
 
-Training is batch-major.  Before the minibatch loop, every example's block
-is featurized and resolved to its packed arrays through a
-:class:`~repro.core.surrogate.FeaturizationCache`, so the loop itself runs
-no content digest.  Each minibatch is padded from that list, its examples'
-parameter rows are gathered and normalized together
+Training is batch-major.  Before the minibatch loop, one
+:meth:`~repro.core.surrogate.FeaturizationCache.lookup` decides where each
+block's packed arrays come from (resolved up front for a block list, a
+featurization store or on-demand featurization for a corpus), so the loop
+itself runs no content digest.  Each minibatch is padded from that lookup,
+its examples' parameter rows are gathered and normalized together
 (:func:`~repro.core.surrogate.batch_parameter_inputs`), and the whole
 padded minibatch advances per autodiff op via the surrogate's
 ``forward_batch``.  The property tests pin it within 1e-9 to the
@@ -18,7 +19,7 @@ per-example reference forwards in ``tests/surrogate_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import no_grad
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.parameters import ParameterSpec
-from repro.core.simulated_dataset import SimulatedExample
+from repro.core.simulated_dataset import SimulatedDataset
 from repro.core.surrogate import (FeaturizationCache, _SurrogateBase,
                                   batch_parameter_inputs)
 from repro.core.training_loop import run_minibatch_loop
@@ -59,133 +60,95 @@ class SurrogateTrainingResult:
     examples_per_second: float = 0.0
 
 
-def _batch_inputs(spec: ParameterSpec, examples: Sequence[SimulatedExample],
-                  block_arrays: Sequence, batch_indices: np.ndarray):
-    """Packed batch + parameter inputs + targets for one minibatch.
+def _batch_inputs(spec: ParameterSpec, dataset: SimulatedDataset,
+                  block_arrays: Callable[[int], Dict[str, np.ndarray]],
+                  rows: Sequence[int]):
+    """Packed batch + parameter inputs + targets for the examples at ``rows``.
 
-    ``block_arrays[row]`` holds example ``row``'s resolved per-block arrays
-    (:meth:`FeaturizationCache.resolve`).
+    ``block_arrays`` maps a block position to its per-block arrays
+    (:meth:`FeaturizationCache.lookup`).
     """
-    rows = [int(index) for index in batch_indices]
-    packed = FeaturizationCache.pack([block_arrays[row] for row in rows])
+    rows = [int(row) for row in rows]
+    packed = FeaturizationCache.pack(
+        [block_arrays(dataset.example_block[row]) for row in rows])
     per_instruction, global_values = batch_parameter_inputs(
-        spec, packed, [examples[row].arrays for row in rows])
-    targets = [examples[row].simulated_timing for row in rows]
+        spec, packed, [dataset.tables[dataset.example_table[row]] for row in rows])
+    targets = [dataset.example_timing[row] for row in rows]
     return packed, per_instruction, global_values, targets
 
 
-def is_streaming_examples(examples: Sequence) -> bool:
-    """Whether ``examples`` is an index-addressed streaming source.
-
-    Streaming sources (e.g. :class:`repro.corpus.streaming.StreamingExamples`)
-    expose per-index accessors instead of per-example objects, so training
-    never materializes a featurized list for the whole dataset.
-    """
-    return hasattr(examples, "block_arrays")
-
-
-def _streaming_batch_inputs(spec: ParameterSpec, examples, batch_indices: np.ndarray):
-    """Streaming counterpart of :func:`_batch_inputs` (same float math)."""
-    rows = [int(index) for index in batch_indices]
-    packed = FeaturizationCache.pack([examples.block_arrays(row) for row in rows])
-    per_instruction, global_values = batch_parameter_inputs(
-        spec, packed, [examples.table(row) for row in rows])
-    targets = [examples.timing(row) for row in rows]
-    return packed, per_instruction, global_values, targets
-
-
-def _resolved_block_arrays(cache: FeaturizationCache,
-                           examples: Sequence[SimulatedExample]) -> List:
-    """Every example's per-block arrays, resolved before a minibatch loop."""
-    return cache.resolve([cache.featurize(example.block) for example in examples])
-
-
-def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExample],
+def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
                     config: SurrogateTrainingConfig,
-                    progress: Optional[Callable[[int, int, float], None]] = None
-                    ) -> SurrogateTrainingResult:
-    """Train ``surrogate`` to mimic the simulator on ``examples``.
+                    progress: Optional[Callable[[int, int, float], None]] = None,
+                    store: Any = None) -> SurrogateTrainingResult:
+    """Train ``surrogate`` to mimic the simulator on ``dataset``.
 
     Args:
         surrogate: The surrogate model (weights are updated in place).
-        examples: The simulated dataset.
+        dataset: The simulated dataset.
         config: Training hyper-parameters.
         progress: Optional callback ``(epoch, batch, loss)``; with
             ``log_every=N`` it fires every N batches and always on the final
             (possibly partial) batch of each epoch.
+        store: Optional featurization store serving a corpus-backed
+            dataset's per-block arrays (:meth:`FeaturizationCache.lookup`).
 
     Returns:
         Per-epoch mean losses and the final full-pass training error.
     """
-    if not examples:
+    if not dataset:
         raise ValueError("cannot train the surrogate on an empty dataset")
     spec = surrogate.spec
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    streaming = is_streaming_examples(examples)
-
-    # Resolve every example's per-block arrays once for the whole run.  A
-    # streaming source serves per-block arrays itself (possibly memory-mapped
-    # from disk), so no whole-dataset list is materialized.
-    cache = FeaturizationCache(surrogate.featurizer)
-    block_arrays = [] if streaming else _resolved_block_arrays(cache, examples)
+    # One lookup serves every minibatch and the final evaluation.
+    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks,
+                                                                   store)
 
     def _batched_loss(batch_indices: np.ndarray):
-        if streaming:
-            packed, per_instruction, global_values, targets = \
-                _streaming_batch_inputs(spec, examples, batch_indices)
-        else:
-            packed, per_instruction, global_values, targets = _batch_inputs(
-                spec, examples, block_arrays, batch_indices)
+        packed, per_instruction, global_values, targets = _batch_inputs(
+            spec, dataset, block_arrays, batch_indices)
         predictions = surrogate.forward_batch(packed, per_instruction, global_values)
         return surrogate_loss(predictions, targets)
 
     surrogate.train()
     loop = run_minibatch_loop(
-        len(examples), _batched_loss, optimizer, rng,
+        len(dataset), _batched_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
         shuffle=config.shuffle, gradient_clip=config.gradient_clip,
         log_every=config.log_every, progress=progress)
 
     surrogate.eval()
-    final_error = evaluate_surrogate(surrogate, examples, batch_size=64,
-                                     cache=cache)
+    final_error = _evaluate(surrogate, dataset, block_arrays, batch_size=64)
     return SurrogateTrainingResult(
         epoch_losses=loop.epoch_losses, final_training_error=final_error,
         examples_per_second=loop.examples_per_second)
 
 
-def evaluate_surrogate(surrogate: _SurrogateBase,
-                       examples: Sequence[SimulatedExample],
-                       batch_size: int = 64,
-                       cache: Optional[FeaturizationCache] = None) -> float:
-    """MAPE of the surrogate against the simulator on ``examples``.
+def evaluate_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
+                       batch_size: int = 64) -> float:
+    """MAPE of the surrogate against the simulator on ``dataset``.
 
     Runs the surrogate's batched forward in ``batch_size`` chunks.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    spec = surrogate.spec
-    cache = cache or FeaturizationCache(surrogate.featurizer)
-    streaming = is_streaming_examples(examples)
+    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks,
+                                                                   None)
+    return _evaluate(surrogate, dataset, block_arrays, batch_size)
+
+
+def _evaluate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
+              block_arrays: Callable[[int], Dict[str, np.ndarray]],
+              batch_size: int) -> float:
     predictions: List[float] = []
-    if streaming:
-        targets = [examples.timing(row) for row in range(len(examples))]
-    else:
-        targets = [example.simulated_timing for example in examples]
     with no_grad():
-        block_arrays = [] if streaming else _resolved_block_arrays(cache, examples)
-        for chunk_start in range(0, len(examples), batch_size):
-            chunk = np.arange(chunk_start,
-                              min(chunk_start + batch_size, len(examples)))
-            if streaming:
-                packed, per_instruction, global_values, _ = \
-                    _streaming_batch_inputs(spec, examples, chunk)
-            else:
-                packed, per_instruction, global_values, _ = _batch_inputs(
-                    spec, examples, block_arrays, chunk)
+        for chunk_start in range(0, len(dataset), batch_size):
+            rows = range(chunk_start, min(chunk_start + batch_size, len(dataset)))
+            packed, per_instruction, global_values, _ = _batch_inputs(
+                surrogate.spec, dataset, block_arrays, rows)
             chunk_predictions = surrogate.forward_batch(
                 packed, per_instruction, global_values)
             predictions.extend(float(value)
                                for value in chunk_predictions.numpy())
-    return mape_loss_value(np.array(predictions), np.array(targets))
+    return mape_loss_value(np.array(predictions), np.array(dataset.example_timing))

@@ -7,10 +7,11 @@ against the ground-truth dataset under MAPE loss.  During this phase the
 absolute value of lower-bounded parameters is taken before they are passed to
 the surrogate (Section IV, "Solving the optimization problems").
 
-Like surrogate training (phase one), optimization is batch-major: every
-block is featurized and resolved to its packed arrays once per run, before
-the minibatch loop, through a
-:class:`~repro.core.surrogate.FeaturizationCache`; each minibatch is packed
+Like surrogate training (phase one), optimization is batch-major: each
+block's packed arrays come from one
+:meth:`~repro.core.surrogate.FeaturizationCache.lookup` built before the
+minibatch loop (resolved up front for a block list, a featurization store
+or on-demand featurization for a corpus); each minibatch is packed
 into one padded :class:`~repro.core.surrogate.PackedBlockBatch`, the trainable
 table's rows for the whole batch are gathered with the scatter-add ``gather``
 primitive (so gradients of repeated opcodes accumulate into the same table
@@ -23,7 +24,7 @@ forwards in ``tests/surrogate_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +135,8 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
                              initial_arrays: Optional[ParameterArrays] = None,
                              progress: Optional[Callable[[int, int, float], None]] = None,
                              frozen_per_instruction_mask: Optional[np.ndarray] = None,
-                             frozen_global_mask: Optional[np.ndarray] = None
-                             ) -> TableOptimizationResult:
+                             frozen_global_mask: Optional[np.ndarray] = None,
+                             store: Any = None) -> TableOptimizationResult:
     """Optimize the simulator's parameter table through the frozen surrogate.
 
     Args:
@@ -152,6 +153,8 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
             WriteLatency-only experiment), so the optimizer cannot "spend" its
             loss reduction on fields the extracted table will not use.
         frozen_global_mask: Same, for the global parameter vector.
+        store: Optional featurization store serving a corpus's per-block
+            arrays (:meth:`~repro.core.surrogate.FeaturizationCache.lookup`).
     """
     if len(blocks) != len(true_timings):
         raise ValueError("blocks and true_timings must be aligned")
@@ -176,13 +179,11 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
 
     surrogate.eval()
     targets = np.asarray(true_timings, dtype=np.float64)
-    # Resolve every block's packed arrays once for the whole run.
-    cache = FeaturizationCache(surrogate.featurizer)
-    block_arrays = cache.resolve([cache.featurize(block) for block in blocks])
+    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(blocks, store)
 
     def _batched_loss(batch_indices: np.ndarray):
         rows = [int(index) for index in batch_indices]
-        packed = cache.pack([block_arrays[row] for row in rows])
+        packed = FeaturizationCache.pack([block_arrays(row) for row in rows])
         per_instruction, global_matrix = table.surrogate_inputs_batch(packed)
         predictions = surrogate.forward_batch(packed, per_instruction, global_matrix)
         return surrogate_loss(predictions, [float(targets[row]) for row in rows])

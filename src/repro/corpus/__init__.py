@@ -1,20 +1,20 @@
-"""Corpus-scale streaming dataset layer.
+"""Corpus-scale dataset layer.
 
-Sharded, disk-backed block corpora (:mod:`repro.corpus.sharded`), a
-digest-keyed memory-mapped featurization store (:mod:`repro.corpus.store`),
-and streaming simulated-dataset collection with mid-stage checkpoints
-(:mod:`repro.corpus.streaming`).  Together they let generation, collection,
-and surrogate training run at 10^5–10^6+ blocks with flat peak RSS, shared
-featurization across processes, and bit-identical ``--resume`` at every
-shard/checkpoint boundary.
+Sharded, disk-backed block corpora (:mod:`repro.corpus.sharded`) and a
+digest-keyed memory-mapped featurization store (:mod:`repro.corpus.store`).
+A :class:`~repro.corpus.sharded.CorpusView` is a block source like any
+block list: :func:`repro.core.simulated_dataset.collect_simulated_dataset`
+collects over it with mid-stage checkpoints, and both training phases read
+its per-block arrays from the store
+(:meth:`repro.core.surrogate.FeaturizationCache.lookup`).  Together they let
+generation, collection, and surrogate training run at 10^5–10^6+ blocks
+with flat peak RSS, shared featurization across processes, and
+bit-identical ``--resume`` at every shard/checkpoint boundary.
 """
 
 from repro.corpus.sharded import (CorpusError, CorpusShard, CorpusView,
                                   ShardedCorpus, block_content_digest)
 from repro.corpus.store import ShardedFeaturizationStore, vocabulary_digest
-from repro.corpus.streaming import (CollectionCheckpoint, StreamingExamples,
-                                    StreamingSimulatedDataset,
-                                    collect_simulated_dataset_streaming)
 
 __all__ = [
     "CorpusError",
@@ -24,8 +24,4 @@ __all__ = [
     "block_content_digest",
     "ShardedFeaturizationStore",
     "vocabulary_digest",
-    "CollectionCheckpoint",
-    "StreamingExamples",
-    "StreamingSimulatedDataset",
-    "collect_simulated_dataset_streaming",
 ]

@@ -70,8 +70,7 @@ class ExperimentScale:
     def quick(cls) -> "ExperimentScale":
         """The reduced scale the benchmark harness records (minutes total).
 
-        This is the scale EXPERIMENTS.md results were collected at; it used
-        to live in ``benchmarks/conftest.py`` as ``benchmark_scale()``.
+        This is the scale EXPERIMENTS.md results were collected at.
         """
         config = fast_config()
         config.simulated_dataset_size = 2200

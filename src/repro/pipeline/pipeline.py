@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro import storage
+from repro.core.simulated_dataset import SimulatedDataset
 from repro.core.surrogate import BlockFeaturizer
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.stages import PipelineState, build_stages
@@ -71,14 +72,14 @@ class TuningPipeline:
         return [stage.name for stage in build_stages(self.config)]
 
     def run(self, blocks: Sequence[Any], true_timings: np.ndarray,
-            simulated_examples: Optional[Sequence[Any]] = None,
+            simulated_dataset: Optional[SimulatedDataset] = None,
             resume: bool = False, stop_after: Optional[str] = None) -> PipelineState:
         """Execute (or resume) the pipeline; returns the final state.
 
         Args:
             blocks: Ground-truth training blocks.
             true_timings: Measured timings aligned with ``blocks``.
-            simulated_examples: Optional pre-collected simulated dataset; the
+            simulated_dataset: Optional pre-collected simulated dataset; the
                 collection stage becomes a no-op.
             resume: Restore completed stages from the checkpoint directory
                 instead of re-running them.  Requires ``checkpoint_dir``.
@@ -111,14 +112,11 @@ class TuningPipeline:
         # corpus); plain iterables are materialized as before.
         kept_blocks = (blocks if hasattr(blocks, "content_fingerprint")
                        else list(blocks))
-        if simulated_examples is not None and not hasattr(simulated_examples,
-                                                          "block_arrays"):
-            simulated_examples = list(simulated_examples)
         state = PipelineState(
             adapter=self.adapter, config=self.config, blocks=kept_blocks,
             true_timings=true_timings, rng=np.random.default_rng(self.config.seed),
             featurizer=self.featurizer, log=self.log,
-            simulated_examples=simulated_examples,
+            simulated_dataset=simulated_dataset,
             featurization_store=self.featurization_store,
             checkpoint_store=store, resume=resume)
 

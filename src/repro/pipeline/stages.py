@@ -23,34 +23,21 @@ at module level, and the submodule form keeps that cycle-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.extraction import extract_parameter_arrays
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
-from repro.core.simulated_dataset import SimulatedExample, collect_simulated_dataset
-from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache,
-                                  build_surrogate)
+from repro.core.simulated_dataset import (CollectionCheckpoint, SimulatedDataset,
+                                          collect_simulated_dataset)
+from repro.core.surrogate import BlockFeaturizer, build_surrogate
 from repro.core.surrogate_training import (SurrogateTrainingConfig, SurrogateTrainingResult,
                                            train_surrogate)
 from repro.core.table_optimization import (TableOptimizationResult,
                                            optimize_parameter_table)
-from repro.corpus.streaming import (CollectionCheckpoint, StreamingExamples,
-                                    StreamingSimulatedDataset,
-                                    collect_simulated_dataset_streaming)
 from repro.pipeline.checkpoint import CheckpointStore
-
-
-def corpus_backed(blocks: Any) -> bool:
-    """Whether ``blocks`` is a corpus-backed (disk-sharded, lazy) source.
-
-    Corpus views advertise a :meth:`content_fingerprint`; plain block lists
-    do not.  Corpus-backed runs stream dataset collection and training so
-    peak memory stays proportional to one shard, not the corpus.
-    """
-    return hasattr(blocks, "content_fingerprint")
 
 
 @dataclass
@@ -69,11 +56,9 @@ class PipelineState:
     featurizer: BlockFeaturizer
     log: Callable[[str], None] = lambda message: None
 
-    simulated_examples: Optional[Sequence[Any]] = None
-    #: Round-grouped streaming dataset backing ``simulated_examples`` when the
-    #: run is corpus-backed (collection streamed to/from disk).
-    streaming_dataset: Optional[StreamingSimulatedDataset] = None
-    #: Optional mmap featurization store serving per-block arrays to training.
+    simulated_dataset: Optional[SimulatedDataset] = None
+    #: Optional mmap featurization store serving a corpus's per-block arrays
+    #: to both training phases.
     featurization_store: Any = None
     #: Set by the pipeline when checkpointing, for mid-stage partial saves.
     checkpoint_store: Optional[CheckpointStore] = None
@@ -105,62 +90,14 @@ class Stage:
 
 
 # ----------------------------------------------------------------------
-# Shared (de)serialization of a simulated dataset
+# Shared collection helpers
 # ----------------------------------------------------------------------
-def _examples_to_arrays(examples: Sequence[SimulatedExample]) -> Dict[str, np.ndarray]:
-    """Pack a simulated dataset into flat arrays.
-
-    Sampled tables are shared by reference across the examples drawn with
-    them (``blocks_per_table`` at a time); dedup by identity keeps the
-    archive proportional to the number of *tables*, mirroring the in-memory
-    layout.  Blocks are stored as indices into the ground-truth block list.
-    """
-    table_index_by_id: Dict[int, int] = {}
-    tables: List[ParameterArrays] = []
-    example_table = np.empty(len(examples), dtype=np.int64)
-    example_block = np.empty(len(examples), dtype=np.int64)
-    example_timing = np.empty(len(examples), dtype=np.float64)
-    for position, example in enumerate(examples):
-        key = id(example.arrays)
-        table_index = table_index_by_id.get(key)
-        if table_index is None:
-            table_index = len(tables)
-            table_index_by_id[key] = table_index
-            tables.append(example.arrays)
-        example_table[position] = table_index
-        example_block[position] = example.block_index
-        example_timing[position] = example.simulated_timing
-    return {
-        "table_global_values": np.stack([table.global_values for table in tables]),
-        "table_per_instruction_values": np.stack(
-            [table.per_instruction_values for table in tables]),
-        "example_table": example_table,
-        "example_block": example_block,
-        "example_timing": example_timing,
-    }
-
-
-def _examples_from_arrays(arrays: Dict[str, np.ndarray],
-                          blocks: Sequence[Any]) -> List[SimulatedExample]:
-    tables = [ParameterArrays(global_values=arrays["table_global_values"][index],
-                              per_instruction_values=arrays["table_per_instruction_values"][index])
-              for index in range(arrays["table_global_values"].shape[0])]
-    examples: List[SimulatedExample] = []
-    for table_index, block_index, timing in zip(arrays["example_table"],
-                                                arrays["example_block"],
-                                                arrays["example_timing"]):
-        examples.append(SimulatedExample(arrays=tables[int(table_index)],
-                                         block_index=int(block_index),
-                                         block=blocks[int(block_index)],
-                                         simulated_timing=float(timing)))
-    return examples
-
-
 def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
                      rng: np.random.Generator,
                      num_examples: Optional[int] = None,
-                     table_sampler: Optional[Callable] = None
-                     ) -> List[SimulatedExample]:
+                     table_sampler: Optional[Callable] = None,
+                     checkpoint: Optional[CollectionCheckpoint] = None
+                     ) -> SimulatedDataset:
     """Collect a simulated dataset with the adapter's field freezing applied.
 
     Shared by the collection stage, the refinement stages, and
@@ -173,7 +110,8 @@ def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
     return collect_simulated_dataset(
         adapter, blocks,
         config.simulated_dataset_size if num_examples is None else num_examples,
-        rng, blocks_per_table=config.blocks_per_table, table_sampler=table_sampler)
+        rng, blocks_per_table=config.blocks_per_table, table_sampler=table_sampler,
+        checkpoint=checkpoint)
 
 
 def log_engine_stats(adapter: Any, log: Callable[[str], None]) -> None:
@@ -195,93 +133,61 @@ def log_engine_stats(adapter: Any, log: Callable[[str], None]) -> None:
 # ----------------------------------------------------------------------
 # Concrete stages
 # ----------------------------------------------------------------------
-def _streaming_examples(state: PipelineState,
-                        dataset: StreamingSimulatedDataset) -> StreamingExamples:
-    """Index-addressed training view over a streamed dataset."""
-    return StreamingExamples(dataset, state.blocks,
-                             FeaturizationCache(state.featurizer),
-                             store=state.featurization_store)
-
-
-def _collection_checkpoint_interval(blocks: Any, config: Any) -> int:
-    """Examples between partial saves: one corpus shard's worth (floor 1)."""
-    corpus = getattr(blocks, "corpus", blocks)
-    return max(int(getattr(corpus, "shard_size", 0)) or 1024, 1)
-
-
 class CollectDatasetStage(Stage):
     """Stage 1: sample parameter tables and record the simulator's timings.
 
-    With corpus-backed blocks the stage streams: examples accumulate in a
-    :class:`~repro.corpus.streaming.StreamingSimulatedDataset` (arrays, not
-    per-example objects), partial progress checkpoints to the stage directory
-    every corpus-shard's worth of examples, and a killed run resumes from the
-    last partial bit-identically (the rng stream position is saved with it).
+    Examples accumulate in one
+    :class:`~repro.core.simulated_dataset.SimulatedDataset` whatever the
+    block source.  A checkpointed run over a corpus also saves a partial
+    dataset every corpus shard's worth of examples, so a killed run resumes
+    from the last partial bit-identically (the rng stream position is saved
+    with it); the partial is removed once the stage's dataset archive is
+    written.  A block list has no shards and saves no partial.
     """
 
     name = "collect_dataset"
     DATASET_FILE = "simulated_dataset.npz"
 
     def run(self, state: PipelineState) -> None:
-        if state.simulated_examples is not None:
+        if state.simulated_dataset is not None:
             # A pre-collected dataset was handed in (tests, shared-dataset
             # ablations); nothing to do — and nothing was logged before.
             return
-        if corpus_backed(state.blocks):
-            self._run_streaming(state)
-            return
         state.log(f"collecting simulated dataset "
                   f"({state.config.simulated_dataset_size} examples)")
-        state.simulated_examples = collect_examples(state.adapter, state.config,
-                                                    state.blocks, state.rng)
+        checkpoint = self._checkpoint(state, state.checkpoint_store)
+        if checkpoint is not None and not state.resume:
+            # reset() only clears completion entries; a stale partial from
+            # an earlier run must not leak into this one.
+            checkpoint.clear()
+        state.simulated_dataset = collect_examples(state.adapter, state.config,
+                                                   state.blocks, state.rng,
+                                                   checkpoint=checkpoint)
         log_engine_stats(state.adapter, state.log)
 
-    def _run_streaming(self, state: PipelineState) -> None:
-        config = state.config
-        state.log(f"collecting simulated dataset "
-                  f"({config.simulated_dataset_size} examples, streaming)")
-        spec = state.adapter.parameter_spec()
+    def _checkpoint(self, state: PipelineState, store: Optional[CheckpointStore]
+                    ) -> Optional[CollectionCheckpoint]:
+        """The partial-collection checkpoint of a checkpointed corpus run.
 
-        def table_sampler(generator: np.random.Generator) -> ParameterArrays:
-            return state.adapter.freeze_unlearned_fields(spec.sample(generator))
-
-        checkpoint = None
-        checkpoint_every = 0
-        if state.checkpoint_store is not None:
-            checkpoint = CollectionCheckpoint(
-                state.checkpoint_store.stage_dir(self.name))
-            if not state.resume:
-                # reset() only clears completion entries; a stale partial
-                # from an earlier run must not leak into this one.
-                checkpoint.clear()
-            checkpoint_every = _collection_checkpoint_interval(state.blocks,
-                                                               config)
-        dataset = collect_simulated_dataset_streaming(
-            state.adapter, state.blocks, config.simulated_dataset_size,
-            state.rng, blocks_per_table=config.blocks_per_table,
-            table_sampler=table_sampler, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every)
-        state.streaming_dataset = dataset
-        state.simulated_examples = _streaming_examples(state, dataset)
-        log_engine_stats(state.adapter, state.log)
+        Corpus sources (a corpus or a view of one) carry a
+        ``content_fingerprint``, the probe the pipeline and
+        :meth:`~repro.core.surrogate.FeaturizationCache.lookup` use too.
+        """
+        if store is None or not hasattr(state.blocks, "content_fingerprint"):
+            return None
+        corpus = getattr(state.blocks, "corpus", state.blocks)
+        return CollectionCheckpoint(store.stage_dir(self.name), corpus.shard_size)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
-        dataset = (state.streaming_dataset
-                   or getattr(state.simulated_examples, "dataset", None))
-        if dataset is not None:
-            store.save_arrays(self.name, self.DATASET_FILE, dataset.to_arrays())
-            return
         store.save_arrays(self.name, self.DATASET_FILE,
-                          _examples_to_arrays(state.simulated_examples))
+                          state.simulated_dataset.to_arrays())
+        checkpoint = self._checkpoint(state, store)
+        if checkpoint is not None:
+            checkpoint.clear()
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
-        arrays = store.load_arrays(self.name, self.DATASET_FILE)
-        if corpus_backed(state.blocks):
-            state.streaming_dataset = StreamingSimulatedDataset.from_arrays(arrays)
-            state.simulated_examples = _streaming_examples(
-                state, state.streaming_dataset)
-            return
-        state.simulated_examples = _examples_from_arrays(arrays, state.blocks)
+        state.simulated_dataset = SimulatedDataset.from_arrays(
+            store.load_arrays(self.name, self.DATASET_FILE), state.blocks)
 
 
 def _save_surrogate_outcome(stage_name: str, state: PipelineState,
@@ -315,11 +221,11 @@ class TrainSurrogateStage(Stage):
     def run(self, state: PipelineState) -> None:
         state.surrogate = build_surrogate(state.adapter.parameter_spec(),
                                           state.featurizer, state.config.surrogate)
-        state.log(f"training surrogate on {len(state.simulated_examples)} "
+        state.log(f"training surrogate on {len(state.simulated_dataset)} "
                   f"simulated examples")
-        state.surrogate_result = train_surrogate(state.surrogate,
-                                                 state.simulated_examples,
-                                                 state.config.surrogate_training)
+        state.surrogate_result = train_surrogate(
+            state.surrogate, state.simulated_dataset,
+            state.config.surrogate_training, store=state.featurization_store)
         state.log(f"surrogate training error: "
                   f"{state.surrogate_result.final_training_error:.3f}")
 
@@ -341,7 +247,8 @@ def _optimize_and_extract(state: PipelineState,
         state.config.table_optimization,
         initial_arrays=initial_arrays,
         frozen_per_instruction_mask=per_mask,
-        frozen_global_mask=global_mask)
+        frozen_global_mask=global_mask,
+        store=state.featurization_store)
     return extract_parameter_arrays(state.adapter.parameter_spec(),
                                     state.table_result.learned_arrays)
 
@@ -418,10 +325,10 @@ class RefinementRoundStage(Stage):
             return state.adapter.freeze_unlearned_fields(
                 spec.sample_near(center, generator, config.refinement_spread))
 
-        local_examples = collect_examples(state.adapter, config, state.blocks,
-                                          state.rng,
-                                          num_examples=config.refinement_dataset_size,
-                                          table_sampler=sample_near)
+        local_dataset = collect_examples(state.adapter, config, state.blocks,
+                                         state.rng,
+                                         num_examples=config.refinement_dataset_size,
+                                         table_sampler=sample_near)
         refinement_training = SurrogateTrainingConfig(
             learning_rate=config.surrogate_training.learning_rate,
             batch_size=config.surrogate_training.batch_size,
@@ -429,8 +336,9 @@ class RefinementRoundStage(Stage):
             gradient_clip=config.surrogate_training.gradient_clip,
             seed=config.surrogate_training.seed + round_number,
             log_every=config.surrogate_training.log_every)
-        state.surrogate_result = train_surrogate(state.surrogate, local_examples,
-                                                 refinement_training)
+        state.surrogate_result = train_surrogate(state.surrogate, local_dataset,
+                                                 refinement_training,
+                                                 store=state.featurization_store)
         state.log(f"refined surrogate error: "
                   f"{state.surrogate_result.final_training_error:.3f}")
         candidate = _optimize_and_extract(state, center)

@@ -429,7 +429,3 @@ class TestRecordResultShim:
         with open(os.path.join(str(tmp_path), "arrays.json")) as handle:
             document = json.load(handle)
         assert document["results"] == {"values": [0, 1, 2]}
-
-    def test_benchmark_scale_matches_quick_tier(self, bench_conftest):
-        assert (bench_conftest.benchmark_scale().describe()
-                == ExperimentScale.quick().describe())

@@ -116,7 +116,7 @@ class TestDiffTuneEndToEnd:
         adapter = MCAAdapter(HASWELL, narrow_sampling=True)
         difftune = DiffTune(adapter, tiny_config())
         simulated = difftune.collect_simulated_dataset(blocks, rng)
-        result = difftune.learn(blocks, timings, simulated_examples=simulated)
+        result = difftune.learn(blocks, timings, simulated_dataset=simulated)
         assert result.simulated_dataset_size == len(simulated)
 
     def test_evaluate_matches_direct_computation(self, small_training_data):

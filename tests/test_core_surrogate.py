@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
-from repro.core.simulated_dataset import collect_simulated_dataset
+from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache, SurrogateConfig,
                                   batch_parameter_inputs, build_surrogate)
 from repro.core.simulated_dataset import random_table_errors
@@ -151,12 +151,13 @@ class TestSurrogateVariants:
 
 class TestSimulatedDataset:
     def test_collection_size_and_fields(self, adapter, sample_blocks, rng):
-        examples = collect_simulated_dataset(adapter, sample_blocks[:10], 24, rng,
-                                             blocks_per_table=6)
-        assert len(examples) == 24
-        for example in examples[:5]:
-            assert example.simulated_timing > 0
-            assert 0 <= example.block_index < 10
+        dataset = collect_simulated_dataset(adapter, sample_blocks[:10], 24, rng,
+                                            blocks_per_table=6)
+        assert len(dataset) == 24
+        assert len(dataset.tables) == 4
+        assert all(timing > 0 for timing in dataset.example_timing)
+        assert all(0 <= index < 10 for index in dataset.example_block)
+        assert dataset.example_table == [index // 6 for index in range(24)]
 
     def test_collection_validation(self, adapter, sample_blocks, rng):
         with pytest.raises(ValueError):
@@ -167,10 +168,11 @@ class TestSimulatedDataset:
     def test_custom_table_sampler(self, adapter, sample_blocks, rng):
         spec = adapter.parameter_spec()
         fixed = spec.sample(np.random.default_rng(123))
-        examples = collect_simulated_dataset(adapter, sample_blocks[:5], 8, rng,
-                                             blocks_per_table=4,
-                                             table_sampler=lambda generator: fixed)
-        assert all(example.arrays is fixed for example in examples)
+        dataset = collect_simulated_dataset(adapter, sample_blocks[:5], 8, rng,
+                                            blocks_per_table=4,
+                                            table_sampler=lambda generator: fixed)
+        assert len(dataset.tables) == 2
+        assert all(table is fixed for table in dataset.tables)
 
     def test_random_table_errors_much_worse_than_default(self, adapter, small_dataset, rng):
         examples = small_dataset.test_examples[:40]
@@ -237,7 +239,7 @@ class TestSurrogateTraining:
         surrogate = build_surrogate(adapter.parameter_spec(), featurizer,
                                     SurrogateConfig(kind="analytical"))
         with pytest.raises(ValueError):
-            train_surrogate(surrogate, [], SurrogateTrainingConfig())
+            train_surrogate(surrogate, SimulatedDataset([]), SurrogateTrainingConfig())
 
 
 class TestTableOptimization:

@@ -4,10 +4,12 @@ The contracts under test are the tentpole guarantees of :mod:`repro.corpus`:
 
 * building a sharded corpus is bit-identical to the in-memory dataset
   builder, including after a kill/resume at any shard boundary;
-* streaming simulated-dataset collection produces byte-identical arrays to
-  the in-memory collector, including after a kill/resume at any collection
-  checkpoint, and the surrogate trained from either source follows the
-  same loss trajectory;
+* simulated-dataset collection over a corpus produces byte-identical
+  arrays to collection over the same blocks as a list, including after a
+  kill/resume at any collection checkpoint;
+* a block list, a corpus view and a view with a featurization store train
+  the same surrogate and learn the same table, and a store-backed run
+  featurizes no block inside the pipeline stages;
 * the featurization store serves the exact per-block arrays the featurizer
   computes, and the featurization cache is content-keyed and bounded.
 """
@@ -20,17 +22,14 @@ import pytest
 
 from repro.bhive.dataset import build_dataset
 from repro.bhive.generator import BlockGenerator
-from repro.core.simulated_dataset import collect_simulated_dataset
+from repro.core.simulated_dataset import (CollectionCheckpoint, SimulatedDataset,
+                                          collect_simulated_dataset)
 from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache,
                                   build_block_arrays,
                                   featurization_cache_stats,
                                   featurized_block_digest)
-from repro.corpus import (CollectionCheckpoint, CorpusError, ShardedCorpus,
-                          ShardedFeaturizationStore, StreamingExamples,
-                          StreamingSimulatedDataset,
-                          collect_simulated_dataset_streaming)
+from repro.corpus import CorpusError, ShardedCorpus, ShardedFeaturizationStore
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE
-from repro.pipeline.stages import _examples_to_arrays
 
 
 @pytest.fixture(scope="module")
@@ -185,14 +184,33 @@ class TestFeaturizationStore:
         assert directory in str(excinfo.value)
 
 
+def _learner(refinement_rounds=0):
+    from repro.api.registries import PRESETS, SIMULATORS, TARGETS
+    from repro.core.difftune import DiffTune
+
+    config = PRESETS.get("test")(0)
+    config.refinement_rounds = refinement_rounds
+    config.refinement_dataset_size = 48
+    adapter = SIMULATORS.get("mca").create_adapter(TARGETS.get("haswell"),
+                                                   narrow_sampling=True)
+    return DiffTune(adapter, config)
+
+
+@pytest.fixture(scope="module")
+def store(corpus, adapter, tmp_path_factory):
+    return ShardedFeaturizationStore(
+        str(tmp_path_factory.mktemp("store")),
+        BlockFeaturizer(adapter.opcode_table)).ensure(corpus)
+
+
 class TestStreamingCollection:
     def test_streaming_matches_in_memory_arrays(self, corpus, adapter):
-        streaming = collect_simulated_dataset_streaming(
+        streaming = collect_simulated_dataset(
             adapter, corpus, 48, np.random.default_rng(7), blocks_per_table=8)
-        examples = collect_simulated_dataset(
+        in_memory = collect_simulated_dataset(
             adapter, list(corpus.iter_blocks()), 48, np.random.default_rng(7),
             blocks_per_table=8)
-        expected = _examples_to_arrays(examples)
+        expected = in_memory.to_arrays()
         produced = streaming.to_arrays()
         assert produced.keys() == expected.keys()
         for key in expected:
@@ -202,13 +220,13 @@ class TestStreamingCollection:
                                                       tmp_path):
         checkpoint_every = 16
         num_examples = 48
-        reference = collect_simulated_dataset_streaming(
+        reference = collect_simulated_dataset(
             adapter, corpus, num_examples, np.random.default_rng(7),
             blocks_per_table=8).to_arrays()
         boundaries = range(checkpoint_every, num_examples, checkpoint_every)
         for boundary in boundaries:
             checkpoint = CollectionCheckpoint(
-                str(tmp_path / f"checkpoint-{boundary}"))
+                str(tmp_path / f"checkpoint-{boundary}"), checkpoint_every)
 
             class Killed(RuntimeError):
                 pass
@@ -220,96 +238,143 @@ class TestStreamingCollection:
                     raise Killed()
 
             with pytest.raises(Killed):
-                collect_simulated_dataset_streaming(
+                collect_simulated_dataset(
                     adapter, corpus, num_examples, np.random.default_rng(7),
                     blocks_per_table=8, checkpoint=checkpoint,
-                    checkpoint_every=checkpoint_every, progress=kill_after)
+                    progress=kill_after)
             # Resume with a fresh rng: the checkpoint restores the stream.
-            resumed = collect_simulated_dataset_streaming(
+            resumed = collect_simulated_dataset(
                 adapter, corpus, num_examples, np.random.default_rng(99),
-                blocks_per_table=8, checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every).to_arrays()
+                blocks_per_table=8, checkpoint=checkpoint).to_arrays()
             for key in reference:
                 np.testing.assert_array_equal(resumed[key], reference[key])
 
     def test_checkpoint_rejects_mismatched_target(self, corpus, adapter,
                                                   tmp_path):
-        checkpoint = CollectionCheckpoint(str(tmp_path / "checkpoint"))
-        dataset = collect_simulated_dataset_streaming(
+        checkpoint = CollectionCheckpoint(str(tmp_path / "checkpoint"), 16)
+        dataset = collect_simulated_dataset(
             adapter, corpus, 32, np.random.default_rng(7), blocks_per_table=8)
         checkpoint.save(dataset, np.random.default_rng(7).bit_generator.state, 64)
         with pytest.raises(ValueError, match="targets 64"):
-            collect_simulated_dataset_streaming(
+            collect_simulated_dataset(
                 adapter, corpus, 32, np.random.default_rng(7),
                 blocks_per_table=8, checkpoint=checkpoint)
 
     def test_dataset_roundtrips_through_arrays(self, corpus, adapter):
-        dataset = collect_simulated_dataset_streaming(
+        dataset = collect_simulated_dataset(
             adapter, corpus, 32, np.random.default_rng(7), blocks_per_table=8)
-        rebuilt = StreamingSimulatedDataset.from_arrays(dataset.to_arrays())
+        rebuilt = SimulatedDataset.from_arrays(dataset.to_arrays(), corpus)
         assert len(rebuilt) == len(dataset)
+        assert rebuilt.blocks is corpus
         for key, value in dataset.to_arrays().items():
             np.testing.assert_array_equal(rebuilt.to_arrays()[key], value)
 
 
 class TestStreamingTraining:
-    def test_streaming_losses_match_in_memory(self, corpus, adapter, tmp_path):
+    def test_streaming_losses_match_in_memory(self, corpus, adapter, store):
         from repro.core import SurrogateConfig, build_surrogate
         from repro.core.surrogate_training import (SurrogateTrainingConfig,
                                                    train_surrogate)
 
         num_examples = 48
-        dataset = collect_simulated_dataset_streaming(
+        dataset = collect_simulated_dataset(
             adapter, corpus, num_examples, np.random.default_rng(7),
             blocks_per_table=8)
-        examples = collect_simulated_dataset(
+        in_memory = collect_simulated_dataset(
             adapter, list(corpus.iter_blocks()), num_examples,
             np.random.default_rng(7), blocks_per_table=8)
         featurizer = BlockFeaturizer(adapter.opcode_table)
-        store = ShardedFeaturizationStore(
-            str(tmp_path / "store"), featurizer).ensure(corpus)
         spec = adapter.parameter_spec()
         config = SurrogateTrainingConfig(epochs=2, batch_size=16, seed=0)
         outcomes = {}
-        for label, source in (
-                ("in_memory", examples),
-                ("streaming", StreamingExamples(
-                    dataset, corpus, FeaturizationCache(featurizer))),
-                ("streaming_store", StreamingExamples(
-                    dataset, corpus, FeaturizationCache(featurizer),
-                    store=store))):
+        for label, source, source_store in (("in_memory", in_memory, None),
+                                            ("streaming", dataset, None),
+                                            ("streaming_store", dataset, store)):
             surrogate = build_surrogate(spec, featurizer,
                                         SurrogateConfig(kind="pooled", seed=0))
-            outcomes[label] = train_surrogate(surrogate, source, config)
+            outcomes[label] = train_surrogate(surrogate, source, config,
+                                              store=source_store)
         for label in ("streaming", "streaming_store"):
             assert outcomes[label].epoch_losses == \
                 outcomes["in_memory"].epoch_losses
             assert outcomes[label].final_training_error == \
                 outcomes["in_memory"].final_training_error
 
+    def test_list_view_and_store_learn_identically(self, corpus, store):
+        """One refinement round end to end: every block source gives the
+        same learned table, epoch losses and train error."""
+        train = corpus.split_view("train")
+        timings = train.timings()
+        results = {
+            "list": _learner(1).learn(list(train), timings),
+            "view": _learner(1).learn(train, timings),
+            "view_store": _learner(1).learn(train, timings,
+                                            featurization_store=store),
+        }
+        reference = results["list"]
+        for label in ("view", "view_store"):
+            result = results[label]
+            np.testing.assert_array_equal(
+                result.learned_arrays.per_instruction_values,
+                reference.learned_arrays.per_instruction_values)
+            np.testing.assert_array_equal(result.learned_arrays.global_values,
+                                          reference.learned_arrays.global_values)
+            assert result.surrogate_result.epoch_losses == \
+                reference.surrogate_result.epoch_losses
+            assert result.table_result.epoch_losses == \
+                reference.table_result.epoch_losses
+            assert result.train_error == reference.train_error
+
+    def test_store_backed_run_featurizes_no_block_in_stages(self, corpus,
+                                                            store, monkeypatch):
+        """With a store, every stage — phase two and the refinement round
+        included — reads per-block arrays from it instead of featurizing."""
+        from repro.pipeline import stages
+
+        in_stage = []
+        calls = {"featurize": 0}
+        featurize = BlockFeaturizer.featurize
+
+        def counted(featurizer, block):
+            calls["featurize"] += bool(in_stage)
+            return featurize(featurizer, block)
+
+        def tracked(run):
+            def wrapper(stage, state):
+                in_stage.append(stage.name)
+                try:
+                    return run(stage, state)
+                finally:
+                    in_stage.pop()
+            return wrapper
+
+        monkeypatch.setattr(BlockFeaturizer, "featurize", counted)
+        for stage_class in (stages.CollectDatasetStage,
+                            stages.TrainSurrogateStage,
+                            stages.OptimizeTableStage,
+                            stages.RefinementRoundStage,
+                            stages.ExtractEvaluateStage):
+            monkeypatch.setattr(stage_class, "run", tracked(stage_class.run))
+        train = corpus.split_view("train")
+        result = _learner(1).learn(train, train.timings(),
+                                   featurization_store=store)
+        assert result is not None
+        assert calls["featurize"] == 0
+
 
 class TestPipelineResume:
     def test_corpus_backed_learn_resumes_bit_identically(self, corpus,
                                                          tmp_path):
-        from repro.api.registries import PRESETS, SIMULATORS, TARGETS
-        from repro.core.difftune import DiffTune
-
-        def make_difftune():
-            adapter = SIMULATORS.get("mca").create_adapter(
-                TARGETS.get("haswell"), narrow_sampling=True)
-            return DiffTune(adapter, PRESETS.get("test")(0))
-
         train = corpus.split_view("train")
         timings = train.timings()
-        full = make_difftune().learn(train, timings)
+        full = _learner().learn(train, timings)
         checkpoint_dir = str(tmp_path / "checkpoints")
-        stopped = make_difftune().learn(train, timings,
-                                        checkpoint_dir=checkpoint_dir,
-                                        stop_after="collect_dataset")
+        stopped = _learner().learn(train, timings,
+                                   checkpoint_dir=checkpoint_dir,
+                                   stop_after="collect_dataset")
         assert stopped is None
-        resumed = make_difftune().learn(train, timings,
-                                        checkpoint_dir=checkpoint_dir,
-                                        resume=True)
+        resumed = _learner().learn(train, timings,
+                                   checkpoint_dir=checkpoint_dir, resume=True)
         assert "collect_dataset" in resumed.resumed_stages
         np.testing.assert_array_equal(
             full.learned_arrays.per_instruction_values,
@@ -317,6 +382,18 @@ class TestPipelineResume:
         np.testing.assert_array_equal(full.learned_arrays.global_values,
                                       resumed.learned_arrays.global_values)
         assert full.train_error == resumed.train_error
+
+    def test_finished_run_leaves_only_the_dataset_archive(self, corpus,
+                                                          store, tmp_path):
+        """The partial collection checkpoint (saved every shard's worth of
+        examples) is removed once the stage's dataset archive is written."""
+        train = corpus.split_view("train")
+        assert _learner().config.simulated_dataset_size > corpus.shard_size
+        checkpoint_dir = str(tmp_path / "checkpoints")
+        _learner().learn(train, train.timings(), checkpoint_dir=checkpoint_dir,
+                         featurization_store=store)
+        assert os.listdir(os.path.join(checkpoint_dir, "collect_dataset")) == \
+            ["simulated_dataset.npz"]
 
 
 class TestFeaturizationCacheContract:

@@ -24,10 +24,10 @@ from repro.campaigns import run_campaign
 from repro.core.adapters import MCAAdapter
 from repro.core.config import test_config as tiny_config
 from repro.core.difftune import DiffTune
+from repro.core.simulated_dataset import (CollectionCheckpoint,
+                                          collect_simulated_dataset)
 from repro.core.surrogate import BlockFeaturizer
-from repro.corpus import (CollectionCheckpoint, ShardedCorpus,
-                          ShardedFeaturizationStore,
-                          collect_simulated_dataset_streaming)
+from repro.corpus import ShardedCorpus, ShardedFeaturizationStore
 from repro.distributed import MatrixCampaignSpec, run_matrix
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE
 from repro.targets import HASWELL
@@ -174,10 +174,9 @@ def test_streaming_collection(corpus, tmp_path, engine_workers):
                          engine_workers=engine_workers)
 
     def run(directory, resume):
-        return collect_simulated_dataset_streaming(
+        return collect_simulated_dataset(
             adapter, corpus, 48, np.random.default_rng(7), blocks_per_table=8,
-            checkpoint=CollectionCheckpoint(directory),
-            checkpoint_every=8).to_arrays()
+            checkpoint=CollectionCheckpoint(directory, 8)).to_arrays()
 
     def compare(resumed, reference):
         assert resumed.keys() == reference.keys()

@@ -134,14 +134,13 @@ class TestResume:
         pipeline = _make_difftune().pipeline(checkpoint_dir)
         state = pipeline.run(blocks, timings, resume=True,
                              stop_after="collect_dataset")
-        examples = state.simulated_examples
-        assert len(examples) == state.config.simulated_dataset_size
+        dataset = state.simulated_dataset
+        assert len(dataset) == state.config.simulated_dataset_size
         # Table sharing survives the round-trip: examples drawn with the same
-        # sampled table share one ParameterArrays object.
-        shared = len({id(example.arrays) for example in examples})
-        assert shared < len(examples)
-        assert all(example.block is blocks[example.block_index]
-                   for example in examples)
+        # sampled table share one stored table.
+        assert len(dataset.tables) < len(dataset)
+        assert dataset.blocks is state.blocks
+        assert all(0 <= index < len(blocks) for index in dataset.example_block)
 
     def test_resume_rejects_edited_stage_artifact(self, training_data,
                                                   tmp_path):
@@ -360,6 +359,6 @@ class TestPipelineDirect:
         difftune = _make_difftune()
         rng = np.random.default_rng(0)
         simulated = difftune.collect_simulated_dataset(blocks, rng)
-        result = difftune.learn(blocks, timings, simulated_examples=simulated,
+        result = difftune.learn(blocks, timings, simulated_dataset=simulated,
                                 checkpoint_dir=str(tmp_path / "pre"))
         assert result.simulated_dataset_size == len(simulated)

@@ -247,13 +247,11 @@ class TestEngineEquivalence:
             return collect_simulated_dataset(adapter, generated_blocks, 40,
                                              np.random.default_rng(17), blocks_per_table=6)
 
-        serial = collect(0)
-        parallel = collect(2)
-        assert [(e.block_index, e.simulated_timing) for e in serial] == \
-            [(e.block_index, e.simulated_timing) for e in parallel]
-        assert all(np.array_equal(s.arrays.per_instruction_values,
-                                  p.arrays.per_instruction_values)
-                   for s, p in zip(serial, parallel))
+        serial = collect(0).to_arrays()
+        parallel = collect(2).to_arrays()
+        assert serial.keys() == parallel.keys()
+        for key in serial:
+            np.testing.assert_array_equal(serial[key], parallel[key])
 
     def test_parallel_llvm_sim_matches_direct(self, module_llvm_sim_adapter,
                                               generated_blocks):

@@ -341,16 +341,17 @@ def _store_manifest(directory):
 
 def _collection_checkpoint(directory):
     from repro.core.parameters import ParameterArrays
-    from repro.corpus import CollectionCheckpoint, StreamingSimulatedDataset
+    from repro.core.simulated_dataset import CollectionCheckpoint, SimulatedDataset
 
-    dataset = StreamingSimulatedDataset()
+    blocks = [None] * 4
+    dataset = SimulatedDataset(blocks)
     dataset.append_round(ParameterArrays(global_values=np.zeros(2),
                                          per_instruction_values=np.ones((3, 2))),
                          np.arange(4), np.linspace(1.0, 2.0, 4))
-    checkpoint = CollectionCheckpoint(directory)
+    checkpoint = CollectionCheckpoint(directory, 4)
     checkpoint.save(dataset, np.random.default_rng(0).bit_generator.state, 16)
     _truncate(checkpoint.path)
-    return checkpoint.path, CollectionCheckpoint(directory).load
+    return checkpoint.path, lambda: CollectionCheckpoint(directory, 4).load(blocks)
 
 
 @pytest.mark.parametrize("make", [_pipeline_manifest, _matrix_manifest,

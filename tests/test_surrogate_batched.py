@@ -24,7 +24,7 @@ from repro.autodiff.tensor import no_grad, stack
 from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
-from repro.core.simulated_dataset import collect_simulated_dataset
+from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro.core.surrogate import (FeaturizationCache, SurrogateConfig,
                                   _SurrogateBase, batch_parameter_inputs,
                                   build_surrogate)
@@ -78,29 +78,36 @@ def _scalar_and_batched(surrogate, adapter, blocks, tables):
     return scalar, batched
 
 
-def _scalar_inputs(spec, example, featurized):
+def _examples(dataset):
+    """Each example's ``(table, block, timing)``, read from the flat rows."""
+    return [(dataset.tables[table], dataset.blocks[block], timing)
+            for table, block, timing in zip(dataset.example_table,
+                                            dataset.example_block,
+                                            dataset.example_timing)]
+
+
+def _scalar_inputs(spec, table, featurized):
     """One example's normalized parameter rows and globals (no cache)."""
-    normalized = spec.normalize_for_surrogate_training(example.arrays)
+    normalized = spec.normalize_for_surrogate_training(table)
     return (normalized.per_instruction_values[list(featurized.opcode_indices)],
             normalized.global_values)
 
 
-def _per_example_error(surrogate, examples):
+def _per_example_error(surrogate, dataset):
     """Reference MAPE: one scalar ``reference_forward`` per example."""
     spec = surrogate.spec
     predictions = []
     with no_grad():
-        for example in examples:
-            featurized = surrogate.featurizer.featurize(example.block)
-            rows, global_values = _scalar_inputs(spec, example, featurized)
+        for table, block, _timing in _examples(dataset):
+            featurized = surrogate.featurizer.featurize(block)
+            rows, global_values = _scalar_inputs(spec, table, featurized)
             predictions.append(reference_forward(surrogate, featurized, rows,
                                                  global_values).item())
     return mape_loss_value(np.array(predictions),
-                           np.array([example.simulated_timing
-                                     for example in examples]))
+                           np.array(dataset.example_timing))
 
 
-def _per_example_training(surrogate, examples, config):
+def _per_example_training(surrogate, dataset, config):
     """Reference training run: ``train_surrogate`` with a per-example loss.
 
     Same optimizer, rng stream and loop as the batched path, so only the
@@ -109,17 +116,17 @@ def _per_example_training(surrogate, examples, config):
     spec = surrogate.spec
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    featurized = [surrogate.featurizer.featurize(example.block)
-                  for example in examples]
+    examples = [(table, surrogate.featurizer.featurize(block), timing)
+                for table, block, timing in _examples(dataset)]
 
     def per_example_loss(batch_indices):
         predictions, targets = [], []
         for row in (int(index) for index in batch_indices):
-            rows, global_values = _scalar_inputs(spec, examples[row],
-                                                 featurized[row])
-            predictions.append(reference_forward(surrogate, featurized[row], rows,
+            table, featurized, timing = examples[row]
+            rows, global_values = _scalar_inputs(spec, table, featurized)
+            predictions.append(reference_forward(surrogate, featurized, rows,
                                                  global_values))
-            targets.append(examples[row].simulated_timing)
+            targets.append(timing)
         return surrogate_loss(stack(predictions), targets)
 
     surrogate.train()
@@ -128,7 +135,7 @@ def _per_example_training(surrogate, examples, config):
         batch_size=config.batch_size, epochs=config.epochs,
         shuffle=config.shuffle, gradient_clip=config.gradient_clip)
     surrogate.eval()
-    return loop.epoch_losses, _per_example_error(surrogate, examples)
+    return loop.epoch_losses, _per_example_error(surrogate, dataset)
 
 
 class TestForwardEquivalence:
@@ -373,7 +380,11 @@ class TestProgressCallback:
         calls = []
         config = SurrogateTrainingConfig(epochs=1, batch_size=batch_size, seed=0,
                                          shuffle=False, log_every=log_every)
-        train_surrogate(surrogate, simulated[:num_examples], config,
+        prefix = SimulatedDataset(simulated.blocks, simulated.tables,
+                                  simulated.example_table[:num_examples],
+                                  simulated.example_block[:num_examples],
+                                  simulated.example_timing[:num_examples])
+        train_surrogate(surrogate, prefix, config,
                         progress=lambda epoch, batch, loss: calls.append(
                             (epoch, batch, loss)))
         return calls
