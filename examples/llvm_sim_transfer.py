@@ -10,6 +10,7 @@ llvm_sim's error relative to its defaults.
 """
 
 import argparse
+import logging
 
 from repro.api import Session, TuneSpec
 from repro.eval.metrics import error_and_tau
@@ -21,11 +22,11 @@ def main() -> None:
     parser.add_argument("--blocks", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
     arguments = parser.parse_args()
+    logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
     session = Session.from_spec(
         TuneSpec(target="haswell", simulator="llvm_sim", preset="fast",
-                 num_blocks=arguments.blocks, seed=arguments.seed),
-        log=lambda message: print(f"  [difftune] {message}"))
+                 num_blocks=arguments.blocks, seed=arguments.seed))
 
     print(f"Generating and measuring {arguments.blocks} Haswell basic blocks...")
     outcome = session.tune()

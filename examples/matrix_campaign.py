@@ -15,6 +15,7 @@ is runnable from the CLI::
 """
 
 import argparse
+import logging
 
 from repro.api import MatrixCampaignSpec, run_matrix
 from repro.distributed import format_matrix_report
@@ -33,6 +34,7 @@ def main() -> None:
     parser.add_argument("--output", default=None,
                         help="write the aggregate matrix_report.json here")
     arguments = parser.parse_args()
+    logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
     spec = MatrixCampaignSpec(
         campaign={"axes": [{"field": "WriteLatency", "opcode": "ADD32rr",
@@ -45,7 +47,7 @@ def main() -> None:
     print(f"Running {len(spec.resolve_cells())} cells "
           f"({arguments.blocks} blocks per target) via the "
           f"{arguments.executor!r} executor...")
-    result = run_matrix(spec, log=print)
+    result = run_matrix(spec)
 
     print()
     print(format_matrix_report(result.report))

@@ -16,6 +16,7 @@ to trade accuracy against runtime.
 """
 
 import argparse
+import logging
 import time
 
 import numpy as np
@@ -33,11 +34,11 @@ def main() -> None:
     parser.add_argument("--fast", action="store_true",
                         help="shrink the simulated dataset for a quicker (rougher) run")
     arguments = parser.parse_args()
+    logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
     session = Session.from_spec(
         TuneSpec(target="haswell", simulator="mca", preset="fast",
-                 num_blocks=arguments.blocks, seed=arguments.seed),
-        log=lambda message: print(f"  [difftune] {message}"))
+                 num_blocks=arguments.blocks, seed=arguments.seed))
     if arguments.fast:
         session.config.simulated_dataset_size = 1000
         session.config.refinement_rounds = 1

@@ -22,6 +22,7 @@ request coalescer.
 
 import argparse
 import json
+import logging
 
 from repro.serving import ServingClient, run_load
 
@@ -58,16 +59,15 @@ def main() -> None:
                         help="boot a demo haswell/mca server on an ephemeral "
                              "port instead of targeting --host/--port")
     arguments = parser.parse_args()
+    logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
     handle = None
     host, port = arguments.host, arguments.port
     if arguments.self_hosted:
         from repro.serving import InferenceServer
 
-        server = InferenceServer.from_spec(
-            {"target": "haswell", "simulator": "mca", "port": 0},
-            log=lambda message: print(f"[server] {message}"))
-        handle = server.start_in_thread()
+        handle = InferenceServer.from_spec(
+            {"target": "haswell", "simulator": "mca", "port": 0}).start_in_thread()
         host, port = handle.host, handle.port
 
     requests = generate_requests(arguments.requests,

@@ -21,6 +21,7 @@ directly:
 """
 
 import argparse
+import logging
 
 from repro.api import Session, TuneSpec
 from repro.eval.metrics import error_and_tau
@@ -36,12 +37,12 @@ def main() -> None:
     parser.add_argument("--blocks", type=int, default=400)
     parser.add_argument("--seed", type=int, default=0)
     arguments = parser.parse_args()
+    logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
     # learn_fields restricts learning to WriteLatency, as in Section VI-B.
     session = Session.from_spec(
         TuneSpec(target="haswell", preset="fast", num_blocks=arguments.blocks,
-                 seed=arguments.seed, learn_fields=["WriteLatency"]),
-        log=lambda message: print(f"[difftune] {message}"))
+                 seed=arguments.seed, learn_fields=["WriteLatency"]))
 
     print(f"Generating and measuring {arguments.blocks} Haswell basic blocks...")
     session.dataset()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class Session:
     points works here, in the CLI, and in the benchmark harness alike.
     """
 
-    def __init__(self, spec: AnySpec,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, spec: AnySpec) -> None:
         if not isinstance(spec, (TuneSpec, EvaluateSpec, PredictSpec, BundleSpec,
                                  CorpusSpec, CampaignSpec)):
             raise TypeError(f"expected TuneSpec/EvaluateSpec/PredictSpec/"
@@ -82,7 +81,6 @@ class Session:
                             f"got {type(spec).__name__}")
         spec.validate()
         self.spec = spec
-        self.log = log or (lambda message: None)
         self._dataset: Any = None
         self._corpus: Any = None
         self._featurization_store: Any = None
@@ -109,7 +107,6 @@ class Session:
     # ------------------------------------------------------------------
     @classmethod
     def from_spec(cls, spec: Optional[Union[AnySpec, Dict[str, Any]]] = None,
-                  log: Optional[Callable[[str], None]] = None,
                   **overrides: Any) -> "Session":
         """Build a session from a spec, a plain dict, or keyword arguments.
 
@@ -138,12 +135,10 @@ class Session:
         else:
             raise TypeError(f"expected a spec, dict, or keyword arguments; "
                             f"got {type(spec).__name__}")
-        return cls(spec, log=log)
+        return cls(spec)
 
     @classmethod
-    def from_bundle(cls, path: str,
-                    log: Optional[Callable[[str], None]] = None,
-                    **overrides: Any) -> "Session":
+    def from_bundle(cls, path: str, **overrides: Any) -> "Session":
         """A ready-to-predict session from a deployment bundle.
 
         Opens the archive written by :meth:`export_bundle`, verifies every
@@ -161,7 +156,7 @@ class Session:
             "engine_workers": bundle.manifest.spec.get("engine_workers", 0),
         }
         payload.update(overrides)
-        session = cls(PredictSpec.from_dict(payload), log=log)
+        session = cls(PredictSpec.from_dict(payload))
         session._bound_table = session.adapter.table_from_arrays(bundle.arrays)
         session.bundle_manifest = bundle.manifest
         session._bundle_surrogate_state = bundle.surrogate_state
@@ -264,14 +259,15 @@ class Session:
             self._corpus = corpus
         return self._corpus
 
-    def build_corpus(self, progress: Optional[Callable] = None) -> Any:
+    def build_corpus(self) -> Any:
         """Build (or resume, or just open) the spec's corpus on disk.
 
         Requires a :class:`~repro.api.specs.CorpusSpec`.  A complete corpus
         with matching parameters is opened as-is; an interrupted build
         continues bit-identically when the spec says ``resume=True``.  With
         ``featurize=True`` the memory-mapped featurization store is
-        materialized next to the shards as well.
+        materialized next to the shards as well.  The build logs its
+        progress under ``repro.corpus.sharded``.
         """
         if not isinstance(self.spec, CorpusSpec):
             raise TypeError("build_corpus() requires a CorpusSpec session")
@@ -280,8 +276,7 @@ class Session:
         self._corpus = ShardedCorpus.build(
             self.spec.directory, uarch_name=self.target_name,
             num_blocks=self.spec.num_blocks, seed=self.spec.seed,
-            shard_size=self.spec.shard_size, resume=self.spec.resume,
-            progress=progress)
+            shard_size=self.spec.shard_size, resume=self.spec.resume)
         if self.spec.featurize:
             self.featurization_store()
         return self._corpus
@@ -379,7 +374,7 @@ class Session:
         if timings is None:
             raise ValueError("timings must accompany explicit blocks")
         start_time = time.time()
-        difftune = DiffTune(self.adapter, self.config, log=self.log)
+        difftune = DiffTune(self.adapter, self.config)
         store = (self.featurization_store()
                  if own_dataset and self._corpus_directory() is not None else None)
         result = difftune.learn(blocks, np.asarray(timings, dtype=np.float64),
@@ -412,12 +407,13 @@ class Session:
         return outcome
 
     def _check_tune_splits(self, train_size: int, test_size: int) -> None:
-        """Reject, before any simulation, splits ``tune()`` cannot use.
+        """Reject, before any simulation, splits tuning cannot use.
 
-        The train split must hold a block to collect on, and the test split
-        two for Kendall's tau.  The split sizes depend on the measurement
-        screen, so spec validation cannot check them; the error names the
-        field the blocks came from.
+        :meth:`tune` and ``repro tune-baseline`` run it.  The train split
+        must hold a block to tune on, and the test split two for Kendall's
+        tau.  The split sizes depend on the measurement screen, so spec
+        validation cannot check them; the error names the field the blocks
+        came from.
         """
         if train_size >= 1 and test_size >= 2:
             return
@@ -429,7 +425,7 @@ class Session:
             field = "num_blocks"
         raise SpecValidationError(
             field, f"the measured blocks split into {train_size} train and "
-                   f"{test_size} test blocks; tune() needs at least 1 train "
+                   f"{test_size} test blocks; tuning needs at least 1 train "
                    f"block and 2 test blocks")
 
     def evaluate(self, table: Optional[Any] = None,
@@ -548,7 +544,7 @@ class Session:
         else:
             raise TypeError(f"expected a CampaignSpec, dict, or keyword "
                             f"arguments; got {type(spec).__name__}")
-        return CampaignRunner(spec, session=self, log=self.log).run()
+        return CampaignRunner(spec, session=self).run()
 
     def run_matrix(self, spec: Optional[Union[Any, Dict[str, Any]]] = None,
                    **overrides: Any) -> Any:
@@ -559,8 +555,8 @@ class Session:
         dict, or ``None`` (fields come entirely from ``overrides``).  Unlike
         :meth:`run_campaign` nothing is inherited from this session's
         identity — a matrix spans targets and simulators, so each cell
-        builds its own session — but the scheduler logs through this
-        session's log.  Returns a
+        builds its own session.  The scheduler logs under
+        ``repro.distributed.scheduler``.  Returns a
         :class:`~repro.distributed.scheduler.MatrixResult`.
         """
         from repro.distributed.scheduler import run_matrix
@@ -581,7 +577,7 @@ class Session:
         else:
             raise TypeError(f"expected a MatrixCampaignSpec, dict, or "
                             f"keyword arguments; got {type(spec).__name__}")
-        return run_matrix(spec, log=self.log)
+        return run_matrix(spec)
 
     def stats(self) -> Dict[str, Any]:
         """One stats surface for the whole session.

@@ -8,15 +8,18 @@ classic technique" when reproducing the Section V-C comparison.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.adapters import SimulatorAdapter
 from repro.core.losses import mape_loss_value
-from repro.core.parameters import ParameterArrays, ParameterSpec
+from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -50,6 +53,8 @@ class AnnealingConfig:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.step_scale <= 0.0:
             raise ValueError("step_scale must be positive")
+        if self.blocks_per_evaluation < 1:
+            raise ValueError("blocks_per_evaluation must be >= 1")
 
 
 @dataclass
@@ -67,26 +72,10 @@ class AnnealingResult:
 class SimulatedAnnealingTuner:
     """Tunes a simulator's parameters with classic simulated annealing."""
 
-    def __init__(self, adapter: SimulatorAdapter, config: Optional[AnnealingConfig] = None,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, adapter: SimulatorAdapter,
+                 config: Optional[AnnealingConfig] = None) -> None:
         self.adapter = adapter
         self.config = config or AnnealingConfig()
-        self._log = log or (lambda message: None)
-
-    def _bounds(self, spec: ParameterSpec) -> Tuple[np.ndarray, np.ndarray]:
-        global_low = np.concatenate([np.full(field.size, field.sample_low, dtype=np.float64)
-                                     for field in spec.global_fields]) \
-            if spec.global_fields else np.zeros(0)
-        global_high = np.concatenate([np.full(field.size, field.sample_high, dtype=np.float64)
-                                      for field in spec.global_fields]) \
-            if spec.global_fields else np.zeros(0)
-        per_low = np.concatenate([np.full(field.size, field.sample_low, dtype=np.float64)
-                                  for field in spec.per_instruction_fields])
-        per_high = np.concatenate([np.full(field.size, field.sample_high, dtype=np.float64)
-                                   for field in spec.per_instruction_fields])
-        low = np.concatenate([global_low, np.tile(per_low, spec.num_opcodes)])
-        high = np.concatenate([global_high, np.tile(per_high, spec.num_opcodes)])
-        return low, high
 
     def tune(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray) -> AnnealingResult:
         """Anneal parameter tables to minimize MAPE on ``blocks``."""
@@ -95,18 +84,14 @@ class SimulatedAnnealingTuner:
         spec = self.adapter.parameter_spec()
         config = self.config
         rng = np.random.default_rng(config.seed)
-        low, high = self._bounds(spec)
+        low, high = spec.sample_bounds()
         true_timings = np.asarray(true_timings, dtype=np.float64)
         batch_size = min(config.blocks_per_evaluation, len(blocks))
-
-        def to_arrays(genome: np.ndarray) -> ParameterArrays:
-            return ParameterArrays.from_flat_vector(
-                np.round(genome), spec.global_dim, spec.num_opcodes, spec.per_instruction_dim)
 
         def evaluate(genome: np.ndarray) -> float:
             batch = rng.integers(0, len(blocks), size=batch_size)
             predictions = self.adapter.predict_timings(
-                to_arrays(genome), [blocks[int(index)] for index in batch])
+                spec.rounded_arrays(genome), [blocks[int(index)] for index in batch])
             return mape_loss_value(predictions, true_timings[batch])
 
         current = np.clip(spec.sample(rng).to_flat_vector(), low, high)
@@ -132,11 +117,11 @@ class SimulatedAnnealingTuner:
                 accepted += 1
                 if score < best_score:
                     best, best_score = proposal.copy(), score
-                    self._log(f"step {steps}: new best batch error {score:.3f}")
+                    logger.info(f"step {steps}: new best batch error {score:.3f}")
             temperature *= config.cooling_rate
             history.append(best_score)
 
-        best_arrays = spec.clip_to_bounds(spec.round_to_integers(to_arrays(best)))
+        best_arrays = spec.clip_to_bounds(spec.rounded_arrays(best))
         best_error = mape_loss_value(self.adapter.predict_timings(best_arrays, list(blocks)),
                                      true_timings)
         return AnnealingResult(best_arrays=best_arrays, best_error=best_error, steps=steps,

@@ -10,8 +10,9 @@ which is the regime DiffTune's joint gradient-based optimization targets.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from repro.core.adapters import SimulatorAdapter
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -52,6 +55,8 @@ class CoordinateDescentConfig:
             raise ValueError("rounds must be >= 1")
         if self.candidates_per_field < 2:
             raise ValueError("candidates_per_field must be >= 2")
+        if self.blocks_per_evaluation < 1:
+            raise ValueError("blocks_per_evaluation must be >= 1")
 
 
 @dataclass
@@ -69,11 +74,9 @@ class CoordinateDescentTuner:
     """Sweeps one parameter field at a time, keeping improvements."""
 
     def __init__(self, adapter: SimulatorAdapter,
-                 config: Optional[CoordinateDescentConfig] = None,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+                 config: Optional[CoordinateDescentConfig] = None) -> None:
         self.adapter = adapter
         self.config = config or CoordinateDescentConfig()
-        self._log = log or (lambda message: None)
 
     def tune(self, blocks: Sequence[BasicBlock],
              true_timings: np.ndarray,
@@ -138,7 +141,7 @@ class CoordinateDescentTuner:
                         best_value = float(value)
                 if best_value is not None:
                     history.append((name, best_value, current_score))
-                    self._log(f"{name} -> {best_value:g} (batch error {current_score:.3f})")
+                    logger.info(f"{name} -> {best_value:g} (batch error {current_score:.3f})")
 
         best_arrays = spec.clip_to_bounds(spec.round_to_integers(current))
         best_error = mape_loss_value(self.adapter.predict_timings(best_arrays, list(blocks)),

@@ -11,15 +11,18 @@ method get with DiffTune's evaluation budget? — with a different search bias
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.adapters import SimulatorAdapter
 from repro.core.losses import mape_loss_value
-from repro.core.parameters import ParameterArrays, ParameterSpec
+from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -65,6 +68,8 @@ class GeneticConfig:
             raise ValueError("crossover_rate must be in [0, 1]")
         if not 0.0 < self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in (0, 1]")
+        if self.blocks_per_evaluation < 1:
+            raise ValueError("blocks_per_evaluation must be >= 1")
 
 
 @dataclass
@@ -81,34 +86,10 @@ class GeneticResult:
 class GeneticTuner:
     """Tunes a simulator's parameters with a generational genetic algorithm."""
 
-    def __init__(self, adapter: SimulatorAdapter, config: Optional[GeneticConfig] = None,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, adapter: SimulatorAdapter,
+                 config: Optional[GeneticConfig] = None) -> None:
         self.adapter = adapter
         self.config = config or GeneticConfig()
-        self._log = log or (lambda message: None)
-
-    # ------------------------------------------------------------------
-    # Genome helpers
-    # ------------------------------------------------------------------
-    def _bounds(self, spec: ParameterSpec) -> Tuple[np.ndarray, np.ndarray]:
-        global_low = np.concatenate([np.full(field.size, field.sample_low, dtype=np.float64)
-                                     for field in spec.global_fields]) \
-            if spec.global_fields else np.zeros(0)
-        global_high = np.concatenate([np.full(field.size, field.sample_high, dtype=np.float64)
-                                      for field in spec.global_fields]) \
-            if spec.global_fields else np.zeros(0)
-        per_low = np.concatenate([np.full(field.size, field.sample_low, dtype=np.float64)
-                                  for field in spec.per_instruction_fields])
-        per_high = np.concatenate([np.full(field.size, field.sample_high, dtype=np.float64)
-                                   for field in spec.per_instruction_fields])
-        low = np.concatenate([global_low, np.tile(per_low, spec.num_opcodes)])
-        high = np.concatenate([global_high, np.tile(per_high, spec.num_opcodes)])
-        return low, high
-
-    @staticmethod
-    def _to_arrays(spec: ParameterSpec, genome: np.ndarray) -> ParameterArrays:
-        return ParameterArrays.from_flat_vector(
-            np.round(genome), spec.global_dim, spec.num_opcodes, spec.per_instruction_dim)
 
     # ------------------------------------------------------------------
     # Genetic operators
@@ -143,13 +124,13 @@ class GeneticTuner:
         spec = self.adapter.parameter_spec()
         config = self.config
         rng = np.random.default_rng(config.seed)
-        low, high = self._bounds(spec)
+        low, high = spec.sample_bounds()
         true_timings = np.asarray(true_timings, dtype=np.float64)
 
         def evaluate(genome: np.ndarray) -> float:
             batch = rng.integers(0, len(blocks),
                                  size=min(config.blocks_per_evaluation, len(blocks)))
-            arrays = self._to_arrays(spec, genome)
+            arrays = spec.rounded_arrays(genome)
             predictions = self.adapter.predict_timings(
                 arrays, [blocks[int(index)] for index in batch])
             return mape_loss_value(predictions, true_timings[batch])
@@ -181,11 +162,10 @@ class GeneticTuner:
             fitness = np.array([evaluate(genome) for genome in population])
             evaluations += per_generation_cost
             history.append(float(fitness.min()))
-            self._log(f"generation {generations}: best batch error {fitness.min():.3f}")
+            logger.info(f"generation {generations}: best batch error {fitness.min():.3f}")
 
         best_index = int(np.argmin(fitness))
-        best_arrays = spec.clip_to_bounds(
-            spec.round_to_integers(self._to_arrays(spec, population[best_index])))
+        best_arrays = spec.clip_to_bounds(spec.rounded_arrays(population[best_index]))
         best_error = mape_loss_value(self.adapter.predict_timings(best_arrays, list(blocks)),
                                      true_timings)
         return GeneticResult(best_arrays=best_arrays, best_error=best_error,

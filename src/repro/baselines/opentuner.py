@@ -22,16 +22,18 @@ the learned table.
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.adapters import SimulatorAdapter
 from repro.core.losses import mape_loss_value
-from repro.core.parameters import ParameterArrays, ParameterSpec
+from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -42,6 +44,10 @@ class OpenTunerConfig:
     blocks_per_evaluation: int = 200  # blocks sampled to score one proposal
     seed: int = 0
     exploration: float = 1.4          # UCB exploration constant
+
+    def __post_init__(self) -> None:
+        if self.blocks_per_evaluation < 1:
+            raise ValueError("blocks_per_evaluation must be >= 1")
 
 
 class _SearchTechnique:
@@ -142,42 +148,22 @@ class BanditEnsemble:
 class OpenTunerBaseline:
     """Black-box tuner over a simulator's flat parameter vector."""
 
-    def __init__(self, adapter: SimulatorAdapter, config: Optional[OpenTunerConfig] = None,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, adapter: SimulatorAdapter,
+                 config: Optional[OpenTunerConfig] = None) -> None:
         self.adapter = adapter
         self.config = config or OpenTunerConfig()
-        self._log = log or (lambda message: None)
-
-    def _bounds(self, spec: ParameterSpec) -> Tuple[np.ndarray, np.ndarray]:
-        """Search bounds per flat dimension (the paper constrains the search
-        to the same ranges DiffTune samples from)."""
-        global_low = np.concatenate([np.full(field.size, field.sample_low, dtype=np.float64)
-                                     for field in spec.global_fields]) \
-            if spec.global_fields else np.zeros(0)
-        global_high = np.concatenate([np.full(field.size, field.sample_high, dtype=np.float64)
-                                      for field in spec.global_fields]) \
-            if spec.global_fields else np.zeros(0)
-        per_low = np.concatenate([np.full(field.size, field.sample_low, dtype=np.float64)
-                                  for field in spec.per_instruction_fields])
-        per_high = np.concatenate([np.full(field.size, field.sample_high, dtype=np.float64)
-                                   for field in spec.per_instruction_fields])
-        low = np.concatenate([global_low, np.tile(per_low, spec.num_opcodes)])
-        high = np.concatenate([global_high, np.tile(per_high, spec.num_opcodes)])
-        return low, high
 
     def tune(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray) -> ParameterArrays:
         """Search for parameters minimizing MAPE on ``blocks``."""
+        if not blocks:
+            raise ValueError("need at least one evaluation block")
         spec = self.adapter.parameter_spec()
         rng = np.random.default_rng(self.config.seed)
-        low, high = self._bounds(spec)
+        low, high = spec.sample_bounds()
         true_timings = np.asarray(true_timings, dtype=np.float64)
 
-        def to_arrays(vector: np.ndarray) -> ParameterArrays:
-            return ParameterArrays.from_flat_vector(
-                np.round(vector), spec.global_dim, spec.num_opcodes, spec.per_instruction_dim)
-
         def evaluate(vector: np.ndarray, batch_indices: np.ndarray) -> float:
-            arrays = to_arrays(vector)
+            arrays = spec.rounded_arrays(vector)
             batch_blocks = [blocks[int(index)] for index in batch_indices]
             predictions = self.adapter.predict_timings(arrays, batch_blocks)
             return mape_loss_value(predictions, true_timings[batch_indices])
@@ -206,8 +192,8 @@ class OpenTunerBaseline:
             bandit.update(technique_index, 1.0 if improved else 0.0)
             if improved:
                 best_vector, best_score = proposal, score
-                self._log(f"iteration {iteration}: {techniques[technique_index].name} "
-                          f"improved error to {score:.3f}")
-        self._log(f"finished after {evaluations} block evaluations, "
-                  f"best batch error {best_score:.3f}")
-        return spec.clip_to_bounds(spec.round_to_integers(to_arrays(best_vector)))
+                logger.info(f"iteration {iteration}: {techniques[technique_index].name} "
+                            f"improved error to {score:.3f}")
+        logger.info(f"finished after {evaluations} block evaluations, "
+                    f"best batch error {best_score:.3f}")
+        return spec.clip_to_bounds(spec.rounded_arrays(best_vector))

@@ -39,6 +39,10 @@ def random_search(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if blocks_per_evaluation is not None and blocks_per_evaluation < 1:
+        raise ValueError("blocks_per_evaluation must be >= 1")
+    if not blocks:
+        raise ValueError("need at least one evaluation block")
     spec = adapter.parameter_spec()
     rng = np.random.default_rng(seed)
     true_timings = np.asarray(true_timings, dtype=np.float64)

@@ -144,4 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.cli import print_messages
+
+    with print_messages():
+        sys.exit(main())

@@ -11,6 +11,7 @@ batch calls fan out across processes when ``--workers`` is set.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import platform
 import subprocess
@@ -24,6 +25,8 @@ from repro.bench.registry import (DEFAULT_REGISTRY, Scenario, ScenarioContext,
                                   ScenarioRegistry)
 from repro.bench.schema import (SCHEMA_MINOR_VERSION, SCHEMA_VERSION, jsonify,
                                 validate_payload)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -84,12 +87,10 @@ class Runner:
     """Executes registered scenarios and emits ``BENCH_<suite>.json``."""
 
     def __init__(self, config: Optional[RunnerConfig] = None,
-                 registry: Optional[ScenarioRegistry] = None,
-                 log=print) -> None:
+                 registry: Optional[ScenarioRegistry] = None) -> None:
         self.config = config or RunnerConfig()
         # `is not None`, not truthiness: an empty registry has len() == 0.
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self.log = log or (lambda message: None)
         self._dataset_cache: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
@@ -156,12 +157,12 @@ class Runner:
             raise ValueError("no scenarios selected")
         entries: Dict[str, Dict[str, Any]] = {}
         for scenario in selected:
-            self.log(f"[bench] {scenario.name} (tier={self.config.tier}, "
-                     f"workers={self.config.workers}) ...")
+            logger.info(f"{scenario.name} (tier={self.config.tier}, "
+                        f"workers={self.config.workers}) ...")
             entry = self.run_scenario(scenario)
             entries[scenario.name] = entry
-            self.log(f"[bench] {scenario.name}: "
-                     f"{entry['wall_time_seconds']['min']:.3f}s")
+            logger.info(f"{scenario.name}: "
+                        f"{entry['wall_time_seconds']['min']:.3f}s")
         payload = {
             "schema_version": SCHEMA_VERSION,
             "suite": self.config.suite_name,

@@ -23,10 +23,11 @@ chunk, so long campaigns can be watched mid-flight.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from repro.campaigns.report import build_report, write_report
 from repro.campaigns.spec import (SAMPLE_KEY, AxisSpec, CampaignSpec,
                                   ResolvedAxis, resolve_axes, resolve_axis)
 from repro.eval.metrics import mean_absolute_percentage_error
+
+logger = logging.getLogger(__name__)
 
 
 def campaign_fingerprint(spec: CampaignSpec, blocks: Sequence[Any],
@@ -90,18 +93,16 @@ class CampaignRunner:
     session from the spec.
     """
 
-    def __init__(self, spec: CampaignSpec, session: Any = None,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, spec: CampaignSpec, session: Any = None) -> None:
         spec.validate()
         self.spec = spec
         if session is None:
             from repro.api.session import Session
 
-            session = Session(spec, log=log)
+            session = Session(spec)
         else:
             self._check_session(spec, session)
         self.session = session
-        self.log = log or getattr(session, "log", None) or (lambda message: None)
 
     @staticmethod
     def _check_session(spec: CampaignSpec, session: Any) -> None:
@@ -212,9 +213,9 @@ class CampaignRunner:
                     write_report(spec.report_path,
                                  build_report(spec, list(axes_by_label), records,
                                               baseline_error, "running"))
-                self.log(f"[campaign] round {round_.index} chunk "
-                         f"{chunk_index + 1}/{num_chunks}: "
-                         f"{len(records)} variants evaluated")
+                logger.info(f"round {round_.index} chunk "
+                            f"{chunk_index + 1}/{num_chunks}: "
+                            f"{len(records)} variants evaluated")
             else:
                 strategy.observe(round_, round_errors)
 
@@ -245,12 +246,11 @@ class CampaignRunner:
 
 
 def run_campaign(spec: Any, session: Any = None,
-                 log: Optional[Callable[[str], None]] = None,
                  max_chunks: Optional[int] = None) -> CampaignResult:
     """Run a campaign from a :class:`CampaignSpec` or a plain spec dict."""
     if isinstance(spec, dict):
         spec = CampaignSpec.from_dict(spec)
-    return CampaignRunner(spec, session=session, log=log).run(max_chunks=max_chunks)
+    return CampaignRunner(spec, session=session).run(max_chunks=max_chunks)
 
 
 def sweep_error_curve(table: Any, dataset: Any, field: str,

@@ -47,6 +47,9 @@ Fifteen subcommands cover the day-to-day workflow:
   experiments, run them at a scale tier, and compare result files
   (forwards to ``python -m repro.bench``).
 
+Progress messages come from the library's ``repro.*`` loggers; every
+command prints them on stdout at INFO through :func:`print_messages`.
+
 Every component choice — target microarchitecture, simulator, configuration
 preset, baseline method — resolves through the :mod:`repro.api` registries,
 so registered third-party plugins are first-class here: ``--simulator
@@ -92,9 +95,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -104,6 +109,27 @@ from repro.api import (BASELINES, PRESETS, SIMULATORS, TARGETS, BundleError,
                        CapabilityError, EvaluateSpec, PredictSpec, Session,
                        SpecValidationError, TuneSpec)
 from repro.api.plugins import search_baseline_names
+
+
+@contextlib.contextmanager
+def print_messages() -> Iterator[None]:
+    """Print the ``repro`` loggers' INFO messages on stdout for a block.
+
+    Attaches one handler, bound to the ``sys.stdout`` of the moment, that
+    writes ``[<logger name>] <message>``; the ``repro`` logger's handlers
+    and level are restored on exit.  Library modules configure nothing.
+    """
+    package_logger = logging.getLogger("repro")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("[%(name)s] %(message)s"))
+    previous_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(previous_level)
 
 
 def _target_choices() -> List[str]:
@@ -160,8 +186,7 @@ def _command_learn(arguments: argparse.Namespace) -> int:
                  dataset_path=arguments.dataset,
                  learn_fields=arguments.learn_fields,
                  narrow_sampling=not arguments.paper_sampling,
-                 engine_workers=arguments.workers),
-        log=lambda message: print(f"[difftune] {message}"))
+                 engine_workers=arguments.workers))
     outcome = session.tune()
     outcome.learned_table.save_json(arguments.output)
     print(f"Saved learned table to {arguments.output}")
@@ -192,8 +217,7 @@ def _command_tune(arguments: argparse.Namespace) -> int:
         resume=arguments.resume,
         stop_after=arguments.stop_after,
     ) for target in arguments.targets]
-    outcomes = tune_targets(specs, workers=arguments.workers,
-                            log=lambda message: print(f"[tune] {message}"))
+    outcomes = tune_targets(specs, workers=arguments.workers)
 
     os.makedirs(arguments.output_dir, exist_ok=True)
     failed = False
@@ -375,7 +399,7 @@ def _command_campaign(arguments: argparse.Namespace) -> int:
     else:
         payload.update(overrides)
         spec = CampaignSpec.from_dict(payload)
-    result = run_campaign(spec, log=print)
+    result = run_campaign(spec)
     print(format_report(result.report))
     if result.resumed_chunks:
         print(f"  resumed {result.resumed_chunks} chunks from "
@@ -447,7 +471,7 @@ def _command_matrix(arguments: argparse.Namespace) -> int:
             payload[key] = value
     if arguments.resume:
         payload["resume"] = True
-    result = run_matrix(MatrixCampaignSpec.from_dict(payload), log=print)
+    result = run_matrix(MatrixCampaignSpec.from_dict(payload))
     print(format_matrix_report(result.report))
     if result.resumed_cells:
         print(f"  resumed {len(result.resumed_cells)} completed cells from "
@@ -461,7 +485,6 @@ def _command_worker(arguments: argparse.Namespace) -> int:
     from repro.distributed import CampaignWorker
 
     worker = CampaignWorker(host=arguments.host, port=arguments.port,
-                            log=lambda message: print(f"[worker] {message}"),
                             drain_seconds=arguments.drain_seconds)
     worker.serve()
     return 0
@@ -484,6 +507,7 @@ def _command_tune_baseline(arguments: argparse.Namespace) -> int:
                          f"{', '.join(search_baseline_names(BASELINES))}")
     train_blocks, train_timings = session.split("train")
     test_blocks, test_timings = session.split("test")
+    session._check_tune_splits(len(train_blocks), len(test_blocks))
     arrays = plugin.run(session.adapter, train_blocks, train_timings,
                         budget=arguments.budget, seed=arguments.seed)
 
@@ -515,9 +539,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                      max_batch_wait_ms=arguments.max_wait_ms,
                      cache_size=arguments.cache_size,
                      engine_workers=arguments.workers)
-    server = InferenceServer.from_spec(
-        spec, log=lambda message: print(f"[serve] {message}"))
-    server.serve()
+    InferenceServer.from_spec(spec).serve()
     return 0
 
 
@@ -556,9 +578,7 @@ def _command_corpus(arguments: argparse.Namespace) -> int:
             seed=arguments.seed,
             featurize=arguments.featurize,
             resume=arguments.resume))
-        corpus = session.build_corpus(
-            progress=lambda done, total: print(
-                f"[corpus] generated {done}/{total} blocks"))
+        corpus = session.build_corpus()
         stats = corpus.describe()
         print(f"Built {stats['num_blocks']} blocks "
               f"({stats['num_shards']} shards of <= {stats['shard_size']}) "
@@ -965,7 +985,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     try:
-        return arguments.handler(arguments)
+        with print_messages():
+            return arguments.handler(arguments)
     except SpecValidationError as error:
         # Spec validation names the bad field and suggests fixes; surface it
         # as a clean CLI error instead of a traceback.

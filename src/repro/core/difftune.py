@@ -20,9 +20,10 @@ random stream between stages).
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from repro.core.surrogate import BlockFeaturizer, SurrogateConfig, build_surroga
 from repro.core.surrogate_training import SurrogateTrainingConfig, SurrogateTrainingResult
 from repro.core.table_optimization import TableOptimizationConfig, TableOptimizationResult
 from repro.isa.basic_block import BasicBlock
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -82,12 +85,11 @@ class DiffTuneResult:
 class DiffTune:
     """Learns a simulator's parameters from end-to-end measurements."""
 
-    def __init__(self, adapter: SimulatorAdapter, config: Optional[DiffTuneConfig] = None,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self, adapter: SimulatorAdapter,
+                 config: Optional[DiffTuneConfig] = None) -> None:
         self.adapter = adapter
         self.config = config or DiffTuneConfig()
         self.featurizer = BlockFeaturizer(adapter.opcode_table)
-        self._log = log or (lambda message: None)
 
     # ------------------------------------------------------------------
     # Individual stages (exposed for tests and ablations)
@@ -96,9 +98,10 @@ class DiffTune:
                                   rng: np.random.Generator) -> SimulatedDataset:
         from repro.pipeline.stages import collect_examples, log_engine_stats
 
-        self._log(f"collecting simulated dataset ({self.config.simulated_dataset_size} examples)")
+        logger.info(f"collecting simulated dataset "
+                    f"({self.config.simulated_dataset_size} examples)")
         dataset = collect_examples(self.adapter, self.config, blocks, rng)
-        log_engine_stats(self.adapter, self._log)
+        log_engine_stats(self.adapter)
         return dataset
 
     def build_surrogate(self):
@@ -115,7 +118,7 @@ class DiffTune:
         """
         from repro.pipeline.pipeline import TuningPipeline
 
-        return TuningPipeline(self.adapter, self.config, log=self._log,
+        return TuningPipeline(self.adapter, self.config,
                               featurizer=self.featurizer,
                               checkpoint_dir=checkpoint_dir,
                               featurization_store=featurization_store)
@@ -157,12 +160,12 @@ class DiffTune:
             blocks, true_timings, simulated_dataset=simulated_dataset,
             resume=resume, stop_after=stop_after)
         if state.learned_arrays is None:
-            self._log(f"run stopped after stage '{stop_after}'; "
-                      f"resume from {checkpoint_dir} to finish it")
+            logger.info(f"run stopped after stage '{stop_after}'; "
+                        f"resume from {checkpoint_dir} to finish it")
             return None
         elapsed = time.time() - start_time
-        self._log(f"learned-table training error: {state.train_error:.3f} "
-                  f"({elapsed:.1f}s end to end)")
+        logger.info(f"learned-table training error: {state.train_error:.3f} "
+                    f"({elapsed:.1f}s end to end)")
         return DiffTuneResult(learned_arrays=state.learned_arrays,
                               surrogate_result=state.surrogate_result,
                               table_result=state.table_result,

@@ -174,6 +174,32 @@ class ParameterSpec:
             else np.ones(0)
 
     # ------------------------------------------------------------------
+    # Flat search vectors (the black-box baselines' genome)
+    # ------------------------------------------------------------------
+    def sample_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-dimension ``(low, high)`` sampling ranges in flat-vector layout.
+
+        The black-box baselines search this box, the same ranges DiffTune
+        samples tables from.
+        """
+        def flat(attribute: str) -> np.ndarray:
+            global_part = np.concatenate([
+                np.full(field_.size, getattr(field_, attribute), dtype=np.float64)
+                for field_ in self.global_fields]) if self.global_fields else np.zeros(0)
+            per_instruction_part = np.concatenate([
+                np.full(field_.size, getattr(field_, attribute), dtype=np.float64)
+                for field_ in self.per_instruction_fields])
+            return np.concatenate([global_part,
+                                   np.tile(per_instruction_part, self.num_opcodes)])
+
+        return flat("sample_low"), flat("sample_high")
+
+    def rounded_arrays(self, vector: np.ndarray) -> ParameterArrays:
+        """The parameter arrays of a flat search vector, rounded to integers."""
+        return ParameterArrays.from_flat_vector(
+            np.round(vector), self.global_dim, self.num_opcodes, self.per_instruction_dim)
+
+    # ------------------------------------------------------------------
     # Sampling (the 𝐷 distribution of the paper)
     # ------------------------------------------------------------------
     def _sample_field(self, field_: ParameterField, rows: int,

@@ -153,7 +153,6 @@ class CollectionCheckpoint:
 def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
                               num_examples: int, rng: np.random.Generator,
                               blocks_per_table: int = 16,
-                              progress: Optional[Callable[[int, int], None]] = None,
                               table_sampler: Optional[Callable[[np.random.Generator],
                                                                ParameterArrays]] = None,
                               checkpoint: Optional[CollectionCheckpoint] = None
@@ -172,7 +171,6 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
             without changing the distribution materially (the paper samples a
             fresh table per block; with hundreds of tables the surrogate sees
             comparable parameter diversity).
-        progress: Optional callback ``(done, total)`` for long runs.
         table_sampler: Optional override for the table sampling distribution
             (used by the local-refinement rounds to sample near the current
             estimate instead of from the global distribution).
@@ -241,8 +239,6 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
         for (arrays, block_indices, _selected, rng_state), timings in zip(
                 drawn, timing_rows):
             dataset.append_round(arrays, block_indices, timings)
-            if progress is not None:
-                progress(len(dataset), num_examples)
             if (checkpoint is not None
                     and len(dataset) - last_saved >= checkpoint.every
                     and len(dataset) < num_examples):

@@ -19,7 +19,7 @@ per-example reference forwards in ``tests/surrogate_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class SurrogateTrainingConfig:
     gradient_clip: float = 5.0
     shuffle: bool = True
     seed: int = 0
-    log_every: int = 0  # batches; 0 disables logging callbacks
+    log_every: int = 0  # batches; 0 disables the per-batch DEBUG log
 
 
 @dataclass
@@ -79,17 +79,16 @@ def _batch_inputs(spec: ParameterSpec, dataset: SimulatedDataset,
 
 def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
                     config: SurrogateTrainingConfig,
-                    progress: Optional[Callable[[int, int, float], None]] = None,
                     store: Any = None) -> SurrogateTrainingResult:
     """Train ``surrogate`` to mimic the simulator on ``dataset``.
 
     Args:
         surrogate: The surrogate model (weights are updated in place).
         dataset: The simulated dataset.
-        config: Training hyper-parameters.
-        progress: Optional callback ``(epoch, batch, loss)``; with
-            ``log_every=N`` it fires every N batches and always on the final
-            (possibly partial) batch of each epoch.
+        config: Training hyper-parameters; with ``log_every=N`` the
+            training loop logs ``(epoch, batch, loss)`` at DEBUG every N
+            batches and always on the final (possibly partial) batch of
+            each epoch.
         store: Optional featurization store serving a corpus-backed
             dataset's per-block arrays (:meth:`FeaturizationCache.lookup`).
 
@@ -116,7 +115,7 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
         len(dataset), _batched_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
         shuffle=config.shuffle, gradient_clip=config.gradient_clip,
-        log_every=config.log_every, progress=progress)
+        log_every=config.log_every)
 
     surrogate.eval()
     final_error = _evaluate(surrogate, dataset, block_arrays, batch_size=64)

@@ -24,7 +24,7 @@ forwards in ``tests/surrogate_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +48,8 @@ class TableOptimizationConfig:
     same relative step is achieved with a comparable learning rate in
     normalized space.
 
-    ``log_every`` throttles the progress callback (every N batches plus the
-    final batch of each epoch; the default of 1 preserves the historical
-    every-batch behaviour).
+    ``log_every`` throttles the per-batch DEBUG log (every N batches plus
+    the final batch of each epoch; the default of 1 logs every batch).
     """
 
     learning_rate: float = 0.05
@@ -133,7 +132,6 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
                              true_timings: np.ndarray,
                              config: TableOptimizationConfig,
                              initial_arrays: Optional[ParameterArrays] = None,
-                             progress: Optional[Callable[[int, int, float], None]] = None,
                              frozen_per_instruction_mask: Optional[np.ndarray] = None,
                              frozen_global_mask: Optional[np.ndarray] = None,
                              store: Any = None) -> TableOptimizationResult:
@@ -145,8 +143,9 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
         true_timings: Measured timings aligned with ``blocks``.
         config: Optimization hyper-parameters.
         initial_arrays: Starting point; defaults to a random sample from the
-            parameter sampling distribution, as in the paper.
-        progress: Optional callback ``(epoch, batch, loss)``.
+            parameter sampling distribution, as in the paper.  The
+            training loop logs ``(epoch, batch, loss)`` at DEBUG as
+            ``config.log_every`` throttles it.
         frozen_per_instruction_mask: Optional boolean mask over per-instruction
             parameter dimensions; ``True`` dimensions are held at their initial
             values.  Used when only a subset of fields is learned (e.g. the
@@ -192,7 +191,7 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
         len(blocks), _batched_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
         shuffle=config.shuffle, gradient_clip=config.gradient_clip,
-        log_every=config.log_every, post_step=restore_frozen, progress=progress)
+        log_every=config.log_every, post_step=restore_frozen)
 
     return TableOptimizationResult(learned_arrays=table.to_parameter_arrays(),
                                    epoch_losses=loop.epoch_losses,

@@ -4,8 +4,8 @@ Phase one (surrogate training, Equation 2), phase two (parameter-table
 optimization, Equation 3) and the Ithemal baseline all run the same
 epoch/minibatch machinery: shuffle an index permutation, slice it into
 batches, run forward/backward, clip the global gradient norm, step the
-optimizer, and fire throttled progress callbacks.  This module is its single
-implementation.
+optimizer, and log throttled per-batch losses at DEBUG.  This module is its
+single implementation.
 
 The loop is deliberately ignorant of *what* is being trained — it receives
 an optimizer and a ``compute_batch_loss`` callable mapping a batch index
@@ -21,6 +21,7 @@ loss trajectories bit for bit.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -29,6 +30,8 @@ import numpy as np
 
 from repro.autodiff.optim import Optimizer
 from repro.autodiff.tensor import Tensor
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -54,8 +57,7 @@ def run_minibatch_loop(num_examples: int,
                        shuffle: bool = True,
                        gradient_clip: float = 0.0,
                        log_every: int = 0,
-                       post_step: Optional[Callable[[], None]] = None,
-                       progress: Optional[Callable[[int, int, float], None]] = None
+                       post_step: Optional[Callable[[], None]] = None
                        ) -> MinibatchLoopResult:
     """Run the shared epoch/minibatch optimization loop.
 
@@ -73,12 +75,11 @@ def run_minibatch_loop(num_examples: int,
         shuffle: Reshuffle the index permutation at the start of each epoch.
         gradient_clip: Global gradient-norm clip applied before each step
             (``<= 0`` disables clipping).
-        log_every: Fire ``progress`` every N batches, plus always on the
-            final (possibly partial) batch of each epoch; ``0`` disables the
-            callback entirely.
+        log_every: Log ``(epoch, batch_index, loss)`` at DEBUG every N
+            batches, plus always on the final (possibly partial) batch of
+            each epoch; ``0`` logs nothing.
         post_step: Optional hook run after every optimizer step (e.g.
             restoring frozen parameter dimensions).
-        progress: Optional callback ``(epoch, batch_index, loss)``.
 
     Returns:
         Per-epoch mean losses plus wall-time/throughput counters.
@@ -106,11 +107,12 @@ def run_minibatch_loop(num_examples: int,
             if post_step is not None:
                 post_step()
             batch_losses.append(loss.item())
-            if progress is not None and log_every:
+            if log_every and logger.isEnabledFor(logging.DEBUG):
                 batch_index = batch_start // batch_size
                 is_final_batch = batch_index == num_batches - 1
                 if batch_index % log_every == 0 or is_final_batch:
-                    progress(epoch, batch_index, batch_losses[-1])
+                    logger.debug("epoch %d batch %d loss %.6f", epoch,
+                                 batch_index, batch_losses[-1])
         epoch_losses.append(float(np.mean(batch_losses)))
     elapsed = time.perf_counter() - start_time
     return MinibatchLoopResult(epoch_losses=epoch_losses,

@@ -28,10 +28,11 @@ so a corpus block is bit-identical in simulation to the generated original.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +44,8 @@ from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
 from repro.isa.parser import parse_block
 from repro.targets import get_uarch
 from repro.targets.hardware import HardwareModel
+
+logger = logging.getLogger(__name__)
 
 SHARD_DIR = "shards"
 #: Version 2: shard digests are :func:`repro.storage.digest` values.
@@ -351,7 +354,6 @@ class ShardedCorpus:
     def build(cls, directory: str, uarch_name: str = "haswell",
               num_blocks: int = 2000, seed: int = 0, shard_size: int = 1024,
               opcode_table: Optional[OpcodeTable] = None, resume: bool = False,
-              progress: Optional[Callable[[int, int], None]] = None,
               **open_kwargs: Any) -> "ShardedCorpus":
         """Generate, measure, and shard ``num_blocks`` blocks to disk.
 
@@ -365,7 +367,8 @@ class ShardedCorpus:
         the kept count is slightly lower after the stability screen.  With
         ``resume=True`` an interrupted build continues from the last
         completed shard by restoring the pinned rng states; the finished
-        corpus is bit-identical to an uninterrupted build.
+        corpus is bit-identical to an uninterrupted build.  Each shard flush
+        and the end of the build log ``generated N/M blocks`` at INFO.
         """
         if num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
@@ -452,11 +455,9 @@ class ShardedCorpus:
                 })
             if len(pending) == shard_size:
                 flush(complete=False)
-                if progress is not None:
-                    progress(int(manifest["num_generated"]), num_blocks)
+                logger.info(f"generated {manifest['num_generated']}/{num_blocks} blocks")
         flush(complete=True)
-        if progress is not None:
-            progress(num_blocks, num_blocks)
+        logger.info(f"generated {num_blocks}/{num_blocks} blocks")
         return cls(directory, opcode_table=opcode_table, **open_kwargs)
 
     @staticmethod

@@ -107,8 +107,7 @@ class ShardedFeaturizationStore:
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def ensure(self, corpus: ShardedCorpus,
-               progress: Optional[Any] = None) -> "ShardedFeaturizationStore":
+    def ensure(self, corpus: ShardedCorpus) -> "ShardedFeaturizationStore":
         """Featurize every corpus shard not yet in the store (resumable).
 
         Shards already recorded in the store manifest are skipped, so a
@@ -126,8 +125,6 @@ class ShardedFeaturizationStore:
                 f"the store to rebuild it")
         for shard_index in range(self.num_shards, corpus.num_shards):
             self._build_shard(corpus.shard(shard_index), expected[shard_index])
-            if progress is not None:
-                progress(shard_index + 1, corpus.num_shards)
         return self
 
     def _shard_dir(self, shard_index: int) -> str:

@@ -30,16 +30,19 @@ resume tests assert.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import storage
 from repro.api.registries import EXECUTORS
 from repro.distributed.cells import make_task
 from repro.distributed.report import build_matrix_report, write_report
 from repro.distributed.spec import MatrixCampaignSpec, cell_key
+
+logger = logging.getLogger(__name__)
 
 #: Scheduler poll interval while cells are in flight.
 _POLL_SECONDS = 0.01
@@ -97,8 +100,7 @@ def _final_status(outcomes: Dict[str, Dict[str, Any]], total_cells: int,
     return "complete"
 
 
-def _build_shared_corpora(spec: MatrixCampaignSpec, pending: List[_CellState],
-                          log: Callable[[str], None]):
+def _build_shared_corpora(spec: MatrixCampaignSpec, pending: List[_CellState]):
     """One resumable on-disk corpus per distinct pending target.
 
     Returns ``(corpus_path_by_target, temp_dir_holder)``; the holder keeps
@@ -126,8 +128,8 @@ def _build_shared_corpora(spec: MatrixCampaignSpec, pending: List[_CellState],
             continue
         probe = spec.cell_campaign(state.target, state.simulator)
         path = os.path.join(corpus_root, state.target)
-        log(f"[matrix] building shared corpus for {state.target} "
-            f"({probe.num_blocks} blocks) at {path}")
+        logger.info(f"building shared corpus for {state.target} "
+                    f"({probe.num_blocks} blocks) at {path}")
         ShardedCorpus.build(path, uarch_name=state.target,
                             num_blocks=probe.num_blocks, seed=probe.seed,
                             resume=True)
@@ -135,8 +137,7 @@ def _build_shared_corpora(spec: MatrixCampaignSpec, pending: List[_CellState],
     return paths, temp_dir
 
 
-def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
-               max_cells: Optional[int] = None) -> MatrixResult:
+def run_matrix(spec: Any, max_cells: Optional[int] = None) -> MatrixResult:
     """Run (or resume) a matrix campaign to per-cell terminal outcomes.
 
     ``max_cells`` stops the run after that many cells reach a terminal
@@ -146,7 +147,6 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
     if isinstance(spec, dict):
         spec = MatrixCampaignSpec.from_dict(spec)
     spec.validate()
-    log = log or (lambda message: None)
     start = time.perf_counter()
 
     pairs = spec.resolve_cells()
@@ -165,8 +165,8 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
                      for target, simulator in pairs
                      if cell_key(target, simulator) in outcomes]
     if resumed_cells:
-        log(f"[matrix] resumed {len(resumed_cells)} completed cells: "
-            f"{', '.join(resumed_cells)}")
+        logger.info(f"resumed {len(resumed_cells)} completed cells: "
+                    f"{', '.join(resumed_cells)}")
 
     cell_report_dir = spec.cell_report_dir
     if cell_report_dir is None and spec.checkpoint_dir is not None:
@@ -183,7 +183,7 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
             fail_attempts=spec.fail_cells.get(key, 0),
             delay_seconds=float(spec.delay_cells.get(key, 0.0))))
 
-    corpus_paths, temp_corpus = _build_shared_corpora(spec, pending, log)
+    corpus_paths, temp_corpus = _build_shared_corpora(spec, pending)
     for state in pending:
         cell_checkpoint = (os.path.join(spec.checkpoint_dir, "cells", state.key)
                            if spec.checkpoint_dir is not None else None)
@@ -233,8 +233,8 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
                                  state.attempts, state.campaign_payload,
                                  fail_attempts=state.fail_attempts,
                                  delay_seconds=state.delay_seconds)
-                log(f"[matrix] cell {state.key}: attempt {state.attempts} "
-                    f"of {spec.max_retries + 1}")
+                logger.info(f"cell {state.key}: attempt {state.attempts} "
+                            f"of {spec.max_retries + 1}")
                 in_flight[state.key] = (executor.submit(task), state,
                                         time.monotonic())
             progressed = False
@@ -257,8 +257,8 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
                         "attempts": state.attempts,
                         "report": outcome["report"],
                         "num_variants": outcome["num_variants"]})
-                    log(f"[matrix] cell {state.key}: completed "
-                        f"({outcome['num_variants']} variants)")
+                    logger.info(f"cell {state.key}: completed "
+                                f"({outcome['num_variants']} variants)")
                 elif state.attempts > spec.max_retries:
                     record_terminal(state, {
                         "status": "failed", "target": state.target,
@@ -266,16 +266,16 @@ def run_matrix(spec: Any, log: Optional[Callable[[str], None]] = None,
                         "attempts": state.attempts,
                         "error": outcome["error"],
                         "traceback": outcome.get("traceback")})
-                    log(f"[matrix] cell {state.key}: FAILED after "
-                        f"{state.attempts} attempts: {outcome['error']}")
+                    logger.warning(f"cell {state.key}: FAILED after "
+                                   f"{state.attempts} attempts: {outcome['error']}")
                 else:
                     backoff = (spec.retry_backoff_seconds
                                * (2 ** (state.attempts - 1)))
                     state.next_eligible = time.monotonic() + backoff
                     queue.append(state)
-                    log(f"[matrix] cell {state.key}: attempt "
-                        f"{state.attempts} failed ({outcome['error']}); "
-                        f"retrying in {backoff:.2f}s")
+                    logger.warning(f"cell {state.key}: attempt "
+                                   f"{state.attempts} failed ({outcome['error']}); "
+                                   f"retrying in {backoff:.2f}s")
                 if (max_cells is not None
                         and len(executed_cells) >= max_cells):
                     interrupted = True

@@ -27,25 +27,24 @@ CELLS = [{"target": "haswell", "simulator": "mca"},
 
 
 def main() -> int:
-    log = lambda message: print(f"[smoke] {message}")  # noqa: E731
     with tempfile.TemporaryDirectory(prefix="repro-matrix-smoke-") as root:
         base = {"campaign": CAMPAIGN, "cells": CELLS,
                 "corpus_dir": f"{root}/corpora"}
-        inline = run_matrix(MatrixCampaignSpec.from_dict(base), log=log)
+        inline = run_matrix(MatrixCampaignSpec.from_dict(base))
         assert inline.status == "complete", inline.report
         assert inline.report["num_completed_cells"] == len(CELLS)
         pooled = run_matrix(MatrixCampaignSpec.from_dict(
-            dict(base, executor="pool", workers=2)), log=log)
+            dict(base, executor="pool", workers=2)))
         reference = json.dumps(inline.report, sort_keys=True)
         assert json.dumps(pooled.report, sort_keys=True) == reference, \
             "pool executor diverged from the inline reference report"
 
-        worker = CampaignWorker(port=0, log=log)
+        worker = CampaignWorker(port=0)
         handle = worker.start_in_thread()
         try:
             remote = run_matrix(MatrixCampaignSpec.from_dict(
                 dict(base, cells=CELLS[:1], executor="remote",
-                     worker_urls=[handle.url])), log=log)
+                     worker_urls=[handle.url])))
         finally:
             handle.stop()
         assert remote.status == "complete", remote.report
@@ -60,4 +59,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.cli import print_messages
+
+    with print_messages():
+        sys.exit(main())

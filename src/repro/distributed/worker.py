@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+import logging
+from typing import Any, Dict, Tuple
 
 from repro.serving.http import JsonHttpServer, ServingError
+
+logger = logging.getLogger(__name__)
 
 
 class CampaignWorker(JsonHttpServer):
@@ -34,10 +37,8 @@ class CampaignWorker(JsonHttpServer):
     thread_name = "repro-worker"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 log: Optional[Any] = None,
                  drain_seconds: float = 0.5) -> None:
-        super().__init__(host=host, port=port, log=log,
-                         drain_seconds=drain_seconds)
+        super().__init__(host=host, port=port, drain_seconds=drain_seconds)
         self.cells_completed = 0
         self.cells_failed = 0
         self._busy = 0
@@ -80,8 +81,8 @@ class CampaignWorker(JsonHttpServer):
             self.cells_completed += 1
         else:
             self.cells_failed += 1
-        self.log(f"cell {outcome.get('cell', '?')} attempt "
-                 f"{outcome.get('attempt', '?')}: {outcome.get('status')}")
+        logger.info(f"cell {outcome.get('cell', '?')} attempt "
+                    f"{outcome.get('attempt', '?')}: {outcome.get('status')}")
         return outcome
 
     def _startup_message(self) -> str:

@@ -20,15 +20,18 @@ the interrupted one picks up at its first incomplete stage.
 
 from __future__ import annotations
 
+import logging
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.engine.engine import process_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.specs import TuneSpec
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -56,8 +59,7 @@ class TargetOutcome:
         return self.error is not None
 
 
-def tune_target(spec: "TuneSpec",
-                log: Optional[Callable[[str], None]] = None) -> TargetOutcome:
+def tune_target(spec: "TuneSpec") -> TargetOutcome:
     """Run ``Session.tune()`` for one target (module-level: pool-picklable).
 
     One crashing target must not abort the fan-out: an exception comes back
@@ -69,7 +71,7 @@ def tune_target(spec: "TuneSpec",
 
     start_time = time.time()
     try:
-        result = Session.from_spec(spec, log=log).tune()
+        result = Session.from_spec(spec).tune()
     except Exception as error:  # noqa: BLE001 - converted to outcome data
         return TargetOutcome(
             target=spec.target, completed=False,
@@ -86,8 +88,7 @@ def tune_target(spec: "TuneSpec",
                          stopped_after=result.stopped_after)
 
 
-def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0,
-                 log: Optional[Callable[[str], None]] = None
+def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0
                  ) -> Dict[str, TargetOutcome]:
     """Tune every target, fanning out across processes when ``workers > 1``.
 
@@ -95,13 +96,13 @@ def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0,
     included), before any target runs.  Returns outcomes keyed by each
     spec's ``target``, in input order.  The parallel path produces the same
     outcomes as the sequential one — each target's run is fully determined
-    by its spec.  Sequential runs log each target's progress through ``log``;
-    pool workers run quietly.
+    by its spec.  Each run logs its stages under ``repro.*``; pool workers
+    inherit the parent's logging setup when forked, so parallel targets'
+    lines interleave.
     """
     from repro.api.registries import TARGETS
     from repro.api.specs import SpecValidationError
 
-    log = log or (lambda message: None)
     seen: Dict[str, str] = {}
     for spec in specs:
         spec.validate()
@@ -113,14 +114,12 @@ def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0,
         seen[key] = spec.target
     if workers > 1 and len(specs) > 1:
         processes = min(workers, len(specs))
-        log(f"tuning {len(specs)} targets across {processes} worker processes")
+        logger.info(f"tuning {len(specs)} targets across {processes} worker processes")
         with process_context().Pool(processes=processes) as pool:
             outcomes = pool.map(tune_target, list(specs))
     else:
         outcomes = []
         for spec in specs:
-            log(f"tuning target {spec.target}")
-            prefix = f"{spec.target}: "
-            outcomes.append(tune_target(
-                spec, log=lambda message: log(prefix + message)))
+            logger.info(f"tuning target {spec.target}")
+            outcomes.append(tune_target(spec))
     return {outcome.target: outcome for outcome in outcomes}

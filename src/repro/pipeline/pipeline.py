@@ -14,7 +14,8 @@ by :mod:`repro.pipeline.multi_target`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+import logging
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from repro.core.simulated_dataset import SimulatedDataset
 from repro.core.surrogate import BlockFeaturizer
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.stages import PipelineState, build_stages
+
+logger = logging.getLogger(__name__)
 
 
 def run_fingerprint(adapter: Any, config: Any, blocks: Sequence[Any],
@@ -57,13 +60,11 @@ class TuningPipeline:
     """Run the DiffTune stage sequence, optionally checkpointed and resumable."""
 
     def __init__(self, adapter: Any, config: Any,
-                 log: Optional[Callable[[str], None]] = None,
                  featurizer: Optional[BlockFeaturizer] = None,
                  checkpoint_dir: Optional[str] = None,
                  featurization_store: Any = None) -> None:
         self.adapter = adapter
         self.config = config
-        self.log = log or (lambda message: None)
         self.featurizer = featurizer or BlockFeaturizer(adapter.opcode_table)
         self.checkpoint_dir = checkpoint_dir
         self.featurization_store = featurization_store
@@ -115,7 +116,7 @@ class TuningPipeline:
         state = PipelineState(
             adapter=self.adapter, config=self.config, blocks=kept_blocks,
             true_timings=true_timings, rng=np.random.default_rng(self.config.seed),
-            featurizer=self.featurizer, log=self.log,
+            featurizer=self.featurizer,
             simulated_dataset=simulated_dataset,
             featurization_store=self.featurization_store,
             checkpoint_store=store, resume=resume)
@@ -125,14 +126,14 @@ class TuningPipeline:
                 stage.load(state, store)
                 store.restore_rng(stage.name, state.rng)
                 state.resumed_stages.append(stage.name)
-                self.log(f"resume: restored completed stage '{stage.name}' "
-                         f"from {self.checkpoint_dir}")
+                logger.info(f"resume: restored completed stage '{stage.name}' "
+                            f"from {self.checkpoint_dir}")
             else:
                 stage.run(state)
                 if store is not None:
                     stage.save(state, store)
                     store.mark_complete(stage.name, state.rng)
             if stop_after == stage.name:
-                self.log(f"stopping after stage '{stage.name}' as requested")
+                logger.info(f"stopping after stage '{stage.name}' as requested")
                 break
         return state

@@ -22,6 +22,7 @@ at module level, and the submodule form keeps that cycle-free.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -39,6 +40,8 @@ from repro.core.table_optimization import (TableOptimizationResult,
                                            optimize_parameter_table)
 from repro.pipeline.checkpoint import CheckpointStore
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass
 class PipelineState:
@@ -54,7 +57,6 @@ class PipelineState:
     true_timings: np.ndarray
     rng: np.random.Generator
     featurizer: BlockFeaturizer
-    log: Callable[[str], None] = lambda message: None
 
     simulated_dataset: Optional[SimulatedDataset] = None
     #: Optional mmap featurization store serving a corpus's per-block arrays
@@ -114,7 +116,7 @@ def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
         checkpoint=checkpoint)
 
 
-def log_engine_stats(adapter: Any, log: Callable[[str], None]) -> None:
+def log_engine_stats(adapter: Any) -> None:
     """Report the shared engine's cache behaviour (engine-backed adapters).
 
     Shared by the collection stage and
@@ -124,10 +126,10 @@ def log_engine_stats(adapter: Any, log: Callable[[str], None]) -> None:
         stats = adapter.engine.stats
     except NotImplementedError:
         return
-    log(f"engine: {stats['executed']} simulations, "
-        f"{stats['result_hits']} cache hits, "
-        f"{stats['compile_misses']} blocks compiled "
-        f"(reused {stats['compile_hits']} times)")
+    logger.info(f"engine: {stats['executed']} simulations, "
+                f"{stats['result_hits']} cache hits, "
+                f"{stats['compile_misses']} blocks compiled "
+                f"(reused {stats['compile_hits']} times)")
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +155,8 @@ class CollectDatasetStage(Stage):
             # A pre-collected dataset was handed in (tests, shared-dataset
             # ablations); nothing to do — and nothing was logged before.
             return
-        state.log(f"collecting simulated dataset "
-                  f"({state.config.simulated_dataset_size} examples)")
+        logger.info(f"collecting simulated dataset "
+                    f"({state.config.simulated_dataset_size} examples)")
         checkpoint = self._checkpoint(state, state.checkpoint_store)
         if checkpoint is not None and not state.resume:
             # reset() only clears completion entries; a stale partial from
@@ -163,7 +165,7 @@ class CollectDatasetStage(Stage):
         state.simulated_dataset = collect_examples(state.adapter, state.config,
                                                    state.blocks, state.rng,
                                                    checkpoint=checkpoint)
-        log_engine_stats(state.adapter, state.log)
+        log_engine_stats(state.adapter)
 
     def _checkpoint(self, state: PipelineState, store: Optional[CheckpointStore]
                     ) -> Optional[CollectionCheckpoint]:
@@ -221,13 +223,13 @@ class TrainSurrogateStage(Stage):
     def run(self, state: PipelineState) -> None:
         state.surrogate = build_surrogate(state.adapter.parameter_spec(),
                                           state.featurizer, state.config.surrogate)
-        state.log(f"training surrogate on {len(state.simulated_dataset)} "
-                  f"simulated examples")
+        logger.info(f"training surrogate on {len(state.simulated_dataset)} "
+                    f"simulated examples")
         state.surrogate_result = train_surrogate(
             state.surrogate, state.simulated_dataset,
             state.config.surrogate_training, store=state.featurization_store)
-        state.log(f"surrogate training error: "
-                  f"{state.surrogate_result.final_training_error:.3f}")
+        logger.info(f"surrogate training error: "
+                    f"{state.surrogate_result.final_training_error:.3f}")
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         _save_surrogate_outcome(self.name, state, store)
@@ -284,13 +286,13 @@ class OptimizeTableStage(Stage):
     name = "optimize_table"
 
     def run(self, state: PipelineState) -> None:
-        state.log("optimizing the parameter table through the frozen surrogate")
+        logger.info("optimizing the parameter table through the frozen surrogate")
         spec = state.adapter.parameter_spec()
         initial_arrays = state.adapter.freeze_unlearned_fields(spec.sample(state.rng))
         learned = _optimize_and_extract(state, initial_arrays)
         error = mape_loss_value(state.adapter.predict_timings(learned, state.blocks),
                                 state.true_timings)
-        state.log(f"round 0 learned-table training error: {error:.3f}")
+        logger.info(f"round 0 learned-table training error: {error:.3f}")
         state.best_arrays, state.best_error = learned, error
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
@@ -317,7 +319,7 @@ class RefinementRoundStage(Stage):
     def run(self, state: PipelineState) -> None:
         config = state.config
         round_number = self.round_index + 1
-        state.log(f"refinement round {round_number}: resampling near the estimate")
+        logger.info(f"refinement round {round_number}: resampling near the estimate")
         spec = state.adapter.parameter_spec()
         center = state.best_arrays
 
@@ -339,13 +341,13 @@ class RefinementRoundStage(Stage):
         state.surrogate_result = train_surrogate(state.surrogate, local_dataset,
                                                  refinement_training,
                                                  store=state.featurization_store)
-        state.log(f"refined surrogate error: "
-                  f"{state.surrogate_result.final_training_error:.3f}")
+        logger.info(f"refined surrogate error: "
+                    f"{state.surrogate_result.final_training_error:.3f}")
         candidate = _optimize_and_extract(state, center)
         candidate_error = mape_loss_value(
             state.adapter.predict_timings(candidate, state.blocks), state.true_timings)
-        state.log(f"refinement round {round_number} training error: "
-                  f"{candidate_error:.3f}")
+        logger.info(f"refinement round {round_number} training error: "
+                    f"{candidate_error:.3f}")
         if candidate_error < state.best_error:
             state.best_arrays, state.best_error = candidate, candidate_error
 

@@ -12,16 +12,20 @@ and may override the narrow hooks (``_clock``, ``_record_request``,
 ``_on_drain``, ``_startup_message``) to attach stats or drain extra
 machinery.  Both the inference server and the distributed campaign worker
 (:mod:`repro.distributed.worker`) are built on this class, so they share
-one tested implementation of the wire protocol.
+one tested implementation of the wire protocol.  The startup line (which
+names ``http://HOST:PORT``) and ``server stopped`` are logged at INFO.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from typing import Any, Dict, Optional, Set, Tuple
+
+logger = logging.getLogger(__name__)
 
 #: Request bodies above this are refused with 413 (a DoS guard, not a limit
 #: any legitimate block corpus approaches).
@@ -85,14 +89,12 @@ class JsonHttpServer:
     thread_name = "repro-http"
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 8000,
-                 log: Optional[Any] = None,
                  drain_seconds: float = 10.0) -> None:
         self.host = host
         self.requested_port = port
         #: The bound port — equals ``requested_port`` unless that was 0
         #: (ephemeral); set once the listening socket exists.
         self.port: Optional[int] = None
-        self.log = log or (lambda message: None)
         #: How long shutdown waits for in-flight requests before closing
         #: their connections anyway.
         self.drain_seconds = drain_seconds
@@ -251,7 +253,7 @@ class JsonHttpServer:
                                                   self._stop_event.set)
                 except (NotImplementedError, RuntimeError):
                     break
-        self.log(self._startup_message())
+        logger.info(self._startup_message())
         if ready is not None:
             ready.set()
         try:
@@ -268,7 +270,7 @@ class JsonHttpServer:
                 await asyncio.sleep(0.005)
             for writer in list(self._connections):
                 writer.close()
-            self.log("server stopped")
+            logger.info("server stopped")
 
     def serve(self) -> None:
         """Run the server on this thread until SIGINT/SIGTERM (blocking)."""

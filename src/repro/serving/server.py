@@ -24,7 +24,7 @@ connections die.  Everything here is standard library — ``asyncio``,
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.session import Session
 from repro.api.specs import PredictSpec, ServeSpec
@@ -48,9 +48,8 @@ class InferenceServer(JsonHttpServer):
 
     def __init__(self, session: Session, *, host: str = "127.0.0.1",
                  port: int = 8000, max_batch_size: int = 64,
-                 max_batch_wait_ms: float = 2.0, cache_size: int = 4096,
-                 log: Optional[Callable[[str], None]] = None) -> None:
-        super().__init__(host=host, port=port, log=log)
+                 max_batch_wait_ms: float = 2.0, cache_size: int = 4096) -> None:
+        super().__init__(host=host, port=port)
         self.session = session
         self._table = session.load_table_or_default(
             getattr(session.spec, "table_path", None))
@@ -69,7 +68,6 @@ class InferenceServer(JsonHttpServer):
     # ------------------------------------------------------------------
     @classmethod
     def from_spec(cls, spec: Union[ServeSpec, Dict[str, Any]],
-                  log: Optional[Callable[[str], None]] = None,
                   **overrides: Any) -> "InferenceServer":
         """Build server + session from a :class:`~repro.api.specs.ServeSpec`.
 
@@ -89,17 +87,16 @@ class InferenceServer(JsonHttpServer):
         spec.validate()
         if spec.bundle_path is not None:
             session = Session.from_bundle(
-                spec.bundle_path, log=log,
-                engine_workers=spec.engine_workers)
+                spec.bundle_path, engine_workers=spec.engine_workers)
         else:
             session = Session.from_spec(PredictSpec(
                 target=spec.target, simulator=spec.simulator,
                 table_path=spec.table_path,
-                engine_workers=spec.engine_workers), log=log)
+                engine_workers=spec.engine_workers))
         return cls(session, host=spec.host, port=spec.port,
                    max_batch_size=spec.max_batch_size,
                    max_batch_wait_ms=spec.max_batch_wait_ms,
-                   cache_size=spec.cache_size, log=log)
+                   cache_size=spec.cache_size)
 
     # ------------------------------------------------------------------
     # Prediction path

@@ -25,9 +25,7 @@ BLOCKS = [
 def main() -> int:
     spec = ServeSpec(target="haswell", simulator="mca", port=0,
                      max_batch_wait_ms=1.0)
-    server = InferenceServer.from_spec(spec,
-                                       log=lambda m: print(f"[server] {m}"))
-    handle = server.start_in_thread()
+    handle = InferenceServer.from_spec(spec).start_in_thread()
     try:
         with ServingClient(handle.host, handle.port) as client:
             health = client.healthz()
@@ -51,4 +49,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.cli import print_messages
+
+    with print_messages():
+        sys.exit(main())

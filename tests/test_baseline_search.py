@@ -1,8 +1,12 @@
-"""Tests for the standalone black-box search baselines (genetic, annealing, coordinate)."""
+"""Tests for the black-box search baselines (genetic, annealing, coordinate;
+the empty-batch checks cover all five searchers)."""
 
 import numpy as np
 import pytest
 
+from repro.api import BASELINES
+from repro.api.plugins import search_baseline_names
+from repro.baselines import OpenTunerConfig, random_search
 from repro.baselines.annealing import AnnealingConfig, SimulatedAnnealingTuner
 from repro.baselines.coordinate_descent import (CoordinateDescentConfig,
                                                 CoordinateDescentTuner)
@@ -59,6 +63,30 @@ class TestConfigValidation:
             CoordinateDescentConfig(rounds=0)
         with pytest.raises(ValueError):
             CoordinateDescentConfig(candidates_per_field=1)
+
+    @pytest.mark.parametrize("config", [OpenTunerConfig, GeneticConfig,
+                                        AnnealingConfig, CoordinateDescentConfig])
+    def test_blocks_per_evaluation_must_be_positive(self, config):
+        # An empty evaluation batch never spends budget: the search loops
+        # hung on it, and coordinate descent silently ran no evaluation.
+        with pytest.raises(ValueError, match="blocks_per_evaluation"):
+            config(blocks_per_evaluation=0)
+
+    def test_random_search_blocks_per_evaluation_must_be_positive(self,
+                                                                  tuning_problem):
+        adapter, blocks, timings = tuning_problem
+        with pytest.raises(ValueError, match="blocks_per_evaluation"):
+            random_search(adapter, blocks, timings, num_samples=2,
+                          blocks_per_evaluation=0)
+
+
+@pytest.mark.parametrize("name", search_baseline_names(BASELINES))
+def test_every_searcher_rejects_an_empty_block_list(tuning_problem, name):
+    # A budget below one evaluation batch skips every search loop, so a
+    # searcher without the check returns a table instead of raising.
+    adapter, _blocks, timings = tuning_problem
+    with pytest.raises(ValueError, match="need at least one evaluation block"):
+        BASELINES.get(name).run(adapter, [], timings[:0], budget=10, seed=0)
 
 
 # ----------------------------------------------------------------------

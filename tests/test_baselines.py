@@ -1,5 +1,7 @@
 """Tests for the baselines: OpenTuner-style tuner, random search, Ithemal, IACA."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,18 @@ class TestOpenTunerBaseline:
         arrays = tuner.tune(blocks, timings)
         adapter.table_from_arrays(arrays).validate()
 
-    def test_budget_limits_evaluations(self, tuning_data):
+    def test_budget_limits_evaluations(self, tuning_data, caplog):
         blocks, timings = tuning_data
         adapter = MCAAdapter(HASWELL)
-        messages = []
         tuner = OpenTunerBaseline(adapter, OpenTunerConfig(
-            evaluation_budget=200, blocks_per_evaluation=50, seed=2), log=messages.append)
-        tuner.tune(blocks, timings)
-        assert any("finished after" in message for message in messages)
+            evaluation_budget=200, blocks_per_evaluation=50, seed=2))
+        with caplog.at_level(logging.INFO, logger="repro"):
+            tuner.tune(blocks, timings)
+        finished = [record.getMessage() for record in caplog.records
+                    if record.name == "repro.baselines.opentuner"
+                    and record.getMessage().startswith("finished after")]
+        assert len(finished) == 1
+        assert int(finished[0].split()[2]) <= 200
 
 
 class TestRandomSearch:

@@ -114,7 +114,7 @@ class TestScalePresets:
 def smoke_run(tmp_path_factory):
     output_dir = tmp_path_factory.mktemp("bench")
     runner = Runner(RunnerConfig(tier="smoke", suite="testsuite",
-                                 output_dir=str(output_dir)), log=None)
+                                 output_dir=str(output_dir)))
     payload = runner.run(names=["sec5a_random_tables", "engine_throughput"])
     path = runner.write(payload)
     return payload, path
@@ -160,14 +160,14 @@ class TestRunner:
 
     def test_seed_override_reaches_entries_and_scale_fingerprint(self, tmp_path):
         runner = Runner(RunnerConfig(tier="smoke", suite="seeded", seed=7,
-                                     output_dir=str(tmp_path)), log=None)
+                                     output_dir=str(tmp_path)))
         payload = runner.run(names=["sec5a_random_tables"])
         entry = payload["scenarios"]["sec5a_random_tables"]
         assert entry["seed"] == 7
         assert entry["scale"]["seed"] == 7
 
     def test_empty_selection_raises(self, tmp_path):
-        runner = Runner(RunnerConfig(output_dir=str(tmp_path)), log=None)
+        runner = Runner(RunnerConfig(output_dir=str(tmp_path)))
         with pytest.raises(ValueError, match="no scenarios selected"):
             runner.run(tags=["no-such-tag"])
 

@@ -148,3 +148,11 @@ class TestTuneBaselineCommand:
                          "--budget", "800"])
         assert code == 0
         assert "annealing" in capsys.readouterr().out
+
+    def test_unusable_split_exits_naming_the_dataset(self, tmp_path):
+        # One measured block splits into 0 train and 1 test block: the
+        # split check runs before any search instead of a traceback.
+        path = os.path.join(tmp_path, "one.json")
+        assert cli.main(["dataset", "--blocks", "1", "--output", path]) == 0
+        with pytest.raises(SystemExit, match="^error: dataset_path: .* 0 train"):
+            cli.main(["tune-baseline", "--dataset", path, "--method", "genetic"])

@@ -1,5 +1,7 @@
 """Tests for the end-to-end DiffTune driver, extraction, and config presets."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -100,16 +102,17 @@ class TestDiffTuneEndToEnd:
                          for _ in range(4)]
         assert result.train_error < float(np.mean(random_errors)) + 0.1
 
-    def test_refinement_rounds_run(self, small_training_data):
+    def test_refinement_rounds_run(self, small_training_data, caplog):
         blocks, timings = small_training_data
         adapter = MCAAdapter(HASWELL, narrow_sampling=True)
         config = tiny_config()
         config.refinement_rounds = 1
         config.refinement_dataset_size = 48
-        messages = []
-        difftune = DiffTune(adapter, config, log=messages.append)
-        difftune.learn(blocks, timings)
-        assert any("refinement round 1" in message for message in messages)
+        difftune = DiffTune(adapter, config)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            difftune.learn(blocks, timings)
+        assert any("refinement round 1" in record.getMessage()
+                   for record in caplog.records)
 
     def test_precollected_simulated_dataset(self, small_training_data, rng):
         blocks, timings = small_training_data

@@ -29,6 +29,7 @@ from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache,
                                   featurization_cache_stats,
                                   featurized_block_digest)
 from repro.corpus import CorpusError, ShardedCorpus, ShardedFeaturizationStore
+from repro.corpus import sharded
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE
 
 
@@ -86,27 +87,34 @@ class TestShardedCorpus:
         np.testing.assert_array_equal(view.timings(),
                                       corpus.timings()[indices["train"]])
 
-    def test_build_kill_resume_is_bit_identical(self, corpus, tmp_path):
+    def test_build_kill_resume_is_bit_identical(self, corpus, tmp_path, monkeypatch):
         class Killed(RuntimeError):
             pass
 
         interrupted = str(tmp_path / "interrupted")
+        write = sharded._atomic_write
         boundary = 0
+        flushes = 0
+
+        def kill_at_boundary(path, payload):
+            # Dies right after the boundary-th manifest write of an
+            # unfinished build, as a kill between two shards would.
+            nonlocal flushes
+            write(path, payload)
+            if (os.path.basename(path) == "manifest.json"
+                    and not json.loads(payload)["complete"]):
+                flushes += 1
+                if flushes == boundary:
+                    raise Killed()
+
+        monkeypatch.setattr(sharded, "_atomic_write", kill_at_boundary)
         while True:
             boundary += 1
             flushes = 0
-
-            def kill_at_boundary(done, total):
-                nonlocal flushes
-                flushes += 1
-                if flushes == boundary and done < total:
-                    raise Killed()
-
             try:
                 resumed = ShardedCorpus.build(
                     interrupted, uarch_name="haswell", num_blocks=120, seed=0,
-                    shard_size=32, resume=boundary > 1,
-                    progress=kill_at_boundary)
+                    shard_size=32, resume=boundary > 1)
                 break
             except Killed:
                 # Interrupted mid-build: the directory must refuse plain
@@ -231,17 +239,19 @@ class TestStreamingCollection:
             class Killed(RuntimeError):
                 pass
 
-            # progress fires before the boundary's checkpoint save, so the
-            # kill lands one round later — after the save hit the disk.
-            def kill_after(done, total, limit=boundary):
-                if done > limit:
+            # Dies right after the save that reaches the boundary hit the disk.
+            def kill_after(dataset, rng_state, target, limit=boundary,
+                           checkpoint=checkpoint):
+                CollectionCheckpoint.save(checkpoint, dataset, rng_state, target)
+                if len(dataset) >= limit:
                     raise Killed()
 
+            checkpoint.save = kill_after
             with pytest.raises(Killed):
                 collect_simulated_dataset(
                     adapter, corpus, num_examples, np.random.default_rng(7),
-                    blocks_per_table=8, checkpoint=checkpoint,
-                    progress=kill_after)
+                    blocks_per_table=8, checkpoint=checkpoint)
+            del checkpoint.save
             # Resume with a fresh rng: the checkpoint restores the stream.
             resumed = collect_simulated_dataset(
                 adapter, corpus, num_examples, np.random.default_rng(99),

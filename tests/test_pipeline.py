@@ -7,6 +7,7 @@ and the ParameterArrays codec the per-stage table artifacts are built on.
 """
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -33,11 +34,11 @@ def training_data(small_dataset):
     return blocks, timings
 
 
-def _make_difftune(refinement_rounds=0, seed=0, log=None):
+def _make_difftune(refinement_rounds=0, seed=0):
     config = tiny_config(seed)
     config.refinement_rounds = refinement_rounds
     config.refinement_dataset_size = 48
-    return DiffTune(MCAAdapter(HASWELL, narrow_sampling=True), config, log=log)
+    return DiffTune(MCAAdapter(HASWELL, narrow_sampling=True), config)
 
 
 def _tables_equal(a: ParameterArrays, b: ParameterArrays) -> bool:
@@ -113,17 +114,23 @@ class TestResume:
         assert "refinement_round_02" not in resumed.resumed_stages
 
     def test_resume_of_finished_run_replays_from_checkpoints(self, training_data,
-                                                             tmp_path):
+                                                             tmp_path, caplog):
         blocks, timings = training_data
         checkpoint_dir = str(tmp_path / "done")
-        messages = []
-        first = _make_difftune(log=messages.append).learn(
-            blocks, timings, checkpoint_dir=checkpoint_dir)
-        replayed = _make_difftune(log=messages.append).learn(
-            blocks, timings, checkpoint_dir=checkpoint_dir, resume=True)
+        first = _make_difftune().learn(blocks, timings, checkpoint_dir=checkpoint_dir)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            replayed = _make_difftune().learn(
+                blocks, timings, checkpoint_dir=checkpoint_dir, resume=True)
         assert _tables_equal(first.learned_arrays, replayed.learned_arrays)
         # Every stage came from disk; nothing was recomputed.
         assert len(replayed.resumed_stages) == 4
+        restored = [record.getMessage() for record in caplog.records
+                    if record.name == "repro.pipeline.pipeline"]
+        assert restored == [f"resume: restored completed stage '{stage}' "
+                            f"from {checkpoint_dir}"
+                            for stage in replayed.resumed_stages]
+        assert not any("collecting simulated dataset" in record.getMessage()
+                       for record in caplog.records)
 
     def test_resume_restores_simulated_dataset(self, training_data, tmp_path):
         blocks, timings = training_data
@@ -215,12 +222,12 @@ class TestRefinementDeterminism:
         assert first.train_error == second.train_error
         assert first.table_result.epoch_losses == second.table_result.epoch_losses
 
-    def test_refinement_logs_and_improves_or_keeps_best(self, training_data):
+    def test_refinement_logs_and_improves_or_keeps_best(self, training_data, caplog):
         blocks, timings = training_data
-        messages = []
         no_refinement = _make_difftune().learn(blocks, timings)
-        refined = _make_difftune(refinement_rounds=2,
-                                 log=messages.append).learn(blocks, timings)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            refined = _make_difftune(refinement_rounds=2).learn(blocks, timings)
+        messages = [record.getMessage() for record in caplog.records]
         assert any("refinement round 1" in message for message in messages)
         assert any("refinement round 2" in message for message in messages)
         assert refined.train_error <= no_refinement.train_error + 1e-12

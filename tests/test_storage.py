@@ -161,8 +161,7 @@ class TestBuiltinWriteScan:
 
 
 def _write_bench_payload(output_dir, value):
-    runner = Runner(RunnerConfig(tier="smoke", suite="demo", output_dir=output_dir),
-                    log=None)
+    runner = Runner(RunnerConfig(tier="smoke", suite="demo", output_dir=output_dir))
     return runner.write({"value": value})
 
 

@@ -8,10 +8,12 @@ reference loop built here on the scalar ``reference_forward``
 property test drives the comparison over random block subsets and parameter
 tables; deterministic tests cover the
 :class:`~repro.core.surrogate.FeaturizationCache` packing, the training-loop
-integration, the ``log_every`` progress-callback semantics (including the
+integration, the ``log_every`` per-batch DEBUG log semantics (including the
 final partial batch), and the ``surrogate_training_throughput`` scenario
 registration.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -374,38 +376,48 @@ class TestNoDigestInsideTheMinibatchLoop:
 
 
 class TestProgressCallback:
+    """The loop's throttled per-batch losses, read from its DEBUG records."""
+
     @staticmethod
-    def _run(adapter, simulated, num_examples, batch_size, log_every):
+    def _run(caplog, adapter, simulated, num_examples, batch_size, log_every):
         surrogate = _build(adapter, "pooled")
-        calls = []
         config = SurrogateTrainingConfig(epochs=1, batch_size=batch_size, seed=0,
                                          shuffle=False, log_every=log_every)
         prefix = SimulatedDataset(simulated.blocks, simulated.tables,
                                   simulated.example_table[:num_examples],
                                   simulated.example_block[:num_examples],
                                   simulated.example_timing[:num_examples])
-        train_surrogate(surrogate, prefix, config,
-                        progress=lambda epoch, batch, loss: calls.append(
-                            (epoch, batch, loss)))
-        return calls
+        with caplog.at_level(logging.DEBUG, logger="repro.core.training_loop"):
+            train_surrogate(surrogate, prefix, config)
+        return [record.args for record in caplog.records
+                if record.name == "repro.core.training_loop"
+                and record.levelno == logging.DEBUG]
 
-    def test_final_partial_batch_triggers_callback(self, adapter, simulated):
+    def test_final_partial_batch_triggers_callback(self, adapter, simulated, caplog):
         # 13 examples at batch size 4 -> batches 0..3, the last one partial.
-        # log_every=3 fires on batches 0 and 3; the regression was that the
-        # final partial batch (3) never fired.
-        calls = self._run(adapter, simulated, num_examples=13, batch_size=4,
+        # log_every=3 logs batches 0 and 3; the regression was that the
+        # final partial batch (3) never logged.
+        calls = self._run(caplog, adapter, simulated, num_examples=13, batch_size=4,
                           log_every=3)
         assert [batch for _epoch, batch, _loss in calls] == [0, 3]
 
-    def test_final_batch_not_double_reported(self, adapter, simulated):
+    def test_final_partial_batch_logged_off_the_stride(self, adapter, simulated,
+                                                       caplog):
+        # log_every=2 logs batches 0 and 2; the final partial batch 3 is
+        # off the stride and logs only because it ends the epoch.
+        calls = self._run(caplog, adapter, simulated, num_examples=13, batch_size=4,
+                          log_every=2)
+        assert [batch for _epoch, batch, _loss in calls] == [0, 2, 3]
+
+    def test_final_batch_not_double_reported(self, adapter, simulated, caplog):
         # 8 examples at batch size 4 -> batches 0 and 1; log_every=1 already
-        # fires on every batch, so the final batch appears exactly once.
-        calls = self._run(adapter, simulated, num_examples=8, batch_size=4,
+        # logs every batch, so the final batch appears exactly once.
+        calls = self._run(caplog, adapter, simulated, num_examples=8, batch_size=4,
                           log_every=1)
         assert [batch for _epoch, batch, _loss in calls] == [0, 1]
 
-    def test_log_every_zero_disables_callbacks(self, adapter, simulated):
-        calls = self._run(adapter, simulated, num_examples=8, batch_size=4,
+    def test_log_every_zero_disables_callbacks(self, adapter, simulated, caplog):
+        calls = self._run(caplog, adapter, simulated, num_examples=8, batch_size=4,
                           log_every=0)
         assert calls == []
 
@@ -421,7 +433,7 @@ class TestThroughputScenario:
     def test_smoke_tier_reports_speedup_and_loss_agreement(self):
         from repro.bench import Runner, RunnerConfig
 
-        runner = Runner(RunnerConfig(tier="smoke"), log=None)
+        runner = Runner(RunnerConfig(tier="smoke"))
         entry = runner.run_scenario(
             runner.registry.get("surrogate_training_throughput"))
         metrics = entry["metrics"]

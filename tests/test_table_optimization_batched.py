@@ -11,6 +11,8 @@ frozen-mask settings; deterministic tests cover each surrogate variant and
 the scatter-add/frozen-mask interaction.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,22 +194,27 @@ class TestFrozenMasks:
 
 
 class TestProgressCallback:
-    def test_progress_fires_every_batch_by_default(self, adapter, blocks, timings):
+    """The loop's throttled per-batch losses, read from its DEBUG records."""
+
+    @staticmethod
+    def _batches(caplog, adapter, blocks, timings, config):
         surrogate = _build(adapter, "pooled")
-        seen = []
-        optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=5, epochs=2),
-            progress=lambda epoch, batch, loss: seen.append((epoch, batch)))
+        with caplog.at_level(logging.DEBUG, logger="repro.core.training_loop"):
+            optimize_parameter_table(surrogate, blocks, timings, config)
+        return [record.args[:2] for record in caplog.records
+                if record.name == "repro.core.training_loop"
+                and record.levelno == logging.DEBUG]
+
+    def test_progress_fires_every_batch_by_default(self, adapter, blocks, timings,
+                                                   caplog):
+        seen = self._batches(caplog, adapter, blocks, timings,
+                             TableOptimizationConfig(batch_size=5, epochs=2))
         batches_per_epoch = -(-len(blocks) // 5)
         assert seen == [(epoch, batch) for epoch in range(2)
                         for batch in range(batches_per_epoch)]
 
-    def test_log_every_zero_disables_progress(self, adapter, blocks, timings):
-        surrogate = _build(adapter, "pooled")
-        seen = []
-        optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=5, epochs=1, log_every=0),
-            progress=lambda epoch, batch, loss: seen.append((epoch, batch)))
+    def test_log_every_zero_disables_progress(self, adapter, blocks, timings, caplog):
+        seen = self._batches(caplog, adapter, blocks, timings,
+                             TableOptimizationConfig(batch_size=5, epochs=1,
+                                                     log_every=0))
         assert seen == []
