@@ -37,6 +37,21 @@ class SpecValidationError(ValueError):
 
 _SpecT = TypeVar("_SpecT", bound="_SpecBase")
 
+
+def resolve_registry_key(name: str, value: Any, registry: Any) -> str:
+    """``registry.resolve(value)`` for the spec field ``name``.
+
+    A non-string or unknown key raises :class:`SpecValidationError` naming
+    ``name``, with the registry's did-you-mean suggestion.
+    """
+    if not isinstance(value, str):
+        raise SpecValidationError(
+            name, f"expected str, got {type(value).__name__} ({value!r})")
+    try:
+        return registry.resolve(value)
+    except UnknownKeyError as error:
+        raise SpecValidationError(name, str(error)) from error
+
 #: Types a spec field may hold in its JSON form.
 _ATOMIC_TYPES = (bool, int, float, str)
 
@@ -95,10 +110,7 @@ class _SpecBase:
         if value is None and allow_none:
             return
         self._check_type(name, (str,))
-        try:
-            registry.resolve(value)
-        except UnknownKeyError as error:
-            raise SpecValidationError(name, str(error)) from error
+        resolve_registry_key(name, value, registry)
 
     def _check_positive(self, name: str) -> None:
         self._check_type(name, (int,))

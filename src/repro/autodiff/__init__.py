@@ -6,11 +6,13 @@ reverse-mode autodiff engine built on NumPy:
 * :class:`~repro.autodiff.tensor.Tensor` — an n-dimensional array that records
   the operations applied to it and can back-propagate gradients; the module
   also holds the differentiable functions (concatenation, stacking, masked
-  reductions, ``gather`` and the fused ``masked_longest_path``).
+  reductions, ``gather``) and the fused single-node ones (``linear``,
+  ``gather_masked_mean``, ``masked_longest_path``).
 * :mod:`~repro.autodiff.modules` — neural-network building blocks (Linear,
   Embedding, LSTM cells and stacks, MLPs) with a ``Module`` container that
   tracks parameters.
-* :mod:`~repro.autodiff.optim` — stochastic first-order optimizers (SGD, Adam).
+* :mod:`~repro.autodiff.optim` — stochastic first-order optimizers (SGD, Adam)
+  that update one flat parameter buffer in place.
 * :mod:`~repro.autodiff.gradcheck` — finite-difference gradient checks.
 * :mod:`~repro.autodiff.serialization` — the ``.npz`` codec of a learned
   parameter table.

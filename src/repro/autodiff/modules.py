@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff import init
-from repro.autodiff.tensor import Tensor, gather
+from repro.autodiff.tensor import Tensor, gather, gather_masked_mean, linear
 
 
 class Parameter(Tensor):
@@ -104,7 +104,8 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: expected {parameter.data.shape}, got {value.shape}"
                 )
-            parameter.data = value.copy()
+            # In place: an optimizer's flat buffer keeps viewing the values.
+            parameter.data[...] = value
 
     # ------------------------------------------------------------------
     # Call protocol
@@ -130,11 +131,9 @@ class Linear(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_features), name="bias")
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
-        if self.has_bias:
-            out = out + self.bias
-        return out
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        """``x W + b``, then ReLU when ``relu``: one tape node (:func:`linear`)."""
+        return linear(x, self.weight, self.bias if self.has_bias else None, relu=relu)
 
 
 class Embedding(Module):
@@ -158,6 +157,20 @@ class Embedding(Module):
                 f"token id out of range [0, {self.num_embeddings}): {indices.tolist()}"
             )
         return gather(self.weight, indices)
+
+    def pooled(self, token_ids, mask) -> Tensor:
+        """Mean embedding of each row's real tokens: ``(..., T)`` ids -> ``(..., E)``.
+
+        ``mask`` has the ids' shape, nonzero on real tokens.  One tape node
+        (:func:`gather_masked_mean`) with the values and gradients of
+        ``masked_mean(self(token_ids), mask[..., None], axis=-2)``.
+        """
+        indices = np.asarray(token_ids, dtype=np.int64)
+        if np.any(indices < 0) or np.any(indices >= self.num_embeddings):
+            raise IndexError(
+                f"token id out of range [0, {self.num_embeddings}): {indices.tolist()}"
+            )
+        return gather_masked_mean(self.weight, indices, mask)
 
 
 class ReLU(Module):
@@ -186,7 +199,13 @@ class Sequential(Module):
 
 
 class MLP(Module):
-    """Multi-layer perceptron with ReLU activations between layers."""
+    """Multi-layer perceptron with ReLU activations between layers.
+
+    Each layer runs as one fused :func:`linear` node, the hidden ones with
+    their ReLU.  The ``network`` keeps its :class:`ReLU` entries so the
+    parameter names (``network.layer0.weight``, ``network.layer2.weight``,
+    ...) stay those of the plain ``Sequential`` stack.
+    """
 
     def __init__(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -199,9 +218,14 @@ class MLP(Module):
             if index < len(sizes) - 2:
                 layers.append(ReLU())
         self.network = Sequential(*layers)
+        self._linears: List[Linear] = [layer for layer in layers
+                                       if isinstance(layer, Linear)]
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.network(x)
+        last = len(self._linears) - 1
+        for index, layer in enumerate(self._linears):
+            x = layer(x, relu=index < last)
+        return x
 
 
 class LSTMCell(Module):

@@ -4,11 +4,19 @@ DiffTune trains both the surrogate weights and the simulator parameter table
 with Adam (Kingma & Ba, 2015).  SGD with optional momentum is also provided;
 the tests train with it.  Optimizer state is not persisted: a resumed
 pipeline stage starts with a fresh optimizer.
+
+An optimizer owns its parameters' storage: one contiguous ``float64``
+buffer, of which every parameter's ``.data`` is a reshaped view.  Each step
+lands the gradients in one flat array and updates the buffer in place with
+preallocated scratch, so a step costs the same dozen array ops whatever the
+number of parameter tensors.  The elementwise expressions are the
+per-tensor ones, in the same order, so the updated values equal stepping
+each tensor on its own bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 import numpy as np
 
@@ -16,7 +24,15 @@ from repro.autodiff.tensor import Tensor
 
 
 class Optimizer:
-    """Base optimizer over a list of tensors with ``requires_grad=True``."""
+    """Base optimizer over a list of tensors with ``requires_grad=True``.
+
+    The constructor moves every parameter's values into the optimizer's
+    flat buffer and rebinds ``.data`` to a view of it.  Writing into
+    ``.data`` in place (``Module.load_state_dict``, frozen-dimension
+    restores) updates the buffer directly; a ``.data`` rebound to a new
+    array is copied back into the buffer (and rebound to its view) at the
+    next :meth:`clip_grad_norm` or :meth:`step`.
+    """
 
     def __init__(self, parameters: Iterable[Tensor]) -> None:
         self.parameters: List[Tensor] = list(parameters)
@@ -25,6 +41,24 @@ class Optimizer:
         for parameter in self.parameters:
             if not isinstance(parameter, Tensor):
                 raise TypeError("optimizer parameters must be Tensors")
+        if len({id(parameter) for parameter in self.parameters}) != len(self.parameters):
+            raise ValueError("optimizer parameters must be distinct tensors")
+        bounds = np.cumsum([0] + [parameter.data.size for parameter in self.parameters])
+        self._slices = [slice(int(start), int(end))
+                        for start, end in zip(bounds[:-1], bounds[1:])]
+        self._everything = [slice(0, int(bounds[-1]))]
+        self._flat = np.empty(int(bounds[-1]))
+        self._flat_grad = np.zeros(int(bounds[-1]))
+        self._scratch = (np.empty(int(bounds[-1])), np.empty(int(bounds[-1])))
+        self._views: List[np.ndarray] = []
+        self._grad_views: List[np.ndarray] = []
+        for parameter, segment in zip(self.parameters, self._slices):
+            shape = parameter.data.shape
+            view = self._flat[segment].reshape(shape)
+            view[...] = parameter.data
+            parameter.data = view
+            self._views.append(view)
+            self._grad_views.append(self._flat_grad[segment].reshape(shape))
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:
@@ -33,18 +67,68 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
+    def _rehome(self) -> None:
+        """Copy any rebound ``.data`` into the buffer and view it again."""
+        for index, (parameter, view) in enumerate(zip(self.parameters, self._views)):
+            if parameter.data is view:
+                continue
+            data = np.asarray(parameter.data, dtype=np.float64)
+            if data.shape != view.shape:
+                name = parameter.name or f"#{index}"
+                raise ValueError(
+                    f"parameter {name} was rebound to shape {data.shape}; "
+                    f"the optimizer holds shape {view.shape}")
+            view[...] = data
+            parameter.data = view
+
+    def _gather(self) -> List[slice]:
+        """Land the gradients in the flat gradient buffer.
+
+        Every ``.grad`` becomes a view of the buffer.  Returns the buffer
+        slices of the parameters that have a gradient, adjacent ones merged:
+        a parameter whose ``grad`` is ``None`` is skipped by the update, so
+        its values and optimizer state stay untouched.
+        """
+        self._rehome()
+        grads = [parameter.grad for parameter in self.parameters]
+        if all(grad is not None for grad in grads):
+            if any(grad is not view for grad, view in zip(grads, self._grad_views)):
+                np.concatenate([np.ravel(grad) for grad in grads], out=self._flat_grad)
+                for parameter, view in zip(self.parameters, self._grad_views):
+                    parameter.grad = view
+            return self._everything
+        segments: List[slice] = []
+        for parameter, grad, view, segment in zip(self.parameters, grads,
+                                                  self._grad_views, self._slices):
+            if grad is None:
+                continue
+            if grad is not view:
+                view[...] = grad
+                parameter.grad = view
+            if segments and segments[-1].stop == segment.start:
+                segments[-1] = slice(segments[-1].start, segment.stop)
+            else:
+                segments.append(segment)
+        return segments
+
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Clip the global gradient norm in place; return the pre-clip norm."""
+        """Clip the global gradient norm in place; return the pre-clip norm.
+
+        The squared norm adds each parameter's ``sum(grad ** 2)`` in
+        parameter order, as a per-tensor loop would.
+        """
+        segments = self._gather()
+        squares = np.square(self._flat_grad, out=self._scratch[0])
         total = 0.0
-        for parameter in self.parameters:
+        for parameter, segment in zip(self.parameters, self._slices):
             if parameter.grad is not None:
-                total += float(np.sum(parameter.grad ** 2))
+                total += float(squares[segment].sum())
         norm = float(np.sqrt(total))
         if norm > max_norm and norm > 0.0:
             scale = max_norm / norm
-            for parameter in self.parameters:
-                if parameter.grad is not None:
-                    parameter.grad = parameter.grad * scale
+            for segment in segments:
+                grad = self._flat_grad[segment]
+                np.multiply(grad, scale, out=grad)
         return norm
 
 
@@ -61,25 +145,25 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
+        self._velocity = np.zeros_like(self._flat) if momentum else None
 
     def step(self) -> None:
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
+        for segment in self._gather():
+            data = self._flat[segment]
+            grad = self._flat_grad[segment]
+            decayed, update = (scratch[segment] for scratch in self._scratch)
             if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
+                # grad + weight_decay * data
+                np.multiply(data, self.weight_decay, out=decayed)
+                grad = np.add(grad, decayed, out=decayed)
             if self.momentum:
-                velocity = self._velocity.get(id(parameter))
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(parameter)] = velocity
-                update = velocity
-            else:
-                update = grad
-            parameter.data = parameter.data - self.lr * update
+                # velocity = momentum * velocity + grad
+                velocity = self._velocity[segment]
+                np.multiply(velocity, self.momentum, out=velocity)
+                grad = np.add(velocity, grad, out=velocity)
+            # data - lr * update
+            np.multiply(grad, self.lr, out=update)
+            np.subtract(data, update, out=data)
 
 
 class Adam(Optimizer):
@@ -104,30 +188,37 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._first_moment: Dict[int, np.ndarray] = {}
-        self._second_moment: Dict[int, np.ndarray] = {}
+        self._first_moment = np.zeros_like(self._flat)
+        self._second_moment = np.zeros_like(self._flat)
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
+        for segment in self._gather():
+            data = self._flat[segment]
+            grad = self._flat_grad[segment]
+            first = self._first_moment[segment]
+            second = self._second_moment[segment]
+            work, denominator = (scratch[segment] for scratch in self._scratch)
             if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            key = id(parameter)
-            first = self._first_moment.get(key)
-            second = self._second_moment.get(key)
-            if first is None:
-                first = np.zeros_like(parameter.data)
-                second = np.zeros_like(parameter.data)
-            first = self.beta1 * first + (1.0 - self.beta1) * grad
-            second = self.beta2 * second + (1.0 - self.beta2) * grad * grad
-            self._first_moment[key] = first
-            self._second_moment[key] = second
-            corrected_first = first / bias1
-            corrected_second = second / bias2
-            parameter.data = parameter.data - self.lr * corrected_first / (
-                np.sqrt(corrected_second) + self.eps)
+                # grad + weight_decay * data
+                np.multiply(data, self.weight_decay, out=work)
+                grad = np.add(grad, work, out=work)
+            # first = beta1 * first + (1 - beta1) * grad
+            np.multiply(first, self.beta1, out=first)
+            np.multiply(grad, 1.0 - self.beta1, out=denominator)
+            np.add(first, denominator, out=first)
+            # second = beta2 * second + (1 - beta2) * grad * grad
+            np.multiply(second, self.beta2, out=second)
+            np.multiply(grad, 1.0 - self.beta2, out=denominator)
+            np.multiply(denominator, grad, out=denominator)
+            np.add(second, denominator, out=second)
+            # data - lr * (first / bias1) / (sqrt(second / bias2) + eps)
+            np.divide(second, bias2, out=denominator)
+            np.sqrt(denominator, out=denominator)
+            np.add(denominator, self.eps, out=denominator)
+            np.divide(first, bias1, out=work)
+            np.multiply(work, self.lr, out=work)
+            np.divide(work, denominator, out=work)
+            np.subtract(data, work, out=data)

@@ -78,6 +78,28 @@ def _is_basic_index(index) -> bool:
                for entry in entries)
 
 
+def _matmul_left_grad(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of ``a @ b`` with respect to ``a``."""
+    if b.ndim == 1 and a.ndim == 1:
+        return grad * b
+    if b.ndim == 1:
+        return np.outer(grad, b) if a.ndim == 2 else grad[..., None] * b
+    if grad.ndim == 1:
+        return (grad[None, :] @ b.swapaxes(-1, -2)).reshape(a.shape)
+    return _unbroadcast(grad @ b.swapaxes(-1, -2), a.shape)
+
+
+def _matmul_right_grad(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of ``a @ b`` with respect to ``b``."""
+    if a.ndim == 1 and b.ndim == 1:
+        return grad * a
+    if a.ndim == 1:
+        return np.outer(a, grad)
+    if grad.ndim == 1:
+        return (a.swapaxes(-1, -2) @ grad[:, None]).reshape(b.shape)
+    return _unbroadcast(a.swapaxes(-1, -2) @ grad, b.shape)
+
+
 class Tensor:
     """An n-dimensional array that supports reverse-mode differentiation."""
 
@@ -145,11 +167,20 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires and is_grad_enabled():
+        # Every op's result comes through here, so it sets the slots
+        # directly rather than through ``__init__``.
+        out = Tensor.__new__(Tensor)
+        out.data = np.asarray(data, dtype=np.float64)
+        out.grad = None
+        out.name = ""
+        if _GRAD_ENABLED and any(parent.requires_grad for parent in parents):
+            out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad or p._parents)
             out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -305,31 +336,10 @@ class Tensor:
         data = self.data @ other_t.data
 
         def _backward(grad: np.ndarray) -> None:
-            a, b = self.data, other_t.data
             if self.requires_grad:
-                if b.ndim == 1 and a.ndim == 1:
-                    self._accumulate(grad * b)
-                elif b.ndim == 1:
-                    self._accumulate(np.outer(grad, b) if a.ndim == 2 else grad[..., None] * b)
-                else:
-                    g = grad
-                    if g.ndim == 1:
-                        g = g[None, :]
-                        self._accumulate((g @ b.swapaxes(-1, -2)).reshape(a.shape))
-                    else:
-                        self._accumulate(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
+                self._accumulate(_matmul_left_grad(grad, self.data, other_t.data))
             if other_t.requires_grad:
-                if a.ndim == 1 and b.ndim == 1:
-                    other_t._accumulate(grad * a)
-                elif a.ndim == 1:
-                    other_t._accumulate(np.outer(a, grad))
-                else:
-                    g = grad
-                    if g.ndim == 1:
-                        g = g[:, None]
-                        other_t._accumulate((a.swapaxes(-1, -2) @ g).reshape(b.shape))
-                    else:
-                        other_t._accumulate(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+                other_t._accumulate(_matmul_right_grad(grad, self.data, other_t.data))
 
         return Tensor._make(data, (self, other_t), _backward)
 
@@ -537,6 +547,39 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(data, (a, b), _backward)
 
 
+def linear(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None,
+           relu: bool = False) -> Tensor:
+    """``x @ weight + bias``, then ReLU when ``relu``, as one tape node.
+
+    The forward runs the NumPy ops of the ``matmul``/``+``/``relu``
+    composition in the same order, and the backward routes the gradient
+    back through them, so values and gradients equal the composition's
+    bit for bit.  ``x`` may be a single ``(F,)`` row or any batch of rows.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    data = x.data @ weight.data
+    if bias is not None:
+        data = data + bias.data
+    active = None
+    if relu:
+        active = data > 0
+        data = data * active
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def _backward(grad: np.ndarray) -> None:
+        grad = np.asarray(grad)
+        if active is not None:
+            grad = grad * active
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad)
+        if x.requires_grad:
+            x._accumulate(_matmul_left_grad(grad, x.data, weight.data))
+        if weight.requires_grad:
+            weight._accumulate(_matmul_right_grad(grad, x.data, weight.data))
+
+    return Tensor._make(data, parents, _backward)
+
+
 def masked_longest_path(weights: Tensor, dependency_mask, sink_mask) -> Tensor:
     """Per-row longest weighted path through a dependency DAG: ``(B, N) -> (B,)``.
 
@@ -558,24 +601,32 @@ def masked_longest_path(weights: Tensor, dependency_mask, sink_mask) -> Tensor:
     sinks = np.asarray(sink_mask) != 0
     batch, nodes = weights.data.shape
     rows = np.arange(batch)
+    # Without a gradient to route (surrogate training feeds constant
+    # parameters), the winners are not recorded.
+    track = weights.requires_grad and is_grad_enabled()
 
     def strongest(candidates: np.ndarray, allowed: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Per-row max over ``allowed`` candidates, floored at zero, and the
-        winner's column (-1 where the zero start wins)."""
+        winner's column (-1 where the zero start wins; ``None`` untracked)."""
         masked = np.where(allowed, candidates, -np.inf)
+        if not track:
+            value = masked.max(axis=1)
+            return np.where(value > 0.0, value, 0.0), None
         best = masked.argmax(axis=1)
         value = masked[rows, best]
         wins = value > 0.0
         return np.where(wins, value, 0.0), np.where(wins, best, -1)
 
     finish = np.zeros((batch, nodes))
-    winners = np.full((batch, nodes), -1, dtype=np.int64)
+    winners = np.full((batch, nodes), -1, dtype=np.int64) if track else None
     for node in range(nodes):
         producers = dependency[:, node, :node]
         ready = 0.0
         if producers.any():
-            ready, winners[:, node] = strongest(finish[:, :node], producers)
+            ready, winner = strongest(finish[:, :node], producers)
+            if track:
+                winners[:, node] = winner
         finish[:, node] = ready + weights.data[:, node]
     data, sink_winners = strongest(finish, sinks)
 
@@ -693,12 +744,23 @@ def masked_mean(x: Tensor, mask, axis: Union[int, Tuple[int, ...], None] = None,
     contributed to it (clamped to ``minimum_count`` so fully masked slots —
     padded instructions past a block's real length — yield 0, not NaN).  The
     division is implemented as multiplication by a reciprocal so values match
-    :meth:`Tensor.mean` bit patterns on fully unmasked inputs.
+    :meth:`Tensor.mean` bit patterns on fully unmasked inputs.  ``mask``
+    holds 0/1 selectors (padding masks).
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     mask_array = np.asarray(mask, dtype=np.float64)
-    full_shape = np.broadcast(x.data, mask_array).shape
-    counts = np.broadcast_to(mask_array, full_shape).sum(axis=axis, keepdims=keepdims)
+    # One mask axis per axis of ``x``, so ``axis`` indexes both.
+    mask_array = mask_array.reshape((1,) * (x.data.ndim - mask_array.ndim)
+                                    + mask_array.shape)
+    full_shape = np.broadcast_shapes(x.data.shape, mask_array.shape)
+    # Counted on the mask itself, times the size of each reduced axis it
+    # is broadcast along: exact for 0/1 masks, so the same counts as
+    # reducing the mask broadcast to the full shape, without building it.
+    reduced = (range(len(full_shape)) if axis is None
+               else np.atleast_1d(axis) % len(full_shape))
+    repeats = int(np.prod([full_shape[entry] for entry in reduced
+                           if mask_array.shape[entry] == 1]))
+    counts = mask_array.sum(axis=axis, keepdims=keepdims) * repeats
     inverse = 1.0 / np.maximum(counts, minimum_count)
     data = (x.data * mask_array).sum(axis=axis, keepdims=keepdims) * inverse
 
@@ -709,3 +771,38 @@ def masked_mean(x: Tensor, mask, axis: Union[int, Tuple[int, ...], None] = None,
         x._accumulate(np.broadcast_to(g, full_shape) * mask_array)
 
     return Tensor._make(data, (x,), _backward)
+
+
+def gather_masked_mean(source: Tensor, indices, mask) -> Tensor:
+    """Mean of the gathered rows ``source[indices]`` over the last index axis.
+
+    ``source`` is ``(num_rows, width)``, ``indices`` is ``(..., T)`` and
+    ``mask`` (same shape) is 1 on the entries that count and 0 on padding:
+    the result is ``(..., width)``, the values of
+    ``masked_mean(gather(source, indices), mask[..., None], axis=-2)``
+    recorded as one tape node (an embedding bag).  The forward runs the
+    same NumPy ops; the backward scatters with the same ``np.bincount``
+    but only the selected entries.  A padding entry would add ``0.0`` to
+    its bin, which leaves every bin's sum unchanged, so the gradients
+    equal the composition's bit for bit.
+    """
+    source = source if isinstance(source, Tensor) else Tensor(source)
+    idx = np.asarray(indices, dtype=np.int64)
+    mask_array = np.asarray(mask, dtype=np.float64)[..., None]
+    inverse = 1.0 / np.maximum(mask_array.sum(axis=-2), 1.0)
+    data = (np.take(source.data, idx, axis=0) * mask_array).sum(axis=-2) * inverse
+
+    def _backward(grad: np.ndarray) -> None:
+        num_rows, width = source.data.shape
+        selected = np.flatnonzero(mask_array)
+        # Each selected entry's gradient is its output row's, times 1.
+        weights = np.take((np.asarray(grad) * inverse).reshape(-1, width),
+                          selected // idx.shape[-1], axis=0)
+        rows = np.take(idx, selected)
+        rows = np.where(rows < 0, rows + num_rows, rows)
+        bins = np.add.outer(rows * width, np.arange(width)).reshape(-1)
+        summed = np.bincount(bins, weights=weights.reshape(-1),
+                             minlength=num_rows * width)
+        source._accumulate(summed.reshape(num_rows, width))
+
+    return Tensor._make(data, (source,), _backward)

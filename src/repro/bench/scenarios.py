@@ -519,7 +519,13 @@ def _format_surrogate_training_throughput(metrics) -> str:
 @scenario("surrogate_training_throughput", tags=("perf", "ci"),
           formatter=_format_surrogate_training_throughput)
 def surrogate_training_throughput(ctx: ScenarioContext):
-    """Examples/second of batch-major surrogate training."""
+    """Examples/second of batch-major surrogate training.
+
+    ``batched`` trains the pooled surrogate at batch 32/64; ``fast_shape``
+    trains the shape the ``fast`` preset's pipeline issues: its analytical
+    surrogate at its phase-one batch size (16).
+    """
+    from repro.api.registries import PRESETS
     from repro.bhive.generator import BlockGenerator
     from repro.core import SurrogateConfig, build_surrogate, collect_simulated_dataset
     from repro.core.surrogate import BlockFeaturizer
@@ -535,25 +541,35 @@ def surrogate_training_throughput(ctx: ScenarioContext):
     rng = np.random.default_rng(ctx.seed)
     examples = collect_simulated_dataset(adapter, blocks, num_examples, rng,
                                          blocks_per_table=16)
+    fast = PRESETS.get("fast")(ctx.seed)
 
-    surrogate = build_surrogate(
-        spec, BlockFeaturizer(adapter.opcode_table),
-        SurrogateConfig(kind="pooled", seed=ctx.seed))
-    training = SurrogateTrainingConfig(epochs=epochs, batch_size=batch_size,
-                                       seed=ctx.seed)
-    start = time.perf_counter()
-    outcome = train_surrogate(surrogate, examples, training)
-    elapsed = time.perf_counter() - start
-    processed = num_examples * epochs
+    paths = {}
+    for name, surrogate_config, training in (
+            ("batched", SurrogateConfig(kind="pooled", seed=ctx.seed),
+             SurrogateTrainingConfig(epochs=epochs, batch_size=batch_size,
+                                     seed=ctx.seed)),
+            ("fast_shape", fast.surrogate,
+             SurrogateTrainingConfig(
+                 learning_rate=fast.surrogate_training.learning_rate,
+                 batch_size=fast.surrogate_training.batch_size, epochs=epochs,
+                 seed=ctx.seed))):
+        surrogate = build_surrogate(spec, BlockFeaturizer(adapter.opcode_table),
+                                    surrogate_config)
+        start = time.perf_counter()
+        outcome = train_surrogate(surrogate, examples, training)
+        elapsed = time.perf_counter() - start
+        paths[name] = {"seconds": elapsed,
+                       "examples_per_sec": num_examples * epochs / max(elapsed, 1e-9),
+                       "final_training_error": outcome.final_training_error}
+        if name == "fast_shape":
+            paths[name].update(surrogate_kind=surrogate_config.kind,
+                               batch_size=training.batch_size)
     return {
         "workload": {"num_blocks": num_blocks, "num_examples": num_examples,
                      "epochs": epochs, "batch_size": batch_size,
                      "surrogate_kind": "pooled", "seed": ctx.seed,
                      "uarch": "haswell"},
-        "paths": {"batched": {
-            "seconds": elapsed,
-            "examples_per_sec": processed / max(elapsed, 1e-9),
-            "final_training_error": outcome.final_training_error}},
+        "paths": paths,
     }
 
 
@@ -567,7 +583,13 @@ def _format_table_optimization_throughput(metrics) -> str:
 @scenario("table_optimization_throughput", tags=("perf", "ci"),
           formatter=_format_table_optimization_throughput)
 def table_optimization_throughput(ctx: ScenarioContext):
-    """Examples/second of batch-major phase-two table optimization."""
+    """Examples/second of batch-major phase-two table optimization.
+
+    ``batched`` optimizes through the pooled surrogate at batch 32/64;
+    ``fast_shape`` through the ``fast`` preset's analytical surrogate at
+    its phase-two batch size (32) and learning rate.
+    """
+    from repro.api.registries import PRESETS
     from repro.core import SurrogateConfig, build_surrogate
     from repro.core.surrogate import BlockFeaturizer
     from repro.core.table_optimization import (TableOptimizationConfig,
@@ -583,25 +605,35 @@ def table_optimization_throughput(ctx: ScenarioContext):
     blocks = [example.block for example in train]
     timings = np.array([example.timing for example in train])
     initial = spec.sample(np.random.default_rng(ctx.seed))
+    fast = PRESETS.get("fast")(ctx.seed)
 
-    surrogate = build_surrogate(
-        spec, BlockFeaturizer(adapter.opcode_table),
-        SurrogateConfig(kind="pooled", seed=ctx.seed))
-    config = TableOptimizationConfig(epochs=epochs, batch_size=batch_size,
-                                     seed=ctx.seed)
-    start = time.perf_counter()
-    outcome = optimize_parameter_table(surrogate, blocks, timings, config,
-                                       initial_arrays=initial)
-    elapsed = time.perf_counter() - start
-    processed = len(blocks) * epochs
+    paths = {}
+    for name, surrogate_config, config in (
+            ("batched", SurrogateConfig(kind="pooled", seed=ctx.seed),
+             TableOptimizationConfig(epochs=epochs, batch_size=batch_size,
+                                     seed=ctx.seed)),
+            ("fast_shape", fast.surrogate,
+             TableOptimizationConfig(
+                 learning_rate=fast.table_optimization.learning_rate,
+                 batch_size=fast.table_optimization.batch_size, epochs=epochs,
+                 seed=ctx.seed))):
+        surrogate = build_surrogate(spec, BlockFeaturizer(adapter.opcode_table),
+                                    surrogate_config)
+        start = time.perf_counter()
+        outcome = optimize_parameter_table(surrogate, blocks, timings, config,
+                                           initial_arrays=initial)
+        elapsed = time.perf_counter() - start
+        paths[name] = {"seconds": elapsed,
+                       "examples_per_sec": len(blocks) * epochs / max(elapsed, 1e-9),
+                       "final_epoch_loss": outcome.epoch_losses[-1]}
+        if name == "fast_shape":
+            paths[name].update(surrogate_kind=surrogate_config.kind,
+                               batch_size=config.batch_size)
     return {
         "workload": {"num_blocks": len(blocks), "epochs": epochs,
                      "batch_size": batch_size, "surrogate_kind": "pooled",
                      "seed": ctx.seed, "uarch": "haswell"},
-        "paths": {"batched": {
-            "seconds": elapsed,
-            "examples_per_sec": processed / max(elapsed, 1e-9),
-            "final_epoch_loss": outcome.epoch_losses[-1]}},
+        "paths": paths,
     }
 
 

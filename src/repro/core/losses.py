@@ -29,7 +29,10 @@ def surrogate_loss(predictions: Tensor, targets: Sequence[float],
 
     ``predictions`` is the ``(B,)`` tensor a surrogate's ``forward_batch``
     returns; both DiffTune phases and the Ithemal baseline hand the whole
-    minibatch over at once.
+    minibatch over at once.  The loss is one tape node whose values and
+    gradient equal those of ``((predictions - targets).abs() / targets)
+    .mean()`` bit for bit (``tests/test_autodiff_fused.py`` keeps that
+    composition as its oracle).
     """
     if not isinstance(predictions, Tensor) or predictions.ndim != 1:
         raise ValueError(
@@ -40,5 +43,15 @@ def surrogate_loss(predictions: Tensor, targets: Sequence[float],
     if len(predictions) != len(targets):
         raise ValueError("predictions and targets must have the same length")
     target_array = np.maximum(np.abs(np.asarray(targets, dtype=np.float64)), epsilon)
-    diff = (predictions - Tensor(target_array)).abs()
-    return (diff / Tensor(target_array)).mean()
+    # One tape node with the forward and backward of the composition
+    # ``((predictions - targets).abs() / targets).mean()``, op for op.
+    difference = predictions.data - target_array
+    ratios = np.abs(difference) / target_array
+    inverse_count = 1.0 / ratios.size
+    data = ratios.sum() * inverse_count
+
+    def _backward(grad: np.ndarray) -> None:
+        spread = np.broadcast_to(np.asarray(grad) * inverse_count, ratios.shape)
+        predictions._accumulate(spread / target_array * np.sign(difference))
+
+    return Tensor._make(data, (predictions,), _backward)

@@ -98,6 +98,84 @@ class ParameterArrays:
                        num_opcodes, per_instruction_dim).copy())
 
 
+class TableStack:
+    """A sequence of parameter tables stored stacked, not one array per table.
+
+    Table ``t`` is row ``t`` of a ``(T, num_opcodes, per_instruction_dim)``
+    per-instruction array and of a ``(T, global_dim)`` global array, so a
+    minibatch gathers the rows of many tables in one fancy index
+    (:func:`~repro.core.surrogate.batch_parameter_inputs`).  Indexing
+    yields a :class:`ParameterArrays` of views.  Storage grows only through
+    :meth:`reserve` or, without one, by doubling: a collector that knows
+    its table count reserves it once and copies nothing afterwards.
+    """
+
+    def __init__(self, global_values: Optional[np.ndarray] = None,
+                 per_instruction_values: Optional[np.ndarray] = None) -> None:
+        """Adopt already stacked arrays (no copy), or start empty."""
+        self._global = global_values
+        self._per_instruction = per_instruction_values
+        self._count = 0 if global_values is None else int(global_values.shape[0])
+        self._reserved = 0
+
+    @classmethod
+    def from_tables(cls, tables: Sequence[ParameterArrays]) -> "TableStack":
+        """``tables`` stacked (a :class:`TableStack` is returned as is)."""
+        if isinstance(tables, TableStack):
+            return tables
+        stack = cls()
+        stack.reserve(len(tables))
+        for table in tables:
+            stack.append(table)
+        return stack
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> ParameterArrays:
+        if not -self._count <= index < self._count:
+            raise IndexError(f"table {index} out of range for {self._count} tables")
+        index %= self._count
+        return ParameterArrays(global_values=self._global[index],
+                               per_instruction_values=self._per_instruction[index])
+
+    @property
+    def global_values(self) -> np.ndarray:
+        """``(T, global_dim)`` globals of the stored tables (a view)."""
+        return self._global[:self._count]
+
+    @property
+    def per_instruction_values(self) -> np.ndarray:
+        """``(T, num_opcodes, per_instruction_dim)`` rows (a view)."""
+        return self._per_instruction[:self._count]
+
+    def reserve(self, capacity: int) -> None:
+        """Make room for ``capacity`` tables in total (one copy at most)."""
+        if self._global is None:
+            self._reserved = max(self._reserved, capacity)
+            return
+        if capacity <= self._global.shape[0]:
+            return
+        global_values = np.empty((capacity,) + self._global.shape[1:])
+        per_instruction = np.empty((capacity,) + self._per_instruction.shape[1:])
+        global_values[:self._count] = self.global_values
+        per_instruction[:self._count] = self.per_instruction_values
+        self._global, self._per_instruction = global_values, per_instruction
+
+    def append(self, table: ParameterArrays) -> None:
+        """Copy ``table`` into the next row."""
+        if self._global is None:
+            capacity = max(self._reserved, 1)
+            self._global = np.empty((capacity,) + table.global_values.shape)
+            self._per_instruction = np.empty(
+                (capacity,) + table.per_instruction_values.shape)
+        elif self._count == self._global.shape[0]:
+            self.reserve(max(2 * self._count, 1))
+        self._global[self._count] = table.global_values
+        self._per_instruction[self._count] = table.per_instruction_values
+        self._count += 1
+
+
 class ParameterSpec:
     """The full parameter-space description for one simulator."""
 

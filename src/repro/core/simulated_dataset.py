@@ -15,7 +15,8 @@ cache.
 
 The dataset is one :class:`SimulatedDataset` whatever the block source — a
 block list or a lazy :class:`~repro.corpus.sharded.CorpusView`: the sampled
-tables plus three flat lists holding each example's table index, block
+tables, stacked into one array per kind, plus three flat lists holding
+each example's table index, block
 position and timing, with no per-example objects, so a million-example
 dataset costs megabytes.  A :class:`CollectionCheckpoint` persists a partial
 dataset with the rng position after its draws, so a killed collection
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro import storage
 from repro.core.adapters import SimulatorAdapter
-from repro.core.parameters import ParameterArrays
+from repro.core.parameters import ParameterArrays, TableStack
 from repro.engine.megabatch import DEFAULT_MEGABATCH_CHUNK
 from repro.isa.basic_block import BasicBlock
 
@@ -48,17 +49,22 @@ class SimulatedDataset:
 
     Example ``i`` is ``tables[example_table[i]]`` applied to
     ``blocks[example_block[i]]``, timed at ``example_timing[i]``.  Each
-    sampled table is stored once, in sampling order, so memory stays
-    proportional to the number of tables plus three scalars per example.
-    ``blocks`` is the source the block positions index; nothing here parses
-    it, so a corpus view stays lazy.
+    sampled table is stored once, in sampling order, as one row of a
+    :class:`~repro.core.parameters.TableStack`, so memory stays
+    proportional to the number of tables plus three scalars per example and
+    a minibatch gathers its parameter rows in one index.  ``blocks`` is the
+    source the block positions index; nothing here parses it, so a corpus
+    view stays lazy.
     """
 
     blocks: Sequence[BasicBlock]
-    tables: List[ParameterArrays] = field(default_factory=list)
+    tables: TableStack = field(default_factory=TableStack)
     example_table: List[int] = field(default_factory=list)
     example_block: List[int] = field(default_factory=list)
     example_timing: List[float] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.tables = TableStack.from_tables(self.tables)
 
     def __len__(self) -> int:
         return len(self.example_timing)
@@ -74,14 +80,15 @@ class SimulatedDataset:
             self.example_timing.append(float(timing))
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The array layout of the pipeline's ``simulated_dataset.npz``."""
-        if not self.tables:
+        """The array layout of the pipeline's ``simulated_dataset.npz``.
+
+        The table arrays are views of the stored stack, not copies.
+        """
+        if not len(self.tables):
             raise ValueError("cannot serialize an empty simulated dataset")
         return {
-            "table_global_values": np.stack(
-                [table.global_values for table in self.tables]),
-            "table_per_instruction_values": np.stack(
-                [table.per_instruction_values for table in self.tables]),
+            "table_global_values": self.tables.global_values,
+            "table_per_instruction_values": self.tables.per_instruction_values,
             "example_table": np.asarray(self.example_table, dtype=np.int64),
             "example_block": np.asarray(self.example_block, dtype=np.int64),
             "example_timing": np.asarray(self.example_timing, dtype=np.float64),
@@ -91,10 +98,8 @@ class SimulatedDataset:
     def from_arrays(cls, arrays: Dict[str, np.ndarray],
                     blocks: Sequence[BasicBlock]) -> "SimulatedDataset":
         """Rebuild over ``blocks`` from the layout of :meth:`to_arrays`."""
-        tables = [ParameterArrays(
-            global_values=arrays["table_global_values"][index],
-            per_instruction_values=arrays["table_per_instruction_values"][index])
-            for index in range(arrays["table_global_values"].shape[0])]
+        tables = TableStack(global_values=arrays["table_global_values"],
+                            per_instruction_values=arrays["table_per_instruction_values"])
         return cls(blocks, tables, arrays["example_table"].tolist(),
                    arrays["example_block"].tolist(),
                    arrays["example_timing"].tolist())
@@ -216,6 +221,9 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
     except NotImplementedError:
         engine = None
     tables_per_round = -(-DEFAULT_MEGABATCH_CHUNK // blocks_per_table)
+    # Every table still to draw gets its row of the stack up front.
+    dataset.tables.reserve(
+        len(dataset.tables) + -(-(num_examples - len(dataset)) // blocks_per_table))
 
     last_saved = len(dataset)
     while len(dataset) < num_examples:

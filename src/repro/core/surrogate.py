@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from repro.autodiff import (Embedding, Linear, MLP, Module, StackedLSTM, Tensor)
 from repro.autodiff.modules import Parameter
 from repro.autodiff.tensor import (concat, masked_longest_path, masked_mean,
                                    masked_sum, maximum)
-from repro.core.parameters import ParameterArrays, ParameterSpec, PORT_MAP_FIELD_NAME
+from repro.core.parameters import (ParameterArrays, ParameterSpec,
+                                   PORT_MAP_FIELD_NAME, TableStack)
 from repro.isa.basic_block import BasicBlock
 from repro.isa.canonicalize import TokenVocabulary, canonicalize_block
 from repro.isa.opcodes import OpcodeTable
@@ -337,25 +338,31 @@ def featurization_cache_stats() -> Dict[str, int]:
 
 
 def batch_parameter_inputs(spec: ParameterSpec, packed: PackedBlockBatch,
-                           tables: Sequence[ParameterArrays]
+                           tables: Union[TableStack, Sequence[ParameterArrays]],
+                           table_ids: Optional[Sequence[int]] = None
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized per-instruction and global parameter inputs for a batch.
 
-    ``tables[b]`` is the raw sampled table of example ``b``.  Each example's
-    rows for its block's opcodes are gathered into ``(B, I, D)`` and its
-    globals into ``(B, G)``, and the gathered batch is normalized in one
+    ``tables`` is a :class:`~repro.core.parameters.TableStack` of raw
+    sampled tables (a sequence of :class:`ParameterArrays` is stacked
+    first), and ``table_ids[b]`` is the stack row of example ``b``'s table
+    (default: row ``b``).  One fancy index gathers every example's rows for
+    its block's opcodes into ``(B, I, D)`` and one its globals into
+    ``(B, G)``, and the gathered batch is normalized in one
     :meth:`ParameterSpec.normalize_for_surrogate_training` call: the same
     elementwise math as normalizing each whole table, so real slots are
     bit-identical to it.  Padded instruction slots are zero.
     """
-    if len(tables) != packed.batch_size:
-        raise ValueError(f"got {len(tables)} tables for a batch of "
+    tables = TableStack.from_tables(tables)
+    table_ids = (np.arange(len(tables)) if table_ids is None
+                 else np.asarray(table_ids, dtype=np.int64))
+    if len(table_ids) != packed.batch_size:
+        raise ValueError(f"got {len(table_ids)} tables for a batch of "
                          f"{packed.batch_size} blocks; they must be aligned")
     raw = ParameterArrays(
-        global_values=np.stack([table.global_values for table in tables]),
-        per_instruction_values=np.stack([
-            table.per_instruction_values[opcodes]
-            for table, opcodes in zip(tables, packed.opcode_indices)]))
+        global_values=tables.global_values[table_ids],
+        per_instruction_values=tables.per_instruction_values[
+            table_ids[:, None], packed.opcode_indices])
     normalized = spec.normalize_for_surrogate_training(raw)
     per_instruction = normalized.per_instruction_values
     per_instruction[packed.instruction_mask == 0] = 0.0
@@ -674,8 +681,7 @@ class PooledSurrogate(_SurrogateBase):
         params = self._as_tensor(per_instruction_params)
         global_vector = self._as_tensor(global_params)
         batch_size = batch.batch_size
-        embeddings = self.token_embedding(batch.token_ids)
-        pooled_tokens = masked_mean(embeddings, batch.token_mask[..., None], axis=2)
+        pooled_tokens = self.token_embedding.pooled(batch.token_ids, batch.token_mask)
         pieces = [pooled_tokens, Tensor(batch.structural_features), params]
         if global_vector.shape[-1] > 0:
             pieces.append(self._broadcast_global(global_vector, batch))
@@ -812,8 +818,7 @@ class AnalyticalSurrogate(_SurrogateBase):
         return total_uops * Tensor(batch.lengths.astype(np.float64)) / (rob * 8.0 + 1.0)
 
     def _residual_batch(self, batch: PackedBlockBatch) -> Tensor:
-        embeddings = self.token_embedding(batch.token_ids)
-        pooled_tokens = masked_mean(embeddings, batch.token_mask[..., None], axis=2)
+        pooled_tokens = self.token_embedding.pooled(batch.token_ids, batch.token_mask)
         encodings = self.instruction_mlp(
             concat([pooled_tokens, Tensor(batch.structural_features)], axis=-1))
         pooled = masked_mean(encodings, batch.instruction_mask[..., None], axis=1)

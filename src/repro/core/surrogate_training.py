@@ -9,7 +9,8 @@ Training is batch-major.  Before the minibatch loop, one
 block's packed arrays come from (resolved up front for a block list, a
 featurization store or on-demand featurization for a corpus), so the loop
 itself runs no content digest.  Each minibatch is padded from that lookup,
-its examples' parameter rows are gathered and normalized together
+its examples' parameter rows are gathered from the dataset's stacked
+tables in one index and normalized together
 (:func:`~repro.core.surrogate.batch_parameter_inputs`), and the whole
 padded minibatch advances per autodiff op via the surrogate's
 ``forward_batch``.  The property tests pin it within 1e-9 to the
@@ -72,7 +73,7 @@ def _batch_inputs(spec: ParameterSpec, dataset: SimulatedDataset,
     packed = FeaturizationCache.pack(
         [block_arrays(dataset.example_block[row]) for row in rows])
     per_instruction, global_values = batch_parameter_inputs(
-        spec, packed, [dataset.tables[dataset.example_table[row]] for row in rows])
+        spec, packed, dataset.tables, [dataset.example_table[row] for row in rows])
     targets = [dataset.example_timing[row] for row in rows]
     return packed, per_instruction, global_values, targets
 

@@ -22,6 +22,7 @@ loss trajectories bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -74,7 +75,10 @@ def run_minibatch_loop(num_examples: int,
         epochs: Number of passes over the dataset.
         shuffle: Reshuffle the index permutation at the start of each epoch.
         gradient_clip: Global gradient-norm clip applied before each step
-            (``<= 0`` disables clipping).
+            (``<= 0`` disables clipping).  A batch whose loss or pre-clip
+            gradient norm is not finite raises ``FloatingPointError``
+            naming the epoch and batch before the optimizer steps, so the
+            parameters keep their last finite values.
         log_every: Log ``(epoch, batch_index, loss)`` at DEBUG every N
             batches, plus always on the final (possibly partial) batch of
             each epoch; ``0`` logs nothing.
@@ -97,18 +101,26 @@ def run_minibatch_loop(num_examples: int,
             rng.shuffle(order)
         batch_losses: List[float] = []
         for batch_start in range(0, num_examples, batch_size):
+            batch_index = batch_start // batch_size
             batch_indices = order[batch_start:batch_start + batch_size]
             loss = compute_batch_loss(batch_indices)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise FloatingPointError(
+                    f"epoch {epoch} batch {batch_index}: loss is {value}")
             optimizer.zero_grad()
             loss.backward()
-            if gradient_clip > 0:
-                optimizer.clip_grad_norm(gradient_clip)
+            # An infinite bound measures the norm without clipping.
+            norm = optimizer.clip_grad_norm(gradient_clip if gradient_clip > 0
+                                            else math.inf)
+            if not math.isfinite(norm):
+                raise FloatingPointError(
+                    f"epoch {epoch} batch {batch_index}: gradient norm is {norm}")
             optimizer.step()
             if post_step is not None:
                 post_step()
-            batch_losses.append(loss.item())
+            batch_losses.append(value)
             if log_every and logger.isEnabledFor(logging.DEBUG):
-                batch_index = batch_start // batch_size
                 is_final_batch = batch_index == num_batches - 1
                 if batch_index % log_every == 0 or is_final_batch:
                     logger.debug("epoch %d batch %d loss %.6f", epoch,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.registries import EXECUTORS, SIMULATORS, TARGETS
-from repro.api.specs import SpecValidationError, _SpecBase
+from repro.api.specs import SpecValidationError, _SpecBase, resolve_registry_key
 from repro.campaigns.spec import CampaignSpec
 
 #: CampaignSpec fields the matrix layer owns; the campaign body may not
@@ -35,6 +35,23 @@ _RESERVED_CAMPAIGN_FIELDS = ("target", "simulator", "corpus_path",
 def cell_key(target: str, simulator: str) -> str:
     """Stable cell identifier: ``<target>__<simulator>``."""
     return f"{target}__{simulator}"
+
+
+def _check_list(name: str, value: Any, items: str) -> None:
+    """Reject a non-list ``value`` (a string would iterate by character)."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecValidationError(
+            name, f"expected a list of {items}, got {type(value).__name__} "
+                  f"({value!r})")
+
+
+def _resolve_keys(name: str, values: Optional[List[Any]], registry: Any) -> List[str]:
+    """Every registry key of ``values`` (``None``: the whole registry)."""
+    if values is None:
+        return registry.names()
+    _check_list(name, values, f"{registry.kind} names")
+    return [resolve_registry_key(f"{name}[{index}]", value, registry)
+            for index, value in enumerate(values)]
 
 
 @dataclass
@@ -97,8 +114,14 @@ class MatrixCampaignSpec(_SpecBase):
     # Cell resolution
     # ------------------------------------------------------------------
     def resolve_cells(self) -> List[Tuple[str, str]]:
-        """The ordered, canonical ``(target, simulator)`` grid."""
+        """The ordered, canonical ``(target, simulator)`` grid.
+
+        A malformed or unknown entry raises :class:`SpecValidationError`
+        naming it (``targets[i]``, ``simulators[i]``, ``cells[i].target``
+        or ``cells[i].simulator``) with the registry's suggestion.
+        """
         if self.cells is not None:
+            _check_list("cells", self.cells, "{'target': ..., 'simulator': ...} dicts")
             resolved = []
             for index, cell in enumerate(self.cells):
                 if (not isinstance(cell, dict) or "target" not in cell
@@ -107,13 +130,13 @@ class MatrixCampaignSpec(_SpecBase):
                         f"cells[{index}]",
                         f"expected {{'target': ..., 'simulator': ...}}, "
                         f"got {cell!r}")
-                resolved.append((TARGETS.resolve(cell["target"]),
-                                 SIMULATORS.resolve(cell["simulator"])))
+                resolved.append(
+                    (resolve_registry_key(f"cells[{index}].target", cell["target"], TARGETS),
+                     resolve_registry_key(f"cells[{index}].simulator", cell["simulator"],
+                                  SIMULATORS)))
         else:
-            targets = ([TARGETS.resolve(name) for name in self.targets]
-                       if self.targets is not None else TARGETS.names())
-            simulators = ([SIMULATORS.resolve(name) for name in self.simulators]
-                          if self.simulators is not None else SIMULATORS.names())
+            targets = _resolve_keys("targets", self.targets, TARGETS)
+            simulators = _resolve_keys("simulators", self.simulators, SIMULATORS)
             resolved = [(target, simulator) for target in targets
                         for simulator in simulators]
         seen: Dict[Tuple[str, str], int] = {}

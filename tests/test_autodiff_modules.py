@@ -347,3 +347,206 @@ class TestOptimizers:
         (used * 2.0).sum().backward()
         optimizer.step()
         np.testing.assert_allclose(unused.data, [5.0])
+
+
+# ----------------------------------------------------------------------
+# Flat in-place optimizers against per-tensor references
+# ----------------------------------------------------------------------
+class PerTensorSGD:
+    """SGD stepping each tensor on its own: the flat optimizer's oracle."""
+
+    def __init__(self, parameters, lr, momentum=0.0, weight_decay=0.0):
+        self.parameters, self.lr = list(parameters), lr
+        self.momentum, self.weight_decay = momentum, weight_decay
+        self.velocity = {}
+
+    def step(self):
+        for parameter in self.parameters:
+            if parameter.grad is None:
+                continue
+            grad = parameter.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * parameter.data
+            if self.momentum:
+                velocity = self.velocity.get(id(parameter))
+                if velocity is None:
+                    velocity = np.zeros_like(parameter.data)
+                velocity = self.momentum * velocity + grad
+                self.velocity[id(parameter)] = velocity
+                grad = velocity
+            parameter.data = parameter.data - self.lr * grad
+
+
+class PerTensorAdam:
+    """Adam stepping each tensor on its own: the flat optimizer's oracle."""
+
+    def __init__(self, parameters, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0):
+        self.parameters, self.lr, self.eps = list(parameters), lr, eps
+        self.beta1, self.beta2 = betas
+        self.weight_decay = weight_decay
+        self.count, self.first, self.second = 0, {}, {}
+
+    def step(self):
+        self.count += 1
+        bias1 = 1.0 - self.beta1 ** self.count
+        bias2 = 1.0 - self.beta2 ** self.count
+        for parameter in self.parameters:
+            if parameter.grad is None:
+                continue
+            grad = parameter.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * parameter.data
+            key = id(parameter)
+            first = self.first.get(key, np.zeros_like(parameter.data))
+            second = self.second.get(key, np.zeros_like(parameter.data))
+            first = self.beta1 * first + (1.0 - self.beta1) * grad
+            second = self.beta2 * second + (1.0 - self.beta2) * grad * grad
+            self.first[key], self.second[key] = first, second
+            parameter.data = parameter.data - self.lr * (first / bias1) / (
+                np.sqrt(second / bias2) + self.eps)
+
+
+def per_tensor_clip(parameters, max_norm):
+    """The per-tensor global-norm clip: each ``sum(g ** 2)`` added in order."""
+    total = 0.0
+    for parameter in parameters:
+        if parameter.grad is not None:
+            total += float(np.sum(parameter.grad ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        for parameter in parameters:
+            if parameter.grad is not None:
+                parameter.grad = parameter.grad * (max_norm / norm)
+    return norm
+
+
+SHAPES = [(7, 3), (3,), (), (2, 4, 5), (1,)]
+
+
+def _parameters(seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in SHAPES]
+
+
+def _train_both(flat_factory, reference_factory, steps=6, clip=None, skipped=()):
+    """Run the flat and the reference optimizer on identical gradients.
+
+    ``skipped`` maps a step to the parameter indices left without a gradient.
+    Returns both parameter lists.
+    """
+    flat_params, reference_params = _parameters(0), _parameters(0)
+    flat, reference = flat_factory(flat_params), reference_factory(reference_params)
+    rng = np.random.default_rng(1)
+    for step in range(steps):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-2, 2)
+                 for shape in SHAPES]
+        for params in (flat_params, reference_params):
+            for index, (parameter, grad) in enumerate(zip(params, grads)):
+                parameter.grad = (None if index in dict(skipped).get(step, ())
+                                  else grad.copy())
+        if clip is not None:
+            assert flat.clip_grad_norm(clip) == per_tensor_clip(reference_params, clip)
+        flat.step()
+        reference.step()
+    return flat_params, reference_params
+
+
+def _assert_same_bits(actual, expected):
+    for left, right in zip(actual, expected):
+        assert left.data.shape == right.data.shape
+        assert left.data.tobytes() == right.data.tobytes()
+
+
+class TestFlatOptimizers:
+    @pytest.mark.parametrize("options", [{}, {"weight_decay": 0.1},
+                                         {"betas": (0.8, 0.99), "eps": 1e-6}])
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    def test_adam_equals_per_tensor_adam(self, options, clip):
+        _assert_same_bits(*_train_both(lambda p: Adam(p, lr=0.01, **options),
+                                       lambda p: PerTensorAdam(p, 0.01, **options),
+                                       clip=clip))
+
+    @pytest.mark.parametrize("options", [{}, {"momentum": 0.9},
+                                         {"weight_decay": 0.05},
+                                         {"momentum": 0.5, "weight_decay": 0.05}])
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    def test_sgd_equals_per_tensor_sgd(self, options, clip):
+        _assert_same_bits(*_train_both(lambda p: SGD(p, lr=0.03, **options),
+                                       lambda p: PerTensorSGD(p, 0.03, **options),
+                                       clip=clip))
+
+    @pytest.mark.parametrize("make", [
+        (lambda p: Adam(p, lr=0.01, weight_decay=0.1),
+         lambda p: PerTensorAdam(p, 0.01, weight_decay=0.1)),
+        (lambda p: SGD(p, lr=0.03, momentum=0.9),
+         lambda p: PerTensorSGD(p, 0.03, momentum=0.9))])
+    def test_parameters_without_grad_are_skipped(self, make):
+        # Step 0 leaves parameter 1 untouched (moments included: its first
+        # update comes at step 1); later steps skip runs of neighbours.
+        skipped = {0: (1,), 2: (0, 1), 3: (1, 2, 3), 4: (0, 1, 2, 3, 4)}
+        flat, reference = _train_both(*make, clip=1.0, skipped=skipped)
+        _assert_same_bits(flat, reference)
+
+    def test_parameters_view_one_buffer(self):
+        params = _parameters(2)
+        values = [parameter.data.copy() for parameter in params]
+        optimizer = Adam(params, lr=0.1)
+        for parameter, value in zip(params, values):
+            np.testing.assert_array_equal(parameter.data, value)
+            assert parameter.data.base is optimizer._flat
+        with pytest.raises(ValueError, match="distinct"):
+            SGD([params[0], params[0]], lr=0.1)
+
+    def test_load_state_dict_after_the_optimizer_was_built(self):
+        model, reference = MLP([3, 4, 1]), MLP([3, 4, 1])
+        state = MLP([3, 4, 1], rng=np.random.default_rng(7)).state_dict()
+        optimizer = SGD(model.parameters(), lr=0.1)
+        model.load_state_dict(state)
+        reference.load_state_dict(state)
+        for parameter in model.parameters():
+            assert parameter.data.base is optimizer._flat
+        inputs = Tensor(np.random.default_rng(8).normal(size=(5, 3)))
+        for net in (model, reference):
+            net.zero_grad()
+            (net(inputs) ** 2.0).sum().backward()
+        optimizer.step()
+        PerTensorSGD(reference.parameters(), 0.1).step()
+        _assert_same_bits(model.parameters(), reference.parameters())
+
+    def test_rebound_data_is_rehomed(self):
+        params = _parameters(3)
+        optimizer = SGD(params, lr=0.5)
+        params[1].data = np.array([1.0, 2.0, 3.0])
+        for parameter in params:
+            parameter.grad = np.ones(parameter.data.shape)
+        optimizer.step()
+        assert params[1].data.base is optimizer._flat
+        np.testing.assert_array_equal(params[1].data, [0.5, 1.5, 2.5])
+
+    def test_rebound_data_of_another_shape_raises(self):
+        params = _parameters(4)
+        params[0].name = "weights"
+        optimizer = Adam(params, lr=0.1)
+        params[0].data = np.zeros((2, 2))
+        for parameter in params:
+            parameter.grad = np.ones(parameter.data.shape)
+        with pytest.raises(ValueError, match=r"weights was rebound to shape \(2, 2\)"):
+            optimizer.step()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clip_norm_adds_per_parameter_sums_in_order(self, seed):
+        # Enough entries of similar magnitude that summing the flat buffer
+        # in one pass would round differently from per-tensor sums.
+        rng = np.random.default_rng(seed)
+        shapes = [(50, 30), (200,), (7, 9, 11), (3,)]
+        grads = [rng.normal(size=shape) for shape in shapes]
+        flat = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+        reference = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+        optimizer = SGD(flat, lr=0.1)
+        for params in (flat, reference):
+            for parameter, grad in zip(params, grads):
+                parameter.grad = grad.copy()
+        assert optimizer.clip_grad_norm(1.0) == per_tensor_clip(reference, 1.0)
+        for flat_parameter, reference_parameter in zip(flat, reference):
+            assert flat_parameter.grad.tobytes() == reference_parameter.grad.tobytes()

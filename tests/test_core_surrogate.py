@@ -172,7 +172,51 @@ class TestSimulatedDataset:
                                             blocks_per_table=4,
                                             table_sampler=lambda generator: fixed)
         assert len(dataset.tables) == 2
-        assert all(table is fixed for table in dataset.tables)
+        # Tables are stored stacked, so each row equals ``fixed`` but is not it.
+        assert all(np.array_equal(table.global_values, fixed.global_values)
+                   and np.array_equal(table.per_instruction_values,
+                                      fixed.per_instruction_values)
+                   for table in dataset.tables)
+
+    def test_tables_are_stacked_and_allocated_once(self, adapter, sample_blocks, rng):
+        spec = adapter.parameter_spec()
+        drawn = []
+
+        def sampler(generator):
+            drawn.append(spec.sample(generator))
+            return drawn[-1]
+
+        dataset = collect_simulated_dataset(adapter, sample_blocks[:6], 21, rng,
+                                            blocks_per_table=4, table_sampler=sampler)
+        stack = dataset.tables
+        # ceil(21 / 4) tables, reserved up front: the storage holds exactly them.
+        assert len(stack) == len(drawn) == 6
+        assert stack.per_instruction_values.shape == (
+            6, spec.num_opcodes, spec.per_instruction_dim)
+        assert stack.per_instruction_values.base.shape[0] == 6
+        for index, table in enumerate(drawn):
+            assert np.array_equal(stack[index].per_instruction_values,
+                                  table.per_instruction_values)
+            assert np.array_equal(stack.global_values[index], table.global_values)
+        with pytest.raises(IndexError):
+            stack[6]
+        arrays = dataset.to_arrays()
+        assert arrays["table_per_instruction_values"].base is not None  # a view
+        rebuilt = SimulatedDataset.from_arrays(arrays, dataset.blocks)
+        assert np.array_equal(rebuilt.tables.per_instruction_values,
+                              stack.per_instruction_values)
+
+    def test_table_stack_grows_without_a_reservation(self, adapter, rng):
+        spec = adapter.parameter_spec()
+        tables = [spec.sample(rng) for _ in range(5)]
+        dataset = SimulatedDataset([None] * 3)
+        for table in tables:
+            dataset.append_round(table, np.array([0, 2]), np.array([1.0, 2.0]))
+        assert len(dataset.tables) == 5 and len(dataset) == 10
+        assert all(np.array_equal(dataset.tables[index].global_values,
+                                  table.global_values)
+                   for index, table in enumerate(tables))
+        assert dataset.example_table == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_random_table_errors_much_worse_than_default(self, adapter, small_dataset, rng):
         examples = small_dataset.test_examples[:40]

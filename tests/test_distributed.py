@@ -98,6 +98,27 @@ class TestSpecValidation:
                                     "values": [1, 2]}],
                           "num_blocks": 24, "seed": 3})
 
+    @pytest.mark.parametrize("overrides, field, message", [
+        ({"targets": ["haswell", "haswel"]}, "targets[1]",
+         "unknown target 'haswel'; did you mean 'haswell'"),
+        ({"simulators": ["mcaa"]}, "simulators[0]",
+         "unknown simulator 'mcaa'; did you mean 'mca'"),
+        ({"targets": [7]}, "targets[0]", "expected str, got int"),
+        ({"targets": "haswell"}, "targets", "expected a list of target names"),
+        ({"simulators": "mca"}, "simulators", "expected a list of simulator names"),
+        ({"cells": [{"target": "haswel", "simulator": "mca"}]}, "cells[0].target",
+         "did you mean 'haswell'"),
+        ({"cells": [{"target": "haswell", "simulator": None}]},
+         "cells[0].simulator", "expected str, got NoneType"),
+        ({"cells": {"target": "haswell", "simulator": "mca"}}, "cells",
+         "expected a list of"),
+    ])
+    def test_bad_registry_entries_name_their_field(self, overrides, field, message):
+        payload = {"campaign": dict(CAMPAIGN), "cells": None, **overrides}
+        with pytest.raises(SpecValidationError, match=message) as excinfo:
+            MatrixCampaignSpec.from_dict(payload)
+        assert excinfo.value.field == field
+
     def test_default_grid_is_full_registry_cross(self):
         pairs = MatrixCampaignSpec(campaign=dict(CAMPAIGN)).resolve_cells()
         targets = {target for target, _ in pairs}

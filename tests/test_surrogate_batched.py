@@ -437,7 +437,10 @@ class TestThroughputScenario:
         entry = runner.run_scenario(
             runner.registry.get("surrogate_training_throughput"))
         metrics = entry["metrics"]
-        assert set(metrics["paths"]) == {"batched"}
-        batched = metrics["paths"]["batched"]
-        assert batched["examples_per_sec"] > 0
-        assert np.isfinite(batched["final_training_error"])
+        assert set(metrics["paths"]) == {"batched", "fast_shape"}
+        for path in metrics["paths"].values():
+            assert path["examples_per_sec"] > 0
+            assert np.isfinite(path["final_training_error"])
+        # The shape the fast preset's phase one issues.
+        assert metrics["paths"]["fast_shape"]["surrogate_kind"] == "analytical"
+        assert metrics["paths"]["fast_shape"]["batch_size"] == 16
