@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tune a *custom* simulator with DiffTune, including categorical parameters.
+"""Tune a *custom* simulator with DiffTune, including a categorical parameter.
 
 The paper frames DiffTune as a generic algorithm for "learning the parameters
 of programs" (Section III); llvm-mca is just the instantiation it evaluates.
@@ -14,9 +14,10 @@ This example shows what plugging in your own simulator looks like:
    and register it in the :data:`repro.api.SIMULATORS` registry — exactly
    what a third-party package would do through the ``repro.simulators``
    entry-point group — so the public API constructs it by key;
-3. relax the categorical parameter with the one-hot machinery of
-   :mod:`repro.core.categorical` and pick the best choice by enumerating the
-   relaxation's extraction — the scheme Section VII sketches as future work;
+3. pick the categorical parameter by enumeration: learn the ordinal
+   parameters once per choice and keep the choice with the lowest test
+   error (Section VII leaves learning categorical parameters as future
+   work);
 4. learn the ordinal parameters from end-to-end timings of the Haswell
    hardware model and compare against the true configuration.
 
@@ -32,8 +33,6 @@ from repro.api import SIMULATORS, SimulatorPlugin
 from repro.api.registries import PRESETS
 from repro.bhive import build_dataset
 from repro.core.adapters import SimulatorAdapter
-from repro.core.categorical import CategoricalField, CategoricalTable
-from repro.core.constraints import ConstraintSet, LessEqualConstraint
 from repro.core.difftune import DiffTune
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays, ParameterField, ParameterSpec
@@ -108,9 +107,6 @@ class ToyAdapter(SimulatorAdapter):
                                sample_low=0, sample_high=1),
             ],
             num_opcodes=len(self.opcode_table))
-        # Dependent-parameter constraint (Section VII): an ALU result can
-        # never be slower than a load in this model.
-        self.constraints = ConstraintSet([LessEqualConstraint("AluLatency", "LoadLatency")])
 
     def parameter_spec(self) -> ParameterSpec:
         return self._spec
@@ -121,11 +117,10 @@ class ToyAdapter(SimulatorAdapter):
 
     def _simulator(self, arrays: ParameterArrays) -> ToySimulator:
         issue, alu, load = arrays.global_values[:3]
-        repaired = self.constraints.repair({"AluLatency": np.array([alu]),
-                                            "LoadLatency": np.array([load])})
-        return ToySimulator(issue_width=issue,
-                            alu_latency=float(repaired["AluLatency"][0]),
-                            load_latency=float(repaired["LoadLatency"][0]),
+        # Dependent-parameter constraint (Section VII): an ALU result can
+        # never be slower than a load in this model.
+        alu = min(alu, load)
+        return ToySimulator(issue_width=issue, alu_latency=alu, load_latency=load,
                             forwarding=self.forwarding)
 
     def predict_timings(self, arrays: ParameterArrays,
@@ -186,13 +181,9 @@ def main() -> None:
     test_blocks = [example.block for example in test]
     test_timings = np.array([example.timing for example in test])
 
-    forwarding_field = CategoricalField("ForwardingPolicy",
-                                        choices=("none", "partial", "full"))
-    categorical = CategoricalTable([forwarding_field])
-
     print("\nLearning ordinal parameters for each forwarding policy...")
     results = {}
-    for choice in forwarding_field.choices:
+    for choice in ToySimulator.FORWARDING_FACTOR:
         # Constructed through the registry, like any built-in simulator.
         adapter = SIMULATORS.get("toy").create_adapter(None, forwarding=choice)
         difftune = DiffTune(adapter, PRESETS.get("test")(arguments.seed))
@@ -205,9 +196,7 @@ def main() -> None:
               f"(IssueWidth={issue:.0f}, AluLatency={alu:.0f}, LoadLatency={load:.0f})")
 
     best_choice = min(results, key=lambda name: results[name][0])
-    categorical.set_choices("ForwardingPolicy", [best_choice])
-    extracted = categorical.extract()["ForwardingPolicy"][0]
-    print(f"\nSelected categorical value (one-hot extraction): {extracted}")
+    print(f"\nSelected categorical value: {best_choice}")
 
     default_adapter = ToyAdapter(forwarding="none")
     default_error = mape_loss_value(

@@ -6,13 +6,14 @@ Every experiment from the paper's evaluation grid is a registered
 tier (smoke / quick / full), times them, and emits one uniform
 ``BENCH_<suite>.json`` payload (:mod:`repro.bench.schema`).
 :mod:`repro.bench.compare` diffs two payloads and gates CI on wall-time or
-coverage regressions.
+coverage regressions; :mod:`repro.bench.report` renders one as markdown.
 
 Entry points::
 
     python -m repro.bench list
     python -m repro.bench run --tier smoke --suite smoke
     python -m repro.bench compare benchmarks/baselines/BENCH_smoke.json BENCH_smoke.json
+    python -m repro.bench report BENCH_smoke.json --output REPORT_smoke.md
     python -m repro.cli bench run --tier smoke   # same thing via the main CLI
 
 Importing this package loads :mod:`repro.bench.scenarios`, which populates
@@ -25,6 +26,7 @@ from repro.bench.runner import Runner, RunnerConfig, environment_fingerprint, lo
 from repro.bench.schema import SCHEMA_VERSION, SchemaError, jsonify, validate_payload
 from repro.bench.compare import (CompareConfig, CompareReport, check_min_metrics,
                                  compare_payloads, parse_min_metric)
+from repro.bench.report import render_report
 from repro.bench import scenarios as _scenarios  # noqa: F401  (registers the catalog)
 
 __all__ = [
@@ -47,4 +49,5 @@ __all__ = [
     "check_min_metrics",
     "compare_payloads",
     "parse_min_metric",
+    "render_report",
 ]

@@ -1,4 +1,4 @@
-"""``python -m repro.bench`` — list, run, and compare benchmark scenarios.
+"""``python -m repro.bench`` — list, run, compare and report benchmark scenarios.
 
 Examples::
 
@@ -9,6 +9,7 @@ Examples::
     python -m repro.bench run --tag ci --tier smoke --suite smoke --workers 2
     python -m repro.bench compare benchmarks/baselines/BENCH_smoke.json \\
         BENCH_smoke.json --max-wall-ratio 2.0
+    python -m repro.bench report BENCH_smoke.json --output REPORT_smoke.md
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import os
 import sys
 from typing import List, Optional
 
+from repro import storage
 from repro.bench import (DEFAULT_REGISTRY, CompareConfig, Runner, RunnerConfig,
                          check_min_metrics, compare_payloads, load_payload,
-                         parse_min_metric)
+                         parse_min_metric, render_report)
 from repro.eval.experiments import SCALE_TIERS
 
 
@@ -81,6 +83,16 @@ def _command_compare(arguments: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _command_report(arguments: argparse.Namespace) -> int:
+    report = render_report(load_payload(arguments.payload))
+    if arguments.output is None:
+        sys.stdout.write(report)
+        return 0
+    storage.atomic_write(arguments.output, report.encode())
+    print(f"wrote {arguments.output}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.bench", description=__doc__,
@@ -134,6 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      "scenarios/metrics, and tier mismatches "
                                      "(cross-tier runs skip wall-time gates)")
     compare_parser.set_defaults(handler=_command_compare)
+
+    report_parser = subparsers.add_parser(
+        "report", help="render a BENCH_*.json file as markdown, one section per scenario")
+    report_parser.add_argument("payload", help="BENCH_*.json file to render")
+    report_parser.add_argument("--output", help="write the report here (default: stdout)")
+    report_parser.set_defaults(handler=_command_report)
     return parser
 
 

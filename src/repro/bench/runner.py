@@ -3,9 +3,9 @@
 One :class:`Runner` executes a selection of registered scenarios at a scale
 tier, times each with warmup/round control, and produces the uniform payload
 described in :mod:`repro.bench.schema`.  Datasets are memoized across
-scenarios in a single invocation (the old session-fixture behaviour), and
-the worker count is threaded into every :class:`ScenarioContext` so engine
-batch calls fan out across processes when ``--workers`` is set.
+scenarios in a single invocation, and the worker count is threaded into
+every :class:`ScenarioContext` so engine batch calls fan out across
+processes when ``--workers`` is set.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro import storage
 from repro.bench.registry import (DEFAULT_REGISTRY, Scenario, ScenarioContext,
                                   ScenarioRegistry)
-from repro.bench.schema import (SCHEMA_MINOR_VERSION, SCHEMA_VERSION, jsonify,
-                                validate_payload)
+from repro.bench.schema import (SCHEMA_MINOR_VERSION, SCHEMA_VERSION, SchemaError,
+                                collect_problems, jsonify, validate_payload)
 
 logger = logging.getLogger(__name__)
 
@@ -188,6 +188,14 @@ class Runner:
 
 
 def load_payload(path: str) -> Dict[str, Any]:
-    """Load and schema-validate a ``BENCH_*.json`` file."""
-    with open(path) as handle:
-        return validate_payload(json.load(handle))
+    """Load and schema-validate a ``BENCH_*.json`` file.
+
+    Unparseable JSON raises :class:`~repro.storage.CorruptArtifactError` and a
+    schema violation :class:`~repro.bench.schema.SchemaError`, both naming
+    ``path``; a missing file raises :class:`FileNotFoundError`.
+    """
+    payload = storage.read_json(path)
+    problems = collect_problems(payload)
+    if problems:
+        raise SchemaError([f"{path}: {problem}" for problem in problems])
+    return payload

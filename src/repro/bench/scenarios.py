@@ -1,11 +1,9 @@
 """The registered scenario catalog: every experiment in the paper's grid.
 
-Each scenario used to be a free-standing ``benchmarks/bench_*.py`` script;
-they are now thin registry entries over the drivers in
-:mod:`repro.eval.experiments` (plus the few ablations whose logic lives
-here).  The old pytest files delegate to these via
-``benchmarks/conftest.py``, and ``python -m repro.bench run`` executes them
-directly.
+Each scenario is a thin registry entry over a driver in
+:mod:`repro.eval.experiments` (plus the few ablations and throughput
+measurements whose logic lives here); ``python -m repro.bench run``
+executes them.
 
 Tags group scenarios for selection: ``paper`` (tables/figures from the
 paper), ``ablation``, ``perf`` (engine micro-benchmarks), ``search``

@@ -18,10 +18,6 @@ substrates:
   a :class:`~repro.targets.hardware.HardwareModel` (the hardware substitute).
 * :mod:`~repro.bhive.dataset` — the dataset container with train/validation/
   test splits, summary statistics (Table III), and (de)serialization.
-* :mod:`~repro.bhive.filters` — BHive-style measurement-quality screens
-  (page-aliasing risk, unstable measurements, timing outliers).
-* :mod:`~repro.bhive.perf_counters` — simulated hardware performance counters
-  and latency microbenchmarks (the measurement-based route of Section II-B).
 """
 
 from repro.bhive.applications import APPLICATION_PROFILES, ApplicationProfile
@@ -29,12 +25,6 @@ from repro.bhive.categories import BlockCategory, categorize_block
 from repro.bhive.generator import BlockGenerator
 from repro.bhive.measurement import MeasurementHarness
 from repro.bhive.dataset import BasicBlockDataset, DatasetSplits, LabeledBlock, build_dataset
-from repro.bhive.filters import (FilterReport, apply_bhive_filters, filter_block_length,
-                                 filter_page_aliasing_risk, filter_timing_outliers,
-                                 filter_unstable_measurements, has_page_aliasing_risk,
-                                 measurement_instability)
-from repro.bhive.perf_counters import (CounterReading, CounterSpec, PerformanceCounterUnit,
-                                       measure_instruction_latency)
 
 __all__ = [
     "APPLICATION_PROFILES",
@@ -47,16 +37,4 @@ __all__ = [
     "DatasetSplits",
     "LabeledBlock",
     "build_dataset",
-    "FilterReport",
-    "apply_bhive_filters",
-    "filter_block_length",
-    "filter_page_aliasing_risk",
-    "filter_timing_outliers",
-    "filter_unstable_measurements",
-    "has_page_aliasing_risk",
-    "measurement_instability",
-    "CounterSpec",
-    "CounterReading",
-    "PerformanceCounterUnit",
-    "measure_instruction_latency",
 ]

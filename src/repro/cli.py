@@ -44,8 +44,8 @@ Fifteen subcommands cover the day-to-day workflow:
 * ``serve``    — run the stdlib-only HTTP/JSON inference server on a bundle
   or a table, with request coalescing into engine megabatches.
 * ``bench``    — the benchmark-scenario subsystem: list registered paper
-  experiments, run them at a scale tier, and compare result files
-  (forwards to ``python -m repro.bench``).
+  experiments, run them at a scale tier, compare result files and render
+  one as a markdown report (forwards to ``python -m repro.bench``).
 
 Progress messages come from the library's ``repro.*`` loggers; every
 command prints them on stdout at INFO through :func:`print_messages`.
@@ -974,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench", add_help=False,
-        help="benchmark scenarios: list / run / compare (python -m repro.bench)")
+        help="benchmark scenarios: list / run / compare / report (python -m repro.bench)")
     bench_parser.add_argument("bench_args", nargs=argparse.REMAINDER,
                               help="arguments forwarded to repro.bench")
     bench_parser.set_defaults(handler=_command_bench)

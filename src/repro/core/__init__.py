@@ -4,7 +4,9 @@ This package implements the paper's primary contribution (Section III–IV):
 
 1. :mod:`~repro.core.parameters` — a generic description of a simulator's
    ordinal parameter space (global + per-instruction fields, lower bounds,
-   integer constraints, sampling distributions).
+   integer constraints, sampling distributions).  Categorical and
+   dependent parameters, which the paper's Section VII leaves as future
+   work, are not modelled.
 2. :mod:`~repro.core.adapters` — adapters binding that description to the
    concrete simulators (llvm-mca and llvm_sim), including conversion between
    optimization arrays and native parameter tables.
@@ -28,11 +30,6 @@ in :mod:`repro.api` (``Session.from_spec(...)``).
 
 from repro.core.parameters import (ParameterField, ParameterSpec, ParameterArrays,
                                    PORT_MAP_FIELD_NAME)
-from repro.core.categorical import (CategoricalField, CategoricalRelaxation,
-                                    CategoricalTable)
-from repro.core.constraints import (BoundConstraint, Constraint, ConstraintSet,
-                                    ConstraintViolation, LessEqualConstraint,
-                                    RelationConstraint, SumAtMostConstraint)
 from repro.core.surrogate import (SurrogateConfig, BlockFeaturizer, FeaturizationCache,
                                   IthemalSurrogate, PackedBlockBatch, PooledSurrogate,
                                   build_surrogate)
@@ -48,16 +45,6 @@ __all__ = [
     "ParameterSpec",
     "ParameterArrays",
     "PORT_MAP_FIELD_NAME",
-    "CategoricalField",
-    "CategoricalRelaxation",
-    "CategoricalTable",
-    "Constraint",
-    "ConstraintSet",
-    "ConstraintViolation",
-    "BoundConstraint",
-    "LessEqualConstraint",
-    "SumAtMostConstraint",
-    "RelationConstraint",
     "SurrogateConfig",
     "BlockFeaturizer",
     "IthemalSurrogate",

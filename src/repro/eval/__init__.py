@@ -8,17 +8,17 @@
   the case studies of Section VI-C (the Figure 5 sensitivity sweeps are
   :func:`repro.campaigns.sweep_error_curve`).
 * :mod:`~repro.eval.tables` — plain-text rendering of result tables.
+* :mod:`~repro.eval.plots` — the ASCII line plot ``repro sweep`` prints.
 * :mod:`~repro.eval.experiments` — one driver function per paper table or
-  figure; the benchmark harness and the examples call these.
+  figure; the benchmark scenarios (:mod:`repro.bench.scenarios`) and the
+  examples call these.
 """
 
 from repro.eval.metrics import mean_absolute_percentage_error, kendall_tau, error_and_tau
 from repro.eval.analysis import (per_application_error, per_category_error,
                                  parameter_histograms, case_study_report)
 from repro.eval.tables import format_table, format_results_table
-from repro.eval.plots import (Series, ascii_bar_chart, ascii_histogram, ascii_line_plot,
-                              read_series_csv, write_histogram_csv, write_series_csv)
-from repro.eval.reports import load_results, render_report, write_report
+from repro.eval.plots import Series, ascii_line_plot
 
 __all__ = [
     "mean_absolute_percentage_error",
@@ -32,12 +32,4 @@ __all__ = [
     "format_results_table",
     "Series",
     "ascii_line_plot",
-    "ascii_histogram",
-    "ascii_bar_chart",
-    "write_series_csv",
-    "write_histogram_csv",
-    "read_series_csv",
-    "load_results",
-    "render_report",
-    "write_report",
 ]

@@ -33,6 +33,14 @@ def analytic_gradient(builder, point):
 
 
 class TestBasicOps:
+    def test_comparisons_return_plain_boolean_arrays(self):
+        tensor = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        assert isinstance(tensor < 2.0, np.ndarray)
+        np.testing.assert_array_equal(tensor < 2.0, [True, False, False])
+        np.testing.assert_array_equal(tensor <= 2.0, [True, True, False])
+        np.testing.assert_array_equal(tensor > Tensor([0.0, 2.0, 4.0]), [True, False, False])
+        np.testing.assert_array_equal(tensor >= [1.0, 3.0, 3.0], [True, False, True])
+
     def test_addition_forward(self):
         result = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
         np.testing.assert_allclose(result.data, [4.0, 6.0])
@@ -97,6 +105,32 @@ class TestBasicOps:
 
 
 class TestGradients:
+    def test_transpose_gradient_is_the_transposed_upstream(self):
+        weights = np.arange(6.0).reshape(3, 2)
+        point = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
+        tensor = Tensor(point, requires_grad=True)
+        transposed = tensor.transpose()
+        np.testing.assert_array_equal(transposed.data, point.T)
+        (transposed * weights).sum().backward()
+        np.testing.assert_array_equal(tensor.grad, weights.T)
+
+    def test_transpose_with_axes_inverts_the_permutation(self):
+        rng = np.random.default_rng(0)
+        point = rng.normal(size=(2, 3, 4))
+        weights = rng.normal(size=(4, 2, 3))
+        tensor = Tensor(point, requires_grad=True)
+        permuted = tensor.transpose((2, 0, 1))
+        assert permuted.shape == (4, 2, 3)
+        (permuted * weights).sum().backward()
+        np.testing.assert_allclose(tensor.grad, np.transpose(weights, (1, 2, 0)))
+
+    def test_transpose_inside_a_matmul_matches_numeric(self):
+        other = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
+        point = np.array([[1.0, 2.0], [-0.5, 0.75], [0.3, -2.0]])
+        builder = lambda t: ((t.transpose() @ Tensor(other)) ** 2).sum()
+        numeric = numeric_gradient(lambda p: ((p.T @ other) ** 2).sum(), point)
+        np.testing.assert_allclose(analytic_gradient(builder, point), numeric, atol=1e-5)
+
     def test_add_gradient(self):
         point = np.array([1.0, -2.0, 3.0])
         grad = analytic_gradient(lambda t: (t + 2.0).sum(), point)

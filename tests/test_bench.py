@@ -1,18 +1,20 @@
 """Tests for the benchmark-scenario subsystem (repro.bench)."""
 
 import copy
-import importlib.util
 import json
 import os
+import re
 
 import pytest
 
 from repro.bench import (DEFAULT_REGISTRY, CompareConfig, DuplicateScenarioError, Runner,
-                         RunnerConfig, Scenario, ScenarioRegistry, SchemaError,
-                         compare_payloads, jsonify, load_payload, scenario,
-                         validate_payload)
+                         RunnerConfig, Scenario, ScenarioContext, ScenarioRegistry,
+                         SchemaError, check_min_metrics, compare_payloads, jsonify,
+                         load_payload, parse_min_metric, scenario, validate_payload)
+from repro.bench.schema import collect_problems
 from repro.bench.__main__ import main as bench_main
 from repro.eval.experiments import SCALE_TIERS, ExperimentScale
+from repro.storage import CorruptArtifactError
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +109,46 @@ class TestScalePresets:
         assert "seed" in description
 
 
+class TestScenarioContext:
+    def _context(self, **overrides):
+        values = dict(tier="smoke", scale=ExperimentScale.smoke())
+        values.update(overrides)
+        return ScenarioContext(**values)
+
+    def test_by_tier_picks_the_running_tier(self):
+        assert self._context(tier="quick").by_tier(smoke=3, quick=8, full=10) == 8
+        with pytest.raises(KeyError):
+            self._context(tier="full").by_tier(smoke=3, quick=8)
+
+    def test_dataset_is_memoized_per_uarch_size_and_seed(self):
+        context = self._context(uarch="zen2")
+        first = context.dataset(num_blocks=12, seed=3)
+        assert context.dataset(num_blocks=12, seed=3) is first
+        assert list(context.dataset_cache) == [("zen2", 12, 3)]
+        other_seed = context.dataset(num_blocks=12, seed=4)
+        assert other_seed is not first
+        assert len(context.dataset_cache) == 2
+
+    def test_dataset_cache_is_shared_between_contexts(self):
+        shared = {}
+        first = self._context(dataset_cache=shared).dataset(num_blocks=12)
+        second = self._context(dataset_cache=shared).dataset(num_blocks=12)
+        assert second is first
+        assert list(shared) == [("haswell", 12, ExperimentScale.smoke().seed)]
+
+    def test_session_fills_run_defaults_without_overriding_the_caller(self):
+        context = self._context(uarch="zen2", workers=2)
+        session = context.session({"num_blocks": 40})
+        assert (session.spec.target, session.spec.engine_workers,
+                session.spec.num_blocks) == ("zen2", 2, 40)
+        explicit = context.session(target="skylake", engine_workers=0)
+        assert (explicit.spec.target, explicit.spec.engine_workers) == ("skylake", 0)
+
+    def test_registry_membership(self):
+        assert "table04_main_results" in DEFAULT_REGISTRY
+        assert "no_such_scenario" not in DEFAULT_REGISTRY
+
+
 # ----------------------------------------------------------------------
 # Runner end-to-end (two real scenarios at smoke tier)
 # ----------------------------------------------------------------------
@@ -190,12 +232,86 @@ class TestSchema:
         with pytest.raises(SchemaError, match="wall_time_seconds"):
             validate_payload(broken)
 
+    def test_load_payload_names_a_corrupt_file(self, tmp_path):
+        path = os.path.join(str(tmp_path), "BENCH_broken.json")
+        open(path, "w").write('{"schema_version": 1, "sui')
+        with pytest.raises(CorruptArtifactError) as excinfo:
+            load_payload(path)
+        assert path in str(excinfo.value)
+
+    def test_load_payload_names_a_schema_invalid_file(self, tmp_path):
+        broken = _payload_with_wall({"a": 1.0})
+        del broken["environment"]["numpy"]
+        del broken["scenarios"]["a"]["seed"]
+        path = os.path.join(str(tmp_path), "BENCH_invalid.json")
+        json.dump(broken, open(path, "w"))
+        with pytest.raises(SchemaError) as excinfo:
+            load_payload(path)
+        assert excinfo.value.problems == [
+            f"{path}: environment: missing key 'numpy'",
+            f"{path}: scenarios['a']: missing key 'seed'"]
+
     def test_jsonify_handles_numpy_and_tuples(self):
         import numpy as np
 
         value = {"a": np.float64(1.5), "b": (np.int32(2), [np.arange(2)]),
                  3: "non-string-key"}
         assert jsonify(value) == {"a": 1.5, "b": [2, [[0, 1]]], "3": "non-string-key"}
+
+    def test_jsonify_reads_plain_objects_through_their_attributes(self):
+        import numpy as np
+
+        class Stats:
+            def __init__(self):
+                self.count = np.int64(3)
+                self.errors = (np.float32(0.5),)
+
+        assert jsonify({"stats": Stats()}) == {"stats": {"count": 3, "errors": [0.5]}}
+        assert jsonify(complex(1, 2)) == "(1+2j)"
+        assert jsonify(None) is None
+
+    @pytest.mark.parametrize("mutate, problem", [
+        (lambda payload: payload.update(schema_version=2),
+         "payload: schema_version 2 != 1"),
+        (lambda payload: payload.update(scenarios={}),
+         "scenarios: expected a non-empty object"),
+        (lambda payload: payload.update(environment=["python"]),
+         "environment: expected an object, got list"),
+        (lambda payload: payload["scenarios"].update(a="not an entry"),
+         "scenarios['a']: expected an object, got str"),
+        (lambda payload: payload["scenarios"]["a"].update(name="b"),
+         "scenarios['a']: name field 'b' != key"),
+        (lambda payload: payload["scenarios"]["a"]["wall_time_seconds"].update(rounds=[]),
+         "scenarios['a'].wall_time_seconds.rounds: expected a non-empty list"),
+        (lambda payload: payload["scenarios"]["a"]["wall_time_seconds"].pop("mean"),
+         "scenarios['a'].wall_time_seconds: missing key 'mean'"),
+    ], ids=["version", "no_scenarios", "environment_type", "entry_type", "name_mismatch",
+            "empty_rounds", "wall_time_key"])
+    def test_each_violation_is_reported_alone(self, mutate, problem):
+        payload = _payload_with_wall({"a": 1.0})
+        assert collect_problems(payload) == []
+        mutate(payload)
+        assert collect_problems(payload) == [problem]
+        with pytest.raises(SchemaError, match=re.escape(problem)):
+            validate_payload(payload)
+
+    def test_non_object_payload_stops_at_the_top_level(self):
+        assert collect_problems([1, 2]) == ["payload: expected an object, got list"]
+
+    def test_problems_accumulate_across_entries(self):
+        payload = _payload_with_wall({"a": 1.0, "b": 2.0})
+        del payload["scenarios"]["a"]["metrics"]
+        payload["scenarios"]["b"]["name"] = "a"
+        assert collect_problems(payload) == ["scenarios['a']: missing key 'metrics'",
+                                             "scenarios['b']: name field 'a' != key"]
+
+    def test_optional_minor_fields_are_not_required(self):
+        payload = _payload_with_wall({"a": 1.0})
+        payload["schema_minor"] = 1
+        payload["scenarios"]["a"]["peak_rss_bytes"] = 123
+        assert validate_payload(payload) is payload
+        del payload["schema_minor"], payload["scenarios"]["a"]["peak_rss_bytes"]
+        assert validate_payload(payload) is payload
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +440,105 @@ class TestCompare:
 
 
 # ----------------------------------------------------------------------
+# Absolute metric floors (--min-metric)
+# ----------------------------------------------------------------------
+def _engine_payload(metrics):
+    payload = _payload_with_wall({"engine_throughput": 1.0})
+    payload["scenarios"]["engine_throughput"]["metrics"] = metrics
+    return payload
+
+
+ENGINE_METRICS = {"speedups_vs_scalar": {"engine_megabatch": 6.25, "engine_cached": 214.0},
+                  "rows": [{"error": 0.125}, {"error": 0.5}], "ok": True}
+
+
+class TestMinMetricFloors:
+    @pytest.mark.parametrize("raw, expected", [
+        ("engine_throughput:speedups_vs_scalar.engine_megabatch:3",
+         ("engine_throughput", "speedups_vs_scalar.engine_megabatch", 3.0)),
+        ("matrix_campaign:speedup.pool:1.5", ("matrix_campaign", "speedup.pool", 1.5)),
+        ("suite:scenario:rows[1].error:-0.25", ("suite:scenario", "rows[1].error", -0.25)),
+        ("a:b:1e-3", ("a", "b", 0.001)),
+    ], ids=["nested", "fractional", "colon_in_name", "exponent"])
+    def test_parse_splits_on_the_last_two_colons(self, raw, expected):
+        assert parse_min_metric(raw) == expected
+
+    @pytest.mark.parametrize("raw, message", [
+        ("speedup.pool:1.5", "expected 'scenario:dotted.path:floor', got 'speedup.pool:1.5'"),
+        (":speedup.pool:1.5", "expected 'scenario:dotted.path:floor'"),
+        ("matrix_campaign::1.5", "expected 'scenario:dotted.path:floor'"),
+        ("matrix_campaign:speedup.pool:fast", "is not a number: 'fast'"),
+        ("matrix_campaign:speedup.pool:", "is not a number: ''"),
+    ], ids=["two_parts", "no_scenario", "no_path", "word_floor", "empty_floor"])
+    def test_parse_rejects_malformed_specs(self, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_min_metric(raw)
+
+    @pytest.mark.parametrize("path, floor, line", [
+        ("speedups_vs_scalar.engine_megabatch", 3.0, "6.25 >= 3"),
+        ("speedups_vs_scalar.engine_megabatch", 6.25, "6.25 >= 6.25"),
+        ("rows[1].error", 0.5, "0.5 >= 0.5"),
+    ], ids=["above", "equal", "list_index"])
+    def test_floor_met_passes_and_is_logged(self, path, floor, line):
+        config = CompareConfig(min_metrics=[("engine_throughput", path, floor)])
+        report = check_min_metrics(_engine_payload(ENGINE_METRICS), config)
+        assert report.ok
+        assert report.lines == [f"min-metric engine_throughput:{path}: {line}"]
+
+    def test_floor_violation_fails(self):
+        config = CompareConfig(min_metrics=[
+            ("engine_throughput", "speedups_vs_scalar.engine_megabatch", 8.0)])
+        report = check_min_metrics(_engine_payload(ENGINE_METRICS), config)
+        assert report.failures == ["min-metric engine_throughput:speedups_vs_scalar"
+                                   ".engine_megabatch: 6.25 below required floor 8"]
+        assert "FAIL: 1 regression(s):" in report.render()
+
+    def test_missing_scenario_fails_the_floor(self):
+        config = CompareConfig(min_metrics=[("matrix_campaign", "speedup.pool", 1.5)])
+        report = check_min_metrics(_engine_payload(ENGINE_METRICS), config)
+        assert len(report.failures) == 1
+        assert "matrix_campaign:speedup.pool: scenario missing" in report.failures[0]
+
+    def test_missing_path_suggests_the_leaf_with_the_same_name(self):
+        config = CompareConfig(min_metrics=[
+            ("engine_throughput", "speedups.engine_megabatch", 3.0),
+            ("engine_throughput", "speedups_vs_scalar.engine_collection", 2.0)])
+        report = check_min_metrics(_engine_payload(ENGINE_METRICS), config)
+        assert report.failures == [
+            "min-metric engine_throughput:speedups.engine_megabatch: metric path not "
+            "found in current results (did you mean "
+            "'speedups_vs_scalar.engine_megabatch'?)",
+            "min-metric engine_throughput:speedups_vs_scalar.engine_collection: metric "
+            "path not found in current results"]
+
+    def test_boolean_metrics_are_not_numeric_leaves(self):
+        config = CompareConfig(min_metrics=[("engine_throughput", "ok", 0.0)])
+        report = check_min_metrics(_engine_payload(ENGINE_METRICS), config)
+        assert not report.ok
+        assert "metric path not found" in report.failures[0]
+
+    def test_compare_payloads_applies_floors_to_the_current_results(self):
+        baseline = _engine_payload(ENGINE_METRICS)
+        current = copy.deepcopy(baseline)
+        current["scenarios"]["engine_throughput"]["metrics"]["speedups_vs_scalar"][
+            "engine_megabatch"] = 2.0
+        floor = [("engine_throughput", "speedups_vs_scalar.engine_megabatch", 3.0)]
+        assert compare_payloads(baseline, current).ok
+        report = compare_payloads(baseline, current, CompareConfig(min_metrics=floor))
+        assert report.failures == ["min-metric engine_throughput:speedups_vs_scalar"
+                                   ".engine_megabatch: 2 below required floor 3"]
+        # The baseline is not consulted: the same floor passes on its values.
+        assert compare_payloads(current, baseline, CompareConfig(min_metrics=floor)).ok
+
+    def test_allow_missing_does_not_excuse_a_missing_floor(self):
+        config = CompareConfig(allow_missing=True,
+                               min_metrics=[("matrix_campaign", "speedup.pool", 1.5)])
+        payload = _engine_payload(ENGINE_METRICS)
+        assert not compare_payloads(payload, payload, config).ok
+        assert not check_min_metrics(payload, config).ok
+
+
+# ----------------------------------------------------------------------
 # Command-line entry points
 # ----------------------------------------------------------------------
 class TestCommandLine:
@@ -380,6 +595,46 @@ class TestCommandLine:
         with pytest.raises(Exception):
             bench_main(["compare", missing, broken, "--allow-missing"])
 
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    @pytest.mark.parametrize("corrupt", [True, False], ids=["corrupt", "schema_invalid"])
+    def test_compare_names_an_unreadable_file(self, tmp_path, side, corrupt):
+        payload = _payload_with_wall({"a": 1.0})
+        good = os.path.join(str(tmp_path), "BENCH_good.json")
+        json.dump(payload, open(good, "w"))
+        del payload["suite"]
+        bad = os.path.join(str(tmp_path), "BENCH_bad.json")
+        open(bad, "w").write("{'a': 1}" if corrupt else json.dumps(payload))
+        paths = [bad, good] if side == "baseline" else [good, bad]
+        with pytest.raises(CorruptArtifactError if corrupt else SchemaError,
+                           match="BENCH_bad.json"):
+            bench_main(["compare", *paths])
+
+    def test_compare_rejects_a_malformed_floor(self, tmp_path, capsys):
+        path = os.path.join(str(tmp_path), "BENCH_current.json")
+        json.dump(_engine_payload(ENGINE_METRICS), open(path, "w"))
+        assert bench_main(["compare", path, path, "--min-metric", "engine_throughput"]) == 2
+        assert "error: --min-metric: expected 'scenario:dotted.path:floor'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("floor, code", [(3, 0), (7, 1)], ids=["met", "violated"])
+    def test_compare_gates_floors_without_a_baseline(self, tmp_path, capsys, floor, code):
+        path = os.path.join(str(tmp_path), "BENCH_current.json")
+        json.dump(_engine_payload(ENGINE_METRICS), open(path, "w"))
+        missing = os.path.join(str(tmp_path), "BENCH_nope.json")
+        assert bench_main(["compare", missing, path, "--allow-missing", "--min-metric",
+                           f"engine_throughput:speedups_vs_scalar.engine_megabatch:{floor}"]
+                          ) == code
+        output = capsys.readouterr().out
+        assert "does not exist" in output
+        assert ("OK: no regressions" if code == 0 else "below required floor 7") in output
+
+    def test_compare_gates_floors_against_a_baseline(self, tmp_path, capsys):
+        path = os.path.join(str(tmp_path), "BENCH_current.json")
+        json.dump(_engine_payload(ENGINE_METRICS), open(path, "w"))
+        assert bench_main(["compare", path, path, "--min-metric",
+                           "engine_throughput:rows[0].error:0.25"]) == 1
+        assert "rows[0].error: 0.125 below required floor 0.25" in capsys.readouterr().out
+
     def test_main_cli_forwards_bench(self, capsys):
         from repro import cli
 
@@ -394,38 +649,3 @@ class TestCommandLine:
         assert baseline["tier"] == "smoke"
         ci_names = {entry.name for entry in DEFAULT_REGISTRY.select(tags=["ci"])}
         assert set(baseline["scenarios"]) == ci_names
-
-
-# ----------------------------------------------------------------------
-# The pytest-compatibility shim in benchmarks/conftest.py
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def bench_conftest(tmp_path, monkeypatch):
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "bench_conftest_under_test",
-        os.path.join(repo_root, "benchmarks", "conftest.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "RESULTS_DIRECTORY", str(tmp_path))
-    return module
-
-
-class TestRecordResultShim:
-    def test_record_result_stamps_scale_and_seed(self, bench_conftest, tmp_path):
-        bench_conftest.record_result("demo", {"error": 0.25}, tier="smoke")
-        with open(os.path.join(str(tmp_path), "demo.json")) as handle:
-            document = json.load(handle)
-        assert document["name"] == "demo"
-        assert document["tier"] == "smoke"
-        assert document["seed"] == 0
-        assert document["scale"]["num_blocks"] == 120
-        assert document["results"] == {"error": 0.25}
-
-    def test_record_result_jsonifies_numpy_payloads(self, bench_conftest, tmp_path):
-        import numpy as np
-
-        bench_conftest.record_result("arrays", {"values": np.arange(3)}, tier="smoke")
-        with open(os.path.join(str(tmp_path), "arrays.json")) as handle:
-            document = json.load(handle)
-        assert document["results"] == {"values": [0, 1, 2]}

@@ -202,6 +202,19 @@ class TestDataset:
         assert dataset.splits.test == [9]
         assert len(dataset.train_examples) == 8
 
+    def test_accessors_follow_the_splits(self, small_dataset):
+        assert sorted(small_dataset.splits.all_indices()) == list(range(len(small_dataset)))
+        assert list(small_dataset) == small_dataset.examples
+        assert small_dataset.validation_examples == small_dataset.subset(
+            small_dataset.splits.validation)
+        assert small_dataset.blocks() == [example.block for example in small_dataset]
+
+    def test_tiny_dataset_borrows_validation_and_test_from_train(self, small_dataset):
+        dataset = BasicBlockDataset(small_dataset.examples[:3], "Haswell")
+        assert len(dataset.splits.train) == 2
+        assert dataset.splits.validation == dataset.splits.train[-1:]
+        assert len(dataset.splits.test) == 1
+
     def test_different_uarch_datasets_have_different_timings(self):
         haswell = build_dataset("haswell", num_blocks=60, seed=4)
         zen2 = build_dataset("zen2", num_blocks=60, seed=4)

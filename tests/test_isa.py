@@ -1,6 +1,8 @@
 """Tests for the ISA substrate: registers, opcodes, operands, instructions,
 basic blocks, the parser, and canonicalization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,19 @@ class TestOperands:
         b = MemoryOperand(displacement=16, base="esp")
         assert a.location_key() == b.location_key()
 
+    def test_str_is_the_assembly_form(self):
+        assert [str(operand) for operand in (
+            RegisterOperand("eax"), ImmediateOperand(-3),
+            MemoryOperand(displacement=-8, base="rbp"),
+            MemoryOperand(base="rsp", index="rbx", scale=4),
+            MemoryOperand(displacement=16))] == [
+                "%eax", "$-3", "-8(%rbp)", "(%rsp,%rbx,4)", "16"]
+
+    def test_memory_operand_reads_address_registers_and_writes_none(self):
+        operand = MemoryOperand(displacement=0, base="esp", index="rbx", scale=8)
+        assert operand.read_registers() == ("rsp", "rbx")
+        assert operand.written_registers() == ()
+
 
 class TestInstructionSemantics:
     def test_rmw_reads_and_writes(self, opcode_table):
@@ -248,6 +263,31 @@ class TestParser:
             parse_instruction("frobnicate %rax")
         with pytest.raises(ParseError):
             parse_instruction("addq %zzz, %rax")
+
+    @pytest.mark.parametrize("text, message", [
+        ("addq $x, %rax", "invalid immediate: '$x'"),
+        ("movq 8(%rax,rbx,4), %rcx", "invalid index register in '8(%rax,rbx,4)'"),
+        ("movq label, %rax", "unparseable operand: 'label'"),
+        ("addq %zzz, %rax", "unknown register: '%zzz'"),
+    ], ids=["immediate", "index_register", "symbol", "register"])
+    def test_operand_errors_name_the_operand(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_instruction(text)
+
+    @pytest.mark.parametrize("text, opcode", [
+        ("shlq %rax", "SHL64r1"), ("sarl %ecx", "SAR32r1"), ("rolq %rdx", "ROL64r1"),
+        ("shrq $3, %rax", "SHR64ri"),
+    ])
+    def test_single_operand_shifts_use_the_implicit_one_form(self, text, opcode):
+        instruction = parse_instruction(text)
+        assert instruction.opcode.name == opcode
+        assert format_instruction(instruction) == text
+
+    def test_bare_displacement_is_an_absolute_address(self):
+        instruction = parse_instruction("movq 16, %rax")
+        assert instruction.opcode.name == "MOV64rm"
+        assert instruction.operands[0] == MemoryOperand(displacement=16)
+        assert format_instruction(instruction) == "movq 16, %rax"
 
     def test_parse_block_skips_comments_and_blank_lines(self):
         block = parse_block("""

@@ -14,8 +14,11 @@ import threading
 import pytest
 
 from repro.api import PredictSpec, ServeSpec, Session
+from repro.engine.binding import LRUCache
 from repro.serving import (InferenceServer, RequestCoalescer, ServerStats,
                            ServingClient, run_load)
+from repro.serving.client import LoadReport
+from repro.serving.stats import percentile
 
 BLOCK_TEXTS = [
     "addq %rax, %rbx",
@@ -158,6 +161,40 @@ class TestServerStats:
         assert snapshot["latency_ms"]["p50"] == pytest.approx(10.0)
         assert snapshot["latency_ms"]["max"] == pytest.approx(30.0)
         json.dumps(snapshot)
+
+    @pytest.mark.parametrize("values, fraction, expected", [
+        ([], 0.5, 0.0), ([7.0], 0.99, 7.0), ([1.0, 2.0, 3.0, 4.0], 0.5, 3.0),
+        ([1.0, 2.0, 3.0, 4.0], 0.0, 1.0), ([1.0, 2.0, 3.0, 4.0], 1.0, 4.0),
+        (list(range(101)), 0.99, 99.0),
+    ], ids=["empty", "single", "median_rounds_up", "min", "max", "p99"])
+    def test_percentile_is_nearest_rank(self, values, fraction, expected):
+        assert percentile(values, fraction) == expected
+
+    def test_result_cache_counters_and_empty_window(self):
+        cache = LRUCache(max_entries=4)
+        cache.put("a", 1.0)
+        cache.get("a")
+        cache.get("b")
+        snapshot = ServerStats().snapshot(cache=cache)
+        assert snapshot["result_cache"] == {"entries": 1, "hits": 1, "misses": 1,
+                                            "hit_rate": 0.5}
+        assert snapshot["latency_ms"] == {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
+        assert snapshot["mean_batch_size"] == 0.0
+
+
+class TestLoadReport:
+    def test_summary_rates_and_latency_percentiles(self):
+        report = LoadReport(num_clients=2, requests=4, blocks=10, elapsed_seconds=2.0,
+                            latencies=[0.004, 0.001, 0.003, 0.002],
+                            errors=["request 4: timed out"])
+        assert report.summary() == {
+            "num_clients": 2, "requests": 4, "blocks": 10, "elapsed_seconds": 2.0,
+            "qps": 2.0, "blocks_per_sec": 5.0,
+            "latency_ms": {"p50": 3.0, "p99": 4.0}, "errors": 1}
+
+    def test_zero_elapsed_time_does_not_divide_by_zero(self):
+        report = LoadReport(num_clients=1, requests=0, blocks=0, elapsed_seconds=0.0)
+        assert (report.qps, report.blocks_per_sec, report.latency_ms(0.5)) == (0.0, 0.0, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@
   in-memory cache keys;
 * unit tests pin the primitive: a failed write leaves the previous file
   intact, and an unparseable file is named in the error;
-* the bench payload, report and CSV writers keep their previous file when a
+* the bench payload and report writers keep their previous file when a
   write fails;
 * every manifest kind, truncated, fails with its path in the message.
 """
@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 
 from repro import storage
+from repro.bench.__main__ import main as bench_main
 from repro.bench.runner import Runner, RunnerConfig
-from repro.eval.plots import Series, write_histogram_csv, write_series_csv
-from repro.eval.reports import write_report
 from repro.storage import (CheckpointMismatchError, CorruptArtifactError,
                            PinnedManifest)
 
 SOURCE_ROOT = pathlib.Path(storage.__file__).resolve().parent
+BENCH_BASELINE = (SOURCE_ROOT.parents[1] / "benchmarks" / "baselines"
+                  / "BENCH_smoke.json")
 
 #: Calls that put a file in place or write a NumPy archive.
 WRITE_CALLS = {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp"),
@@ -166,30 +167,19 @@ def _write_bench_payload(output_dir, value):
 
 
 def _write_report(output_dir, value):
-    path = os.path.join(output_dir, "REPORT.md")
-    write_report(os.path.join(output_dir, "no-results"), path, title=f"Run {value}")
-    return path
-
-
-def _write_series_csv(output_dir, value):
-    path = os.path.join(output_dir, "series.csv")
-    write_series_csv(path, [Series("a", x=[1.0], y=[float(value)])])
-    return path
-
-
-def _write_histogram_csv(output_dir, value):
-    path = os.path.join(output_dir, "histogram.csv")
-    write_histogram_csv(path, {"a": [0.5]}, bins=[0.0, float(value)])
+    payload = dict(storage.read_json(str(BENCH_BASELINE)), suite=f"run{value}")
+    payload_path = pathlib.Path(output_dir) / "BENCH_run.json"
+    payload_path.write_text(json.dumps(payload))
+    path = os.path.join(output_dir, "report", "REPORT.md")
+    assert bench_main(["report", str(payload_path), "--output", path]) == 0
     return path
 
 
 class TestHumanFacingOutputs:
-    """Bench payloads, reports and CSV exports are replaced, never rewritten in place."""
+    """Bench payloads and reports are replaced, never rewritten in place."""
 
-    @pytest.mark.parametrize("writer", [_write_bench_payload, _write_report,
-                                        _write_series_csv, _write_histogram_csv],
-                             ids=["bench_payload", "report", "series_csv",
-                                  "histogram_csv"])
+    @pytest.mark.parametrize("writer", [_write_bench_payload, _write_report],
+                             ids=["bench_payload", "report"])
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, writer):
         path = writer(str(tmp_path), 1)
         previous = pathlib.Path(path).read_bytes()
@@ -201,7 +191,7 @@ class TestHumanFacingOutputs:
         with pytest.raises(OSError, match="disk gone"):
             writer(str(tmp_path), 2)
         assert pathlib.Path(path).read_bytes() == previous
-        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
 
 class TestEncodings:
