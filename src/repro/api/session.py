@@ -5,8 +5,8 @@ resolved through the registries (:mod:`repro.api.registries`) and exposes
 the three verbs the CLI, the pipeline, the benchmark harness, and user code
 all need:
 
-* :meth:`Session.tune` — an end-to-end DiffTune run (wrapping the
-  checkpointable :class:`~repro.pipeline.pipeline.TuningPipeline`, with
+* :meth:`Session.tune` — an end-to-end DiffTune run
+  (:meth:`DiffTune.learn <repro.core.difftune.DiffTune.learn>`, with
   ``checkpoint_dir``/``resume``/``stop_after`` from the spec);
 * :meth:`Session.evaluate` — error / Kendall's tau of a parameter table on a
   dataset split;
@@ -360,9 +360,10 @@ class Session:
         """Run DiffTune end to end; bit-identical to the pre-facade path.
 
         Without arguments, tunes on the session dataset's train split and
-        reports test-split errors.  With explicit ``blocks``/``timings``,
-        tunes on those and skips the test metrics.  ``checkpoint_dir`` /
-        ``resume`` / ``stop_after`` come from the spec.
+        reports test-split errors; a corpus-backed session's train view
+        carries the corpus's featurization store.  With explicit
+        ``blocks``/``timings``, tunes on those and skips the test metrics.
+        ``checkpoint_dir`` / ``resume`` / ``stop_after`` come from the spec.
         """
         from repro.core.difftune import DiffTune
         from repro.eval.metrics import error_and_tau
@@ -371,17 +372,16 @@ class Session:
         if own_dataset:
             blocks, timings = self.split("train")
             self._check_tune_splits(len(blocks), len(self.split("test")[0]))
+            if self.corpus() is not None:
+                blocks = blocks.with_featurization_store(self.featurization_store())
         if timings is None:
             raise ValueError("timings must accompany explicit blocks")
         start_time = time.time()
         difftune = DiffTune(self.adapter, self.config)
-        store = (self.featurization_store()
-                 if own_dataset and self._corpus_directory() is not None else None)
         result = difftune.learn(blocks, np.asarray(timings, dtype=np.float64),
                                 checkpoint_dir=self._spec_get("checkpoint_dir"),
                                 resume=self._spec_get("resume", False),
-                                stop_after=self._spec_get("stop_after"),
-                                featurization_store=store)
+                                stop_after=self._spec_get("stop_after"))
         elapsed = time.time() - start_time
         if result is None:
             return SessionTuneResult(completed=False, elapsed_seconds=elapsed,

@@ -10,6 +10,10 @@ Examples::
     python -m repro.bench compare benchmarks/baselines/BENCH_smoke.json \\
         BENCH_smoke.json --max-wall-ratio 2.0
     python -m repro.bench report BENCH_smoke.json --output REPORT_smoke.md
+
+A missing, truncated or schema-invalid ``BENCH_*.json`` ends the command
+with one ``error: <message naming the file>`` line on stderr and exit
+status 2, as a malformed ``--min-metric`` does.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import List, Optional
 
 from repro import storage
 from repro.bench import (DEFAULT_REGISTRY, CompareConfig, Runner, RunnerConfig,
-                         check_min_metrics, compare_payloads, load_payload,
-                         parse_min_metric, render_report)
+                         SchemaError, check_min_metrics, compare_payloads,
+                         load_payload, parse_min_metric, render_report)
 from repro.eval.experiments import SCALE_TIERS
 
 
@@ -158,7 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
-    return arguments.handler(arguments)
+    try:
+        return arguments.handler(arguments)
+    except (FileNotFoundError, storage.CorruptArtifactError, SchemaError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ script: a stable name, the microarchitectures it parametrizes over, per-tier
 scale presets (smoke / quick / full), and a run callable that returns plain
 metric data.  Scenarios are declared with the :func:`scenario` decorator and
 collected in a :class:`ScenarioRegistry`; the default registry is what
-``python -m repro.bench`` and the pytest harness discover.
+``python -m repro.bench`` discovers.
 
 The run callable receives a :class:`ScenarioContext` carrying the resolved
 scale, the worker count for the simulation engine's parallel path, and a
@@ -116,8 +116,6 @@ class Scenario:
     #: Per-tier scale presets; every tier in SCALE_TIERS is present.
     scales: Mapping[str, ExperimentScale] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
-    #: Optional pretty-printer for the metrics (used by the pytest harness).
-    formatter: Optional[Callable[[Any], str]] = None
 
     def scale_for(self, tier: str) -> ExperimentScale:
         if tier not in SCALE_TIERS:
@@ -179,7 +177,7 @@ class ScenarioRegistry:
         return selected
 
 
-#: The registry ``python -m repro.bench`` and the pytest harness discover.
+#: The registry ``python -m repro.bench`` discovers.
 DEFAULT_REGISTRY = ScenarioRegistry()
 
 
@@ -187,7 +185,6 @@ def scenario(name: str, description: str = "",
              uarches: Optional[Sequence[str]] = None,
              scales: Optional[Mapping[str, ExperimentScale]] = None,
              tags: Sequence[str] = (),
-             formatter: Optional[Callable[[Any], str]] = None,
              registry: Optional[ScenarioRegistry] = None) -> Callable[[RunCallable], Scenario]:
     """Decorator registering a run callable as a :class:`Scenario`.
 
@@ -205,7 +202,6 @@ def scenario(name: str, description: str = "",
             uarches=tuple(uarches) if uarches is not None else None,
             scales=dict(scales or {}),
             tags=tuple(tags),
-            formatter=formatter,
         )
         # `is not None`, not truthiness: an empty registry has len() == 0.
         target = registry if registry is not None else DEFAULT_REGISTRY

@@ -19,107 +19,45 @@ import numpy as np
 
 from repro.bench.registry import ScenarioContext, scenario
 from repro.eval import experiments
-from repro.eval.tables import format_results_table, format_table
 
 ALL_UARCHES = ("ivybridge", "haswell", "skylake", "zen2")
-
-
-def _percent_rows(results: Dict[str, float]) -> List[List[str]]:
-    return [[name, f"{value * 100:.1f}%"] for name, value in results.items()]
 
 
 # ----------------------------------------------------------------------
 # Paper tables and figures
 # ----------------------------------------------------------------------
-def _format_table03(metrics) -> str:
-    rows = []
-    for uarch, stats in metrics.items():
-        rows.append([uarch, stats["num_blocks_total"], stats["num_blocks_train"],
-                     stats["num_blocks_test"], f"{stats['block_length_median']:.1f}",
-                     f"{stats['block_length_mean']:.2f}", stats["block_length_max"],
-                     f"{stats['median_block_timing']:.2f}", stats["unique_opcodes_total"]])
-    return format_table(
-        ["Architecture", "Blocks", "Train", "Test", "Med len", "Mean len", "Max len",
-         "Med timing", "Opcodes"],
-        rows, title="Table III analogue: dataset summary statistics")
-
-
-@scenario("table03_dataset", tags=("paper", "ci"), formatter=_format_table03)
+@scenario("table03_dataset", tags=("paper", "ci"))
 def table03_dataset(ctx: ScenarioContext):
     """Table III — dataset summary statistics per microarchitecture."""
     return experiments.run_table3_dataset_statistics(
         num_blocks=ctx.scale.num_blocks, seed=ctx.seed)
 
 
-def _format_table04(metrics) -> str:
-    return format_results_table(metrics, title="Table IV analogue")
-
-
-@scenario("table04_main_results", uarches=ALL_UARCHES, tags=("paper",),
-          formatter=_format_table04)
+@scenario("table04_main_results", uarches=ALL_UARCHES, tags=("paper",))
 def table04_main_results(ctx: ScenarioContext):
     """Table IV — error and Kendall's tau of every predictor on one target."""
     return experiments.run_table4_for_uarch(ctx.uarch, ctx.scale)
 
 
-def _format_table05(metrics) -> str:
-    rows = []
-    for group_kind in ("per_application", "per_category"):
-        default_groups = metrics[group_kind]["default"]
-        learned_groups = metrics[group_kind]["learned"]
-        for name in sorted(default_groups):
-            count, default_error = default_groups[name]
-            _count, learned_error = learned_groups.get(name, (0, float("nan")))
-            rows.append([name, count, f"{default_error * 100:.1f}%",
-                         f"{learned_error * 100:.1f}%"])
-    return format_table(["Block type", "# Blocks", "Default error", "Learned error"], rows,
-                        title="Table V analogue: per-application / per-category error "
-                              "(Haswell)")
-
-
-@scenario("table05_per_application", tags=("paper",), formatter=_format_table05)
+@scenario("table05_per_application", tags=("paper",))
 def table05_per_application(ctx: ScenarioContext):
     """Table V — per-application and per-category error on Haswell."""
     return experiments.run_table5(ctx.scale, dataset=ctx.dataset("haswell"))
 
 
-def _format_table06(metrics) -> str:
-    table6 = metrics["table6"]
-    rows = [["Default", table6["default"]["DispatchWidth"],
-             table6["default"]["ReorderBufferSize"]],
-            ["Learned", table6["learned"]["DispatchWidth"],
-             table6["learned"]["ReorderBufferSize"]]]
-    return format_table(["Parameters", "DispatchWidth", "ReorderBufferSize"], rows,
-                        title="Table VI analogue: global parameters (Haswell)")
-
-
-@scenario("table06_global_params", tags=("paper", "ci"), formatter=_format_table06)
+@scenario("table06_global_params", tags=("paper", "ci"))
 def table06_global_params(ctx: ScenarioContext):
     """Table VI + Figures 4/5 — learned globals, histograms, sensitivity."""
     return experiments.run_table6_and_figures(ctx.scale, dataset=ctx.dataset("haswell"))
 
 
-def _format_table08(metrics) -> str:
-    return format_results_table({"Haswell (llvm_sim)": metrics},
-                                title="Table VIII analogue: llvm_sim")
-
-
-@scenario("table08_llvm_sim", tags=("paper", "ci"), formatter=_format_table08)
+@scenario("table08_llvm_sim", tags=("paper", "ci"))
 def table08_llvm_sim(ctx: ScenarioContext):
     """Table VIII (Appendix A) — llvm_sim with default vs learned parameters."""
     return experiments.run_table8_llvm_sim(ctx.scale, dataset=ctx.dataset("haswell"))
 
 
-def _format_fig02(metrics) -> str:
-    simulator_curve = dict(metrics["llvm_mca"])
-    surrogate_curve = dict(metrics["surrogate"])
-    rows = [[width, f"{simulator_curve[width]:.2f}", f"{surrogate_curve[width]:.2f}"]
-            for width in sorted(simulator_curve)]
-    return format_table(["DispatchWidth", "llvm-mca timing", "Surrogate timing"], rows,
-                        title=f"Figure 2 analogue: {metrics['block']}")
-
-
-@scenario("fig02_surrogate_sweep", tags=("paper",), formatter=_format_fig02)
+@scenario("fig02_surrogate_sweep", tags=("paper",))
 def fig02_surrogate_sweep(ctx: ScenarioContext):
     """Figure 2 — llvm-mca vs the trained surrogate while sweeping DispatchWidth."""
     return experiments.run_figure2_surrogate_sweep(ctx.scale,
@@ -129,24 +67,14 @@ def fig02_surrogate_sweep(ctx: ScenarioContext):
 # ----------------------------------------------------------------------
 # Section experiments
 # ----------------------------------------------------------------------
-def _format_sec2b(metrics) -> str:
-    return format_table(["WriteLatency source", "Error"], _percent_rows(metrics),
-                        title="Section II-B analogue: measured-latency tables (Haswell)")
-
-
-@scenario("sec2b_measured_tables", tags=("paper", "ci"), formatter=_format_sec2b)
+@scenario("sec2b_measured_tables", tags=("paper", "ci"))
 def sec2b_measured_tables(ctx: ScenarioContext):
     """Section II-B — error of measured min/median/max latency tables."""
     return experiments.run_section2b_measured_tables(num_blocks=ctx.scale.num_blocks,
                                                      seed=ctx.seed)
 
 
-def _format_sec5a(metrics) -> str:
-    return format_table(["Statistic", "Error"], _percent_rows(metrics),
-                        title="Section V-A analogue: random parameter tables (Haswell)")
-
-
-@scenario("sec5a_random_tables", tags=("paper", "ci"), formatter=_format_sec5a)
+@scenario("sec5a_random_tables", tags=("paper", "ci"))
 def sec5a_random_tables(ctx: ScenarioContext):
     """Section V-A — error of randomly sampled parameter tables on Haswell.
 
@@ -168,37 +96,14 @@ def sec5a_random_tables(ctx: ScenarioContext):
             "min": float(errors.min()), "max": float(errors.max())}
 
 
-def _format_sec6b(metrics) -> str:
-    return format_results_table({"Haswell": metrics},
-                                title="Section VI-B analogue: WriteLatency-only learning")
-
-
-@scenario("sec6b_writelatency_only", tags=("paper",), formatter=_format_sec6b)
+@scenario("sec6b_writelatency_only", tags=("paper",))
 def sec6b_writelatency_only(ctx: ScenarioContext):
     """Section VI-B — learning only WriteLatency vs learning every parameter."""
     return experiments.run_section6b_writelatency_only(ctx.scale,
                                                        dataset=ctx.dataset("haswell"))
 
 
-def _format_sec6c(metrics) -> str:
-    cases = metrics["cases"] if isinstance(metrics, dict) else metrics
-    rows = [[case["name"], f"{case['true_timing']:.2f}",
-             f"{case['default_prediction']:.2f}", f"{case['learned_prediction']:.2f}",
-             case["default_latency"], case["learned_latency"]] for case in cases]
-    text = format_table(
-        ["Case", "True", "Default pred", "Learned pred", "Default lat", "Learned lat"],
-        rows, title="Section VI-C analogue: case studies (Haswell)")
-    sensitivity = (metrics.get("write_latency_sensitivity", [])
-                   if isinstance(metrics, dict) else [])
-    if sensitivity:
-        lines = [text, "WriteLatency sensitivity (campaign error spread per opcode):"]
-        for entry in sensitivity:
-            lines.append(f"  {entry['axis']:28s} {entry['spread'] * 100:.2f}%")
-        text = "\n".join(lines)
-    return text
-
-
-@scenario("sec6c_case_studies", tags=("paper",), formatter=_format_sec6c)
+@scenario("sec6c_case_studies", tags=("paper",))
 def sec6c_case_studies(ctx: ScenarioContext):
     """Section VI-C — case studies plus the case-study opcodes' WriteLatency
     sensitivity, via the ``sec6c_write_latency`` campaign preset."""
@@ -235,13 +140,7 @@ def _regrouped_table(adapter):
     return regrouped
 
 
-def _format_ablation_ports(metrics) -> str:
-    return format_table(["PortMap representation", "Test error"], _percent_rows(metrics),
-                        title="Ablation: port-group semantics (Haswell)")
-
-
-@scenario("ablation_port_groups", tags=("ablation", "ci"),
-          formatter=_format_ablation_ports)
+@scenario("ablation_port_groups", tags=("ablation", "ci"))
 def ablation_port_groups(ctx: ScenarioContext):
     """Ablation — port-group semantics vs the paper's flattened PortMap."""
     from repro.eval.metrics import mean_absolute_percentage_error
@@ -260,13 +159,7 @@ def ablation_port_groups(ctx: ScenarioContext):
     }
 
 
-def _format_ablation_surrogate(metrics) -> str:
-    return format_table(["Configuration", "Test error"], _percent_rows(metrics),
-                        title="Ablation: surrogate variant and refinement (Haswell)")
-
-
-@scenario("ablation_surrogate", tags=("ablation",),
-          formatter=_format_ablation_surrogate)
+@scenario("ablation_surrogate", tags=("ablation",))
 def ablation_surrogate(ctx: ScenarioContext):
     """Ablation — surrogate architecture and refinement rounds."""
     from repro.core.difftune import DiffTune
@@ -302,12 +195,7 @@ def ablation_surrogate(ctx: ScenarioContext):
 # ----------------------------------------------------------------------
 # Black-box search baselines (Section V-C context)
 # ----------------------------------------------------------------------
-def _format_baseline_search(metrics) -> str:
-    return format_table(["Search technique", "Test error"], _percent_rows(metrics),
-                        title="Black-box search baselines (Haswell)")
-
-
-@scenario("baseline_search", tags=("search",), formatter=_format_baseline_search)
+@scenario("baseline_search", tags=("search",))
 def baseline_search(ctx: ScenarioContext):
     """Black-box searches (genetic / annealing / coordinate descent) vs default."""
     from repro.baselines import (AnnealingConfig, CoordinateDescentConfig,
@@ -349,17 +237,7 @@ def baseline_search(ctx: ScenarioContext):
 # ----------------------------------------------------------------------
 # Engine throughput (perf trajectory for the PR-1 engine layer)
 # ----------------------------------------------------------------------
-def _format_engine_throughput(metrics) -> str:
-    rows = [[name, f"{row['blocks_per_sec']:.0f}", f"{row['seconds']:.3f}s"]
-            for name, row in metrics["paths"].items()]
-    for name, speedup in metrics["speedups_vs_scalar"].items():
-        rows.append([f"speedup ({name}/scalar)", f"{speedup:.2f}x", ""])
-    return format_table(["Path", "Blocks/sec", "Wall time"], rows,
-                        title="Engine throughput (scalar vs engine paths)")
-
-
-@scenario("engine_throughput", tags=("perf", "ci"),
-          formatter=_format_engine_throughput)
+@scenario("engine_throughput", tags=("perf", "ci"))
 def engine_throughput(ctx: ScenarioContext):
     """Blocks/second: scalar loop vs megabatch kernel and engine paths.
 
@@ -507,15 +385,7 @@ def engine_throughput(ctx: ScenarioContext):
 # ----------------------------------------------------------------------
 # Surrogate-training and table-optimization throughput
 # ----------------------------------------------------------------------
-def _format_surrogate_training_throughput(metrics) -> str:
-    rows = [[name, f"{row['examples_per_sec']:.0f}", f"{row['seconds']:.3f}s"]
-            for name, row in metrics["paths"].items()]
-    return format_table(["Path", "Examples/sec", "Wall time"], rows,
-                        title="Surrogate-training throughput")
-
-
-@scenario("surrogate_training_throughput", tags=("perf", "ci"),
-          formatter=_format_surrogate_training_throughput)
+@scenario("surrogate_training_throughput", tags=("perf", "ci"))
 def surrogate_training_throughput(ctx: ScenarioContext):
     """Examples/second of batch-major surrogate training.
 
@@ -571,15 +441,7 @@ def surrogate_training_throughput(ctx: ScenarioContext):
     }
 
 
-def _format_table_optimization_throughput(metrics) -> str:
-    rows = [[name, f"{row['examples_per_sec']:.0f}", f"{row['seconds']:.3f}s"]
-            for name, row in metrics["paths"].items()]
-    return format_table(["Path", "Examples/sec", "Wall time"], rows,
-                        title="Phase-two table-optimization throughput")
-
-
-@scenario("table_optimization_throughput", tags=("perf", "ci"),
-          formatter=_format_table_optimization_throughput)
+@scenario("table_optimization_throughput", tags=("perf", "ci"))
 def table_optimization_throughput(ctx: ScenarioContext):
     """Examples/second of batch-major phase-two table optimization.
 
@@ -635,19 +497,7 @@ def table_optimization_throughput(ctx: ScenarioContext):
     }
 
 
-def _format_pipeline_resume(metrics) -> str:
-    rows = [
-        ["full run", f"{metrics['full_run_seconds']:.3f}s"],
-        ["interrupted run", f"{metrics['interrupted_seconds']:.3f}s"],
-        ["resumed run", f"{metrics['resume_seconds']:.3f}s"],
-        ["stages resumed", str(metrics["stages_resumed"])],
-        ["bit-identical table", "yes" if metrics["tables_bit_identical"] else "NO"],
-    ]
-    return format_table(["Step", "Value"], rows,
-                        title="Pipeline checkpoint/resume smoke test")
-
-
-@scenario("pipeline_resume", tags=("perf", "ci"), formatter=_format_pipeline_resume)
+@scenario("pipeline_resume", tags=("perf", "ci"))
 def pipeline_resume(ctx: ScenarioContext):
     """Kill a tuning run after surrogate training, resume it, compare tables.
 
@@ -709,26 +559,7 @@ def pipeline_resume(ctx: ScenarioContext):
     }
 
 
-def _format_serving_latency(metrics) -> str:
-    rows = []
-    for label in ("sequential", "batched"):
-        phase = metrics["phases"][label]
-        rows.append([f"{label} ({phase['num_clients']} client"
-                     f"{'s' if phase['num_clients'] > 1 else ''})",
-                     f"{phase['qps']:.0f}",
-                     f"{phase['latency_ms']['p50']:.2f}ms",
-                     f"{phase['latency_ms']['p99']:.2f}ms"])
-    rows.append(["throughput ratio (batched/sequential)",
-                 f"{metrics['throughput_ratio_batched_vs_sequential']:.2f}x",
-                 "", ""])
-    rows.append(["served == direct predict",
-                 "yes" if metrics["bit_identical"] else "NO", "", ""])
-    return format_table(["Phase", "QPS", "p50", "p99"], rows,
-                        title="Serving latency (HTTP server, coalesced batches)")
-
-
-@scenario("serving_latency", tags=("perf", "ci"),
-          formatter=_format_serving_latency)
+@scenario("serving_latency", tags=("perf", "ci"))
 def serving_latency(ctx: ScenarioContext):
     """QPS and p50/p99 latency of the inference server, sequential vs batched.
 
@@ -848,20 +679,7 @@ def serving_latency(ctx: ScenarioContext):
     }
 
 
-def _format_campaign_throughput(metrics) -> str:
-    rows = [[name, f"{row['variants_per_sec']:.1f}", f"{row['seconds']:.3f}s"]
-            for name, row in metrics["paths"].items()]
-    rows.append(["speedup (cached/uncached)",
-                 f"{metrics['speedup']['cached']:.2f}x", ""])
-    rows.append(["byte-identical reports",
-                 "yes" if metrics["reports_identical"] else "NO", ""])
-    return format_table(["Path", "Variants/sec", "Wall time"], rows,
-                        title="Campaign throughput (engine result caching "
-                              "across repeated campaigns)")
-
-
-@scenario("campaign_throughput", tags=("perf", "ci"),
-          formatter=_format_campaign_throughput)
+@scenario("campaign_throughput", tags=("perf", "ci"))
 def campaign_throughput(ctx: ScenarioContext):
     """Variants/second of a grid campaign, uncached vs engine-result-cached.
 
@@ -920,27 +738,7 @@ def campaign_throughput(ctx: ScenarioContext):
     }
 
 
-def _format_corpus_streaming(metrics) -> str:
-    build = metrics["build"]
-    rows = [["corpus build", f"{build['blocks_per_second']:.0f} blocks/s",
-             f"{build['seconds']:.3f}s", ""]]
-    for label in ("streaming", "in_memory"):
-        phase = metrics["phases"][label]
-        rows.append([f"collect ({label})",
-                     f"{phase['examples_per_second']:.0f} examples/s",
-                     f"{phase['seconds']:.3f}s",
-                     f"{phase['peak_traced_mb']:.1f} MB"])
-    rows.append(["memory ratio (streaming/in-memory)",
-                 f"{metrics['memory_ratio_streaming_vs_in_memory']:.2f}x", "", ""])
-    rows.append(["bit-identical dataset",
-                 "yes" if metrics["arrays_bit_identical"] else "NO", "", ""])
-    return format_table(["Phase", "Rate", "Wall time", "Peak traced"], rows,
-                        title="Corpus-scale streaming collection "
-                              "(sharded corpus vs block list)")
-
-
-@scenario("corpus_streaming", tags=("perf", "ci"),
-          formatter=_format_corpus_streaming)
+@scenario("corpus_streaming", tags=("perf", "ci"))
 def corpus_streaming(ctx: ScenarioContext):
     """Blocks/sec, examples/sec, and peak memory of corpus-scale collection.
 
@@ -1056,20 +854,7 @@ def corpus_streaming(ctx: ScenarioContext):
     }
 
 
-def _format_matrix_campaign(metrics) -> str:
-    rows = [[name, f"{row['seconds']:.3f}s", f"{row['cells_per_sec']:.2f}"]
-            for name, row in metrics["paths"].items()]
-    rows.append(["speedup (pool/inline)",
-                 f"{metrics['speedup']['pool']:.2f}x", ""])
-    rows.append(["byte-identical reports",
-                 "yes" if metrics["reports_identical"] else "NO", ""])
-    return format_table(["Executor", "Wall time", "Cells/sec"], rows,
-                        title="Matrix campaign (process-pool fan-out vs "
-                              "sequential cells)")
-
-
-@scenario("matrix_campaign", tags=("perf", "ci"),
-          formatter=_format_matrix_campaign)
+@scenario("matrix_campaign", tags=("perf", "ci"))
 def matrix_campaign(ctx: ScenarioContext):
     """Matrix-campaign fan-out: process-pool executor vs sequential inline.
 

@@ -10,12 +10,14 @@ Ties the four stages of Figure 1 together:
 4. train the parameter table against the ground truth through the frozen
    surrogate, then extract the learned table back into the simulator.
 
-The stages themselves live in :mod:`repro.pipeline` — an orchestrated,
-per-stage-checkpointable pipeline — and :class:`DiffTune` is the thin,
-stable API over it.  Passing ``checkpoint_dir`` persists every completed
-stage; ``resume=True`` then picks the run up at the first incomplete stage
-and reproduces an uninterrupted run bit for bit (the pipeline snapshots the
-random stream between stages).
+:meth:`DiffTune.learn` runs that sequence itself: the stages and their
+checkpoint artifacts live in :mod:`repro.pipeline.stages`.  Passing
+``checkpoint_dir`` persists every completed stage; ``resume=True`` then
+picks the run up at the first incomplete stage and reproduces an
+uninterrupted run bit for bit (the random stream is snapshotted between
+stages).  Where a block's featurized arrays come from is the block
+source's business: a corpus view bound to a featurization store serves
+them from it (:meth:`~repro.core.surrogate.FeaturizationCache.lookup`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from repro.core.surrogate import BlockFeaturizer, SurrogateConfig, build_surroga
 from repro.core.surrogate_training import SurrogateTrainingConfig, SurrogateTrainingResult
 from repro.core.table_optimization import TableOptimizationConfig, TableOptimizationResult
 from repro.isa.basic_block import BasicBlock
+from repro.pipeline.checkpoint import CheckpointStore
+from repro.pipeline.pipeline import run_fingerprint
+from repro.pipeline.stages import (PipelineState, build_stages, collect_examples,
+                                   log_engine_stats)
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +102,6 @@ class DiffTune:
     # ------------------------------------------------------------------
     def collect_simulated_dataset(self, blocks: Sequence[BasicBlock],
                                   rng: np.random.Generator) -> SimulatedDataset:
-        from repro.pipeline.stages import collect_examples, log_engine_stats
-
         logger.info(f"collecting simulated dataset "
                     f"({self.config.simulated_dataset_size} examples)")
         dataset = collect_examples(self.adapter, self.config, blocks, rng)
@@ -108,57 +112,78 @@ class DiffTune:
         return build_surrogate(self.adapter.parameter_spec(), self.featurizer,
                                self.config.surrogate)
 
-    def pipeline(self, checkpoint_dir: Optional[str] = None,
-                 featurization_store=None):
-        """The underlying :class:`~repro.pipeline.pipeline.TuningPipeline`.
-
-        Imported lazily: :mod:`repro.pipeline` itself imports ``repro.core``
-        submodules, and the runtime import keeps either package safely
-        importable first.
-        """
-        from repro.pipeline.pipeline import TuningPipeline
-
-        return TuningPipeline(self.adapter, self.config,
-                              featurizer=self.featurizer,
-                              checkpoint_dir=checkpoint_dir,
-                              featurization_store=featurization_store)
-
     # ------------------------------------------------------------------
     # End-to-end run
     # ------------------------------------------------------------------
     def learn(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray,
-              simulated_dataset: Optional[SimulatedDataset] = None,
               checkpoint_dir: Optional[str] = None, resume: bool = False,
-              stop_after: Optional[str] = None,
-              featurization_store=None) -> Optional[DiffTuneResult]:
+              stop_after: Optional[str] = None) -> Optional[DiffTuneResult]:
         """Run DiffTune end to end on a ground-truth training set.
+
+        Executes the stage sequence of
+        :func:`~repro.pipeline.stages.build_stages` over ``blocks``: a
+        block list, or a lazy corpus view (which may carry a featurization
+        store serving both training phases).
 
         Args:
             blocks: Training basic blocks.
             true_timings: Measured timings aligned with ``blocks``.
-            simulated_dataset: Optionally a pre-collected simulated dataset
-                (used by tests and by experiments that reuse one simulated
-                dataset across ablations).
-            checkpoint_dir: Persist every completed stage's artifacts here.
+            checkpoint_dir: Persist every completed stage's artifacts here,
+                bound to the run's :func:`~repro.pipeline.pipeline.run_fingerprint`.
             resume: Restore completed stages from ``checkpoint_dir`` and
                 continue at the first incomplete one.  A resumed run yields
                 a bit-identical result to an uninterrupted run.
             stop_after: Stop once the named stage has completed (and been
                 checkpointed).  Returns ``None`` when the run stops before
                 the final stage — resume later to finish it.
-            featurization_store: Optional
-                :class:`~repro.corpus.store.ShardedFeaturizationStore`
-                serving memory-mapped per-block arrays to both training
-                phases (corpus-backed runs only).
         """
         start_time = time.time()
         true_timings = np.asarray(true_timings, dtype=np.float64)
         if len(blocks) != len(true_timings):
             raise ValueError("blocks and true_timings must be aligned")
-        state = self.pipeline(checkpoint_dir,
-                              featurization_store=featurization_store).run(
-            blocks, true_timings, simulated_dataset=simulated_dataset,
-            resume=resume, stop_after=stop_after)
+        stages = build_stages(self.config)
+        names = [stage.name for stage in stages]
+        if stop_after is not None and stop_after not in names:
+            raise ValueError(f"unknown stage {stop_after!r}; expected one of {names}")
+        if stop_after is not None and checkpoint_dir is None:
+            raise ValueError("stop_after without a checkpoint directory would "
+                             "discard the completed stages' work")
+
+        checkpoints: Optional[CheckpointStore] = None
+        if checkpoint_dir is not None:
+            checkpoints = CheckpointStore(checkpoint_dir)
+            checkpoints.bind_fingerprint(
+                run_fingerprint(self.adapter, self.config, blocks, true_timings),
+                resume)
+            if not resume:
+                checkpoints.reset()
+        elif resume:
+            raise ValueError("resume=True requires a checkpoint directory")
+
+        # Corpus-backed block sources stay lazy (list() would parse the whole
+        # corpus); plain iterables are materialized.
+        kept_blocks = (blocks if hasattr(blocks, "content_fingerprint")
+                       else list(blocks))
+        state = PipelineState(
+            adapter=self.adapter, config=self.config, blocks=kept_blocks,
+            true_timings=true_timings, rng=np.random.default_rng(self.config.seed),
+            featurizer=self.featurizer, checkpoint_store=checkpoints, resume=resume)
+        for stage in stages:
+            if resume and checkpoints.is_complete(stage.name):
+                stage.load(state, checkpoints)
+                checkpoints.restore_rng(stage.name, state.rng)
+                state.resumed_stages.append(stage.name)
+                logger.info(f"resume: restored completed stage '{stage.name}' "
+                            f"from {checkpoint_dir}")
+            else:
+                stage.run(state)
+                if checkpoints is not None:
+                    stage.save(state, checkpoints)
+                    checkpoints.mark_complete(stage.name, state.rng)
+            if stop_after == stage.name:
+                logger.info(f"stopping after stage '{stage.name}' as requested")
+                break
+
         if state.learned_arrays is None:
             logger.info(f"run stopped after stage '{stop_after}'; "
                         f"resume from {checkpoint_dir} to finish it")

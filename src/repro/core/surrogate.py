@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -428,29 +428,28 @@ class FeaturizationCache:
             resolved.append(arrays)
         return resolved
 
-    def lookup(self, blocks: Sequence[BasicBlock], store: Any
+    def lookup(self, blocks: Sequence[BasicBlock]
                ) -> Callable[[int], Dict[str, np.ndarray]]:
         """``position -> per-block arrays`` over a block source.
 
-        The one place that decides where a block's arrays come from:
+        The one place that decides where a block's arrays come from, and it
+        decides from the block source alone:
 
-        * a corpus (anything with a ``content_fingerprint``: a
-          :class:`~repro.corpus.sharded.ShardedCorpus` or a
-          :class:`~repro.corpus.sharded.CorpusView`) with a featurization
-          ``store`` reads the store's memory maps by corpus-global index —
-          ``blocks.global_index(position)`` for a view, the position itself
-          for a whole corpus;
-        * a corpus with ``store=None`` featurizes each block on demand, so
+        * a corpus view bound to a featurization store
+          (:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`)
+          reads the store's memory maps at ``blocks.global_index(position)``;
+        * a corpus or a view without a store (anything with a
+          ``content_fingerprint``) featurizes each block on demand, so
           memory stays bounded by this cache's LRU;
         * a block list is resolved once, here, so a minibatch loop reading
-          the lookup runs no digest; ``store`` is not read.
+          the lookup runs no digest.
         """
         if not hasattr(blocks, "content_fingerprint"):
             return self.resolve([self.featurize(block) for block in blocks]).__getitem__
+        store = getattr(blocks, "featurization_store", None)
         if store is None:
             return lambda position: self.arrays_for(self.featurize(blocks[position]))
-        global_index = getattr(blocks, "global_index", int)
-        return lambda position: store.arrays_for_index(global_index(position))
+        return lambda position: store.arrays_for_index(blocks.global_index(position))
 
     @staticmethod
     def pack(block_arrays: Sequence[Dict[str, np.ndarray]]) -> PackedBlockBatch:

@@ -5,10 +5,11 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 Adam and MAPE loss.
 
 Training is batch-major.  Before the minibatch loop, one
-:meth:`~repro.core.surrogate.FeaturizationCache.lookup` decides where each
-block's packed arrays come from (resolved up front for a block list, a
-featurization store or on-demand featurization for a corpus), so the loop
-itself runs no content digest.  Each minibatch is padded from that lookup,
+:meth:`~repro.core.surrogate.FeaturizationCache.lookup` over the dataset's
+block source decides where each block's packed arrays come from (resolved
+up front for a block list, the featurization store a corpus view carries,
+or on-demand featurization for a view without one), so the loop itself
+runs no content digest.  Each minibatch is padded from that lookup,
 its examples' parameter rows are gathered from the dataset's stacked
 tables in one index and normalized together
 (:func:`~repro.core.surrogate.batch_parameter_inputs`), and the whole
@@ -20,7 +21,7 @@ per-example reference forwards in ``tests/surrogate_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -79,8 +80,7 @@ def _batch_inputs(spec: ParameterSpec, dataset: SimulatedDataset,
 
 
 def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
-                    config: SurrogateTrainingConfig,
-                    store: Any = None) -> SurrogateTrainingResult:
+                    config: SurrogateTrainingConfig) -> SurrogateTrainingResult:
     """Train ``surrogate`` to mimic the simulator on ``dataset``.
 
     Args:
@@ -90,8 +90,6 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
             training loop logs ``(epoch, batch, loss)`` at DEBUG every N
             batches and always on the final (possibly partial) batch of
             each epoch.
-        store: Optional featurization store serving a corpus-backed
-            dataset's per-block arrays (:meth:`FeaturizationCache.lookup`).
 
     Returns:
         Per-epoch mean losses and the final full-pass training error.
@@ -102,8 +100,7 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     # One lookup serves every minibatch and the final evaluation.
-    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks,
-                                                                   store)
+    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks)
 
     def _batched_loss(batch_indices: np.ndarray):
         packed, per_instruction, global_values, targets = _batch_inputs(
@@ -129,12 +126,12 @@ def evaluate_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
                        batch_size: int = 64) -> float:
     """MAPE of the surrogate against the simulator on ``dataset``.
 
-    Runs the surrogate's batched forward in ``batch_size`` chunks.
+    Runs the surrogate's batched forward in ``batch_size`` chunks, reading
+    the per-block arrays from the same lookup training uses.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks,
-                                                                   None)
+    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks)
     return _evaluate(surrogate, dataset, block_arrays, batch_size)
 
 

@@ -10,13 +10,14 @@ the surrogate (Section IV, "Solving the optimization problems").
 Like surrogate training (phase one), optimization is batch-major: each
 block's packed arrays come from one
 :meth:`~repro.core.surrogate.FeaturizationCache.lookup` built before the
-minibatch loop (resolved up front for a block list, a featurization store
-or on-demand featurization for a corpus); each minibatch is packed
-into one padded :class:`~repro.core.surrogate.PackedBlockBatch`, the trainable
-table's rows for the whole batch are gathered with the scatter-add ``gather``
-primitive (so gradients of repeated opcodes accumulate into the same table
-row), and the minibatch advances through the surrogate's ``forward_batch`` on
-the shared :mod:`~repro.core.training_loop` implementation.  The property
+minibatch loop (resolved up front for a block list, the featurization store
+a corpus view carries, or on-demand featurization for a view without one);
+each minibatch is packed into one padded
+:class:`~repro.core.surrogate.PackedBlockBatch`, the trainable table's rows
+for the whole batch are gathered with the scatter-add ``gather`` primitive
+(so gradients of repeated opcodes accumulate into the same table row), and
+the minibatch advances through the surrogate's ``forward_batch`` on the
+shared :mod:`~repro.core.training_loop` implementation.  The property
 tests pin it within 1e-9 to a per-block reference built on the per-example
 forwards in ``tests/surrogate_reference.py``.
 """
@@ -24,7 +25,7 @@ forwards in ``tests/surrogate_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,12 +134,14 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
                              config: TableOptimizationConfig,
                              initial_arrays: Optional[ParameterArrays] = None,
                              frozen_per_instruction_mask: Optional[np.ndarray] = None,
-                             frozen_global_mask: Optional[np.ndarray] = None,
-                             store: Any = None) -> TableOptimizationResult:
+                             frozen_global_mask: Optional[np.ndarray] = None
+                             ) -> TableOptimizationResult:
     """Optimize the simulator's parameter table through the frozen surrogate.
 
     Args:
-        surrogate: A trained surrogate; its weights are *not* updated.
+        surrogate: A trained surrogate; its weights are *not* updated and
+            record no gradients (their ``requires_grad`` flags are off for
+            the minibatch loop and restored afterwards).
         blocks: Ground-truth training blocks.
         true_timings: Measured timings aligned with ``blocks``.
         config: Optimization hyper-parameters.
@@ -152,8 +155,6 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
             WriteLatency-only experiment), so the optimizer cannot "spend" its
             loss reduction on fields the extracted table will not use.
         frozen_global_mask: Same, for the global parameter vector.
-        store: Optional featurization store serving a corpus's per-block
-            arrays (:meth:`~repro.core.surrogate.FeaturizationCache.lookup`).
     """
     if len(blocks) != len(true_timings):
         raise ValueError("blocks and true_timings must be aligned")
@@ -178,7 +179,7 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
 
     surrogate.eval()
     targets = np.asarray(true_timings, dtype=np.float64)
-    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(blocks, store)
+    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(blocks)
 
     def _batched_loss(batch_indices: np.ndarray):
         rows = [int(index) for index in batch_indices]
@@ -187,11 +188,22 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
         predictions = surrogate.forward_batch(packed, per_instruction, global_matrix)
         return surrogate_loss(predictions, [float(targets[row]) for row in rows])
 
-    loop = run_minibatch_loop(
-        len(blocks), _batched_loss, optimizer, rng,
-        batch_size=config.batch_size, epochs=config.epochs,
-        shuffle=config.shuffle, gradient_clip=config.gradient_clip,
-        log_every=config.log_every, post_step=restore_frozen)
+    # The surrogate is frozen: its weights record no gradients, so each
+    # backward stops at the table.  Every flag is restored afterwards, so a
+    # later refinement round still trains the surrogate.
+    weights = surrogate.parameters()
+    flags = [weight.requires_grad for weight in weights]
+    for weight in weights:
+        weight.requires_grad = False
+    try:
+        loop = run_minibatch_loop(
+            len(blocks), _batched_loss, optimizer, rng,
+            batch_size=config.batch_size, epochs=config.epochs,
+            shuffle=config.shuffle, gradient_clip=config.gradient_clip,
+            log_every=config.log_every, post_step=restore_frozen)
+    finally:
+        for weight, flag in zip(weights, flags):
+            weight.requires_grad = flag
 
     return TableOptimizationResult(learned_arrays=table.to_parameter_arrays(),
                                    epoch_losses=loop.epoch_losses,

@@ -5,8 +5,9 @@ digest-keyed memory-mapped featurization store (:mod:`repro.corpus.store`).
 A :class:`~repro.corpus.sharded.CorpusView` is a block source like any
 block list: :func:`repro.core.simulated_dataset.collect_simulated_dataset`
 collects over it with mid-stage checkpoints, and both training phases read
-its per-block arrays from the store
-(:meth:`repro.core.surrogate.FeaturizationCache.lookup`).  Together they let
+its per-block arrays from the store the view carries
+(:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`, read
+by :meth:`repro.core.surrogate.FeaturizationCache.lookup`).  Together they let
 generation, collection, and surrogate training run at 10^5–10^6+ blocks
 with flat peak RSS, shared featurization across processes, and
 bit-identical ``--resume`` at every shard/checkpoint boundary.

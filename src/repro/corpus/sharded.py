@@ -480,7 +480,9 @@ class CorpusView(Sequence):
     Implements the read-only ``Sequence[BasicBlock]`` protocol the collection
     and pipeline layers expect of a block list, without parsing anything
     until an index is touched; parsed blocks come from the corpus's bounded
-    caches.
+    caches.  A view may carry a featurization store
+    (:meth:`with_featurization_store`), which then serves its blocks'
+    featurized arrays to both training phases.
     """
 
     def __init__(self, corpus: ShardedCorpus, indices: Sequence[int]) -> None:
@@ -489,6 +491,22 @@ class CorpusView(Sequence):
         if len(self.indices) and not (0 <= int(self.indices.min())
                                       and int(self.indices.max()) < len(corpus)):
             raise IndexError("view indices out of corpus range")
+        #: The :class:`~repro.corpus.store.ShardedFeaturizationStore` bound
+        #: by :meth:`with_featurization_store`; ``None`` featurizes on demand.
+        self.featurization_store: Any = None
+
+    def with_featurization_store(self, store: Any) -> "CorpusView":
+        """This view with ``store`` serving its blocks' featurized arrays.
+
+        The one place a store is bound to blocks.  It runs
+        ``store.ensure(self.corpus)``: a store recorded against other corpus
+        shards raises :class:`CorpusError` naming both directories, and
+        shards the store still lacks are featurized first, so every index
+        of the view is covered.
+        """
+        view = CorpusView(self.corpus, self.indices)
+        view.featurization_store = store.ensure(self.corpus)
+        return view
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -496,8 +514,10 @@ class CorpusView(Sequence):
     def __getitem__(self, position):
         if isinstance(position, slice):
             # Slicing stays lazy: `view[:max_blocks]` narrows the index map
-            # without parsing a single block.
-            return CorpusView(self.corpus, self.indices[position])
+            # without parsing a single block, and keeps the view's store.
+            view = CorpusView(self.corpus, self.indices[position])
+            view.featurization_store = self.featurization_store
+            return view
         return self.corpus.block(int(self.indices[int(position)]))
 
     def __iter__(self) -> Iterator[BasicBlock]:

@@ -24,7 +24,9 @@ Blob values are byte-identical to :func:`repro.core.surrogate.build_block_arrays
 output, so training through the store is bit-identical to in-memory
 featurization.  Store shards mirror the corpus's shards one-to-one, and the
 manifest pins each corpus shard's content digest, so a store is never served
-to a corpus rebuilt in place.  Every file goes through :mod:`repro.storage`.
+to a corpus rebuilt in place: :meth:`ensure` checks it, and binding a store
+to a view (:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`)
+runs :meth:`ensure`.  Every file goes through :mod:`repro.storage`.
 """
 
 from __future__ import annotations

@@ -115,15 +115,13 @@ class MemoryOperand(Operand):
         return (self.displacement, base, index, self.scale)
 
     def to_assembly(self) -> str:
-        inner = []
-        if self.base is not None:
-            inner.append(f"%{self.base}")
+        # A base-less operand keeps its leading comma, `(,%rbx,8)`, so the
+        # index is not read back as the base.
+        inner = [f"%{self.base}" if self.base is not None else ""]
         if self.index is not None:
-            inner.append(f"%{self.index}")
-            inner.append(str(self.scale))
+            inner += [f"%{self.index}", str(self.scale)]
         elif self.scale != 1:
-            inner.append("")
-            inner.append(str(self.scale))
+            inner += ["", str(self.scale)]
         inside = ",".join(inner)
         displacement = str(self.displacement) if self.displacement else ""
         if inside:

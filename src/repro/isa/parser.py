@@ -141,17 +141,21 @@ def _mnemonic_and_width(mnemonic: str) -> Tuple[str, Optional[int]]:
     return lowered, None
 
 
+def _register_width(operand: Operand) -> Optional[int]:
+    if isinstance(operand, RegisterOperand):
+        return register_by_name(operand.name).width
+    return None
+
+
 def _infer_width(operands: Sequence[Operand], fallback: Optional[int]) -> int:
     for operand in operands:
         if isinstance(operand, RegisterOperand):
-            register = register_by_name(operand.name)
-            if not register.is_vector:
-                return register.width
-            return register.width
+            return register_by_name(operand.name).width
     return fallback or 64
 
 
 _WIDTH_NAME = {8: "8", 16: "16", 32: "32", 64: "64"}
+_SHIFTS = ("shl", "shr", "sar", "rol", "ror")
 
 
 def _candidate_opcode_names(mnemonic: str, width: int, form_code: str,
@@ -171,13 +175,19 @@ def _candidate_opcode_names(mnemonic: str, width: int, form_code: str,
     # memory-source, register-destination.
     if mnemonic == "lea":
         candidates.insert(0, f"{upper}{width_name}r")
-    # movsx/movzx carry both widths; try the common source widths.
-    if mnemonic in ("movsx", "movzx"):
-        for source_width in ("8", "16", "32"):
-            candidates.insert(0, f"{upper}{width_name}{form_code}{source_width}")
-    # Shift by an implicit 1 or by %cl.
-    if form_code == "r" and mnemonic in ("shl", "shr", "sar", "rol", "ror"):
+    # movsx/movzx are named by the destination width, then the source width
+    # (MOVSX64rr16 for `movsx %ax, %rcx`).  A memory source carries no
+    # width, so each source width is tried, widest first.
+    if mnemonic in ("movsx", "movzx") and operands:
+        destination = _register_width(operands[-1]) or width
+        source = _register_width(operands[0])
+        for source_width in ((source,) if source else (8, 16, 32)):
+            candidates.insert(0, f"{upper}{destination}{form_code}{source_width}")
+    # Shift by an implicit 1 or by %cl (named by the destination's width).
+    if form_code == "r" and mnemonic in _SHIFTS:
         candidates.insert(0, f"{upper}{width_name}r1")
+    elif form_code == "rr" and operands[0].name == "cl" and mnemonic in _SHIFTS:
+        candidates.insert(0, f"{upper}{_register_width(operands[-1])}rCL")
     return candidates
 
 

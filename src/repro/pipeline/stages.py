@@ -15,9 +15,10 @@ The stage sequence mirrors Figure 1 of the paper plus the local-refinement
 extension: simulated-dataset collection, surrogate training, parameter-table
 optimization, zero or more refinement rounds, and final extraction/eval.
 
-Imports deliberately target ``repro.core.<module>`` submodules (never the
-``repro.core`` package root): :mod:`repro.core.difftune` imports this package
-at module level, and the submodule form keeps that cycle-free.
+:meth:`DiffTune.learn <repro.core.difftune.DiffTune.learn>` runs the
+sequence.  Imports name the ``repro.core`` modules the stages call, never
+:mod:`repro.core.difftune`: that module imports this one at module level,
+so importing it back would be a cycle.
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ class PipelineState:
     featurizer: BlockFeaturizer
 
     simulated_dataset: Optional[SimulatedDataset] = None
-    #: Optional mmap featurization store serving a corpus's per-block arrays
-    #: to both training phases.
-    featurization_store: Any = None
-    #: Set by the pipeline when checkpointing, for mid-stage partial saves.
+    #: Set by ``DiffTune.learn`` when checkpointing, for mid-stage partial saves.
     checkpoint_store: Optional[CheckpointStore] = None
     resume: bool = False
     surrogate: Any = None
@@ -151,10 +149,6 @@ class CollectDatasetStage(Stage):
     DATASET_FILE = "simulated_dataset.npz"
 
     def run(self, state: PipelineState) -> None:
-        if state.simulated_dataset is not None:
-            # A pre-collected dataset was handed in (tests, shared-dataset
-            # ablations); nothing to do — and nothing was logged before.
-            return
         logger.info(f"collecting simulated dataset "
                     f"({state.config.simulated_dataset_size} examples)")
         checkpoint = self._checkpoint(state, state.checkpoint_store)
@@ -172,7 +166,7 @@ class CollectDatasetStage(Stage):
         """The partial-collection checkpoint of a checkpointed corpus run.
 
         Corpus sources (a corpus or a view of one) carry a
-        ``content_fingerprint``, the probe the pipeline and
+        ``content_fingerprint``, the probe ``DiffTune.learn`` and
         :meth:`~repro.core.surrogate.FeaturizationCache.lookup` use too.
         """
         if store is None or not hasattr(state.blocks, "content_fingerprint"):
@@ -227,7 +221,7 @@ class TrainSurrogateStage(Stage):
                     f"simulated examples")
         state.surrogate_result = train_surrogate(
             state.surrogate, state.simulated_dataset,
-            state.config.surrogate_training, store=state.featurization_store)
+            state.config.surrogate_training)
         logger.info(f"surrogate training error: "
                     f"{state.surrogate_result.final_training_error:.3f}")
 
@@ -249,8 +243,7 @@ def _optimize_and_extract(state: PipelineState,
         state.config.table_optimization,
         initial_arrays=initial_arrays,
         frozen_per_instruction_mask=per_mask,
-        frozen_global_mask=global_mask,
-        store=state.featurization_store)
+        frozen_global_mask=global_mask)
     return extract_parameter_arrays(state.adapter.parameter_spec(),
                                     state.table_result.learned_arrays)
 
@@ -339,8 +332,7 @@ class RefinementRoundStage(Stage):
             seed=config.surrogate_training.seed + round_number,
             log_every=config.surrogate_training.log_every)
         state.surrogate_result = train_surrogate(state.surrogate, local_dataset,
-                                                 refinement_training,
-                                                 store=state.featurization_store)
+                                                 refinement_training)
         logger.info(f"refined surrogate error: "
                     f"{state.surrogate_result.final_training_error:.3f}")
         candidate = _optimize_and_extract(state, center)

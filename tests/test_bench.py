@@ -583,21 +583,21 @@ class TestCommandLine:
                            "--allow-missing"]) == 0
         assert "does not exist" in capsys.readouterr().out
         # Without the flag the missing file is still an error.
-        with pytest.raises(FileNotFoundError):
-            bench_main(["compare", missing, current_path])
+        assert bench_main(["compare", missing, current_path]) == 2
+        assert missing in capsys.readouterr().err
 
-    def test_compare_allow_missing_still_validates_current(self, tmp_path):
+    def test_compare_allow_missing_still_validates_current(self, tmp_path, capsys):
         # A green gate must mean the produced results were at least readable
         # and schema-valid, even when the baseline is tolerated as absent.
         broken = os.path.join(str(tmp_path), "BENCH_broken.json")
         open(broken, "w").write("{\"not\": \"a payload\"}")
         missing = os.path.join(str(tmp_path), "BENCH_nope.json")
-        with pytest.raises(Exception):
-            bench_main(["compare", missing, broken, "--allow-missing"])
+        assert bench_main(["compare", missing, broken, "--allow-missing"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {broken}: ")
 
     @pytest.mark.parametrize("side", ["baseline", "current"])
     @pytest.mark.parametrize("corrupt", [True, False], ids=["corrupt", "schema_invalid"])
-    def test_compare_names_an_unreadable_file(self, tmp_path, side, corrupt):
+    def test_compare_names_an_unreadable_file(self, tmp_path, capsys, side, corrupt):
         payload = _payload_with_wall({"a": 1.0})
         good = os.path.join(str(tmp_path), "BENCH_good.json")
         json.dump(payload, open(good, "w"))
@@ -605,9 +605,8 @@ class TestCommandLine:
         bad = os.path.join(str(tmp_path), "BENCH_bad.json")
         open(bad, "w").write("{'a': 1}" if corrupt else json.dumps(payload))
         paths = [bad, good] if side == "baseline" else [good, bad]
-        with pytest.raises(CorruptArtifactError if corrupt else SchemaError,
-                           match="BENCH_bad.json"):
-            bench_main(["compare", *paths])
+        assert bench_main(["compare", *paths]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
 
     def test_compare_rejects_a_malformed_floor(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "BENCH_current.json")

@@ -10,10 +10,9 @@ import pytest
 
 import repro
 from repro import cli
-from repro.bench import DEFAULT_REGISTRY, SchemaError, load_payload, render_report
+from repro.bench import DEFAULT_REGISTRY, load_payload, render_report
 from repro.bench.__main__ import main as bench_main
 from repro.bench.report import _format_value, _render_payload
-from repro.storage import CorruptArtifactError
 
 BASELINE = str(pathlib.Path(__file__).resolve().parents[1]
                / "benchmarks" / "baselines" / "BENCH_smoke.json")
@@ -146,31 +145,73 @@ class TestReportCommand:
                        check=True, capture_output=True, env=environment, timeout=120)
         assert via_cli.read_bytes() == via_module.read_bytes()
 
-    def test_corrupt_payload_raises_naming_the_file(self, tmp_path):
-        broken = tmp_path / "BENCH_broken.json"
-        broken.write_text('{"schema_version": 1, "sui')
-        output = tmp_path / "REPORT.md"
-        with pytest.raises(CorruptArtifactError, match="BENCH_broken.json"):
-            bench_main(["report", str(broken), "--output", str(output)])
-        assert not output.exists()
-
     def test_output_file_is_announced(self, tmp_path, capsys):
         output = tmp_path / "REPORT.md"
         assert bench_main(["report", BASELINE, "--output", str(output)]) == 0
         assert capsys.readouterr().out == f"wrote {output}\n"
 
-    def test_schema_invalid_payload_raises_naming_the_file(self, tmp_path):
-        invalid = tmp_path / "BENCH_invalid.json"
+
+
+def unreadable_payload(directory, case):
+    """A ``BENCH_*.json`` path that is missing, truncated or schema-invalid."""
+    path = directory / f"BENCH_{case}.json"
+    if case == "truncated":
+        path.write_text('{"schema_version": 1, "sui')
+    elif case == "schema_invalid":
         payload = _payload(_entry("demo", "Demo", {}))
         del payload["scenarios"]["demo"]["description"]
-        invalid.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload))
+    return path
+
+
+#: The two command-line entry points of the benchmark subsystem.
+ENTRY_POINTS = {"python -m repro.bench": bench_main,
+                "repro bench": lambda argv: cli.main(["bench", *argv])}
+UNREADABLE_CASES = ["missing", "truncated", "schema_invalid"]
+
+
+def assert_one_error_line(out, err, path):
+    """Nothing on stdout; one ``error:`` line on stderr naming ``path``."""
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+class TestUnreadablePayload:
+    """``report`` and ``compare`` end an unreadable payload with one error
+    line and exit status 2 (the ``--min-metric`` convention), through both
+    entry points."""
+
+    @pytest.mark.parametrize("case", UNREADABLE_CASES)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_report_exits_2_naming_the_file(self, tmp_path, capsys, entry, case):
+        path = unreadable_payload(tmp_path, case)
         output = tmp_path / "REPORT.md"
-        with pytest.raises(SchemaError) as excinfo:
-            bench_main(["report", str(invalid), "--output", str(output)])
-        assert excinfo.value.problems == [
-            f"{invalid}: scenarios['demo']: missing key 'description'"]
+        assert ENTRY_POINTS[entry](["report", str(path), "--output", str(output)]) == 2
+        assert_one_error_line(*capsys.readouterr(), path)
         assert not output.exists()
 
-    def test_missing_payload_raises_file_not_found(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            bench_main(["report", str(tmp_path / "BENCH_absent.json")])
+    @pytest.mark.parametrize("case", UNREADABLE_CASES)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    def test_compare_exits_2_naming_the_file(self, tmp_path, capsys, side, entry,
+                                             case):
+        path = unreadable_payload(tmp_path, case)
+        paths = [str(path), BASELINE] if side == "baseline" else [BASELINE, str(path)]
+        assert ENTRY_POINTS[entry](["compare", *paths]) == 2
+        assert_one_error_line(*capsys.readouterr(), path)
+
+    @pytest.mark.parametrize("command", [["-m", "repro.bench"],
+                                         ["-m", "repro.cli", "bench"]])
+    def test_process_prints_no_traceback(self, tmp_path, command):
+        path = unreadable_payload(tmp_path, "truncated")
+        environment = dict(os.environ)
+        source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, environment.get("PYTHONPATH")]))
+        finished = subprocess.run([sys.executable, *command, "report", str(path)],
+                                  capture_output=True, text=True, env=environment,
+                                  timeout=120)
+        assert finished.returncode == 2
+        assert_one_error_line(finished.stdout, finished.stderr, path)

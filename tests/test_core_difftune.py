@@ -114,14 +114,6 @@ class TestDiffTuneEndToEnd:
         assert any("refinement round 1" in record.getMessage()
                    for record in caplog.records)
 
-    def test_precollected_simulated_dataset(self, small_training_data, rng):
-        blocks, timings = small_training_data
-        adapter = MCAAdapter(HASWELL, narrow_sampling=True)
-        difftune = DiffTune(adapter, tiny_config())
-        simulated = difftune.collect_simulated_dataset(blocks, rng)
-        result = difftune.learn(blocks, timings, simulated_dataset=simulated)
-        assert result.simulated_dataset_size == len(simulated)
-
     def test_evaluate_matches_direct_computation(self, small_training_data):
         blocks, timings = small_training_data
         adapter = MCAAdapter(HASWELL)

@@ -10,6 +10,8 @@ The contracts under test are the tentpole guarantees of :mod:`repro.corpus`:
 * a block list, a corpus view and a view with a featurization store train
   the same surrogate and learn the same table, and a store-backed run
   featurizes no block inside the pipeline stages;
+* a view carries its store, which is bound once and checked against the
+  view's corpus;
 * the featurization store serves the exact per-block arrays the featurizer
   computes, and the featurization cache is content-keyed and bounded.
 """
@@ -192,6 +194,33 @@ class TestFeaturizationStore:
         assert directory in str(excinfo.value)
 
 
+class TestViewStoreBinding:
+    def test_bound_view_carries_its_store(self, corpus, store):
+        train = corpus.split_view("train")
+        bound = train.with_featurization_store(store)
+        assert train.featurization_store is None
+        assert bound.featurization_store is store
+        np.testing.assert_array_equal(bound.indices, train.indices)
+        assert bound.content_fingerprint() == train.content_fingerprint()
+        assert bound[:5].featurization_store is store
+        np.testing.assert_array_equal(bound[:5].indices, train.indices[:5])
+
+    def test_store_of_another_corpus_is_refused(self, corpus, adapter,
+                                                tmp_path):
+        """Binding checks the store against the view's corpus: a store
+        built from corpus A never serves a view of corpus B."""
+        other = ShardedCorpus.build(str(tmp_path / "other"), uarch_name="haswell",
+                                    num_blocks=64, seed=1, shard_size=32)
+        other_store = ShardedFeaturizationStore(
+            str(tmp_path / "other-store"),
+            BlockFeaturizer(adapter.opcode_table)).ensure(other)
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.split_view("train").with_featurization_store(other_store)
+        message = str(excinfo.value)
+        assert other_store.directory in message
+        assert corpus.directory in message
+
+
 def _learner(refinement_rounds=0):
     from repro.api.registries import PRESETS, SIMULATORS, TARGETS
     from repro.core.difftune import DiffTune
@@ -296,19 +325,46 @@ class TestStreamingTraining:
         featurizer = BlockFeaturizer(adapter.opcode_table)
         spec = adapter.parameter_spec()
         config = SurrogateTrainingConfig(epochs=2, batch_size=16, seed=0)
+        whole = corpus.view(range(len(corpus))).with_featurization_store(store)
+        stored = collect_simulated_dataset(
+            adapter, whole, num_examples, np.random.default_rng(7),
+            blocks_per_table=8)
         outcomes = {}
-        for label, source, source_store in (("in_memory", in_memory, None),
-                                            ("streaming", dataset, None),
-                                            ("streaming_store", dataset, store)):
+        for label, source in (("in_memory", in_memory), ("streaming", dataset),
+                              ("streaming_store", stored)):
             surrogate = build_surrogate(spec, featurizer,
                                         SurrogateConfig(kind="pooled", seed=0))
-            outcomes[label] = train_surrogate(surrogate, source, config,
-                                              store=source_store)
+            outcomes[label] = train_surrogate(surrogate, source, config)
         for label in ("streaming", "streaming_store"):
             assert outcomes[label].epoch_losses == \
                 outcomes["in_memory"].epoch_losses
             assert outcomes[label].final_training_error == \
                 outcomes["in_memory"].final_training_error
+
+    def test_evaluate_reads_the_store_a_view_carries(self, corpus, adapter,
+                                                      store, monkeypatch):
+        from repro.core import SurrogateConfig, build_surrogate
+        from repro.core.surrogate_training import evaluate_surrogate
+
+        whole = corpus.view(range(len(corpus)))
+        datasets = {
+            label: collect_simulated_dataset(adapter, blocks, 32,
+                                             np.random.default_rng(7),
+                                             blocks_per_table=8)
+            for label, blocks in (("list", list(whole)), ("view", whole),
+                                  ("view_store",
+                                   whole.with_featurization_store(store)))}
+        surrogate = build_surrogate(adapter.parameter_spec(),
+                                    BlockFeaturizer(adapter.opcode_table),
+                                    SurrogateConfig(kind="pooled", seed=0))
+        expected = evaluate_surrogate(surrogate, datasets["list"])
+        assert evaluate_surrogate(surrogate, datasets["view"]) == expected
+
+        def refuse(featurizer, block):
+            raise AssertionError("a store-backed evaluation featurized a block")
+
+        monkeypatch.setattr(BlockFeaturizer, "featurize", refuse)
+        assert evaluate_surrogate(surrogate, datasets["view_store"]) == expected
 
     def test_list_view_and_store_learn_identically(self, corpus, store):
         """One refinement round end to end: every block source gives the
@@ -318,8 +374,8 @@ class TestStreamingTraining:
         results = {
             "list": _learner(1).learn(list(train), timings),
             "view": _learner(1).learn(train, timings),
-            "view_store": _learner(1).learn(train, timings,
-                                            featurization_store=store),
+            "view_store": _learner(1).learn(
+                train.with_featurization_store(store), timings),
         }
         reference = results["list"]
         for label in ("view", "view_store"):
@@ -365,9 +421,8 @@ class TestStreamingTraining:
                             stages.RefinementRoundStage,
                             stages.ExtractEvaluateStage):
             monkeypatch.setattr(stage_class, "run", tracked(stage_class.run))
-        train = corpus.split_view("train")
-        result = _learner(1).learn(train, train.timings(),
-                                   featurization_store=store)
+        train = corpus.split_view("train").with_featurization_store(store)
+        result = _learner(1).learn(train, train.timings())
         assert result is not None
         assert calls["featurize"] == 0
 
@@ -397,11 +452,10 @@ class TestPipelineResume:
                                                           store, tmp_path):
         """The partial collection checkpoint (saved every shard's worth of
         examples) is removed once the stage's dataset archive is written."""
-        train = corpus.split_view("train")
+        train = corpus.split_view("train").with_featurization_store(store)
         assert _learner().config.simulated_dataset_size > corpus.shard_size
         checkpoint_dir = str(tmp_path / "checkpoints")
-        _learner().learn(train, train.timings(), checkpoint_dir=checkpoint_dir,
-                         featurization_store=store)
+        _learner().learn(train, train.timings(), checkpoint_dir=checkpoint_dir)
         assert os.listdir(os.path.join(checkpoint_dir, "collect_dataset")) == \
             ["simulated_dataset.npz"]
 

@@ -317,6 +317,43 @@ class TestParser:
             reparsed = parse_instruction(format_instruction(instruction))
             assert reparsed.opcode.name == instruction.opcode.name
 
+    @pytest.mark.parametrize("text, opcode", [
+        ("movsx %ax, %rcx", "MOVSX64rr16"),
+        ("movzx %al, %eax", "MOVZX32rr8"),
+        ("movsx %eax, %rcx", "MOVSX64rr32"),
+        ("movzx 8(%rax), %ecx", "MOVZX32rm16"),
+        ("shrl %cl, %eax", "SHR32rCL"),
+        ("sarw %cl, %dx", "SAR16rCL"),
+        ("movq (,%rbx,8), %rax", "MOV64rm"),
+    ])
+    def test_hand_written_forms_resolve_and_round_trip(self, text, opcode):
+        """Widths of movsx/movzx come from both registers, a shift by %cl
+        from its destination, and a base-less operand prints back with its
+        leading comma."""
+        instruction = parse_instruction(text)
+        assert instruction.opcode.name == opcode
+        assert format_instruction(instruction) == text
+        assert parse_instruction(format_instruction(instruction)) == instruction
+
+    def test_base_less_memory_operand_prints_its_leading_comma(self):
+        operand = MemoryOperand(index="rbx", scale=8)
+        assert operand.to_assembly() == "(,%rbx,8)"
+        assert MemoryOperand(displacement=-8, index="rcx", scale=2).to_assembly() \
+            == "-8(,%rcx,2)"
+
+    def test_generated_instructions_parse_back_to_their_opcodes(self):
+        from repro.bhive import BlockGenerator
+
+        instructions = [instruction
+                        for block in BlockGenerator(seed=0).generate_blocks(1000)
+                        for instruction in block.instructions]
+        assert len(instructions) > 5000
+        mismatched = [(instruction.opcode.name, format_instruction(instruction))
+                      for instruction in instructions
+                      if parse_instruction(format_instruction(instruction)).opcode
+                      != instruction.opcode]
+        assert mismatched == []
+
 
 class TestCanonicalization:
     def test_vocabulary_is_stable(self, opcode_table):

@@ -20,8 +20,9 @@ from repro.core.difftune import DiffTune
 from repro.core.parameters import ParameterArrays
 from repro.core.config import test_config as tiny_config
 from repro.api import SpecValidationError, TuneSpec
-from repro.pipeline import (CheckpointMismatchError, CheckpointStore, TuningPipeline,
-                            build_stages, tune_target, tune_targets)
+from repro.pipeline import (CheckpointMismatchError, CheckpointStore,
+                            CollectDatasetStage, PipelineState, build_stages,
+                            tune_target, tune_targets)
 from repro.storage import CorruptArtifactError
 from repro.targets import HASWELL
 
@@ -125,7 +126,8 @@ class TestResume:
         # Every stage came from disk; nothing was recomputed.
         assert len(replayed.resumed_stages) == 4
         restored = [record.getMessage() for record in caplog.records
-                    if record.name == "repro.pipeline.pipeline"]
+                    if record.name == "repro.core.difftune"
+                    and record.getMessage().startswith("resume:")]
         assert restored == [f"resume: restored completed stage '{stage}' "
                             f"from {checkpoint_dir}"
                             for stage in replayed.resumed_stages]
@@ -138,9 +140,11 @@ class TestResume:
         difftune = _make_difftune()
         difftune.learn(blocks, timings, checkpoint_dir=checkpoint_dir,
                        stop_after="collect_dataset")
-        pipeline = _make_difftune().pipeline(checkpoint_dir)
-        state = pipeline.run(blocks, timings, resume=True,
-                             stop_after="collect_dataset")
+        state = PipelineState(adapter=difftune.adapter, config=difftune.config,
+                              blocks=blocks, true_timings=timings,
+                              rng=np.random.default_rng(0),
+                              featurizer=difftune.featurizer)
+        CollectDatasetStage().load(state, CheckpointStore(checkpoint_dir))
         dataset = state.simulated_dataset
         assert len(dataset) == state.config.simulated_dataset_size
         # Table sharing survives the round-trip: examples drawn with the same
@@ -349,23 +353,37 @@ class TestCheckpointStore:
             store.restore_rng("nope", np.random.default_rng(0))
 
 
-class TestPipelineDirect:
-    def test_pipeline_state_exposes_artifacts(self, training_data):
+class TestLearnResult:
+    def test_result_exposes_artifacts(self, training_data):
         blocks, timings = training_data
         difftune = _make_difftune()
-        pipeline = difftune.pipeline()
-        assert isinstance(pipeline, TuningPipeline)
-        state = pipeline.run(blocks, timings)
-        assert state.learned_arrays is not None
-        assert state.surrogate_result is not None
-        assert state.table_result is not None
-        assert state.train_error == state.best_error
+        result = difftune.learn(blocks, timings)
+        assert result.learned_arrays is not None
+        assert result.surrogate_result is not None
+        assert result.table_result is not None
+        assert result.surrogate is not None
+        assert result.simulated_dataset_size == difftune.config.simulated_dataset_size
+        assert result.train_error == difftune.evaluate(result.learned_arrays,
+                                                       blocks, timings)
+        assert result.resumed_stages == []
 
-    def test_precollected_examples_skip_collection(self, training_data, tmp_path):
-        blocks, timings = training_data
-        difftune = _make_difftune()
-        rng = np.random.default_rng(0)
-        simulated = difftune.collect_simulated_dataset(blocks, rng)
-        result = difftune.learn(blocks, timings, simulated_dataset=simulated,
-                                checkpoint_dir=str(tmp_path / "pre"))
-        assert result.simulated_dataset_size == len(simulated)
+    def test_nothing_is_threaded_through_learn(self):
+        """The block source carries its featurization store, so neither
+        ``DiffTune.learn``, the stage state nor a training function takes a
+        store or a pre-collected dataset."""
+        import dataclasses
+        import inspect
+
+        import repro.pipeline
+        from repro.core.surrogate import FeaturizationCache
+        from repro.core.surrogate_training import train_surrogate
+        from repro.core.table_optimization import optimize_parameter_table
+
+        threaded = {"store", "featurization_store", "simulated_dataset"}
+        for function in (DiffTune.learn, train_surrogate, optimize_parameter_table,
+                         FeaturizationCache.lookup):
+            assert not threaded & set(inspect.signature(function).parameters)
+        assert "featurization_store" not in {
+            entry.name for entry in dataclasses.fields(PipelineState)}
+        assert not hasattr(repro.pipeline, "TuningPipeline")
+        assert not hasattr(DiffTune, "pipeline")

@@ -428,7 +428,6 @@ class TestThroughputScenario:
 
         scenario = DEFAULT_REGISTRY.get("surrogate_training_throughput")
         assert "ci" in scenario.tags and "perf" in scenario.tags
-        assert scenario.formatter is not None
 
     def test_smoke_tier_reports_speedup_and_loss_agreement(self):
         from repro.bench import Runner, RunnerConfig

@@ -218,3 +218,46 @@ class TestProgressCallback:
                              TableOptimizationConfig(batch_size=5, epochs=1,
                                                      log_every=0))
         assert seen == []
+
+
+class TestFrozenSurrogate:
+    """Phase two trains the table only: the surrogate's weights record no
+    gradients, and their ``requires_grad`` flags come back afterwards."""
+
+    @pytest.mark.parametrize("kind", ["pooled", "analytical", "ithemal"])
+    def test_no_surrogate_weight_holds_a_gradient(self, adapter, blocks, timings,
+                                                  kind):
+        surrogate = _build(adapter, kind)
+        optimize_parameter_table(surrogate, blocks, timings,
+                                 TableOptimizationConfig(batch_size=5, epochs=2))
+        assert [name for name, weight in surrogate.named_parameters()
+                if weight.grad is not None] == []
+        assert all(weight.requires_grad for weight in surrogate.parameters())
+
+    def test_flags_restored_so_training_still_updates_weights(self, adapter,
+                                                              blocks, timings):
+        from repro.core.simulated_dataset import collect_simulated_dataset
+        from repro.core.surrogate_training import (SurrogateTrainingConfig,
+                                                   train_surrogate)
+
+        surrogate = _build(adapter, "pooled")
+        optimize_parameter_table(surrogate, blocks, timings,
+                                 TableOptimizationConfig(batch_size=5, epochs=1))
+        before = {name: weight.data.copy()
+                  for name, weight in surrogate.named_parameters()}
+        dataset = collect_simulated_dataset(adapter, blocks, 24,
+                                            np.random.default_rng(3),
+                                            blocks_per_table=6)
+        train_surrogate(surrogate, dataset,
+                        SurrogateTrainingConfig(batch_size=8, epochs=1))
+        changed = [name for name, weight in surrogate.named_parameters()
+                   if not np.array_equal(weight.data, before[name])]
+        assert changed == list(before)
+
+    def test_flags_restored_when_the_loop_raises(self, adapter, blocks):
+        surrogate = _build(adapter, "pooled")
+        with pytest.raises(FloatingPointError):
+            optimize_parameter_table(surrogate, blocks,
+                                     np.full(len(blocks), np.nan),
+                                     TableOptimizationConfig(batch_size=5))
+        assert all(weight.requires_grad for weight in surrogate.parameters())
