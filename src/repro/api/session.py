@@ -20,7 +20,6 @@ session is cheap to create and cheap to interrogate.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -116,22 +115,11 @@ class Session:
             Session.from_spec({"target": "zen2", "num_blocks": 100})
             Session.from_spec(simulator="llvm_sim")   # defaults to TuneSpec
         """
-        if spec is None:
-            spec = TuneSpec.from_dict(dict(overrides))
-        elif isinstance(spec, dict):
-            payload = dict(spec)
-            payload.update(overrides)
-            spec = TuneSpec.from_dict(payload)
+        if spec is None or isinstance(spec, dict):
+            spec = TuneSpec.from_dict({**(spec or {}), **overrides})
         elif isinstance(spec, (TuneSpec, EvaluateSpec, PredictSpec, BundleSpec,
                                CorpusSpec, CampaignSpec)):
-            if overrides:
-                known = {f.name for f in dataclasses.fields(spec)}
-                for key in overrides:
-                    if key not in known:
-                        raise SpecValidationError(
-                            key, f"unknown field for {type(spec).__name__}")
-                spec = dataclasses.replace(spec, **overrides)
-            spec.validate()
+            spec = spec.with_overrides(overrides)
         else:
             raise TypeError(f"expected a spec, dict, or keyword arguments; "
                             f"got {type(spec).__name__}")
@@ -533,14 +521,7 @@ class Session:
             payload.update(overrides)
             spec = CampaignSpec.from_dict(payload)
         elif isinstance(spec, CampaignSpec):
-            if overrides:
-                known = {f.name for f in dataclasses.fields(spec)}
-                for key in overrides:
-                    if key not in known:
-                        raise SpecValidationError(
-                            key, "unknown field for CampaignSpec")
-                spec = dataclasses.replace(spec, **overrides)
-            spec.validate()
+            spec = spec.with_overrides(overrides)
         else:
             raise TypeError(f"expected a CampaignSpec, dict, or keyword "
                             f"arguments; got {type(spec).__name__}")
@@ -563,17 +544,9 @@ class Session:
         from repro.distributed.spec import MatrixCampaignSpec
 
         if spec is None or isinstance(spec, dict):
-            payload = dict(spec or {})
-            payload.update(overrides)
-            spec = MatrixCampaignSpec.from_dict(payload)
+            spec = MatrixCampaignSpec.from_dict({**(spec or {}), **overrides})
         elif isinstance(spec, MatrixCampaignSpec):
-            if overrides:
-                known = {f.name for f in dataclasses.fields(spec)}
-                for key in overrides:
-                    if key not in known:
-                        raise SpecValidationError(
-                            key, "unknown field for MatrixCampaignSpec")
-                spec = dataclasses.replace(spec, **overrides)
+            spec = spec.with_overrides(overrides)
         else:
             raise TypeError(f"expected a MatrixCampaignSpec, dict, or "
                             f"keyword arguments; got {type(spec).__name__}")
@@ -584,10 +557,10 @@ class Session:
 
         ``engine`` holds the shared engine's cache/execution counters
         (``None`` for adapters without an engine); ``featurization`` the
-        process-wide per-block
-        :class:`~repro.core.surrogate.FeaturizationCache` hit/miss/eviction
-        counters (parameter inputs are normalized per minibatch and are
-        not cached); the ``predict_*`` counters track this
+        hit/miss/eviction counters of every featurizer's per-block cache
+        in the process (:meth:`~repro.core.surrogate.BlockFeaturizer.arrays`;
+        parameter inputs are normalized per minibatch and are not cached);
+        the ``predict_*`` counters track this
         session's :meth:`predict` traffic.  The serving layer's ``/stats``
         endpoint re-exports exactly this payload.
         """

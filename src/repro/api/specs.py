@@ -71,6 +71,26 @@ class _SpecBase:
             raise SpecValidationError(
                 "<payload>", f"expected a dict for {cls.__name__}, "
                              f"got {type(payload).__name__}")
+        cls._check_known_fields(payload)
+        spec = cls(**payload)
+        spec.validate()
+        return spec
+
+    def with_overrides(self: _SpecT, overrides: Dict[str, Any]) -> _SpecT:
+        """A validated copy of this spec with ``overrides`` applied.
+
+        The one override path of ``Session.from_spec``,
+        ``Session.run_campaign``, ``Session.run_matrix`` and
+        ``InferenceServer.from_spec``: an unknown key raises
+        :class:`SpecValidationError` with :meth:`from_dict`'s message.
+        """
+        self._check_known_fields(overrides)
+        spec = dataclasses.replace(self, **overrides)
+        spec.validate()
+        return spec
+
+    @classmethod
+    def _check_known_fields(cls, payload: Dict[str, Any]) -> None:
         known = {spec_field.name for spec_field in dataclasses.fields(cls)}
         for key in payload:
             if key not in known:
@@ -79,9 +99,6 @@ class _SpecBase:
                 raise SpecValidationError(
                     str(key), f"unknown field for {cls.__name__}{hint} "
                               f"(known fields: {', '.join(sorted(known))})")
-        spec = cls(**payload)
-        spec.validate()
-        return spec
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain JSON-serializable dict; ``from_dict(to_dict())`` round-trips."""

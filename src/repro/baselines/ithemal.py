@@ -24,8 +24,7 @@ from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.parameters import ParameterField, ParameterSpec
-from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache, SurrogateConfig,
-                                  build_surrogate)
+from repro.core.surrogate import BlockFeaturizer, SurrogateConfig, build_surrogate
 from repro.core.training_loop import run_minibatch_loop
 from repro.isa.basic_block import BasicBlock
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
@@ -65,17 +64,16 @@ class IthemalBaseline:
             num_opcodes=len(self.opcode_table))
         self.featurizer = BlockFeaturizer(self.opcode_table)
         self.model = build_surrogate(self._spec, self.featurizer, self.config.surrogate)
-        self._cache = FeaturizationCache(self.featurizer)
 
     # ------------------------------------------------------------------
     # Training and prediction
     # ------------------------------------------------------------------
     def _block_arrays(self, blocks: Sequence[BasicBlock]) -> List[Dict[str, np.ndarray]]:
-        return self._cache.resolve([self._cache.featurize(block) for block in blocks])
+        return [self.featurizer.arrays(block) for block in blocks]
 
     def _forward(self, block_arrays: Sequence[Dict[str, np.ndarray]]) -> Tensor:
         """Predictions for one minibatch, with all-zero parameter inputs."""
-        packed = FeaturizationCache.pack(block_arrays)
+        packed = BlockFeaturizer.pack(block_arrays)
         per_instruction = np.zeros((packed.batch_size, packed.max_instructions,
                                     self._spec.per_instruction_dim))
         global_values = np.zeros((packed.batch_size, self._spec.global_dim))

@@ -30,9 +30,8 @@ in :mod:`repro.api` (``Session.from_spec(...)``).
 
 from repro.core.parameters import (ParameterField, ParameterSpec, ParameterArrays,
                                    PORT_MAP_FIELD_NAME)
-from repro.core.surrogate import (SurrogateConfig, BlockFeaturizer, FeaturizationCache,
-                                  IthemalSurrogate, PackedBlockBatch, PooledSurrogate,
-                                  build_surrogate)
+from repro.core.surrogate import (SurrogateConfig, BlockFeaturizer, IthemalSurrogate,
+                                  PackedBlockBatch, PooledSurrogate, build_surrogate)
 from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
@@ -50,7 +49,6 @@ __all__ = [
     "IthemalSurrogate",
     "PooledSurrogate",
     "build_surrogate",
-    "FeaturizationCache",
     "PackedBlockBatch",
     "evaluate_surrogate",
     "SimulatedDataset",

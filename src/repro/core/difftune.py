@@ -17,7 +17,10 @@ picks the run up at the first incomplete stage and reproduces an
 uninterrupted run bit for bit (the random stream is snapshotted between
 stages).  Where a block's featurized arrays come from is the block
 source's business: a corpus view bound to a featurization store serves
-them from it (:meth:`~repro.core.surrogate.FeaturizationCache.lookup`).
+them from it (:meth:`~repro.core.surrogate.BlockFeaturizer.lookup`).
+Otherwise they come from the run's one :class:`BlockFeaturizer`, whose
+per-block cache every stage shares, so each distinct block is featurized
+once per run.
 """
 
 from __future__ import annotations

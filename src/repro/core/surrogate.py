@@ -31,7 +31,6 @@ and outputs a ``(B,)`` tensor of positive timing predictions.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,6 +43,7 @@ from repro.autodiff.tensor import (concat, masked_longest_path, masked_mean,
                                    masked_sum, maximum)
 from repro.core.parameters import (ParameterArrays, ParameterSpec,
                                    PORT_MAP_FIELD_NAME, TableStack)
+from repro.engine.binding import LRUCache
 from repro.isa.basic_block import BasicBlock
 from repro.isa.canonicalize import TokenVocabulary, canonicalize_block
 from repro.isa.opcodes import OpcodeTable
@@ -109,14 +109,30 @@ class FeaturizedBlock:
     loop_carried_writers: Tuple[int, ...]
 
 
+#: Blocks whose packed arrays one :class:`BlockFeaturizer` keeps (least
+#: recently used dropped first), so corpus-scale runs stream any number of
+#: blocks through a bounded footprint.
+MAX_CACHED_BLOCKS = 1 << 16
+
+
 class BlockFeaturizer:
-    """Canonicalizes blocks once so surrogates can reuse the token streams."""
+    """Featurizes blocks and memoizes their packed arrays by block content.
+
+    :meth:`arrays` is the one featurization cache: an
+    :class:`~repro.engine.binding.LRUCache` of :data:`MAX_CACHED_BLOCKS`
+    per-block array sets keyed by :meth:`BasicBlock.structural_key`, so
+    equal content hits whichever object carries it.  It lives as long as
+    the featurizer, which a :class:`~repro.core.difftune.DiffTune` run
+    shares across every stage, so each distinct block is featurized once
+    per run.  Hit, miss and eviction counters aggregate process-wide
+    (:func:`featurization_cache_stats`).
+    """
 
     def __init__(self, opcode_table: OpcodeTable,
                  vocabulary: Optional[TokenVocabulary] = None) -> None:
         self.opcode_table = opcode_table
         self.vocabulary = vocabulary or TokenVocabulary(opcode_table)
-        self._cache: dict = {}
+        self._arrays = LRUCache(MAX_CACHED_BLOCKS)
 
     @staticmethod
     def _structural_features(block: BasicBlock) -> Tuple[Tuple[float, ...], ...]:
@@ -163,21 +179,62 @@ class BlockFeaturizer:
         return (tuple(tuple(sorted(deps)) for deps in producers), tuple(writers))
 
     def featurize(self, block: BasicBlock) -> FeaturizedBlock:
-        key = block.structural_key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        """The block's surrogate-independent features (not memoized)."""
         canonical = canonicalize_block(block, self.vocabulary)
         producers, loop_writers = self._dependency_structure(block)
-        featurized = FeaturizedBlock(
+        return FeaturizedBlock(
             token_ids=tuple(instruction.token_ids for instruction in canonical),
             opcode_indices=tuple(instruction.opcode_index for instruction in canonical),
             structural_features=self._structural_features(block),
             dependency_producers=producers,
             loop_carried_writers=loop_writers,
         )
-        self._cache[key] = featurized
-        return featurized
+
+    def arrays(self, block: BasicBlock) -> Dict[str, np.ndarray]:
+        """Per-block packed arrays (unpadded), memoized by block content."""
+        key = block.structural_key()
+        arrays = self._arrays.get(key)
+        if arrays is not None:
+            _CACHE_COUNTERS["block_hits"] += 1
+            return arrays
+        _CACHE_COUNTERS["block_misses"] += 1
+        arrays = build_block_arrays(self.featurize(block))
+        evictions = self._arrays.evictions
+        self._arrays.put(key, arrays)
+        _CACHE_COUNTERS["block_evictions"] += self._arrays.evictions - evictions
+        return arrays
+
+    def lookup(self, blocks: Sequence[BasicBlock]
+               ) -> Callable[[int], Dict[str, np.ndarray]]:
+        """``position -> per-block arrays`` over a block source.
+
+        The one place that decides where a block's arrays come from, and it
+        decides from the block source alone:
+
+        * a corpus view bound to a featurization store
+          (:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`)
+          reads the store's memory maps at ``blocks.global_index(position)``;
+        * a corpus or a view without a store (anything with a
+          ``content_fingerprint``) reads :meth:`arrays` on demand, so memory
+          stays bounded by its LRU;
+        * a block list is resolved once, here, so a minibatch loop reading
+          the lookup touches no cache.
+        """
+        if not hasattr(blocks, "content_fingerprint"):
+            return [self.arrays(block) for block in blocks].__getitem__
+        store = getattr(blocks, "featurization_store", None)
+        if store is None:
+            return lambda position: self.arrays(blocks[position])
+        return lambda position: store.arrays_for_index(blocks.global_index(position))
+
+    @staticmethod
+    def pack(block_arrays: Sequence[Dict[str, np.ndarray]]) -> PackedBlockBatch:
+        """Pad per-block arrays into one :class:`PackedBlockBatch`.
+
+        Every training path packs through here, so :func:`pack_block_arrays`
+        is looked up in this module, where ``perfbench/spans.py`` wraps it.
+        """
+        return pack_block_arrays(block_arrays)
 
     @property
     def vocabulary_size(self) -> int:
@@ -225,21 +282,6 @@ class PackedBlockBatch:
     @property
     def max_tokens(self) -> int:
         return int(self.token_ids.shape[2])
-
-
-def featurized_block_digest(featurized: FeaturizedBlock) -> str:
-    """Content digest of a featurized block (stable across processes).
-
-    Every field of :class:`FeaturizedBlock` is a nested tuple of ints/floats,
-    so ``repr`` is a canonical serialization; blake2b over it gives a key
-    that identical block content maps to in any process — the property the
-    on-disk featurization store and the LRU caches are keyed on.
-    """
-    payload = repr((featurized.token_ids, featurized.opcode_indices,
-                    featurized.structural_features,
-                    featurized.dependency_producers,
-                    featurized.loop_carried_writers))
-    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
 def table_digest(arrays: ParameterArrays) -> str:
@@ -291,7 +333,7 @@ def pack_block_arrays(per_block: Sequence[Dict[str, np.ndarray]]) -> PackedBlock
 
     Accepts the dicts produced by :func:`build_block_arrays` — or memory-
     mapped views of them from the on-disk featurization store — so every
-    source :meth:`FeaturizationCache.lookup` picks shares one packer.
+    source :meth:`BlockFeaturizer.lookup` picks shares one packer.
     """
     if not per_block:
         raise ValueError("cannot pack an empty batch")
@@ -326,7 +368,7 @@ def pack_block_arrays(per_block: Sequence[Dict[str, np.ndarray]]) -> PackedBlock
 
 
 #: Process-wide featurization-cache counters, aggregated across every
-#: :class:`FeaturizationCache` instance and surfaced by ``Session.stats()``.
+#: :class:`BlockFeaturizer` and surfaced by ``Session.stats()``.
 _CACHE_COUNTERS: Dict[str, int] = {
     "block_hits": 0, "block_misses": 0, "block_evictions": 0,
 }
@@ -367,98 +409,6 @@ def batch_parameter_inputs(spec: ParameterSpec, packed: PackedBlockBatch,
     per_instruction = normalized.per_instruction_values
     per_instruction[packed.instruction_mask == 0] = 0.0
     return per_instruction, normalized.global_values
-
-
-class FeaturizationCache:
-    """Featurizes each basic block once and packs minibatches.
-
-    Wraps a :class:`BlockFeaturizer` with a bounded LRU of per-block packed
-    arrays (token-id matrix, masks, structural features, dependency masks),
-    keyed by *content digest* (not object identity), so equal content hits
-    whichever object carries it and corpus-scale runs stream millions of
-    blocks through a footprint of ``max_blocks`` entries.  Hit, miss and
-    eviction counters aggregate process-wide
-    (:func:`featurization_cache_stats`).
-
-    Training loops take their per-block arrays from one :meth:`lookup`
-    built before their first minibatch and :meth:`pack` each minibatch.
-    Parameter inputs are not cached: :func:`batch_parameter_inputs`
-    normalizes each minibatch's gathered rows.
-    """
-
-    def __init__(self, featurizer: BlockFeaturizer, max_blocks: int = 65536) -> None:
-        if max_blocks <= 0:
-            raise ValueError(f"max_blocks must be positive, got {max_blocks}")
-        self.featurizer = featurizer
-        self.max_blocks = max_blocks
-        self._block_arrays: "OrderedDict[str, Dict[str, np.ndarray]]" = OrderedDict()
-
-    def featurize(self, block: BasicBlock) -> FeaturizedBlock:
-        return self.featurizer.featurize(block)
-
-    def arrays_for(self, featurized: FeaturizedBlock) -> Dict[str, np.ndarray]:
-        """Per-block packed arrays (unpadded), memoized by content digest."""
-        key = featurized_block_digest(featurized)
-        cached = self._block_arrays.get(key)
-        if cached is not None:
-            _CACHE_COUNTERS["block_hits"] += 1
-            self._block_arrays.move_to_end(key)
-            return cached
-        _CACHE_COUNTERS["block_misses"] += 1
-        arrays = build_block_arrays(featurized)
-        self._block_arrays[key] = arrays
-        while len(self._block_arrays) > self.max_blocks:
-            self._block_arrays.popitem(last=False)
-            _CACHE_COUNTERS["block_evictions"] += 1
-        return arrays
-
-    def resolve(self, featurized_blocks: Sequence[FeaturizedBlock]
-                ) -> List[Dict[str, np.ndarray]]:
-        """Per-block arrays for every entry, in order.
-
-        Entries that are the same object (the featurizer returns one object
-        per distinct block) share one :meth:`arrays_for` lookup.
-        """
-        by_identity: Dict[int, Dict[str, np.ndarray]] = {}
-        resolved = []
-        for featurized in featurized_blocks:
-            arrays = by_identity.get(id(featurized))
-            if arrays is None:
-                arrays = by_identity[id(featurized)] = self.arrays_for(featurized)
-            resolved.append(arrays)
-        return resolved
-
-    def lookup(self, blocks: Sequence[BasicBlock]
-               ) -> Callable[[int], Dict[str, np.ndarray]]:
-        """``position -> per-block arrays`` over a block source.
-
-        The one place that decides where a block's arrays come from, and it
-        decides from the block source alone:
-
-        * a corpus view bound to a featurization store
-          (:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`)
-          reads the store's memory maps at ``blocks.global_index(position)``;
-        * a corpus or a view without a store (anything with a
-          ``content_fingerprint``) featurizes each block on demand, so
-          memory stays bounded by this cache's LRU;
-        * a block list is resolved once, here, so a minibatch loop reading
-          the lookup runs no digest.
-        """
-        if not hasattr(blocks, "content_fingerprint"):
-            return self.resolve([self.featurize(block) for block in blocks]).__getitem__
-        store = getattr(blocks, "featurization_store", None)
-        if store is None:
-            return lambda position: self.arrays_for(self.featurize(blocks[position]))
-        return lambda position: store.arrays_for_index(blocks.global_index(position))
-
-    @staticmethod
-    def pack(block_arrays: Sequence[Dict[str, np.ndarray]]) -> PackedBlockBatch:
-        """Pad resolved per-block arrays into one :class:`PackedBlockBatch`.
-
-        Every training path packs through here, so :func:`pack_block_arrays`
-        is looked up in this module, where ``perfbench/spans.py`` wraps it.
-        """
-        return pack_block_arrays(block_arrays)
 
 
 class _SurrogateBase(Module):

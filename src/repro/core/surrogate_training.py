@@ -5,11 +5,13 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 Adam and MAPE loss.
 
 Training is batch-major.  Before the minibatch loop, one
-:meth:`~repro.core.surrogate.FeaturizationCache.lookup` over the dataset's
+:meth:`~repro.core.surrogate.BlockFeaturizer.lookup` over the dataset's
 block source decides where each block's packed arrays come from (resolved
 up front for a block list, the featurization store a corpus view carries,
-or on-demand featurization for a view without one), so the loop itself
-runs no content digest.  Each minibatch is padded from that lookup,
+or the featurizer's per-block cache on demand for a view without one); the
+featurizer's cache outlives the call, so a DiffTune run featurizes each
+distinct block once across all its training calls.  Each minibatch is
+padded from that lookup,
 its examples' parameter rows are gathered from the dataset's stacked
 tables in one index and normalized together
 (:func:`~repro.core.surrogate.batch_parameter_inputs`), and the whole
@@ -30,7 +32,7 @@ from repro.autodiff.tensor import no_grad
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.parameters import ParameterSpec
 from repro.core.simulated_dataset import SimulatedDataset
-from repro.core.surrogate import (FeaturizationCache, _SurrogateBase,
+from repro.core.surrogate import (BlockFeaturizer, _SurrogateBase,
                                   batch_parameter_inputs)
 from repro.core.training_loop import run_minibatch_loop
 
@@ -68,10 +70,10 @@ def _batch_inputs(spec: ParameterSpec, dataset: SimulatedDataset,
     """Packed batch + parameter inputs + targets for the examples at ``rows``.
 
     ``block_arrays`` maps a block position to its per-block arrays
-    (:meth:`FeaturizationCache.lookup`).
+    (:meth:`BlockFeaturizer.lookup`).
     """
     rows = [int(row) for row in rows]
-    packed = FeaturizationCache.pack(
+    packed = BlockFeaturizer.pack(
         [block_arrays(dataset.example_block[row]) for row in rows])
     per_instruction, global_values = batch_parameter_inputs(
         spec, packed, dataset.tables, [dataset.example_table[row] for row in rows])
@@ -100,7 +102,7 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     # One lookup serves every minibatch and the final evaluation.
-    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks)
+    block_arrays = surrogate.featurizer.lookup(dataset.blocks)
 
     def _batched_loss(batch_indices: np.ndarray):
         packed, per_instruction, global_values, targets = _batch_inputs(
@@ -131,7 +133,7 @@ def evaluate_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(dataset.blocks)
+    block_arrays = surrogate.featurizer.lookup(dataset.blocks)
     return _evaluate(surrogate, dataset, block_arrays, batch_size)
 
 

@@ -9,9 +9,10 @@ the surrogate (Section IV, "Solving the optimization problems").
 
 Like surrogate training (phase one), optimization is batch-major: each
 block's packed arrays come from one
-:meth:`~repro.core.surrogate.FeaturizationCache.lookup` built before the
+:meth:`~repro.core.surrogate.BlockFeaturizer.lookup` built before the
 minibatch loop (resolved up front for a block list, the featurization store
-a corpus view carries, or on-demand featurization for a view without one);
+a corpus view carries, or the featurizer's per-block cache on demand for a
+view without one; the blocks phase one already featurized are cache hits);
 each minibatch is packed into one padded
 :class:`~repro.core.surrogate.PackedBlockBatch`, the trainable table's rows
 for the whole batch are gathered with the scatter-add ``gather`` primitive
@@ -34,7 +35,7 @@ from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import Tensor, gather
 from repro.core.losses import surrogate_loss
 from repro.core.parameters import ParameterArrays, ParameterSpec
-from repro.core.surrogate import FeaturizationCache, PackedBlockBatch, _SurrogateBase
+from repro.core.surrogate import BlockFeaturizer, PackedBlockBatch, _SurrogateBase
 from repro.core.training_loop import run_minibatch_loop
 from repro.isa.basic_block import BasicBlock
 
@@ -179,11 +180,11 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
 
     surrogate.eval()
     targets = np.asarray(true_timings, dtype=np.float64)
-    block_arrays = FeaturizationCache(surrogate.featurizer).lookup(blocks)
+    block_arrays = surrogate.featurizer.lookup(blocks)
 
     def _batched_loss(batch_indices: np.ndarray):
         rows = [int(index) for index in batch_indices]
-        packed = FeaturizationCache.pack([block_arrays(row) for row in rows])
+        packed = BlockFeaturizer.pack([block_arrays(row) for row in rows])
         per_instruction, global_matrix = table.surrogate_inputs_batch(packed)
         predictions = surrogate.forward_batch(packed, per_instruction, global_matrix)
         return surrogate_loss(predictions, [float(targets[row]) for row in rows])

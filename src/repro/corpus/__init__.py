@@ -1,13 +1,14 @@
 """Corpus-scale dataset layer.
 
 Sharded, disk-backed block corpora (:mod:`repro.corpus.sharded`) and a
-digest-keyed memory-mapped featurization store (:mod:`repro.corpus.store`).
+memory-mapped featurization store indexed like its corpus
+(:mod:`repro.corpus.store`).
 A :class:`~repro.corpus.sharded.CorpusView` is a block source like any
 block list: :func:`repro.core.simulated_dataset.collect_simulated_dataset`
 collects over it with mid-stage checkpoints, and both training phases read
 its per-block arrays from the store the view carries
 (:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`, read
-by :meth:`repro.core.surrogate.FeaturizationCache.lookup`).  Together they let
+by :meth:`repro.core.surrogate.BlockFeaturizer.lookup`).  Together they let
 generation, collection, and surrogate training run at 10^5–10^6+ blocks
 with flat peak RSS, shared featurization across processes, and
 bit-identical ``--resume`` at every shard/checkpoint boundary.

@@ -20,9 +20,11 @@ generator/harness rng states at the last shard boundary, so an interrupted
 
 Reading never materializes the whole corpus: :meth:`ShardedCorpus.iter_blocks`
 and :meth:`~ShardedCorpus.iter_shards` stream shard by shard, and random
-access (``corpus[i]``) goes through two small LRU caches (raw shard entries,
-parsed blocks).  Blocks parse back through :func:`repro.isa.parser.parse_block`,
-so a corpus block is bit-identical in simulation to the generated original.
+access (``corpus[i]``) goes through two
+:class:`~repro.engine.binding.LRUCache` memos (raw entries of
+:data:`CACHED_SHARDS` shards, ``cache_blocks`` parsed blocks).  Blocks parse
+back through :func:`repro.isa.parser.parse_block`, so a corpus block is
+bit-identical in simulation to the generated original.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -39,6 +40,7 @@ import numpy as np
 from repro import storage
 from repro.bhive.generator import BlockGenerator
 from repro.bhive.measurement import MeasurementHarness
+from repro.engine.binding import LRUCache
 from repro.isa.basic_block import BasicBlock
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
 from repro.isa.parser import parse_block
@@ -50,6 +52,9 @@ logger = logging.getLogger(__name__)
 SHARD_DIR = "shards"
 #: Version 2: shard digests are :func:`repro.storage.digest` values.
 CORPUS_VERSION = 2
+#: Shards whose raw entries a corpus keeps in memory (and whose memory maps
+#: a featurization store keeps open), least recently used dropped first.
+CACHED_SHARDS = 8
 
 
 class CorpusError(RuntimeError):
@@ -93,18 +98,17 @@ class ShardedCorpus:
     """A disk-backed block corpus with streaming and bounded random access."""
 
     def __init__(self, directory: str, opcode_table: Optional[OpcodeTable] = None,
-                 cache_shards: int = 8, cache_blocks: int = 16384) -> None:
+                 cache_blocks: int = 16384) -> None:
         self.directory = directory
         self.opcode_table = opcode_table or DEFAULT_OPCODE_TABLE
-        self.cache_shards = max(1, int(cache_shards))
         self.cache_blocks = max(1, int(cache_blocks))
         self._manifest = self._read_manifest(directory)
         if not self._manifest.get("complete", False):
             raise CorpusError(
                 f"corpus at {directory!r} is incomplete (interrupted build); "
                 f"re-run ShardedCorpus.build(..., resume=True) to finish it")
-        self._shard_entries: "OrderedDict[int, List[Dict[str, Any]]]" = OrderedDict()
-        self._parsed_blocks: "OrderedDict[int, BasicBlock]" = OrderedDict()
+        self._shard_entries = LRUCache(CACHED_SHARDS)
+        self._parsed_blocks = LRUCache(self.cache_blocks)
 
     # ------------------------------------------------------------------
     # Manifest plumbing
@@ -196,7 +200,6 @@ class ShardedCorpus:
     def _load_shard_entries(self, shard_index: int) -> List[Dict[str, Any]]:
         cached = self._shard_entries.get(shard_index)
         if cached is not None:
-            self._shard_entries.move_to_end(shard_index)
             return cached
         path = self._shard_path(shard_index)
         with open(path, "rb") as handle:
@@ -211,9 +214,7 @@ class ShardedCorpus:
         if len(entries) != record["num_blocks"]:
             raise CorpusError(f"shard {record['name']!r} holds {len(entries)} "
                               f"entries; manifest says {record['num_blocks']}")
-        self._shard_entries[shard_index] = entries
-        while len(self._shard_entries) > self.cache_shards:
-            self._shard_entries.popitem(last=False)
+        self._shard_entries.put(shard_index, entries)
         return entries
 
     def _locate(self, global_index: int) -> "tuple[int, int]":
@@ -260,13 +261,10 @@ class ShardedCorpus:
     def block(self, global_index: int) -> BasicBlock:
         cached = self._parsed_blocks.get(global_index)
         if cached is not None:
-            self._parsed_blocks.move_to_end(global_index)
             return cached
         shard_index, local = self._locate(global_index)
         block = self._parse_entry(self._load_shard_entries(shard_index)[local])
-        self._parsed_blocks[global_index] = block
-        while len(self._parsed_blocks) > self.cache_blocks:
-            self._parsed_blocks.popitem(last=False)
+        self._parsed_blocks.put(global_index, block)
         return block
 
     def __getitem__(self, global_index: int) -> BasicBlock:

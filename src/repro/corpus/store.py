@@ -1,12 +1,13 @@
-"""On-disk, memory-mapped featurization store keyed by content digest.
+"""On-disk, memory-mapped featurization store indexed like its corpus.
 
-A :class:`ShardedFeaturizationStore` extends the in-memory
-:class:`~repro.core.surrogate.FeaturizationCache` idea to disk: the per-block
-packed arrays (token ids, masks, structural features, dependency masks) of
-every corpus block are computed **once ever**, written into flat per-shard
-blobs, and served back as read-only ``numpy`` memory-mapped views — shared
-across every process that opens the store, with per-process resident memory
-bounded by the pages the OS keeps warm rather than the corpus size.
+A :class:`ShardedFeaturizationStore` extends the featurizer's in-memory
+per-block cache (:meth:`~repro.core.surrogate.BlockFeaturizer.arrays`) to
+disk: the per-block packed arrays (token ids, masks, structural features,
+dependency masks) of every corpus block are computed **once ever**, written
+into flat per-shard blobs, and served back by global corpus index as
+read-only ``numpy`` memory-mapped views — shared across every process that
+opens the store, with per-process resident memory bounded by the pages the
+OS keeps warm rather than the corpus size.
 
 Layout of one store directory::
 
@@ -18,7 +19,6 @@ Layout of one store directory::
                                      #          + dependency (L*L) + loop (L) per block
         meta.npy                     # int64 (num_blocks, 4):
                                      #   int_offset, float_offset, length, max_tokens
-        digests.json                 # featurized-content digest per local index
 
 Blob values are byte-identical to :func:`repro.core.surrogate.build_block_arrays`
 output, so training through the store is bit-identical to in-memory
@@ -31,17 +31,15 @@ runs :meth:`ensure`.  Every file goes through :mod:`repro.storage`.
 
 from __future__ import annotations
 
-import json
 import os
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
 from repro import storage
-from repro.core.surrogate import (BlockFeaturizer, build_block_arrays,
-                                  featurized_block_digest)
-from repro.corpus.sharded import CorpusError, ShardedCorpus
+from repro.core.surrogate import BlockFeaturizer, build_block_arrays
+from repro.corpus.sharded import CACHED_SHARDS, CorpusError, ShardedCorpus
+from repro.engine.binding import LRUCache
 
 #: Version 2 pins each corpus shard's (blake2b) content digest.
 STORE_VERSION = 2
@@ -59,19 +57,15 @@ def vocabulary_digest(featurizer: BlockFeaturizer) -> str:
 
 
 class ShardedFeaturizationStore:
-    """Digest-keyed, mmap-backed featurized arrays for a sharded corpus."""
+    """Mmap-backed featurized arrays for a sharded corpus, by corpus index."""
 
-    def __init__(self, directory: str, featurizer: BlockFeaturizer,
-                 cache_shards: int = 8) -> None:
+    def __init__(self, directory: str, featurizer: BlockFeaturizer) -> None:
         self.directory = directory
         self.featurizer = featurizer
-        self.cache_shards = max(1, int(cache_shards))
         self._vocabulary_digest = vocabulary_digest(featurizer)
         self._manifest = self._read_or_init_manifest()
         #: shard index -> {"int": memmap, "float": memmap, "meta": ndarray}
-        self._open: "OrderedDict[int, Dict[str, np.ndarray]]" = OrderedDict()
-        #: featurized digest -> (shard index, local index); built lazily.
-        self._digest_index: Optional[Dict[str, "tuple[int, int]"]] = None
+        self._open = LRUCache(CACHED_SHARDS)
 
     # ------------------------------------------------------------------
     # Manifest
@@ -136,13 +130,12 @@ class ShardedFeaturizationStore:
         int_parts: List[np.ndarray] = []
         float_parts: List[np.ndarray] = []
         meta = np.zeros((len(shard.blocks), 4), dtype=np.int64)
-        digests: List[str] = []
         int_offset = 0
         float_offset = 0
         for local, block in enumerate(shard.blocks):
-            featurized = self.featurizer.featurize(block)
-            arrays = build_block_arrays(featurized)
-            digests.append(featurized_block_digest(featurized))
+            # Built outside the featurizer's cache: a store build streams
+            # the whole corpus once and would only churn it.
+            arrays = build_block_arrays(self.featurizer.featurize(block))
             length, max_tokens = arrays["token_ids"].shape
             meta[local] = (int_offset, float_offset, length, max_tokens)
             int_parts.append(arrays["token_ids"].reshape(-1))
@@ -163,8 +156,6 @@ class ShardedFeaturizationStore:
                 ("meta.npy", meta)):
             storage.atomic_write(os.path.join(shard_dir, name),
                                  storage.encode_array(array))
-        storage.atomic_write(os.path.join(shard_dir, "digests.json"),
-                             json.dumps(digests).encode())
         # The manifest entry lands only after every blob is on disk, so a
         # kill mid-shard leaves the store resumable at this shard.
         self._manifest["shards"].append({
@@ -181,7 +172,6 @@ class ShardedFeaturizationStore:
     def _open_shard(self, shard_index: int) -> Dict[str, np.ndarray]:
         cached = self._open.get(shard_index)
         if cached is not None:
-            self._open.move_to_end(shard_index)
             return cached
         if not 0 <= shard_index < self.num_shards:
             raise IndexError(f"store shard {shard_index} out of range "
@@ -194,9 +184,7 @@ class ShardedFeaturizationStore:
                              mmap_mode="r"),
             "meta": np.load(os.path.join(shard_dir, "meta.npy")),
         }
-        self._open[shard_index] = opened
-        while len(self._open) > self.cache_shards:
-            self._open.popitem(last=False)
+        self._open.put(shard_index, opened)
         return opened
 
     def _locate(self, global_index: int) -> "tuple[int, int]":
@@ -239,18 +227,3 @@ class ShardedFeaturizationStore:
     def arrays_for_index(self, global_index: int) -> Dict[str, np.ndarray]:
         shard_index, local_index = self._locate(int(global_index))
         return self.arrays_for_local(shard_index, local_index)
-
-    def arrays_for_digest(self, digest: str) -> Dict[str, np.ndarray]:
-        """Look up a block's arrays by its featurized-content digest."""
-        if self._digest_index is None:
-            index: Dict[str, "tuple[int, int]"] = {}
-            for shard_index in range(self.num_shards):
-                path = os.path.join(self._shard_dir(shard_index), "digests.json")
-                for local, entry in enumerate(storage.read_json(path)):
-                    index.setdefault(entry, (shard_index, local))
-            self._digest_index = index
-        located = self._digest_index.get(digest)
-        if located is None:
-            raise KeyError(f"no featurized block with digest {digest!r} "
-                           f"in the store")
-        return self.arrays_for_local(*located)

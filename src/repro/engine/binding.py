@@ -16,12 +16,15 @@ the engine layer:
   native parameter table, the table half of the engine's result-cache key;
 * :func:`parameter_arrays_digest` — identity of optimization-layout arrays,
   used by the adapters to memoize ``table_from_arrays``;
-* :class:`LRUCache` — the bounded mapping behind both caches.
+* :class:`LRUCache` — the bounded mapping behind both caches, and every
+  other memo of the engine, core, corpus and serving layers.
 
-To stay importable from the simulator modules themselves, this module only
-imports :mod:`repro.engine.compile`; tables and parameter arrays are
-accessed through their public attributes (see the ``TYPE_CHECKING`` block
-for the concrete types).
+To stay importable from the simulator modules and from
+:mod:`repro.engine.compile` (whose compiler memoizes through
+:class:`LRUCache`), this module imports nothing else from the package at
+run time; compiled blocks, tables and parameter arrays are accessed through
+their public attributes (see the ``TYPE_CHECKING`` block for the concrete
+types).
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.compile import CompiledBlock
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.parameters import ParameterArrays
+    from repro.engine.compile import CompiledBlock
     from repro.llvm_mca.params import MCAParameterTable
     from repro.llvm_sim.params import LLVMSimParameterTable
 
@@ -88,7 +90,10 @@ def parameter_arrays_digest(arrays: "ParameterArrays") -> str:
 # Bounded caches
 # ----------------------------------------------------------------------
 class LRUCache:
-    """A small least-recently-used mapping with hit/miss accounting."""
+    """A least-recently-used mapping with hit, miss and eviction accounting.
+
+    ``None`` is never a cached value: :meth:`get` returns it for a miss.
+    """
 
     def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
@@ -97,6 +102,7 @@ class LRUCache:
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,6 +125,7 @@ class LRUCache:
         self._entries[key] = value
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
+            self.evictions += 1
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         value = self.get(key)
@@ -131,6 +138,7 @@ class LRUCache:
         self._entries.clear()
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
 
 # ----------------------------------------------------------------------

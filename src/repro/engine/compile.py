@@ -13,19 +13,28 @@ A :class:`CompiledBlock` captures the first half once so it can be reused
 across every parameter table the block is ever simulated under.  Register
 names are interned to dense integer ids (block-local — the simulators'
 register scoreboards never outlive one block), which lets the simulation
-kernels replace string-keyed dictionaries with flat integer arrays.
+kernels replace string-keyed dictionaries with flat integer arrays.  The
+dense operand matrices the megabatch kernels pack are memoized on the
+compiled block itself (:meth:`CompiledBlock.operand_rows`), so they live as
+long as it does, and a :class:`BlockCompiler` keeps at most
+:data:`MAX_COMPILED_BLOCKS` compiled blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.engine.binding import LRUCache
 from repro.isa.basic_block import BasicBlock
 from repro.isa.opcodes import OpcodeTable
+
+#: Compiled blocks one :class:`BlockCompiler` keeps (least recently used
+#: dropped first), so corpus-scale block streams compile in bounded memory.
+MAX_COMPILED_BLOCKS = 1 << 16
 
 
 def block_digest(block: BasicBlock) -> str:
@@ -61,6 +70,31 @@ class CompiledBlock:
     source_ids: Tuple[Tuple[int, ...], ...]
     destination_ids: Tuple[Tuple[int, ...], ...]
     num_registers: int
+
+    def operand_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense ``-1``-padded source and destination register-id matrices.
+
+        Memoized on the instance (as :meth:`BasicBlock.structural_key` is):
+        lowering the ragged operand tuples is the only per-instruction
+        Python loop in megabatch packing, and one compiled block is packed
+        again for every chunk, engine call and table it meets.
+        """
+        rows = self.__dict__.get("_operand_rows")
+        if rows is None:
+            rows = (_dense_operands(self.source_ids, self.length),
+                    _dense_operands(self.destination_ids, self.length))
+            object.__setattr__(self, "_operand_rows", rows)
+        return rows
+
+
+def _dense_operands(rows: Tuple[Tuple[int, ...], ...], length: int) -> np.ndarray:
+    """Lower ragged operand tuples into a dense ``(length, width)`` matrix."""
+    width = max((len(ids) for ids in rows), default=0)
+    dense = np.full((max(length, 1), max(width, 1)), -1, dtype=np.int64)
+    for position, ids in enumerate(rows):
+        if ids:
+            dense[position, :len(ids)] = ids
+    return dense
 
 
 def compile_block(block: BasicBlock, opcode_table: OpcodeTable) -> CompiledBlock:
@@ -103,33 +137,20 @@ class BlockCompiler:
     The cache key is the block's structural key (its assembly), so blocks
     that are equal-by-content share one compilation even when they are
     distinct Python objects (as happens when datasets are reloaded from
-    JSON).  Set ``max_entries=0`` to disable caching — used by benchmarks to
-    reproduce the seed's per-call behaviour as the scalar baseline.
+    JSON).  The cache is an :class:`~repro.engine.binding.LRUCache` of
+    :data:`MAX_COMPILED_BLOCKS` entries.
     """
 
-    def __init__(self, opcode_table: OpcodeTable, max_entries: Optional[int] = None) -> None:
+    def __init__(self, opcode_table: OpcodeTable) -> None:
         self.opcode_table = opcode_table
-        self.max_entries = max_entries
-        self._cache: Dict[Tuple[str, ...], CompiledBlock] = {}
-        self._hits = 0
-        self._misses = 0
+        self._cache = LRUCache(MAX_COMPILED_BLOCKS)
 
     def compile(self, block: BasicBlock) -> CompiledBlock:
-        if self.max_entries == 0:
-            return compile_block(block, self.opcode_table)
         key = block.structural_key()
         compiled = self._cache.get(key)
-        if compiled is not None:
-            self._hits += 1
-            return compiled
-        self._misses += 1
-        compiled = compile_block(block, self.opcode_table)
-        if self.max_entries is not None and len(self._cache) >= self.max_entries:
-            # Simple FIFO-ish eviction: drop the oldest insertion.  Block
-            # universes are small (hundreds to thousands), so this is a
-            # safety valve rather than a tuned policy.
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = compiled
+        if compiled is None:
+            compiled = compile_block(block, self.opcode_table)
+            self._cache.put(key, compiled)
         return compiled
 
     @property
@@ -138,13 +159,11 @@ class BlockCompiler:
 
     @property
     def hits(self) -> int:
-        return self._hits
+        return self._cache.hits
 
     @property
     def misses(self) -> int:
-        return self._misses
+        return self._cache.misses
 
     def clear(self) -> None:
         self._cache.clear()
-        self._hits = 0
-        self._misses = 0

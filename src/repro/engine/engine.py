@@ -18,8 +18,9 @@ serves that request through one path, :meth:`SimulationEngine.run_pairs`:
    ``predict_timing_batch`` steps each lane through its own table's
    ``predict_timing`` instead;
 4. with workers configured, the same lane list is chunked across a
-   ``multiprocessing`` pool (several tasks per worker) with deterministic
-   reassembly.
+   process pool (several tasks per worker) with deterministic reassembly;
+   a worker that dies mid-call raises ``BrokenProcessPool`` instead of
+   leaving the call waiting forever.
 
 The engine is simulator-agnostic: it is constructed from a
 ``simulator_factory`` (native table -> simulator with ``predict_timing``
@@ -31,6 +32,7 @@ llvm-mca and llvm_sim.
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -226,7 +228,8 @@ class SimulationEngine:
         """Run one lane list across the pool, a few chunks per worker.
 
         Each task carries only the tables its chunk uses; ``pool.map``
-        preserves task order, so reassembly is deterministic.
+        preserves task order, so reassembly is deterministic.  A killed
+        worker raises :class:`~concurrent.futures.process.BrokenProcessPool`.
         """
         self._parallel_batches += 1
         size = -(-len(blocks) // (self.num_workers * 2))
@@ -237,9 +240,9 @@ class SimulationEngine:
             tasks.append((self._factory, [tables[slot] for slot in used],
                           local, blocks[start:start + size], None, None))
         self._megabatch_batches += len(tasks)
-        processes = min(self.num_workers, len(tasks))
-        with process_context().Pool(processes=processes) as pool:
-            chunks = pool.map(_simulate_lanes, tasks)
+        with ProcessPoolExecutor(max_workers=min(self.num_workers, len(tasks)),
+                                 mp_context=process_context()) as pool:
+            chunks = list(pool.map(_simulate_lanes, tasks))
         return [value for chunk in chunks for value in chunk]
 
     # ------------------------------------------------------------------

@@ -11,10 +11,11 @@ This module provides the batch-major counterpart, mirroring what
 ``PackedBlockBatch`` did for the surrogates: a :class:`PackedCorpus` lowers a
 list of :class:`~repro.engine.compile.CompiledBlock` into padded NumPy
 matrices (opcode indices, interned source/destination register ids, validity
-implied by ``-1`` padding and per-block lengths), over which the
-numpy-vectorized timing kernels in :mod:`repro.llvm_mca.megabatch` and
-:mod:`repro.llvm_sim.megabatch` advance *every* block one dynamic instruction
-per step.  All kernel arithmetic is int64 cycle math, so the megabatch
+implied by ``-1`` padding and per-block lengths; each block's operand rows
+come memoized from :meth:`~repro.engine.compile.CompiledBlock.operand_rows`),
+over which the numpy-vectorized timing kernels in
+:mod:`repro.llvm_mca.megabatch` and :mod:`repro.llvm_sim.megabatch` advance
+*every* block one dynamic instruction per step.  All kernel arithmetic is int64 cycle math, so the megabatch
 timings are bit-identical to the scalar reference kernels (property-tested
 in ``tests/test_megabatch.py``).
 
@@ -32,7 +33,7 @@ too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,37 +99,6 @@ class PackedCorpus:
         return int(self.opcode_indices.shape[1])
 
 
-#: Cache of per-block dense operand matrices, keyed by the block's content
-#: digest (``CompiledBlock.block_id``).  Lowering the tuple-of-tuples operand
-#: lists is the only per-instruction Python loop left in packing, and the
-#: same blocks recur across chunks, engine calls, and parameter updates
-#: (tables change, blocks don't), so the matrices are built once per block.
-_OPERAND_ROW_CACHE: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-_OPERAND_ROW_CACHE_MAX = 1 << 16
-
-
-def _dense_operands(rows: Tuple[Tuple[int, ...], ...],
-                    length: int) -> np.ndarray:
-    """Lower ragged operand tuples into a dense ``(length, width)`` matrix."""
-    width = max((len(ids) for ids in rows), default=0)
-    dense = np.full((max(length, 1), max(width, 1)), -1, dtype=np.int64)
-    for position, ids in enumerate(rows):
-        if ids:
-            dense[position, :len(ids)] = ids
-    return dense
-
-
-def _operand_rows(block: CompiledBlock) -> Tuple[np.ndarray, np.ndarray]:
-    cached = _OPERAND_ROW_CACHE.get(block.block_id)
-    if cached is None:
-        if len(_OPERAND_ROW_CACHE) >= _OPERAND_ROW_CACHE_MAX:
-            _OPERAND_ROW_CACHE.clear()
-        cached = (_dense_operands(block.source_ids, block.length),
-                  _dense_operands(block.destination_ids, block.length))
-        _OPERAND_ROW_CACHE[block.block_id] = cached
-    return cached
-
-
 def pack_corpus(compiled: Sequence[CompiledBlock]) -> PackedCorpus:
     """Lower ``compiled`` blocks into one :class:`PackedCorpus`.
 
@@ -139,7 +109,7 @@ def pack_corpus(compiled: Sequence[CompiledBlock]) -> PackedCorpus:
     lengths = np.fromiter((block.length for block in compiled), dtype=np.int64,
                           count=count)
     max_length = int(lengths.max(initial=1))
-    operand_rows = [_operand_rows(block) for block in compiled]
+    operand_rows = [block.operand_rows() for block in compiled]
     max_sources = max((src.shape[1] for src, _ in operand_rows), default=1)
     max_destinations = max((dst.shape[1] for _, dst in operand_rows),
                            default=1)

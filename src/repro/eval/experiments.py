@@ -25,7 +25,7 @@ from repro.core.config import fast_config
 from repro.autodiff.tensor import no_grad
 from repro.core.difftune import DiffTune, DiffTuneConfig
 from repro.core.simulated_dataset import random_table_errors
-from repro.core.surrogate import FeaturizationCache, batch_parameter_inputs
+from repro.core.surrogate import BlockFeaturizer, batch_parameter_inputs
 from repro.eval.analysis import (case_study_report, parameter_histograms,
                                  per_application_error, per_category_error)
 from repro.eval.metrics import error_and_tau, mean_absolute_percentage_error
@@ -318,8 +318,7 @@ def run_figure2_surrogate_sweep(scale: Optional[ExperimentScale] = None,
                        for width, arrays in zip(widths, tables)]
     # One batched forward: the block packed once per width, each row with
     # its own table.
-    cache = FeaturizationCache(difftune.featurizer)
-    packed = cache.pack(cache.resolve([cache.featurize(block)] * len(widths)))
+    packed = BlockFeaturizer.pack([difftune.featurizer.arrays(block)] * len(widths))
     per_instruction, global_values = batch_parameter_inputs(parameter_spec, packed,
                                                             tables)
     with no_grad():

@@ -30,6 +30,12 @@ class ParseError(ValueError):
 _WIDTH_BY_SUFFIX = {"b": 8, "w": 16, "l": 32, "q": 64}
 _SUFFIX_BY_WIDTH = {8: "b", 16: "w", 32: "l", 64: "q"}
 
+#: GNU objdump spells movsx/movzx with two suffix letters, the source width
+#: then the destination width (``movzbl``, ``movslq``).
+_GNU_EXTEND = re.compile(r"^mov([sz])([bwl])([wlq])$")
+#: Other spellings of mnemonics the opcode table names.
+_ALIASES = {"sal": "shl"}
+
 _MEMORY_PATTERN = re.compile(
     r"^(?P<disp>-?\d*)\((?P<inner>[^)]*)\)$")
 
@@ -115,9 +121,18 @@ def _operand_form(operands: Sequence[Operand]) -> Tuple[str, Optional[OperandFor
     return reversed_kinds, form_map.get(reversed_kinds)
 
 
-def _mnemonic_and_width(mnemonic: str) -> Tuple[str, Optional[int]]:
-    """Strip an AT&T width suffix from a mnemonic when present."""
+def _mnemonic_and_width(mnemonic: str) -> Tuple[str, Optional[int], Optional[int]]:
+    """Strip AT&T width suffixes from a mnemonic when present.
+
+    Returns ``(mnemonic, width, source_width)``; only the GNU movsx/movzx
+    spellings carry a ``source_width``.
+    """
     lowered = mnemonic.lower()
+    extend = _GNU_EXTEND.match(lowered)
+    if extend:
+        kind, source, destination = extend.groups()
+        return (f"mov{kind}x", _WIDTH_BY_SUFFIX[destination],
+                _WIDTH_BY_SUFFIX[source])
     # Vector / SSE mnemonics and a few scalar ones end in letters that look
     # like width suffixes but are part of the name (movss, addsd, paddd, ...).
     non_suffixed = {"movss", "movsd", "addss", "addsd", "subss", "subsd", "mulss", "mulsd",
@@ -126,19 +141,20 @@ def _mnemonic_and_width(mnemonic: str) -> Tuple[str, Optional[int]]:
                     "pmulld", "pand", "pcmpeqd", "cvtsi2sd", "cvtpd2ps", "setb", "setl",
                     "pushq", "popq"}
     if lowered in ("pushq", "popq"):
-        return lowered[:-1], 64
+        return lowered[:-1], 64, None
     if lowered in non_suffixed and lowered not in ("pushq", "popq"):
-        return lowered, None
+        return lowered, None, None
     if len(lowered) > 2 and lowered[-1] in _WIDTH_BY_SUFFIX:
         candidate_base = lowered[:-1]
         # Only strip when the base is a known scalar mnemonic; this avoids
         # mangling names like "shufps".
         scalar_bases = {"add", "sub", "and", "or", "xor", "cmp", "test", "adc", "sbb", "mov",
-                        "inc", "dec", "neg", "not", "shl", "shr", "sar", "rol", "ror", "imul",
-                        "mul", "div", "idiv", "lea", "push", "pop"}
+                        "inc", "dec", "neg", "not", "shl", "sal", "shr", "sar", "rol", "ror",
+                        "imul", "mul", "div", "idiv", "lea", "push", "pop"}
         if candidate_base in scalar_bases:
-            return candidate_base, _WIDTH_BY_SUFFIX[lowered[-1]]
-    return lowered, None
+            return (_ALIASES.get(candidate_base, candidate_base),
+                    _WIDTH_BY_SUFFIX[lowered[-1]], None)
+    return _ALIASES.get(lowered, lowered), None, None
 
 
 def _register_width(operand: Operand) -> Optional[int]:
@@ -159,7 +175,8 @@ _SHIFTS = ("shl", "shr", "sar", "rol", "ror")
 
 
 def _candidate_opcode_names(mnemonic: str, width: int, form_code: str,
-                            operands: Sequence[Operand]) -> List[str]:
+                            operands: Sequence[Operand],
+                            source_width: Optional[int] = None) -> List[str]:
     upper = mnemonic.upper()
     candidates = []
     is_vector = any(isinstance(op, RegisterOperand) and register_by_name(op.name).is_vector
@@ -177,12 +194,13 @@ def _candidate_opcode_names(mnemonic: str, width: int, form_code: str,
         candidates.insert(0, f"{upper}{width_name}r")
     # movsx/movzx are named by the destination width, then the source width
     # (MOVSX64rr16 for `movsx %ax, %rcx`).  A memory source carries no
-    # width, so each source width is tried, widest first.
+    # width unless a GNU suffix gave one, so each source width is tried,
+    # widest first.
     if mnemonic in ("movsx", "movzx") and operands:
         destination = _register_width(operands[-1]) or width
-        source = _register_width(operands[0])
-        for source_width in ((source,) if source else (8, 16, 32)):
-            candidates.insert(0, f"{upper}{destination}{form_code}{source_width}")
+        source = _register_width(operands[0]) or source_width
+        for tried in ((source,) if source else (8, 16, 32)):
+            candidates.insert(0, f"{upper}{destination}{form_code}{tried}")
     # Shift by an implicit 1 or by %cl (named by the destination's width).
     if form_code == "r" and mnemonic in _SHIFTS:
         candidates.insert(0, f"{upper}{width_name}r1")
@@ -201,13 +219,14 @@ def parse_instruction(text: str, opcode_table: Optional[OpcodeTable] = None) -> 
     raw_mnemonic = pieces[0]
     operand_text = pieces[1] if len(pieces) > 1 else ""
     operands = tuple(_parse_operand(part) for part in _split_operands(operand_text))
-    mnemonic, suffix_width = _mnemonic_and_width(raw_mnemonic)
+    mnemonic, suffix_width, source_width = _mnemonic_and_width(raw_mnemonic)
     width = _infer_width(operands, suffix_width) if operands else (suffix_width or 64)
     if suffix_width is not None and not any(
             isinstance(op, RegisterOperand) for op in operands):
         width = suffix_width
     form_code, _ = _operand_form(operands)
-    for candidate in _candidate_opcode_names(mnemonic, width, form_code, operands):
+    for candidate in _candidate_opcode_names(mnemonic, width, form_code, operands,
+                                             source_width):
         opcode = opcode_table.get(candidate)
         if opcode is not None:
             return Instruction(opcode=opcode, operands=operands)

@@ -23,6 +23,8 @@ from __future__ import annotations
 import logging
 import time
 import traceback as traceback_module
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
@@ -96,9 +98,11 @@ def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0
     included), before any target runs.  Returns outcomes keyed by each
     spec's ``target``, in input order.  The parallel path produces the same
     outcomes as the sequential one — each target's run is fully determined
-    by its spec.  Each run logs its stages under ``repro.*``; pool workers
-    inherit the parent's logging setup when forked, so parallel targets'
-    lines interleave.
+    by its spec.  A pool worker that dies (killed, out of memory) breaks
+    the pool: targets that finished keep their outcomes, and every other
+    target gets a failed outcome naming ``BrokenProcessPool``.  Each run
+    logs its stages under ``repro.*``; pool workers inherit the parent's
+    logging setup when forked, so parallel targets' lines interleave.
     """
     from repro.api.registries import TARGETS
     from repro.api.specs import SpecValidationError
@@ -115,8 +119,18 @@ def tune_targets(specs: Sequence["TuneSpec"], workers: int = 0
     if workers > 1 and len(specs) > 1:
         processes = min(workers, len(specs))
         logger.info(f"tuning {len(specs)} targets across {processes} worker processes")
-        with process_context().Pool(processes=processes) as pool:
-            outcomes = pool.map(tune_target, list(specs))
+        with ProcessPoolExecutor(max_workers=processes,
+                                 mp_context=process_context()) as pool:
+            futures = [pool.submit(tune_target, spec) for spec in specs]
+            outcomes = []
+            for spec, future in zip(specs, futures):
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as error:
+                    outcomes.append(TargetOutcome(
+                        target=spec.target, completed=False,
+                        error=f"{type(error).__name__}: {error}",
+                        traceback=traceback_module.format_exc()))
     else:
         outcomes = []
         for spec in specs:

@@ -167,7 +167,7 @@ class CollectDatasetStage(Stage):
 
         Corpus sources (a corpus or a view of one) carry a
         ``content_fingerprint``, the probe ``DiffTune.learn`` and
-        :meth:`~repro.core.surrogate.FeaturizationCache.lookup` use too.
+        :meth:`~repro.core.surrogate.BlockFeaturizer.lookup` use too.
         """
         if store is None or not hasattr(state.blocks, "content_fingerprint"):
             return None

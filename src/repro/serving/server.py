@@ -76,15 +76,10 @@ class InferenceServer(JsonHttpServer):
         :class:`PredictSpec` session serves ``table_path`` or the default
         table.
         """
-        import dataclasses
-
         if isinstance(spec, dict):
-            payload = dict(spec)
-            payload.update(overrides)
-            spec = ServeSpec.from_dict(payload)
-        elif overrides:
-            spec = dataclasses.replace(spec, **overrides)
-        spec.validate()
+            spec = ServeSpec.from_dict({**spec, **overrides})
+        else:
+            spec = spec.with_overrides(overrides)
         if spec.bundle_path is not None:
             session = Session.from_bundle(
                 spec.bundle_path, engine_workers=spec.engine_workers)

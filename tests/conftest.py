@@ -6,6 +6,9 @@ scoped so the several hundred tests stay fast.
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -66,3 +69,26 @@ def simple_block():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` fails the test instead of letting it hang.
+
+    A SIGALRM timer interrupts the test thread's wait (a lock acquire, a
+    pipe read) with ``TimeoutError``; leaving the block cancels the timer.
+    """
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(_signum, _frame):
+            raise TimeoutError(f"still waiting after {seconds}s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -38,9 +38,38 @@ class TestConstruction:
         session = Session.from_spec(TuneSpec(target="haswell"), seed=9)
         assert session.spec.seed == 9
 
-    def test_override_unknown_field_raises(self):
-        with pytest.raises(SpecValidationError, match="bogus"):
-            Session.from_spec(TuneSpec(), bogus=1)
+    @pytest.mark.parametrize("entry_point", ["from_spec", "run_campaign",
+                                             "run_matrix", "serve"])
+    def test_override_unknown_field_raises(self, entry_point):
+        """Every entry point that takes overrides rejects an unknown one with
+        a SpecValidationError naming it, worded as ``from_dict`` words it
+        (did-you-mean hint included)."""
+        from repro.campaigns.spec import CampaignSpec
+        from repro.distributed.spec import MatrixCampaignSpec
+        from repro.api.specs import ServeSpec
+        from repro.serving.server import InferenceServer
+
+        axis = {"field": "DispatchWidth", "values": [1, 2]}
+        spec_class, call = {
+            "from_spec": (TuneSpec, lambda **extra: Session.from_spec(
+                TuneSpec(), **extra)),
+            "run_campaign": (CampaignSpec, lambda **extra: Session.from_spec(
+                TuneSpec()).run_campaign(CampaignSpec(axes=[axis]), **extra)),
+            "run_matrix": (MatrixCampaignSpec, lambda **extra: Session.from_spec(
+                TuneSpec()).run_matrix(
+                    MatrixCampaignSpec(campaign={"axes": [axis]}), **extra)),
+            "serve": (ServeSpec, lambda **extra: InferenceServer.from_spec(
+                ServeSpec(port=0), **extra)),
+        }[entry_point]
+        field = sorted(spec_field for spec_field in spec_class.__dataclass_fields__)[0]
+        for key in ("bogus", field + "s"):
+            with pytest.raises(SpecValidationError) as expected:
+                spec_class.from_dict({key: 1})
+            with pytest.raises(SpecValidationError) as raised:
+                call(**{key: 1})
+            assert raised.value.field == key
+            assert str(raised.value) == str(expected.value)
+        assert f"did you mean {field!r}?" in str(raised.value)
 
     def test_invalid_spec_rejected_eagerly(self):
         with pytest.raises(SpecValidationError, match="target"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
-from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache, SurrogateConfig,
+from repro.core.surrogate import (BlockFeaturizer, SurrogateConfig,
                                   batch_parameter_inputs, build_surrogate)
 from repro.core.simulated_dataset import random_table_errors
 from repro.core.surrogate import (AnalyticalSurrogate, IthemalSurrogate, PooledSurrogate,
@@ -41,8 +41,7 @@ def make_inputs(adapter, featurizer, block, rng):
     """A one-block packed batch and its normalized ``(1, I, D)`` / ``(1, G)``
     inputs from a sampled table."""
     spec = adapter.parameter_spec()
-    cache = FeaturizationCache(featurizer)
-    packed = cache.pack(cache.resolve([cache.featurize(block)]))
+    packed = featurizer.pack([featurizer.arrays(block)])
     per_instruction, global_values = batch_parameter_inputs(spec, packed,
                                                             [spec.sample(rng)])
     return packed, per_instruction, global_values
@@ -69,7 +68,7 @@ class TestFeaturizer:
         assert featurized.loop_carried_writers  # both registers are loop carried
 
     def test_caching_returns_same_object(self, featurizer, simple_block):
-        assert featurizer.featurize(simple_block) is featurizer.featurize(simple_block)
+        assert featurizer.arrays(simple_block) is featurizer.arrays(simple_block)
 
     def test_structural_feature_ranges(self, featurizer, sample_blocks):
         for block in sample_blocks[:10]:

@@ -13,7 +13,9 @@ The contracts under test are the tentpole guarantees of :mod:`repro.corpus`:
 * a view carries its store, which is bound once and checked against the
   view's corpus;
 * the featurization store serves the exact per-block arrays the featurizer
-  computes, and the featurization cache is content-keyed and bounded.
+  computes, and the featurizer's cache is content-keyed and bounded;
+* per-block caches stay bounded at 65,536 blocks under a corpus stream,
+  and one ``DiffTune.learn`` featurizes each distinct block once.
 """
 
 import json
@@ -26,10 +28,9 @@ from repro.bhive.dataset import build_dataset
 from repro.bhive.generator import BlockGenerator
 from repro.core.simulated_dataset import (CollectionCheckpoint, SimulatedDataset,
                                           collect_simulated_dataset)
-from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache,
-                                  build_block_arrays,
-                                  featurization_cache_stats,
-                                  featurized_block_digest)
+from repro import storage
+from repro.core.surrogate import (BlockFeaturizer, build_block_arrays,
+                                  featurization_cache_stats)
 from repro.corpus import CorpusError, ShardedCorpus, ShardedFeaturizationStore
 from repro.corpus import sharded
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE
@@ -157,16 +158,14 @@ class TestFeaturizationStore:
         store = ShardedFeaturizationStore(
             str(tmp_path / "store"), featurizer).ensure(corpus)
         assert len(store) == len(corpus)
-        for index in range(0, len(corpus), 17):
+        for index in range(len(corpus)):
             expected = build_block_arrays(featurizer.featurize(corpus[index]))
             served = store.arrays_for_index(index)
             assert served.keys() == expected.keys()
             for key in expected:
+                assert served[key].dtype == expected[key].dtype
+                assert served[key].tobytes() == expected[key].tobytes()
                 np.testing.assert_array_equal(served[key], expected[key])
-            digest = featurized_block_digest(featurizer.featurize(corpus[index]))
-            by_digest = store.arrays_for_digest(digest)
-            np.testing.assert_array_equal(by_digest["opcode_indices"],
-                                          expected["opcode_indices"])
 
     def test_ensure_is_idempotent(self, corpus, tmp_path):
         featurizer = BlockFeaturizer(DEFAULT_OPCODE_TABLE)
@@ -466,27 +465,29 @@ class TestFeaturizationCacheContract:
         block = generator.generate_block()
         twin = BlockGenerator(seed=5).generate_block()
         assert block is not twin
-        cache = FeaturizationCache(BlockFeaturizer(DEFAULT_OPCODE_TABLE))
+        featurizer = BlockFeaturizer(DEFAULT_OPCODE_TABLE)
         before = featurization_cache_stats()
-        first = cache.arrays_for(cache.featurize(block))
-        second = cache.arrays_for(cache.featurize(twin))
+        first = featurizer.arrays(block)
+        second = featurizer.arrays(twin)
         after = featurization_cache_stats()
-        assert second is first  # digest-keyed, not id()-keyed
+        assert second is first  # content-keyed, not id()-keyed
         assert after["block_misses"] == before["block_misses"] + 1
         assert after["block_hits"] == before["block_hits"] + 1
 
-    def test_lru_bound_evicts_oldest(self):
-        cache = FeaturizationCache(BlockFeaturizer(DEFAULT_OPCODE_TABLE),
-                                   max_blocks=2)
+    def test_lru_bound_evicts_oldest(self, monkeypatch):
+        import repro.core.surrogate as surrogate_module
+
+        monkeypatch.setattr(surrogate_module, "MAX_CACHED_BLOCKS", 2)
+        featurizer = BlockFeaturizer(DEFAULT_OPCODE_TABLE)
         generator = BlockGenerator(seed=6)
-        featurized = [cache.featurize(generator.generate_block())
-                      for _ in range(3)]
+        blocks = [generator.generate_block() for _ in range(3)]
         before = featurization_cache_stats()
-        for item in featurized:
-            cache.arrays_for(item)
+        arrays = [featurizer.arrays(block) for block in blocks]
         after = featurization_cache_stats()
-        assert len(cache._block_arrays) <= 2
-        assert after["block_evictions"] > before["block_evictions"]
+        assert len(featurizer._arrays) == 2
+        assert after["block_evictions"] == before["block_evictions"] + 1
+        assert featurizer.arrays(blocks[2]) is arrays[2]
+        assert featurizer.arrays(blocks[0]) is not arrays[0]  # the oldest went
 
     def test_session_stats_exposes_featurization_counters(self):
         from repro.api import Session
@@ -497,6 +498,70 @@ class TestFeaturizationCacheContract:
         # table, so the counters cover the per-block cache only.
         assert set(stats["featurization"]) == {"block_hits", "block_misses",
                                                "block_evictions"}
+
+
+def _write_corpus(directory, assemblies, shard_size):
+    """A complete corpus holding ``assemblies``, laid out as ``build`` writes it."""
+    shards = []
+    for start in range(0, len(assemblies), shard_size):
+        entries = [{"assembly": text, "applications": [], "timing": 1.0,
+                    "digest": sharded.block_content_digest(text, [])}
+                   for text in assemblies[start:start + shard_size]]
+        name = f"shard-{len(shards):05d}.json"
+        payload = sharded._dump_shard_bytes(entries)
+        sharded._atomic_write(os.path.join(directory, sharded.SHARD_DIR, name), payload)
+        shards.append({"name": name, "num_blocks": len(entries),
+                       "digest": storage.digest(payload)})
+    manifest = {"version": sharded.CORPUS_VERSION, "uarch": "haswell", "seed": 0,
+                "shard_size": shard_size, "num_requested": len(assemblies),
+                "num_generated": len(assemblies), "num_blocks": len(assemblies),
+                "complete": True, "shards": shards}
+    sharded._atomic_write(os.path.join(directory, storage.MANIFEST_NAME),
+                          storage.encode_json(manifest))
+    return ShardedCorpus(directory)
+
+
+class TestCacheBounds:
+    def test_corpus_stream_keeps_per_block_caches_bounded(self, tmp_path):
+        """70,000 distinct blocks through a view with no store leave at most
+        65,536 blocks in the featurizer's cache and in the compiler's."""
+        from repro.engine.compile import MAX_COMPILED_BLOCKS, BlockCompiler
+        from repro.core.surrogate import MAX_CACHED_BLOCKS
+
+        assert MAX_CACHED_BLOCKS == MAX_COMPILED_BLOCKS == 65536
+        count = 70000
+        corpus = _write_corpus(str(tmp_path / "corpus"),
+                               [f"pushq ${value}" for value in range(count)],
+                               shard_size=10000)
+        view = corpus.view(range(count))
+        featurizer = BlockFeaturizer(DEFAULT_OPCODE_TABLE)
+        compiler = BlockCompiler(DEFAULT_OPCODE_TABLE)
+        block_arrays = featurizer.lookup(view)
+        before = featurization_cache_stats()
+        for position in range(count):
+            block_arrays(position)
+            compiler.compile(view[position])
+        after = featurization_cache_stats()
+        assert len(featurizer._arrays) == MAX_CACHED_BLOCKS
+        assert compiler.cache_size == MAX_COMPILED_BLOCKS
+        assert compiler.misses == count
+        assert after["block_misses"] - before["block_misses"] == count
+        assert after["block_evictions"] - before["block_evictions"] == \
+            count - MAX_CACHED_BLOCKS
+
+    def test_learn_featurizes_each_distinct_block_once(self, corpus):
+        """Both phases of every round read one featurizer's cache, so a run
+        with two refinement rounds (six training calls) misses once per
+        distinct training block."""
+        blocks = list(corpus.split_view("train"))
+        distinct = len({block.structural_key() for block in blocks})
+        learner = _learner(refinement_rounds=2)
+        before = featurization_cache_stats()
+        result = learner.learn(blocks, corpus.split_view("train").timings())
+        after = featurization_cache_stats()
+        assert result is not None
+        assert after["block_misses"] - before["block_misses"] == distinct
+        assert after["block_hits"] > before["block_hits"]
 
 
 class TestCorpusSpecAndSession:

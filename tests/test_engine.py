@@ -6,6 +6,11 @@ pipeline relies on: LRU behaviour, content digests, and the adapters'
 ``table_from_arrays`` memoization.
 """
 
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -67,10 +72,33 @@ class TestBlockCompilation:
         assert second is first
         assert compiler.hits == 1 and compiler.misses == 1
 
-    def test_compiler_cache_can_be_disabled(self, simple_block, opcode_table):
-        compiler = BlockCompiler(opcode_table, max_entries=0)
-        assert compiler.compile(simple_block) is not compiler.compile(simple_block)
-        assert compiler.cache_size == 0
+    def test_compiler_cache_is_lru_bounded(self, sample_blocks, opcode_table,
+                                           monkeypatch):
+        import repro.engine.compile as compile_module
+
+        monkeypatch.setattr(compile_module, "MAX_COMPILED_BLOCKS", 2)
+        compiler = BlockCompiler(opcode_table)
+        first, second, third = sample_blocks[:3]
+        kept = compiler.compile(first)
+        compiler.compile(second)
+        assert compiler.compile(first) is kept      # refresh `first`
+        compiler.compile(third)                     # evicts `second`
+        assert compiler.cache_size == 2
+        assert compiler.compile(first) is kept
+        compiler.compile(second)
+        assert (compiler.hits, compiler.misses) == (2, 4)
+
+    def test_operand_rows_are_memoized_on_the_compiled_block(self, simple_block,
+                                                             opcode_table):
+        compiled = compile_block(simple_block, opcode_table)
+        sources, destinations = compiled.operand_rows()
+        assert compiled.operand_rows()[0] is sources
+        assert sources.shape[0] == destinations.shape[0] == len(simple_block)
+        for position in range(len(simple_block)):
+            row = sources[position]
+            assert tuple(row[row >= 0]) == compiled.source_ids[position]
+            row = destinations[position]
+            assert tuple(row[row >= 0]) == compiled.destination_ids[position]
 
 
 class TestTableBinding:
@@ -132,6 +160,7 @@ class TestLRUCache:
         cache.put("c", 3)                   # evicts "b"
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
+        assert cache.evictions == 1
 
     def test_hit_miss_accounting(self):
         cache = LRUCache(4)
@@ -225,6 +254,33 @@ class TestRunPairs:
         parallel = mca_engine(num_workers=2).run_pairs(pairs)
         for serial_row, parallel_row in zip(serial, parallel):
             assert np.array_equal(serial_row, parallel_row)
+
+
+class _WorkerKillingSimulator:
+    """A simulator whose timing call SIGKILLs the pool worker running it.
+
+    Module level, so the pool can pickle it by reference.
+    """
+
+    def __init__(self, table):
+        self.table = table
+
+    def predict_timing(self, block):
+        if multiprocessing.parent_process() is None:
+            raise AssertionError("the killing simulator ran in the test process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestPoolWorkerDeath:
+    def test_killed_worker_raises_instead_of_hanging(self, mca_table, sample_blocks,
+                                                     deadline):
+        slower = mca_table.copy()
+        slower.write_latency = slower.write_latency + 1
+        engine = SimulationEngine(_WorkerKillingSimulator, mca_table_digest,
+                                  num_workers=2)
+        with deadline(30), pytest.raises(BrokenProcessPool):
+            engine.run_pairs([(mca_table, sample_blocks[:4]),
+                              (slower, sample_blocks[4:8])])
 
 
 class TestAdapterEngineIntegration:

@@ -335,6 +335,25 @@ class TestParser:
         assert format_instruction(instruction) == text
         assert parse_instruction(format_instruction(instruction)) == instruction
 
+    @pytest.mark.parametrize("text, opcode", [
+        ("movzbl (%rax), %ecx", "MOVZX32rm8"),
+        ("movzbl %al, %ecx", "MOVZX32rr8"),
+        ("movzwl (%rax), %ecx", "MOVZX32rm16"),
+        ("movslq %eax, %rcx", "MOVSX64rr32"),
+        ("movslq (%rdi), %rax", "MOVSX64rm32"),
+        ("movsbq %al, %rcx", "MOVSX64rr8"),
+        ("sall %cl, %eax", "SHL32rCL"),
+        ("sal %cl, %eax", "SHL32rCL"),
+        ("salq $3, %rax", "SHL64ri"),
+        ("movss %xmm1, %xmm0", "MOVSSrr"),
+        ("movsd (%rax), %xmm0", "MOVSDrm"),
+    ])
+    def test_gnu_objdump_spellings_resolve(self, text, opcode):
+        """objdump's movsx/movzx carry the source then the destination width
+        in two suffix letters, and `sal` is `shl`; movss/movsd keep their
+        own opcodes."""
+        assert parse_instruction(text).opcode.name == opcode
+
     def test_base_less_memory_operand_prints_its_leading_comma(self):
         operand = MemoryOperand(index="rbx", scale=8)
         assert operand.to_assembly() == "(,%rbx,8)"

@@ -8,7 +8,11 @@ and the ParameterArrays codec the per-stage table artifacts are built on.
 
 import json
 import logging
+import multiprocessing
 import os
+import signal
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,6 +291,44 @@ class TestMultiTarget:
         assert "Traceback" in failed.traceback
 
 
+class TestPoolWorkerDeath:
+    def test_killed_target_fails_and_finished_target_keeps_its_outcome(
+            self, tmp_path, monkeypatch, deadline):
+        """A worker SIGKILLed mid-target breaks the pool: that target comes
+        back failed naming ``BrokenProcessPool`` while a target that had
+        already finished keeps its outcome."""
+        from repro.api.session import Session
+
+        finished = tmp_path / "haswell-finished"
+
+        def tune(session):
+            if session.spec.target == "zen2":
+                if multiprocessing.parent_process() is None:
+                    raise AssertionError("the killed target ran in the test process")
+                while not finished.exists():
+                    time.sleep(0.01)
+                time.sleep(0.5)  # the finished outcome reaches the parent first
+                os.kill(os.getpid(), signal.SIGKILL)
+            finished.touch()
+            return SimpleNamespace(completed=True, train_error=0.25, test_error=0.5,
+                                   default_test_error=0.75, resumed_stages=[],
+                                   learned_table=None, stopped_after=None)
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(Session, "tune", tune)
+        specs = [TuneSpec(target="haswell"), TuneSpec(target="zen2")]
+        with deadline(30):
+            outcomes = tune_targets(specs, workers=2)
+        assert list(outcomes) == ["haswell", "zen2"]
+        kept = outcomes["haswell"]
+        assert kept.completed and not kept.failed
+        assert (kept.train_error, kept.test_error) == (0.25, 0.5)
+        killed = outcomes["zen2"]
+        assert killed.failed and not killed.completed
+        assert killed.error.startswith("BrokenProcessPool: ")
+        assert "BrokenProcessPool" in killed.traceback
+
+
 class TestParameterArraysCodec:
     def test_parameter_arrays_roundtrip(self):
         arrays = ParameterArrays(global_values=np.array([3.0, 7.0]),
@@ -375,13 +417,13 @@ class TestLearnResult:
         import inspect
 
         import repro.pipeline
-        from repro.core.surrogate import FeaturizationCache
+        from repro.core.surrogate import BlockFeaturizer
         from repro.core.surrogate_training import train_surrogate
         from repro.core.table_optimization import optimize_parameter_table
 
         threaded = {"store", "featurization_store", "simulated_dataset"}
         for function in (DiffTune.learn, train_surrogate, optimize_parameter_table,
-                         FeaturizationCache.lookup):
+                         BlockFeaturizer.lookup):
             assert not threaded & set(inspect.signature(function).parameters)
         assert "featurization_store" not in {
             entry.name for entry in dataclasses.fields(PipelineState)}

@@ -7,7 +7,7 @@ reference loop built here on the scalar ``reference_forward``
 :func:`~repro.core.training_loop.run_minibatch_loop`.  A hypothesis
 property test drives the comparison over random block subsets and parameter
 tables; deterministic tests cover the
-:class:`~repro.core.surrogate.FeaturizationCache` packing, the training-loop
+:class:`~repro.core.surrogate.BlockFeaturizer` cache and packing, the training-loop
 integration, the ``log_every`` per-batch DEBUG log semantics (including the
 final partial batch), and the ``surrogate_training_throughput`` scenario
 registration.
@@ -27,9 +27,8 @@ from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
-from repro.core.surrogate import (FeaturizationCache, SurrogateConfig,
-                                  _SurrogateBase, batch_parameter_inputs,
-                                  build_surrogate)
+from repro.core.surrogate import (SurrogateConfig, _SurrogateBase,
+                                  batch_parameter_inputs, build_surrogate)
 from repro.core.surrogate import BlockFeaturizer, featurization_cache_stats
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
                                            train_surrogate)
@@ -66,9 +65,9 @@ def _build(adapter, kind, seed=0):
 def _scalar_and_batched(surrogate, adapter, blocks, tables):
     """(scalar predictions, batched predictions) for aligned blocks/tables."""
     spec = adapter.parameter_spec()
-    cache = FeaturizationCache(surrogate.featurizer)
-    featurized = [cache.featurize(block) for block in blocks]
-    packed = cache.pack(cache.resolve(featurized))
+    featurizer = surrogate.featurizer
+    featurized = [featurizer.featurize(block) for block in blocks]
+    packed = featurizer.pack([featurizer.arrays(block) for block in blocks])
     per_instruction, global_values = batch_parameter_inputs(spec, packed, tables)
     batched = surrogate.forward_batch(packed, per_instruction, global_values)
     scalar = []
@@ -202,9 +201,9 @@ class TestForwardEquivalence:
 
 class TestFeaturizationCache:
     def test_pack_pads_and_masks(self, adapter, blocks):
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        featurized = [cache.featurize(block) for block in blocks[:4]]
-        packed = cache.pack(cache.resolve(featurized))
+        featurizer = BlockFeaturizer(adapter.opcode_table)
+        featurized = [featurizer.featurize(block) for block in blocks[:4]]
+        packed = featurizer.pack([featurizer.arrays(block) for block in blocks[:4]])
         lengths = [len(entry.opcode_indices) for entry in featurized]
         assert packed.batch_size == 4
         assert packed.max_instructions == max(lengths)
@@ -222,43 +221,43 @@ class TestFeaturizationCache:
             assert packed.token_mask[row, length:].sum() == 0
 
     def test_pack_empty_batch_rejected(self, adapter):
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
+        featurizer = BlockFeaturizer(adapter.opcode_table)
         with pytest.raises(ValueError, match="empty batch"):
-            cache.pack([])
+            featurizer.pack([])
 
     def test_block_arrays_cached_per_block(self, adapter, blocks):
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        featurized = cache.featurize(blocks[0])
-        first = cache.arrays_for(featurized)
-        again = cache.arrays_for(cache.featurize(blocks[0]))
+        featurizer = BlockFeaturizer(adapter.opcode_table)
+        first = featurizer.arrays(blocks[0])
+        again = featurizer.arrays(blocks[0])
         assert first is again
 
     def test_resolve_looks_up_each_distinct_block_once(self, adapter, blocks):
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        featurized = [cache.featurize(block) for block in
-                      (blocks[0], blocks[1], blocks[0], blocks[0])]
+        """A block list resolves up front, and each distinct block is built
+        once: repeats are cache hits returning the same arrays."""
+        featurizer = BlockFeaturizer(adapter.opcode_table)
         before = featurization_cache_stats()
-        resolved = cache.resolve(featurized)
+        lookup = featurizer.lookup([blocks[0], blocks[1], blocks[0], blocks[0]])
         after = featurization_cache_stats()
+        resolved = [lookup(position) for position in range(4)]
+        assert featurization_cache_stats() == after
         assert [arrays is resolved[0] for arrays in resolved] == \
             [True, False, True, True]
-        lookups = sum(after[key] - before[key]
-                      for key in ("block_hits", "block_misses"))
-        assert lookups == 2
+        assert after["block_misses"] - before["block_misses"] == 2
+        assert after["block_hits"] - before["block_hits"] == 2
 
     def test_batch_parameters_equal_per_table_normalization(self, adapter, blocks):
         """Normalizing the gathered batch equals normalizing each whole table
         (``==``, not a tolerance), and padded slots are zero."""
         spec = adapter.parameter_spec()
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        featurized = [cache.featurize(block) for block in blocks[:5]]
+        featurizer = BlockFeaturizer(adapter.opcode_table)
+        featurized = [featurizer.featurize(block) for block in blocks[:5]]
         rng = np.random.default_rng(0)
         table = spec.sample(rng)
         # Examples 0 and 2 share one table object, as collection's
         # blocks_per_table grouping does.
         tables = [table, spec.sample(rng), table, spec.sample(rng),
                   spec.sample(rng)]
-        packed = cache.pack(cache.resolve(featurized))
+        packed = featurizer.pack([featurizer.arrays(block) for block in blocks[:5]])
         per_instruction, global_values = batch_parameter_inputs(spec, packed,
                                                                 tables)
         assert per_instruction.shape == (5, packed.max_instructions,
@@ -275,9 +274,8 @@ class TestFeaturizationCache:
 
     def test_batch_parameters_alignment_validated(self, adapter, blocks):
         spec = adapter.parameter_spec()
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        packed = cache.pack(cache.resolve(
-            [cache.featurize(block) for block in blocks[:2]]))
+        featurizer = BlockFeaturizer(adapter.opcode_table)
+        packed = featurizer.pack([featurizer.arrays(block) for block in blocks[:2]])
         with pytest.raises(ValueError, match="1 tables for a batch of 2.*aligned"):
             batch_parameter_inputs(spec, packed,
                                    [spec.sample(np.random.default_rng(0))])
@@ -329,7 +327,8 @@ class TestTrainingPaths:
 
 
 class TestNoDigestInsideTheMinibatchLoop:
-    """Both phases resolve per-block arrays before their minibatch loop."""
+    """Both phases resolve per-block arrays before their minibatch loop, and
+    digest no table."""
 
     def test_train_surrogate_and_optimize_parameter_table(self, adapter, blocks,
                                                           simulated, monkeypatch):
@@ -340,13 +339,14 @@ class TestNoDigestInsideTheMinibatchLoop:
                                                    optimize_parameter_table)
 
         loop_depth = []
-        digests = {"total": 0, "in_loop": 0}
+        calls = {name: {"total": 0, "in_loop": 0}
+                 for name in ("table_digest", "arrays")}
 
-        def counted(digest):
+        def counted(name, function):
             def wrapper(*args, **kwargs):
-                digests["total"] += 1
-                digests["in_loop"] += bool(loop_depth)
-                return digest(*args, **kwargs)
+                calls[name]["total"] += 1
+                calls[name]["in_loop"] += bool(loop_depth)
+                return function(*args, **kwargs)
             return wrapper
 
         def tracked(loop):
@@ -358,9 +358,10 @@ class TestNoDigestInsideTheMinibatchLoop:
                     loop_depth.pop()
             return wrapper
 
-        for name in ("table_digest", "featurized_block_digest"):
-            monkeypatch.setattr(surrogate_module, name,
-                                counted(getattr(surrogate_module, name)))
+        monkeypatch.setattr(surrogate_module, "table_digest",
+                            counted("table_digest", surrogate_module.table_digest))
+        monkeypatch.setattr(BlockFeaturizer, "arrays",
+                            counted("arrays", BlockFeaturizer.arrays))
         for module in (training, optimization):
             monkeypatch.setattr(module, "run_minibatch_loop",
                                 tracked(module.run_minibatch_loop))
@@ -371,8 +372,9 @@ class TestNoDigestInsideTheMinibatchLoop:
         optimize_parameter_table(surrogate, blocks,
                                  np.linspace(1.0, 6.0, len(blocks)),
                                  TableOptimizationConfig(epochs=2, batch_size=4))
-        assert digests["total"] > 0  # resolving before the loops digested
-        assert digests["in_loop"] == 0
+        assert calls["arrays"]["total"] > 0  # resolved before the loops
+        assert calls["arrays"]["in_loop"] == 0
+        assert calls["table_digest"] == {"total": 0, "in_loop": 0}
 
 
 class TestProgressCallback:
