@@ -186,6 +186,10 @@ class ParameterSpec:
             raise ValueError("num_opcodes must be >= 1")
         self.global_fields: List[ParameterField] = list(global_fields)
         self.per_instruction_fields: List[ParameterField] = list(per_instruction_fields)
+        for field_ in self.global_fields + self.per_instruction_fields:
+            if field_.name == PORT_MAP_FIELD_NAME and field_.size < 2:
+                raise ValueError(f"{field_.name}: a PortMap field needs at least 2 ports "
+                                 f"(sampling draws two distinct ones), got {field_.size}")
         self.num_opcodes = num_opcodes
 
     # ------------------------------------------------------------------
@@ -287,14 +291,18 @@ class ParameterSpec:
             # The paper samples each PortMap as "0 to 2 cycles to between 0 and
             # 2 randomly selected ports" — most entries are zero.  The cycle
             # range follows the field's sampling bounds so narrower sampling
-            # configurations stay consistent.
+            # configurations stay consistent.  Each row draws two distinct
+            # ports and two cycle values and keeps the first `count` of them.
             values = np.zeros((rows, field_.size), dtype=np.float64)
             num_ports_used = rng.integers(0, 3, size=rows)
-            for row in range(rows):
-                ports = rng.choice(field_.size, size=int(num_ports_used[row]), replace=False)
-                for port in ports:
-                    values[row, port] = float(rng.integers(field_.sample_low,
-                                                           field_.sample_high + 1))
+            first = rng.integers(0, field_.size, size=rows)
+            second = rng.integers(0, field_.size - 1, size=rows)
+            second += second >= first
+            cycles = rng.integers(field_.sample_low, field_.sample_high + 1, size=(rows, 2))
+            used = np.flatnonzero(num_ports_used >= 1)
+            values[used, first[used]] = cycles[used, 0]
+            used = np.flatnonzero(num_ports_used == 2)
+            values[used, second[used]] = cycles[used, 1]
             return values
         return rng.integers(field_.sample_low, field_.sample_high + 1,
                             size=(rows, field_.size)).astype(np.float64)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -135,7 +135,8 @@ class BlockFeaturizer:
         self._arrays = LRUCache(MAX_CACHED_BLOCKS)
 
     @staticmethod
-    def _structural_features(block: BasicBlock) -> Tuple[Tuple[float, ...], ...]:
+    def _structural_features(block: BasicBlock, dependencies: Sequence[Tuple[int, int, str]],
+                             loop_carried: Set[str]) -> Tuple[Tuple[float, ...], ...]:
         """Dependency-structure features per instruction.
 
         For each instruction: how many later instructions consume one of its
@@ -146,9 +147,8 @@ class BlockFeaturizer:
         the WriteLatency parameters matter.
         """
         consumers = [0] * len(block)
-        for producer, _consumer, _register in block.register_dependencies():
+        for producer, _consumer, _register in dependencies:
             consumers[producer] += 1
-        loop_carried = block.loop_carried_registers()
         features = []
         for index, instruction in enumerate(block):
             writes_loop_carried = any(register in loop_carried
@@ -163,17 +163,17 @@ class BlockFeaturizer:
         return tuple(features)
 
     @staticmethod
-    def _dependency_structure(block: BasicBlock) -> Tuple[Tuple[Tuple[int, ...], ...],
-                                                          Tuple[int, ...]]:
+    def _dependency_structure(block: BasicBlock, dependencies: Sequence[Tuple[int, int, str]],
+                              loop_carried: Set[str]
+                              ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
         """Immediate dataflow predecessors and loop-carried chain tails."""
         producers: List[set] = [set() for _ in range(len(block))]
-        for producer, consumer, _register in block.register_dependencies():
+        for producer, consumer, _register in dependencies:
             producers[consumer].add(producer)
         last_writer = {}
         for index, instruction in enumerate(block):
             for register in instruction.destination_registers():
                 last_writer[register] = index
-        loop_carried = block.loop_carried_registers()
         writers = sorted({last_writer[register] for register in loop_carried
                           if register in last_writer})
         return (tuple(tuple(sorted(deps)) for deps in producers), tuple(writers))
@@ -181,11 +181,13 @@ class BlockFeaturizer:
     def featurize(self, block: BasicBlock) -> FeaturizedBlock:
         """The block's surrogate-independent features (not memoized)."""
         canonical = canonicalize_block(block, self.vocabulary)
-        producers, loop_writers = self._dependency_structure(block)
+        dependencies = block.register_dependencies()
+        loop_carried = block.loop_carried_registers()
+        producers, loop_writers = self._dependency_structure(block, dependencies, loop_carried)
         return FeaturizedBlock(
             token_ids=tuple(instruction.token_ids for instruction in canonical),
             opcode_indices=tuple(instruction.opcode_index for instruction in canonical),
-            structural_features=self._structural_features(block),
+            structural_features=self._structural_features(block, dependencies, loop_carried),
             dependency_producers=producers,
             loop_carried_writers=loop_writers,
         )

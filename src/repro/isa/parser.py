@@ -259,9 +259,15 @@ def _format_mnemonic(instruction: Instruction) -> str:
         return mnemonic
     if mnemonic in ("push", "pop"):
         return mnemonic + "q"
-    if mnemonic in ("movsx", "movzx", "lea"):
-        suffix = _SUFFIX_BY_WIDTH.get(opcode.width, "q")
-        return mnemonic if mnemonic != "lea" else "lea" + suffix
+    if mnemonic in ("movsx", "movzx"):
+        if opcode.form != OperandForm.RM:
+            return mnemonic
+        # A memory source has no width of its own: print objdump's spelling,
+        # the source then the destination width (MOVZX32rm8 is `movzbl`).
+        source_width = int(opcode.name.rsplit("rm", 1)[1])
+        return f"mov{mnemonic[3]}{_SUFFIX_BY_WIDTH[source_width]}{_SUFFIX_BY_WIDTH[opcode.width]}"
+    if mnemonic == "lea":
+        return "lea" + _SUFFIX_BY_WIDTH.get(opcode.width, "q")
     if mnemonic.startswith(("cmov", "set")):
         return mnemonic
     suffix = _SUFFIX_BY_WIDTH.get(opcode.width, "")

@@ -1,5 +1,7 @@
 """Tests for the DiffTune parameter-space description and adapters."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,24 @@ class TestParameterSpec:
         assert per_row_nonzero.max() <= 2
         assert (arrays.per_instruction_values <= 2).all()
 
+    @pytest.mark.parametrize("placement", ["global", "per_instruction"])
+    def test_port_map_narrower_than_two_ports_is_rejected(self, placement):
+        narrow = ParameterField(PORT_MAP_FIELD_NAME, 1, 0, True, 0, 2)
+        fields = {"global_fields": [], "per_instruction_fields": []}
+        fields[f"{placement}_fields"] = [narrow]
+        with pytest.raises(ValueError, match=r"^PortMap: .*at least 2 ports.*got 1"):
+            ParameterSpec(num_opcodes=4, **fields)
+
+    def test_two_port_port_map_samples(self, rng):
+        spec = ParameterSpec(
+            global_fields=[],
+            per_instruction_fields=[ParameterField(PORT_MAP_FIELD_NAME, 2, 0, True, 1, 2)],
+            num_opcodes=300)
+        values = spec.sample(rng).per_instruction_values
+        per_row = (values > 0).sum(axis=1)
+        assert set(np.unique(per_row)) == {0, 1, 2}
+        assert set(np.unique(values)) == {0.0, 1.0, 2.0}
+
     def test_sample_near_stays_in_range(self, rng):
         spec = make_simple_spec()
         center = spec.sample(rng)
@@ -130,6 +150,144 @@ class TestParameterSpec:
         np.testing.assert_allclose(clipped.global_values, arrays.global_values)
         np.testing.assert_allclose(clipped.per_instruction_values,
                                    arrays.per_instruction_values)
+
+
+#: Upper 1e-4 tail of the chi-square distribution, by degrees of freedom
+#: (``scipy.stats.chi2.isf(1e-4, dof)``, written out because the test
+#: dependencies hold no scipy).  Ten seeds times nine statistics give a
+#: correct sampler under a 1% chance of failing any of them.
+CHI_SQUARE_CRITICAL = {1: 15.14, 2: 18.42, 5: 25.74, 9: 33.72, 44: 87.68}
+#: Seeds of the distribution tests, fixed before any run.
+DISTRIBUTION_SEEDS = range(10)
+#: Haswell tables drawn per seed: 177,600 PortMap rows and 300 draws of
+#: each global field.
+DISTRIBUTION_TABLES = 300
+#: A field with more values than this is tested over this many bins of
+#: consecutive values (ReorderBufferSize's 201 values, for one).
+MAX_BINS = 10
+#: Per-row count of nonzero PortMap entries under D with 0-2 cycles: the
+#: port count is uniform over {0, 1, 2} and each used port's cycles over
+#: {0, 1, 2}, so P(0) = 1/3 + 1/3 * 1/3 + 1/3 * 1/9 = 13/27,
+#: P(1) = 1/3 * 2/3 + 1/3 * 2 * 2/9 = 10/27 and P(2) = 1/3 * 4/9 = 4/27.
+NONZERO_PORTS_PER_ROW = np.array([13, 10, 4]) / 27
+
+
+def chi_square(observed, probabilities) -> float:
+    observed = np.asarray(observed, dtype=np.float64)
+    expected = observed.sum() * np.asarray(probabilities, dtype=np.float64)
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+def assert_fits(name, observed, probabilities):
+    """Pearson's chi-square goodness of fit at the 1e-4 level."""
+    statistic = chi_square(observed, probabilities)
+    critical = CHI_SQUARE_CRITICAL[len(probabilities) - 1]
+    assert statistic < critical, (
+        f"{name}: chi-square {statistic:.2f} >= {critical} for counts "
+        f"{np.asarray(observed).tolist()}")
+
+
+def uniform_bins(num_values: int):
+    """``(bin of each value, exact bin probabilities)`` of a uniform field."""
+    bins = min(num_values, MAX_BINS)
+    bin_of_value = np.arange(num_values) * bins // num_values
+    return bin_of_value, np.bincount(bin_of_value) / num_values
+
+
+@functools.lru_cache(maxsize=None)
+def haswell_sample_counts(seed: int):
+    """Counts over :data:`DISTRIBUTION_TABLES` Haswell tables of one seed.
+
+    Every value is checked to be an integer inside its field's sampling
+    range, each PortMap row to use at most two ports, on the way.
+    """
+    spec = MCAAdapter(HASWELL).parameter_spec()
+    port_map = spec.field_by_name(PORT_MAP_FIELD_NAME)
+    ports = spec.per_instruction_field_slice(PORT_MAP_FIELD_NAME)
+    counts = {"per_row": np.zeros(3, dtype=np.int64),
+              "occupancy": np.zeros(port_map.size, dtype=np.int64),
+              "pairs": np.zeros((port_map.size, port_map.size), dtype=np.int64),
+              "cycles": np.zeros(port_map.sample_high + 1, dtype=np.int64)}
+    layouts = ([(field_, spec.global_field_slice(field_.name), "global_values")
+                for field_ in spec.global_fields]
+               + [(field_, spec.per_instruction_field_slice(field_.name),
+                   "per_instruction_values")
+                  for field_ in spec.per_instruction_fields
+                  if field_.name != PORT_MAP_FIELD_NAME])
+    for field_, _, _ in layouts:
+        counts[field_.name] = np.zeros(field_.sample_high - field_.sample_low + 1,
+                                       dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for _ in range(DISTRIBUTION_TABLES):
+        table = spec.sample(rng)
+        for field_, columns, attribute in layouts:
+            values = getattr(table, attribute)[..., columns].ravel()
+            offsets = values.astype(np.int64) - field_.sample_low
+            assert np.array_equal(values, np.round(values)), field_.name
+            assert offsets.min() >= 0 and offsets.max() < counts[field_.name].size, \
+                field_.name
+            counts[field_.name] += np.bincount(offsets, minlength=counts[field_.name].size)
+        cycles = table.per_instruction_values[:, ports]
+        used = cycles > 0
+        per_row = used.sum(axis=1)
+        assert per_row.max() <= 2, "a row used more than two ports"
+        assert cycles.max() <= port_map.sample_high, "a port got too many cycles"
+        counts["per_row"] += np.bincount(per_row, minlength=3)
+        counts["occupancy"] += used.sum(axis=0)
+        _, pair_ports = np.nonzero(used[per_row == 2])
+        pairs = pair_ports.reshape(-1, 2)
+        np.add.at(counts["pairs"], (pairs[:, 0], pairs[:, 1]), 1)
+        counts["cycles"] += np.bincount(cycles[used].astype(np.int64),
+                                        minlength=counts["cycles"].size)
+    return counts
+
+
+class TestSamplingDistribution:
+    """The Haswell spec's tables follow the paper's sampling distribution D.
+
+    PortMap rows map "0 to 2 cycles to between 0 and 2 randomly selected
+    ports"; every other field is uniform over its sampling range.  Each
+    statistic is tested on every seed of :data:`DISTRIBUTION_SEEDS`.
+    """
+
+    def test_port_map_is_the_paper_configuration(self, mca_adapter):
+        port_map = mca_adapter.parameter_spec().field_by_name(PORT_MAP_FIELD_NAME)
+        # NONZERO_PORTS_PER_ROW and the pair count assume 10 ports of 0-2 cycles.
+        assert (port_map.size, port_map.sample_low, port_map.sample_high) == (10, 0, 2)
+
+    @pytest.mark.parametrize("seed", DISTRIBUTION_SEEDS)
+    def test_nonzero_ports_per_row(self, seed):
+        counts = haswell_sample_counts(seed)
+        assert_fits("nonzero ports per row", counts["per_row"], NONZERO_PORTS_PER_ROW)
+
+    @pytest.mark.parametrize("seed", DISTRIBUTION_SEEDS)
+    def test_port_occupancy_is_uniform(self, seed):
+        counts = haswell_sample_counts(seed)
+        # A row's two ports are distinct, which only makes this statistic
+        # smaller than a multinomial one: the test stays conservative.
+        ports = counts["occupancy"].size
+        assert_fits("port occupancy", counts["occupancy"], np.full(ports, 1 / ports))
+
+    @pytest.mark.parametrize("seed", DISTRIBUTION_SEEDS)
+    def test_unordered_port_pairs_are_uniform(self, seed):
+        counts = haswell_sample_counts(seed)
+        # np.nonzero lists a row's ports in ascending order.
+        upper = np.triu_indices(counts["pairs"].shape[0], k=1)
+        assert_fits("unordered port pairs", counts["pairs"][upper],
+                    np.full(upper[0].size, 1 / upper[0].size))
+
+    @pytest.mark.parametrize("seed", DISTRIBUTION_SEEDS)
+    def test_nonzero_cycles_are_uniform(self, seed):
+        counts = haswell_sample_counts(seed)
+        assert_fits("nonzero cycle values", counts["cycles"][1:], [0.5, 0.5])
+
+    @pytest.mark.parametrize("seed", DISTRIBUTION_SEEDS)
+    @pytest.mark.parametrize("name", ["DispatchWidth", "ReorderBufferSize", "NumMicroOps",
+                                      "WriteLatency", "ReadAdvanceCycles"])
+    def test_other_fields_are_uniform_over_their_range(self, seed, name):
+        counts = haswell_sample_counts(seed)
+        bin_of_value, probabilities = uniform_bins(counts[name].size)
+        assert_fits(name, np.bincount(bin_of_value, weights=counts[name]), probabilities)
 
 
 class TestMCAAdapter:

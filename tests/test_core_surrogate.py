@@ -18,6 +18,7 @@ from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_sur
 from repro.core.table_optimization import (TableOptimizationConfig, _TrainableTable,
                                            optimize_parameter_table)
 from repro.autodiff.tensor import Tensor
+from repro.isa.basic_block import BasicBlock
 from repro.isa.parser import parse_block
 from repro.targets import HASWELL
 
@@ -66,6 +67,18 @@ class TestFeaturizer:
         block = parse_block("addq %rax, %rbx\naddq %rbx, %rax")
         featurized = featurizer.featurize(block)
         assert featurized.loop_carried_writers  # both registers are loop carried
+
+    def test_featurize_walks_the_dataflow_once(self, featurizer, monkeypatch):
+        calls = {"register_dependencies": 0, "loop_carried_registers": 0}
+        for name in calls:
+            def counted(block, _name=name, _original=getattr(BasicBlock, name)):
+                calls[_name] += 1
+                return _original(block)
+            monkeypatch.setattr(BasicBlock, name, counted)
+        featurized = featurizer.featurize(parse_block("addq %rax, %rbx\naddq %rbx, %rax"))
+        assert calls == {"register_dependencies": 1, "loop_carried_registers": 1}
+        assert featurized.dependency_producers == ((), (0,))
+        assert featurized.loop_carried_writers == (0, 1)
 
     def test_caching_returns_same_object(self, featurizer, simple_block):
         assert featurizer.arrays(simple_block) is featurizer.arrays(simple_block)

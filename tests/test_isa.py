@@ -12,7 +12,8 @@ from repro.isa import (BasicBlock, ImmediateOperand, Instruction, MemoryOperand,
                        RegisterOperand, TokenVocabulary, canonical_register, canonicalize_block,
                        format_instruction, parse_block, parse_instruction, register_by_name)
 from repro.isa.canonicalize import canonicalize_instruction
-from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable, UopClass, build_default_opcode_table
+from repro.isa.opcodes import (DEFAULT_OPCODE_TABLE, OpcodeTable, OperandForm, UopClass,
+                                build_default_opcode_table)
 from repro.isa.registers import GPR32, GPR64, XMM, registers_for_width
 
 
@@ -321,15 +322,16 @@ class TestParser:
         ("movsx %ax, %rcx", "MOVSX64rr16"),
         ("movzx %al, %eax", "MOVZX32rr8"),
         ("movsx %eax, %rcx", "MOVSX64rr32"),
-        ("movzx 8(%rax), %ecx", "MOVZX32rm16"),
+        ("movzwl 8(%rax), %ecx", "MOVZX32rm16"),
         ("shrl %cl, %eax", "SHR32rCL"),
         ("sarw %cl, %dx", "SAR16rCL"),
         ("movq (,%rbx,8), %rax", "MOV64rm"),
     ])
     def test_hand_written_forms_resolve_and_round_trip(self, text, opcode):
-        """Widths of movsx/movzx come from both registers, a shift by %cl
-        from its destination, and a base-less operand prints back with its
-        leading comma."""
+        """Widths of movsx/movzx come from both registers (or, from memory,
+        from objdump's two suffix letters), a shift by %cl from its
+        destination, and a base-less operand prints back with its leading
+        comma."""
         instruction = parse_instruction(text)
         assert instruction.opcode.name == opcode
         assert format_instruction(instruction) == text
@@ -372,6 +374,78 @@ class TestParser:
                       if parse_instruction(format_instruction(instruction)).opcode
                       != instruction.opcode]
         assert mismatched == []
+
+
+def _extend_instruction(opcode) -> Instruction:
+    """An instance of a movsx/movzx opcode, its source from its name."""
+    destination = RegisterOperand(registers_for_width(opcode.width)[2])
+    source_width = int(re.search(r"(\d+)$", opcode.name).group(1))
+    source = (MemoryOperand(displacement=8, base="rax") if opcode.form == OperandForm.RM
+              else RegisterOperand(registers_for_width(source_width)[0]))
+    return Instruction(opcode=opcode, operands=(source, destination))
+
+
+_EXTEND_OPCODES = [opcode for opcode in DEFAULT_OPCODE_TABLE
+                   if opcode.mnemonic in ("movsx", "movzx")]
+
+
+class TestExtendTextRoundTrip:
+    """Every movsx/movzx survives format -> parse, so the text that keys
+    the compile, result and featurization caches names one opcode."""
+
+    def test_all_extend_opcodes_are_covered(self):
+        assert len(_EXTEND_OPCODES) == 24
+
+    @pytest.mark.parametrize("opcode", _EXTEND_OPCODES, ids=lambda opcode: opcode.name)
+    def test_extend_opcode_round_trips(self, opcode):
+        instruction = _extend_instruction(opcode)
+        text = format_instruction(instruction)
+        assert parse_instruction(text) == instruction, text
+        if opcode.form == OperandForm.RM:
+            assert re.match(r"^mov[sz][bwl][wlq] ", text), text
+        else:
+            assert text.startswith(f"{opcode.mnemonic} %"), text
+
+    def test_extend_blocks_have_distinct_structural_keys(self):
+        keys = {BasicBlock(instructions=(_extend_instruction(opcode),)).structural_key()
+                for opcode in _EXTEND_OPCODES}
+        assert len(keys) == len(_EXTEND_OPCODES)
+
+    def test_bare_memory_extend_prints_the_width_it_resolved_to(self):
+        instruction = parse_instruction("movzx 8(%rax), %ecx")
+        assert instruction.opcode.name == "MOVZX32rm16"
+        assert format_instruction(instruction) == "movzwl 8(%rax), %ecx"
+
+    def test_featurizer_keeps_source_widths_apart(self, opcode_table):
+        from repro.core.surrogate import BlockFeaturizer
+
+        byte, word = (parse_block(f"{mnemonic} (%rax), %ecx; addl %ecx, %edx")
+                      for mnemonic in ("movzbl", "movzwl"))
+        featurizer = BlockFeaturizer(opcode_table)
+        featurizer.arrays(byte)
+        fresh = BlockFeaturizer(opcode_table).arrays(word)
+        np.testing.assert_array_equal(featurizer.arrays(word)["opcode_indices"],
+                                      fresh["opcode_indices"])
+        assert fresh["opcode_indices"][0] == opcode_table.index_of("MOVZX32rm16")
+
+    def test_simulator_keeps_source_widths_apart(self):
+        from repro.core.adapters import MCAAdapter
+        from repro.targets import HASWELL
+
+        # Each load's address is the previous iteration's result, so its
+        # WriteLatency sits on the loop-carried chain.
+        byte, word = (parse_block(f"{mnemonic} (%rcx), %ecx; addl %ecx, %ecx")
+                      for mnemonic in ("movzbl", "movzwl"))
+        adapter = MCAAdapter(HASWELL)
+        spec = adapter.parameter_spec()
+        arrays = adapter.default_arrays()
+        latency = spec.per_instruction_field_slice("WriteLatency")
+        for name, cycles in (("MOVZX32rm8", 1), ("MOVZX32rm16", 5)):
+            arrays.per_instruction_values[adapter.opcode_table.index_of(name), latency] = cycles
+        first = adapter.predict_timings(arrays, [byte])
+        expected = MCAAdapter(HASWELL).predict_timings(arrays, [word])
+        assert expected[0] == first[0] + 4
+        np.testing.assert_array_equal(adapter.predict_timings(arrays, [word]), expected)
 
 
 class TestCanonicalization:
