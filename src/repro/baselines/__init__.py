@@ -5,6 +5,11 @@
   OpenTuner (Section V-C).
 * :mod:`~repro.baselines.random_search` — plain random search, a weaker
   black-box reference point and the initialization sanity check.
+* :mod:`~repro.baselines.search` — the :class:`CandidateScorer` every
+  black-box searcher above (and the genetic, annealing and
+  coordinate-descent searchers) scores its candidate tables with: block
+  batches drawn from the searcher's rng, one batched simulator call per
+  round, and one budget rule.
 * :mod:`~repro.baselines.ithemal` — a learned basic-block throughput model
   trained directly on the ground-truth measurements (the accuracy lower bound
   in Table IV).

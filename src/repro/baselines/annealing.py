@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.baselines.search import CandidateScorer
 from repro.core.adapters import SimulatorAdapter
-from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
 
@@ -79,38 +79,29 @@ class SimulatedAnnealingTuner:
 
     def tune(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray) -> AnnealingResult:
         """Anneal parameter tables to minimize MAPE on ``blocks``."""
-        if not blocks:
-            raise ValueError("need at least one evaluation block")
         spec = self.adapter.parameter_spec()
         config = self.config
         rng = np.random.default_rng(config.seed)
+        scorer = CandidateScorer(self.adapter, blocks, true_timings, rng,
+                                 blocks_per_evaluation=config.blocks_per_evaluation,
+                                 budget=config.evaluation_budget)
         low, high = spec.sample_bounds()
-        true_timings = np.asarray(true_timings, dtype=np.float64)
-        batch_size = min(config.blocks_per_evaluation, len(blocks))
-
-        def evaluate(genome: np.ndarray) -> float:
-            batch = rng.integers(0, len(blocks), size=batch_size)
-            predictions = self.adapter.predict_timings(
-                spec.rounded_arrays(genome), [blocks[int(index)] for index in batch])
-            return mape_loss_value(predictions, true_timings[batch])
 
         current = np.clip(spec.sample(rng).to_flat_vector(), low, high)
-        current_score = evaluate(current)
+        (current_score,) = scorer.score([spec.rounded_arrays(current)])
         best, best_score = current.copy(), current_score
-        evaluations = batch_size
         temperature = config.initial_temperature
         accepted = 0
         steps = 0
         history: List[float] = [best_score]
 
-        while evaluations + batch_size <= config.evaluation_budget:
+        while scorer.affords():
             steps += 1
             spread = (high - low) * config.step_scale * max(temperature
                                                             / config.initial_temperature, 0.05)
             proposal = np.clip(current + rng.normal(0.0, 1.0, size=current.shape) * spread,
                                low, high)
-            score = evaluate(proposal)
-            evaluations += batch_size
+            (score,) = scorer.score([spec.rounded_arrays(proposal)])
             delta = score - current_score
             if delta <= 0.0 or rng.random() < np.exp(-delta / max(temperature, 1e-9)):
                 current, current_score = proposal, score
@@ -122,8 +113,7 @@ class SimulatedAnnealingTuner:
             history.append(best_score)
 
         best_arrays = spec.clip_to_bounds(spec.rounded_arrays(best))
-        best_error = mape_loss_value(self.adapter.predict_timings(best_arrays, list(blocks)),
-                                     true_timings)
-        return AnnealingResult(best_arrays=best_arrays, best_error=best_error, steps=steps,
-                               evaluations=evaluations, accepted_moves=accepted,
+        return AnnealingResult(best_arrays=best_arrays,
+                               best_error=scorer.full_error(best_arrays), steps=steps,
+                               evaluations=scorer.evaluations, accepted_moves=accepted,
                                error_history=history)

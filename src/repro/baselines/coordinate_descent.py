@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.search import CandidateScorer
 from repro.core.adapters import SimulatorAdapter
-from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
 
@@ -90,27 +90,16 @@ class CoordinateDescentTuner:
                 the parameter sampling distribution (never the expert table,
                 to keep the comparison with DiffTune from-scratch).
         """
-        if not blocks:
-            raise ValueError("need at least one evaluation block")
         spec = self.adapter.parameter_spec()
         config = self.config
         rng = np.random.default_rng(config.seed)
-        true_timings = np.asarray(true_timings, dtype=np.float64)
-        batch_size = min(config.blocks_per_evaluation, len(blocks))
+        scorer = CandidateScorer(self.adapter, blocks, true_timings, rng,
+                                 blocks_per_evaluation=config.blocks_per_evaluation,
+                                 budget=config.evaluation_budget)
 
         current = (initial_arrays.copy() if initial_arrays is not None
                    else spec.sample(rng))
-        evaluations = 0
-
-        def evaluate(arrays: ParameterArrays) -> float:
-            nonlocal evaluations
-            batch = rng.integers(0, len(blocks), size=batch_size)
-            predictions = self.adapter.predict_timings(
-                arrays, [blocks[int(index)] for index in batch])
-            evaluations += batch_size
-            return mape_loss_value(predictions, true_timings[batch])
-
-        current_score = evaluate(current)
+        (current_score,) = scorer.score([current])
         history: List[Tuple[str, float, float]] = []
 
         fields: List[Tuple[str, bool]] = []
@@ -121,8 +110,7 @@ class CoordinateDescentTuner:
 
         for _ in range(config.rounds):
             for name, is_global in fields:
-                if evaluations + batch_size * config.candidates_per_field \
-                        > config.evaluation_budget:
+                if not scorer.affords(config.candidates_per_field):
                     break
                 field_ = spec.field_by_name(name)
                 candidates = np.linspace(field_.sample_low, field_.sample_high,
@@ -135,7 +123,7 @@ class CoordinateDescentTuner:
                     else:
                         candidate.per_instruction_values[
                             :, spec.per_instruction_field_slice(name)] = value
-                    score = evaluate(candidate)
+                    (score,) = scorer.score([candidate])
                     if score < current_score:
                         current, current_score = candidate, score
                         best_value = float(value)
@@ -144,7 +132,7 @@ class CoordinateDescentTuner:
                     logger.info(f"{name} -> {best_value:g} (batch error {current_score:.3f})")
 
         best_arrays = spec.clip_to_bounds(spec.round_to_integers(current))
-        best_error = mape_loss_value(self.adapter.predict_timings(best_arrays, list(blocks)),
-                                     true_timings)
-        return CoordinateDescentResult(best_arrays=best_arrays, best_error=best_error,
-                                       evaluations=evaluations, sweep_history=history)
+        return CoordinateDescentResult(best_arrays=best_arrays,
+                                       best_error=scorer.full_error(best_arrays),
+                                       evaluations=scorer.evaluations,
+                                       sweep_history=history)

@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.baselines.search import CandidateScorer
 from repro.core.adapters import SimulatorAdapter
-from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
 
@@ -119,33 +119,22 @@ class GeneticTuner:
     # ------------------------------------------------------------------
     def tune(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray) -> GeneticResult:
         """Evolve parameter tables to minimize MAPE on ``blocks``."""
-        if not blocks:
-            raise ValueError("need at least one evaluation block")
         spec = self.adapter.parameter_spec()
         config = self.config
         rng = np.random.default_rng(config.seed)
+        scorer = CandidateScorer(self.adapter, blocks, true_timings, rng,
+                                 blocks_per_evaluation=config.blocks_per_evaluation,
+                                 budget=config.evaluation_budget)
         low, high = spec.sample_bounds()
-        true_timings = np.asarray(true_timings, dtype=np.float64)
-
-        def evaluate(genome: np.ndarray) -> float:
-            batch = rng.integers(0, len(blocks),
-                                 size=min(config.blocks_per_evaluation, len(blocks)))
-            arrays = spec.rounded_arrays(genome)
-            predictions = self.adapter.predict_timings(
-                arrays, [blocks[int(index)] for index in batch])
-            return mape_loss_value(predictions, true_timings[batch])
 
         population = [spec.sample(rng).to_flat_vector() for _ in range(config.population_size)]
         population = [np.clip(genome, low, high) for genome in population]
-        fitness = np.array([evaluate(genome) for genome in population])
-        evaluations = config.population_size * min(config.blocks_per_evaluation, len(blocks))
+        fitness = np.array(scorer.score([spec.rounded_arrays(genome) for genome in population]))
 
         history: List[float] = [float(fitness.min())]
         generations = 0
         elite_count = max(1, int(config.elite_fraction * config.population_size))
-        per_generation_cost = config.population_size * min(config.blocks_per_evaluation,
-                                                           len(blocks))
-        while evaluations + per_generation_cost <= config.evaluation_budget:
+        while scorer.affords(config.population_size):
             generations += 1
             order = np.argsort(fitness)
             elites = [population[int(index)].copy() for index in order[:elite_count]]
@@ -159,15 +148,14 @@ class GeneticTuner:
                     child = parent.copy()
                 children.append(self._mutate(child, low, high, rng))
             population = children
-            fitness = np.array([evaluate(genome) for genome in population])
-            evaluations += per_generation_cost
+            fitness = np.array(scorer.score([spec.rounded_arrays(genome)
+                                             for genome in population]))
             history.append(float(fitness.min()))
             logger.info(f"generation {generations}: best batch error {fitness.min():.3f}")
 
         best_index = int(np.argmin(fitness))
         best_arrays = spec.clip_to_bounds(spec.rounded_arrays(population[best_index]))
-        best_error = mape_loss_value(self.adapter.predict_timings(best_arrays, list(blocks)),
-                                     true_timings)
-        return GeneticResult(best_arrays=best_arrays, best_error=best_error,
-                             generations=generations, evaluations=evaluations,
+        return GeneticResult(best_arrays=best_arrays,
+                             best_error=scorer.full_error(best_arrays),
+                             generations=generations, evaluations=scorer.evaluations,
                              error_history=history)

@@ -8,29 +8,29 @@ lower bound that the parameterized simulators are compared against.
 The baseline here reuses the repository's surrogate architectures with the
 parameter inputs removed (an all-zero parameter vector is fed instead), and
 trains them directly on the measured timings — which is exactly what Ithemal
-is: a block → timing regressor.  It trains and predicts through the
-surrogate's batched ``forward_batch`` on the same minibatch loop as both
-DiffTune phases (:func:`~repro.core.training_loop.run_minibatch_loop`).
+is: a block → timing regressor.  It trains through
+:func:`~repro.core.surrogate_training.train_surrogate` on a one-table
+:class:`~repro.core.simulated_dataset.SimulatedDataset` (the all-zero table,
+example *i* = block *i*, target = measured timing), and predicts through the
+same chunked predictor as
+:func:`~repro.core.surrogate_training.evaluate_surrogate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff.optim import Adam
-from repro.autodiff.tensor import Tensor, no_grad
-from repro.core.losses import mape_loss_value, surrogate_loss
-from repro.core.parameters import ParameterField, ParameterSpec
+from repro.core.losses import mape_loss_value
+from repro.core.parameters import ParameterField, ParameterSpec, TableStack
+from repro.core.simulated_dataset import SimulatedDataset
 from repro.core.surrogate import BlockFeaturizer, SurrogateConfig, build_surrogate
-from repro.core.training_loop import run_minibatch_loop
+from repro.core.surrogate_training import (SurrogateTrainingConfig, predict_examples,
+                                           train_surrogate)
 from repro.isa.basic_block import BasicBlock
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
-
-#: Blocks per ``forward_batch`` call when predicting.
-PREDICT_CHUNK = 64
 
 
 @dataclass
@@ -64,51 +64,38 @@ class IthemalBaseline:
             num_opcodes=len(self.opcode_table))
         self.featurizer = BlockFeaturizer(self.opcode_table)
         self.model = build_surrogate(self._spec, self.featurizer, self.config.surrogate)
+        self._zero_table = TableStack(
+            global_values=np.zeros((1, self._spec.global_dim)),
+            per_instruction_values=np.zeros((1, self._spec.num_opcodes,
+                                             self._spec.per_instruction_dim)))
 
     # ------------------------------------------------------------------
     # Training and prediction
     # ------------------------------------------------------------------
-    def _block_arrays(self, blocks: Sequence[BasicBlock]) -> List[Dict[str, np.ndarray]]:
-        return [self.featurizer.arrays(block) for block in blocks]
-
-    def _forward(self, block_arrays: Sequence[Dict[str, np.ndarray]]) -> Tensor:
-        """Predictions for one minibatch, with all-zero parameter inputs."""
-        packed = BlockFeaturizer.pack(block_arrays)
-        per_instruction = np.zeros((packed.batch_size, packed.max_instructions,
-                                    self._spec.per_instruction_dim))
-        global_values = np.zeros((packed.batch_size, self._spec.global_dim))
-        return self.model.forward_batch(packed, per_instruction, global_values)
+    def _dataset(self, blocks: Sequence[BasicBlock],
+                 timings: Sequence[float]) -> SimulatedDataset:
+        """Example ``i``: block ``i`` under the all-zero table, timed ``timings[i]``."""
+        return SimulatedDataset(list(blocks), self._zero_table, [0] * len(blocks),
+                                list(range(len(blocks))),
+                                [float(timing) for timing in timings])
 
     def fit(self, blocks: Sequence[BasicBlock], timings: np.ndarray) -> List[float]:
         """Train on measured timings; returns per-epoch mean losses."""
         if len(blocks) != len(timings):
             raise ValueError("blocks and timings must be aligned")
-        timings = np.asarray(timings, dtype=np.float64)
-        block_arrays = self._block_arrays(blocks)
-
-        def batch_loss(batch_indices: np.ndarray) -> Tensor:
-            rows = [int(index) for index in batch_indices]
-            predictions = self._forward([block_arrays[row] for row in rows])
-            return surrogate_loss(predictions, [float(timings[row]) for row in rows])
-
-        optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        self.model.train()
-        loop = run_minibatch_loop(
-            len(blocks), batch_loss, optimizer,
-            np.random.default_rng(self.config.seed),
-            batch_size=self.config.batch_size, epochs=self.config.epochs,
-            gradient_clip=self.config.gradient_clip)
-        self.model.eval()
-        return loop.epoch_losses
+        config = self.config
+        result = train_surrogate(self.model, self._dataset(blocks, timings),
+                                 SurrogateTrainingConfig(
+                                     learning_rate=config.learning_rate,
+                                     batch_size=config.batch_size,
+                                     epochs=config.epochs,
+                                     gradient_clip=config.gradient_clip,
+                                     seed=config.seed))
+        return result.epoch_losses
 
     def predict_many(self, blocks: Sequence[BasicBlock]) -> np.ndarray:
-        block_arrays = self._block_arrays(blocks)
-        predictions = np.zeros(len(blocks), dtype=np.float64)
-        with no_grad():
-            for start in range(0, len(blocks), PREDICT_CHUNK):
-                chunk = block_arrays[start:start + PREDICT_CHUNK]
-                predictions[start:start + len(chunk)] = self._forward(chunk).numpy()
-        return predictions
+        dataset = self._dataset(blocks, np.zeros(len(blocks)))
+        return predict_examples(self.model, dataset, self.featurizer.lookup(dataset.blocks))
 
     def evaluate(self, blocks: Sequence[BasicBlock], timings: np.ndarray) -> float:
         """MAPE against measured timings."""

@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.baselines.search import CandidateScorer
 from repro.core.adapters import SimulatorAdapter
-from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
 from repro.isa.basic_block import BasicBlock
 
@@ -155,18 +155,12 @@ class OpenTunerBaseline:
 
     def tune(self, blocks: Sequence[BasicBlock], true_timings: np.ndarray) -> ParameterArrays:
         """Search for parameters minimizing MAPE on ``blocks``."""
-        if not blocks:
-            raise ValueError("need at least one evaluation block")
         spec = self.adapter.parameter_spec()
         rng = np.random.default_rng(self.config.seed)
+        scorer = CandidateScorer(self.adapter, blocks, true_timings, rng,
+                                 blocks_per_evaluation=self.config.blocks_per_evaluation,
+                                 budget=self.config.evaluation_budget)
         low, high = spec.sample_bounds()
-        true_timings = np.asarray(true_timings, dtype=np.float64)
-
-        def evaluate(vector: np.ndarray, batch_indices: np.ndarray) -> float:
-            arrays = spec.rounded_arrays(vector)
-            batch_blocks = [blocks[int(index)] for index in batch_indices]
-            predictions = self.adapter.predict_timings(arrays, batch_blocks)
-            return mape_loss_value(predictions, true_timings[batch_indices])
 
         techniques: List[_SearchTechnique] = [
             _RandomSearch(), _HillClimb(), _GaussianMutation(),
@@ -175,25 +169,19 @@ class OpenTunerBaseline:
         bandit = BanditEnsemble(techniques, exploration=self.config.exploration)
 
         best_vector = rng.uniform(low, high)
-        batch = rng.integers(0, len(blocks),
-                             size=min(self.config.blocks_per_evaluation, len(blocks)))
-        best_score = evaluate(best_vector, batch)
-        evaluations = len(batch)
+        (best_score,) = scorer.score([spec.rounded_arrays(best_vector)])
         iteration = 0
-        while evaluations + self.config.blocks_per_evaluation <= self.config.evaluation_budget:
+        while scorer.affords():
             iteration += 1
             technique_index = bandit.select()
             proposal = techniques[technique_index].propose(best_vector, low, high, rng)
-            batch = rng.integers(0, len(blocks),
-                                 size=min(self.config.blocks_per_evaluation, len(blocks)))
-            score = evaluate(proposal, batch)
-            evaluations += len(batch)
+            (score,) = scorer.score([spec.rounded_arrays(proposal)])
             improved = score < best_score
             bandit.update(technique_index, 1.0 if improved else 0.0)
             if improved:
                 best_vector, best_score = proposal, score
                 logger.info(f"iteration {iteration}: {techniques[technique_index].name} "
                             f"improved error to {score:.3f}")
-        logger.info(f"finished after {evaluations} block evaluations, "
+        logger.info(f"finished after {scorer.evaluations} block evaluations, "
                     f"best batch error {best_score:.3f}")
         return spec.clip_to_bounds(spec.rounded_arrays(best_vector))

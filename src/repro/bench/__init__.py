@@ -20,8 +20,8 @@ Importing this package loads :mod:`repro.bench.scenarios`, which populates
 :data:`~repro.bench.registry.DEFAULT_REGISTRY`.
 """
 
-from repro.bench.registry import (DEFAULT_REGISTRY, DuplicateScenarioError, Scenario,
-                                  ScenarioContext, ScenarioRegistry, scenario)
+from repro.bench.registry import (DEFAULT_REGISTRY, Scenario, ScenarioContext, scenario,
+                                  select)
 from repro.bench.runner import Runner, RunnerConfig, environment_fingerprint, load_payload
 from repro.bench.schema import SCHEMA_VERSION, SchemaError, jsonify, validate_payload
 from repro.bench.compare import (CompareConfig, CompareReport, check_min_metrics,
@@ -31,11 +31,10 @@ from repro.bench import scenarios as _scenarios  # noqa: F401  (registers the ca
 
 __all__ = [
     "DEFAULT_REGISTRY",
-    "DuplicateScenarioError",
     "Scenario",
     "ScenarioContext",
-    "ScenarioRegistry",
     "scenario",
+    "select",
     "Runner",
     "RunnerConfig",
     "environment_fingerprint",

@@ -26,12 +26,12 @@ from typing import List, Optional
 from repro import storage
 from repro.bench import (DEFAULT_REGISTRY, CompareConfig, Runner, RunnerConfig,
                          SchemaError, check_min_metrics, compare_payloads,
-                         load_payload, parse_min_metric, render_report)
+                         load_payload, parse_min_metric, render_report, select)
 from repro.eval.experiments import SCALE_TIERS
 
 
 def _command_list(arguments: argparse.Namespace) -> int:
-    selected = DEFAULT_REGISTRY.select(tags=arguments.tag or None)
+    selected = select(DEFAULT_REGISTRY, tags=arguments.tag or None)
     print(f"{len(selected)} registered scenario(s):")
     for entry in selected:
         uarches = ", ".join(entry.uarches) if entry.uarches else "self-managed"

@@ -1,11 +1,13 @@
 """Scenario registry: every paper experiment as a first-class, runnable unit.
 
 A :class:`Scenario` bundles what used to live in an ad-hoc ``benchmarks/``
-script: a stable name, the microarchitectures it parametrizes over, per-tier
-scale presets (smoke / quick / full), and a run callable that returns plain
-metric data.  Scenarios are declared with the :func:`scenario` decorator and
-collected in a :class:`ScenarioRegistry`; the default registry is what
-``python -m repro.bench`` discovers.
+script: a stable name, the microarchitectures it parametrizes over, and a
+run callable that returns plain metric data; every scenario runs at the
+tier's (smoke / quick / full) :class:`ExperimentScale` preset.  Scenarios
+are declared with the :func:`scenario` decorator and collected in a
+:class:`~repro.api.registry.Registry` of kind ``"scenario"``;
+:data:`DEFAULT_REGISTRY` is what ``python -m repro.bench`` discovers, and
+:func:`select` picks scenarios from a registry by name and tag.
 
 The run callable receives a :class:`ScenarioContext` carrying the resolved
 scale, the worker count for the simulation engine's parallel path, and a
@@ -16,10 +18,10 @@ equivalent of the old session-scoped ``haswell_dataset`` fixture).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.eval.experiments import SCALE_TIERS, ExperimentScale
+from repro.api.registry import Registry
+from repro.eval.experiments import ExperimentScale
 
 
 @dataclass
@@ -104,7 +106,10 @@ RunCallable = Callable[[ScenarioContext], Any]
 
 @dataclass(frozen=True)
 class Scenario:
-    """One registered experiment from the paper's evaluation grid."""
+    """One registered experiment from the paper's evaluation grid.
+
+    Its scale is the tier's :meth:`ExperimentScale.for_tier` preset.
+    """
 
     name: str
     description: str
@@ -113,84 +118,32 @@ class Scenario:
     #: manages its own targets and runs exactly once; otherwise the runner
     #: invokes ``run`` once per entry and keys the metrics by uarch.
     uarches: Optional[Tuple[str, ...]] = None
-    #: Per-tier scale presets; every tier in SCALE_TIERS is present.
-    scales: Mapping[str, ExperimentScale] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
-
-    def scale_for(self, tier: str) -> ExperimentScale:
-        if tier not in SCALE_TIERS:
-            raise ValueError(f"unknown scale tier {tier!r}; expected one of {SCALE_TIERS}")
-        preset = self.scales.get(tier)
-        return preset if preset is not None else ExperimentScale.for_tier(tier)
-
-
-class DuplicateScenarioError(ValueError):
-    """Raised when two different scenarios claim the same name."""
-
-
-class ScenarioRegistry:
-    """Name-keyed collection of scenarios with duplicate detection."""
-
-    def __init__(self) -> None:
-        self._scenarios: Dict[str, Scenario] = {}
-
-    def register(self, scenario: Scenario) -> Scenario:
-        existing = self._scenarios.get(scenario.name)
-        if existing is not None:
-            if existing is scenario:  # idempotent re-import
-                return scenario
-            raise DuplicateScenarioError(
-                f"scenario {scenario.name!r} is already registered "
-                f"({existing.description!r}); names must be unique")
-        self._scenarios[scenario.name] = scenario
-        return scenario
-
-    def get(self, name: str) -> Scenario:
-        try:
-            return self._scenarios[name]
-        except KeyError:
-            known = ", ".join(sorted(self._scenarios)) or "<none>"
-            raise KeyError(f"unknown scenario {name!r}; registered: {known}")
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._scenarios
-
-    def __len__(self) -> int:
-        return len(self._scenarios)
-
-    def names(self) -> List[str]:
-        return sorted(self._scenarios)
-
-    def all(self) -> List[Scenario]:
-        return [self._scenarios[name] for name in self.names()]
-
-    def select(self, names: Optional[Sequence[str]] = None,
-               tags: Optional[Iterable[str]] = None) -> List[Scenario]:
-        """Scenarios by explicit name and/or tag; no filters selects all."""
-        if names:
-            selected = [self.get(name) for name in names]
-        else:
-            selected = self.all()
-        if tags:
-            wanted = set(tags)
-            selected = [s for s in selected if wanted.intersection(s.tags)]
-        return selected
 
 
 #: The registry ``python -m repro.bench`` discovers.
-DEFAULT_REGISTRY = ScenarioRegistry()
+DEFAULT_REGISTRY = Registry("scenario")
+
+
+def select(registry: Registry, names: Optional[Sequence[str]] = None,
+           tags: Optional[Iterable[str]] = None) -> List[Scenario]:
+    """Scenarios by explicit name and/or tag; no filters selects all."""
+    selected = [registry.get(name) for name in (names or registry.names())]
+    if tags:
+        wanted = set(tags)
+        selected = [entry for entry in selected if wanted.intersection(entry.tags)]
+    return selected
 
 
 def scenario(name: str, description: str = "",
              uarches: Optional[Sequence[str]] = None,
-             scales: Optional[Mapping[str, ExperimentScale]] = None,
              tags: Sequence[str] = (),
-             registry: Optional[ScenarioRegistry] = None) -> Callable[[RunCallable], Scenario]:
+             registry: Optional[Registry] = None) -> Callable[[RunCallable], Scenario]:
     """Decorator registering a run callable as a :class:`Scenario`.
 
-    The decorated function is replaced by the Scenario object, so importing
-    the defining module twice re-registers the identical object (a no-op)
-    rather than tripping duplicate detection.
+    The decorated function is replaced by the Scenario object.  Registering
+    the same Scenario object again is a no-op; a different scenario under a
+    taken name raises :class:`~repro.api.registry.DuplicateKeyError`.
     """
 
     def decorate(run: RunCallable) -> Scenario:
@@ -200,11 +153,10 @@ def scenario(name: str, description: str = "",
             description=description or (doc.splitlines()[0] if doc else name),
             run=run,
             uarches=tuple(uarches) if uarches is not None else None,
-            scales=dict(scales or {}),
             tags=tuple(tags),
         )
         # `is not None`, not truthiness: an empty registry has len() == 0.
         target = registry if registry is not None else DEFAULT_REGISTRY
-        return target.register(declared)
+        return target.register(name, declared, summary=declared.description)
 
     return decorate

@@ -21,10 +21,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro import storage
-from repro.bench.registry import (DEFAULT_REGISTRY, Scenario, ScenarioContext,
-                                  ScenarioRegistry)
+from repro.api.registry import Registry
+from repro.bench.registry import DEFAULT_REGISTRY, Scenario, ScenarioContext, select
 from repro.bench.schema import (SCHEMA_MINOR_VERSION, SCHEMA_VERSION, SchemaError,
                                 collect_problems, jsonify, validate_payload)
+from repro.eval.experiments import ExperimentScale
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +88,7 @@ class Runner:
     """Executes registered scenarios and emits ``BENCH_<suite>.json``."""
 
     def __init__(self, config: Optional[RunnerConfig] = None,
-                 registry: Optional[ScenarioRegistry] = None) -> None:
+                 registry: Optional[Registry] = None) -> None:
         self.config = config or RunnerConfig()
         # `is not None`, not truthiness: an empty registry has len() == 0.
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
@@ -96,12 +97,16 @@ class Runner:
     # ------------------------------------------------------------------
     # Single-scenario execution
     # ------------------------------------------------------------------
-    def context_for(self, scenario: Scenario, uarch: Optional[str] = None
-                    ) -> ScenarioContext:
-        scale = scenario.scale_for(self.config.tier)
+    def _scale(self) -> ExperimentScale:
+        """The tier's preset, with the configured seed when one is set."""
+        scale = ExperimentScale.for_tier(self.config.tier)
         if self.config.seed is not None:
             scale = replace(scale, seed=self.config.seed)
-        return ScenarioContext(tier=self.config.tier, scale=scale, uarch=uarch,
+        return scale
+
+    def context_for(self, scenario: Scenario, uarch: Optional[str] = None
+                    ) -> ScenarioContext:
+        return ScenarioContext(tier=self.config.tier, scale=self._scale(), uarch=uarch,
                                workers=self.config.workers,
                                dataset_cache=self._dataset_cache)
 
@@ -121,17 +126,13 @@ class Runner:
             start = time.perf_counter()
             metrics = self._run_once(scenario)
             durations.append(time.perf_counter() - start)
-        scale = scenario.scale_for(self.config.tier)
-        if self.config.seed is not None:
-            # Mirror context_for(): the emitted fingerprint must describe the
-            # scale the scenario actually ran at, seed override included.
-            scale = replace(scale, seed=self.config.seed)
-        seed = scale.seed
+        # The scale context_for() ran the scenario at, seed override included.
+        scale = self._scale()
         return {
             "name": scenario.name,
             "description": scenario.description,
             "tier": self.config.tier,
-            "seed": seed,
+            "seed": scale.seed,
             "workers": self.config.workers,
             "uarches": list(scenario.uarches) if scenario.uarches else None,
             "scale": scale.describe(),
@@ -152,7 +153,7 @@ class Runner:
     def run(self, names: Optional[Sequence[str]] = None,
             tags: Optional[Iterable[str]] = None) -> Dict[str, Any]:
         """Run the selected scenarios and return the schema-valid payload."""
-        selected = self.registry.select(names=names, tags=tags)
+        selected = select(self.registry, names=names, tags=tags)
         if not selected:
             raise ValueError("no scenarios selected")
         entries: Dict[str, Dict[str, Any]] = {}

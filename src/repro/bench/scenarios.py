@@ -79,9 +79,7 @@ def sec5a_random_tables(ctx: ScenarioContext):
     """Section V-A — error of randomly sampled parameter tables on Haswell.
 
     Thin wrapper over the ``sec5a_random_tables`` campaign preset
-    (:mod:`repro.campaigns.presets`): same sampling distribution, rng
-    stream, and error metric as the pre-campaign experiment loop, so the
-    reported statistics are bit-identical to earlier baselines.
+    (:mod:`repro.campaigns.presets`), the one Section V-A path.
     """
     from repro.campaigns import CAMPAIGNS, run_campaign
 

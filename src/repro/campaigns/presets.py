@@ -6,10 +6,8 @@ scale knobs and arbitrary spec-field overrides.  The bench scenarios and the
 ``repro campaign run --preset`` CLI both resolve presets here.
 
 * ``sec5a_random_tables`` — Section V-A: error of uniformly sampled random
-  parameter tables.  Bit-identical to the pre-campaign
-  :func:`repro.eval.experiments.run_section5a_random_tables` loop: same
-  sampling distribution (wide ranges), same rng stream, same batched engine
-  evaluation, same error metric.
+  parameter tables (wide sampling ranges), the one Section V-A path;
+  ``tests/test_campaigns.py`` pins its statistics bit for bit.
 * ``sec6c_write_latency`` — Section VI-C's case-study opcodes as a
   per-opcode WriteLatency sensitivity campaign (one-at-a-time grid).
 * ``fig5_global_sensitivity`` — Figure 5: one-at-a-time curves over the

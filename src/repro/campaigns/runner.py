@@ -36,6 +36,7 @@ from repro.api.registries import SIMULATORS, STRATEGIES
 from repro.campaigns.report import build_report, write_report
 from repro.campaigns.spec import (SAMPLE_KEY, AxisSpec, CampaignSpec,
                                   ResolvedAxis, resolve_axes, resolve_axis)
+from repro.core.parameters import ParameterSpec
 from repro.eval.metrics import mean_absolute_percentage_error
 
 logger = logging.getLogger(__name__)
@@ -48,10 +49,12 @@ def campaign_fingerprint(spec: CampaignSpec, blocks: Sequence[Any],
     Execution-only knobs are excluded (see
     :meth:`~repro.campaigns.spec.CampaignSpec.identity_dict`) so an
     interrupted run and its ``resume=True`` continuation bind the same
-    checkpoint directory.
+    checkpoint directory.  The table sampler's revision is included: a
+    campaign that draws tables must not resume onto another sampler's draws.
     """
     digest = storage.hasher()
     digest.update(json.dumps(spec.identity_dict(), sort_keys=True).encode())
+    digest.update(f"sampler {ParameterSpec.SAMPLER_REVISION}".encode())
     digest.update(np.ascontiguousarray(
         np.asarray(timings, dtype=np.float64)).tobytes())
     for block in blocks:

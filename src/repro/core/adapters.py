@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,23 +69,22 @@ class SimulatorAdapter(abc.ABC):
     def predict_timing(self, arrays: ParameterArrays, block: BasicBlock) -> float:
         return float(self.predict_timings(arrays, [block])[0])
 
-    def predict_timings_batch(self, candidates: Sequence[ParameterArrays],
-                              blocks: Sequence[BasicBlock]) -> np.ndarray:
-        """Timings of ``blocks`` under every candidate, shape ``(C, B)``.
+    def predict_timings_batch(
+            self, pairs: Sequence[Tuple[ParameterArrays, Sequence[BasicBlock]]]
+    ) -> List[np.ndarray]:
+        """Timings of each ``(arrays, blocks)`` pair, one array per pair.
 
-        Routes through the engine's batch API when the adapter provides one
-        — which parallelizes across candidates when workers are configured —
-        and falls back to per-candidate :meth:`predict_timings` otherwise.
+        One :meth:`~repro.engine.engine.SimulationEngine.run_pairs` call
+        when the adapter provides an engine — which parallelizes across
+        pairs when workers are configured — and one :meth:`predict_timings`
+        per pair otherwise.
         """
-        blocks = list(blocks)
         try:
             engine = self.engine
         except NotImplementedError:
-            if not candidates:
-                return np.zeros((0, len(blocks)), dtype=np.float64)
-            return np.stack([self.predict_timings(arrays, blocks)
-                             for arrays in candidates])
-        return engine.run([self.native_table(arrays) for arrays in candidates], blocks)
+            return [self.predict_timings(arrays, blocks) for arrays, blocks in pairs]
+        return engine.run_pairs([(self.native_table(arrays), blocks)
+                                 for arrays, blocks in pairs])
 
     # ------------------------------------------------------------------
     # Shared simulation-engine plumbing

@@ -284,6 +284,12 @@ class ParameterSpec:
     # ------------------------------------------------------------------
     # Sampling (the 𝐷 distribution of the paper)
     # ------------------------------------------------------------------
+    #: Revision of the draws :meth:`sample` makes from an rng.  Run, campaign
+    #: and matrix fingerprints digest it, so a checkpoint drawn by another
+    #: sampler is refused instead of resumed with mixed draws.  Bump it
+    #: whenever the draws change (2: each PortMap drawn as whole arrays).
+    SAMPLER_REVISION = 2
+
     def _sample_field(self, field_: ParameterField, rows: int,
                       rng: np.random.Generator) -> np.ndarray:
         """Sample one field for ``rows`` opcodes (or one global row)."""

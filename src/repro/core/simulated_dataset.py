@@ -186,8 +186,9 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
     Tables are drawn in rounds of a fixed size,
     ``ceil(DEFAULT_MEGABATCH_CHUNK / blocks_per_table)`` tables (one kernel
     chunk's worth of lanes), whatever the engine's worker count, and each
-    round's simulations go to the engine in one
-    :meth:`~repro.engine.engine.SimulationEngine.run_pairs` call.  The last
+    round's simulations go to
+    :meth:`~repro.core.adapters.SimulatorAdapter.predict_timings_batch` in
+    one call (one engine ``run_pairs`` call).  The last
     round draws only the tables still planned.  Each table draw is followed
     immediately by its block-index draw and evaluation draws nothing, so
     the draw stream, the dataset and the rng position after the stage are
@@ -216,10 +217,6 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
                                  "requested example count")
             rng.bit_generator.state = rng_state
     spec = adapter.parameter_spec()
-    try:
-        engine = adapter.engine
-    except NotImplementedError:
-        engine = None
     tables_per_round = -(-DEFAULT_MEGABATCH_CHUNK // blocks_per_table)
     # Every table still to draw gets its row of the stack up front.
     dataset.tables.reserve(
@@ -237,13 +234,8 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
             drawn.append((arrays, block_indices, selected,
                           rng.bit_generator.state))
             planned += chunk
-        if engine is not None:
-            timing_rows = engine.run_pairs(
-                [(adapter.native_table(arrays), selected)
-                 for arrays, _, selected, _ in drawn])
-        else:
-            timing_rows = [adapter.predict_timings(arrays, selected)
-                           for arrays, _, selected, _ in drawn]
+        timing_rows = adapter.predict_timings_batch(
+            [(arrays, selected) for arrays, _, selected, _ in drawn])
         for (arrays, block_indices, _selected, rng_state), timings in zip(
                 drawn, timing_rows):
             dataset.append_round(arrays, block_indices, timings)
@@ -253,24 +245,3 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
                 checkpoint.save(dataset, rng_state, num_examples)
                 last_saved = len(dataset)
     return dataset
-
-
-def random_table_errors(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
-                        true_timings: np.ndarray, num_tables: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Error of randomly sampled parameter tables against the ground truth.
-
-    Reproduces the sanity number from Section V-A: a random table drawn from
-    the sampling distribution has error 171.4% ± 95.7% on Haswell.
-    """
-    spec = adapter.parameter_spec()
-    true_timings = np.asarray(true_timings, dtype=np.float64)
-    # Sampling draws nothing from ``rng`` between tables, so all candidates
-    # can be drawn up front and evaluated through the adapter's batch API
-    # (which parallelizes across tables when workers are configured) without
-    # changing the sampled sequence.
-    candidates = [spec.sample(rng) for _ in range(num_tables)]
-    predictions = adapter.predict_timings_batch(candidates, blocks)
-    errors = np.mean(np.abs(predictions - true_timings[None, :]) /
-                     np.maximum(true_timings, 1e-9)[None, :], axis=1)
-    return errors.astype(np.float64)

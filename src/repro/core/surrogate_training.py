@@ -36,6 +36,9 @@ from repro.core.surrogate import (BlockFeaturizer, _SurrogateBase,
                                   batch_parameter_inputs)
 from repro.core.training_loop import run_minibatch_loop
 
+#: Examples per ``forward_batch`` call when predicting without gradients.
+PREDICT_BATCH_SIZE = 64
+
 
 @dataclass
 class SurrogateTrainingConfig:
@@ -97,7 +100,8 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
         Per-epoch mean losses and the final full-pass training error.
     """
     if not dataset:
-        raise ValueError("cannot train the surrogate on an empty dataset")
+        raise ValueError("cannot train the surrogate on an empty dataset: "
+                         "it needs at least one example")
     spec = surrogate.spec
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -118,14 +122,15 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
         log_every=config.log_every)
 
     surrogate.eval()
-    final_error = _evaluate(surrogate, dataset, block_arrays, batch_size=64)
+    final_error = mape_loss_value(predict_examples(surrogate, dataset, block_arrays),
+                                  np.array(dataset.example_timing))
     return SurrogateTrainingResult(
         epoch_losses=loop.epoch_losses, final_training_error=final_error,
         examples_per_second=loop.examples_per_second)
 
 
 def evaluate_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
-                       batch_size: int = 64) -> float:
+                       batch_size: int = PREDICT_BATCH_SIZE) -> float:
     """MAPE of the surrogate against the simulator on ``dataset``.
 
     Runs the surrogate's batched forward in ``batch_size`` chunks, reading
@@ -133,13 +138,20 @@ def evaluate_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    block_arrays = surrogate.featurizer.lookup(dataset.blocks)
-    return _evaluate(surrogate, dataset, block_arrays, batch_size)
+    predictions = predict_examples(surrogate, dataset,
+                                   surrogate.featurizer.lookup(dataset.blocks), batch_size)
+    return mape_loss_value(predictions, np.array(dataset.example_timing))
 
 
-def _evaluate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
-              block_arrays: Callable[[int], Dict[str, np.ndarray]],
-              batch_size: int) -> float:
+def predict_examples(surrogate: _SurrogateBase, dataset: SimulatedDataset,
+                     block_arrays: Callable[[int], Dict[str, np.ndarray]],
+                     batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
+    """The surrogate's prediction for every example of ``dataset``, in order.
+
+    Runs the batched forward without gradients in ``batch_size`` chunks;
+    ``block_arrays`` maps a block position to its per-block arrays
+    (:meth:`BlockFeaturizer.lookup` over ``dataset.blocks``).
+    """
     predictions: List[float] = []
     with no_grad():
         for chunk_start in range(0, len(dataset), batch_size):
@@ -150,4 +162,4 @@ def _evaluate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
                 packed, per_instruction, global_values)
             predictions.extend(float(value)
                                for value in chunk_predictions.numpy())
-    return mape_loss_value(np.array(predictions), np.array(dataset.example_timing))
+    return np.array(predictions, dtype=np.float64)

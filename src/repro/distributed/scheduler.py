@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import storage
 from repro.api.registries import EXECUTORS
+from repro.core.parameters import ParameterSpec
 from repro.distributed.cells import make_task
 from repro.distributed.report import build_matrix_report, write_report
 from repro.distributed.spec import MatrixCampaignSpec, cell_key
@@ -49,9 +50,10 @@ _POLL_SECONDS = 0.01
 
 
 def matrix_fingerprint(spec: MatrixCampaignSpec) -> str:
-    """Digest of the matrix's result-determining identity."""
+    """Digest of the matrix's result-determining identity, table sampler included."""
     payload = json.dumps(spec.identity_dict(), sort_keys=True).encode()
-    return storage.digest(payload)[:16]
+    return storage.digest(
+        payload + f" sampler {ParameterSpec.SAMPLER_REVISION}".encode())[:16]
 
 
 @dataclass

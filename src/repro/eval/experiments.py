@@ -24,7 +24,6 @@ from repro.api.registries import SIMULATORS
 from repro.core.config import fast_config
 from repro.autodiff.tensor import no_grad
 from repro.core.difftune import DiffTune, DiffTuneConfig
-from repro.core.simulated_dataset import random_table_errors
 from repro.core.surrogate import BlockFeaturizer, batch_parameter_inputs
 from repro.eval.analysis import (case_study_report, parameter_histograms,
                                  per_application_error, per_category_error)
@@ -349,23 +348,6 @@ def run_section2b_measured_tables(num_blocks: int = 400, seed: int = 0) -> Dict[
         predictions = adapter.engine.run_one(table, test_blocks)
         results[statistic] = mean_absolute_percentage_error(predictions, test_timings)
     return results
-
-
-# ----------------------------------------------------------------------
-# Section V-A: random-table error sanity check
-# ----------------------------------------------------------------------
-def run_section5a_random_tables(num_blocks: int = 200, num_tables: int = 10,
-                                seed: int = 0) -> Dict[str, float]:
-    """Mean/std error of random parameter tables on Haswell (Section V-A)."""
-    spec = get_uarch("haswell")
-    dataset = build_dataset("haswell", num_blocks=num_blocks, seed=seed)
-    blocks = [example.block for example in dataset.test_examples]
-    timings = np.array([example.timing for example in dataset.test_examples])
-    adapter = SIMULATORS.get("mca").create_adapter(spec)
-    errors = random_table_errors(adapter, blocks, timings, num_tables,
-                                 np.random.default_rng(seed))
-    return {"mean": float(errors.mean()), "std": float(errors.std()),
-            "min": float(errors.min()), "max": float(errors.max())}
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 :meth:`DiffTune.learn <repro.core.difftune.DiffTune.learn>` binds its
 checkpoint directory to :func:`run_fingerprint` before the first stage
-runs, so a resumed run never restores artifacts of another adapter, config
-or dataset.
+runs, so a resumed run never restores artifacts of another adapter, config,
+dataset or table sampler.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import storage
+from repro.core.parameters import ParameterSpec
 
 
 def run_fingerprint(adapter: Any, config: Any, blocks: Sequence[Any],
@@ -31,6 +32,7 @@ def run_fingerprint(adapter: Any, config: Any, blocks: Sequence[Any],
     digest.update(repr(sorted(learn_fields) if learn_fields else None).encode())
     digest.update(repr(getattr(adapter, "narrow_sampling", None)).encode())
     digest.update(repr(config).encode())
+    digest.update(f"sampler {ParameterSpec.SAMPLER_REVISION}".encode())
     digest.update(np.ascontiguousarray(
         np.asarray(true_timings, dtype=np.float64)).tobytes())
     if hasattr(blocks, "content_fingerprint"):

@@ -7,12 +7,15 @@ dataset, same rng streams).
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from repro.api import (CapabilityError, EvaluateSpec, PredictSpec, Session,
                        SpecValidationError, TuneSpec)
+from repro.core.parameters import ParameterSpec
+from repro.pipeline import CheckpointMismatchError
 
 NUM_BLOCKS = 60
 SEED = 3
@@ -179,6 +182,18 @@ class TestTuneCheckpointing:
         assert np.array_equal(
             uninterrupted.learned_arrays.per_instruction_values,
             resumed.learned_arrays.per_instruction_values)
+
+    def test_resume_refuses_another_table_sampler(self, tmp_path, monkeypatch):
+        # A directory whose tables another sampler drew must not resume onto
+        # this one's draws: the run fingerprint pins the sampler revision.
+        checkpoint_dir = os.path.join(tmp_path, "ckpt")
+        base = dict(target="haswell", preset="test", num_blocks=NUM_BLOCKS,
+                    seed=SEED, checkpoint_dir=checkpoint_dir)
+        Session.from_spec(TuneSpec(stop_after="collect_dataset", **base)).tune()
+        monkeypatch.setattr(ParameterSpec, "SAMPLER_REVISION",
+                            ParameterSpec.SAMPLER_REVISION + 1)
+        with pytest.raises(CheckpointMismatchError, match=re.escape(checkpoint_dir)):
+            Session.from_spec(TuneSpec(resume=True, **base)).tune()
 
 
 class TestEvaluatePredict:

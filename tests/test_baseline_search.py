@@ -1,12 +1,14 @@
 """Tests for the black-box search baselines (genetic, annealing, coordinate;
 the empty-batch checks cover all five searchers)."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.api import BASELINES
 from repro.api.plugins import search_baseline_names
-from repro.baselines import OpenTunerConfig, random_search
+from repro.baselines import OpenTunerBaseline, OpenTunerConfig
 from repro.baselines.annealing import AnnealingConfig, SimulatedAnnealingTuner
 from repro.baselines.coordinate_descent import (CoordinateDescentConfig,
                                                 CoordinateDescentTuner)
@@ -72,13 +74,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="blocks_per_evaluation"):
             config(blocks_per_evaluation=0)
 
-    def test_random_search_blocks_per_evaluation_must_be_positive(self,
-                                                                  tuning_problem):
-        adapter, blocks, timings = tuning_problem
-        with pytest.raises(ValueError, match="blocks_per_evaluation"):
-            random_search(adapter, blocks, timings, num_samples=2,
-                          blocks_per_evaluation=0)
-
 
 @pytest.mark.parametrize("name", search_baseline_names(BASELINES))
 def test_every_searcher_rejects_an_empty_block_list(tuning_problem, name):
@@ -87,6 +82,22 @@ def test_every_searcher_rejects_an_empty_block_list(tuning_problem, name):
     adapter, _blocks, timings = tuning_problem
     with pytest.raises(ValueError, match="need at least one evaluation block"):
         BASELINES.get(name).run(adapter, [], timings[:0], budget=10, seed=0)
+
+
+def test_opentuner_spends_its_budget_by_the_shared_rule(tuning_problem, caplog):
+    # 48 training blocks, fewer than the default 200 blocks_per_evaluation:
+    # each proposal is charged 48 block evaluations, so the budget check must
+    # use 48 too and stop within one batch of the budget (checking it against
+    # 200 stops at 4,848).
+    adapter, blocks, timings = tuning_problem
+    assert len(blocks) == 48
+    tuner = OpenTunerBaseline(adapter, OpenTunerConfig(evaluation_budget=5000, seed=0))
+    with caplog.at_level(logging.INFO, logger="repro.baselines.opentuner"):
+        tuner.tune(blocks, timings)
+    finished = [record.getMessage() for record in caplog.records
+                if record.getMessage().startswith("finished after")]
+    assert len(finished) == 1
+    assert int(finished[0].split()[2]) == 4992
 
 
 # ----------------------------------------------------------------------

@@ -116,17 +116,15 @@ class TestRandomSearch:
         blocks, timings = tuning_data
         adapter = MCAAdapter(HASWELL)
         best_arrays, best_error = random_search(adapter, blocks, timings, num_samples=4,
-                                                seed=0, blocks_per_evaluation=20)
+                                                seed=0)
         assert best_error > 0
         adapter.table_from_arrays(best_arrays).validate()
 
     def test_more_samples_never_worse(self, tuning_data):
         blocks, timings = tuning_data
         adapter = MCAAdapter(HASWELL)
-        _, error_few = random_search(adapter, blocks, timings, num_samples=1, seed=5,
-                                     blocks_per_evaluation=20)
-        _, error_many = random_search(adapter, blocks, timings, num_samples=5, seed=5,
-                                      blocks_per_evaluation=20)
+        _, error_few = random_search(adapter, blocks, timings, num_samples=1, seed=5)
+        _, error_many = random_search(adapter, blocks, timings, num_samples=5, seed=5)
         assert error_many <= error_few + 1e-9
 
     def test_validation(self, tuning_data):
@@ -192,15 +190,13 @@ class TestIthemalBaseline:
         np.testing.assert_array_equal(disabled.predict_many(blocks),
                                       unclipped.predict_many(blocks))
 
-    def test_predictions_do_not_depend_on_chunking(self, tuning_data, monkeypatch):
-        import repro.baselines.ithemal as ithemal_module
-
+    def test_predictions_do_not_depend_on_chunking(self, tuning_data):
         blocks, timings = tuning_data
         baseline = self._small()
         baseline.fit(blocks[:20], timings[:20])
         chunked = baseline.predict_many(blocks)
-        monkeypatch.setattr(ithemal_module, "PREDICT_CHUNK", 1)
-        one_at_a_time = baseline.predict_many(blocks)
+        one_at_a_time = np.concatenate([baseline.predict_many([block])
+                                        for block in blocks])
         np.testing.assert_allclose(chunked, one_at_a_time, atol=1e-12, rtol=0)
 
     def test_fit_is_deterministic_for_a_seed(self, tuning_data):

@@ -7,10 +7,11 @@ import re
 
 import pytest
 
-from repro.bench import (DEFAULT_REGISTRY, CompareConfig, DuplicateScenarioError, Runner,
-                         RunnerConfig, Scenario, ScenarioContext, ScenarioRegistry,
-                         SchemaError, check_min_metrics, compare_payloads, jsonify,
-                         load_payload, parse_min_metric, scenario, validate_payload)
+from repro.api.registry import DuplicateKeyError, Registry
+from repro.bench import (DEFAULT_REGISTRY, CompareConfig, Runner, RunnerConfig, Scenario,
+                         ScenarioContext, SchemaError, check_min_metrics,
+                         compare_payloads, jsonify, load_payload, parse_min_metric,
+                         scenario, select, validate_payload)
 from repro.bench.schema import collect_problems
 from repro.bench.__main__ import main as bench_main
 from repro.eval.experiments import SCALE_TIERS, ExperimentScale
@@ -22,7 +23,7 @@ from repro.storage import CorruptArtifactError
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_decorator_registers_and_replaces_function(self):
-        registry = ScenarioRegistry()
+        registry = Registry("scenario")
 
         @scenario("demo", uarches=("haswell",), tags=("x",), registry=registry)
         def demo(ctx):
@@ -35,34 +36,34 @@ class TestRegistry:
         assert demo.uarches == ("haswell",)
 
     def test_duplicate_name_raises(self):
-        registry = ScenarioRegistry()
+        registry = Registry("scenario")
 
         @scenario("demo", registry=registry)
         def first(ctx):
             return {}
 
-        with pytest.raises(DuplicateScenarioError):
+        with pytest.raises(DuplicateKeyError):
             @scenario("demo", registry=registry)
             def second(ctx):
                 return {}
 
     def test_reregistering_same_object_is_idempotent(self):
-        registry = ScenarioRegistry()
+        registry = Registry("scenario")
 
         @scenario("demo", registry=registry)
         def demo(ctx):
             return {}
 
-        assert registry.register(demo) is demo
+        assert registry.register(demo.name, demo) is demo
         assert len(registry) == 1
 
     def test_unknown_name_raises_with_known_names(self):
-        registry = ScenarioRegistry()
+        registry = Registry("scenario")
         with pytest.raises(KeyError, match="unknown scenario"):
             registry.get("nope")
 
     def test_select_by_names_and_tags(self):
-        registry = ScenarioRegistry()
+        registry = Registry("scenario")
 
         @scenario("a", tags=("ci",), registry=registry)
         def a(ctx):
@@ -72,9 +73,9 @@ class TestRegistry:
         def b(ctx):
             return {}
 
-        assert [s.name for s in registry.select()] == ["a", "b"]
-        assert [s.name for s in registry.select(tags=["ci"])] == ["a"]
-        assert [s.name for s in registry.select(names=["b"])] == ["b"]
+        assert [s.name for s in select(registry)] == ["a", "b"]
+        assert [s.name for s in select(registry, tags=["ci"])] == ["a"]
+        assert [s.name for s in select(registry, names=["b"])] == ["b"]
 
     def test_default_registry_has_the_full_catalog(self):
         expected = {
@@ -87,11 +88,13 @@ class TestRegistry:
         assert expected.issubset(set(DEFAULT_REGISTRY.names()))
 
     def test_every_scenario_resolves_every_tier(self):
-        for entry in DEFAULT_REGISTRY.all():
+        for entry in select(DEFAULT_REGISTRY):
             for tier in SCALE_TIERS:
-                assert isinstance(entry.scale_for(tier), ExperimentScale)
+                context = Runner(RunnerConfig(tier=tier)).context_for(entry)
+                assert isinstance(context.scale, ExperimentScale)
+                assert context.scale == ExperimentScale.for_tier(tier)
             with pytest.raises(ValueError):
-                entry.scale_for("galactic")
+                Runner(RunnerConfig(tier="galactic")).context_for(entry)
 
 
 class TestScalePresets:
@@ -646,5 +649,5 @@ class TestCommandLine:
                                      "BENCH_smoke.json")
         baseline = load_payload(baseline_path)
         assert baseline["tier"] == "smoke"
-        ci_names = {entry.name for entry in DEFAULT_REGISTRY.select(tags=["ci"])}
+        ci_names = {entry.name for entry in select(DEFAULT_REGISTRY, tags=["ci"])}
         assert set(baseline["scenarios"]) == ci_names

@@ -4,7 +4,7 @@ The two headline contracts are the acceptance criteria of the campaign
 redesign:
 
 * the sec5a/sec6c campaign presets reproduce the pre-redesign experiment
-  numbers bit-identically;
+  numbers bit-identically (sec5a's are pinned as hex floats);
 * a campaign killed at *any* chunk boundary and re-run with ``resume=True``
   produces a byte-identical ``campaign_report.json`` to an uninterrupted run.
 """
@@ -19,8 +19,9 @@ from repro import cli
 from repro.api import (CAMPAIGNS, STRATEGIES, CampaignSpec, EvaluateSpec,
                        Session, SpecValidationError, registries)
 from repro.campaigns import run_campaign
-from repro.campaigns.runner import sweep_error_curve
+from repro.campaigns.runner import campaign_fingerprint, sweep_error_curve
 from repro.campaigns.spec import SAMPLE_KEY
+from repro.core.parameters import ParameterSpec
 
 NUM_BLOCKS = 40
 SEED = 2
@@ -331,19 +332,41 @@ class TestAdaptiveStrategy:
                    for variant in result.variants)
 
 
-class TestPresets:
-    def test_sec5a_bit_identical_to_experiment_loop(self):
-        from repro.eval.experiments import run_section5a_random_tables
+def _sec5a_errors(**arguments):
+    result = run_campaign(CAMPAIGNS.get("sec5a_random_tables")(**arguments))
+    return np.array([variant["error"] for variant in result.variants]), result
 
-        expected = run_section5a_random_tables(num_blocks=40, num_tables=3,
-                                               seed=0)
-        spec = CAMPAIGNS.get("sec5a_random_tables")(num_blocks=40,
-                                                    num_tables=3, seed=0)
-        errors = np.array([variant["error"]
-                           for variant in run_campaign(spec).variants])
-        assert {"mean": float(errors.mean()), "std": float(errors.std()),
-                "min": float(errors.min()),
-                "max": float(errors.max())} == expected
+
+class TestFingerprint:
+    def test_fingerprint_pins_the_table_sampler(self, eval_session, monkeypatch):
+        spec = make_spec()
+        blocks, timings = eval_session.split("test")
+        base = campaign_fingerprint(spec, blocks, timings)
+        monkeypatch.setattr(ParameterSpec, "SAMPLER_REVISION",
+                            ParameterSpec.SAMPLER_REVISION + 1)
+        assert campaign_fingerprint(spec, blocks, timings) != base
+
+
+class TestPresets:
+    def test_sec5a_statistics_are_pinned(self):
+        errors, _result = _sec5a_errors(num_blocks=40, num_tables=3, seed=0)
+        assert {"mean": float(errors.mean()).hex(), "std": float(errors.std()).hex(),
+                "min": float(errors.min()).hex(), "max": float(errors.max()).hex()} == {
+            "mean": "0x1.570045ba8736bp+0", "std": "0x1.8a5e097fdcdccp-2",
+            "min": "0x1.989d288f6b136p-1", "max": "0x1.a8bca453ecd74p+0"}
+
+    def test_sec5a_random_tables_are_far_from_the_measurements(self):
+        errors, _result = _sec5a_errors(num_blocks=60, num_tables=2, seed=0)
+        assert errors.mean() > 0.3  # random tables are far worse than defaults
+        assert errors.min() <= errors.mean() <= errors.max()
+
+    def test_sec5a_random_tables_much_worse_than_default(self):
+        # The 15-block test split of the 150-block seed-0 Haswell dataset,
+        # three narrow-sampling tables drawn from default_rng(0).
+        errors, result = _sec5a_errors(num_blocks=150, num_tables=3, seed=0,
+                                       narrow_sampling=True)
+        assert len(errors) == 3
+        assert errors.mean() > result.report["baseline_error"] * 1.5
 
     def test_presets_registered_with_aliases(self):
         assert CAMPAIGNS.resolve("sec5a") == "sec5a_random_tables"

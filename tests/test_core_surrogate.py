@@ -10,7 +10,6 @@ from repro.core.losses import mape_loss_value, surrogate_loss
 from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro.core.surrogate import (BlockFeaturizer, SurrogateConfig,
                                   batch_parameter_inputs, build_surrogate)
-from repro.core.simulated_dataset import random_table_errors
 from repro.core.surrogate import (AnalyticalSurrogate, IthemalSurrogate, PooledSurrogate,
                                   NUM_STRUCTURAL_FEATURES)
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
@@ -229,15 +228,6 @@ class TestSimulatedDataset:
                                   table.global_values)
                    for index, table in enumerate(tables))
         assert dataset.example_table == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-
-    def test_random_table_errors_much_worse_than_default(self, adapter, small_dataset, rng):
-        examples = small_dataset.test_examples[:40]
-        blocks = [example.block for example in examples]
-        timings = np.array([example.timing for example in examples])
-        errors = random_table_errors(adapter, blocks, timings, num_tables=3, rng=rng)
-        default_error = mape_loss_value(
-            adapter.predict_timings(adapter.default_arrays(), blocks), timings)
-        assert errors.mean() > default_error * 1.5
 
 
 class TestLosses:

@@ -22,6 +22,7 @@ from repro import cli
 from repro.api import (EXECUTORS, MatrixCampaignSpec, Session,
                        SpecValidationError)
 from repro.api.registries import same_target
+from repro.core.parameters import ParameterSpec
 from repro.distributed import (CampaignWorker, cell_key, format_matrix_report,
                                matrix_fingerprint, run_matrix)
 from repro.pipeline.checkpoint import CheckpointMismatchError
@@ -144,6 +145,12 @@ class TestSpecValidation:
             corpus_root, fail_cells={MCA_CELL: -1})) != base
         assert matrix_fingerprint(make_matrix(
             corpus_root, max_retries=5)) != base
+
+    def test_fingerprint_pins_the_table_sampler(self, corpus_root, monkeypatch):
+        base = matrix_fingerprint(make_matrix(corpus_root))
+        monkeypatch.setattr(ParameterSpec, "SAMPLER_REVISION",
+                            ParameterSpec.SAMPLER_REVISION + 1)
+        assert matrix_fingerprint(make_matrix(corpus_root)) != base
 
     def test_executors_registered(self):
         assert sorted(EXECUTORS.names()) == ["inline", "pool", "remote"]

@@ -288,10 +288,11 @@ class TestAdapterEngineIntegration:
                                                          rng):
         spec = mca_adapter.parameter_spec()
         candidates = [spec.sample(rng) for _ in range(3)]
-        blocks = sample_blocks[:5]
-        batch = mca_adapter.predict_timings_batch(candidates, blocks)
-        assert batch.shape == (3, len(blocks))
-        for arrays, row in zip(candidates, batch):
+        pairs = [(arrays, sample_blocks[start:start + 5])
+                 for arrays, start in zip(candidates, (0, 5, 3))]
+        batch = mca_adapter.predict_timings_batch(pairs)
+        assert [row.shape for row in batch] == [(5,)] * 3
+        for (arrays, blocks), row in zip(pairs, batch):
             assert np.array_equal(row, mca_adapter.predict_timings(arrays, blocks))
 
     def test_predict_timings_batch_falls_back_without_engine(self, sample_blocks):
@@ -305,10 +306,11 @@ class TestAdapterEngineIntegration:
             def predict_timings(self, arrays, blocks):
                 return np.full(len(blocks), 2.0)
 
-        batch = Constant().predict_timings_batch([object(), object()], sample_blocks[:3])
-        assert batch.shape == (2, 3)
-        assert np.all(batch == 2.0)
-        assert Constant().predict_timings_batch([], sample_blocks[:3]).shape == (0, 3)
+        batch = Constant().predict_timings_batch([(object(), sample_blocks[:3]),
+                                                  (object(), sample_blocks[:2])])
+        assert [row.shape for row in batch] == [(3,), (2,)]
+        assert all(np.all(row == 2.0) for row in batch)
+        assert Constant().predict_timings_batch([]) == []
 
     def test_simulator_factory_drives_engine_and_build_simulator(self, sample_blocks):
         """Overriding simulator_factory customizes both prediction paths."""

@@ -152,13 +152,6 @@ class TestExperimentDrivers:
         assert "Haswell" in results
         assert results["Haswell"]["num_blocks_total"] > 0
 
-    def test_section5a_random_tables(self):
-        from repro.eval.experiments import run_section5a_random_tables
-
-        results = run_section5a_random_tables(num_blocks=60, num_tables=2, seed=0)
-        assert results["mean"] > 0.3  # random tables are far worse than defaults
-        assert results["min"] <= results["mean"] <= results["max"]
-
     def test_section2b_measured_tables(self):
         from repro.eval.experiments import run_section2b_measured_tables
 
