@@ -114,7 +114,7 @@ class Registry:
     # ------------------------------------------------------------------
     def register(self, key: str, value: Any = _MISSING, *,
                  aliases: Iterable[str] = (), summary: str = "",
-                 source: str = "builtin", replace: bool = False) -> Any:
+                 source: str = "builtin") -> Any:
         """Register ``value`` under ``key``; usable directly or as a decorator.
 
         Direct call::
@@ -128,39 +128,37 @@ class Registry:
 
         Re-registering the *same* object under the same key is a no-op, so a
         module that registers at import time can safely be imported twice.
-        Registering a *different* object under a taken key raises
-        :class:`DuplicateKeyError` unless ``replace=True``.
+        Registering a *different* object under a taken key, or a key or
+        alias that collides with another entry's, raises
+        :class:`DuplicateKeyError`.  Without a ``summary``, the entry takes
+        the object's own string ``summary`` attribute (a plugin record's),
+        else the first line of its docstring.
         """
         if value is _MISSING:
             def decorate(decorated: Any) -> Any:
                 self.register(key, decorated, aliases=aliases, summary=summary,
-                              source=source, replace=replace)
+                              source=source)
                 return decorated
             return decorate
 
         canonical = self._normalize(key)
         existing = self._entries.get(canonical)
         if existing is not None:
-            if not replace:
-                if existing.value is value:  # idempotent re-import
-                    return value
-                raise DuplicateKeyError(
-                    f"{self.kind} {canonical!r} is already registered "
-                    f"(existing source: {existing.source}, new source: {source}); "
-                    f"{self.kind} keys must be unique — pass replace=True to override")
-            # Replacement drops the old entry's aliases so the alias map
-            # never points at a key whose entry no longer declares it.
-            for alias in existing.aliases:
-                self._aliases.pop(alias, None)
+            if existing.value is value:  # idempotent re-import
+                return value
+            raise DuplicateKeyError(
+                f"{self.kind} {canonical!r} is already registered "
+                f"(existing source: {existing.source}, new source: {source}); "
+                f"{self.kind} keys must be unique")
         # A canonical key may not shadow another entry's alias: a plugin
         # registering target "hsw" must not silently hijack haswell's alias.
         alias_owner = self._aliases.get(canonical)
         if alias_owner is not None:
-            if not replace:
-                raise DuplicateKeyError(
-                    f"{self.kind} key {canonical!r} collides with an alias of "
-                    f"{alias_owner!r}; pass replace=True to take it over")
-            self._drop_alias_from(alias_owner, canonical)
+            raise DuplicateKeyError(
+                f"{self.kind} key {canonical!r} collides with an alias of "
+                f"{alias_owner!r}")
+        if not summary and isinstance(getattr(value, "summary", None), str):
+            summary = value.summary
         if not summary:
             doc = getattr(value, "__doc__", None) or ""
             summary = doc.strip().splitlines()[0] if doc.strip() else ""
@@ -173,23 +171,14 @@ class Registry:
                     f"with the registered {self.kind} {alias!r}")
             owner = self._aliases.get(alias)
             if owner is not None and owner != canonical:
-                if not replace:
-                    raise DuplicateKeyError(
-                        f"alias {alias!r} for {self.kind} {canonical!r} is already "
-                        f"an alias of {owner!r}")
-                self._drop_alias_from(owner, alias)
+                raise DuplicateKeyError(
+                    f"alias {alias!r} for {self.kind} {canonical!r} is already "
+                    f"an alias of {owner!r}")
         self._entries[canonical] = RegistryEntry(canonical, value, alias_keys,
                                                  summary, source)
         for alias in alias_keys:
             self._aliases[alias] = canonical
         return value
-
-    def _drop_alias_from(self, owner_key: str, alias: str) -> None:
-        """Remove ``alias`` from the alias map *and* its owner's declaration."""
-        self._aliases.pop(alias, None)
-        owner = self._entries.get(owner_key)
-        if owner is not None and alias in owner.aliases:
-            owner.aliases = tuple(item for item in owner.aliases if item != alias)
 
     def unregister(self, key: str) -> None:
         """Remove a key (tests and plugin teardown); unknown keys raise."""

@@ -22,37 +22,33 @@ from repro.isa.basic_block import BasicBlock
 logger = logging.getLogger(__name__)
 
 
+#: Starting acceptance temperature (in units of MAPE, so 0.5 means a
+#: 50-percentage-point regression is accepted with probability 1/e at the
+#: start).
+INITIAL_TEMPERATURE = 0.5
+#: Multiplicative temperature decay per step.
+COOLING_RATE = 0.97
+#: Width of the Gaussian proposal, as a fraction of each gene's sampling
+#: range; shrinks with the temperature.
+STEP_SCALE = 0.25
+
+
 @dataclass
 class AnnealingConfig:
     """Hyper-parameters of the simulated-annealing baseline.
 
     Attributes:
-        initial_temperature: Starting acceptance temperature (in units of
-            MAPE, so 0.5 means a 50-percentage-point regression is accepted
-            with probability 1/e at the start).
-        cooling_rate: Multiplicative temperature decay per step.
-        step_scale: Width of the Gaussian proposal, as a fraction of each
-            gene's sampling range; shrinks with the temperature.
         evaluation_budget: Total block evaluations allowed (budget parity with
             DiffTune, as in Section V-C).
         blocks_per_evaluation: Blocks drawn per candidate evaluation.
         seed: Random seed.
     """
 
-    initial_temperature: float = 0.5
-    cooling_rate: float = 0.97
-    step_scale: float = 0.25
     evaluation_budget: int = 20_000
     blocks_per_evaluation: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_temperature <= 0.0:
-            raise ValueError("initial_temperature must be positive")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling_rate must be in (0, 1)")
-        if self.step_scale <= 0.0:
-            raise ValueError("step_scale must be positive")
         if self.blocks_per_evaluation < 1:
             raise ValueError("blocks_per_evaluation must be >= 1")
 
@@ -90,15 +86,14 @@ class SimulatedAnnealingTuner:
         current = np.clip(spec.sample(rng).to_flat_vector(), low, high)
         (current_score,) = scorer.score([spec.rounded_arrays(current)])
         best, best_score = current.copy(), current_score
-        temperature = config.initial_temperature
+        temperature = INITIAL_TEMPERATURE
         accepted = 0
         steps = 0
         history: List[float] = [best_score]
 
         while scorer.affords():
             steps += 1
-            spread = (high - low) * config.step_scale * max(temperature
-                                                            / config.initial_temperature, 0.05)
+            spread = (high - low) * STEP_SCALE * max(temperature / INITIAL_TEMPERATURE, 0.05)
             proposal = np.clip(current + rng.normal(0.0, 1.0, size=current.shape) * spread,
                                low, high)
             (score,) = scorer.score([spec.rounded_arrays(proposal)])
@@ -109,7 +104,7 @@ class SimulatedAnnealingTuner:
                 if score < best_score:
                     best, best_score = proposal.copy(), score
                     logger.info(f"step {steps}: new best batch error {score:.3f}")
-            temperature *= config.cooling_rate
+            temperature *= COOLING_RATE
             history.append(best_score)
 
         best_arrays = spec.clip_to_bounds(spec.rounded_arrays(best))

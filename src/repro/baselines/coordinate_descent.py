@@ -24,37 +24,29 @@ from repro.isa.basic_block import BasicBlock
 logger = logging.getLogger(__name__)
 
 
+#: Full passes over the parameter fields.
+ROUNDS = 2
+#: Values tried per field per pass (evenly spread over the field's sampling
+#: range).
+CANDIDATES_PER_FIELD = 5
+
+
 @dataclass
 class CoordinateDescentConfig:
     """Hyper-parameters of the coordinate-descent baseline.
 
     Attributes:
-        rounds: Full passes over the parameter fields.
-        candidates_per_field: Values tried per field per pass (evenly spread
-            over the field's sampling range).
         evaluation_budget: Total block evaluations allowed; the sweep stops
             early when the budget runs out.
         blocks_per_evaluation: Blocks drawn per candidate evaluation.
-        sweep_global_fields: Whether global fields are swept.
-        sweep_per_instruction_fields: Whether per-instruction fields are swept
-            (each candidate sets the *whole column* for that field — the
-            per-opcode resolution that DiffTune has is deliberately absent).
         seed: Random seed.
     """
 
-    rounds: int = 2
-    candidates_per_field: int = 5
     evaluation_budget: int = 20_000
     blocks_per_evaluation: int = 64
-    sweep_global_fields: bool = True
-    sweep_per_instruction_fields: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.candidates_per_field < 2:
-            raise ValueError("candidates_per_field must be >= 2")
         if self.blocks_per_evaluation < 1:
             raise ValueError("blocks_per_evaluation must be >= 1")
 
@@ -102,19 +94,18 @@ class CoordinateDescentTuner:
         (current_score,) = scorer.score([current])
         history: List[Tuple[str, float, float]] = []
 
-        fields: List[Tuple[str, bool]] = []
-        if config.sweep_global_fields:
-            fields.extend((field.name, True) for field in spec.global_fields)
-        if config.sweep_per_instruction_fields:
-            fields.extend((field.name, False) for field in spec.per_instruction_fields)
+        # A per-instruction candidate sets the *whole column* for its field:
+        # the per-opcode resolution that DiffTune has is deliberately absent.
+        fields = ([(field.name, True) for field in spec.global_fields]
+                  + [(field.name, False) for field in spec.per_instruction_fields])
 
-        for _ in range(config.rounds):
+        for _ in range(ROUNDS):
             for name, is_global in fields:
-                if not scorer.affords(config.candidates_per_field):
+                if not scorer.affords(CANDIDATES_PER_FIELD):
                     break
                 field_ = spec.field_by_name(name)
                 candidates = np.linspace(field_.sample_low, field_.sample_high,
-                                         config.candidates_per_field)
+                                         CANDIDATES_PER_FIELD)
                 best_value: Optional[float] = None
                 for value in candidates:
                     candidate = current.copy()

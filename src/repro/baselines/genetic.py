@@ -25,21 +25,27 @@ from repro.isa.basic_block import BasicBlock
 logger = logging.getLogger(__name__)
 
 
+#: Fraction of the population copied unchanged into the next generation
+#: (elitism).
+ELITE_FRACTION = 0.25
+#: Candidates drawn per tournament when selecting parents.
+TOURNAMENT_SIZE = 3
+#: Probability a child mixes two parents (otherwise it is a mutated copy of
+#: one).
+CROSSOVER_RATE = 0.7
+#: Per-gene probability of being resampled.
+MUTATION_RATE = 0.05
+#: Width of the Gaussian perturbation applied to mutated genes, as a
+#: fraction of the gene's sampling range.
+MUTATION_SCALE = 0.35
+
+
 @dataclass
 class GeneticConfig:
     """Hyper-parameters of the genetic-algorithm baseline.
 
     Attributes:
         population_size: Number of candidate tables per generation.
-        elite_fraction: Fraction of the population copied unchanged into the
-            next generation (elitism).
-        tournament_size: Candidates drawn per tournament when selecting
-            parents.
-        crossover_rate: Probability a child mixes two parents (otherwise it is
-            a mutated copy of one).
-        mutation_rate: Per-gene probability of being resampled.
-        mutation_scale: Width of the Gaussian perturbation applied to mutated
-            genes, as a fraction of the gene's sampling range.
         evaluation_budget: Total number of block evaluations allowed
             (generations stop once the budget is exhausted) — the same budget
             parity rule Section V-C applies to OpenTuner.
@@ -48,11 +54,6 @@ class GeneticConfig:
     """
 
     population_size: int = 16
-    elite_fraction: float = 0.25
-    tournament_size: int = 3
-    crossover_rate: float = 0.7
-    mutation_rate: float = 0.05
-    mutation_scale: float = 0.35
     evaluation_budget: int = 20_000
     blocks_per_evaluation: int = 64
     seed: int = 0
@@ -60,14 +61,6 @@ class GeneticConfig:
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        if not 0.0 <= self.elite_fraction < 1.0:
-            raise ValueError("elite_fraction must be in [0, 1)")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 < self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in (0, 1]")
         if self.blocks_per_evaluation < 1:
             raise ValueError("blocks_per_evaluation must be >= 1")
 
@@ -96,7 +89,7 @@ class GeneticTuner:
     # ------------------------------------------------------------------
     def _tournament(self, fitness: np.ndarray, rng: np.random.Generator) -> int:
         """Index of the fittest individual among a random tournament draw."""
-        contenders = rng.integers(0, len(fitness), size=self.config.tournament_size)
+        contenders = rng.integers(0, len(fitness), size=TOURNAMENT_SIZE)
         return int(contenders[np.argmin(fitness[contenders])])
 
     def _crossover(self, first: np.ndarray, second: np.ndarray,
@@ -108,8 +101,8 @@ class GeneticTuner:
     def _mutate(self, genome: np.ndarray, low: np.ndarray, high: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
         mutated = genome.copy()
-        mask = rng.random(genome.shape) < self.config.mutation_rate
-        scale = (high - low) * self.config.mutation_scale
+        mask = rng.random(genome.shape) < MUTATION_RATE
+        scale = (high - low) * MUTATION_SCALE
         noise = rng.normal(0.0, 1.0, size=genome.shape) * scale
         mutated[mask] = mutated[mask] + noise[mask]
         return np.clip(mutated, low, high)
@@ -133,7 +126,7 @@ class GeneticTuner:
 
         history: List[float] = [float(fitness.min())]
         generations = 0
-        elite_count = max(1, int(config.elite_fraction * config.population_size))
+        elite_count = max(1, int(ELITE_FRACTION * config.population_size))
         while scorer.affords(config.population_size):
             generations += 1
             order = np.argsort(fitness)
@@ -141,7 +134,7 @@ class GeneticTuner:
             children: List[np.ndarray] = list(elites)
             while len(children) < config.population_size:
                 parent = population[self._tournament(fitness, rng)]
-                if rng.random() < config.crossover_rate:
+                if rng.random() < CROSSOVER_RATE:
                     other = population[self._tournament(fitness, rng)]
                     child = self._crossover(parent, other, rng)
                 else:

@@ -18,7 +18,7 @@ same chunked predictor as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,19 +33,16 @@ from repro.isa.basic_block import BasicBlock
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
 
 
+#: Adam learning rate and minibatch size of :meth:`IthemalBaseline.fit`.
+LEARNING_RATE = 0.002
+BATCH_SIZE = 16
+
+
 @dataclass
 class IthemalConfig:
-    """Training configuration for the Ithemal baseline.
+    """Training configuration for the Ithemal baseline."""
 
-    ``gradient_clip <= 0`` disables clipping, as in both DiffTune phases.
-    """
-
-    surrogate: SurrogateConfig = field(default_factory=lambda: SurrogateConfig(
-        kind="pooled", embedding_size=24, hidden_size=48, num_lstm_layers=2))
-    learning_rate: float = 0.002
-    batch_size: int = 16
     epochs: int = 6
-    gradient_clip: float = 5.0
     seed: int = 0
 
 
@@ -63,7 +60,8 @@ class IthemalBaseline:
             per_instruction_fields=[ParameterField("Unused", 1, 0, True, 0, 1)],
             num_opcodes=len(self.opcode_table))
         self.featurizer = BlockFeaturizer(self.opcode_table)
-        self.model = build_surrogate(self._spec, self.featurizer, self.config.surrogate)
+        self.model = build_surrogate(self._spec, self.featurizer, SurrogateConfig(
+            kind="pooled", embedding_size=24, hidden_size=48, num_lstm_layers=2))
         self._zero_table = TableStack(
             global_values=np.zeros((1, self._spec.global_dim)),
             per_instruction_values=np.zeros((1, self._spec.num_opcodes,
@@ -83,14 +81,12 @@ class IthemalBaseline:
         """Train on measured timings; returns per-epoch mean losses."""
         if len(blocks) != len(timings):
             raise ValueError("blocks and timings must be aligned")
-        config = self.config
         result = train_surrogate(self.model, self._dataset(blocks, timings),
                                  SurrogateTrainingConfig(
-                                     learning_rate=config.learning_rate,
-                                     batch_size=config.batch_size,
-                                     epochs=config.epochs,
-                                     gradient_clip=config.gradient_clip,
-                                     seed=config.seed))
+                                     learning_rate=LEARNING_RATE,
+                                     batch_size=BATCH_SIZE,
+                                     epochs=self.config.epochs,
+                                     seed=self.config.seed))
         return result.epoch_losses
 
     def predict_many(self, blocks: Sequence[BasicBlock]) -> np.ndarray:

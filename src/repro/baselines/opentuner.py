@@ -35,6 +35,9 @@ from repro.isa.basic_block import BasicBlock
 
 logger = logging.getLogger(__name__)
 
+#: UCB1 exploration constant of the technique bandit.
+EXPLORATION = 1.4
+
 
 @dataclass
 class OpenTunerConfig:
@@ -43,7 +46,6 @@ class OpenTunerConfig:
     evaluation_budget: int = 100000   # total block evaluations
     blocks_per_evaluation: int = 200  # blocks sampled to score one proposal
     seed: int = 0
-    exploration: float = 1.4          # UCB exploration constant
 
     def __post_init__(self) -> None:
         if self.blocks_per_evaluation < 1:
@@ -121,11 +123,10 @@ class _SimulatedAnnealing(_SearchTechnique):
 class BanditEnsemble:
     """UCB1 bandit over the search-technique ensemble."""
 
-    def __init__(self, techniques: Sequence[_SearchTechnique], exploration: float = 1.4) -> None:
+    def __init__(self, techniques: Sequence[_SearchTechnique]) -> None:
         if not techniques:
             raise ValueError("need at least one search technique")
         self.techniques = list(techniques)
-        self.exploration = exploration
         self.pulls = np.zeros(len(self.techniques))
         self.rewards = np.zeros(len(self.techniques))
         self._total = 0
@@ -137,7 +138,7 @@ class BanditEnsemble:
             if self.pulls[index] == 0:
                 return index
         means = self.rewards / self.pulls
-        bonus = self.exploration * np.sqrt(np.log(self._total) / self.pulls)
+        bonus = EXPLORATION * np.sqrt(np.log(self._total) / self.pulls)
         return int(np.argmax(means + bonus))
 
     def update(self, index: int, reward: float) -> None:
@@ -166,7 +167,7 @@ class OpenTunerBaseline:
             _RandomSearch(), _HillClimb(), _GaussianMutation(),
             _DifferentialEvolution(), _SimulatedAnnealing(),
         ]
-        bandit = BanditEnsemble(techniques, exploration=self.config.exploration)
+        bandit = BanditEnsemble(techniques)
 
         best_vector = rng.uniform(low, high)
         (best_score,) = scorer.score([spec.rounded_arrays(best_vector)])

@@ -223,7 +223,7 @@ def baseline_search(ctx: ScenarioContext):
         adapter.predict_timings(annealing.best_arrays, test_blocks), test_timings)
     coordinate = CoordinateDescentTuner(adapter, CoordinateDescentConfig(
         evaluation_budget=budget, blocks_per_evaluation=32,
-        rounds=2, seed=ctx.seed)).tune(train_blocks, train_timings)
+        seed=ctx.seed)).tune(train_blocks, train_timings)
     results["coordinate descent"] = mean_absolute_percentage_error(
         adapter.predict_timings(coordinate.best_arrays, test_blocks), test_timings)
     default = ctx.adapter("mca", "haswell")

@@ -22,6 +22,12 @@ CAMPAIGN_REPORT_VERSION = 1
 #: Quantile grid reported for the error distribution.
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
+#: How many best variants / most sensitive axes the report keeps.
+TOP_K = 5
+
+#: Bins of the error-delta histogram.
+HISTOGRAM_BINS = 20
+
 
 def _error_stats(errors: np.ndarray) -> Dict[str, Any]:
     return {
@@ -35,17 +41,15 @@ def _error_stats(errors: np.ndarray) -> Dict[str, Any]:
     }
 
 
-def _delta_histogram(errors: np.ndarray, baseline: float,
-                     bins: int) -> Dict[str, List[float]]:
+def _delta_histogram(errors: np.ndarray, baseline: float) -> Dict[str, List[float]]:
     deltas = errors - baseline
-    counts, edges = np.histogram(deltas, bins=bins)
+    counts, edges = np.histogram(deltas, bins=HISTOGRAM_BINS)
     return {"bin_edges": [float(edge) for edge in edges],
             "counts": [int(count) for count in counts]}
 
 
 def _axis_sensitivity(axis_labels: Sequence[str],
-                      records: Sequence[Dict[str, Any]],
-                      top_k: int) -> List[Dict[str, Any]]:
+                      records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Per-axis spread of mean error across swept values, most sensitive first.
 
     A record contributes to an axis when its assignment pins that axis; the
@@ -71,7 +75,7 @@ def _axis_sensitivity(axis_labels: Sequence[str],
             "mean_error_by_value": [[value, mean] for value, mean in means.items()],
         })
     entries.sort(key=lambda entry: (-entry["spread"], entry["axis"]))
-    return entries[:top_k]
+    return entries
 
 
 def build_report(spec: Any, axis_labels: Sequence[str],
@@ -99,13 +103,11 @@ def build_report(spec: Any, axis_labels: Sequence[str],
     if scored:
         errors = np.array([record["error"] for record in scored], dtype=np.float64)
         report["error_stats"] = _error_stats(errors)
-        report["error_delta_histogram"] = _delta_histogram(
-            errors, baseline_error, spec.histogram_bins)
+        report["error_delta_histogram"] = _delta_histogram(errors, baseline_error)
         order = sorted(range(len(scored)),
                        key=lambda i: (scored[i]["error"], i))
-        report["best_variants"] = [scored[i] for i in order[:spec.top_k]]
-        report["axis_sensitivity"] = _axis_sensitivity(
-            axis_labels, records, spec.top_k)
+        report["best_variants"] = [scored[i] for i in order[:TOP_K]]
+        report["axis_sensitivity"] = _axis_sensitivity(axis_labels, records)[:TOP_K]
     return report
 
 

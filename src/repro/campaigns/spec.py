@@ -254,9 +254,6 @@ class CampaignSpec(_SpecBase):
     resume: bool = False
     #: Streamed report destination (JSON, rewritten after every chunk).
     report_path: Optional[str] = None
-    #: How many best variants / most sensitive axes the report keeps.
-    top_k: int = 5
-    histogram_bins: int = 20
     engine_workers: int = 0
 
     def validate(self) -> None:
@@ -284,6 +281,10 @@ class CampaignSpec(_SpecBase):
             raise SpecValidationError(
                 "strategy_options",
                 f"expected a dict, got {type(self.strategy_options).__name__}")
+        if not all(isinstance(key, str) for key in self.strategy_options):
+            raise SpecValidationError(
+                "strategy_options",
+                f"option names must be strings, got {list(self.strategy_options)!r}")
         try:
             strategy_cls(resolved, self.num_variants, self.strategy_options)
         except ValueError as error:
@@ -312,8 +313,6 @@ class CampaignSpec(_SpecBase):
         self._check_type("checkpoint_dir", (str,), allow_none=True)
         self._check_type("resume", (bool,))
         self._check_type("report_path", (str,), allow_none=True)
-        self._check_positive("top_k")
-        self._check_positive("histogram_bins")
         if self.resume and self.checkpoint_dir is None:
             raise SpecValidationError("resume", "requires checkpoint_dir to be set")
 

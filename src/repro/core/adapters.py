@@ -32,7 +32,7 @@ from repro.core.parameters import (ParameterArrays, ParameterField, ParameterSpe
                                    PORT_MAP_FIELD_NAME)
 from repro.engine.binding import (LRUCache, llvm_sim_table_digest, mca_table_digest,
                                   parameter_arrays_digest)
-from repro.engine.engine import DEFAULT_CACHE_SIZE, SimulationEngine
+from repro.engine.engine import SimulationEngine
 from repro.isa.basic_block import BasicBlock
 from repro.isa.opcodes import DEFAULT_OPCODE_TABLE, OpcodeTable
 from repro.llvm_mca.params import MCAParameterTable, NUM_PORTS, NUM_READ_ADVANCE_SLOTS
@@ -156,7 +156,6 @@ class MCAAdapter(SimulatorAdapter):
     def __init__(self, uarch: UarchSpec, opcode_table: Optional[OpcodeTable] = None,
                  learn_fields: Optional[Sequence[str]] = None,
                  narrow_sampling: bool = False,
-                 engine_cache_size: int = DEFAULT_CACHE_SIZE,
                  engine_workers: int = 0) -> None:
         """Create an adapter.
 
@@ -175,7 +174,6 @@ class MCAAdapter(SimulatorAdapter):
                 optimization well inside the region the surrogate models.
                 Section VII of the paper discusses exactly this sensitivity
                 to the sampling distributions.
-            engine_cache_size: Capacity of the engine's timing result cache.
             engine_workers: Opt-in process fan-out for batched table
                 evaluation (``0`` = serial; see
                 :class:`~repro.engine.engine.SimulationEngine`).
@@ -184,7 +182,6 @@ class MCAAdapter(SimulatorAdapter):
         self.opcode_table = opcode_table or DEFAULT_OPCODE_TABLE
         self.learn_fields = set(learn_fields) if learn_fields is not None else None
         self.narrow_sampling = narrow_sampling
-        self.engine_cache_size = engine_cache_size
         self.engine_workers = engine_workers
         self._default_table = build_default_mca_table(uarch, self.opcode_table)
         self._spec = self._build_spec()
@@ -320,7 +317,6 @@ class MCAAdapter(SimulatorAdapter):
 
     def create_engine(self) -> SimulationEngine:
         return SimulationEngine(self.simulator_factory(), mca_table_digest,
-                                cache_size=self.engine_cache_size,
                                 num_workers=self.engine_workers)
 
     def predict_timings(self, arrays: ParameterArrays,
@@ -371,11 +367,9 @@ class LLVMSimAdapter(SimulatorAdapter):
     """Adapter for the llvm_sim model (Table VII parameter set)."""
 
     def __init__(self, uarch: UarchSpec, opcode_table: Optional[OpcodeTable] = None,
-                 engine_cache_size: int = DEFAULT_CACHE_SIZE,
                  engine_workers: int = 0) -> None:
         self.uarch = uarch
         self.opcode_table = opcode_table or DEFAULT_OPCODE_TABLE
-        self.engine_cache_size = engine_cache_size
         self.engine_workers = engine_workers
         self._default_table = build_default_llvm_sim_table(uarch, self.opcode_table)
         self._spec = ParameterSpec(
@@ -429,7 +423,6 @@ class LLVMSimAdapter(SimulatorAdapter):
 
     def create_engine(self) -> SimulationEngine:
         return SimulationEngine(self.simulator_factory(), llvm_sim_table_digest,
-                                cache_size=self.engine_cache_size,
                                 num_workers=self.engine_workers)
 
     def predict_timings(self, arrays: ParameterArrays,
@@ -444,7 +437,6 @@ def _llvm_sim_adapter_factory(uarch: UarchSpec, *,
                               opcode_table: Optional[OpcodeTable] = None,
                               narrow_sampling: bool = True,
                               learn_fields: Optional[Sequence[str]] = None,
-                              engine_cache_size: int = DEFAULT_CACHE_SIZE,
                               engine_workers: int = 0) -> LLVMSimAdapter:
     """Uniform-signature factory for :class:`LLVMSimAdapter`.
 
@@ -456,7 +448,6 @@ def _llvm_sim_adapter_factory(uarch: UarchSpec, *,
         raise ValueError("the llvm_sim simulator learns its full parameter set; "
                          "learn_fields is not supported (use simulator 'mca')")
     return LLVMSimAdapter(uarch, opcode_table=opcode_table,
-                          engine_cache_size=engine_cache_size,
                           engine_workers=engine_workers)
 
 

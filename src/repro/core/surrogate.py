@@ -128,10 +128,9 @@ class BlockFeaturizer:
     (:func:`featurization_cache_stats`).
     """
 
-    def __init__(self, opcode_table: OpcodeTable,
-                 vocabulary: Optional[TokenVocabulary] = None) -> None:
+    def __init__(self, opcode_table: OpcodeTable) -> None:
         self.opcode_table = opcode_table
-        self.vocabulary = vocabulary or TokenVocabulary(opcode_table)
+        self.vocabulary = TokenVocabulary(opcode_table)
         self._arrays = LRUCache(MAX_CACHED_BLOCKS)
 
     @staticmethod

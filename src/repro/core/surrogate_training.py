@@ -52,8 +52,6 @@ class SurrogateTrainingConfig:
     learning_rate: float = 0.001
     batch_size: int = 16
     epochs: int = 2
-    gradient_clip: float = 5.0
-    shuffle: bool = True
     seed: int = 0
     log_every: int = 0  # batches; 0 disables the per-batch DEBUG log
 
@@ -118,7 +116,6 @@ def train_surrogate(surrogate: _SurrogateBase, dataset: SimulatedDataset,
     loop = run_minibatch_loop(
         len(dataset), _batched_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
-        shuffle=config.shuffle, gradient_clip=config.gradient_clip,
         log_every=config.log_every)
 
     surrogate.eval()

@@ -57,8 +57,6 @@ class TableOptimizationConfig:
     learning_rate: float = 0.05
     batch_size: int = 16
     epochs: int = 1
-    gradient_clip: float = 5.0
-    shuffle: bool = True
     seed: int = 0
     log_every: int = 1
 
@@ -200,7 +198,6 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
         loop = run_minibatch_loop(
             len(blocks), _batched_loss, optimizer, rng,
             batch_size=config.batch_size, epochs=config.epochs,
-            shuffle=config.shuffle, gradient_clip=config.gradient_clip,
             log_every=config.log_every, post_step=restore_frozen)
     finally:
         for weight, flag in zip(weights, flags):

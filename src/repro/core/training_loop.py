@@ -14,9 +14,7 @@ packing, the forward pass, frozen-dimension restoration) lives in the
 callable and the optional ``post_step`` hook.
 
 Determinism contract: the only randomness consumed from ``rng`` is one
-``shuffle`` call per epoch when ``shuffle=True``, exactly as the two
-previously duplicated loops did — so refactored callers reproduce their old
-loss trajectories bit for bit.
+``shuffle`` call per epoch.
 """
 
 from __future__ import annotations
@@ -33,6 +31,9 @@ from repro.autodiff.optim import Optimizer
 from repro.autodiff.tensor import Tensor
 
 logger = logging.getLogger(__name__)
+
+#: Global gradient-norm bound applied before every optimizer step.
+GRADIENT_CLIP = 5.0
 
 
 @dataclass
@@ -55,12 +56,16 @@ def run_minibatch_loop(num_examples: int,
                        *,
                        batch_size: int,
                        epochs: int,
-                       shuffle: bool = True,
-                       gradient_clip: float = 0.0,
                        log_every: int = 0,
                        post_step: Optional[Callable[[], None]] = None
                        ) -> MinibatchLoopResult:
     """Run the shared epoch/minibatch optimization loop.
+
+    Each epoch reshuffles the index permutation, and each step clips the
+    gradients to a global norm of :data:`GRADIENT_CLIP`.  A batch whose
+    loss or pre-clip gradient norm is not finite raises
+    ``FloatingPointError`` naming the epoch and batch before the optimizer
+    steps, so the parameters keep their last finite values.
 
     Args:
         num_examples: Dataset size; batches are index slices of
@@ -69,16 +74,9 @@ def run_minibatch_loop(num_examples: int,
             tensor to backpropagate.
         optimizer: Steps after each batch; its parameters' gradients are
             zeroed before each backward pass.
-        rng: Source of the per-epoch shuffle (one draw per epoch when
-            ``shuffle`` is set, none otherwise).
+        rng: Source of the per-epoch shuffle (one draw per epoch).
         batch_size: Minibatch size (the final batch may be partial).
         epochs: Number of passes over the dataset.
-        shuffle: Reshuffle the index permutation at the start of each epoch.
-        gradient_clip: Global gradient-norm clip applied before each step
-            (``<= 0`` disables clipping).  A batch whose loss or pre-clip
-            gradient norm is not finite raises ``FloatingPointError``
-            naming the epoch and batch before the optimizer steps, so the
-            parameters keep their last finite values.
         log_every: Log ``(epoch, batch_index, loss)`` at DEBUG every N
             batches, plus always on the final (possibly partial) batch of
             each epoch; ``0`` logs nothing.
@@ -97,8 +95,7 @@ def run_minibatch_loop(num_examples: int,
     epoch_losses: List[float] = []
     start_time = time.perf_counter()
     for epoch in range(epochs):
-        if shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         batch_losses: List[float] = []
         for batch_start in range(0, num_examples, batch_size):
             batch_index = batch_start // batch_size
@@ -110,9 +107,7 @@ def run_minibatch_loop(num_examples: int,
                     f"epoch {epoch} batch {batch_index}: loss is {value}")
             optimizer.zero_grad()
             loss.backward()
-            # An infinite bound measures the norm without clipping.
-            norm = optimizer.clip_grad_norm(gradient_clip if gradient_clip > 0
-                                            else math.inf)
+            norm = optimizer.clip_grad_norm(GRADIENT_CLIP)
             if not math.isfinite(norm):
                 raise FloatingPointError(
                     f"epoch {epoch} batch {batch_index}: gradient norm is {norm}")

@@ -105,12 +105,13 @@ def _final_status(outcomes: Dict[str, Dict[str, Any]], total_cells: int,
 def _build_shared_corpora(spec: MatrixCampaignSpec, pending: List[_CellState]):
     """One resumable on-disk corpus per distinct pending target.
 
+    Every cell of a target points at its target's corpus, so block
+    generation and measurement happen once per target, not per cell.
     Returns ``(corpus_path_by_target, temp_dir_holder)``; the holder keeps
     an anonymous corpus directory alive until the run finishes.  Skipped
-    when the campaign body brings its own dataset or sharing is off.
+    when the campaign body brings its own dataset.
     """
-    body = spec.campaign
-    if not spec.share_corpus or body.get("dataset_path") is not None:
+    if spec.campaign.get("dataset_path") is not None:
         return {}, None
     temp_dir = None
     corpus_root = spec.corpus_dir

@@ -93,9 +93,6 @@ class MatrixCampaignSpec(_SpecBase):
     #: Where shared per-target corpora live; ``None`` uses
     #: ``<checkpoint_dir>/corpora`` (or a temporary directory without one).
     corpus_dir: Optional[str] = None
-    #: Build one on-disk corpus per target and point every cell at it, so
-    #: block generation/measurement happens once per target, not per cell.
-    share_corpus: bool = True
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     #: Aggregate ``matrix_report.json`` destination.
@@ -216,7 +213,6 @@ class MatrixCampaignSpec(_SpecBase):
         for name in ("corpus_dir", "checkpoint_dir", "report_path",
                      "cell_report_dir"):
             self._check_type(name, (str,), allow_none=True)
-        self._check_type("share_corpus", (bool,))
         self._check_type("resume", (bool,))
         if self.resume and self.checkpoint_dir is None:
             raise SpecValidationError("resume", "requires checkpoint_dir to be set")
@@ -261,7 +257,7 @@ class MatrixCampaignSpec(_SpecBase):
         payload = self.to_dict()
         for key in ("executor", "workers", "worker_urls",
                     "retry_backoff_seconds", "cell_timeout_seconds",
-                    "heartbeat_seconds", "corpus_dir", "share_corpus",
+                    "heartbeat_seconds", "corpus_dir",
                     "checkpoint_dir", "resume", "report_path",
                     "cell_report_dir", "delay_cells"):
             payload.pop(key)

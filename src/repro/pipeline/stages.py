@@ -328,7 +328,6 @@ class RefinementRoundStage(Stage):
             learning_rate=config.surrogate_training.learning_rate,
             batch_size=config.surrogate_training.batch_size,
             epochs=config.refinement_epochs,
-            gradient_clip=config.surrogate_training.gradient_clip,
             seed=config.surrogate_training.seed + round_number,
             log_every=config.surrogate_training.log_every)
         state.surrogate_result = train_surrogate(state.surrogate, local_dataset,

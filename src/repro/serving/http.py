@@ -198,8 +198,6 @@ class JsonHttpServer:
                 started = self._clock()
                 try:
                     status, payload = await self._dispatch(method, path, body)
-                except asyncio.CancelledError:
-                    raise
                 except Exception as error:  # noqa: BLE001 - last-resort 500
                     status, payload = 500, {"error": f"internal error: {error}"}
                 finally:
@@ -214,6 +212,11 @@ class JsonHttpServer:
                     break
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            # Shutdown cancels the handler mid-request.  Nothing awaits this
+            # task, and Python 3.11's stream server logs a handler task that
+            # ends cancelled as an asyncio ERROR, so it ends normally here.
             pass
         finally:
             self._connections.discard(writer)

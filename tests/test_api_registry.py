@@ -77,13 +77,6 @@ class TestRegistration:
             registry.register("hsw", 2)
         assert registry.resolve("hsw") == "haswell"
 
-    def test_canonical_key_can_take_over_alias_with_replace(self):
-        registry = make_registry()
-        registry.register("haswell", 1, aliases=("hsw",))
-        registry.register("hsw", 2, replace=True)
-        assert registry.get("hsw") == 2
-        assert registry.entry("haswell").aliases == ()
-
     def test_alias_may_not_shadow_existing_canonical_key(self):
         registry = make_registry()
         registry.register("alpha", 1)
@@ -93,34 +86,44 @@ class TestRegistration:
         assert registry.get("alpha") == 1
         assert "beta" not in registry
 
-    def test_replace_overrides(self):
-        registry = make_registry()
-        registry.register("alpha", 1)
-        registry.register("alpha", 2, replace=True)
-        assert registry.get("alpha") == 2
-
-    def test_replace_drops_stale_aliases(self):
-        registry = make_registry()
-        registry.register("alpha", 1, aliases=("a",))
-        registry.register("alpha", 2, replace=True)
-        with pytest.raises(UnknownKeyError):  # not a raw KeyError
-            registry.get("a")
-        registry.unregister("alpha")
-        with pytest.raises(UnknownKeyError):
-            registry.get("a")
-
-    def test_replace_can_redeclare_aliases(self):
-        registry = make_registry()
-        registry.register("alpha", 1, aliases=("a",))
-        registry.register("alpha", 2, aliases=("a2",), replace=True)
-        assert registry.get("a2") == 2
-        assert registry.entry("alpha").aliases == ("a2",)
-
     def test_unregister(self):
         registry = make_registry()
         registry.register("alpha", 1, aliases=("a",))
         registry.unregister("alpha")
         assert "alpha" not in registry
+        assert "a" not in registry
+        with pytest.raises(UnknownKeyError):  # not a raw KeyError
+            registry.get("a")
+
+    def test_rejected_duplicate_keeps_the_original_entry(self):
+        registry = make_registry()
+        registry.register("alpha", 1, aliases=("a",))
+        with pytest.raises(DuplicateKeyError):
+            registry.register("alpha", 2, aliases=("b",))
+        assert registry.get("alpha") == 1
+        assert registry.entry("alpha").aliases == ("a",)
+        assert "b" not in registry
+
+    def test_rejected_alias_collision_registers_nothing(self):
+        # Every alias is checked before any state changes: a clash on the
+        # second alias leaves neither the key nor the first alias behind.
+        registry = make_registry()
+        registry.register("alpha", 1, aliases=("a",))
+        with pytest.raises(DuplicateKeyError, match="alias 'a'"):
+            registry.register("beta", 2, aliases=("b", "a"))
+        assert "beta" not in registry
+        assert "b" not in registry
+        assert registry.resolve("a") == "alpha"
+
+    def test_unregister_then_register_swaps_the_entry(self):
+        # The only way to put a different object under a taken key.
+        registry = make_registry()
+        registry.register("alpha", 1, aliases=("a",))
+        registry.unregister("alpha")
+        registry.register("alpha", 2, aliases=("a2",))
+        assert registry.get("alpha") == 2
+        assert registry.get("a2") == 2
+        assert registry.entry("alpha").aliases == ("a2",)
         assert "a" not in registry
 
 

@@ -109,6 +109,14 @@ class TestDescribe:
         assert "axes" in description["specs"]["CampaignSpec"]
         assert "strategy" in description["specs"]["CampaignSpec"]
 
+    @pytest.mark.parametrize("kind", ["baselines", "simulators"])
+    def test_plugin_summaries_are_their_own(self, kind):
+        # A plugin record's own summary, not its class's docstring.
+        registry = repro.api.registries()[kind]
+        described = repro.api.describe()["registries"][kind]
+        assert {name: entry["summary"] for name, entry in described.items()} == \
+            {name: registry.get(name).summary for name in registry.names()}
+
     def test_registries_keys_acceptance(self):
         # Acceptance criterion: repro.api.registries().keys() lists all seven.
         assert sorted(repro.api.registries().keys()) == [

@@ -10,7 +10,8 @@ from repro.api import BASELINES
 from repro.api.plugins import search_baseline_names
 from repro.baselines import OpenTunerBaseline, OpenTunerConfig
 from repro.baselines.annealing import AnnealingConfig, SimulatedAnnealingTuner
-from repro.baselines.coordinate_descent import (CoordinateDescentConfig,
+from repro.baselines.coordinate_descent import (CANDIDATES_PER_FIELD, ROUNDS,
+                                                CoordinateDescentConfig,
                                                 CoordinateDescentTuner)
 from repro.baselines.genetic import GeneticConfig, GeneticTuner
 from repro.bhive.dataset import build_dataset
@@ -41,30 +42,8 @@ def _random_table_error(adapter, blocks, timings, seed=0):
 # ----------------------------------------------------------------------
 class TestConfigValidation:
     def test_genetic_config_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="population_size"):
             GeneticConfig(population_size=1)
-        with pytest.raises(ValueError):
-            GeneticConfig(elite_fraction=1.0)
-        with pytest.raises(ValueError):
-            GeneticConfig(tournament_size=0)
-        with pytest.raises(ValueError):
-            GeneticConfig(crossover_rate=1.5)
-        with pytest.raises(ValueError):
-            GeneticConfig(mutation_rate=0.0)
-
-    def test_annealing_config_bounds(self):
-        with pytest.raises(ValueError):
-            AnnealingConfig(initial_temperature=0.0)
-        with pytest.raises(ValueError):
-            AnnealingConfig(cooling_rate=1.0)
-        with pytest.raises(ValueError):
-            AnnealingConfig(step_scale=0.0)
-
-    def test_coordinate_config_bounds(self):
-        with pytest.raises(ValueError):
-            CoordinateDescentConfig(rounds=0)
-        with pytest.raises(ValueError):
-            CoordinateDescentConfig(candidates_per_field=1)
 
     @pytest.mark.parametrize("config", [OpenTunerConfig, GeneticConfig,
                                         AnnealingConfig, CoordinateDescentConfig])
@@ -193,8 +172,7 @@ class TestCoordinateDescentTuner:
 
     def test_sweeps_fields_and_respects_budget(self, tuning_problem):
         adapter, blocks, timings = tuning_problem
-        config = CoordinateDescentConfig(rounds=1, candidates_per_field=3,
-                                         evaluation_budget=2000,
+        config = CoordinateDescentConfig(evaluation_budget=2000,
                                          blocks_per_evaluation=12, seed=1)
         result = CoordinateDescentTuner(adapter, config).tune(blocks, timings)
         assert result.evaluations <= config.evaluation_budget
@@ -203,21 +181,38 @@ class TestCoordinateDescentTuner:
             field = adapter.parameter_spec().field_by_name(name)
             assert field.sample_low <= value <= field.sample_high
 
-    def test_global_only_sweep_touches_only_global_fields(self, tuning_problem):
+    def test_full_sweep_scores_every_field_in_every_round(self, tuning_problem):
+        # Global and per-instruction fields alike: one starting score, then
+        # CANDIDATES_PER_FIELD candidates per field per round.
         adapter, blocks, timings = tuning_problem
-        config = CoordinateDescentConfig(rounds=1, candidates_per_field=3,
-                                         evaluation_budget=1500,
-                                         blocks_per_evaluation=12,
-                                         sweep_per_instruction_fields=False, seed=2)
+        spec = adapter.parameter_spec()
+        num_fields = len(spec.global_fields) + len(spec.per_instruction_fields)
+        config = CoordinateDescentConfig(blocks_per_evaluation=12, seed=5)
         result = CoordinateDescentTuner(adapter, config).tune(blocks, timings)
-        swept = {name for name, _value, _error in result.sweep_history}
-        assert swept <= {"DispatchWidth", "ReorderBufferSize"}
+        assert result.evaluations == 12 * (1 + ROUNDS * num_fields * CANDIDATES_PER_FIELD)
+
+    def test_sweep_history_keeps_candidate_values_in_field_order(self, tuning_problem):
+        adapter, blocks, timings = tuning_problem
+        spec = adapter.parameter_spec()
+        order = [field.name for field in spec.global_fields + spec.per_instruction_fields]
+        config = CoordinateDescentConfig(blocks_per_evaluation=12, seed=5)
+        result = CoordinateDescentTuner(adapter, config).tune(blocks, timings)
+        assert result.sweep_history
+        for name, value, _error in result.sweep_history:
+            field = spec.field_by_name(name)
+            candidates = np.linspace(field.sample_low, field.sample_high,
+                                     CANDIDATES_PER_FIELD)
+            assert value in candidates
+        # Within a round the fields go globals first, then per-instruction
+        # fields, so the field position drops at most once per new round.
+        positions = [order.index(name) for name, _value, _error in result.sweep_history]
+        drops = sum(later <= earlier for earlier, later in zip(positions, positions[1:]))
+        assert drops <= ROUNDS - 1
 
     def test_starting_from_given_arrays_never_hurts_batch_error(self, tuning_problem):
         adapter, blocks, timings = tuning_problem
         start = adapter.default_arrays()
-        config = CoordinateDescentConfig(rounds=1, candidates_per_field=3,
-                                         evaluation_budget=1500,
+        config = CoordinateDescentConfig(evaluation_budget=1500,
                                          blocks_per_evaluation=16, seed=3)
         result = CoordinateDescentTuner(adapter, config).tune(blocks, timings,
                                                               initial_arrays=start)

@@ -9,11 +9,11 @@ from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import no_grad, stack
 from repro.baselines import (BanditEnsemble, IACAModel, IthemalBaseline, IthemalConfig,
                              OpenTunerBaseline, OpenTunerConfig, random_search)
+from repro.baselines.ithemal import BATCH_SIZE, LEARNING_RATE
 from repro.baselines.opentuner import (_DifferentialEvolution, _GaussianMutation, _HillClimb,
                                        _RandomSearch, _SimulatedAnnealing)
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import mape_loss_value, surrogate_loss
-from repro.core.surrogate import SurrogateConfig
 from repro.core.training_loop import run_minibatch_loop
 from repro.isa.parser import parse_block
 from repro.targets import HASWELL, ZEN2
@@ -39,7 +39,7 @@ class TestBandit:
         assert picks == {0, 1, 2}
 
     def test_rewarded_arm_preferred(self):
-        bandit = BanditEnsemble([_RandomSearch(), _HillClimb()], exploration=0.1)
+        bandit = BanditEnsemble([_RandomSearch(), _HillClimb()])
         for _ in range(2):
             bandit.select()
         for _ in range(20):
@@ -136,9 +136,7 @@ class TestRandomSearch:
 class TestIthemalBaseline:
     def test_training_and_prediction(self, tuning_data):
         blocks, timings = tuning_data
-        baseline = IthemalBaseline(config=IthemalConfig(
-            surrogate=SurrogateConfig(kind="pooled", embedding_size=8, hidden_size=16),
-            epochs=2, batch_size=8))
+        baseline = IthemalBaseline(config=IthemalConfig(epochs=2))
         losses = baseline.fit(blocks, timings)
         assert len(losses) == 2
         predictions = baseline.predict_many(blocks[:5])
@@ -147,9 +145,7 @@ class TestIthemalBaseline:
 
     def test_learned_model_beats_constant_guess(self, tuning_data):
         blocks, timings = tuning_data
-        baseline = IthemalBaseline(config=IthemalConfig(
-            surrogate=SurrogateConfig(kind="pooled", embedding_size=12, hidden_size=24),
-            epochs=6, batch_size=8))
+        baseline = IthemalBaseline(config=IthemalConfig(epochs=6))
         baseline.fit(blocks, timings)
         error = baseline.evaluate(blocks, timings)
         constant_error = mape_loss_value(np.full(len(timings), float(np.median(timings))),
@@ -166,29 +162,9 @@ class TestIthemalBaseline:
         with pytest.raises(ValueError, match="at least one example"):
             IthemalBaseline().fit([], np.array([]))
 
-    def test_zero_batch_size_rejected(self, tuning_data):
-        blocks, timings = tuning_data
-        baseline = IthemalBaseline(config=IthemalConfig(batch_size=0))
-        with pytest.raises(ValueError, match="batch_size"):
-            baseline.fit(blocks, timings)
-
     @staticmethod
-    def _small(**overrides):
-        settings = dict(surrogate=SurrogateConfig(kind="pooled", embedding_size=8,
-                                                  hidden_size=12, num_lstm_layers=1),
-                        batch_size=6, epochs=2)
-        settings.update(overrides)
-        return IthemalBaseline(config=IthemalConfig(**settings))
-
-    @pytest.mark.parametrize("gradient_clip", [0.0, -1.0])
-    def test_nonpositive_gradient_clip_disables_clipping(self, tuning_data, gradient_clip):
-        blocks, timings = tuning_data
-        blocks, timings = blocks[:20], timings[:20]
-        unclipped = self._small(gradient_clip=1e12)
-        disabled = self._small(gradient_clip=gradient_clip)
-        assert disabled.fit(blocks, timings) == unclipped.fit(blocks, timings)
-        np.testing.assert_array_equal(disabled.predict_many(blocks),
-                                      unclipped.predict_many(blocks))
+    def _small(seed=0):
+        return IthemalBaseline(config=IthemalConfig(epochs=2, seed=seed))
 
     def test_predictions_do_not_depend_on_chunking(self, tuning_data):
         blocks, timings = tuning_data
@@ -220,7 +196,6 @@ def _per_example_ithemal(baseline, blocks, timings):
     Same optimizer, rng stream and loop as the baseline, so only the forward
     differs.  Returns ``(epoch_losses, predictions)``.
     """
-    config = baseline.config
     featurized = [baseline.featurizer.featurize(block) for block in blocks]
 
     def predict(row):
@@ -235,9 +210,9 @@ def _per_example_ithemal(baseline, blocks, timings):
     baseline.model.train()
     loop = run_minibatch_loop(
         len(blocks), per_example_loss,
-        Adam(baseline.model.parameters(), lr=config.learning_rate),
-        np.random.default_rng(config.seed), batch_size=config.batch_size,
-        epochs=config.epochs, gradient_clip=config.gradient_clip)
+        Adam(baseline.model.parameters(), lr=LEARNING_RATE),
+        np.random.default_rng(baseline.config.seed), batch_size=BATCH_SIZE,
+        epochs=baseline.config.epochs)
     baseline.model.eval()
     with no_grad():
         predictions = np.array([predict(row).item() for row in range(len(blocks))])
@@ -247,16 +222,12 @@ def _per_example_ithemal(baseline, blocks, timings):
 class TestIthemalBatchedEquivalence:
     """The batched baseline against a per-example reference, within 1e-9."""
 
-    @pytest.mark.parametrize("kind", ["pooled", "analytical", "ithemal"])
-    def test_losses_and_predictions_match_reference(self, tuning_data, kind):
+    def test_losses_and_predictions_match_reference(self, tuning_data):
         blocks, timings = tuning_data
         blocks, timings = blocks[:20], timings[:20]
 
         def build():
-            return IthemalBaseline(config=IthemalConfig(
-                surrogate=SurrogateConfig(kind=kind, embedding_size=8, hidden_size=12,
-                                          num_lstm_layers=1),
-                batch_size=6, epochs=2))
+            return IthemalBaseline(config=IthemalConfig(epochs=2))
 
         batched = build()
         losses = batched.fit(blocks, timings)

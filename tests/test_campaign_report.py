@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 from repro.api import CAMPAIGNS, CampaignSpec, SpecValidationError
-from repro.campaigns.report import (_axis_sensitivity, _delta_histogram, _error_stats,
-                                    _percent, build_report, error_stats_table,
-                                    format_report, render_assignment, sensitivity_table)
+from repro.campaigns.report import (HISTOGRAM_BINS, TOP_K, _axis_sensitivity,
+                                    _delta_histogram, _error_stats, _percent,
+                                    build_report, error_stats_table, format_report,
+                                    render_assignment, sensitivity_table)
 from repro.campaigns.spec import SAMPLE_KEY, AxisSpec
 from repro.distributed.report import build_matrix_report, format_matrix_report
 
 
 def _spec(**overrides):
-    payload = {"target": "haswell", "num_blocks": 40, "seed": 0, "top_k": 2,
-               "histogram_bins": 4,
+    payload = {"target": "haswell", "num_blocks": 40, "seed": 0,
                "axes": [{"field": "DispatchWidth", "values": [1, 2, 4]},
                         {"field": "ReorderBufferSize", "values": [10, 50]}]}
     payload.update(overrides)
@@ -43,25 +43,28 @@ class TestErrorStatistics:
         assert stats["quantiles"]["p25"] == pytest.approx(0.2)
 
     def test_delta_histogram_is_relative_to_the_baseline(self):
-        histogram = _delta_histogram(np.array([0.5, 0.5, 0.75, 1.0]), 0.5, bins=2)
-        assert histogram == {"bin_edges": [0.0, 0.25, 0.5], "counts": [2, 2]}
+        histogram = _delta_histogram(np.array([0.5, 0.5, 0.75, 1.0]), 0.5)
+        edges, counts = histogram["bin_edges"], histogram["counts"]
+        assert len(edges) == HISTOGRAM_BINS + 1 and (edges[0], edges[-1]) == (0.0, 0.5)
+        assert (counts[0], counts[HISTOGRAM_BINS // 2], counts[-1]) == (2, 1, 1)
+        assert sum(counts) == 4
 
     def test_axis_sensitivity_ranks_by_spread_of_mean_error(self):
         records = [_record(0.9, DispatchWidth=1), _record(0.3, DispatchWidth=2),
                    _record(0.5, ReorderBufferSize=10), _record(0.4, ReorderBufferSize=50),
                    _record(0.6, ReorderBufferSize=50)]
-        ranking = _axis_sensitivity(["ReorderBufferSize", "DispatchWidth"], records, 5)
+        ranking = _axis_sensitivity(["ReorderBufferSize", "DispatchWidth"], records)
         assert [entry["axis"] for entry in ranking] == ["DispatchWidth", "ReorderBufferSize"]
         assert ranking[0]["spread"] == pytest.approx(0.6)
         assert ranking[0]["mean_error_by_value"] == [[1, 0.9], [2, 0.3]]
         assert ranking[1]["spread"] == pytest.approx(0.0)
         assert ranking[1]["mean_error_by_value"] == [[10, 0.5], [50, 0.5]]
 
-    def test_axis_sensitivity_skips_single_value_axes_and_truncates(self):
+    def test_axis_sensitivity_skips_single_value_axes(self):
         records = [_record(0.2, A=1, B=1, C=5), _record(0.4, A=2, B=2, C=5)]
-        ranking = _axis_sensitivity(["C", "B", "A"], records, top_k=1)
+        ranking = _axis_sensitivity(["C", "B", "A"], records)
         # A and B tie on spread; the axis name breaks the tie. C never varies.
-        assert [entry["axis"] for entry in ranking] == ["A"]
+        assert [entry["axis"] for entry in ranking] == ["A", "B"]
 
 
 class TestBuildReport:
@@ -87,10 +90,17 @@ class TestBuildReport:
         assert report["best_variants"][0]["error"] == 0.1
 
     def test_equal_errors_keep_evaluation_order_and_top_k(self):
-        records = [_record(0.2, DispatchWidth=value) for value in (1, 2, 4)]
+        records = [_record(0.2, DispatchWidth=value) for value in range(TOP_K + 2)]
         report = build_report(_spec(), ["DispatchWidth"], records, 0.2, "complete")
         assert [variant["assignment"]["DispatchWidth"]
-                for variant in report["best_variants"]] == [1, 2]
+                for variant in report["best_variants"]] == list(range(TOP_K))
+
+    def test_axis_sensitivity_keeps_the_top_k_axes(self):
+        labels = [f"axis{index}" for index in range(TOP_K + 1)]
+        records = [_record(0.2, **dict.fromkeys(labels, 1)),
+                   _record(0.4, **dict.fromkeys(labels, 2))]
+        report = build_report(_spec(), labels, records, 0.3, "complete")
+        assert [entry["axis"] for entry in report["axis_sensitivity"]] == labels[:TOP_K]
 
     def test_empty_report_has_no_statistics(self):
         report = build_report(_spec(), ["DispatchWidth"], [], 0.3, "running")

@@ -120,9 +120,22 @@ class TestSpecValidation:
             make_spec(strategy="adaptive", axes=[], num_variants=4,
                       strategy_options={"eta": 1}).validate()
 
+    def test_non_string_strategy_option_names_the_field(self):
+        with pytest.raises(SpecValidationError,
+                           match="strategy_options.*must be strings") as caught:
+            make_spec(strategy_options={0: None})
+        assert caught.value.field == "strategy_options"
+
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SpecValidationError, match="requires checkpoint_dir"):
             make_spec(resume=True).validate()
+
+    @pytest.mark.parametrize("key", ["top_k", "histogram_bins"])
+    def test_report_sizes_are_not_spec_fields(self, key):
+        payload = dict(make_spec().to_dict(), **{key: 5})
+        with pytest.raises(SpecValidationError, match="unknown field") as caught:
+            CampaignSpec.from_dict(payload)
+        assert caught.value.field == key
 
     def test_values_and_range_are_exclusive(self):
         with pytest.raises(SpecValidationError, match="not both"):

@@ -60,13 +60,14 @@ class TestCommands:
 
     def test_learn_writes_valid_table(self, tmp_path, capsys):
         # Shrink the configuration so the CLI test runs in seconds: the CLI
-        # resolves presets through the registry, so overriding the 'fast'
-        # entry redirects `repro learn` to the tiny test configuration.
+        # resolves presets through the registry, so re-registering the
+        # 'fast' entry redirects `repro learn` to the tiny test configuration.
         from repro.api import PRESETS
         from repro.core.config import test_config
 
         original = PRESETS.entry("fast")
-        PRESETS.register("fast", test_config, replace=True)
+        PRESETS.unregister("fast")
+        PRESETS.register("fast", test_config)
         try:
             dataset_path = os.path.join(tmp_path, "dataset.json")
             cli.main(["dataset", "--uarch", "haswell", "--blocks", "60",
@@ -78,9 +79,9 @@ class TestCommands:
         finally:
             # Restore the full entry (value + metadata), not just the value,
             # so later tests see pristine registry state.
+            PRESETS.unregister("fast")
             PRESETS.register("fast", original.value, aliases=original.aliases,
-                             summary=original.summary, source=original.source,
-                             replace=True)
+                             summary=original.summary, source=original.source)
         assert code == 0
         output = capsys.readouterr().out
         assert "Saved learned table" in output

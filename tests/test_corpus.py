@@ -549,15 +549,18 @@ class TestCacheBounds:
         assert after["block_evictions"] - before["block_evictions"] == \
             count - MAX_CACHED_BLOCKS
 
-    def test_learn_featurizes_each_distinct_block_once(self, corpus):
+    @pytest.mark.parametrize("source", ["list", "view"])
+    def test_learn_featurizes_each_distinct_block_once(self, corpus, source):
         """Both phases of every round read one featurizer's cache, so a run
         with two refinement rounds (six training calls) misses once per
-        distinct training block."""
-        blocks = list(corpus.split_view("train"))
-        distinct = len({block.structural_key() for block in blocks})
+        distinct training block, from a block list or from a corpus view
+        with no featurization store (read on demand)."""
+        view = corpus.split_view("train")
+        blocks = list(view) if source == "list" else view
+        distinct = len({block.structural_key() for block in view})
         learner = _learner(refinement_rounds=2)
         before = featurization_cache_stats()
-        result = learner.learn(blocks, corpus.split_view("train").timings())
+        result = learner.learn(blocks, view.timings())
         after = featurization_cache_stats()
         assert result is not None
         assert after["block_misses"] - before["block_misses"] == distinct

@@ -12,6 +12,7 @@ The headline contracts are the acceptance criteria of the subsystem:
 """
 
 import json
+import logging
 import os
 import threading
 import time
@@ -68,6 +69,11 @@ class TestSpecValidation:
         # from_dict validates eagerly, like every repro.api spec.
         with pytest.raises(SpecValidationError, match="campaign.target"):
             make_matrix(corpus_root, campaign=dict(CAMPAIGN, target="haswell"))
+
+    def test_share_corpus_is_not_a_spec_field(self, corpus_root):
+        with pytest.raises(SpecValidationError, match="unknown field") as caught:
+            make_matrix(corpus_root, share_corpus=False)
+        assert caught.value.field == "share_corpus"
 
     def test_unknown_executor_suggests(self, corpus_root):
         with pytest.raises(SpecValidationError, match="executor.*pool"):
@@ -308,7 +314,8 @@ class TestRemote:
         assert remote.status == "complete"
         assert remote.report == result.report
 
-    def test_worker_disconnect_mid_cell_lands_in_ledger(self, corpus_root):
+    def test_worker_disconnect_mid_cell_lands_in_ledger(self, corpus_root, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
         worker = CampaignWorker(port=0, drain_seconds=0.2)
         handle = worker.start_in_thread()
         # The delay must outlive the disconnect but stay under the server
@@ -330,6 +337,10 @@ class TestRemote:
         entry = result.failed_cells[0]
         assert entry["cell"] == MCA_CELL
         assert "WorkerUnreachable" in entry["error"]
+        # The stopped worker cancels its in-flight handler without an
+        # asyncio "Exception in callback" traceback.
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio" and record.levelno >= logging.ERROR] == []
 
 
 class TestCli:

@@ -377,7 +377,7 @@ class TestAdapterEngineIntegration:
             _ = Minimal().engine
 
     def test_engine_workers_plumbing(self):
-        adapter = MCAAdapter(HASWELL, engine_workers=2, engine_cache_size=128)
+        adapter = MCAAdapter(HASWELL, engine_workers=2)
         engine = adapter.engine
         assert engine.num_workers == 2
         assert isinstance(engine, SimulationEngine)

@@ -133,8 +133,7 @@ def _per_example_training(surrogate, dataset, config):
     surrogate.train()
     loop = run_minibatch_loop(
         len(examples), per_example_loss, optimizer, rng,
-        batch_size=config.batch_size, epochs=config.epochs,
-        shuffle=config.shuffle, gradient_clip=config.gradient_clip)
+        batch_size=config.batch_size, epochs=config.epochs)
     surrogate.eval()
     return loop.epoch_losses, _per_example_error(surrogate, dataset)
 
@@ -384,7 +383,7 @@ class TestProgressCallback:
     def _run(caplog, adapter, simulated, num_examples, batch_size, log_every):
         surrogate = _build(adapter, "pooled")
         config = SurrogateTrainingConfig(epochs=1, batch_size=batch_size, seed=0,
-                                         shuffle=False, log_every=log_every)
+                                         log_every=log_every)
         prefix = SimulatedDataset(simulated.blocks, simulated.tables,
                                   simulated.example_table[:num_examples],
                                   simulated.example_block[:num_examples],

@@ -105,7 +105,6 @@ def _per_block_optimization(surrogate, blocks, timings, config, initial,
     loop = run_minibatch_loop(
         len(blocks), per_block_loss, optimizer, rng,
         batch_size=config.batch_size, epochs=config.epochs,
-        shuffle=config.shuffle, gradient_clip=config.gradient_clip,
         post_step=restore_frozen)
     return TableOptimizationResult(learned_arrays=table.to_parameter_arrays(),
                                    epoch_losses=loop.epoch_losses,
