@@ -52,9 +52,6 @@ def resolve_registry_key(name: str, value: Any, registry: Any) -> str:
     except UnknownKeyError as error:
         raise SpecValidationError(name, str(error)) from error
 
-#: Types a spec field may hold in its JSON form.
-_ATOMIC_TYPES = (bool, int, float, str)
-
 
 @dataclass
 class _SpecBase:

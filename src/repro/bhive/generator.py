@@ -184,9 +184,6 @@ class BlockGenerator:
             if len(state.recent_gprs) > 6:
                 state.recent_gprs.pop(0)
 
-    def _lookup(self, name: str) -> Optional[Instruction]:
-        return None
-
     def _make(self, opcode_name: str, operands: Tuple[Operand, ...]) -> Optional[Instruction]:
         opcode = self.opcode_table.get(opcode_name)
         if opcode is None:

@@ -981,18 +981,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported_errors() -> tuple:
+    """The errors that name the bad field, file or directory themselves."""
+    # Imported here, not at module level: `repro serve` never loads the
+    # corpus layer, and an except clause evaluates this only on an error.
+    from repro.corpus import CorpusError
+
+    return (SpecValidationError, BundleError, CorpusError,
+            storage.CheckpointMismatchError, storage.CorruptArtifactError,
+            FileNotFoundError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     try:
         with print_messages():
             return arguments.handler(arguments)
-    except SpecValidationError as error:
-        # Spec validation names the bad field and suggests fixes; surface it
-        # as a clean CLI error instead of a traceback.
-        raise SystemExit(f"error: {error}")
-    except BundleError as error:
-        # Bundle verification failures likewise name the offending field.
+    except _reported_errors() as error:
+        # One clean `error:` line (exit status 1) instead of a traceback.
         raise SystemExit(f"error: {error}")
 
 

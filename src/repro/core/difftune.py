@@ -42,8 +42,7 @@ from repro.core.table_optimization import TableOptimizationConfig, TableOptimiza
 from repro.isa.basic_block import BasicBlock
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.pipeline import run_fingerprint
-from repro.pipeline.stages import (PipelineState, build_stages, collect_examples,
-                                   log_engine_stats)
+from repro.pipeline.stages import PipelineState, build_stages, collect_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -105,11 +104,7 @@ class DiffTune:
     # ------------------------------------------------------------------
     def collect_simulated_dataset(self, blocks: Sequence[BasicBlock],
                                   rng: np.random.Generator) -> SimulatedDataset:
-        logger.info(f"collecting simulated dataset "
-                    f"({self.config.simulated_dataset_size} examples)")
-        dataset = collect_examples(self.adapter, self.config, blocks, rng)
-        log_engine_stats(self.adapter)
-        return dataset
+        return collect_dataset(self.adapter, self.config, blocks, rng)
 
     def build_surrogate(self):
         return build_surrogate(self.adapter.parameter_spec(), self.featurizer,
@@ -170,7 +165,7 @@ class DiffTune:
         state = PipelineState(
             adapter=self.adapter, config=self.config, blocks=kept_blocks,
             true_timings=true_timings, rng=np.random.default_rng(self.config.seed),
-            featurizer=self.featurizer, checkpoint_store=checkpoints, resume=resume)
+            featurizer=self.featurizer)
         for stage in stages:
             if resume and checkpoints.is_complete(stage.name):
                 stage.load(state, checkpoints)

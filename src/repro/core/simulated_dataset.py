@@ -16,31 +16,21 @@ cache.
 The dataset is one :class:`SimulatedDataset` whatever the block source — a
 block list or a lazy :class:`~repro.corpus.sharded.CorpusView`: the sampled
 tables, stacked into one array per kind, plus three flat lists holding
-each example's table index, block
-position and timing, with no per-example objects, so a million-example
-dataset costs megabytes.  A :class:`CollectionCheckpoint` persists a partial
-dataset with the rng position after its draws, so a killed collection
-resumes bit-identically.
+each example's table index, block position and timing, with no
+per-example objects, so a million-example dataset costs megabytes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import storage
 from repro.core.adapters import SimulatorAdapter
 from repro.core.parameters import ParameterArrays, TableStack
 from repro.engine.megabatch import DEFAULT_MEGABATCH_CHUNK
 from repro.isa.basic_block import BasicBlock
-
-PARTIAL_NAME = "partial_dataset.npz"
-#: Archive member holding the checkpoint's JSON progress record.
-PROGRESS_KEY = "progress"
 
 
 @dataclass(eq=False)
@@ -105,62 +95,11 @@ class SimulatedDataset:
                    arrays["example_timing"].tolist())
 
 
-class CollectionCheckpoint:
-    """Partial-collection checkpoint: one ``.npz`` under ``directory``.
-
-    :func:`collect_simulated_dataset` saves it every ``every`` collected
-    examples.  The archive holds the dataset collected so far plus a JSON
-    progress record (the target example count and the rng bit-generator
-    state right after the collected rows' draws), written atomically in one
-    piece so the two can never disagree.
-    """
-
-    def __init__(self, directory: str, every: int) -> None:
-        self.directory = directory
-        self.every = every
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.directory, PARTIAL_NAME)
-
-    def save(self, dataset: SimulatedDataset, rng_state: Dict[str, Any],
-             num_examples: int) -> None:
-        """Persist ``dataset`` with the bit-generator state after its draws."""
-        progress = storage.encode_json({
-            "num_examples": int(num_examples),
-            "rng_state": storage.encode_rng_state(rng_state),
-        })
-        arrays = dataset.to_arrays()
-        arrays[PROGRESS_KEY] = np.frombuffer(progress, dtype=np.uint8)
-        storage.atomic_write(self.path,
-                             storage.encode_arrays(arrays, compressed=False))
-
-    def load(self, blocks: Sequence[BasicBlock]
-             ) -> Optional[Tuple[SimulatedDataset, Any, int]]:
-        """The saved partial dataset, rng state, and target example count."""
-        if not os.path.exists(self.path):
-            return None
-        arrays = storage.read_arrays(self.path)
-        if PROGRESS_KEY not in arrays:
-            raise storage.CorruptArtifactError(
-                f"{self.path} holds no {PROGRESS_KEY!r} record")
-        progress = storage.decode_json(arrays.pop(PROGRESS_KEY).tobytes(),
-                                       self.path)
-        return (SimulatedDataset.from_arrays(arrays, blocks),
-                storage.decode_rng_state(progress["rng_state"]),
-                int(progress["num_examples"]))
-
-    def clear(self) -> None:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self.path)
-
-
 def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
                               num_examples: int, rng: np.random.Generator,
                               blocks_per_table: int = 16,
                               table_sampler: Optional[Callable[[np.random.Generator],
-                                                               ParameterArrays]] = None,
-                              checkpoint: Optional[CollectionCheckpoint] = None
+                                                               ParameterArrays]] = None
                               ) -> SimulatedDataset:
     """Build the simulated dataset.
 
@@ -179,9 +118,6 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
         table_sampler: Optional override for the table sampling distribution
             (used by the local-refinement rounds to sample near the current
             estimate instead of from the global distribution).
-        checkpoint: Optional partial-collection checkpoint.  A saved partial
-            is resumed (rng included), and progress is saved every
-            ``checkpoint.every`` examples.
 
     Tables are drawn in rounds of a fixed size,
     ``ceil(DEFAULT_MEGABATCH_CHUNK / blocks_per_table)`` tables (one kernel
@@ -192,37 +128,19 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
     round draws only the tables still planned.  Each table draw is followed
     immediately by its block-index draw and evaluation draws nothing, so
     the draw stream, the dataset and the rng position after the stage are
-    those of drawing one table at a time.  A checkpoint saved after a table
-    records the rng state right after that table's draws (the live rng is
-    already past the rest of its round), so a run resumed from it continues
-    bit-identically, whatever worker count either run used.  Saves fall on
-    table boundaries only.
+    those of drawing one table at a time, whatever the engine's worker
+    count.
     """
     if num_examples < 1:
         raise ValueError("num_examples must be >= 1")
     if len(blocks) == 0:
         raise ValueError("need at least one block to build the simulated dataset")
     dataset = SimulatedDataset(blocks)
-    if checkpoint is not None:
-        loaded = checkpoint.load(blocks)
-        if loaded is not None:
-            dataset, rng_state, recorded_target = loaded
-            if recorded_target != num_examples:
-                raise ValueError(
-                    f"collection checkpoint targets {recorded_target} "
-                    f"examples; this run asks for {num_examples} — clear the "
-                    f"checkpoint or match the configuration")
-            if len(dataset) > num_examples:
-                raise ValueError("collection checkpoint is ahead of the "
-                                 "requested example count")
-            rng.bit_generator.state = rng_state
     spec = adapter.parameter_spec()
     tables_per_round = -(-DEFAULT_MEGABATCH_CHUNK // blocks_per_table)
-    # Every table still to draw gets its row of the stack up front.
-    dataset.tables.reserve(
-        len(dataset.tables) + -(-(num_examples - len(dataset)) // blocks_per_table))
+    # Every table gets its row of the stack up front.
+    dataset.tables.reserve(-(-num_examples // blocks_per_table))
 
-    last_saved = len(dataset)
     while len(dataset) < num_examples:
         planned = len(dataset)
         drawn = []
@@ -231,17 +149,10 @@ def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicB
             chunk = min(blocks_per_table, num_examples - planned)
             block_indices = rng.integers(0, len(blocks), size=chunk)
             selected = [blocks[int(index)] for index in block_indices]
-            drawn.append((arrays, block_indices, selected,
-                          rng.bit_generator.state))
+            drawn.append((arrays, block_indices, selected))
             planned += chunk
         timing_rows = adapter.predict_timings_batch(
-            [(arrays, selected) for arrays, _, selected, _ in drawn])
-        for (arrays, block_indices, _selected, rng_state), timings in zip(
-                drawn, timing_rows):
+            [(arrays, selected) for arrays, _, selected in drawn])
+        for (arrays, block_indices, _selected), timings in zip(drawn, timing_rows):
             dataset.append_round(arrays, block_indices, timings)
-            if (checkpoint is not None
-                    and len(dataset) - last_saved >= checkpoint.every
-                    and len(dataset) < num_examples):
-                checkpoint.save(dataset, rng_state, num_examples)
-                last_saved = len(dataset)
     return dataset

@@ -5,13 +5,14 @@ memory-mapped featurization store indexed like its corpus
 (:mod:`repro.corpus.store`).
 A :class:`~repro.corpus.sharded.CorpusView` is a block source like any
 block list: :func:`repro.core.simulated_dataset.collect_simulated_dataset`
-collects over it with mid-stage checkpoints, and both training phases read
-its per-block arrays from the store the view carries
+collects over it, and both training phases read its per-block arrays
+from the store the view carries
 (:meth:`~repro.corpus.sharded.CorpusView.with_featurization_store`, read
 by :meth:`repro.core.surrogate.BlockFeaturizer.lookup`).  Together they let
 generation, collection, and surrogate training run at 10^5–10^6+ blocks
 with flat peak RSS, shared featurization across processes, and
-bit-identical ``--resume`` at every shard/checkpoint boundary.
+bit-identical ``--resume`` at every shard boundary of a build and every
+stage boundary of a run.
 """
 
 from repro.corpus.sharded import (CorpusError, CorpusShard, CorpusView,

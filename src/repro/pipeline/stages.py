@@ -32,8 +32,7 @@ import numpy as np
 from repro.core.extraction import extract_parameter_arrays
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
-from repro.core.simulated_dataset import (CollectionCheckpoint, SimulatedDataset,
-                                          collect_simulated_dataset)
+from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro.core.surrogate import BlockFeaturizer, build_surrogate
 from repro.core.surrogate_training import (SurrogateTrainingConfig, SurrogateTrainingResult,
                                            train_surrogate)
@@ -60,9 +59,6 @@ class PipelineState:
     featurizer: BlockFeaturizer
 
     simulated_dataset: Optional[SimulatedDataset] = None
-    #: Set by ``DiffTune.learn`` when checkpointing, for mid-stage partial saves.
-    checkpoint_store: Optional[CheckpointStore] = None
-    resume: bool = False
     surrogate: Any = None
     surrogate_result: Optional[SurrogateTrainingResult] = None
     table_result: Optional[TableOptimizationResult] = None
@@ -95,13 +91,11 @@ class Stage:
 def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
                      rng: np.random.Generator,
                      num_examples: Optional[int] = None,
-                     table_sampler: Optional[Callable] = None,
-                     checkpoint: Optional[CollectionCheckpoint] = None
+                     table_sampler: Optional[Callable] = None
                      ) -> SimulatedDataset:
     """Collect a simulated dataset with the adapter's field freezing applied.
 
-    Shared by the collection stage, the refinement stages, and
-    :meth:`repro.core.difftune.DiffTune.collect_simulated_dataset`.
+    Shared by :func:`collect_dataset` and the refinement stages.
     """
     spec = adapter.parameter_spec()
     if table_sampler is None:
@@ -110,24 +104,29 @@ def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
     return collect_simulated_dataset(
         adapter, blocks,
         config.simulated_dataset_size if num_examples is None else num_examples,
-        rng, blocks_per_table=config.blocks_per_table, table_sampler=table_sampler,
-        checkpoint=checkpoint)
+        rng, blocks_per_table=config.blocks_per_table, table_sampler=table_sampler)
 
 
-def log_engine_stats(adapter: Any) -> None:
-    """Report the shared engine's cache behaviour (engine-backed adapters).
+def collect_dataset(adapter: Any, config: Any, blocks: Sequence[Any],
+                    rng: np.random.Generator) -> SimulatedDataset:
+    """Stage 1's work: the configured simulated dataset, logged with the
+    shared engine's cache behaviour (engine-backed adapters).
 
-    Shared by the collection stage and
+    The one path of :class:`CollectDatasetStage` and
     :meth:`repro.core.difftune.DiffTune.collect_simulated_dataset`.
     """
+    logger.info(f"collecting simulated dataset "
+                f"({config.simulated_dataset_size} examples)")
+    dataset = collect_examples(adapter, config, blocks, rng)
     try:
         stats = adapter.engine.stats
     except NotImplementedError:
-        return
+        return dataset
     logger.info(f"engine: {stats['executed']} simulations, "
                 f"{stats['result_hits']} cache hits, "
                 f"{stats['compile_misses']} blocks compiled "
                 f"(reused {stats['compile_hits']} times)")
+    return dataset
 
 
 # ----------------------------------------------------------------------
@@ -138,48 +137,21 @@ class CollectDatasetStage(Stage):
 
     Examples accumulate in one
     :class:`~repro.core.simulated_dataset.SimulatedDataset` whatever the
-    block source.  A checkpointed run over a corpus also saves a partial
-    dataset every corpus shard's worth of examples, so a killed run resumes
-    from the last partial bit-identically (the rng stream position is saved
-    with it); the partial is removed once the stage's dataset archive is
-    written.  A block list has no shards and saves no partial.
+    block source.  Like every stage it saves only once it has finished, so
+    a run killed mid-collection collects again from the stage's start and
+    draws the same dataset.
     """
 
     name = "collect_dataset"
     DATASET_FILE = "simulated_dataset.npz"
 
     def run(self, state: PipelineState) -> None:
-        logger.info(f"collecting simulated dataset "
-                    f"({state.config.simulated_dataset_size} examples)")
-        checkpoint = self._checkpoint(state, state.checkpoint_store)
-        if checkpoint is not None and not state.resume:
-            # reset() only clears completion entries; a stale partial from
-            # an earlier run must not leak into this one.
-            checkpoint.clear()
-        state.simulated_dataset = collect_examples(state.adapter, state.config,
-                                                   state.blocks, state.rng,
-                                                   checkpoint=checkpoint)
-        log_engine_stats(state.adapter)
-
-    def _checkpoint(self, state: PipelineState, store: Optional[CheckpointStore]
-                    ) -> Optional[CollectionCheckpoint]:
-        """The partial-collection checkpoint of a checkpointed corpus run.
-
-        Corpus sources (a corpus or a view of one) carry a
-        ``content_fingerprint``, the probe ``DiffTune.learn`` and
-        :meth:`~repro.core.surrogate.BlockFeaturizer.lookup` use too.
-        """
-        if store is None or not hasattr(state.blocks, "content_fingerprint"):
-            return None
-        corpus = getattr(state.blocks, "corpus", state.blocks)
-        return CollectionCheckpoint(store.stage_dir(self.name), corpus.shard_size)
+        state.simulated_dataset = collect_dataset(state.adapter, state.config,
+                                                  state.blocks, state.rng)
 
     def save(self, state: PipelineState, store: CheckpointStore) -> None:
         store.save_arrays(self.name, self.DATASET_FILE,
                           state.simulated_dataset.to_arrays())
-        checkpoint = self._checkpoint(state, store)
-        if checkpoint is not None:
-            checkpoint.clear()
 
     def load(self, state: PipelineState, store: CheckpointStore) -> None:
         state.simulated_dataset = SimulatedDataset.from_arrays(

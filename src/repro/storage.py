@@ -80,10 +80,10 @@ def read_json(path: str) -> Any:
         return decode_json(handle.read(), path)
 
 
-def encode_arrays(arrays: Mapping[str, Any], compressed: bool = True) -> bytes:
-    """A ``name -> array`` mapping as the bytes of an ``.npz`` archive."""
+def encode_arrays(arrays: Mapping[str, Any]) -> bytes:
+    """A ``name -> array`` mapping as the bytes of a compressed ``.npz`` archive."""
     buffer = io.BytesIO()
-    (np.savez_compressed if compressed else np.savez)(buffer, **arrays)
+    np.savez_compressed(buffer, **arrays)
     return buffer.getvalue()
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import cli
+from repro import cli, storage
 from repro.llvm_mca import MCAParameterTable
 
 
@@ -138,3 +138,60 @@ class TestCommands:
         assert "haswell: FAILED: " in output
         assert "was generated for 'Zen 2'" in output
         assert not os.path.exists(os.path.join(output_dir, "haswell.json"))
+
+
+class TestErrorBoundary:
+    """An error that names its file or directory ends in one ``error:``
+    line (exit status 1), not a traceback."""
+
+    @staticmethod
+    def _error(argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        # A string exit code prints on stderr and exits with status 1.
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith("error: ")
+        return message
+
+    @staticmethod
+    def _pinned_elsewhere(directory):
+        storage.PinnedManifest(directory, owner="another run").bind_fingerprint(
+            "0" * 16, resume=False)
+        return directory
+
+    def test_campaign_resume_of_another_runs_directory(self, tmp_path):
+        directory = self._pinned_elsewhere(str(tmp_path / "campaign"))
+        message = self._error(["campaign", "run", "--uarch", "haswell",
+                               "--blocks", "12", "--axis", "DispatchWidth=1,2",
+                               "--checkpoint-dir", directory, "--resume"])
+        assert f"refusing to resume checkpoint directory {directory!r}" in message
+
+    def test_matrix_resume_of_another_runs_directory(self, tmp_path):
+        directory = self._pinned_elsewhere(str(tmp_path / "matrix"))
+        message = self._error(["matrix", "run", "--targets", "haswell",
+                               "--simulators", "mca", "--blocks", "12",
+                               "--axis", "DispatchWidth=1,2",
+                               "--checkpoint-dir", directory, "--resume"])
+        assert f"refusing to resume checkpoint directory {directory!r}" in message
+
+    def test_corpus_stat_of_missing_directory(self, tmp_path):
+        directory = str(tmp_path / "missing")
+        message = self._error(["corpus", "stat", directory])
+        assert "no corpus manifest at" in message and directory in message
+
+    def test_corpus_stat_of_truncated_manifest(self, tmp_path):
+        manifest = tmp_path / "corpus" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text('{"version": 2, "shar')
+        message = self._error(["corpus", "stat", str(manifest.parent)])
+        assert f"{manifest} cannot be parsed as JSON" in message
+
+    def test_evaluate_with_missing_table(self, tmp_path, capsys):
+        dataset_path = str(tmp_path / "dataset.json")
+        assert cli.main(["dataset", "--uarch", "haswell", "--blocks", "12",
+                         "--output", dataset_path]) == 0
+        capsys.readouterr()
+        table_path = str(tmp_path / "missing.json")
+        message = self._error(["evaluate", "--dataset", dataset_path,
+                               "--table", table_path])
+        assert "No such file or directory" in message and table_path in message

@@ -5,8 +5,8 @@ The contracts under test are the tentpole guarantees of :mod:`repro.corpus`:
 * building a sharded corpus is bit-identical to the in-memory dataset
   builder, including after a kill/resume at any shard boundary;
 * simulated-dataset collection over a corpus produces byte-identical
-  arrays to collection over the same blocks as a list, including after a
-  kill/resume at any collection checkpoint;
+  arrays to collection over the same blocks as a list, and a checkpointed
+  corpus-backed run resumes at a stage boundary to the same table;
 * a block list, a corpus view and a view with a featurization store train
   the same surrogate and learn the same table, and a store-backed run
   featurizes no block inside the pipeline stages;
@@ -26,8 +26,7 @@ import pytest
 
 from repro.bhive.dataset import build_dataset
 from repro.bhive.generator import BlockGenerator
-from repro.core.simulated_dataset import (CollectionCheckpoint, SimulatedDataset,
-                                          collect_simulated_dataset)
+from repro.core.simulated_dataset import SimulatedDataset, collect_simulated_dataset
 from repro import storage
 from repro.core.surrogate import (BlockFeaturizer, build_block_arrays,
                                   featurization_cache_stats)
@@ -252,52 +251,6 @@ class TestStreamingCollection:
         for key in expected:
             np.testing.assert_array_equal(produced[key], expected[key])
 
-    def test_kill_resume_at_every_checkpoint_boundary(self, corpus, adapter,
-                                                      tmp_path):
-        checkpoint_every = 16
-        num_examples = 48
-        reference = collect_simulated_dataset(
-            adapter, corpus, num_examples, np.random.default_rng(7),
-            blocks_per_table=8).to_arrays()
-        boundaries = range(checkpoint_every, num_examples, checkpoint_every)
-        for boundary in boundaries:
-            checkpoint = CollectionCheckpoint(
-                str(tmp_path / f"checkpoint-{boundary}"), checkpoint_every)
-
-            class Killed(RuntimeError):
-                pass
-
-            # Dies right after the save that reaches the boundary hit the disk.
-            def kill_after(dataset, rng_state, target, limit=boundary,
-                           checkpoint=checkpoint):
-                CollectionCheckpoint.save(checkpoint, dataset, rng_state, target)
-                if len(dataset) >= limit:
-                    raise Killed()
-
-            checkpoint.save = kill_after
-            with pytest.raises(Killed):
-                collect_simulated_dataset(
-                    adapter, corpus, num_examples, np.random.default_rng(7),
-                    blocks_per_table=8, checkpoint=checkpoint)
-            del checkpoint.save
-            # Resume with a fresh rng: the checkpoint restores the stream.
-            resumed = collect_simulated_dataset(
-                adapter, corpus, num_examples, np.random.default_rng(99),
-                blocks_per_table=8, checkpoint=checkpoint).to_arrays()
-            for key in reference:
-                np.testing.assert_array_equal(resumed[key], reference[key])
-
-    def test_checkpoint_rejects_mismatched_target(self, corpus, adapter,
-                                                  tmp_path):
-        checkpoint = CollectionCheckpoint(str(tmp_path / "checkpoint"), 16)
-        dataset = collect_simulated_dataset(
-            adapter, corpus, 32, np.random.default_rng(7), blocks_per_table=8)
-        checkpoint.save(dataset, np.random.default_rng(7).bit_generator.state, 64)
-        with pytest.raises(ValueError, match="targets 64"):
-            collect_simulated_dataset(
-                adapter, corpus, 32, np.random.default_rng(7),
-                blocks_per_table=8, checkpoint=checkpoint)
-
     def test_dataset_roundtrips_through_arrays(self, corpus, adapter):
         dataset = collect_simulated_dataset(
             adapter, corpus, 32, np.random.default_rng(7), blocks_per_table=8)
@@ -449,8 +402,8 @@ class TestPipelineResume:
 
     def test_finished_run_leaves_only_the_dataset_archive(self, corpus,
                                                           store, tmp_path):
-        """The partial collection checkpoint (saved every shard's worth of
-        examples) is removed once the stage's dataset archive is written."""
+        """Collection saves only its finished dataset, even when it draws
+        more than a corpus shard's worth of examples."""
         train = corpus.split_view("train").with_featurization_store(store)
         assert _learner().config.simulated_dataset_size > corpus.shard_size
         checkpoint_dir = str(tmp_path / "checkpoints")

@@ -24,8 +24,6 @@ from repro.campaigns import run_campaign
 from repro.core.adapters import MCAAdapter
 from repro.core.config import test_config as tiny_config
 from repro.core.difftune import DiffTune
-from repro.core.simulated_dataset import (CollectionCheckpoint,
-                                          collect_simulated_dataset)
 from repro.core.surrogate import BlockFeaturizer
 from repro.corpus import ShardedCorpus, ShardedFeaturizationStore
 from repro.distributed import MatrixCampaignSpec, run_matrix
@@ -101,6 +99,15 @@ def _equal(resumed, reference):
     assert resumed == reference
 
 
+def _learned_equal(resumed, reference):
+    """Equal ``(learned_arrays, train_error)`` pairs."""
+    np.testing.assert_array_equal(resumed[0].global_values,
+                                  reference[0].global_values)
+    np.testing.assert_array_equal(resumed[0].per_instruction_values,
+                                  reference[0].per_instruction_values)
+    assert resumed[1] == reference[1]
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     return ShardedCorpus.build(str(tmp_path_factory.mktemp("crash-corpus")),
@@ -123,14 +130,7 @@ def test_pipeline(small_dataset, tmp_path):
             blocks, timings, checkpoint_dir=directory, resume=resume)
         return result.learned_arrays, result.train_error
 
-    def compare(resumed, reference):
-        np.testing.assert_array_equal(resumed[0].global_values,
-                                      reference[0].global_values)
-        np.testing.assert_array_equal(resumed[0].per_instruction_values,
-                                      reference[0].per_instruction_values)
-        assert resumed[1] == reference[1]
-
-    sweep(run, compare, tmp_path)
+    sweep(run, _learned_equal, tmp_path)
 
 
 def test_campaign(tmp_path):
@@ -166,24 +166,22 @@ def test_corpus_build_and_featurization_store(tmp_path):
 
 
 @pytest.mark.parametrize("engine_workers", [0, 2])
-def test_streaming_collection(corpus, tmp_path, engine_workers):
-    # A collection round draws many tables before any is checkpointed, so
-    # the checkpoint must record the rng as it stood after the saved
-    # table's draws, whatever the worker count.
+def test_corpus_backed_learn(corpus, tmp_path, engine_workers):
+    # Collection draws several shards' worth of examples and saves nothing
+    # until it has finished, like every stage: a crash inside it collects
+    # again from the stage's start, whatever the worker count.
+    train = corpus.split_view("train")
+    timings = train.timings()
+    assert tiny_config(0).simulated_dataset_size > corpus.shard_size
     adapter = MCAAdapter(HASWELL, narrow_sampling=True,
                          engine_workers=engine_workers)
 
     def run(directory, resume):
-        return collect_simulated_dataset(
-            adapter, corpus, 48, np.random.default_rng(7), blocks_per_table=8,
-            checkpoint=CollectionCheckpoint(directory, 8)).to_arrays()
+        result = DiffTune(adapter, tiny_config(0)).learn(
+            train, timings, checkpoint_dir=directory, resume=resume)
+        return result.learned_arrays, result.train_error
 
-    def compare(resumed, reference):
-        assert resumed.keys() == reference.keys()
-        for key in reference:
-            np.testing.assert_array_equal(resumed[key], reference[key])
-
-    sweep(run, compare, tmp_path)
+    sweep(run, _learned_equal, tmp_path)
 
 
 def test_matrix_inline(tmp_path_factory, tmp_path):

@@ -211,12 +211,10 @@ class TestEncodings:
 
     def test_arrays_round_trip(self):
         arrays = {"a": np.arange(5), "b.c": np.eye(2)}
-        for compressed in (False, True):
-            decoded = storage.decode_arrays(
-                storage.encode_arrays(arrays, compressed=compressed), "memory")
-            assert decoded.keys() == arrays.keys()
-            for key in arrays:
-                np.testing.assert_array_equal(decoded[key], arrays[key])
+        decoded = storage.decode_arrays(storage.encode_arrays(arrays), "memory")
+        assert decoded.keys() == arrays.keys()
+        for key in arrays:
+            np.testing.assert_array_equal(decoded[key], arrays[key])
 
     def test_decode_arrays_names_the_source(self):
         payload = storage.encode_arrays({"a": np.arange(100)})
@@ -328,26 +326,10 @@ def _store_manifest(directory):
     return path, lambda: ShardedFeaturizationStore(store_dir, featurizer)
 
 
-def _collection_checkpoint(directory):
-    from repro.core.parameters import ParameterArrays
-    from repro.core.simulated_dataset import CollectionCheckpoint, SimulatedDataset
-
-    blocks = [None] * 4
-    dataset = SimulatedDataset(blocks)
-    dataset.append_round(ParameterArrays(global_values=np.zeros(2),
-                                         per_instruction_values=np.ones((3, 2))),
-                         np.arange(4), np.linspace(1.0, 2.0, 4))
-    checkpoint = CollectionCheckpoint(directory, 4)
-    checkpoint.save(dataset, np.random.default_rng(0).bit_generator.state, 16)
-    _truncate(checkpoint.path)
-    return checkpoint.path, lambda: CollectionCheckpoint(directory, 4).load(blocks)
-
-
 @pytest.mark.parametrize("make", [_pipeline_manifest, _matrix_manifest,
-                                  _corpus_manifest, _store_manifest,
-                                  _collection_checkpoint],
+                                  _corpus_manifest, _store_manifest],
                          ids=["pipeline", "matrix", "corpus",
-                              "featurization_store", "collection_checkpoint"])
+                              "featurization_store"])
 def test_truncated_manifest_error_names_its_path(make, tmp_path):
     path, reopen = make(str(tmp_path / "artifact"))
     with pytest.raises(CorruptArtifactError) as excinfo:
